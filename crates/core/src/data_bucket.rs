@@ -269,7 +269,11 @@ impl DataBucket {
         if self.store.is_none() {
             return false;
         }
-        let state = storage::encode_data_snapshot(self.bucket, &self.content());
+        let state = storage::Snapshot::Data {
+            bucket: self.bucket,
+            content: self.content(),
+        }
+        .encode();
         let ok = match self.store.as_mut() {
             Some(store) => store.snapshot(&state).is_ok(),
             None => false,

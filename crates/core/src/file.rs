@@ -945,3 +945,65 @@ impl crate::api::KvClient for LhrsFile {
         self.outcome_of(ClientOp::Scan { filter })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lhrs_sim::LatencyModel;
+
+    /// `FindRecordReply` arrives off the wire, so a parity bucket that
+    /// claims "found" with a key list lacking the key (buggy or byzantine)
+    /// must cost exactly that one lookup: an audit event and a failed
+    /// reply, not a coordinator abort.
+    #[test]
+    fn lying_find_record_reply_fails_one_lookup_and_leaves_an_audit_event() {
+        let mut file = LhrsFile::new(Config {
+            group_size: 4,
+            initial_k: 1,
+            bucket_capacity: 64,
+            ack_writes: true,
+            ack_parity: true,
+            latency: LatencyModel::instant(),
+            ..Config::default()
+        })
+        .unwrap();
+        for key in 0..8u64 {
+            file.insert(key, vec![7; 4]).unwrap();
+        }
+        let pnode = file.parity_node_id(0, 0);
+        file.crash_data_bucket(0);
+
+        // Start a lookup by hand and stop the world the moment the
+        // coordinator asks the parity bucket which rank holds the key ...
+        let client = file.clients[0];
+        let op_id = file.next_op;
+        file.next_op += 1;
+        let op = ClientOp::Lookup { key: 3 };
+        file.sim.send_external(client, Msg::Do { op_id, op });
+        while file.sim.stats().count("find-record") == 0 {
+            assert!(file.sim.step(), "the degraded read must start");
+        }
+        // ... then answer in the parity bucket's place. The token is the
+        // coordinator's secret; a reply under any other one is ignored, so
+        // sweep the small token space.
+        file.sim.crash(pnode);
+        for token in 0..64 {
+            let found = Some((0, vec![None; 4]));
+            let lie = Msg::FindRecordReply { token, found };
+            file.sim.send_as(pnode, file.coordinator, lie);
+        }
+        file.sim.run_until_idle();
+
+        let results = file.sim.actor_mut(client).as_client_mut().take_results();
+        assert!(
+            matches!(results.as_slice(), [(id, OpResult::Failed(why))]
+                if *id == op_id && why.contains("inconsistent parity reply")),
+            "{results:?}"
+        );
+        assert!(file
+            .events()
+            .iter()
+            .any(|(_, e)| matches!(e, CoordEvent::InvariantViolated { .. })));
+        assert_eq!(file.metrics().counter("invariant_violations"), 1);
+    }
+}

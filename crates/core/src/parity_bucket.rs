@@ -190,8 +190,13 @@ impl ParityBucket {
         if self.store.is_none() {
             return false;
         }
-        let state =
-            storage::encode_parity_snapshot(self.group, self.index, self.k, &self.content());
+        let state = storage::Snapshot::Parity {
+            group: self.group,
+            index: self.index,
+            k: self.k,
+            content: self.content(),
+        }
+        .encode();
         let ok = match self.store.as_mut() {
             Some(store) => store.snapshot(&state).is_ok(),
             None => false,

@@ -26,7 +26,7 @@ use crate::msg::{DeltaEntry, ShardContent};
 use crate::node::Node;
 use crate::parity_bucket::ParityBucket;
 use crate::registry::SharedHandle;
-use crate::wire::{self, Reader};
+use crate::wire::{self, wire_enum, Reader, Wire};
 use crate::{Key, Rank};
 
 /// Why a store operation failed.
@@ -165,137 +165,77 @@ pub enum WalOp {
     Delta(DeltaEntry),
 }
 
-const OP_SET: u8 = 1;
-const OP_DEL: u8 = 2;
-const OP_DELTA: u8 = 3;
+wire_enum!(WalOp {
+    1 => Set { rank, key, payload, delta_seq },
+    2 => Del { rank, key, delta_seq },
+    3 => Delta(entry),
+});
 
 /// Encode a [`WalOp`] (integrity framing is the store's job, not ours).
 pub fn encode_op(op: &WalOp) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
-    match op {
-        WalOp::Set {
-            rank,
-            key,
-            payload,
-            delta_seq,
-        } => {
-            out.push(OP_SET);
-            wire::put_varint(&mut out, *rank);
-            wire::put_varint(&mut out, *key);
-            wire::put_bytes(&mut out, payload);
-            wire::put_varint(&mut out, *delta_seq);
-        }
-        WalOp::Del {
-            rank,
-            key,
-            delta_seq,
-        } => {
-            out.push(OP_DEL);
-            wire::put_varint(&mut out, *rank);
-            wire::put_varint(&mut out, *key);
-            wire::put_varint(&mut out, *delta_seq);
-        }
-        WalOp::Delta(entry) => {
-            out.push(OP_DELTA);
-            wire::put_delta_entry(&mut out, entry);
-        }
-    }
+    op.put(&mut out);
     out
 }
 
 /// Decode a [`WalOp`]; the whole buffer must be consumed.
 pub fn decode_op(buf: &[u8]) -> Result<WalOp, StoreError> {
-    let corrupt = |e: wire::WireError| StoreError::Corrupt(format!("wal op: {e}"));
-    let mut r = Reader::new(buf);
-    let op = match r.u8().map_err(corrupt)? {
-        OP_SET => WalOp::Set {
-            rank: r.varint().map_err(corrupt)?,
-            key: r.varint().map_err(corrupt)?,
-            payload: r.bytes("wal payload").map_err(corrupt)?,
-            delta_seq: r.varint().map_err(corrupt)?,
-        },
-        OP_DEL => WalOp::Del {
-            rank: r.varint().map_err(corrupt)?,
-            key: r.varint().map_err(corrupt)?,
-            delta_seq: r.varint().map_err(corrupt)?,
-        },
-        OP_DELTA => WalOp::Delta(wire::get_delta_entry(&mut r).map_err(corrupt)?),
-        t => return Err(StoreError::Corrupt(format!("unknown wal op tag {t}"))),
-    };
-    r.finish().map_err(corrupt)?;
-    Ok(op)
+    Reader::new(buf)
+        .rest()
+        .map_err(|e| StoreError::Corrupt(format!("wal op: {e}")))
 }
 
 // ----- snapshot codec -----
 
 const SNAP_VERSION: u8 = 1;
-const SNAP_DATA: u8 = 0;
-const SNAP_PARITY: u8 = 1;
 
-/// Encode a data bucket's snapshot state.
-pub(crate) fn encode_data_snapshot(bucket: u64, content: &ShardContent) -> Vec<u8> {
-    let mut out = vec![SNAP_VERSION, SNAP_DATA];
-    wire::put_varint(&mut out, bucket);
-    wire::put_shard_content(&mut out, content);
-    out
-}
-
-/// Encode a parity bucket's snapshot state.
-pub(crate) fn encode_parity_snapshot(
-    group: u64,
-    index: usize,
-    k: usize,
-    content: &ShardContent,
-) -> Vec<u8> {
-    let mut out = vec![SNAP_VERSION, SNAP_PARITY];
-    wire::put_varint(&mut out, group);
-    wire::put_varint(&mut out, index as u64);
-    wire::put_varint(&mut out, k as u64);
-    wire::put_shard_content(&mut out, content);
-    out
-}
-
-/// A decoded bucket snapshot.
-enum Snapshot {
+/// A bucket's snapshot state: [`SNAP_VERSION`], the role tag, the bucket's
+/// identity, then its whole content.
+pub(crate) enum Snapshot {
+    /// A data bucket.
     Data {
+        /// The bucket number.
         bucket: u64,
+        /// Always [`ShardContent::Data`].
         content: ShardContent,
     },
+    /// A parity bucket.
     Parity {
+        /// The bucket group.
         group: u64,
+        /// The parity column index.
         index: usize,
+        /// The group's availability level.
         k: usize,
+        /// Always [`ShardContent::Parity`].
         content: ShardContent,
     },
 }
 
-fn decode_snapshot(buf: &[u8]) -> Result<Snapshot, StoreError> {
-    let corrupt = |e: wire::WireError| StoreError::Corrupt(format!("snapshot: {e}"));
-    let usize_of = |v: u64| {
-        usize::try_from(v).map_err(|_| StoreError::Corrupt(format!("snapshot index {v} overflows")))
-    };
-    let mut r = Reader::new(buf);
-    let version = r.u8().map_err(corrupt)?;
-    if version != SNAP_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "snapshot version {version} (expected {SNAP_VERSION})"
-        )));
+wire_enum!(Snapshot {
+    0 => Data { bucket, content },
+    1 => Parity { group, index, k, content },
+});
+
+impl Snapshot {
+    /// The bytes handed to [`BucketStore::snapshot`].
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = vec![SNAP_VERSION];
+        self.put(&mut out);
+        out
     }
-    let snap = match r.u8().map_err(corrupt)? {
-        SNAP_DATA => Snapshot::Data {
-            bucket: r.varint().map_err(corrupt)?,
-            content: wire::get_shard_content(&mut r).map_err(corrupt)?,
-        },
-        SNAP_PARITY => Snapshot::Parity {
-            group: r.varint().map_err(corrupt)?,
-            index: usize_of(r.varint().map_err(corrupt)?)?,
-            k: usize_of(r.varint().map_err(corrupt)?)?,
-            content: wire::get_shard_content(&mut r).map_err(corrupt)?,
-        },
-        t => return Err(StoreError::Corrupt(format!("unknown snapshot role {t}"))),
-    };
-    r.finish().map_err(corrupt)?;
-    Ok(snap)
+
+    fn decode(buf: &[u8]) -> Result<Snapshot, StoreError> {
+        let corrupt = |e: wire::WireError| StoreError::Corrupt(format!("snapshot: {e}"));
+        let mut r = Reader::new(buf);
+        let version = r.u8().map_err(corrupt)?;
+        if version != SNAP_VERSION {
+            return Err(StoreError::Corrupt(format!(
+                "snapshot version {version} (expected {SNAP_VERSION})"
+            )));
+        }
+        r.rest().map_err(corrupt)
+    }
 }
 
 // ----- recovery -----
@@ -333,7 +273,7 @@ pub fn recover(
         .ok_or_else(|| StoreError::Corrupt("store has no snapshot".into()))?;
     let mut ops_replayed = 0u64;
     let mut bytes_replayed = 0u64;
-    let node = match decode_snapshot(&snap_buf)? {
+    let node = match Snapshot::decode(&snap_buf)? {
         Snapshot::Data { bucket, content } => {
             let ShardContent::Data {
                 level,
@@ -653,13 +593,16 @@ mod tests {
             delta_seq: 0,
             records: Vec::new(),
         };
-        let mut buf = encode_data_snapshot(3, &content);
-        assert!(decode_snapshot(&buf).is_ok());
+        let mut buf = Snapshot::Data { bucket: 3, content }.encode();
+        assert!(Snapshot::decode(&buf).is_ok());
         buf[0] = 9;
-        assert!(matches!(decode_snapshot(&buf), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            Snapshot::decode(&buf),
+            Err(StoreError::Corrupt(_))
+        ));
         buf[0] = SNAP_VERSION;
         buf[1] = 7;
-        assert!(decode_snapshot(&buf).is_err());
+        assert!(Snapshot::decode(&buf).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! growth, addressing, parity consistency, failures, degraded reads,
 //! multi-bucket recovery, scalable availability, and the drills.
 
-use lhrs_core::{Config, Error, FilterSpec, LhrsFile, UpgradeMode};
+use lhrs_core::{Config, CoordEvent, Error, FilterSpec, LhrsFile, UpgradeMode};
 use lhrs_sim::LatencyModel;
 
 fn small_cfg() -> Config {
@@ -337,6 +337,20 @@ fn scalable_availability_eager_upgrades_groups() {
         assert_eq!(file.group_k(g), 3, "group {g} lagging");
     }
     file.verify_integrity().unwrap();
+    // The event log tells the same story: one Split per bucket beyond the
+    // first, one KIncreased per threshold, and group 0 upgraded up to k = 3.
+    let count = |pred: &dyn Fn(&CoordEvent) -> bool| {
+        file.events().iter().filter(|(_, e)| pred(e)).count() as u64
+    };
+    assert_eq!(
+        count(&|e| matches!(e, CoordEvent::Split { .. })),
+        file.bucket_count() - 1
+    );
+    assert_eq!(count(&|e| matches!(e, CoordEvent::KIncreased { .. })), 2);
+    assert_eq!(
+        count(&|e| matches!(e, CoordEvent::GroupUpgraded { group: 0, k: 3 })),
+        1
+    );
     // And the extra parity actually works: kill 3 shards of group 0.
     let mut cfg2 = file.config().clone();
     cfg2.latency = LatencyModel::default();
@@ -374,6 +388,10 @@ fn file_state_recovery_drill() {
     let m = file.bucket_count();
     let (n, i) = file.drill_file_state_recovery();
     assert_eq!(n + (1u64 << i), m, "recovered state inconsistent with M");
+    assert_eq!(
+        file.events().last().map(|(_, e)| e),
+        Some(&CoordEvent::StateRecovered { n, i })
+    );
     // File still fully operational afterwards.
     assert_eq!(
         file.lookup(lhrs_lh::scramble(3)).unwrap().unwrap(),
@@ -492,4 +510,39 @@ fn default_config_demo_matches_docs() {
     file.crash_data_bucket(victim);
     assert_eq!(file.lookup(42).unwrap().unwrap(), b"value-42");
     file.verify_integrity().unwrap();
+}
+
+#[test]
+fn rebuild_without_a_spare_node_stalls_instead_of_aborting() {
+    // The smallest legal pool: three spares, all consumed growing group 0
+    // to its four buckets. Further splits are dropped (they would need a
+    // new group), and a rebuild has nowhere to land.
+    let mut cfg = small_cfg();
+    cfg.initial_k = 1;
+    cfg.ack_writes = true;
+    cfg.node_pool = 2 + cfg.group_size + cfg.initial_k;
+    let mut file = LhrsFile::new(cfg).unwrap();
+    for key in 0..60u64 {
+        file.insert(lhrs_lh::scramble(key), payload(key)).unwrap();
+    }
+    assert_eq!(file.bucket_count(), 4, "the pool caps the file");
+
+    file.crash_data_bucket(1);
+    let report = file.check_group(0);
+    assert_eq!(report.failed_shards, vec![1]);
+    assert!(!report.recovered && !report.unrecoverable, "{report:?}");
+    assert_eq!(
+        file.events().last().map(|(_, e)| e),
+        Some(&CoordEvent::RecoveryStalled {
+            group: 0,
+            needed: 1
+        })
+    );
+    assert_eq!(file.metrics().counter("recoveries_stalled"), 1);
+    // The coordinator is still serving: the other buckets answer, and the
+    // lost one reads degraded through the parity bucket.
+    for key in 0..60u64 {
+        let k = lhrs_lh::scramble(key);
+        assert_eq!(file.lookup(k).unwrap().unwrap(), payload(key), "key {k}");
+    }
 }

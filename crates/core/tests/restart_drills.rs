@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use lhrs_core::storage::{MemHub, StoreId};
-use lhrs_core::{Config, FaultPlan, LhrsFile, Partition};
+use lhrs_core::{Config, CoordEvent, FaultPlan, LhrsFile, Partition};
 use lhrs_obs::RestartReport;
 use lhrs_sim::LatencyModel;
 
@@ -112,6 +112,14 @@ fn run_disk_survives_arm() -> u64 {
 
     let report = RestartReport::from_metrics("disk-survives", file.metrics());
     assert_eq!(report.restart_recoveries, 1, "{report:?}");
+    assert!(
+        file.events().iter().any(|(_, e)| matches!(
+            e,
+            CoordEvent::BucketRestarted { bucket: 0, suffix_len } if *suffix_len == report.suffix_entries
+        )),
+        "{:?}",
+        file.events()
+    );
     assert_eq!(report.restart_fallbacks, 0);
     assert_eq!(
         report.recovery_shards_rebuilt, 0,

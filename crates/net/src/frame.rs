@@ -7,7 +7,7 @@
 
 use std::io::{self, Read, Write};
 
-use lhrs_core::wire::{put_varint, Reader, WireError};
+use lhrs_core::wire::{Reader, Wire, WireError};
 use lhrs_sim::NodeId;
 
 /// Frame layout version (independent of the message codec's
@@ -265,49 +265,24 @@ impl RegistryUpdate {
     /// Encode the snapshot (the [`FrameType::Registry`] payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 4 * self.data.len());
-        put_varint(&mut out, self.version);
-        out.extend_from_slice(&self.coordinator.0.to_le_bytes());
-        put_varint(&mut out, self.data.len() as u64);
-        for n in &self.data {
-            out.extend_from_slice(&n.0.to_le_bytes());
-        }
-        put_varint(&mut out, self.parity.len() as u64);
-        for group in &self.parity {
-            put_varint(&mut out, group.len() as u64);
-            for n in group {
-                out.extend_from_slice(&n.0.to_le_bytes());
-            }
-        }
+        self.version.put(&mut out);
+        self.coordinator.put(&mut out);
+        self.data.put(&mut out);
+        self.parity.put(&mut out);
         out
     }
 
     /// Decode a snapshot; rejects truncated or trailing-garbage payloads.
     pub fn decode(buf: &[u8]) -> Result<RegistryUpdate, WireError> {
         let mut r = Reader::new(buf);
-        let version = r.varint()?;
-        let coordinator = NodeId(r.u32le()?);
-        let dn = r.len("registry data list")?;
-        let mut data = Vec::with_capacity(dn);
-        for _ in 0..dn {
-            data.push(NodeId(r.u32le()?));
-        }
-        let gn = r.len("registry group list")?;
-        let mut parity = Vec::with_capacity(gn);
-        for _ in 0..gn {
-            let kn = r.len("registry parity group")?;
-            let mut group = Vec::with_capacity(kn);
-            for _ in 0..kn {
-                group.push(NodeId(r.u32le()?));
-            }
-            parity.push(group);
-        }
+        let update = RegistryUpdate {
+            version: Wire::get(&mut r)?,
+            coordinator: Wire::get(&mut r)?,
+            data: Wire::get(&mut r)?,
+            parity: Wire::get(&mut r)?,
+        };
         r.finish()?;
-        Ok(RegistryUpdate {
-            version,
-            coordinator,
-            data,
-            parity,
-        })
+        Ok(update)
     }
 }
 

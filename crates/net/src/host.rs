@@ -161,11 +161,6 @@ impl<T: Transport> NodeHost<T> {
         self.tx.clone()
     }
 
-    /// The transport's outbound counters.
-    pub fn transport_stats(&self) -> crate::transport::TransportStats {
-        self.transport.stats()
-    }
-
     /// The allocation-table version last applied from the authoritative
     /// host (`None` until one arrived). Authoritative hosts report their
     /// own broadcast version.

@@ -47,22 +47,11 @@ pub enum HostEvent {
     Shutdown,
 }
 
-/// Outbound counters of a transport.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Protocol messages handed to the transport.
-    pub sent_msgs: u64,
-    /// Frame bytes written (including registry traffic).
-    pub sent_bytes: u64,
-    /// Sends dropped because the peer was unreachable or unknown.
-    pub dropped: u64,
-    /// Reconnections performed after a broken outbound connection.
-    pub reconnects: u64,
-}
-
-/// The outbound interface a node host writes protocol traffic to.
+/// The outbound interface a node host writes protocol traffic to. Sends
+/// are best-effort; every dropped frame, registry traffic included, counts
+/// in the `net_send_drops` obs counter.
 pub trait Transport {
-    /// Send one protocol message (best-effort; drops count in stats).
+    /// Send one protocol message.
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: &Msg);
     /// Send an allocation-table snapshot to one peer.
     fn send_registry(&mut self, to: NodeId, update: &RegistryUpdate);
@@ -75,8 +64,6 @@ pub trait Transport {
     fn broadcast_registry(&mut self, from: NodeId, update: &RegistryUpdate);
     /// Flush buffered writes to the wire.
     fn flush(&mut self);
-    /// Outbound counters.
-    fn stats(&self) -> TransportStats;
 }
 
 // ----- TCP -----
@@ -101,7 +88,6 @@ pub struct TcpTransport {
     conns: HashMap<String, BufWriter<TcpStream>>,
     /// Addresses with unflushed writes.
     dirty: HashSet<String>,
-    stats: TransportStats,
     /// Observability handle; clones live in every reader thread, which is
     /// also what lets those threads answer `STATS` pulls in place.
     obs: Metrics,
@@ -154,7 +140,6 @@ impl TcpTransport {
             local: local.iter().map(|(id, _)| *id).collect(),
             conns: HashMap::new(),
             dirty: HashSet::new(),
-            stats: TransportStats::default(),
             obs,
         })
     }
@@ -201,7 +186,6 @@ impl TcpTransport {
                     Ok(stream) => {
                         let _ = stream.set_nodelay(true);
                         if was_connected {
-                            self.stats.reconnects += 1;
                             self.obs.incr("net_reconnects");
                         }
                         self.conns.insert(addr.to_string(), BufWriter::new(stream));
@@ -216,7 +200,6 @@ impl TcpTransport {
                 .unwrap_or(false);
             if ok {
                 self.dirty.insert(addr.to_string());
-                self.stats.sent_bytes += bytes.len() as u64;
                 self.obs.add("net_sent_bytes", bytes.len() as u64);
                 return true;
             }
@@ -229,14 +212,12 @@ impl TcpTransport {
 
     fn send_frame(&mut self, ftype: FrameType, from: NodeId, to: NodeId, payload: &[u8]) {
         let Some(addr) = self.peers.get(&to.0).cloned() else {
-            self.stats.dropped += 1;
             self.obs.incr("net_send_drops");
             return;
         };
         let bytes = encode_frame(ftype, from, to, payload);
         self.obs.incr("net_frames_sent");
         if !self.write_to(&addr, &bytes) {
-            self.stats.dropped += 1;
             self.obs.incr("net_send_drops");
         }
     }
@@ -490,7 +471,6 @@ fn handle_frame(
 
 impl Transport for TcpTransport {
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: &Msg) {
-        self.stats.sent_msgs += 1;
         let payload = encode_msg(msg);
         self.send_frame(FrameType::Msg, from, to, &payload);
     }
@@ -519,7 +499,7 @@ impl Transport for TcpTransport {
             if sent.insert(addr.clone()) {
                 let bytes = encode_frame(FrameType::Registry, from, NodeId(id), &payload);
                 if !self.write_to(&addr, &bytes) {
-                    self.stats.dropped += 1;
+                    self.obs.incr("net_send_drops");
                 }
             }
         }
@@ -537,10 +517,6 @@ impl Transport for TcpTransport {
                 self.conns.remove(&addr);
             }
         }
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.stats
     }
 }
 
@@ -611,7 +587,6 @@ impl LoopbackNet {
 pub struct LoopbackTransport {
     net: LoopbackNet,
     local: HashSet<u32>,
-    stats: TransportStats,
     obs: Metrics,
     /// Routing-table cache, refreshed when the net's version moves: sends
     /// between topology changes take no shared lock.
@@ -631,7 +606,6 @@ impl LoopbackTransport {
         LoopbackTransport {
             net,
             local: local.iter().copied().collect(),
-            stats: TransportStats::default(),
             obs,
             cached_routes: HashMap::new(),
             cached_version: u64::MAX, // miss on first send
@@ -657,42 +631,36 @@ impl LoopbackTransport {
 
 impl Transport for LoopbackTransport {
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: &Msg) {
-        self.stats.sent_msgs += 1;
         // Codec honesty: ship the decoded re-materialization, not the
         // original value.
         let bytes = encode_msg(msg);
-        self.stats.sent_bytes += bytes.len() as u64;
         self.obs.incr("net_frames_sent");
         self.obs.add("net_sent_bytes", bytes.len() as u64);
         // A message our own codec cannot re-decode would also be
         // undeliverable over TCP: count it as a drop (the sender's retry
         // machinery handles it) instead of aborting the host.
         let Ok(msg) = decode_msg(&bytes) else {
-            self.stats.dropped += 1;
             self.obs.incr("net_decode_errors");
             return;
         };
         if !self.send_cached(to.0, HostEvent::Deliver { from, to, msg }) {
-            self.stats.dropped += 1;
             self.obs.incr("net_send_drops");
         }
     }
 
     fn send_registry(&mut self, to: NodeId, update: &RegistryUpdate) {
-        let bytes = update.encode();
-        self.stats.sent_bytes += bytes.len() as u64;
-        let Ok(up) = RegistryUpdate::decode(&bytes) else {
-            self.stats.dropped += 1;
+        let Ok(up) = RegistryUpdate::decode(&update.encode()) else {
+            self.obs.incr("net_decode_errors");
             return;
         };
         if !self.send_cached(to.0, HostEvent::Registry(up)) {
-            self.stats.dropped += 1;
+            self.obs.incr("net_send_drops");
         }
     }
 
     fn send_registry_pull(&mut self, from: NodeId, to: NodeId) {
         if !self.send_cached(to.0, HostEvent::RegistryPull { from }) {
-            self.stats.dropped += 1;
+            self.obs.incr("net_send_drops");
         }
     }
 
@@ -705,8 +673,57 @@ impl Transport for LoopbackTransport {
     }
 
     fn flush(&mut self) {}
+}
 
-    fn stats(&self) -> TransportStats {
-        self.stats
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lhrs_obs::Clock;
+
+    fn update() -> RegistryUpdate {
+        RegistryUpdate {
+            version: 1,
+            coordinator: NodeId(1),
+            data: vec![NodeId(7)],
+            parity: Vec::new(),
+        }
+    }
+
+    /// A registry frame to a peer whose host is gone is a send drop the
+    /// operator can see in `STATS`, like a dropped protocol message.
+    #[test]
+    fn registry_frames_to_a_dead_host_count_as_send_drops() {
+        let net = LoopbackNet::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        net.register(&[7], tx);
+        let obs = Metrics::new(Clock::logical());
+        let mut t = LoopbackTransport::with_metrics(net.clone(), &[1], obs.clone());
+        let update = update();
+
+        t.send_registry(NodeId(7), &update);
+        assert!(matches!(rx.try_recv(), Ok(HostEvent::Registry(up)) if up == update));
+        assert_eq!(obs.counter("net_send_drops"), 0);
+
+        // The host dies with its receiver; then it leaves the table too.
+        drop(rx);
+        t.broadcast_registry(NodeId(1), &update);
+        assert_eq!(obs.counter("net_send_drops"), 1);
+        net.unregister(&[7]);
+        t.send_registry(NodeId(7), &update);
+        t.send_registry_pull(NodeId(1), NodeId(7));
+        assert_eq!(obs.counter("net_send_drops"), 3);
+    }
+
+    #[test]
+    fn tcp_registry_broadcast_to_an_unreachable_peer_counts_as_a_send_drop() {
+        // An address that cannot even be parsed: unreachable without
+        // touching a socket (a closed port could be re-bound by a test
+        // running in parallel).
+        let peers = HashMap::from([(7, "nowhere".to_string())]);
+        let (tx, _rx) = std::sync::mpsc::channel();
+        let obs = Metrics::new(Clock::logical());
+        let mut t = TcpTransport::start_with_metrics(&[], peers, tx, obs.clone()).expect("start");
+        t.broadcast_registry(NodeId(1), &update());
+        assert_eq!(obs.counter("net_send_drops"), 1);
     }
 }

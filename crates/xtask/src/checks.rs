@@ -132,7 +132,7 @@ pub fn check_panic_freedom(label: &str, source: &str) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Check 2: wire-codec exhaustiveness
+// Source extraction shared by the obs- and drill-coverage checks
 // ---------------------------------------------------------------------------
 
 /// Extract variant names from `pub enum <name> { ... }` in `enum_src`.
@@ -197,84 +197,8 @@ fn fn_body(src_masked: &str, name: &str) -> Option<(usize, String)> {
     }
 }
 
-/// Every variant of `enum_name` (defined in `enum_src`) must appear as
-/// `<enum_name>::<Variant>` inside BOTH `fn <encode_fn>` and
-/// `fn <decode_fn>` in `wire_src`.
-pub fn check_codec_exhaustiveness(
-    enum_name: &str,
-    enum_src: &str,
-    wire_label: &str,
-    wire_src: &str,
-    encode_fn: &str,
-    decode_fn: &str,
-) -> Vec<Finding> {
-    let model = SourceModel::parse(wire_src);
-    let mut out = Vec::new();
-    let Some(variants) = enum_variants(enum_name, enum_src) else {
-        out.push(Finding {
-            check: Check::CodecExhaustiveness,
-            file: wire_label.to_string(),
-            line: 1,
-            message: format!("could not locate `pub enum {enum_name}` to audit the codec against"),
-            allowed: None,
-            chain: Vec::new(),
-        });
-        return out;
-    };
-    for (fn_name, role) in [(encode_fn, "encode"), (decode_fn, "decode")] {
-        let Some((open, body)) = fn_body(&model.masked, fn_name) else {
-            out.push(Finding {
-                check: Check::CodecExhaustiveness,
-                file: wire_label.to_string(),
-                line: 1,
-                message: format!(
-                    "`fn {fn_name}` not found: every `{enum_name}` variant needs a {role} arm"
-                ),
-                allowed: None,
-                chain: Vec::new(),
-            });
-            continue;
-        };
-        let line = model.line_of(open);
-        let toks = tokenize(&body);
-        for v in &variants {
-            let mut present = false;
-            for (i, t) in toks.iter().enumerate() {
-                if let Tok::Ident { text, .. } = t {
-                    if text == v
-                        && i >= 3
-                        && matches!(&toks[i - 1], Tok::Punct { ch: b':', .. })
-                        && matches!(&toks[i - 2], Tok::Punct { ch: b':', .. })
-                        && matches!(&toks[i - 3], Tok::Ident { text: e, .. } if e == enum_name)
-                    {
-                        present = true;
-                        break;
-                    }
-                }
-            }
-            if !present {
-                out.push(apply_allow(
-                    &model,
-                    Finding {
-                        check: Check::CodecExhaustiveness,
-                        file: wire_label.to_string(),
-                        line,
-                        message: format!(
-                            "`{enum_name}::{v}` has no arm in `{fn_name}`: a peer speaking this \
-                             variant would hit an unknown-tag error at runtime"
-                        ),
-                        allowed: None,
-                        chain: Vec::new(),
-                    },
-                ));
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Check 3: config-knob coverage
+// Check 2: config-knob coverage
 // ---------------------------------------------------------------------------
 
 /// `struct_fields` result: the struct body's byte span in the masked
@@ -446,7 +370,7 @@ pub fn check_config_knobs(
 }
 
 // ---------------------------------------------------------------------------
-// Check 4: test-attribute hygiene
+// Check 3: test-attribute hygiene
 // ---------------------------------------------------------------------------
 
 /// `#[ignore]` needs a reason; `crates/net` tests must not synchronize with
@@ -502,7 +426,7 @@ pub fn check_test_hygiene(label: &str, source: &str, in_net: bool) -> Vec<Findin
 }
 
 // ---------------------------------------------------------------------------
-// Check 5: observability coverage
+// Check 4: observability coverage
 // ---------------------------------------------------------------------------
 
 /// One required instrumentation site: `(file label, file text if found,
@@ -623,7 +547,7 @@ pub fn check_obs_coverage(
 }
 
 // ---------------------------------------------------------------------------
-// Check 6: drill coverage
+// Check 5: drill coverage
 // ---------------------------------------------------------------------------
 
 /// Counter-name prefixes whose series must be asserted by at least one

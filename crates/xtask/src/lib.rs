@@ -1,6 +1,6 @@
 //! lhrs-xtask: project-specific static analysis for the LH\*RS workspace.
 //!
-//! `cargo run -p lhrs-xtask -- lint` runs ten checks that generic tooling
+//! `cargo run -p lhrs-xtask -- lint` runs eight checks that generic tooling
 //! (`clippy -D warnings`) cannot express because they encode *protocol*
 //! invariants, not language idioms:
 //!
@@ -10,31 +10,30 @@
 //!    k-availability; the protocol logic itself aborting on a malformed
 //!    frame or a lagging peer defeats the whole design.
 //! 2. **transitive-panic** — the same patterns (plus the `assert!` family)
-//!    anywhere in `gf`/`rs`/`lh`/`obs`/`convert` code *reachable* from the
-//!    hot paths through the workspace call graph ([`graph`]); each finding
-//!    prints the offending call chain.
+//!    anywhere in `gf`/`rs`/`lh`/`obs`/`convert`/`wire` code *reachable*
+//!    from the hot paths through the workspace call graph ([`graph`]); each
+//!    finding prints the offending call chain.
 //! 3. **unchecked-arithmetic** — raw `+`/`-`/`*`/`<<` on reachable
 //!    helper-crate code; overflow semantics must be spelled out with
 //!    `checked_`/`saturating_`/`wrapping_` (or justified).
-//! 4. **codec-exhaustiveness** — every `Msg` and `CoordEvent` variant must
-//!    have an arm in both the encode and decode halves of `core/src/wire.rs`
-//!    so a new protocol message cannot ship without wire coverage.
-//! 5. **wire-tag** — the extracted `mod tag`/`mod etag` tables must agree
-//!    with the pinned manifest `wire_tags.toml` (no collisions, no drift,
-//!    no reuse of retired tags) — see [`manifest`].
-//! 6. **drill-coverage** — every `CoordEvent` variant and every
+//! 4. **drill-coverage** — every `CoordEvent` variant and every
 //!    `restart_*`/`wal_*`/`recovery_*` counter must be asserted by at
 //!    least one test, so a new failure path cannot land untested.
-//! 7. **config-knob** — every `Config` field must be read somewhere (dead
+//! 5. **config-knob** — every `Config` field must be read somewhere (dead
 //!    knobs silently ignore operator intent).
-//! 8. **test-hygiene** — no bare `#[ignore]`, no sleep-based
+//! 6. **test-hygiene** — no bare `#[ignore]`, no sleep-based
 //!    synchronization in `crates/net` tests.
-//! 9. **obs-coverage** — every `Msg` variant must carry its own `fn kind`
+//! 7. **obs-coverage** — every `Msg` variant must carry its own `fn kind`
 //!    label (a `_ =>` wildcard would collapse new protocol messages into
 //!    one counter bucket), and the `msgs_sent`/`msgs_recv` counter sites
 //!    in the simulator and the TCP host must stay in place.
-//! 10. **unused-allow** — every escape-hatch directive must still silence
-//!     something; stale allows rot into false confidence.
+//! 8. **unused-allow** — every escape-hatch directive must still silence
+//!    something; stale allows rot into false confidence.
+//!
+//! Two protocol guards need no source-text scanning and live elsewhere: a
+//! `Msg` variant without a codec row is a compile error (the `wire.rs`
+//! tables expand to a wildcard-free `match`), and the wire-tag pin is the
+//! root test `tests/wire_manifest.rs`.
 //!
 //! Escape hatch: `// lhrs-lint: allow(<check>) reason="..."` on the finding
 //! line or the line above. The reason string is mandatory and must be
@@ -48,7 +47,6 @@
 pub mod checks;
 pub mod graph;
 pub mod items;
-pub mod manifest;
 pub mod source;
 
 use std::fmt;
@@ -64,10 +62,6 @@ pub enum Check {
     TransitivePanic,
     /// Unchecked integer arithmetic on reachable helper-crate code.
     UncheckedArith,
-    /// Wire-codec exhaustiveness over `Msg`/`CoordEvent`.
-    CodecExhaustiveness,
-    /// Wire-tag manifest agreement (`wire_tags.toml`).
-    WireTag,
     /// Drill coverage: events and counters asserted by tests.
     DrillCoverage,
     /// Dead-knob detection on `Config`.
@@ -87,8 +81,6 @@ impl Check {
             Check::PanicFreedom => "panic-freedom",
             Check::TransitivePanic => "transitive-panic",
             Check::UncheckedArith => "unchecked-arithmetic",
-            Check::CodecExhaustiveness => "codec-exhaustiveness",
-            Check::WireTag => "wire-tag",
             Check::DrillCoverage => "drill-coverage",
             Check::ConfigKnob => "config-knob",
             Check::TestHygiene => "test-hygiene",
@@ -98,12 +90,10 @@ impl Check {
     }
 
     /// Every check name, for validating `allow(...)` directives.
-    pub const ALL: [Check; 10] = [
+    pub const ALL: [Check; 8] = [
         Check::PanicFreedom,
         Check::TransitivePanic,
         Check::UncheckedArith,
-        Check::CodecExhaustiveness,
-        Check::WireTag,
         Check::DrillCoverage,
         Check::ConfigKnob,
         Check::TestHygiene,
@@ -170,6 +160,11 @@ pub const HOT_PATHS: [&str; 10] = [
     "crates/wal/src/lib.rs",
 ];
 
+/// Does `dir` hold a `Cargo.toml` that opens a workspace of its own?
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
+}
+
 /// Walk a directory tree collecting `.rs` files (sorted for determinism).
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
@@ -180,10 +175,16 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            // `target/` holds build products; `crates/xtask` is the lint
-            // itself (its sources and fixtures deliberately contain the
-            // patterns being hunted).
-            if name == "target" || name == ".git" || path.ends_with("crates/xtask") {
+            // `target/` and dot-directories (`.git`, `.bench_build`) hold
+            // no sources of ours; `crates/xtask` is the lint itself (its
+            // sources and fixtures deliberately contain the patterns being
+            // hunted); a directory with its own `[workspace]` (`benchmark/`)
+            // is another workspace, not a member of this one.
+            if name == "target"
+                || name.starts_with('.')
+                || path.ends_with("crates/xtask")
+                || declares_workspace(&path)
+            {
                 continue;
             }
             rs_files(&path, out);
@@ -236,35 +237,7 @@ pub fn run_all(root: &Path) -> Vec<Finding> {
         }
     }
 
-    // 2. Codec exhaustiveness: Msg and CoordEvent against wire.rs.
-    if let Some((wire_label, wire_src)) = get("crates/core/src/wire.rs") {
-        for (enum_name, def, enc, dec) in [
-            ("Msg", "crates/core/src/msg.rs", "encode_msg", "decode_msg"),
-            (
-                "CoordEvent",
-                "crates/core/src/coordinator.rs",
-                "encode_coord_event",
-                "decode_coord_event",
-            ),
-        ] {
-            if let Some((_, enum_src)) = get(def) {
-                findings.extend(checks::check_codec_exhaustiveness(
-                    enum_name, enum_src, wire_label, wire_src, enc, dec,
-                ));
-            }
-        }
-    } else {
-        findings.push(Finding {
-            check: Check::CodecExhaustiveness,
-            file: "crates/core/src/wire.rs".to_string(),
-            line: 1,
-            message: "wire.rs missing".to_string(),
-            allowed: None,
-            chain: Vec::new(),
-        });
-    }
-
-    // 3. Config-knob coverage. The `ConfigBuilder` impl is excluded: its
+    // 2. Config-knob coverage. The `ConfigBuilder` impl is excluded: its
     // setters *store* every knob, which must not count as the knob being
     // honored anywhere.
     if let Some((def_label, def_src)) = get("crates/core/src/config.rs") {
@@ -277,13 +250,13 @@ pub fn run_all(root: &Path) -> Vec<Finding> {
         ));
     }
 
-    // 4. Test hygiene, workspace-wide.
+    // 3. Test hygiene, workspace-wide.
     for (label, text) in &sources {
         let in_net = label.starts_with("crates/net/");
         findings.extend(checks::check_test_hygiene(label, text, in_net));
     }
 
-    // 5. Observability coverage: per-variant kind labels on `Msg`, and the
+    // 4. Observability coverage: per-variant kind labels on `Msg`, and the
     // counter call sites that feed `msgs_sent`/`msgs_recv`.
     if let Some((msg_label, msg_src)) = get("crates/core/src/msg.rs") {
         let site = |label: &'static str| (label, get(label).map(|(_, t)| t.as_str()));
@@ -308,7 +281,7 @@ pub fn run_all(root: &Path) -> Vec<Finding> {
         });
     }
 
-    // 6. Call-graph checks: transitive panic-reachability and unchecked
+    // 5. Call-graph checks: transitive panic-reachability and unchecked
     // arithmetic over everything the actor hot paths can reach.
     let ws = items::WorkspaceIndex::build(&sources);
     let adj = graph::build_graph(&ws);
@@ -317,17 +290,7 @@ pub fn run_all(root: &Path) -> Vec<Finding> {
     });
     findings.extend(graph::run_graph_checks(&ws, &reach_info));
 
-    // 7. Wire-tag manifest agreement.
-    if let Some((wire_label, wire_src)) = get("crates/core/src/wire.rs") {
-        let manifest_text = fs::read_to_string(root.join("wire_tags.toml")).ok();
-        findings.extend(manifest::check_wire_tags(
-            wire_label,
-            wire_src,
-            manifest_text.as_deref(),
-        ));
-    }
-
-    // 8. Drill coverage: CoordEvent variants and recovery counters must be
+    // 6. Drill coverage: CoordEvent variants and recovery counters must be
     // asserted by at least one test.
     if let Some((coord_label, coord_src)) = get("crates/core/src/coordinator.rs") {
         findings.extend(checks::check_drill_coverage(
@@ -337,7 +300,7 @@ pub fn run_all(root: &Path) -> Vec<Finding> {
         ));
     }
 
-    // 9. Unused allows — runs last, over every other check's matches.
+    // 7. Unused allows — runs last, over every other check's matches.
     let stale = check_unused_allows(&sources, &findings);
     findings.extend(stale);
 
@@ -496,11 +459,8 @@ pub fn fix_allow_report(findings: &[Finding]) -> String {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if declares_workspace(&dir) {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;

@@ -1,24 +1,29 @@
 //! Self-tests for the whole-workspace analyzer: call-graph
-//! panic-reachability, unchecked arithmetic, the wire-tag manifest, drill
-//! coverage, and stale-allow reporting — each against a seeded fixture,
-//! plus the acceptance gate that a panic planted in the real `crates/gf`
-//! is traced back to `data_bucket.rs` with its full call chain.
+//! panic-reachability, unchecked arithmetic, drill coverage, and
+//! stale-allow reporting — each against a seeded fixture, plus the
+//! acceptance gates that a panic planted in the real `crates/gf` is traced
+//! back to `data_bucket.rs`, and one planted in the real wire decoder back
+//! to the TCP transport, each with its full call chain.
 
 use std::path::Path;
 
 use lhrs_xtask::checks::check_drill_coverage;
 use lhrs_xtask::graph::{build_graph, reach, run_graph_checks, ROOT_FILES};
 use lhrs_xtask::items::WorkspaceIndex;
-use lhrs_xtask::manifest::{check_wire_tags, parse_manifest};
 use lhrs_xtask::{check_unused_allows, workspace_sources, Check, Finding};
 
 const GRAPH_ROOT: &str = include_str!("fixtures/graph_root_bucket.rs");
 const GRAPH_HELPER: &str = include_str!("fixtures/graph_helper_panics.rs");
-const WIRE_COLLISION: &str = include_str!("fixtures/wire_collision.rs");
-const WIRE_TAGS_BAD: &str = include_str!("fixtures/wire_tags_bad.toml");
 const DRILL_GAP: &str = include_str!("fixtures/drill_gap.rs");
 const DRILL_COORD: &str = include_str!("fixtures/drill_coord.rs");
 const UNUSED_ALLOW: &str = include_str!("fixtures/unused_allow.rs");
+
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("crates/xtask sits two levels below the workspace root")
+}
 
 fn graph_findings(sources: &[(String, String)]) -> Vec<Finding> {
     let ws = WorkspaceIndex::build(sources);
@@ -77,50 +82,6 @@ fn panic_two_calls_deep_is_traced_to_the_hot_path() {
 }
 
 #[test]
-fn colliding_and_retired_wire_tags_are_flagged() {
-    let findings = check_wire_tags(
-        "fixtures/wire_collision.rs",
-        WIRE_COLLISION,
-        Some(WIRE_TAGS_BAD),
-    );
-    let msg = |needle: &str| {
-        findings
-            .iter()
-            .filter(|f| f.message.contains(needle))
-            .count()
-    };
-    assert_eq!(msg("tag collision"), 1, "{findings:#?}");
-    assert_eq!(msg("reuses retired tag 9"), 1, "{findings:#?}");
-    assert_eq!(msg("`NEW = 3` is not pinned"), 1, "{findings:#?}");
-    assert_eq!(msg("manifest pins `GONE = 7`"), 1, "{findings:#?}");
-    assert_eq!(findings.len(), 4, "no extra findings: {findings:#?}");
-}
-
-#[test]
-fn drifted_tag_value_is_flagged() {
-    let drifted = WIRE_TAGS_BAD.replace("PUT = 1", "PUT = 2");
-    let findings = check_wire_tags("fixtures/wire_collision.rs", WIRE_COLLISION, Some(&drifted));
-    assert!(
-        findings.iter().any(|f| f
-            .message
-            .contains("`PUT` drifted: code says 1, wire_tags.toml pins 2")),
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn manifest_parser_round_trips_the_fixture() {
-    let m = parse_manifest(WIRE_TAGS_BAD).expect("fixture manifest parses");
-    assert_eq!(m.msg.len(), 4);
-    assert_eq!(m.coord_event, vec![("SPLIT_DONE".to_string(), 1)]);
-    assert_eq!(m.retired_msg, vec![9]);
-    assert!(m.retired_coord_event.is_empty());
-    // Malformed input is a loud error, not silently-dropped pins.
-    assert!(parse_manifest("[msg]\nPUT = banana").is_err());
-    assert!(parse_manifest("[mystery]\nx = 1").is_err());
-}
-
-#[test]
 fn unasserted_drill_counter_is_flagged() {
     let sources = vec![
         (
@@ -163,11 +124,7 @@ fn stale_and_unknown_allows_are_reported() {
 /// reported with a transitive call chain starting at `data_bucket.rs`.
 #[test]
 fn seeded_gf_panic_is_reachable_from_the_real_data_bucket() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/xtask sits two levels below the workspace root");
-    let mut sources = workspace_sources(root);
+    let mut sources = workspace_sources(workspace_root());
     let field = sources
         .iter_mut()
         .find(|(l, _)| l == "crates/gf/src/field.rs")
@@ -209,4 +166,110 @@ fn seeded_gf_panic_is_reachable_from_the_real_data_bucket() {
         "{:#?}",
         hit.chain
     );
+}
+
+/// Moving the codec's arms into a table macro must not blind the call
+/// graph: a panic planted in the real `Reader::varint` is reachable from
+/// the TCP transport's frame handler through `decode_msg`.
+#[test]
+fn seeded_varint_panic_is_reachable_from_the_real_transport() {
+    let mut sources = workspace_sources(workspace_root());
+    let wire = sources
+        .iter_mut()
+        .find(|(l, _)| l == "crates/core/src/wire.rs")
+        .expect("wire.rs in workspace");
+    let seeded = wire.1.replace(
+        "pub fn varint(&mut self) -> Result<u64, WireError> {",
+        "pub fn varint(&mut self) -> Result<u64, WireError> {\n        panic!(\"seeded\");",
+    );
+    assert_ne!(seeded, wire.1, "the decoder we sabotage must exist");
+    wire.1 = seeded;
+
+    let ws = WorkspaceIndex::build(&sources);
+    let adj = build_graph(&ws);
+    let label = |f: &lhrs_xtask::items::FnItem| ws.files[f.file].label.as_str();
+
+    // First hop: the transport's frame handler calls `decode_msg`.
+    let decode = ws
+        .fns
+        .iter()
+        .position(|f| f.name == "decode_msg" && label(f) == "crates/core/src/wire.rs")
+        .expect("decode_msg is a fn item");
+    let caller = ws
+        .fns
+        .iter()
+        .enumerate()
+        .find(|(i, f)| {
+            label(f) == "crates/net/src/transport.rs"
+                && !f.is_test
+                && adj[*i].iter().any(|(callee, _)| *callee == decode)
+        })
+        .map(|(_, f)| f.name.as_str());
+    assert_eq!(caller, Some("handle_frame"));
+
+    // The rest: rooted at `decode_msg` alone, so the chain the finding
+    // carries runs through it by construction (from the whole transport,
+    // BFS prefers a shorter over-approximated edge such as `.len()`).
+    let reach_info = reach(&ws, &adj, |f| {
+        f.name == "decode_msg" && label(f) == "crates/core/src/wire.rs"
+    });
+    let findings = run_graph_checks(&ws, &reach_info);
+    let hit = findings
+        .iter()
+        .find(|f| {
+            f.check == Check::TransitivePanic
+                && f.file == "crates/core/src/wire.rs"
+                && f.message.contains("panic!")
+        })
+        .unwrap_or_else(|| panic!("seeded panic not found: {findings:#?}"));
+    assert!(hit.chain[0].contains("decode_msg"), "{:#?}", hit.chain);
+    assert!(
+        hit.chain.last().unwrap().contains("Reader::varint"),
+        "{:#?}",
+        hit.chain
+    );
+}
+
+/// Sources outside the root workspace are not ours to lint: `benchmark/`
+/// (its own `[workspace]`) reports a `"window_ops"` JSON key and
+/// `.bench_build/` holds build products; neither may surface as an
+/// unasserted obs counter.
+#[test]
+fn foreign_workspaces_and_dot_directories_are_not_walked() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("walk_fixture");
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    };
+    write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+    write(
+        "crates/a/src/lib.rs",
+        "fn f(o: &Obs) { o.incr(\"window_real\"); }\n",
+    );
+    write(
+        "benchmark/Cargo.toml",
+        "[package]\nname = \"b\"\n[workspace]\n",
+    );
+    write(
+        "benchmark/src/run.rs",
+        "fn g() -> &'static str { \"window_x\" }\n",
+    );
+    write(
+        ".bench_build/debug/build/out.rs",
+        "fn h() -> &'static str { \"window_y\" }\n",
+    );
+
+    let sources = workspace_sources(&root);
+    let labels: Vec<&str> = sources.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(labels, ["crates/a/src/lib.rs"]);
+
+    let findings = check_drill_coverage("crates/core/src/coordinator.rs", "", &sources);
+    let counters: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.message.contains("`window_"))
+        .collect();
+    assert_eq!(counters.len(), 1, "{findings:#?}");
+    assert!(counters[0].message.contains("`window_real`"));
 }

@@ -5,15 +5,14 @@
 use std::path::Path;
 
 use lhrs_xtask::checks::{
-    check_codec_exhaustiveness, check_config_knobs, check_obs_coverage, check_panic_freedom,
-    check_test_hygiene, enum_variants, struct_fields,
+    check_config_knobs, check_obs_coverage, check_panic_freedom, check_test_hygiene, enum_variants,
+    struct_fields,
 };
 use lhrs_xtask::{fix_allow_report, run_all, Finding, OBS_SITES};
 
 const PANIC_VIOLATIONS: &str = include_str!("fixtures/panic_violations.rs");
 const PANIC_ALLOWED: &str = include_str!("fixtures/panic_allowed.rs");
 const PANIC_BAD_ALLOW: &str = include_str!("fixtures/panic_bad_allow.rs");
-const CODEC_MISSING: &str = include_str!("fixtures/codec_missing_arm.rs");
 const CONFIG_DEAD: &str = include_str!("fixtures/config_dead_knob.rs");
 const CONFIG_BUILDER: &str = include_str!("fixtures/config_builder_knob.rs");
 const HYGIENE: &str = include_str!("fixtures/hygiene_violations.rs");
@@ -81,24 +80,8 @@ fn escape_hatch_requires_nonempty_reason() {
 }
 
 #[test]
-fn codec_check_finds_the_missing_decode_arm() {
-    let findings = check_codec_exhaustiveness(
-        "Msg",
-        CODEC_MISSING,
-        "fixtures/codec_missing_arm.rs",
-        CODEC_MISSING,
-        "encode_msg",
-        "decode_msg",
-    );
-    let open = unallowed(&findings);
-    assert_eq!(open.len(), 1, "exactly the seeded gap: {:#?}", open);
-    assert!(open[0].message.contains("Msg::Gamma"));
-    assert!(open[0].message.contains("decode_msg"));
-}
-
-#[test]
 fn codec_variant_extraction_sees_all_shapes() {
-    let vars = enum_variants("Msg", CODEC_MISSING).expect("enum found");
+    let vars = enum_variants("Msg", OBS_WILDCARD).expect("enum found");
     assert_eq!(vars, ["Alpha", "Beta", "Gamma"]);
 }
 
@@ -303,40 +286,4 @@ fn real_workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-/// Deleting one `Msg` arm from the real `wire.rs` encode half must make the
-/// codec check fail — this is the regression the lint exists to catch.
-#[test]
-fn deleting_a_real_encode_arm_breaks_the_codec_check() {
-    let root = workspace_root();
-    let msg_src = std::fs::read_to_string(root.join("crates/core/src/msg.rs")).expect("msg.rs");
-    let wire_src = std::fs::read_to_string(root.join("crates/core/src/wire.rs")).expect("wire.rs");
-
-    // Intact tree: no codec findings.
-    let clean = check_codec_exhaustiveness(
-        "Msg",
-        &msg_src,
-        "crates/core/src/wire.rs",
-        &wire_src,
-        "encode_msg",
-        "decode_msg",
-    );
-    assert!(unallowed(&clean).is_empty(), "{:#?}", clean);
-
-    // Drop the ForceMerge encode arm and re-run.
-    let sabotaged = wire_src.replace("Msg::ForceMerge => out.push(tag::FORCE_MERGE),", "");
-    assert_ne!(sabotaged, wire_src, "the arm we delete must exist");
-    let broken = check_codec_exhaustiveness(
-        "Msg",
-        &msg_src,
-        "crates/core/src/wire.rs",
-        &sabotaged,
-        "encode_msg",
-        "decode_msg",
-    );
-    let open = unallowed(&broken);
-    assert_eq!(open.len(), 1, "{:#?}", open);
-    assert!(open[0].message.contains("Msg::ForceMerge"));
-    assert!(open[0].message.contains("encode_msg"));
 }
