@@ -59,7 +59,8 @@ pub struct ParityBucket {
     key_index: HashMap<Key, Rank>,
     /// Per data column: recently applied Δs (bounded by
     /// `delta_history_cap`), kept to serve Δ-suffix catch-up to restarting
-    /// data buckets. Contiguous with `channels[col].next_seq` at the back.
+    /// data buckets. Contiguous and, unless empty, ending exactly at
+    /// `channels[col].next_seq`; kept only while a store is attached.
     history: Vec<VecDeque<DeltaEntry>>,
     /// Durable store, when the file runs with persistence.
     store: Option<Box<dyn BucketStore>>,
@@ -164,12 +165,15 @@ impl ParityBucket {
 
     /// Erase and drop the store — on retirement (the logical parity column
     /// lives elsewhere now) and on any write failure (the log is holey or
-    /// its base is stale). Either way this copy must not resurrect.
+    /// its base is stale). Either way this copy must not resurrect. The
+    /// Δ-history goes with it: without a store `commit` remembers nothing,
+    /// and a window that stops short of `next_seq` must never be served.
     pub(crate) fn reset_store(&mut self) {
         if let Some(store) = self.store.as_mut() {
             let _ = store.reset();
         }
         self.store = None;
+        self.history.iter_mut().for_each(VecDeque::clear);
     }
 
     /// This bucket's full state as shipped in recovery transfers.
@@ -246,6 +250,21 @@ impl ParityBucket {
         }
     }
 
+    /// Log, remember and apply one admitted Δ. The history's only reader is
+    /// [`Msg::SuffixPull`], which only a WAL-recovered data bucket causes:
+    /// a parity bucket without a store belongs to a file that never pulls
+    /// a suffix (or answers one `complete: false`, and the coordinator
+    /// falls back to the full rebuild), so it retains nothing — and one
+    /// that loses its store ([`Self::reset_store`], possibly inside
+    /// `log_delta` just above) drops what it had retained.
+    fn commit(&mut self, env: &mut Env<'_, Msg>, ready: DeltaEntry) {
+        self.log_delta(env, &ready);
+        if self.store.is_some() {
+            self.remember(ready.clone());
+        }
+        self.apply(ready);
+    }
+
     /// Remember an applied Δ in the bounded per-column history — the window
     /// this bucket can serve as a Δ-suffix to a restarting data bucket.
     /// Applies happen strictly in column order, so each deque is contiguous
@@ -301,9 +320,7 @@ impl ParityBucket {
                 let col = entry.col;
                 let mut applied = 0u64;
                 for ready in self.admit(entry) {
-                    self.log_delta(env, &ready);
-                    self.remember(ready.clone());
-                    self.apply(ready);
+                    self.commit(env, ready);
                     applied += 1;
                 }
                 env.obs().add("deltas_applied", applied);
@@ -326,9 +343,7 @@ impl ParityBucket {
                     }
                     cols.insert(entry.col);
                     for ready in self.admit(entry) {
-                        self.log_delta(env, &ready);
-                        self.remember(ready.clone());
-                        self.apply(ready);
+                        self.commit(env, ready);
                         applied += 1;
                     }
                 }
@@ -370,9 +385,12 @@ impl ParityBucket {
             } => {
                 debug_assert_eq!(group, self.group);
                 let next = self.channels.get(col).map(|c| c.next_seq).unwrap_or(0);
-                // The history deque for a column is contiguous and ends at
-                // `next`, so the suffix [from_seq, next) is servable iff its
-                // filtered view starts exactly at `from_seq`.
+                // The history deque for a column is contiguous, so the
+                // suffix [from_seq, next) is servable iff its filtered view
+                // starts exactly at `from_seq` and ends at `next`. (It ends
+                // there whenever it is non-empty — `reset_store` clears it —
+                // but a short suffix acked as complete is silent loss of
+                // acked updates, so the end is checked, not assumed.)
                 let entries: Vec<DeltaEntry> = self
                     .history
                     .get(col)
@@ -382,6 +400,7 @@ impl ParityBucket {
                     from_seq == next // nothing missed (or the puller is ahead: not ours to cover)
                 } else {
                     entries.first().map(|e| e.seq) == Some(from_seq)
+                        && entries.last().and_then(|e| e.seq.checked_add(1)) == Some(next)
                 };
                 let entries = if complete { entries } else { Vec::new() };
                 let count = entries.len() as u64;
@@ -554,6 +573,8 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use crate::registry::Shared;
+    use crate::storage::{MemHub, StoreId};
+    use lhrs_sim::Effect;
 
     fn bucket() -> ParityBucket {
         let cfg = Config {
@@ -626,5 +647,84 @@ mod tests {
         assert!(p.admit(delta(4, 0, 9, cl)).is_empty());
         assert_eq!(p.admit(delta(5, 0, 9, cl)).len(), 1);
         assert_eq!(p.admit(delta(2, 2, 9, cl)).len(), 1);
+    }
+
+    /// Deliver Δs `seqs` of column 0, then pull the suffix from seq 1:
+    /// what the puller is sent.
+    fn suffix_after_deltas(p: &mut ParityBucket, seqs: std::ops::Range<u64>) -> (Vec<u64>, bool) {
+        let cl = p.shared.cfg.cell_len();
+        let (mut next_timer, mut effects) = (0, Vec::new());
+        let obs = lhrs_obs::Metrics::disabled();
+        let mut env = Env::external(NodeId(9), 0, &mut next_timer, &mut effects, &obs);
+        for seq in seqs {
+            let msg = Msg::ParityDelta {
+                group: 0,
+                entry: delta(seq, 0, 10 + seq, cl),
+                ack_to: None,
+            };
+            p.on_message(&mut env, NodeId(1), msg);
+        }
+        let pull = Msg::SuffixPull {
+            group: 0,
+            col: 0,
+            from_seq: 1,
+            target: NodeId(1),
+        };
+        p.on_message(&mut env, NodeId(0), pull);
+        effects
+            .into_iter()
+            .find_map(|effect| match effect {
+                Effect::Send {
+                    msg:
+                        Msg::DeltaSuffix {
+                            entries, complete, ..
+                        },
+                    ..
+                } => Some((entries.iter().map(|e| e.seq).collect(), complete)),
+                _ => None,
+            })
+            .expect("a SuffixPull is answered with a DeltaSuffix")
+    }
+
+    /// A bucket with a store on a fresh disk of `hub`.
+    fn durable_bucket(hub: &MemHub) -> (ParityBucket, StoreId) {
+        let mut p = bucket();
+        let id = StoreId::Parity { group: 0, index: 0 };
+        p.attach_store((hub.factory())(NodeId(9), &id).expect("a fresh disk"));
+        (p, id)
+    }
+
+    #[test]
+    fn delta_history_is_kept_only_where_a_suffix_can_be_pulled() {
+        // No store: nothing is retained, and the pull is declined — the
+        // coordinator then rebuilds the bucket in full.
+        let mut plain = bucket();
+        assert_eq!(suffix_after_deltas(&mut plain, 0..3), (Vec::new(), false));
+        assert!(plain.history.iter().all(|h| h.is_empty()));
+        assert_eq!(plain.channels[0].next_seq, 3, "the Δs were still applied");
+
+        // Store attached: the suffix is served.
+        let (mut durable, _) = durable_bucket(&MemHub::new());
+        assert_eq!(suffix_after_deltas(&mut durable, 0..3), (vec![1, 2], true));
+    }
+
+    /// A store lost mid-stream stops the remembering; the window retained
+    /// until then ends short of `next_seq` and must not be served as the
+    /// whole suffix — the puller would resume its Δ stream too low.
+    #[test]
+    fn a_poisoned_store_takes_the_delta_history_with_it() {
+        let hub = MemHub::new();
+        let (mut p, id) = durable_bucket(&hub);
+        assert_eq!(suffix_after_deltas(&mut p, 0..3), (vec![1, 2], true));
+
+        hub.disk(&id).expect("the disk").fail_writes(true);
+        assert_eq!(suffix_after_deltas(&mut p, 3..6), (Vec::new(), false));
+        assert!(!p.has_store(), "the failed append poisoned the store");
+        assert!(p.history.iter().all(|h| h.is_empty()));
+        assert_eq!(p.channels[0].next_seq, 6, "the Δs were still applied");
+
+        // Were a stale window to survive anyway, its end gives it away.
+        p.history[0].extend((0..3).map(|seq| delta(seq, 0, 10 + seq, 1)));
+        assert_eq!(suffix_after_deltas(&mut p, 6..6), (Vec::new(), false));
     }
 }

@@ -591,9 +591,15 @@ wire_enum!(Msg in tag {
 /// Encode a message (starts with [`WIRE_VERSION`]).
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
-    out.push(WIRE_VERSION);
-    msg.put(&mut out);
+    encode_msg_into(msg, &mut out);
     out
+}
+
+/// Append the [`encode_msg`] bytes of `msg` to `out` — for a caller that
+/// already holds the buffer the bytes are bound for.
+pub fn encode_msg_into(msg: &Msg, out: &mut Vec<u8>) {
+    out.push(WIRE_VERSION);
+    msg.put(out);
 }
 
 /// Decode a message produced by [`encode_msg`]. The whole buffer must be

@@ -14,8 +14,8 @@ use arb::{arb_delta_entry, arb_key, arb_msg_variant, arb_node, arb_payload, VARI
 use lhrs_core::storage::{encode_op, MemHub, StoreId, WalOp};
 use lhrs_core::wire::encode_msg;
 use lhrs_core::{Config, LhrsFile};
-use lhrs_net::frame::RegistryUpdate;
-use lhrs_sim::LatencyModel;
+use lhrs_net::frame::{encode_frame, hosted_payload, FrameType, RegistryUpdate};
+use lhrs_sim::{LatencyModel, NodeId};
 use lhrs_testkit::Rng;
 
 /// FNV-1a over length-prefixed items (the prefix keeps item boundaries in
@@ -135,5 +135,26 @@ fn encodings_match_the_pinned_digest() {
         "an encoding changed: bytes on the wire / in the WAL are a compatibility contract \
          (digest is now {:#018x})",
         d.0
+    );
+}
+
+/// The hello exchange that opens every TCP connection, byte for byte: a
+/// dialer and a listener of different builds must agree on exactly this.
+#[test]
+fn hello_frames_match_the_pinned_bytes() {
+    assert_eq!(
+        encode_frame(FrameType::Hello, NodeId(1), NodeId(0x0102), &[]),
+        [10, 0, 0, 0, 1, 5, 1, 0, 0, 0, 2, 1, 0, 0],
+        "length 10 | frame version 1 | type 5 | from | to | no payload"
+    );
+    assert_eq!(
+        encode_frame(
+            FrameType::HelloReply,
+            NodeId(0x0102),
+            NodeId(1),
+            &hosted_payload(&[NodeId(0x0102), NodeId(7)]),
+        ),
+        [19, 0, 0, 0, 1, 6, 2, 1, 0, 0, 1, 0, 0, 0, 2, 2, 1, 0, 0, 7, 0, 0, 0],
+        "length 19 | frame version 1 | type 6 | from | to | count 2 | the hosted nodes"
     );
 }

@@ -3,7 +3,9 @@
 //! The payload of a [`FrameType::Msg`] frame is a `lhrs_core::wire`
 //! encoding; [`FrameType::Registry`] carries a [`RegistryUpdate`]
 //! allocation-table snapshot; [`FrameType::RegistryPull`] is an empty
-//! control frame asking the authoritative host for the current table.
+//! control frame asking the authoritative host for the current table;
+//! [`FrameType::Hello`] / [`FrameType::HelloReply`] open a connection and
+//! tell the dialer which nodes it reaches.
 
 use std::io::{self, Read, Write};
 
@@ -35,6 +37,13 @@ pub enum FrameType {
     /// A metrics snapshot in Prometheus text exposition format (UTF-8
     /// payload).
     StatsReply,
+    /// The first frame a dialing transport writes (empty payload): asks
+    /// the accepting process which nodes it hosts.
+    Hello,
+    /// The answer, on the same connection: the hosted node ids
+    /// ([`hosted_payload`]). The dialer then sends every frame for any of
+    /// those nodes over this one connection.
+    HelloReply,
 }
 
 impl FrameType {
@@ -45,6 +54,8 @@ impl FrameType {
             FrameType::RegistryPull => 2,
             FrameType::StatsPull => 3,
             FrameType::StatsReply => 4,
+            FrameType::Hello => 5,
+            FrameType::HelloReply => 6,
         }
     }
 
@@ -55,6 +66,8 @@ impl FrameType {
             2 => Some(FrameType::RegistryPull),
             3 => Some(FrameType::StatsPull),
             4 => Some(FrameType::StatsReply),
+            5 => Some(FrameType::Hello),
+            6 => Some(FrameType::HelloReply),
             _ => None,
         }
     }
@@ -75,18 +88,52 @@ pub struct Frame {
 
 /// Serialize a frame into a write-ready byte string.
 pub fn encode_frame(ftype: FrameType, from: NodeId, to: NodeId, payload: &[u8]) -> Vec<u8> {
-    let body_len = 10 + payload.len(); // version + type + from + to + payload
-    let mut out = Vec::with_capacity(4 + body_len);
-    // Saturate instead of truncating: an absurd payload produces a frame
-    // the receiver's MAX_FRAME check rejects, never a desynced stream.
-    let wire_len = u32::try_from(body_len).unwrap_or(u32::MAX);
-    out.extend_from_slice(&wire_len.to_le_bytes());
+    let mut out = Vec::with_capacity(payload.len().saturating_add(14));
+    encode_frame_into(&mut out, ftype, from, to, |out| {
+        out.extend_from_slice(payload)
+    });
+    out
+}
+
+/// Append a frame to `out`, its payload written in place by `payload` —
+/// how a transport encodes a message straight into a connection's write
+/// buffer.
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    ftype: FrameType,
+    from: NodeId,
+    to: NodeId,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]); // the length, known once the payload is written
     out.push(FRAME_VERSION);
     out.push(ftype.to_byte());
     out.extend_from_slice(&from.0.to_le_bytes());
     out.extend_from_slice(&to.0.to_le_bytes());
-    out.extend_from_slice(payload);
+    payload(out);
+    if let Some((len, body)) = out
+        .get_mut(start..)
+        .and_then(|frame| frame.split_first_chunk_mut::<4>())
+    {
+        // Saturate instead of truncating: an absurd payload produces a
+        // frame the receiver's MAX_FRAME check rejects, never a desynced
+        // stream.
+        *len = u32::try_from(body.len()).unwrap_or(u32::MAX).to_le_bytes();
+    }
+}
+
+/// The [`FrameType::HelloReply`] payload: the nodes a process hosts.
+pub fn hosted_payload(nodes: &[NodeId]) -> Vec<u8> {
+    let mut out = Vec::new();
+    NodeId::put_list(nodes, &mut out);
     out
+}
+
+/// Decode a [`hosted_payload`]; rejects truncated or trailing-garbage
+/// payloads.
+pub fn decode_hosted(buf: &[u8]) -> Result<Vec<NodeId>, WireError> {
+    Reader::new(buf).rest()
 }
 
 /// Read one frame off a stream. `Ok(None)` is a clean EOF (the peer closed

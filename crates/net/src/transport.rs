@@ -9,19 +9,23 @@
 //! heal message loss.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use lhrs_core::msg::Msg;
-use lhrs_core::wire::{decode_msg, encode_msg};
+use lhrs_core::wire::{decode_msg, encode_msg, encode_msg_into};
 use lhrs_obs::{Event as ObsEvent, Metrics};
 use lhrs_sim::NodeId;
 
-use crate::frame::{encode_frame, write_frame, Frame, FrameAccumulator, FrameType, RegistryUpdate};
+use crate::frame::{
+    decode_hosted, encode_frame_into, hosted_payload, read_frame, write_frame, Frame,
+    FrameAccumulator, FrameType, RegistryUpdate,
+};
 
 /// An inbound event delivered to a node host.
 #[derive(Debug)]
@@ -48,8 +52,9 @@ pub enum HostEvent {
 }
 
 /// The outbound interface a node host writes protocol traffic to. Sends
-/// are best-effort; every dropped frame, registry traffic included, counts
-/// in the `net_send_drops` obs counter.
+/// are best-effort; every frame dropped for want of a connection, registry
+/// traffic included, counts in the `net_send_drops` obs counter (as does,
+/// once, a connection lost with a batch in it).
 pub trait Transport {
     /// Send one protocol message.
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: &Msg);
@@ -68,37 +73,94 @@ pub trait Transport {
 
 // ----- TCP -----
 
-/// Reader shards per process: accepted connections are spread round-robin
-/// over this many event-driven reader threads, each polling its
-/// connections with nonblocking reads. Inbound capacity no longer costs a
-/// thread per client, so one node sustains thousands of concurrent
-/// pipelined connections on a fixed thread budget.
-const READER_SHARDS: usize = 4;
+/// How long an outbound connect, and the hello exchange after it, may
+/// each take before the send is dropped.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// TCP transport: one lazily connected, write-buffered outbound connection
-/// per peer address; inbound via one listener per hosted node feeding a
-/// fixed pool of [`READER_SHARDS`] nonblocking reader shards, all feeding
-/// the host's event channel.
+/// How much write buffer a connection keeps between batches: one huge
+/// frame (a shard transfer) must not pin its size on every connection.
+const BUF_KEEP: usize = 64 * 1024;
+
+/// The longest a silent peer is left alone between dials: the wait doubles
+/// from [`CONNECT_TIMEOUT`] up to this, one timeout in seventeen.
+const BACKOFF_MAX: Duration = Duration::from_secs(4);
+
+/// How long [`TcpTransport::shutdown`] waits for its threads to exit
+/// before leaving them behind.
+const JOIN_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// TCP transport. Outbound: one lazily dialed connection per peer
+/// *process* — the dialer's [`FrameType::Hello`] is answered with the
+/// nodes that process hosts, and every frame for any of them shares the
+/// socket — written once per poll batch. Inbound: one listener per hosted
+/// node, and per accepted connection one reader thread that sleeps in
+/// `read` until bytes arrive and feeds the host's event channel.
 pub struct TcpTransport {
-    /// Peer node → address (includes local nodes; those are skipped).
+    /// Node → address: where to dial a node no open connection reaches.
     peers: HashMap<u32, String>,
-    /// Locally hosted nodes (never connected to).
-    local: HashSet<u32>,
-    /// Open outbound connections by address.
-    conns: HashMap<String, BufWriter<TcpStream>>,
-    /// Addresses with unflushed writes.
-    dirty: HashSet<String>,
-    /// Observability handle; clones live in every reader thread, which is
-    /// also what lets those threads answer `STATS` pulls in place.
-    obs: Metrics,
+    /// Open outbound connections, keyed by the node whose address was
+    /// dialed.
+    conns: HashMap<u32, Conn>,
+    /// Node → key of the connection that last reached it: the dialed node
+    /// plus every node the `HelloReply` named. Nothing is sent by a route
+    /// whose connection is gone, but it still says who shares a process:
+    /// a redial is known to be one, and silence covers all of its nodes.
+    routes: HashMap<u32, u32>,
+    /// Peer processes (by the route key of a node, or the node itself if
+    /// never reached) that accepted nothing or answered no hello: when to
+    /// touch a socket for them again, and how long that wait was. A silent
+    /// peer costs the host thread one timeout per period, not per frame.
+    down: HashMap<u32, (Instant, Duration)>,
+    inbound: Arc<Inbound>,
+    /// Per hosted node, in `start` order: the listener's bound address. A
+    /// connection to it wakes the accept thread.
+    listeners: Vec<SocketAddr>,
+    /// Disconnects once every accept and reader thread has let go of its
+    /// socket and returned.
+    exited: Receiver<()>,
 }
 
-/// How long an outbound connect may take before the send is dropped.
-const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+/// One outbound connection. Write-only after the hello exchange: the peer
+/// replies over its own connection to our listener.
+struct Conn {
+    stream: TcpStream,
+    /// Frames encoded since the last flush: a poll batch is one `write`.
+    buf: Vec<u8>,
+}
+
+/// What a transport shares with its accept and reader threads.
+struct Inbound {
+    tx: Sender<HostEvent>,
+    /// Observability handle; reader threads answer `STATS` pulls from it.
+    obs: Metrics,
+    /// The nodes this process hosts: the `HelloReply` payload.
+    hosted: Vec<NodeId>,
+    /// Per live reader thread, a second handle onto its socket: shutting
+    /// that down is what wakes a reader blocked in `read`. `None` once the
+    /// transport has shut down.
+    readers: Mutex<Option<Readers>>,
+}
+
+type Readers = HashMap<ThreadId, TcpStream>;
+
+impl Inbound {
+    fn readers(&self) -> MutexGuard<'_, Option<Readers>> {
+        // The map is only inserted into and removed from: valid at every
+        // step, so a panicked reader must not wedge shutdown.
+        self.readers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn decode_error(&self, context: &str) {
+        self.obs.incr("net_decode_errors");
+        self.obs.trace_now(ObsEvent::DecodeError {
+            context: context.to_string(),
+        });
+    }
+}
 
 impl TcpTransport {
     /// Bind a listener for every `(node, addr)` in `local`, spawn the
-    /// accept/reader threads feeding `tx`, and return the outbound half.
+    /// accept threads feeding `tx`, and return the outbound half.
     /// `peers` maps every node of the cluster to its address.
     pub fn start(
         local: &[(u32, String)],
@@ -118,405 +180,337 @@ impl TcpTransport {
         tx: Sender<HostEvent>,
         obs: Metrics,
     ) -> std::io::Result<TcpTransport> {
-        // One shared shard pool per process, however many listeners the
-        // process binds; spawned only when there is something to listen on.
-        let mut shard_txs: Vec<Sender<TcpStream>> = Vec::new();
-        if !local.is_empty() {
-            for _ in 0..READER_SHARDS {
-                let (stx, srx) = std::sync::mpsc::channel();
-                let tx = tx.clone();
-                let obs = obs.clone();
-                std::thread::spawn(move || shard_loop(srx, tx, obs));
-                shard_txs.push(stx);
-            }
-        }
-        for (_, addr) in local {
-            let listener = TcpListener::bind(addr)?;
-            let shard_txs = shard_txs.clone();
-            std::thread::spawn(move || accept_loop(listener, shard_txs));
-        }
-        Ok(TcpTransport {
+        let (exited_tx, exited) = std::sync::mpsc::channel();
+        let mut transport = TcpTransport {
             peers,
-            local: local.iter().map(|(id, _)| *id).collect(),
             conns: HashMap::new(),
-            dirty: HashSet::new(),
-            obs,
-        })
-    }
-
-    /// Write `bytes` to the connection for `addr`, connecting lazily and
-    /// retrying once through a reconnect. Returns false when the peer is
-    /// unreachable (the frame is dropped).
-    fn write_to(&mut self, addr: &str, bytes: &[u8]) -> bool {
-        let mut was_connected = false;
-        for _attempt in 0..2 {
-            if let Some(w) = self.conns.get(addr) {
-                // Outbound connections are write-only in this protocol —
-                // the peer replies over its own connection to our listener
-                // — so any readability here is a FIN or RST: the peer
-                // process went away (or restarted) since our last write.
-                // Writes into such a half-dead socket "succeed" at the OS
-                // level and vanish; detect it now and reconnect instead.
-                match conn_staleness(w.get_ref()) {
-                    Staleness::Healthy => {}
-                    Staleness::Closed => {
-                        self.conns.remove(addr);
-                        was_connected = true;
-                    }
-                    Staleness::StrayData => {
-                        // Bytes arrived on a write-only connection — e.g.
-                        // a reply to an *older* request whose reader is
-                        // long gone. They die with the closed socket:
-                        // drop-and-count, never deliver them to whoever
-                        // reads the replacement connection.
-                        self.obs.incr("net_stale_replies_dropped");
-                        self.conns.remove(addr);
-                        was_connected = true;
-                    }
-                }
-            }
-            if !self.conns.contains_key(addr) {
-                match TcpStream::connect_timeout(
-                    &match addr.parse() {
-                        Ok(a) => a,
-                        Err(_) => return false,
-                    },
-                    CONNECT_TIMEOUT,
-                ) {
-                    Ok(stream) => {
-                        let _ = stream.set_nodelay(true);
-                        if was_connected {
-                            self.obs.incr("net_reconnects");
-                        }
-                        self.conns.insert(addr.to_string(), BufWriter::new(stream));
-                    }
-                    Err(_) => return false,
-                }
-            }
-            let ok = self
-                .conns
-                .get_mut(addr)
-                .map(|w| w.write_all(bytes).is_ok())
-                .unwrap_or(false);
-            if ok {
-                self.dirty.insert(addr.to_string());
-                self.obs.add("net_sent_bytes", bytes.len() as u64);
-                return true;
-            }
-            // Broken pipe: drop the connection and retry once fresh.
-            self.conns.remove(addr);
-            was_connected = true;
+            routes: HashMap::new(),
+            down: HashMap::new(),
+            inbound: Arc::new(Inbound {
+                tx,
+                obs,
+                hosted: local.iter().map(|(id, _)| NodeId(*id)).collect(),
+                readers: Mutex::new(Some(HashMap::new())),
+            }),
+            listeners: Vec::new(),
+            exited,
+        };
+        // A failed bind drops `transport`, which stops the threads spawned
+        // for the listeners before it.
+        for (node, addr) in local {
+            let listener = TcpListener::bind(addr)?;
+            let bound = listener.local_addr()?;
+            let (inbound, exited_tx) = (Arc::clone(&transport.inbound), exited_tx.clone());
+            // `accept_loop` closes the listener before the latch lets go.
+            std::thread::Builder::new()
+                .name(format!("lhrs-accept-{node}"))
+                .spawn(move || accept_loop(listener, inbound, &exited_tx))?;
+            transport.listeners.push(bound);
         }
-        false
+        Ok(transport)
     }
 
-    fn send_frame(&mut self, ftype: FrameType, from: NodeId, to: NodeId, payload: &[u8]) {
-        let Some(addr) = self.peers.get(&to.0).cloned() else {
-            self.obs.incr("net_send_drops");
+    /// Stop every accept and reader thread and close the listeners; also
+    /// runs on drop. Never blocks exit: each thread is woken — an accept
+    /// thread by a connection to its own listener, a reader by shutting
+    /// its socket down — and all together are awaited [`JOIN_TIMEOUT`].
+    pub fn shutdown(&mut self) {
+        // An accept thread spawns a reader only into a map it finds under
+        // this lock, so every reader is either in `readers` now or never
+        // started.
+        let Some(readers) = self.inbound.readers().take() else {
+            return; // already shut down
+        };
+        for addr in &self.listeners {
+            let _ = TcpStream::connect_timeout(addr, CONNECT_TIMEOUT);
+        }
+        for wake in readers.values() {
+            let _ = wake.shutdown(Shutdown::Both);
+        }
+        let _ = self.exited.recv_timeout(JOIN_TIMEOUT);
+    }
+
+    /// The key of the open connection that reaches `to`.
+    fn route(&self, to: u32) -> Option<u32> {
+        let key = *self.routes.get(&to)?;
+        self.conns.contains_key(&key).then_some(key)
+    }
+
+    /// Dial `to`'s address and exchange hellos. On success the connection
+    /// is open under key `to` and routes every node the peer hosts.
+    fn dial(&mut self, from: NodeId, to: u32) -> bool {
+        let process = self.routes.get(&to).copied().unwrap_or(to);
+        let down = self.down.get(&process).copied();
+        if down.is_some_and(|(retry_at, _)| Instant::now() < retry_at) {
+            return false;
+        }
+        let Some(addr) = self.peers.get(&to).and_then(|a| a.parse().ok()) else {
+            return false;
+        };
+        match hello(&addr, from, NodeId(to)) {
+            Ok((conn, hosted)) => {
+                // A node reached before, over a connection since closed.
+                if self.routes.contains_key(&to) {
+                    self.inbound.obs.incr("net_reconnects");
+                }
+                for node in hosted.iter().map(|n| n.0).chain([to]) {
+                    self.routes.insert(node, to);
+                }
+                self.conns.insert(to, conn);
+                self.down.remove(&process);
+                true
+            }
+            // Nobody listening: found out in microseconds, and the peer may
+            // bind at any moment (a coordinator's first broadcast reaches
+            // for clients that have not started), so ask again next frame.
+            Err(e) if e.kind() == ErrorKind::ConnectionRefused => false,
+            Err(e) => {
+                if matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof) {
+                    self.inbound.decode_error("hello reply");
+                }
+                // No node that shared `to`'s last connection is dialed
+                // meanwhile: they are behind the same silence.
+                let twice = |(_, waited): (_, Duration)| waited.saturating_mul(2);
+                let wait = down.map_or(CONNECT_TIMEOUT, twice).min(BACKOFF_MAX);
+                if let Some(retry_at) = Instant::now().checked_add(wait) {
+                    self.down.insert(process, (retry_at, wait));
+                }
+                false
+            }
+        }
+    }
+
+    /// The connection that reaches `to`, dialed if there is none, ready
+    /// for one more frame. Staleness is checked once per batch, before the
+    /// first frame goes into an idle connection.
+    fn conn_for(&mut self, from: NodeId, to: u32) -> Option<&mut Conn> {
+        let mut key = self.route(to);
+        let stale = key
+            .and_then(|k| self.conns.get(&k))
+            .is_some_and(|c| c.buf.is_empty() && conn_is_stale(&c.stream, &self.inbound.obs));
+        if let Some(k) = key.take_if(|_| stale) {
+            self.conns.remove(&k);
+        }
+        if key.is_none() && !self.dial(from, to) {
+            return None;
+        }
+        self.conns.get_mut(&key.unwrap_or(to))
+    }
+
+    /// Encode one frame into the write buffer of the connection to `to`;
+    /// it reaches the wire at the next [`Transport::flush`].
+    fn send_frame(
+        &mut self,
+        ftype: FrameType,
+        from: NodeId,
+        to: NodeId,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let Some(conn) = self.conn_for(from, to.0) else {
+            self.inbound.obs.incr("net_send_drops");
             return;
         };
-        let bytes = encode_frame(ftype, from, to, payload);
-        self.obs.incr("net_frames_sent");
-        if !self.write_to(&addr, &bytes) {
-            self.obs.incr("net_send_drops");
-        }
+        let before = conn.buf.len();
+        encode_frame_into(&mut conn.buf, ftype, from, to, payload);
+        let sent = conn.buf.len().saturating_sub(before);
+        self.inbound.obs.incr("net_frames_sent");
+        self.inbound.obs.add("net_sent_bytes", sent as u64);
     }
 }
 
-/// What a nonblocking 1-byte peek on an idle outbound connection reveals.
-enum Staleness {
-    /// `WouldBlock`: nothing to read on a write-only connection — healthy.
-    Healthy,
-    /// EOF or a socket error: the peer closed or reset since our last
-    /// write.
-    Closed,
-    /// Readable bytes: protocol-violating data on a write-only connection
-    /// (typically a late reply to an older request). The connection is
-    /// dead to us, and the bytes must be dropped and counted — never
-    /// delivered.
-    StrayData,
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
 }
 
-fn conn_staleness(stream: &TcpStream) -> Staleness {
+/// Connect to `addr` and learn which nodes the process behind it hosts.
+fn hello(addr: &SocketAddr, from: NodeId, to: NodeId) -> std::io::Result<(Conn, Vec<NodeId>)> {
+    let mut stream = TcpStream::connect_timeout(addr, CONNECT_TIMEOUT)?;
+    let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
+    write_frame(&mut stream, FrameType::Hello, from, to, &[])?;
+    let reply = read_frame(&mut stream)?.ok_or(ErrorKind::UnexpectedEof)?;
+    let hosted = decode_hosted(&reply.payload).ok();
+    let hosted = hosted.filter(|_| reply.ftype == FrameType::HelloReply);
+    let buf = Vec::new();
+    Ok((Conn { stream, buf }, hosted.ok_or(ErrorKind::InvalidData)?))
+}
+
+/// Whether an idle outbound connection is dead. It is write-only — the
+/// peer replies over its own connection to our listener — so a nonblocking
+/// peek that finds anything but `WouldBlock` means the peer process went
+/// away (or restarted) since our last write: EOF, a reset, or bytes nobody
+/// may send here (a late reply to an older request; counted, and closed
+/// with the socket so they never reach whoever reads the replacement).
+/// Writes into such a half-dead socket "succeed" at the OS level and
+/// vanish, which is why this runs before them.
+fn conn_is_stale(stream: &TcpStream, obs: &Metrics) -> bool {
     if stream.set_nonblocking(true).is_err() {
-        return Staleness::Closed;
+        return true;
     }
-    let mut probe = [0u8; 1];
-    let staleness = match stream.peek(&mut probe) {
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Staleness::Healthy,
-        Ok(0) | Err(_) => Staleness::Closed,
-        Ok(_) => Staleness::StrayData,
+    let stale = match stream.peek(&mut [0u8; 1]) {
+        Err(e) if e.kind() == ErrorKind::WouldBlock => false,
+        Ok(0) | Err(_) => true,
+        Ok(_) => {
+            obs.incr("net_stale_replies_dropped");
+            true
+        }
     };
     let _ = stream.set_nonblocking(false);
-    staleness
+    stale
 }
 
-fn accept_loop(listener: TcpListener, shard_txs: Vec<Sender<TcpStream>>) {
-    let mut next = 0usize;
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            return;
-        };
+/// Give every accepted connection a reader thread, until the listener
+/// fails or the transport stops.
+fn accept_loop(listener: TcpListener, inbound: Arc<Inbound>, exited: &Sender<()>) {
+    while let Ok((stream, _)) = listener.accept() {
         let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
+        let Ok(wake) = stream.try_clone() else {
             continue;
-        }
-        let Some(shard) = shard_txs.get(next % shard_txs.len().max(1)) else {
+        };
+        // Spawn and register under one lock: a reader that exits at once
+        // (a connect-and-close probe) finds its entry to remove, and
+        // `shutdown` sees every reader that was ever started.
+        let mut readers = inbound.readers();
+        let Some(readers) = readers.as_mut() else {
             return;
         };
-        if shard.send(stream).is_err() {
-            return; // shard pool gone: process shutting down
-        }
-        next = next.wrapping_add(1);
-    }
-}
-
-/// One connection owned by a reader shard.
-struct ShardConn {
-    stream: TcpStream,
-    acc: FrameAccumulator,
-}
-
-/// Ceiling of a shard's idle backoff between poll sweeps.
-const SHARD_IDLE_MAX: Duration = Duration::from_millis(2);
-
-/// One event-driven reader shard: adopt connections from `rx`, sweep them
-/// with nonblocking reads, decode frames incrementally, and feed the host
-/// channel. An idle shard backs off (up to [`SHARD_IDLE_MAX`]) inside
-/// `recv_timeout`, so waiting costs no CPU yet newly accepted connections
-/// are adopted immediately.
-fn shard_loop(rx: Receiver<TcpStream>, tx: Sender<HostEvent>, obs: Metrics) {
-    let mut conns: Vec<ShardConn> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut accepting = true;
-    let mut idle_wait = Duration::from_micros(100);
-    loop {
-        while accepting {
-            match rx.try_recv() {
-                Ok(stream) => conns.push(ShardConn {
-                    stream,
-                    acc: FrameAccumulator::new(),
-                }),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => accepting = false,
-            }
-        }
-        let mut progress = false;
-        let mut i = 0;
-        while i < conns.len() {
-            let Some(conn) = conns.get_mut(i) else { break };
-            match service_conn(conn, &mut scratch, &tx, &obs) {
-                ConnState::Idle => i += 1,
-                ConnState::Progressed => {
-                    progress = true;
-                    i += 1;
+        let (shared, exited) = (Arc::clone(&inbound), exited.clone());
+        let reader = std::thread::Builder::new()
+            .name("lhrs-rx".to_string())
+            .spawn(move || {
+                read_loop(stream, &shared);
+                if let Some(readers) = shared.readers().as_mut() {
+                    readers.remove(&std::thread::current().id());
                 }
-                ConnState::Dead => {
-                    conns.swap_remove(i);
-                }
-            }
-        }
-        if progress {
-            idle_wait = Duration::from_micros(100);
-            continue;
-        }
-        if conns.is_empty() && !accepting {
-            return;
-        }
-        // Nothing readable: sleep with exponential backoff, waking early
-        // for a newly accepted connection.
-        idle_wait = (idle_wait * 2).min(SHARD_IDLE_MAX);
-        if accepting {
-            match rx.recv_timeout(idle_wait) {
-                Ok(stream) => conns.push(ShardConn {
-                    stream,
-                    acc: FrameAccumulator::new(),
-                }),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => accepting = false,
-            }
-        } else {
-            std::thread::sleep(idle_wait);
+                drop(exited);
+            });
+        if let Ok(thread) = reader {
+            readers.insert(thread.thread().id(), wake);
         }
     }
 }
 
-/// Outcome of one nonblocking service pass over a connection.
-enum ConnState {
-    /// Nothing to read.
-    Idle,
-    /// At least one byte was consumed.
-    Progressed,
-    /// EOF, a socket error, a corrupt stream, or the host went away.
-    Dead,
-}
-
-/// Drain whatever the socket has ready, decoding and dispatching every
-/// complete frame.
-fn service_conn(
-    conn: &mut ShardConn,
-    scratch: &mut [u8],
-    tx: &Sender<HostEvent>,
-    obs: &Metrics,
-) -> ConnState {
-    let mut progressed = false;
+/// One connection's reader: sleep in `read` until bytes arrive, decode
+/// every complete frame and hand it to the host; return on EOF, a socket
+/// error, a corrupt stream, or when the host is gone.
+fn read_loop(mut stream: TcpStream, inbound: &Inbound) {
+    let mut acc = FrameAccumulator::new();
+    let mut chunk = [0u8; 16 * 1024];
     loop {
-        match conn.stream.read(scratch) {
-            Ok(0) => return ConnState::Dead, // clean EOF
-            Ok(n) => {
-                progressed = true;
-                conn.acc.extend(scratch.get(..n).unwrap_or(&[]));
-                loop {
-                    match conn.acc.next_frame() {
-                        Ok(Some(frame)) => {
-                            if !handle_frame(frame, &mut conn.stream, tx, obs) {
-                                return ConnState::Dead;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // A desynced stream has no recovery point.
-                            obs.incr("net_decode_errors");
-                            obs.trace_now(ObsEvent::DecodeError {
-                                context: "inbound frame".to_string(),
-                            });
-                            return ConnState::Dead;
-                        }
+        let n = match stream.read(&mut chunk) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Ok(0) | Err(_) => return,
+            Ok(n) => n,
+        };
+        acc.extend(chunk.get(..n).unwrap_or(&[]));
+        loop {
+            match acc.next_frame() {
+                Ok(Some(frame)) => {
+                    if !handle_frame(frame, &mut stream, inbound) {
+                        return;
                     }
                 }
-                if n < scratch.len() {
-                    // Socket drained (short read): yield to the next conn.
-                    return ConnState::Progressed;
-                }
+                Ok(None) => break,
+                // A desynced stream has no recovery point.
+                Err(_) => return inbound.decode_error("inbound frame"),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                return if progressed {
-                    ConnState::Progressed
-                } else {
-                    ConnState::Idle
-                };
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ConnState::Dead,
         }
     }
 }
 
 /// Dispatch one decoded frame; returns whether the connection stays up.
-fn handle_frame(
-    frame: Frame,
-    stream: &mut TcpStream,
-    tx: &Sender<HostEvent>,
-    obs: &Metrics,
-) -> bool {
+fn handle_frame(frame: Frame, stream: &mut TcpStream, inbound: &Inbound) -> bool {
+    let (obs, ftype, from, to) = (&inbound.obs, frame.ftype, frame.from, frame.to);
     obs.incr("net_frames_recv");
-    let event = match frame.ftype {
-        FrameType::Msg => match decode_msg(&frame.payload) {
-            Ok(msg) => HostEvent::Deliver {
-                from: frame.from,
-                to: frame.to,
-                msg,
-            },
-            Err(_) => {
-                // Defensive: skip undecodable frames.
-                obs.incr("net_decode_errors");
-                obs.trace_now(ObsEvent::DecodeError {
-                    context: "message payload".to_string(),
-                });
-                return true;
-            }
-        },
-        FrameType::Registry => match RegistryUpdate::decode(&frame.payload) {
-            Ok(up) => HostEvent::Registry(up),
-            Err(_) => {
-                obs.incr("net_decode_errors");
-                obs.trace_now(ObsEvent::DecodeError {
-                    context: "registry payload".to_string(),
-                });
-                return true;
-            }
-        },
-        FrameType::RegistryPull => HostEvent::RegistryPull { from: frame.from },
-        FrameType::StatsPull => {
-            // The `STATS` command: answered right here on the same
-            // connection so operator tooling (`lhrs-netcli stats`) needs
-            // no listener and gets a reply even while the host loop is
-            // busy. The socket flips to blocking for the write — a reply
-            // is small and the puller is actively reading.
-            obs.incr("net_stats_pulls");
-            let snapshot = obs.render_prometheus();
-            if stream.set_nonblocking(false).is_err() {
-                return false;
-            }
-            let ok = write_frame(
-                stream,
-                FrameType::StatsReply,
-                frame.to,
-                frame.from,
-                snapshot.as_bytes(),
-            )
-            .and_then(|_| stream.flush())
-            .is_ok();
-            if stream.set_nonblocking(true).is_err() {
-                return false;
-            }
-            return ok;
+    let decoded = match ftype {
+        FrameType::Msg => decode_msg(&frame.payload)
+            .map(|msg| HostEvent::Deliver { from, to, msg })
+            .map_err(|_| "message payload"),
+        FrameType::Registry => RegistryUpdate::decode(&frame.payload)
+            .map(HostEvent::Registry)
+            .map_err(|_| "registry payload"),
+        FrameType::RegistryPull => Ok(HostEvent::RegistryPull { from }),
+        // A reply frame is only meaningful to whoever asked, which reads
+        // its connection directly; a host receiving one ignores it.
+        FrameType::StatsReply | FrameType::HelloReply => return true,
+        // A dialer's hello and the `STATS` command are answered right
+        // here on the same connection, whatever the host loop is busy
+        // with — so `lhrs-netcli stats` needs no listener.
+        FrameType::Hello | FrameType::StatsPull => {
+            let (rtype, answer) = if ftype == FrameType::Hello {
+                (FrameType::HelloReply, hosted_payload(&inbound.hosted))
+            } else {
+                obs.incr("net_stats_pulls");
+                (FrameType::StatsReply, obs.render_prometheus().into_bytes())
+            };
+            return write_frame(stream, rtype, to, from, &answer).is_ok();
         }
-        // A reply frame is only meaningful to the puller, which reads its
-        // connection directly; a host receiving one ignores it.
-        FrameType::StatsReply => return true,
     };
-    tx.send(event).is_ok()
+    match decoded {
+        Ok(event) => inbound.tx.send(event).is_ok(),
+        Err(context) => {
+            // Defensive: skip the undecodable frame, keep the stream.
+            inbound.decode_error(context);
+            true
+        }
+    }
 }
 
 impl Transport for TcpTransport {
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: &Msg) {
-        let payload = encode_msg(msg);
-        self.send_frame(FrameType::Msg, from, to, &payload);
+        self.send_frame(FrameType::Msg, from, to, |out| encode_msg_into(msg, out));
     }
 
     fn send_registry(&mut self, to: NodeId, update: &RegistryUpdate) {
         let payload = update.encode();
-        self.send_frame(FrameType::Registry, update.coordinator, to, &payload);
+        self.send_frame(FrameType::Registry, update.coordinator, to, |out| {
+            out.extend_from_slice(&payload)
+        });
     }
 
     fn send_registry_pull(&mut self, from: NodeId, to: NodeId) {
-        self.send_frame(FrameType::RegistryPull, from, to, &[]);
+        self.send_frame(FrameType::RegistryPull, from, to, |_| {});
     }
 
     fn broadcast_registry(&mut self, from: NodeId, update: &RegistryUpdate) {
         let payload = update.encode();
-        // One frame per distinct remote address (a process applies the
-        // snapshot once regardless of how many nodes it hosts).
-        let mut sent: HashSet<String> = HashSet::new();
-        let targets: Vec<(u32, String)> = self
-            .peers
-            .iter()
-            .filter(|(id, _)| !self.local.contains(id))
-            .map(|(id, addr)| (*id, addr.clone()))
-            .collect();
-        for (id, addr) in targets {
-            if sent.insert(addr.clone()) {
-                let bytes = encode_frame(FrameType::Registry, from, NodeId(id), &payload);
-                if !self.write_to(&addr, &bytes) {
-                    self.obs.incr("net_send_drops");
-                }
+        let hosted = &self.inbound.hosted;
+        let remote = |to: &u32| !hosted.contains(&NodeId(*to));
+        let targets: Vec<u32> = self.peers.keys().copied().filter(remote).collect();
+        // One frame per peer process, which applies the snapshot once
+        // however many nodes it hosts: skip a node whose connection
+        // already carries this one.
+        let mut sent: HashSet<u32> = HashSet::new();
+        for to in targets {
+            if !self.route(to).is_some_and(|key| sent.contains(&key)) {
+                self.send_frame(FrameType::Registry, from, NodeId(to), |out| {
+                    out.extend_from_slice(&payload)
+                });
+                sent.extend(self.route(to));
             }
         }
     }
 
+    /// One `write` per peer process that the poll batch had frames for.
     fn flush(&mut self) {
-        let dirty: Vec<String> = self.dirty.drain().collect();
-        for addr in dirty {
-            let ok = self
-                .conns
-                .get_mut(&addr)
-                .map(|w| w.flush().is_ok())
-                .unwrap_or(true);
-            if !ok {
-                self.conns.remove(&addr);
+        let obs = &self.inbound.obs;
+        self.conns.retain(|_, conn| {
+            if conn.buf.is_empty() {
+                return true;
             }
-        }
+            let written = conn.stream.write_all(&conn.buf).is_ok();
+            conn.buf.clear();
+            conn.buf.shrink_to(BUF_KEEP);
+            if !written {
+                // The peer went away mid-batch. How much of this batch —
+                // and of the writes before it — it had read is unknowable,
+                // so the loss counts once.
+                obs.incr("net_send_drops");
+            }
+            written
+        });
     }
 }
 
@@ -678,7 +672,65 @@ impl Transport for LoopbackTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
     use lhrs_obs::Clock;
+    use std::sync::mpsc::channel;
+    use std::thread::JoinHandle;
+
+    /// Only a hung test reaches this.
+    const DEADLINE: Duration = Duration::from_secs(30);
+
+    /// A transport hosting `nodes` on ports the kernel picks.
+    fn tcp(nodes: &[u32]) -> (TcpTransport, Receiver<HostEvent>, Metrics) {
+        let local: Vec<(u32, String)> = nodes
+            .iter()
+            .map(|n| (*n, "127.0.0.1:0".to_string()))
+            .collect();
+        let (tx, rx) = channel();
+        let obs = Metrics::new(Clock::logical());
+        let t = TcpTransport::start_with_metrics(&local, HashMap::new(), tx, obs.clone())
+            .expect("bind");
+        (t, rx, obs)
+    }
+
+    /// Where `t`'s nodes listen, in the shape `start` takes.
+    fn addrs_of(t: &TcpTransport) -> Vec<(u32, String)> {
+        let bound = t.listeners.iter().map(|addr| addr.to_string());
+        t.inbound.hosted.iter().map(|n| n.0).zip(bound).collect()
+    }
+
+    /// Teach `t` where `other`'s nodes listen.
+    fn introduce(t: &mut TcpTransport, other: &TcpTransport) {
+        t.peers.extend(addrs_of(other));
+    }
+
+    /// A numbered message.
+    fn ack(upto: u64) -> Msg {
+        Msg::ParityAck { col: 0, upto }
+    }
+
+    /// The next `n` events of `rx`, each as `from>to:upto` or `registry`.
+    fn take(rx: &Receiver<HostEvent>, n: usize) -> Vec<String> {
+        (0..n)
+            .map(|_| match rx.recv_timeout(DEADLINE).expect("an event") {
+                HostEvent::Deliver {
+                    from,
+                    to,
+                    msg: Msg::ParityAck { upto, .. },
+                } => format!("{}>{}:{upto}", from.0, to.0),
+                HostEvent::Registry(up) if up == update() => "registry".to_string(),
+                other => format!("{other:?}"),
+            })
+            .collect()
+    }
+
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + DEADLINE;
+        while !cond() {
+            assert!(Instant::now() < deadline, "never happened: {what}");
+            std::thread::yield_now();
+        }
+    }
 
     fn update() -> RegistryUpdate {
         RegistryUpdate {
@@ -725,5 +777,214 @@ mod tests {
         let mut t = TcpTransport::start_with_metrics(&[], peers, tx, obs.clone()).expect("start");
         t.broadcast_registry(NodeId(1), &update());
         assert_eq!(obs.counter("net_send_drops"), 1);
+    }
+
+    #[test]
+    fn one_connection_per_peer_process_carries_everything_in_order() {
+        let (mut a, rx_a, _) = tcp(&[1, 2, 3]);
+        let (mut b, rx_b, _) = tcp(&[11, 12, 13]);
+        introduce(&mut a, &b);
+        introduce(&mut b, &a);
+
+        // Different senders, different destination nodes, a table
+        // broadcast in the middle: one socket, so one order — and one
+        // snapshot for the three nodes the peer hosts.
+        a.send_msg(NodeId(1), NodeId(12), &ack(0));
+        a.send_msg(NodeId(2), NodeId(11), &ack(1));
+        a.broadcast_registry(NodeId(1), &update());
+        a.send_msg(NodeId(3), NodeId(13), &ack(2));
+        a.send_msg(NodeId(1), NodeId(11), &ack(3));
+        a.flush();
+        assert_eq!(
+            take(&rx_b, 5),
+            ["1>12:0", "2>11:1", "registry", "3>13:2", "1>11:3"]
+        );
+        b.send_msg(NodeId(13), NodeId(2), &ack(4));
+        b.send_msg(NodeId(11), NodeId(3), &ack(5));
+        b.flush();
+        assert_eq!(take(&rx_a, 2), ["13>2:4", "11>3:5"]);
+
+        for t in [&a, &b] {
+            assert_eq!(t.conns.len(), 1, "one outbound connection");
+            assert_eq!(t.routes.len(), 3, "reaching all three peer nodes");
+            assert_eq!(
+                t.inbound.readers().as_ref().map(|r| r.len()),
+                Some(1),
+                "one inbound connection"
+            );
+        }
+    }
+
+    #[test]
+    fn a_restarted_peer_is_redialed_once_and_its_routes_relearned() {
+        let (mut a, _rx_a, obs) = tcp(&[1]);
+        let (b, rx_b, _) = tcp(&[11, 12, 13]);
+        introduce(&mut a, &b);
+        a.send_msg(NodeId(1), NodeId(11), &ack(0));
+        a.flush();
+        assert_eq!(take(&rx_b, 1), ["1>11:0"]);
+
+        // The peer goes away and comes back on the same addresses.
+        let addrs = addrs_of(&b);
+        drop(b);
+        wait_until("the FIN of the dead peer", || {
+            conn_is_stale(&a.conns[&11].stream, &Metrics::disabled())
+        });
+        let (tx, rx_b2) = channel();
+        let _b2 = TcpTransport::start(&addrs, HashMap::new(), tx).expect("rebind");
+
+        // The peek before the batch's first frame finds the old socket
+        // dead: nothing is written into it, and one dial serves all three
+        // nodes again.
+        a.send_msg(NodeId(1), NodeId(12), &ack(1));
+        a.send_msg(NodeId(1), NodeId(13), &ack(2));
+        a.send_msg(NodeId(1), NodeId(11), &ack(3));
+        a.flush();
+        assert_eq!(take(&rx_b2, 3), ["1>12:1", "1>13:2", "1>11:3"]);
+        assert_eq!(obs.counter("net_reconnects"), 1);
+        assert_eq!(obs.counter("net_send_drops"), 0);
+        assert_eq!((a.conns.len(), a.routes.len()), (1, 3));
+        assert!(rx_b.try_recv().is_err(), "the dead peer was sent nothing");
+
+        // A connection lost to a failed write instead (this is what `flush`
+        // does about one) is redialed by the next send and counts as well.
+        a.conns.clear();
+        a.send_msg(NodeId(1), NodeId(13), &ack(4));
+        a.flush();
+        assert_eq!(take(&rx_b2, 1), ["1>13:4"]);
+        assert_eq!(obs.counter("net_reconnects"), 2);
+    }
+
+    /// A bare listener that accepts one connection, reads the dialer's
+    /// hello, answers `reply` byte for byte and closes the connection.
+    /// Joining hands the listener back: still bound, accepting no more.
+    fn fake_peer(reply: Vec<u8>) -> (String, JoinHandle<TcpListener>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let thread = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("a dialer");
+            let hello = read_frame(&mut stream).expect("a frame").expect("a hello");
+            assert_eq!(hello.ftype, FrameType::Hello);
+            stream.write_all(&reply).expect("reply");
+            listener
+        });
+        (addr, thread)
+    }
+
+    #[test]
+    fn a_garbage_or_truncated_hello_reply_is_a_counted_drop() {
+        // A node list whose count never ends; a good reply cut one byte short.
+        let garbage = encode_frame(FrameType::HelloReply, NodeId(21), NodeId(1), &[0xFF; 3]);
+        let mut truncated = encode_frame(
+            FrameType::HelloReply,
+            NodeId(22),
+            NodeId(1),
+            &hosted_payload(&[NodeId(22)]),
+        );
+        truncated.pop();
+        let (addr21, peer21) = fake_peer(garbage);
+        let (addr22, peer22) = fake_peer(truncated);
+
+        let (mut a, _rx, obs) = tcp(&[1]);
+        a.peers.extend([(21, addr21), (22, addr22)]);
+        a.send_msg(NodeId(1), NodeId(21), &ack(0));
+        a.send_msg(NodeId(1), NodeId(22), &ack(1));
+        a.flush();
+        peer21.join().expect("fake peer 21");
+        peer22.join().expect("fake peer 22");
+        assert_eq!(obs.counter("net_send_drops"), 2);
+        assert_eq!(obs.counter("net_decode_errors"), 2);
+        assert!(a.conns.is_empty() && a.routes.is_empty());
+    }
+
+    #[test]
+    fn a_stats_pull_needs_no_hello_and_a_closed_probe_leaves_no_thread() {
+        let (a, _rx, _) = tcp(&[1]);
+        let addr = a.listeners[0];
+        // What a launcher does to see whether the listener is up.
+        drop(TcpStream::connect(addr).expect("probe"));
+        let mut puller = TcpStream::connect(addr).expect("connect");
+        write_frame(
+            &mut puller,
+            FrameType::StatsPull,
+            lhrs_sim::EXTERNAL,
+            NodeId(1),
+            &[],
+        )
+        .expect("pull");
+        let reply = read_frame(&mut puller).expect("a frame").expect("a reply");
+        assert_eq!(reply.ftype, FrameType::StatsReply);
+        assert!(String::from_utf8_lossy(&reply.payload).contains("net_stats_pulls"));
+        // Connections are accepted in order, so the probe's reader was
+        // started before the one that answered; both end at EOF.
+        drop(puller);
+        wait_until("both readers gone", || {
+            a.inbound.readers().as_ref().is_some_and(|r| r.is_empty())
+        });
+    }
+
+    /// How many connections sit unaccepted in `listener`'s backlog.
+    fn backlog(listener: &TcpListener) -> usize {
+        listener.set_nonblocking(true).expect("nonblocking");
+        std::iter::from_fn(|| listener.accept().ok()).count()
+    }
+
+    #[test]
+    fn a_mute_peer_costs_one_timeout_per_period_not_one_per_frame() {
+        // A process hosting nodes 31 and 32, each on its own address, that
+        // says so once and then stops: the kernel keeps completing
+        // handshakes out of both backlogs, and nothing is ever answered.
+        let reply = hosted_payload(&[NodeId(31), NodeId(32)]);
+        let reply = encode_frame(FrameType::HelloReply, NodeId(31), NodeId(1), &reply);
+        let (addr31, peer31) = fake_peer(reply);
+        let mute32 = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr32 = mute32.local_addr().expect("bound").to_string();
+        let (mut a, _rx_a, obs) = tcp(&[1]);
+        let (b, rx_b, _) = tcp(&[11]);
+        introduce(&mut a, &b);
+        a.peers.extend([(31, addr31.clone()), (32, addr32.clone())]);
+        a.send_msg(NodeId(1), NodeId(31), &ack(0));
+        a.flush();
+        let mute31 = peer31.join().expect("fake peer 31");
+        wait_until("the FIN of the stopped peer", || {
+            conn_is_stale(&a.conns[&31].stream, &Metrics::disabled())
+        });
+
+        let started = Instant::now();
+        for i in 0..20 {
+            a.send_msg(NodeId(1), NodeId(31), &ack(i));
+            a.send_msg(NodeId(1), NodeId(32), &ack(i));
+            a.send_msg(NodeId(1), NodeId(11), &ack(i));
+            a.flush();
+        }
+        let elapsed = started.elapsed();
+        assert_eq!(obs.counter("net_send_drops"), 40);
+        assert!(
+            elapsed < CONNECT_TIMEOUT * 8,
+            "40 frames to a mute peer took {elapsed:?}; a timeout each is {:?}",
+            CONNECT_TIMEOUT * 40
+        );
+        // One hello went unanswered, and that silenced both nodes. (Were
+        // this thread stalled past a back-off there could be one more.)
+        let dials = backlog(&mute31) + backlog(&mute32);
+        assert!((1..=3).contains(&dials), "{dials} dials for 40 frames");
+        assert_eq!(take(&rx_b, 20).len(), 20, "the healthy peer missed nothing");
+
+        // The peer turns responsive: the first send after the back-off
+        // connects.
+        drop((mute31, mute32));
+        let (tx, rx_c) = channel();
+        let _c =
+            TcpTransport::start(&[(31, addr31), (32, addr32)], HashMap::new(), tx).expect("rebind");
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            a.send_msg(NodeId(1), NodeId(32), &ack(99));
+            a.flush();
+            if rx_c.recv_timeout(Duration::from_millis(50)).is_ok() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "never reconnected");
+        }
+        assert!(a.down.is_empty(), "a reachable peer is not backed off from");
     }
 }

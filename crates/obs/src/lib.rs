@@ -169,9 +169,10 @@ impl Metrics {
         self.inner.as_ref().map_or("disabled", |i| i.clock.label())
     }
 
-    /// Opt into recording `MsgSent`/`MsgRecv` **trace events** (their
-    /// counters always run). Off by default so bulk traffic cannot evict
-    /// recovery timelines from the bounded ring.
+    /// Opt into recording the per-operation **trace events** — `MsgSent`,
+    /// `MsgRecv`, `DeltaCommit` (their counters always run). Off by default
+    /// so bulk traffic cannot evict recovery timelines from the bounded
+    /// ring.
     pub fn set_msg_trace(&self, enabled: bool) {
         if let Some(inner) = &self.inner {
             inner.trace_msgs.store(enabled, Ordering::Relaxed);
@@ -262,12 +263,16 @@ impl Metrics {
     /// or wall µs). Also bumps the `events{kind=<event type>}` counter.
     pub fn trace(&self, at_us: u64, event: Event) {
         let Some(inner) = &self.inner else { return };
-        if matches!(event, Event::MsgSent { .. } | Event::MsgRecv { .. })
-            && !inner.trace_msgs.load(Ordering::Relaxed)
-        {
+        // Per-operation events stay out of the ring unless opted into;
+        // `DeltaCommit`, which no other counter tallies, still counts.
+        let gated = !inner.trace_msgs.load(Ordering::Relaxed);
+        if gated && matches!(event, Event::MsgSent { .. } | Event::MsgRecv { .. }) {
             return;
         }
         self.incr_kind("events", event.kind());
+        if gated && matches!(event, Event::DeltaCommit { .. }) {
+            return;
+        }
         inner.trace.push(at_us, event);
     }
 
@@ -541,8 +546,18 @@ mod tests {
             },
         );
         assert_eq!(m.events().len(), 1);
-        // Non-msg events always pass the gate.
+        // `DeltaCommit` is per operation too, but keeps its only counter.
+        let commit = Event::DeltaCommit {
+            bucket: 0,
+            bytes: 8,
+            columns: 1,
+        };
+        m.trace(2, commit.clone());
         m.set_msg_trace(false);
+        m.trace(2, commit);
+        assert_eq!(m.events().len(), 2);
+        assert_eq!(m.counter_kind("events", "delta_commit"), 2);
+        // Every other event always passes the gate.
         m.trace(
             3,
             Event::RecoveryStart {
@@ -550,7 +565,7 @@ mod tests {
                 failed: 1,
             },
         );
-        assert_eq!(m.events().len(), 2);
+        assert_eq!(m.events().len(), 3);
     }
 
     #[test]
