@@ -16,7 +16,7 @@ use crate::code::AnyCode;
 use crate::msg::{Msg, OpId, OpResult, ReqKind, ShardContent};
 use crate::record::decode_cell;
 use crate::registry::SharedHandle;
-use crate::{Key, Rank, UpgradeMode};
+use crate::{Config, Key, Rank, UpgradeMode};
 
 /// Observable coordinator events, consumed by the driver and the tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,26 +109,83 @@ pub enum CoordEvent {
     },
 }
 
-/// Outstanding liveness probe for one node.
-struct ProbeCtx {
-    bucket: u64,
-    pending: Vec<(OpId, NodeId, ReqKind)>,
+/// One exchange in flight: requests the coordinator sent and is waiting on.
+/// [`Coordinator::on_timer`] re-sends whatever is still outstanding once
+/// per period and concludes the exchange after `coord_retries` fruitless
+/// rounds, so a lost message (or lost reply) only costs latency. The table
+/// of these, keyed by the token the requests carry, is the coordinator's
+/// whole in-flight state.
+struct Exchange {
     timer: TimerId,
-    /// Probe rounds sent so far. A node is only declared dead after
-    /// `coord_retries` unanswered rounds — one lost probe (or ack) must not
-    /// trigger a spurious recovery.
-    attempts: u32,
+    /// Re-send rounds so far.
+    rounds: u32,
+    kind: Kind,
+}
+
+/// The protocol state of one exchange (DESIGN.md §2.4 lists, per kind, the
+/// request, the period, what a round re-sends, and the give-up outcome).
+enum Kind {
+    /// Liveness probe of one suspected data bucket. A node is only
+    /// declared dead after `coord_retries` unanswered re-probes — one lost
+    /// probe (or ack) must not trigger a spurious recovery.
+    Probe {
+        bucket: u64,
+        /// Client ops parked on the verdict.
+        pending: Vec<(OpId, NodeId, ReqKind)>,
+    },
+    /// Group audit.
+    Check(GroupCheck),
+    /// Shard collection, then install, for one group.
+    Recovery(Recovery),
+    /// Degraded-mode record read.
+    Degraded(Degraded),
+    /// An ordered split awaiting `SplitDone`, with everything needed to
+    /// re-issue the orders if they (or the confirmation) were lost.
+    Split {
+        source: u64,
+        target: u64,
+        new_level: u8,
+        /// Δ-stream resume point passed in the target's InitData.
+        seq0: u64,
+        /// InitParity orders for a group this split created, re-sent
+        /// alongside (they carry no ack of their own).
+        init_parity: Vec<(NodeId, Msg)>,
+    },
+    /// An ordered merge awaiting `MergeDone`.
+    Merge {
+        source: u64,
+        target: u64,
+        new_level: u8,
+    },
+    /// File-state recovery scan.
+    StateRec {
+        expected: usize,
+        /// Replies keyed by bucket — a duplicated `StateReply` must not
+        /// count twice toward completion.
+        replies: BTreeMap<u64, u8>,
+    },
+    /// Δ-suffix catch-up handshake for one restarted data bucket.
+    Suffix(Suffix),
+}
+
+impl Kind {
+    /// Retransmission period: liveness questions (probes, audits, suffix
+    /// pulls) are timed by `probe_timeout_us`, everything else by
+    /// `coord_retransmit_us`.
+    fn period(&self, cfg: &Config) -> u64 {
+        match self {
+            Kind::Probe { .. } | Kind::Check(_) | Kind::Suffix(_) => cfg.probe_timeout_us,
+            _ => cfg.coord_retransmit_us,
+        }
+    }
 }
 
 /// Outstanding group audit: probing every shard of a group.
-struct GroupCheckCtx {
+struct GroupCheck {
     group: u64,
     /// shard index → node probed.
     probed: Vec<(usize, NodeId)>,
     responded: HashSet<usize>,
-    timer: TimerId,
-    /// Re-probe rounds (non-responders only) before the verdict.
-    attempts: u32,
 }
 
 /// Why shards are being collected.
@@ -141,7 +198,7 @@ enum Purpose {
 }
 
 /// Outstanding shard collection for one group.
-struct RecoveryCtx {
+struct Recovery {
     group: u64,
     purpose: Purpose,
     /// Group availability level used for the code (target level for
@@ -152,29 +209,18 @@ struct RecoveryCtx {
     /// Shard indices we are waiting to receive.
     awaiting: HashSet<usize>,
     collected: HashMap<usize, ShardContent>,
-    /// Install acks outstanding: token → shard index.
-    installs: HashMap<u64, usize>,
-    /// Install messages kept verbatim for retransmission: token → (spare,
-    /// message).
-    install_msgs: HashMap<u64, (NodeId, Msg)>,
-    /// Spare node per rebuilt shard.
-    spares: HashMap<usize, NodeId>,
-    /// Retransmission timer (armed for the whole collection + install
-    /// lifetime; cancelled on completion).
-    timer: TimerId,
-    /// Retransmission rounds so far.
-    attempts: u32,
+    /// Install acks outstanding: token → (shard index, spare, the `Install`
+    /// kept verbatim for retransmission).
+    installs: HashMap<u64, (usize, NodeId, Msg)>,
 }
 
 /// Degraded-mode record read in progress.
-struct DegradedCtx {
+struct Degraded {
     group: u64,
     op_id: OpId,
     client: NodeId,
     key: Key,
     stage: DegradedStage,
-    timer: TimerId,
-    attempts: u32,
 }
 
 enum DegradedStage {
@@ -192,33 +238,8 @@ enum DegradedStage {
     },
 }
 
-/// An ordered split awaiting `SplitDone`, with everything needed to re-issue
-/// the orders if they (or the confirmation) were lost.
-struct SplitCtx {
-    source: u64,
-    target: u64,
-    new_level: u8,
-    /// Δ-stream resume point passed in the target's InitData.
-    seq0: u64,
-    /// InitParity orders for a group this split created, re-sent alongside
-    /// (they carry no ack of their own).
-    init_parity: Vec<(NodeId, Msg)>,
-    timer: TimerId,
-    attempts: u32,
-}
-
-/// An ordered merge awaiting `MergeDone`.
-struct MergeCtx {
-    source: u64,
-    target: u64,
-    new_level: u8,
-    token: u64,
-    timer: TimerId,
-    attempts: u32,
-}
-
 /// Outstanding Δ-suffix catch-up handshake for one restarted data bucket.
-struct SuffixCtx {
+struct Suffix {
     group: u64,
     col: usize,
     bucket: u64,
@@ -231,8 +252,6 @@ struct SuffixCtx {
     infos: HashMap<NodeId, SuffixReply>,
     /// Answers needed (the group's parity count when the pull went out).
     expected: usize,
-    timer: TimerId,
-    attempts: u32,
 }
 
 /// One parity bucket's answer to a `SuffixPull`.
@@ -241,17 +260,6 @@ struct SuffixReply {
     next_seq: u64,
     covered: bool,
     bytes: u64,
-}
-
-/// File-state recovery scan in progress.
-struct StateRecCtx {
-    expected: usize,
-    /// Replies keyed by bucket — a duplicated `StateReply` must not count
-    /// twice toward completion.
-    replies: BTreeMap<u64, u8>,
-    token: u64,
-    timer: TimerId,
-    attempts: u32,
 }
 
 /// The LH\*RS coordinator actor.
@@ -270,27 +278,14 @@ pub struct Coordinator {
     /// Groups declared unrecoverable.
     pub dead_groups: HashSet<u64>,
     next_token: u64,
-    probes: HashMap<u64, ProbeCtx>,
-    checks: HashMap<u64, GroupCheckCtx>,
-    recoveries: HashMap<u64, RecoveryCtx>,
-    degraded: HashMap<u64, DegradedCtx>,
-    /// Δ-suffix catch-up handshakes in flight, keyed by token.
-    suffixes: HashMap<u64, SuffixCtx>,
-    /// Tokens owned by timers.
-    timer_tokens: HashMap<TimerId, u64>,
+    /// Every exchange in flight, keyed by its token.
+    exchanges: BTreeMap<u64, Exchange>,
     /// group → ops parked until the group heals.
     queued_ops: HashMap<u64, Vec<(OpId, NodeId, ReqKind)>>,
-    /// Groups the check machinery is already looking at (per token).
-    checking_groups: HashSet<u64>,
     /// Overflow reports waiting for the coordinator to go idle, one split
     /// owed per report (the paper's split policy). Runaway growth under
     /// slow networks is bounded by the pool guard in `do_split`, not here.
     deferred_splits: u64,
-    outstanding_splits: u64,
-    /// Ordered splits awaiting confirmation, keyed by token.
-    splits: HashMap<u64, SplitCtx>,
-    /// In-flight merge awaiting MergeDone.
-    outstanding_merge: Option<MergeCtx>,
     upgrade_queue: VecDeque<u64>,
     /// Final Δ sequence of merged-away buckets, keyed by bucket number: a
     /// regrow split re-creating the bucket resumes its column's stream here
@@ -298,7 +293,6 @@ pub struct Coordinator {
     col_floors: HashMap<u64, u64>,
     /// Groups lagging behind `k_file` (lazy mode).
     lagging: HashSet<u64>,
-    state_rec: Option<StateRecCtx>,
     /// Event log for the driver: `(simulated time µs, event)`.
     pub events: Vec<(u64, CoordEvent)>,
 }
@@ -319,42 +313,27 @@ impl Coordinator {
             failed: HashSet::new(),
             dead_groups: HashSet::new(),
             next_token: 1,
-            probes: HashMap::new(),
-            checks: HashMap::new(),
-            recoveries: HashMap::new(),
-            degraded: HashMap::new(),
-            suffixes: HashMap::new(),
-            timer_tokens: HashMap::new(),
+            exchanges: BTreeMap::new(),
             queued_ops: HashMap::new(),
-            checking_groups: HashSet::new(),
             deferred_splits: 0,
-            outstanding_splits: 0,
-            splits: HashMap::new(),
-            outstanding_merge: None,
             upgrade_queue: VecDeque::new(),
             col_floors: HashMap::new(),
             lagging: HashSet::new(),
-            state_rec: None,
             events: Vec::new(),
         }
     }
 
-    /// Free nodes remaining in the pool.
-    pub fn pool_remaining(&self) -> usize {
-        self.pool.len()
+    /// Whether structural work is in flight: any exchange but a plain
+    /// probe or a file-state scan. Splits, upgrades and merges wait for it.
+    fn structural_work(&self) -> bool {
+        self.exchanges
+            .values()
+            .any(|e| !matches!(e.kind, Kind::Probe { .. } | Kind::StateRec { .. }))
     }
 
-    /// Whether any structural work (splits, checks, recoveries, upgrades)
-    /// is in flight.
-    pub fn busy(&self) -> bool {
-        self.outstanding_splits > 0
-            || self.outstanding_merge.is_some()
-            || !self.checks.is_empty()
-            || !self.recoveries.is_empty()
-            || !self.degraded.is_empty()
-            || !self.suffixes.is_empty()
-            || !self.upgrade_queue.is_empty()
-            || self.deferred_splits > 0
+    /// Whether structural work is in flight or queued.
+    fn busy(&self) -> bool {
+        self.structural_work() || !self.upgrade_queue.is_empty() || self.deferred_splits > 0
     }
 
     fn m(&self) -> usize {
@@ -411,21 +390,17 @@ impl Coordinator {
                 }
             }
             Msg::SplitDone { bucket } => {
-                // Only account a split we are actually waiting for: a
-                // duplicated confirmation must not unbalance the counter.
-                let token = self
-                    .splits
-                    .iter()
-                    .find(|(_, s)| s.target == bucket)
-                    .map(|(t, _)| *t);
-                if let Some(ctx) = token.and_then(|t| self.splits.remove(&t)) {
-                    env.cancel_timer(ctx.timer);
-                    self.timer_tokens.remove(&ctx.timer);
-                    self.outstanding_splits = self.outstanding_splits.saturating_sub(1);
+                // Only a split we are actually waiting for completes; a
+                // duplicated confirmation finds nothing.
+                let token =
+                    self.find(|k| matches!(k, Kind::Split { target, .. } if *target == bucket));
+                if let Some(Kind::Split { source, target, .. }) =
+                    token.and_then(|t| self.settle(env, t))
+                {
                     env.obs().incr("splits_completed");
                     env.trace(ObsEvent::SplitEnd {
-                        bucket: ctx.source,
-                        new_bucket: ctx.target,
+                        bucket: source,
+                        new_bucket: target,
                     });
                     self.drain_queues(env);
                 }
@@ -440,7 +415,7 @@ impl Coordinator {
             } => self.handle_suspect(env, op_id, client, kind),
             Msg::ProbeAck { token, .. } => self.handle_probe_ack(env, token, from),
             Msg::CheckGroup { group } => {
-                if group < self.group_k.len() as u64 && !self.checking_groups.contains(&group) {
+                if group < self.group_k.len() as u64 && !self.checking(group) {
                     self.start_group_check(env, group);
                 }
             }
@@ -453,48 +428,51 @@ impl Coordinator {
             Msg::FindRecordReply { token, found } => self.handle_find_reply(env, token, found),
             Msg::CellData { token, shard, cell } => self.handle_cell_data(env, token, shard, cell),
             Msg::RecoverFileState => {
-                if self.state_rec.is_some() {
+                if self.find(|k| matches!(k, Kind::StateRec { .. })).is_some() {
                     return; // duplicated trigger: scan already running
                 }
                 let nodes = self.shared.registry.borrow().all_data_nodes();
                 let token = self.token();
-                let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-                self.timer_tokens.insert(timer, token);
-                self.state_rec = Some(StateRecCtx {
+                let kind = Kind::StateRec {
                     expected: nodes.len(),
                     replies: BTreeMap::new(),
-                    token,
-                    timer,
-                    attempts: 0,
-                });
+                };
+                self.open(env, token, kind);
                 for n in nodes {
                     env.send(n, Msg::StateQuery);
                 }
             }
             Msg::StateReply { bucket, level } => {
-                let done = if let Some(ctx) = self.state_rec.as_mut() {
-                    ctx.replies.insert(bucket, level);
-                    ctx.replies.len() == ctx.expected
-                } else {
-                    false
+                let Some(token) = self.find(|k| matches!(k, Kind::StateRec { .. })) else {
+                    return;
                 };
-                if let Some(ctx) = if done { self.state_rec.take() } else { None } {
-                    env.cancel_timer(ctx.timer);
-                    self.timer_tokens.remove(&ctx.timer);
-                    let pairs: Vec<(u64, u8)> = ctx.replies.into_iter().collect();
-                    let (n, i) = recompute_state(&pairs);
-                    match FileState::from_parts(n, i, 1) {
-                        Some(state) => {
-                            self.state = state;
-                            self.events
-                                .push((env.now(), CoordEvent::StateRecovered { n, i }));
-                        }
-                        None => {
-                            // The survivors' reports recompose into an
-                            // impossible (n, i); keep the current state and
-                            // leave an audit trail rather than install it.
-                            self.invariant_violated(env, "recovered file state inconsistent");
-                        }
+                let Some(Exchange {
+                    kind: Kind::StateRec { expected, replies },
+                    ..
+                }) = self.exchanges.get_mut(&token)
+                else {
+                    return;
+                };
+                replies.insert(bucket, level);
+                if replies.len() != *expected {
+                    return;
+                }
+                let Some(Kind::StateRec { replies, .. }) = self.settle(env, token) else {
+                    return;
+                };
+                let pairs: Vec<(u64, u8)> = replies.into_iter().collect();
+                let (n, i) = recompute_state(&pairs);
+                match FileState::from_parts(n, i, 1) {
+                    Some(state) => {
+                        self.state = state;
+                        self.events
+                            .push((env.now(), CoordEvent::StateRecovered { n, i }));
+                    }
+                    None => {
+                        // The survivors' reports recompose into an
+                        // impossible (n, i); keep the current state and
+                        // leave an audit trail rather than install it.
+                        self.invariant_violated(env, "recovered file state inconsistent");
                     }
                 }
             }
@@ -550,94 +528,247 @@ impl Coordinator {
                 debug_assert!(false, "coordinator got {:?}", other);
             }
         }
-        // `from` is only used for debug assertions today.
-        let _ = from;
     }
 
-    /// Timer handler: probe / group-check timeouts and retransmission
-    /// rounds for every in-flight protocol exchange. Anything the
-    /// coordinator sends that expects an answer is re-sent up to
-    /// `coord_retries` times before the exchange is abandoned, so a lost
-    /// message (or lost reply) only costs latency.
+    // ----- the exchange driver -----
+
+    /// Register exchange `token`, whose first round has been (or is about
+    /// to be) sent, and arm its retransmission timer.
+    fn open(&mut self, env: &mut Env<'_, Msg>, token: u64, kind: Kind) {
+        let timer = env.set_timer(kind.period(&self.shared.cfg));
+        self.exchanges.insert(
+            token,
+            Exchange {
+                timer,
+                rounds: 0,
+                kind,
+            },
+        );
+    }
+
+    /// Conclude exchange `token`: cancel its timer and hand back its state.
+    fn settle(&mut self, env: &mut Env<'_, Msg>, token: u64) -> Option<Kind> {
+        let ex = self.exchanges.remove(&token)?;
+        env.cancel_timer(ex.timer);
+        Some(ex.kind)
+    }
+
+    /// The token of the first exchange whose state satisfies `pred`.
+    fn find(&self, pred: impl Fn(&Kind) -> bool) -> Option<u64> {
+        self.exchanges
+            .iter()
+            .find(|(_, e)| pred(&e.kind))
+            .map(|(t, _)| *t)
+    }
+
+    /// Whether a group check is auditing `group`.
+    fn checking(&self, group: u64) -> bool {
+        self.find(|k| matches!(k, Kind::Check(c) if c.group == group))
+            .is_some()
+    }
+
+    /// Whether a shard collection (repair or upgrade) is running on `group`.
+    fn recovering(&self, group: u64) -> bool {
+        self.find(|k| matches!(k, Kind::Recovery(r) if r.group == group))
+            .is_some()
+    }
+
+    /// Timer handler: one retransmission round of the exchange the timer
+    /// belongs to. Past `coord_retries` rounds — or when nothing is left
+    /// to re-send — the exchange is concluded by [`Self::exhausted`].
     pub fn on_timer(&mut self, env: &mut Env<'_, Msg>, timer: TimerId) {
-        let Some(token) = self.timer_tokens.remove(&timer) else {
+        let Some((&token, ex)) = self.exchanges.iter_mut().find(|(_, e)| e.timer == timer) else {
             return;
         };
-        let retries = self.shared.cfg.coord_retries;
-
-        if let Some(mut probe) = self.probes.remove(&token) {
-            if probe.attempts < retries {
-                // Re-probe: one lost probe must not fake a death.
-                probe.attempts += 1;
-                let node = self.shared.registry.borrow().data_node(probe.bucket);
-                env.send(node, Msg::Probe { token });
-                probe.timer = env.set_timer(self.shared.cfg.probe_timeout_us);
-                self.timer_tokens.insert(probe.timer, token);
-                self.probes.insert(token, probe);
-                return;
-            }
-            // The addressed bucket is dead: remember the ops and audit its
-            // whole group.
-            let group = probe.bucket / self.m() as u64;
-            self.queue_ops(group, probe.pending);
-            if !self.checking_groups.contains(&group) {
-                self.start_group_check(env, group);
+        ex.rounds += 1;
+        let sends = if ex.rounds > self.shared.cfg.coord_retries {
+            Vec::new()
+        } else {
+            self.resend(token)
+        };
+        if sends.is_empty() {
+            if let Some(ex) = self.exchanges.remove(&token) {
+                self.exhausted(env, ex.kind);
             }
             return;
         }
+        for (node, msg) in sends {
+            env.send(node, msg);
+        }
+        if let Some(ex) = self.exchanges.get_mut(&token) {
+            ex.timer = env.set_timer(ex.kind.period(&self.shared.cfg));
+        }
+    }
 
-        if let Some(mut check) = self.checks.remove(&token) {
-            let silent: Vec<NodeId> = check
+    /// What exchange `token` is still waiting on, as the messages that ask
+    /// for it again. Every request is idempotent at its receiver (a split
+    /// source re-ships its cached `SplitLoad`, an installed spare re-acks).
+    fn resend(&self, token: u64) -> Vec<(NodeId, Msg)> {
+        let Some(ex) = self.exchanges.get(&token) else {
+            return Vec::new();
+        };
+        let m = self.m();
+        let reg = self.shared.registry.borrow();
+        match &ex.kind {
+            Kind::Probe { bucket, .. } => vec![(reg.data_node(*bucket), Msg::Probe { token })],
+            Kind::Check(c) => c
                 .probed
                 .iter()
-                .filter(|(s, _)| !check.responded.contains(s))
-                .map(|(_, n)| *n)
-                .collect();
-            if check.attempts < retries && !silent.is_empty() {
-                check.attempts += 1;
-                for node in silent {
-                    env.send(node, Msg::Probe { token });
-                }
-                check.timer = env.set_timer(self.shared.cfg.probe_timeout_us);
-                self.timer_tokens.insert(check.timer, token);
-                self.checks.insert(token, check);
-                return;
+                .filter(|(s, _)| !c.responded.contains(s))
+                .map(|(_, n)| (*n, Msg::Probe { token }))
+                .collect(),
+            Kind::Recovery(r) => {
+                // `TransferShard` to the shards not yet collected, then the
+                // pending `Install`s verbatim.
+                let mut sends: Vec<(NodeId, Msg)> = r
+                    .awaiting
+                    .iter()
+                    .filter_map(|&shard| {
+                        if shard < m {
+                            Some(reg.data_node(r.group * m as u64 + shard as u64))
+                        } else {
+                            // A shard index beyond the parity set means the
+                            // group shrank under us; skip it — the give-up
+                            // path re-audits.
+                            reg.parity_nodes(r.group).get(shard - m).copied()
+                        }
+                    })
+                    .map(|node| (node, Msg::TransferShard { token }))
+                    .collect();
+                sends.extend(
+                    r.installs
+                        .values()
+                        .map(|(_, spare, msg)| (*spare, msg.clone())),
+                );
+                sends
             }
-            self.finish_group_check(env, check);
-            return;
+            Kind::Degraded(d) => match &d.stage {
+                DegradedStage::AwaitFind { pnode } => {
+                    vec![(*pnode, Msg::FindRecord { key: d.key, token })]
+                }
+                DegradedStage::AwaitCells {
+                    rank,
+                    requested,
+                    cells,
+                    ..
+                } => requested
+                    .iter()
+                    .filter(|(shard, _)| !cells.contains_key(shard))
+                    .map(|(_, node)| (*node, Msg::ReadCell { rank: *rank, token }))
+                    .collect(),
+            },
+            Kind::Split {
+                source,
+                target,
+                new_level,
+                seq0,
+                init_parity,
+            } => {
+                let mut sends = init_parity.clone();
+                sends.push((
+                    reg.data_node(*target),
+                    Msg::InitData {
+                        bucket: *target,
+                        level: *new_level,
+                        delta_seq: *seq0,
+                    },
+                ));
+                sends.push((
+                    reg.data_node(*source),
+                    Msg::DoSplit {
+                        source: *source,
+                        target: *target,
+                        new_level: *new_level,
+                    },
+                ));
+                sends
+            }
+            Kind::Merge {
+                source,
+                target,
+                new_level,
+            } => vec![(
+                reg.data_node(*target),
+                Msg::DoMerge {
+                    source: *source,
+                    target: *target,
+                    new_level: *new_level,
+                },
+            )],
+            Kind::StateRec { replies, .. } => (0..reg.data_count() as u64)
+                .filter(|b| !replies.contains_key(b))
+                .map(|b| (reg.data_node(b), Msg::StateQuery))
+                .collect(),
+            Kind::Suffix(s) => reg
+                .parity_nodes(s.group)
+                .iter()
+                .filter(|pn| !s.infos.contains_key(pn))
+                .map(|pn| {
+                    (
+                        *pn,
+                        Msg::SuffixPull {
+                            group: s.group,
+                            col: s.col,
+                            from_seq: s.from_seq,
+                            target: s.node,
+                        },
+                    )
+                })
+                .collect(),
         }
+    }
 
-        if self.recoveries.contains_key(&token) {
-            self.retry_recovery(env, token);
-            return;
-        }
-
-        if self.splits.contains_key(&token) {
-            self.retry_split(env, token);
-            return;
-        }
-
-        if self
-            .outstanding_merge
-            .as_ref()
-            .is_some_and(|m| m.token == token)
-        {
-            self.retry_merge(env);
-            return;
-        }
-
-        if self.state_rec.as_ref().is_some_and(|s| s.token == token) {
-            self.retry_state_rec(env);
-            return;
-        }
-
-        if self.degraded.contains_key(&token) {
-            self.retry_degraded(env, token);
-            return;
-        }
-
-        if self.suffixes.contains_key(&token) {
-            self.retry_suffix(env, token);
+    /// Conclude an exchange whose peers stayed silent.
+    fn exhausted(&mut self, env: &mut Env<'_, Msg>, kind: Kind) {
+        match kind {
+            Kind::Probe { bucket, pending } => {
+                // The addressed bucket is dead: remember the ops and audit
+                // its whole group.
+                let group = bucket / self.m() as u64;
+                self.queue_ops(group, pending);
+                if !self.checking(group) {
+                    self.start_group_check(env, group);
+                }
+            }
+            // The verdict: whoever is still silent has failed.
+            Kind::Check(check) => self.finish_group_check(env, check),
+            Kind::Recovery(r) => {
+                // Whatever froze for this collection must not stay frozen
+                // until its safety timer: the collection is dead.
+                self.resume_group_writes(env, r.group, &r.rebuild);
+                match r.purpose {
+                    Purpose::Repair => {
+                        // Survivors stopped answering (the survivor set may
+                        // have changed under us): audit the group afresh.
+                        if !self.checking(r.group) {
+                            self.start_group_check(env, r.group);
+                        }
+                    }
+                    Purpose::Upgrade => {
+                        if !self.upgrade_queue.contains(&r.group) {
+                            self.upgrade_queue.push_back(r.group);
+                        }
+                    }
+                }
+                self.drain_queues(env);
+            }
+            // The lookup fails cleanly — the client's own retry may still
+            // land once the group is rebuilt.
+            Kind::Degraded(d) => {
+                let result = OpResult::Failed("degraded read timed out".into());
+                self.answer_degraded(env, &d, result);
+            }
+            Kind::Split { target, .. } => {
+                // Unblock the queue and audit the target's group.
+                let group = target / self.m() as u64;
+                if !self.checking(group) {
+                    self.start_group_check(env, group);
+                }
+                self.drain_queues(env);
+            }
+            Kind::Merge { .. } => self.drain_queues(env),
+            Kind::StateRec { .. } => {}
+            Kind::Suffix(s) => self.restart_fallback(env, s.bucket, s.group, s.col, s.node),
         }
     }
 
@@ -649,258 +780,6 @@ impl Coordinator {
             if !queued.iter().any(|(o, c, _)| *o == op_id && *c == client) {
                 queued.push((op_id, client, kind));
             }
-        }
-    }
-
-    /// Re-send whatever a recovery is still waiting on: `TransferShard` to
-    /// the shards not yet collected, then the pending `Install`s verbatim.
-    /// After `coord_retries` fruitless rounds the recovery is abandoned and
-    /// the group re-audited (the survivor set may have changed under us).
-    fn retry_recovery(&mut self, env: &mut Env<'_, Msg>, token: u64) {
-        let retries = self.shared.cfg.coord_retries;
-        let give_up = match self.recoveries.get_mut(&token) {
-            Some(ctx) => {
-                ctx.attempts += 1;
-                ctx.attempts > retries
-            }
-            None => return,
-        };
-        if give_up {
-            let Some(ctx) = self.recoveries.remove(&token) else {
-                return;
-            };
-            // Whatever froze for this collection must not stay frozen
-            // until its safety timer: the collection is dead.
-            self.resume_group_writes(env, ctx.group, &ctx.rebuild);
-            match ctx.purpose {
-                Purpose::Repair => {
-                    // Survivors stopped answering; audit the group afresh.
-                    if !self.checking_groups.contains(&ctx.group) {
-                        self.start_group_check(env, ctx.group);
-                    }
-                }
-                Purpose::Upgrade => {
-                    if !self.upgrade_queue.contains(&ctx.group) {
-                        self.upgrade_queue.push_back(ctx.group);
-                    }
-                }
-            }
-            self.drain_queues(env);
-            return;
-        }
-        let m = self.m();
-        let Some(ctx) = self.recoveries.get(&token) else {
-            return;
-        };
-        let reg = self.shared.registry.borrow();
-        let mut sends: Vec<(NodeId, Msg)> = Vec::new();
-        for &shard in &ctx.awaiting {
-            let node = if shard < m {
-                reg.data_node(ctx.group * m as u64 + shard as u64)
-            } else {
-                // A shard index beyond the parity set means the group
-                // shrank under us; skip it — the give-up path re-audits.
-                match reg.parity_nodes(ctx.group).get(shard - m) {
-                    Some(n) => *n,
-                    None => continue,
-                }
-            };
-            sends.push((node, Msg::TransferShard { token }));
-        }
-        for (spare, msg) in ctx.install_msgs.values() {
-            sends.push((*spare, msg.clone()));
-        }
-        drop(reg);
-        for (node, msg) in sends {
-            env.send(node, msg);
-        }
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        if let Some(ctx) = self.recoveries.get_mut(&token) {
-            ctx.timer = timer;
-        }
-    }
-
-    /// Re-issue a split's orders (InitParity for a freshly created group,
-    /// InitData for the target, DoSplit to the source). All three are
-    /// idempotent at their receivers, and the source re-ships its cached
-    /// SplitLoad verbatim, so re-ordering a split is always safe.
-    fn retry_split(&mut self, env: &mut Env<'_, Msg>, token: u64) {
-        let retries = self.shared.cfg.coord_retries;
-        let give_up = match self.splits.get_mut(&token) {
-            Some(ctx) => {
-                ctx.attempts += 1;
-                ctx.attempts > retries
-            }
-            None => return,
-        };
-        if give_up {
-            // Give up: unblock the queue and audit the target's group.
-            let Some(ctx) = self.splits.remove(&token) else {
-                return;
-            };
-            self.outstanding_splits = self.outstanding_splits.saturating_sub(1);
-            let group = ctx.target / self.m() as u64;
-            if !self.checking_groups.contains(&group) {
-                self.start_group_check(env, group);
-            }
-            self.drain_queues(env);
-            return;
-        }
-        let Some(ctx) = self.splits.get(&token) else {
-            return;
-        };
-        let reg = self.shared.registry.borrow();
-        let target_node = reg.data_node(ctx.target);
-        let source_node = reg.data_node(ctx.source);
-        drop(reg);
-        for (node, msg) in &ctx.init_parity {
-            env.send(*node, msg.clone());
-        }
-        env.send(
-            target_node,
-            Msg::InitData {
-                bucket: ctx.target,
-                level: ctx.new_level,
-                delta_seq: ctx.seq0,
-            },
-        );
-        env.send(
-            source_node,
-            Msg::DoSplit {
-                source: ctx.source,
-                target: ctx.target,
-                new_level: ctx.new_level,
-            },
-        );
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        if let Some(ctx) = self.splits.get_mut(&token) {
-            ctx.timer = timer;
-        }
-    }
-
-    /// Re-order an unconfirmed merge (DoMerge and the downstream MergeLoad
-    /// are both idempotent); abandoned after `coord_retries` rounds.
-    fn retry_merge(&mut self, env: &mut Env<'_, Msg>) {
-        let retries = self.shared.cfg.coord_retries;
-        let Some(ctx) = self.outstanding_merge.as_mut() else {
-            return;
-        };
-        ctx.attempts += 1;
-        if ctx.attempts > retries {
-            self.outstanding_merge = None;
-            self.drain_queues(env);
-            return;
-        }
-        let (source, target, new_level, token) = (ctx.source, ctx.target, ctx.new_level, ctx.token);
-        let target_node = self.shared.registry.borrow().data_node(target);
-        env.send(
-            target_node,
-            Msg::DoMerge {
-                source,
-                target,
-                new_level,
-            },
-        );
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        if let Some(ctx) = self.outstanding_merge.as_mut() {
-            ctx.timer = timer;
-        }
-    }
-
-    /// Re-query the buckets that have not answered a file-state scan.
-    fn retry_state_rec(&mut self, env: &mut Env<'_, Msg>) {
-        let retries = self.shared.cfg.coord_retries;
-        let Some(ctx) = self.state_rec.as_mut() else {
-            return;
-        };
-        ctx.attempts += 1;
-        if ctx.attempts > retries {
-            self.state_rec = None;
-            return;
-        }
-        let token = ctx.token;
-        let missing: Vec<NodeId> = {
-            let reg = self.shared.registry.borrow();
-            (0..reg.data_count() as u64)
-                .filter(|b| !ctx.replies.contains_key(b))
-                .map(|b| reg.data_node(b))
-                .collect()
-        };
-        for node in missing {
-            env.send(node, Msg::StateQuery);
-        }
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        if let Some(ctx) = self.state_rec.as_mut() {
-            ctx.timer = timer;
-        }
-    }
-
-    /// Re-drive a degraded read: re-ask the parity bucket (AwaitFind) or
-    /// re-request the cells still missing (AwaitCells). After
-    /// `coord_retries` rounds the lookup fails cleanly — the client's own
-    /// retry may still land once the group is rebuilt.
-    fn retry_degraded(&mut self, env: &mut Env<'_, Msg>, token: u64) {
-        let retries = self.shared.cfg.coord_retries;
-        let give_up = match self.degraded.get_mut(&token) {
-            Some(ctx) => {
-                ctx.attempts += 1;
-                ctx.attempts > retries
-            }
-            None => return,
-        };
-        if give_up {
-            let Some(ctx) = self.degraded.remove(&token) else {
-                return;
-            };
-            env.send(
-                ctx.client,
-                Msg::Reply {
-                    op_id: ctx.op_id,
-                    result: OpResult::Failed("degraded read timed out".into()),
-                    iam: None,
-                },
-            );
-            self.drain_queues(env);
-            return;
-        }
-        let Some(ctx) = self.degraded.get(&token) else {
-            return;
-        };
-        let mut sends: Vec<(NodeId, Msg)> = Vec::new();
-        match &ctx.stage {
-            DegradedStage::AwaitFind { pnode } => {
-                sends.push((
-                    *pnode,
-                    Msg::FindRecord {
-                        key: ctx.key,
-                        token,
-                    },
-                ));
-            }
-            DegradedStage::AwaitCells {
-                rank,
-                requested,
-                cells,
-                ..
-            } => {
-                for (shard, node) in requested {
-                    if !cells.contains_key(shard) {
-                        sends.push((*node, Msg::ReadCell { rank: *rank, token }));
-                    }
-                }
-            }
-        }
-        for (node, msg) in sends {
-            env.send(node, msg);
-        }
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        if let Some(ctx) = self.degraded.get_mut(&token) {
-            ctx.timer = timer;
         }
     }
 
@@ -929,7 +808,7 @@ impl Coordinator {
         let target_group = plan.target / m;
 
         // Provision parity for a group touched for the first time. The
-        // InitParity orders are remembered on the split context so a lost
+        // InitParity orders are remembered on the split exchange so a lost
         // one is re-sent with the split orders (Blank nodes buffer traffic
         // until initialised, so a late init is harmless).
         let mut init_parity: Vec<(NodeId, Msg)> = Vec::new();
@@ -954,10 +833,15 @@ impl Coordinator {
                 init_parity.push((n, msg));
                 nodes.push(n);
             }
-            self.shared
+            if !self
+                .shared
                 .registry
                 .borrow_mut()
-                .set_parity(target_group, nodes);
+                .set_parity(target_group, nodes)
+            {
+                self.invariant_violated(env, "allocation table refused a new group's parity");
+                return;
+            }
             self.group_k.push(k);
         }
 
@@ -988,10 +872,18 @@ impl Coordinator {
                 delta_seq: seq0,
             },
         );
-        self.shared
+        if !self
+            .shared
             .registry
             .borrow_mut()
-            .push_data(plan.target, target_node);
+            .push_data(plan.target, target_node)
+        {
+            self.invariant_violated(
+                env,
+                "split target is not the allocation table's next bucket",
+            );
+            return;
+        }
         let source_node = self.shared.registry.borrow().data_node(plan.source);
         env.send(
             source_node,
@@ -1001,20 +893,16 @@ impl Coordinator {
                 new_level: plan.new_level,
             },
         );
-        self.outstanding_splits += 1;
         let token = self.token();
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        self.splits.insert(
+        self.open(
+            env,
             token,
-            SplitCtx {
+            Kind::Split {
                 source: plan.source,
                 target: plan.target,
                 new_level: plan.new_level,
                 seq0,
                 init_parity,
-                timer,
-                attempts: 0,
             },
         );
         env.obs().incr("splits_started");
@@ -1043,33 +931,23 @@ impl Coordinator {
             self.k_file += 1;
             self.events
                 .push((env.now(), CoordEvent::KIncreased { k: self.k_file }));
+            let k_file = self.k_file;
+            let behind: Vec<u64> = self
+                .group_k
+                .iter()
+                .enumerate()
+                .filter(|(_, &k)| k < k_file)
+                .map(|(g, _)| g as u64)
+                .collect();
             match self.shared.cfg.upgrade_mode {
                 UpgradeMode::Eager => {
-                    let k_file = self.k_file;
-                    let behind: Vec<u64> = self
-                        .group_k
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &k)| k < k_file)
-                        .map(|(g, _)| g as u64)
-                        .collect();
                     for g in behind {
                         if !self.upgrade_queue.contains(&g) {
                             self.upgrade_queue.push_back(g);
                         }
                     }
                 }
-                UpgradeMode::Lazy => {
-                    let k_file = self.k_file;
-                    let behind: Vec<u64> = self
-                        .group_k
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &k)| k < k_file)
-                        .map(|(g, _)| g as u64)
-                        .collect();
-                    self.lagging.extend(behind);
-                }
+                UpgradeMode::Lazy => self.lagging.extend(behind),
             }
         }
     }
@@ -1086,24 +964,24 @@ impl Coordinator {
         };
         // plan.target is the disappearing bucket, plan.source absorbs;
         // both end at level new_level - 1.
-        let target_node = self.shared.registry.borrow().data_node(plan.target);
+        let (source, target, new_level) = (plan.source, plan.target, plan.new_level - 1);
+        let target_node = self.shared.registry.borrow().data_node(target);
         let token = self.token();
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        self.outstanding_merge = Some(MergeCtx {
-            source: plan.source,
-            target: plan.target,
-            new_level: plan.new_level - 1,
+        self.open(
+            env,
             token,
-            timer,
-            attempts: 0,
-        });
+            Kind::Merge {
+                source,
+                target,
+                new_level,
+            },
+        );
         env.send(
             target_node,
             Msg::DoMerge {
-                source: plan.source,
-                target: plan.target,
-                new_level: plan.new_level - 1,
+                source,
+                target,
+                new_level,
             },
         );
     }
@@ -1111,16 +989,19 @@ impl Coordinator {
     /// The absorbing bucket confirmed: retire the ex-bucket's node (and the
     /// last group's parity nodes if the group emptied) back into the pool.
     fn finish_merge(&mut self, env: &mut Env<'_, Msg>, final_seq: u64) {
-        let Some(ctx) = self.outstanding_merge.take() else {
+        let token = self.find(|k| matches!(k, Kind::Merge { .. }));
+        let Some(Kind::Merge { source, target, .. }) = token.and_then(|t| self.settle(env, t))
+        else {
             return;
         };
-        env.cancel_timer(ctx.timer);
-        self.timer_tokens.remove(&ctx.timer);
-        let (source, target) = (ctx.source, ctx.target);
         self.col_floors.insert(target, final_seq);
         let m = self.m() as u64;
         let mut reg = self.shared.registry.borrow_mut();
-        let ex_node = reg.pop_data();
+        let Some(ex_node) = reg.pop_data() else {
+            drop(reg);
+            self.invariant_violated(env, "merge confirmed against an empty allocation table");
+            return;
+        };
         env.send(ex_node, Msg::Retire);
         self.pool.push(ex_node);
         // If the removed bucket was the sole member of the last group, the
@@ -1152,34 +1033,31 @@ impl Coordinator {
         self.drain_queues(env);
     }
 
-    /// Run queued structural work when the coordinator goes idle.
+    /// Run queued structural work once none is in flight: the next upgrade,
+    /// else the next deferred split. Queued work that starts nothing — an
+    /// upgrade whose group is gone or caught up, a split the pool cannot
+    /// fund — is dropped and the next item tried, so a dry pool cannot
+    /// leave `busy()` set with nothing in flight.
     fn drain_queues(&mut self, env: &mut Env<'_, Msg>) {
-        if self.outstanding_splits > 0
-            || !self.checks.is_empty()
-            || !self.recoveries.is_empty()
-            || !self.degraded.is_empty()
-        {
-            return;
-        }
-        if let Some(group) = self.upgrade_queue.pop_front() {
-            self.start_upgrade(env, group);
-            return;
-        }
-        if self.deferred_splits > 0 {
-            self.deferred_splits -= 1;
-            self.do_split(env);
+        while !self.structural_work() {
+            if let Some(group) = self.upgrade_queue.pop_front() {
+                self.start_upgrade(env, group);
+            } else if self.deferred_splits > 0 {
+                self.deferred_splits -= 1;
+                self.do_split(env);
+            } else {
+                return;
+            }
         }
     }
 
     fn start_upgrade(&mut self, env: &mut Env<'_, Msg>, group: u64) {
+        // A queued upgrade can outlive its group (merged away).
         let Some(&k_old) = self.group_k.get(crate::convert::to_index(group)) else {
-            // A queued upgrade can outlive its group (merged away).
-            self.drain_queues(env);
             return;
         };
         let k_new = self.k_file;
         if k_old >= k_new {
-            self.drain_queues(env);
             return;
         }
         let token = self.token();
@@ -1195,30 +1073,20 @@ impl Coordinator {
             );
         }
         drop(reg);
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        self.recoveries.insert(
-            token,
-            RecoveryCtx {
-                group,
-                purpose: Purpose::Upgrade,
-                k: k_new,
-                rebuild: (self.m() + k_old..self.m() + k_new).collect(),
-                awaiting,
-                collected: HashMap::new(),
-                installs: HashMap::new(),
-                install_msgs: HashMap::new(),
-                spares: HashMap::new(),
-                timer,
-                attempts: 0,
-            },
-        );
+        let recovery = Recovery {
+            group,
+            purpose: Purpose::Upgrade,
+            k: k_new,
+            rebuild: (self.m() + k_old..self.m() + k_new).collect(),
+            awaiting,
+            collected: HashMap::new(),
+            installs: HashMap::new(),
+        };
+        self.open(env, token, Kind::Recovery(recovery));
         // A group with no existing columns (cannot happen: groups are
         // created by splits into them) would stall; guard anyway.
         if existing == 0 {
-            if let Some(ctx) = self.recoveries.remove(&token) {
-                self.finish_collection(env, token, ctx);
-            }
+            self.finish_collection(env, token);
         }
     }
 
@@ -1245,9 +1113,7 @@ impl Coordinator {
             return;
         }
         // Already working on this group: park the op.
-        if self.checking_groups.contains(&group)
-            || self.recoveries.values().any(|r| r.group == group)
-        {
+        if self.checking(group) || self.recovering(group) {
             self.queue_ops(group, vec![(op_id, client, kind)]);
             return;
         }
@@ -1261,13 +1127,13 @@ impl Coordinator {
         }
         // A probe for this bucket is already in flight (e.g. a duplicated
         // Suspect): ride along instead of double-probing.
-        if let Some(probe) = self.probes.values_mut().find(|p| p.bucket == bucket) {
-            if !probe
-                .pending
-                .iter()
-                .any(|(o, c, _)| *o == op_id && *c == client)
-            {
-                probe.pending.push((op_id, client, kind));
+        let probing = self.exchanges.values_mut().find_map(|e| match &mut e.kind {
+            Kind::Probe { bucket: b, pending } if *b == bucket => Some(pending),
+            _ => None,
+        });
+        if let Some(pending) = probing {
+            if !pending.iter().any(|(o, c, _)| *o == op_id && *c == client) {
+                pending.push((op_id, client, kind));
             }
             return;
         }
@@ -1275,47 +1141,53 @@ impl Coordinator {
         let token = self.token();
         let node = self.shared.registry.borrow().data_node(bucket);
         env.send(node, Msg::Probe { token });
-        let timer = env.set_timer(self.shared.cfg.probe_timeout_us);
-        self.timer_tokens.insert(timer, token);
-        self.probes.insert(
-            token,
-            ProbeCtx {
-                bucket,
-                pending: vec![(op_id, client, kind)],
-                timer,
-                attempts: 0,
-            },
-        );
+        let pending = vec![(op_id, client, kind)];
+        self.open(env, token, Kind::Probe { bucket, pending });
     }
 
     fn handle_probe_ack(&mut self, env: &mut Env<'_, Msg>, token: u64, from: NodeId) {
-        // A plain probe: the node is alive, deliver the parked ops
-        // directly (the client image or a forwarding hop was at fault).
-        if let Some(probe) = self.probes.remove(&token) {
-            env.cancel_timer(probe.timer);
-            self.timer_tokens.remove(&probe.timer);
-            let node = self.shared.registry.borrow().data_node(probe.bucket);
-            for (op_id, client, kind) in probe.pending {
-                env.send(
-                    node,
-                    Msg::Req {
-                        op_id,
-                        client,
-                        intended: probe.bucket,
-                        hops: 1,
-                        kind,
-                    },
-                );
-            }
+        let Some(ex) = self.exchanges.get_mut(&token) else {
             return;
+        };
+        match &mut ex.kind {
+            // A plain probe: the node is alive, deliver the parked ops
+            // directly (the client image or a forwarding hop was at fault).
+            Kind::Probe { .. } => {
+                let Some(Kind::Probe { bucket, pending }) = self.settle(env, token) else {
+                    return;
+                };
+                let node = self.shared.registry.borrow().data_node(bucket);
+                for (op_id, client, kind) in pending {
+                    env.send(
+                        node,
+                        Msg::Req {
+                            op_id,
+                            client,
+                            intended: bucket,
+                            hops: 1,
+                            kind,
+                        },
+                    );
+                }
+            }
+            // A group check's probe: the responding shard is identified by
+            // its node id. A check whose every probed shard responded
+            // finishes early (healthy groups pay no timeout).
+            Kind::Check(check) => {
+                if let Some((shard, _)) = check.probed.iter().find(|(_, n)| *n == from) {
+                    check.responded.insert(*shard);
+                }
+                if check.responded.len() == check.probed.len() {
+                    if let Some(Kind::Check(check)) = self.settle(env, token) {
+                        self.finish_group_check(env, check);
+                    }
+                }
+            }
+            _ => {}
         }
-        // Otherwise it belongs to a group check; the responding shard is
-        // identified by its node id.
-        self.note_check_ack(env, token, from);
     }
 
     fn start_group_check(&mut self, env: &mut Env<'_, Msg>, group: u64) {
-        self.checking_groups.insert(group);
         let token = self.token();
         let m = self.m() as u64;
         let existing = self.existing_cols(group);
@@ -1331,44 +1203,15 @@ impl Coordinator {
         for (_, node) in &probed {
             env.send(*node, Msg::Probe { token });
         }
-        let timer = env.set_timer(self.shared.cfg.probe_timeout_us);
-        self.timer_tokens.insert(timer, token);
-        self.checks.insert(
-            token,
-            GroupCheckCtx {
-                group,
-                probed,
-                responded: HashSet::new(),
-                timer,
-                attempts: 0,
-            },
-        );
-    }
-
-    /// Group-check probe acks arrive as ProbeAck with the check's token;
-    /// routed here from the dispatcher. A check whose every probed shard
-    /// responded finishes early (healthy groups pay no timeout).
-    fn note_check_ack(&mut self, env: &mut Env<'_, Msg>, token: u64, node: NodeId) {
-        let all_in = if let Some(ctx) = self.checks.get_mut(&token) {
-            if let Some((shard, _)) = ctx.probed.iter().find(|(_, n)| *n == node) {
-                ctx.responded.insert(*shard);
-            }
-            ctx.responded.len() == ctx.probed.len()
-        } else {
-            false
+        let check = GroupCheck {
+            group,
+            probed,
+            responded: HashSet::new(),
         };
-        if let Some(check) = if all_in {
-            self.checks.remove(&token)
-        } else {
-            None
-        } {
-            env.cancel_timer(check.timer);
-            self.timer_tokens.remove(&check.timer);
-            self.finish_group_check(env, check);
-        }
+        self.open(env, token, Kind::Check(check));
     }
 
-    fn finish_group_check(&mut self, env: &mut Env<'_, Msg>, check: GroupCheckCtx) {
+    fn finish_group_check(&mut self, env: &mut Env<'_, Msg>, check: GroupCheck) {
         let group = check.group;
         let failed: Vec<usize> = check
             .probed
@@ -1376,7 +1219,6 @@ impl Coordinator {
             .map(|(s, _)| *s)
             .filter(|s| !check.responded.contains(s))
             .collect();
-        self.checking_groups.remove(&group);
         if failed.is_empty() {
             // False alarm: replay queued ops to their (live) buckets.
             self.replay_queued(env, group);
@@ -1414,16 +1256,7 @@ impl Coordinator {
                     failed: failed.len(),
                 },
             ));
-            for (op_id, client, _) in self.queued_ops.remove(&group).unwrap_or_default() {
-                env.send(
-                    client,
-                    Msg::Reply {
-                        op_id,
-                        result: OpResult::Failed("group unrecoverable".into()),
-                        iam: None,
-                    },
-                );
-            }
+            self.fail_queued(env, group, "group unrecoverable");
             self.drain_queues(env);
             return;
         }
@@ -1482,35 +1315,22 @@ impl Coordinator {
         }
         drop(reg);
         debug_assert_eq!(parity_needed, 0, "tolerance check guarantees survivors");
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        self.recoveries.insert(
-            token,
-            RecoveryCtx {
-                group,
-                purpose: Purpose::Repair,
-                k: k_g,
-                rebuild: failed,
-                awaiting,
-                collected: HashMap::new(),
-                installs: HashMap::new(),
-                install_msgs: HashMap::new(),
-                spares: HashMap::new(),
-                timer,
-                attempts: 0,
-            },
-        );
         // Degenerate case: nothing to await (e.g. group of one existing
         // failed column rebuilt purely from parity... then parity was
         // awaited; truly empty only if no survivors needed).
-        if self
-            .recoveries
-            .get(&token)
-            .is_some_and(|c| c.awaiting.is_empty())
-        {
-            if let Some(ctx) = self.recoveries.remove(&token) {
-                self.finish_collection(env, token, ctx);
-            }
+        let nothing_to_await = awaiting.is_empty();
+        let recovery = Recovery {
+            group,
+            purpose: Purpose::Repair,
+            k: k_g,
+            rebuild: failed,
+            awaiting,
+            collected: HashMap::new(),
+            installs: HashMap::new(),
+        };
+        self.open(env, token, Kind::Recovery(recovery));
+        if nothing_to_await {
+            self.finish_collection(env, token);
         }
     }
 
@@ -1526,6 +1346,20 @@ impl Coordinator {
                     intended: bucket,
                     hops: 1,
                     kind,
+                },
+            );
+        }
+    }
+
+    /// Fail every op parked on `group` back to its client.
+    fn fail_queued(&mut self, env: &mut Env<'_, Msg>, group: u64, why: &str) {
+        for (op_id, client, _) in self.queued_ops.remove(&group).unwrap_or_default() {
+            env.send(
+                client,
+                Msg::Reply {
+                    op_id,
+                    result: OpResult::Failed(why.into()),
+                    iam: None,
                 },
             );
         }
@@ -1565,13 +1399,18 @@ impl Coordinator {
             }
             return;
         }
-        if self.suffixes.values().any(|c| c.bucket == bucket) {
+        if self
+            .find(|k| matches!(k, Kind::Suffix(s) if s.bucket == bucket))
+            .is_some()
+        {
             return; // duplicated report: handshake already running
         }
         let group_busy = self.dead_groups.contains(&group)
-            || self.checking_groups.contains(&group)
-            || self.recoveries.values().any(|r| r.group == group)
-            || self.degraded.values().any(|d| d.group == group);
+            || self.checking(group)
+            || self.recovering(group)
+            || self
+                .find(|k| matches!(k, Kind::Degraded(d) if d.group == group))
+                .is_some();
         if group_busy {
             // Racing the failure machinery would certify a resume point the
             // rebuild is about to invalidate.
@@ -1605,22 +1444,16 @@ impl Coordinator {
                 },
             );
         }
-        let timer = env.set_timer(self.shared.cfg.probe_timeout_us);
-        self.timer_tokens.insert(timer, token);
-        self.suffixes.insert(
-            token,
-            SuffixCtx {
-                group,
-                col,
-                bucket,
-                node: from,
-                from_seq: delta_seq,
-                infos: HashMap::new(),
-                expected: parity.len(),
-                timer,
-                attempts: 0,
-            },
-        );
+        let suffix = Suffix {
+            group,
+            col,
+            bucket,
+            node: from,
+            from_seq: delta_seq,
+            infos: HashMap::new(),
+            expected: parity.len(),
+        };
+        self.open(env, token, Kind::Suffix(suffix));
     }
 
     /// One parity bucket answered a `SuffixPull`. Once all `k` are in, the
@@ -1636,107 +1469,50 @@ impl Coordinator {
         covered: bool,
         bytes: u64,
     ) {
-        let Some(token) = self
-            .suffixes
-            .iter()
-            .find(|(_, c)| c.bucket == bucket)
-            .map(|(t, _)| *t)
-        else {
+        let Some(token) = self.find(|k| matches!(k, Kind::Suffix(s) if s.bucket == bucket)) else {
             return; // stale answer for a settled handshake
         };
-        let done = {
-            let Some(ctx) = self.suffixes.get_mut(&token) else {
-                return;
-            };
-            ctx.infos.insert(
-                from,
-                SuffixReply {
-                    next_seq,
-                    covered,
-                    bytes,
-                },
-            );
-            ctx.infos.len() >= ctx.expected
+        let Some(Exchange {
+            kind: Kind::Suffix(s),
+            ..
+        }) = self.exchanges.get_mut(&token)
+        else {
+            return;
         };
-        if !done {
+        let reply = SuffixReply {
+            next_seq,
+            covered,
+            bytes,
+        };
+        s.infos.insert(from, reply);
+        if s.infos.len() < s.expected {
             return;
         }
-        let Some(ctx) = self.suffixes.remove(&token) else {
+        let Some(Kind::Suffix(s)) = self.settle(env, token) else {
             return;
         };
-        env.cancel_timer(ctx.timer);
-        self.timer_tokens.remove(&ctx.timer);
-        let mut seqs = ctx.infos.values().map(|r| r.next_seq);
-        let r0 = seqs.next().unwrap_or(ctx.from_seq);
-        let all_equal = seqs.all(|s| s == r0);
-        let any_covered = ctx.infos.values().any(|r| r.covered);
-        let ok = all_equal && ctx.from_seq <= r0 && (ctx.from_seq == r0 || any_covered);
+        let mut seqs = s.infos.values().map(|r| r.next_seq);
+        let r0 = seqs.next().unwrap_or(s.from_seq);
+        let all_equal = seqs.all(|seq| seq == r0);
+        let any_covered = s.infos.values().any(|r| r.covered);
+        let ok = all_equal && s.from_seq <= r0 && (s.from_seq == r0 || any_covered);
         if !ok {
-            self.restart_fallback(env, ctx.bucket, ctx.group, ctx.col, ctx.node);
+            self.restart_fallback(env, s.bucket, s.group, s.col, s.node);
             return;
         }
-        self.failed.remove(&(ctx.group, ctx.col));
-        env.send(ctx.node, Msg::OwnershipAck);
-        let moved: u64 = ctx.infos.values().map(|r| r.bytes).sum();
+        self.failed.remove(&(s.group, s.col));
+        env.send(s.node, Msg::OwnershipAck);
+        let moved: u64 = s.infos.values().map(|r| r.bytes).sum();
         env.obs().incr("restart_recoveries");
         env.obs().add("recovery_bytes_moved", moved);
         self.events.push((
             env.now(),
             CoordEvent::BucketRestarted {
-                bucket: ctx.bucket,
-                suffix_len: r0 - ctx.from_seq,
+                bucket: s.bucket,
+                suffix_len: r0 - s.from_seq,
             },
         ));
         self.drain_queues(env);
-    }
-
-    /// Re-pull the parity answers still missing; after `coord_retries`
-    /// silent rounds the handshake gives up and falls back.
-    fn retry_suffix(&mut self, env: &mut Env<'_, Msg>, token: u64) {
-        let retries = self.shared.cfg.coord_retries;
-        let give_up = match self.suffixes.get_mut(&token) {
-            Some(ctx) => {
-                ctx.attempts += 1;
-                ctx.attempts > retries
-            }
-            None => return,
-        };
-        if give_up {
-            let Some(ctx) = self.suffixes.remove(&token) else {
-                return;
-            };
-            self.restart_fallback(env, ctx.bucket, ctx.group, ctx.col, ctx.node);
-            return;
-        }
-        let Some(ctx) = self.suffixes.get(&token) else {
-            return;
-        };
-        let reg = self.shared.registry.borrow();
-        let sends: Vec<(NodeId, Msg)> = reg
-            .parity_nodes(ctx.group)
-            .iter()
-            .filter(|pn| !ctx.infos.contains_key(pn))
-            .map(|pn| {
-                (
-                    *pn,
-                    Msg::SuffixPull {
-                        group: ctx.group,
-                        col: ctx.col,
-                        from_seq: ctx.from_seq,
-                        target: ctx.node,
-                    },
-                )
-            })
-            .collect();
-        drop(reg);
-        for (node, msg) in sends {
-            env.send(node, msg);
-        }
-        let timer = env.set_timer(self.shared.cfg.probe_timeout_us);
-        self.timer_tokens.insert(timer, token);
-        if let Some(ctx) = self.suffixes.get_mut(&token) {
-            ctx.timer = timer;
-        }
     }
 
     /// The restarted bucket itself gave up on the Δ-suffix catch-up: it
@@ -1748,16 +1524,10 @@ impl Coordinator {
     /// ignores that ack, so the fallback here is still the only path back
     /// to a serving replica.
     fn handle_restart_abort(&mut self, env: &mut Env<'_, Msg>, from: NodeId, bucket: u64) {
-        let token = self
-            .suffixes
-            .iter()
-            .find(|(_, c)| c.bucket == bucket && c.node == from)
-            .map(|(t, _)| *t);
+        let token =
+            self.find(|k| matches!(k, Kind::Suffix(s) if s.bucket == bucket && s.node == from));
         if let Some(token) = token {
-            if let Some(ctx) = self.suffixes.remove(&token) {
-                env.cancel_timer(ctx.timer);
-                self.timer_tokens.remove(&ctx.timer);
-            }
+            self.settle(env, token);
         }
         let m = self.m() as u64;
         let group = bucket / m;
@@ -1780,7 +1550,8 @@ impl Coordinator {
 
     /// Give up on the Δ-suffix path for `bucket`: demote the restarted node
     /// to a hot spare and let the standard audit → RS-rebuild machinery
-    /// recreate the bucket from the group's survivors.
+    /// recreate the bucket from the group's survivors. The handshake held
+    /// queued structural work back, so the queues are drained after.
     fn restart_fallback(
         &mut self,
         env: &mut Env<'_, Msg>,
@@ -1796,12 +1567,12 @@ impl Coordinator {
             self.pool.push(node);
         }
         self.failed.insert((group, col));
-        let audit_clear = !self.checking_groups.contains(&group)
-            && !self.dead_groups.contains(&group)
-            && !self.recoveries.values().any(|r| r.group == group);
+        let audit_clear =
+            !self.checking(group) && !self.dead_groups.contains(&group) && !self.recovering(group);
         if audit_clear {
             self.start_group_check(env, group);
         }
+        self.drain_queues(env);
     }
 
     // ----- degraded-mode record recovery -----
@@ -1839,20 +1610,14 @@ impl Coordinator {
         env.trace(ObsEvent::DegradedRead { group });
         let token = self.token();
         env.send(pnode, Msg::FindRecord { key, token });
-        let timer = env.set_timer(self.shared.cfg.coord_retransmit_us);
-        self.timer_tokens.insert(timer, token);
-        self.degraded.insert(
-            token,
-            DegradedCtx {
-                group,
-                op_id,
-                client,
-                key,
-                stage: DegradedStage::AwaitFind { pnode },
-                timer,
-                attempts: 0,
-            },
-        );
+        let read = Degraded {
+            group,
+            op_id,
+            client,
+            key,
+            stage: DegradedStage::AwaitFind { pnode },
+        };
+        self.open(env, token, Kind::Degraded(read));
     }
 
     fn handle_find_reply(
@@ -1863,28 +1628,17 @@ impl Coordinator {
     ) {
         // A duplicated reply for a read already in the cell stage must not
         // restart it.
-        if !matches!(
-            self.degraded.get(&token).map(|c| &c.stage),
-            Some(DegradedStage::AwaitFind { .. })
-        ) {
-            return;
-        }
-        let Some(mut ctx) = self.degraded.remove(&token) else {
-            return;
+        let (group, key) = match self.exchanges.get(&token).map(|e| &e.kind) {
+            Some(Kind::Degraded(d)) if matches!(d.stage, DegradedStage::AwaitFind { .. }) => {
+                (d.group, d.key)
+            }
+            _ => return,
         };
         let Some((rank, keys)) = found else {
             // The key never existed: unsuccessful-search semantics.
-            env.cancel_timer(ctx.timer);
-            self.timer_tokens.remove(&ctx.timer);
-            env.send(
-                ctx.client,
-                Msg::Reply {
-                    op_id: ctx.op_id,
-                    result: OpResult::Value(None),
-                    iam: None,
-                },
-            );
-            self.drain_queues(env);
+            if let Some(Kind::Degraded(d)) = self.settle(env, token) {
+                self.answer_degraded(env, &d, OpResult::Value(None));
+            }
             return;
         };
         let m = self.m();
@@ -1892,26 +1646,18 @@ impl Coordinator {
         // returned must contain it. A reply that violates that (a buggy or
         // byzantine parity node — this arrives off the wire) fails the one
         // lookup instead of aborting the coordinator.
-        let Some(target_col) = keys.iter().position(|k| *k == Some(ctx.key)) else {
-            env.cancel_timer(ctx.timer);
-            self.timer_tokens.remove(&ctx.timer);
-            self.invariant_violated(
-                env,
-                "FindRecordReply's key list does not contain the key it claims to have found",
-            );
-            env.send(
-                ctx.client,
-                Msg::Reply {
-                    op_id: ctx.op_id,
-                    result: OpResult::Failed("inconsistent parity reply".into()),
-                    iam: None,
-                },
-            );
-            self.drain_queues(env);
+        let Some(target_col) = keys.iter().position(|k| *k == Some(key)) else {
+            if let Some(Kind::Degraded(d)) = self.settle(env, token) {
+                self.invariant_violated(
+                    env,
+                    "FindRecordReply's key list does not contain the key it claims to have found",
+                );
+                let result = OpResult::Failed("inconsistent parity reply".into());
+                self.answer_degraded(env, &d, result);
+            }
             return;
         };
         // Gather m shards: existing live data columns first, then parity.
-        let group = ctx.group;
         let existing = self.existing_cols(group);
         let mut cells: HashMap<usize, Vec<u8>> = HashMap::new();
         // Non-existing columns are known-zero locally.
@@ -1946,14 +1692,19 @@ impl Coordinator {
         debug_assert_eq!(remaining, 0, "tolerance guarantees m live shards");
         let need = cells.len() + requested.len();
         debug_assert_eq!(need, m);
-        ctx.stage = DegradedStage::AwaitCells {
-            target_col,
-            rank,
-            requested,
-            cells,
-            need,
-        };
-        self.degraded.insert(token, ctx);
+        if let Some(Exchange {
+            kind: Kind::Degraded(d),
+            ..
+        }) = self.exchanges.get_mut(&token)
+        {
+            d.stage = DegradedStage::AwaitCells {
+                target_col,
+                rank,
+                requested,
+                cells,
+                need,
+            };
+        }
     }
 
     fn handle_cell_data(
@@ -1963,45 +1714,41 @@ impl Coordinator {
         shard: usize,
         cell: Vec<u8>,
     ) {
-        let done = {
-            let Some(ctx) = self.degraded.get_mut(&token) else {
-                return;
-            };
-            let DegradedStage::AwaitCells { cells, need, .. } = &mut ctx.stage else {
-                return;
-            };
-            cells.insert(shard, cell);
-            cells.len() >= *need
+        let Some(Exchange {
+            kind: Kind::Degraded(d),
+            ..
+        }) = self.exchanges.get_mut(&token)
+        else {
+            return;
         };
-        if !done {
+        let DegradedStage::AwaitCells { cells, need, .. } = &mut d.stage else {
+            return;
+        };
+        cells.insert(shard, cell);
+        if cells.len() < *need {
             return;
         }
-        let Some(ctx) = self.degraded.remove(&token) else {
+        let Some(Kind::Degraded(d)) = self.settle(env, token) else {
             return;
         };
-        env.cancel_timer(ctx.timer);
-        self.timer_tokens.remove(&ctx.timer);
-        let group = ctx.group;
         let DegradedStage::AwaitCells {
             target_col, cells, ..
-        } = ctx.stage
+        } = &d.stage
         else {
-            // The stage was AwaitCells when `done` was computed above.
-            self.invariant_violated(env, "degraded read left the cell stage mid-collection");
             return;
         };
         // group_k and the field/m pair were validated when the group was
         // created; a mismatch here degrades the one lookup, not the actor.
         let k_g = self
             .group_k
-            .get(crate::convert::to_index(group))
+            .get(crate::convert::to_index(d.group))
             .copied()
             .unwrap_or(0);
         let result = match AnyCode::new(self.shared.cfg.field, self.m(), k_g) {
             Ok(code) => {
                 let avail: Vec<(usize, &[u8])> =
                     cells.iter().map(|(s, c)| (*s, c.as_slice())).collect();
-                match code.reconstruct_one(target_col, &avail) {
+                match code.reconstruct_one(*target_col, &avail) {
                     Ok(cell) => match decode_cell(&cell) {
                         Some(payload) => OpResult::Value(Some(payload)),
                         None => OpResult::Failed("corrupt cell after decode".into()),
@@ -2011,10 +1758,16 @@ impl Coordinator {
             }
             Err(e) => OpResult::Failed(format!("code construction failed: {e}")),
         };
+        self.answer_degraded(env, &d, result);
+    }
+
+    /// A degraded read is over, however it ended: answer its client and
+    /// let queued structural work run.
+    fn answer_degraded(&mut self, env: &mut Env<'_, Msg>, d: &Degraded, result: OpResult) {
         env.send(
-            ctx.client,
+            d.client,
             Msg::Reply {
-                op_id: ctx.op_id,
+                op_id: d.op_id,
                 result,
                 iam: None,
             },
@@ -2031,54 +1784,36 @@ impl Coordinator {
         shard: usize,
         content: ShardContent,
     ) {
-        let Some(ctx) = self.recoveries.get_mut(&token) else {
+        let m = self.m();
+        let Some(Exchange {
+            kind: Kind::Recovery(r),
+            ..
+        }) = self.exchanges.get_mut(&token)
+        else {
             return;
         };
-        if ctx.awaiting.remove(&shard) {
-            ctx.collected.insert(shard, content);
+        if r.awaiting.remove(&shard) {
+            r.collected.insert(shard, content);
         }
-        if ctx.awaiting.is_empty() {
-            if let Some(mut ctx) = self.recoveries.remove(&token) {
-                // The rebuild XORs shards cell-by-cell, so every collected
-                // shard must sit on the same Δ-prefix. Survivors freeze on
-                // `TransferShard`, but a write racing the first round (or a
-                // Δ still in flight to a parity bucket) can tear the cut —
-                // detect it and re-collect rather than rebuild garbage.
-                if torn_cut(self.m(), &ctx.collected).is_some() {
-                    env.obs().incr("recovery_torn_cuts");
-                    ctx.awaiting = ctx.collected.keys().copied().collect();
-                    ctx.collected.clear();
-                    self.resend_collection(env, token, &ctx);
-                    self.recoveries.insert(token, ctx);
-                    return;
-                }
-                self.finish_collection(env, token, ctx);
+        if !r.awaiting.is_empty() {
+            return;
+        }
+        // The rebuild XORs shards cell-by-cell, so every collected shard
+        // must sit on the same Δ-prefix. Survivors freeze on
+        // `TransferShard`, but a write racing the first round (or a Δ still
+        // in flight to a parity bucket) can tear the cut — detect it and
+        // re-collect rather than rebuild garbage. The re-request rides
+        // outside the retransmission schedule and its give-up budget.
+        if torn_cut(m, &r.collected).is_some() {
+            env.obs().incr("recovery_torn_cuts");
+            r.awaiting = r.collected.keys().copied().collect();
+            r.collected.clear();
+            for (node, msg) in self.resend(token) {
+                env.send(node, msg);
             }
+            return;
         }
-    }
-
-    /// Re-send `TransferShard` to every shard a collection still awaits
-    /// (the torn-cut retry path; the periodic retransmit timer keeps its
-    /// own schedule and give-up budget).
-    fn resend_collection(&self, env: &mut Env<'_, Msg>, token: u64, ctx: &RecoveryCtx) {
-        let m = self.m();
-        let reg = self.shared.registry.borrow();
-        let mut targets = Vec::new();
-        for &shard in &ctx.awaiting {
-            let node = if shard < m {
-                reg.data_node(ctx.group * m as u64 + shard as u64)
-            } else {
-                match reg.parity_nodes(ctx.group).get(shard - m) {
-                    Some(n) => *n,
-                    None => continue,
-                }
-            };
-            targets.push(node);
-        }
-        drop(reg);
-        for node in targets {
-            env.send(node, Msg::TransferShard { token });
-        }
+        self.finish_collection(env, token);
     }
 
     /// The shard collection for `group` is over, however it ended: tell
@@ -2104,48 +1839,41 @@ impl Coordinator {
         }
     }
 
-    fn finish_collection(&mut self, env: &mut Env<'_, Msg>, token: u64, mut ctx: RecoveryCtx) {
+    /// Collection `token` is complete: decode the rebuilt shards and send
+    /// each to a spare. The exchange stays open until every install is
+    /// acknowledged.
+    fn finish_collection(&mut self, env: &mut Env<'_, Msg>, token: u64) {
+        let Some(Exchange {
+            kind: Kind::Recovery(r),
+            ..
+        }) = self.exchanges.get(&token)
+        else {
+            return;
+        };
+        let (group, k) = (r.group, r.k);
         // A consistent cut is in hand: the survivors may serve writes again
         // whatever happens below (the rebuild works on the snapshot, and
         // the dead bucket's ops stay parked here until the install).
-        self.resume_group_writes(env, ctx.group, &ctx.rebuild);
+        self.resume_group_writes(env, group, &r.rebuild);
         let m = self.m();
         let cell_len = self.shared.cfg.cell_len();
-        let existing = self.existing_cols(ctx.group);
+        let existing = self.existing_cols(group);
         // The (field, m, k) triple was validated at file creation and every
         // upgrade; if decode still fails the collected shards are
         // inconsistent. Either way: record it, abandon the rebuild (the
         // shards stay marked failed, so the next suspect re-audits), and
         // fail the parked writes back to their clients.
-        let rebuilt = AnyCode::new(self.shared.cfg.field, m, ctx.k)
+        let rebuilt = AnyCode::new(self.shared.cfg.field, m, k)
             .map_err(|e| e.to_string())
             .and_then(|code| {
-                rebuild_shards(
-                    m,
-                    ctx.k,
-                    cell_len,
-                    existing,
-                    &ctx.collected,
-                    &ctx.rebuild,
-                    &code,
-                )
+                rebuild_shards(m, k, cell_len, existing, &r.collected, &r.rebuild, &code)
             });
         let rebuilt = match rebuilt {
-            Ok(r) => r,
+            Ok(rebuilt) => rebuilt,
             Err(why) => {
-                env.cancel_timer(ctx.timer);
-                self.timer_tokens.remove(&ctx.timer);
+                self.settle(env, token);
                 self.invariant_violated(env, &format!("group rebuild failed: {why}"));
-                for (op_id, client, _) in self.queued_ops.remove(&ctx.group).unwrap_or_default() {
-                    env.send(
-                        client,
-                        Msg::Reply {
-                            op_id,
-                            result: OpResult::Failed("group rebuild failed".into()),
-                            iam: None,
-                        },
-                    );
-                }
+                self.fail_queued(env, group, "group rebuild failed");
                 self.drain_queues(env);
                 return;
             }
@@ -2157,30 +1885,21 @@ impl Coordinator {
         // merge, say); queued lookups were already served degraded, and
         // parked writes fail back to their clients.
         if self.pool.len() < rebuilt.len() {
-            env.cancel_timer(ctx.timer);
-            self.timer_tokens.remove(&ctx.timer);
+            self.settle(env, token);
             env.obs().incr("recoveries_stalled");
             self.events.push((
                 env.now(),
                 CoordEvent::RecoveryStalled {
-                    group: ctx.group,
+                    group,
                     needed: rebuilt.len(),
                 },
             ));
-            for (op_id, client, _) in self.queued_ops.remove(&ctx.group).unwrap_or_default() {
-                env.send(
-                    client,
-                    Msg::Reply {
-                        op_id,
-                        result: OpResult::Failed("no spare nodes to rebuild onto".into()),
-                        iam: None,
-                    },
-                );
-            }
+            self.fail_queued(env, group, "no spare nodes to rebuild onto");
             return;
         }
 
         // Install each rebuilt shard on a spare node.
+        let mut installs = Vec::new();
         for (shard, content) in rebuilt {
             let Some(spare) = self.alloc_node() else {
                 // Reserved above (`pool.len() >= rebuilt.len()`); the
@@ -2190,7 +1909,7 @@ impl Coordinator {
             };
             let install_token = self.token();
             let (bucket, index) = if shard < m {
-                (Some(ctx.group * m as u64 + shard as u64), None)
+                (Some(group * m as u64 + shard as u64), None)
             } else {
                 (None, Some(shard - m))
             };
@@ -2215,73 +1934,72 @@ impl Coordinator {
                 (p, _) => p,
             };
             let msg = Msg::Install {
-                group: ctx.group,
+                group,
                 bucket,
                 index,
-                k: ctx.k,
+                k,
                 content,
                 token: install_token,
             };
             env.send(spare, msg.clone());
-            ctx.installs.insert(install_token, shard);
-            ctx.install_msgs.insert(install_token, (spare, msg));
-            ctx.spares.insert(shard, spare);
+            installs.push((install_token, (shard, spare, msg)));
         }
-        self.recoveries.insert(token, ctx);
+        if let Some(Exchange {
+            kind: Kind::Recovery(r),
+            ..
+        }) = self.exchanges.get_mut(&token)
+        {
+            r.installs.extend(installs);
+        }
     }
 
     fn handle_install_ack(&mut self, env: &mut Env<'_, Msg>, install_token: u64) {
-        let Some(recovery_token) = self
-            .recoveries
-            .iter()
-            .find(|(_, c)| c.installs.contains_key(&install_token))
-            .map(|(t, _)| *t)
+        let Some(token) = self
+            .find(|k| matches!(k, Kind::Recovery(r) if r.installs.contains_key(&install_token)))
         else {
             return;
         };
-        let (done, displaced) = {
-            let Some(ctx) = self.recoveries.get_mut(&recovery_token) else {
-                return;
-            };
-            let Some(shard) = ctx.installs.remove(&install_token) else {
-                return;
-            };
-            let bytes = ctx
-                .install_msgs
-                .get(&install_token)
-                .map_or(0, |(_, m)| m.size_bytes() as u64);
-            ctx.install_msgs.remove(&install_token);
-            let Some(&spare) = ctx.spares.get(&shard) else {
-                return;
-            };
-            if matches!(ctx.purpose, Purpose::Repair) {
-                env.obs().incr("recovery_shards_rebuilt");
-                env.obs().add("recovery_bytes_moved", bytes);
-                env.trace(ObsEvent::RecoveryShard {
-                    group: ctx.group,
-                    shard: shard as u64,
-                    bytes,
-                });
-            }
-            let m = self.shared.cfg.group_size;
-            let mut reg = self.shared.registry.borrow_mut();
-            let mut displaced = None;
-            if shard < m {
-                let bucket = ctx.group * m as u64 + shard as u64;
-                displaced = Some(reg.data_node(bucket));
-                reg.move_data(bucket, spare);
-            } else if shard - m < reg.group_k(ctx.group) {
-                displaced = reg.parity_nodes(ctx.group).get(shard - m).copied();
-                reg.move_parity(ctx.group, shard - m, spare);
-            } else {
-                // Upgrade: append the new parity column.
-                let mut nodes = reg.parity_nodes(ctx.group).to_vec();
-                debug_assert_eq!(nodes.len(), shard - m);
-                nodes.push(spare);
-                reg.set_parity(ctx.group, nodes);
-            }
-            (ctx.installs.is_empty(), displaced)
+        let m = self.m();
+        let Some(Exchange {
+            kind: Kind::Recovery(r),
+            ..
+        }) = self.exchanges.get_mut(&token)
+        else {
+            return;
         };
+        let Some((shard, spare, msg)) = r.installs.remove(&install_token) else {
+            return;
+        };
+        let group = r.group;
+        if r.purpose == Purpose::Repair {
+            let bytes = msg.size_bytes() as u64;
+            env.obs().incr("recovery_shards_rebuilt");
+            env.obs().add("recovery_bytes_moved", bytes);
+            env.trace(ObsEvent::RecoveryShard {
+                group,
+                shard: shard as u64,
+                bytes,
+            });
+        }
+        let done = r.installs.is_empty();
+        let mut reg = self.shared.registry.borrow_mut();
+        let (displaced, placed) = if shard < m {
+            let bucket = group * m as u64 + shard as u64;
+            (reg.try_data_node(bucket), reg.move_data(bucket, spare))
+        } else if shard - m < reg.group_k(group) {
+            let displaced = reg.parity_nodes(group).get(shard - m).copied();
+            (displaced, reg.move_parity(group, shard - m, spare))
+        } else {
+            // Upgrade: append the new parity column.
+            let mut nodes = reg.parity_nodes(group).to_vec();
+            debug_assert_eq!(nodes.len(), shard - m);
+            nodes.push(spare);
+            (None, reg.set_parity(group, nodes))
+        };
+        drop(reg);
+        if !placed {
+            self.invariant_violated(env, "installed shard has no slot in the allocation table");
+        }
         // Fence the replaced node: if it was only partitioned (not dead) it
         // must not keep serving the shard. The Retire is best-effort — the
         // parity sender check (deltas accepted only from the registered
@@ -2289,48 +2007,47 @@ impl Coordinator {
         if let Some(old) = displaced {
             env.send(old, Msg::Retire);
         }
-        if done {
-            let Some(ctx) = self.recoveries.remove(&recovery_token) else {
-                return;
-            };
-            env.cancel_timer(ctx.timer);
-            self.timer_tokens.remove(&ctx.timer);
-            match ctx.purpose {
-                Purpose::Repair => {
-                    for &s in &ctx.rebuild {
-                        self.failed.remove(&(ctx.group, s));
-                    }
-                    env.obs().incr("recoveries_completed");
-                    env.trace(ObsEvent::RecoveryEnd {
-                        group: ctx.group,
-                        rebuilt: ctx.rebuild.len() as u64,
-                        ok: true,
-                    });
-                    self.events.push((
-                        env.now(),
-                        CoordEvent::GroupRecovered {
-                            group: ctx.group,
-                            shards: ctx.rebuild.clone(),
-                        },
-                    ));
-                    self.replay_queued(env, ctx.group);
-                }
-                Purpose::Upgrade => {
-                    env.obs().incr("group_upgrades");
-                    if let Some(slot) = self.group_k.get_mut(crate::convert::to_index(ctx.group)) {
-                        *slot = ctx.k;
-                    }
-                    self.events.push((
-                        env.now(),
-                        CoordEvent::GroupUpgraded {
-                            group: ctx.group,
-                            k: ctx.k,
-                        },
-                    ));
-                }
-            }
-            self.drain_queues(env);
+        if !done {
+            return;
         }
+        let Some(Kind::Recovery(r)) = self.settle(env, token) else {
+            return;
+        };
+        match r.purpose {
+            Purpose::Repair => {
+                for &s in &r.rebuild {
+                    self.failed.remove(&(r.group, s));
+                }
+                env.obs().incr("recoveries_completed");
+                env.trace(ObsEvent::RecoveryEnd {
+                    group: r.group,
+                    rebuilt: r.rebuild.len() as u64,
+                    ok: true,
+                });
+                self.events.push((
+                    env.now(),
+                    CoordEvent::GroupRecovered {
+                        group: r.group,
+                        shards: r.rebuild.clone(),
+                    },
+                ));
+                self.replay_queued(env, r.group);
+            }
+            Purpose::Upgrade => {
+                env.obs().incr("group_upgrades");
+                if let Some(slot) = self.group_k.get_mut(crate::convert::to_index(r.group)) {
+                    *slot = r.k;
+                }
+                self.events.push((
+                    env.now(),
+                    CoordEvent::GroupUpgraded {
+                        group: r.group,
+                        k: r.k,
+                    },
+                ));
+            }
+        }
+        self.drain_queues(env);
     }
 }
 

@@ -1006,4 +1006,46 @@ mod tests {
             .any(|(_, e)| matches!(e, CoordEvent::InvariantViolated { .. })));
         assert_eq!(file.metrics().counter("invariant_violations"), 1);
     }
+
+    /// A group check that ends while a merge is in flight must not start a
+    /// deferred split: the split would re-create the bucket being merged
+    /// away. Merges count as structural work for `drain_queues` as they do
+    /// for `busy()`, so the split waits for `MergeDone`.
+    #[test]
+    fn check_ending_mid_merge_defers_the_split_until_the_merge_lands() {
+        for latency in [LatencyModel::instant(), LatencyModel::default()] {
+            let mut file = LhrsFile::new(Config {
+                group_size: 4,
+                initial_k: 2,
+                latency,
+                ..Config::default()
+            })
+            .unwrap();
+            for key in 0..200u64 {
+                file.insert(key, vec![key as u8; 8]).unwrap();
+            }
+            let before = file.events().len();
+            for msg in [
+                Msg::ForceMerge,
+                Msg::ReportOverflow { bucket: 0, size: 0 },
+                Msg::CheckGroup { group: 0 },
+            ] {
+                file.sim.send_external(file.coordinator, msg);
+            }
+            file.sim.run_until_idle();
+
+            let events: Vec<&CoordEvent> = file.events()[before..].iter().map(|(_, e)| e).collect();
+            assert!(
+                matches!(
+                    events.as_slice(),
+                    [CoordEvent::Merged { .. }, CoordEvent::Split { .. }]
+                ),
+                "{events:?}"
+            );
+            file.verify_integrity().unwrap();
+            for key in 0..200u64 {
+                assert_eq!(file.lookup(key).unwrap(), Some(vec![key as u8; 8]));
+            }
+        }
+    }
 }

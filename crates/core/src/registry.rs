@@ -62,7 +62,8 @@ impl Registry {
     /// Panics if the bucket does not exist — addressing logic must never
     /// produce a bucket number beyond the file.
     pub fn data_node(&self, b: u64) -> NodeId {
-        self.data[b as usize]
+        // lhrs-lint: allow(transitive-panic) reason="callers address buckets below the file's bucket count, which the coordinator keeps in step with this table; answering a miss with some other node would misroute silently, and callers that can race a stale table use try_data_node"
+        self.data[crate::convert::to_index(b)]
     }
 
     /// Node carrying data bucket `b`, or `None` when the table has no such
@@ -70,7 +71,7 @@ impl Registry {
     /// race a stale table (a networked host whose registry snapshot lags the
     /// coordinator); the caller drops the message and relies on retries.
     pub fn try_data_node(&self, b: u64) -> Option<NodeId> {
-        self.data.get(b as usize).copied()
+        self.data.get(crate::convert::to_index(b)).copied()
     }
 
     /// Number of data buckets (`M`).
@@ -78,20 +79,32 @@ impl Registry {
         self.data.len()
     }
 
-    /// Register the next data bucket (must be appended densely).
-    pub fn push_data(&mut self, bucket: u64, node: NodeId) {
-        assert_eq!(bucket as usize, self.data.len(), "buckets append densely");
+    /// Register the next data bucket. Buckets append densely: any other
+    /// bucket number is refused (`false`) and the table is unchanged.
+    pub fn push_data(&mut self, bucket: u64, node: NodeId) -> bool {
+        if crate::convert::to_index(bucket) != self.data.len() {
+            return false;
+        }
         self.data.push(node);
+        true
     }
 
-    /// Redirect data bucket `b` to a new node (recovery onto a spare).
-    pub fn move_data(&mut self, b: u64, node: NodeId) {
-        self.data[b as usize] = node;
+    /// Redirect data bucket `b` to a new node (recovery onto a spare);
+    /// `false` if the table has no such bucket.
+    pub fn move_data(&mut self, b: u64, node: NodeId) -> bool {
+        match self.data.get_mut(crate::convert::to_index(b)) {
+            Some(slot) => {
+                *slot = node;
+                true
+            }
+            None => false,
+        }
     }
 
-    /// Remove the last data bucket (merge); returns its ex-node.
-    pub fn pop_data(&mut self) -> NodeId {
-        self.data.pop().expect("cannot shrink an empty file")
+    /// Remove the last data bucket (merge); returns its ex-node, `None`
+    /// for an empty table.
+    pub fn pop_data(&mut self) -> Option<NodeId> {
+        self.data.pop()
     }
 
     /// Drop the last group's (empty) parity mapping, returning its nodes
@@ -104,7 +117,7 @@ impl Registry {
     /// parity yet).
     pub fn parity_nodes(&self, g: u64) -> &[NodeId] {
         self.parity
-            .get(g as usize)
+            .get(crate::convert::to_index(g))
             .map(|v| v.as_slice())
             .unwrap_or(&[])
     }
@@ -119,18 +132,39 @@ impl Registry {
         self.parity.len()
     }
 
-    /// Set (or extend) the parity nodes of group `g`.
-    pub fn set_parity(&mut self, g: u64, nodes: Vec<NodeId>) {
-        let g = g as usize;
-        if self.parity.len() <= g {
-            self.parity.resize(g + 1, Vec::new());
+    /// Set (or extend) the parity nodes of group `g`; `false` only for a
+    /// group number no table could hold.
+    pub fn set_parity(&mut self, g: u64, nodes: Vec<NodeId>) -> bool {
+        let g = crate::convert::to_index(g);
+        let Some(len) = g.checked_add(1) else {
+            return false;
+        };
+        if self.parity.len() < len {
+            self.parity.resize(len, Vec::new());
         }
-        self.parity[g] = nodes;
+        match self.parity.get_mut(g) {
+            Some(slot) => {
+                *slot = nodes;
+                true
+            }
+            None => false,
+        }
     }
 
-    /// Redirect parity column `q` of group `g` to a new node.
-    pub fn move_parity(&mut self, g: u64, q: usize, node: NodeId) {
-        self.parity[g as usize][q] = node;
+    /// Redirect parity column `q` of group `g` to a new node; `false` if
+    /// the table has no such column.
+    pub fn move_parity(&mut self, g: u64, q: usize, node: NodeId) -> bool {
+        let slot = self
+            .parity
+            .get_mut(crate::convert::to_index(g))
+            .and_then(|nodes| nodes.get_mut(q));
+        match slot {
+            Some(slot) => {
+                *slot = node;
+                true
+            }
+            None => false,
+        }
     }
 
     /// All live node ids of the file (data then parity), for scans and
@@ -176,28 +210,32 @@ mod tests {
     #[test]
     fn dense_append_enforced() {
         let mut r = Registry::default();
-        r.push_data(0, NodeId(10));
-        r.push_data(1, NodeId(11));
+        assert!(r.push_data(0, NodeId(10)));
+        assert!(r.push_data(1, NodeId(11)));
         assert_eq!(r.data_node(1), NodeId(11));
         assert_eq!(r.data_count(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "densely")]
-    fn sparse_append_panics() {
+    fn sparse_or_empty_edits_are_refused() {
         let mut r = Registry::default();
-        r.push_data(5, NodeId(1));
+        assert!(!r.push_data(5, NodeId(1)), "buckets append densely");
+        assert_eq!(r.pop_data(), None);
+        assert!(!r.move_data(0, NodeId(1)));
+        assert!(!r.move_parity(0, 0, NodeId(1)));
+        assert_eq!(r.data_count(), 0);
+        assert_eq!(r.group_count(), 0);
     }
 
     #[test]
     fn parity_groups_grow_on_demand() {
         let mut r = Registry::default();
         assert_eq!(r.group_k(3), 0);
-        r.set_parity(2, vec![NodeId(7), NodeId(8)]);
+        assert!(r.set_parity(2, vec![NodeId(7), NodeId(8)]));
         assert_eq!(r.group_k(2), 2);
         assert_eq!(r.parity_nodes(2), &[NodeId(7), NodeId(8)]);
         assert_eq!(r.parity_nodes(0), &[] as &[NodeId]);
-        r.move_parity(2, 1, NodeId(9));
+        assert!(r.move_parity(2, 1, NodeId(9)));
         assert_eq!(r.parity_nodes(2), &[NodeId(7), NodeId(9)]);
     }
 }

@@ -173,6 +173,25 @@ fn small_pool_is_rejected_up_front() {
     assert!(matches!(LhrsFile::new(cfg), Err(Error::InvalidConfig(_))));
 }
 
+/// Overflow reports that arrive while the coordinator is busy are owed as
+/// deferred splits. Once the pool cannot fund them they must be dropped,
+/// not left owed with nothing in flight: an owed split keeps the
+/// coordinator busy for good, which refuses every merge — the one
+/// operation that could refill the pool.
+#[test]
+fn unfundable_deferred_splits_do_not_block_merges() {
+    for node_pool in 7..=11 {
+        let mut cfg = base();
+        cfg.initial_k = 1;
+        cfg.latency = LatencyModel::default();
+        cfg.node_pool = node_pool;
+        let mut file = LhrsFile::new(cfg).unwrap();
+        let keys = (0..400u64).map(|k| (lhrs_lh::scramble(k), vec![1u8; 8]));
+        file.insert_batch(keys).unwrap();
+        assert!(file.force_merge(), "node_pool {node_pool}");
+    }
+}
+
 #[test]
 fn duplicate_key_after_recovery_still_detected() {
     let mut cfg = base();

@@ -154,9 +154,10 @@ pub const ROOT_FILES: [&str; 12] = [
 
 /// Helper scope of the transitive checks: files whose panics are
 /// invisible to the per-file audit yet reachable from the hot paths — the
-/// helper crates, and the two `core` modules every frame passes through
-/// (`convert`, and the `wire` codec's hand-written reader and primitive
-/// impls). Root files are excluded — the per-file panic-freedom check
+/// helper crates, and the three `core` modules every frame or exchange
+/// passes through (`convert`, the `wire` codec's hand-written reader and
+/// primitive impls, and the `registry` allocation table the coordinator
+/// edits). Root files are excluded — the per-file panic-freedom check
 /// already covers 100% of their lines, which subsumes transitive coverage.
 pub fn in_helper_scope(label: &str) -> bool {
     (label.starts_with("crates/gf/src/")
@@ -164,7 +165,8 @@ pub fn in_helper_scope(label: &str) -> bool {
         || label.starts_with("crates/lh/src/")
         || label.starts_with("crates/obs/src/")
         || label == "crates/core/src/convert.rs"
-        || label == "crates/core/src/wire.rs")
+        || label == "crates/core/src/wire.rs"
+        || label == "crates/core/src/registry.rs")
         && !ROOT_FILES.contains(&label)
 }
 

@@ -2,8 +2,9 @@
 //! panic-reachability, unchecked arithmetic, drill coverage, and
 //! stale-allow reporting — each against a seeded fixture, plus the
 //! acceptance gates that a panic planted in the real `crates/gf` is traced
-//! back to `data_bucket.rs`, and one planted in the real wire decoder back
-//! to the TCP transport, each with its full call chain.
+//! back to `data_bucket.rs`, one planted in the real wire decoder back to
+//! the TCP transport, and one planted in the real allocation table back to
+//! the coordinator, each with its full call chain.
 
 use std::path::Path;
 
@@ -163,6 +164,48 @@ fn seeded_gf_panic_is_reachable_from_the_real_data_bucket() {
     );
     assert!(
         hit.chain.last().unwrap().contains("add_slice"),
+        "{:#?}",
+        hit.chain
+    );
+}
+
+/// The allocation table is helper scope: a panic planted in the real
+/// `Registry::push_data` is traced back to the coordinator that edits it.
+#[test]
+fn seeded_registry_panic_is_reachable_from_the_real_coordinator() {
+    let mut sources = workspace_sources(workspace_root());
+    let registry = sources
+        .iter_mut()
+        .find(|(l, _)| l == "crates/core/src/registry.rs")
+        .expect("registry.rs in workspace");
+    let seeded = registry.1.replace(
+        "pub fn push_data(&mut self, bucket: u64, node: NodeId) -> bool {",
+        "pub fn push_data(&mut self, bucket: u64, node: NodeId) -> bool {\n        panic!(\"seeded\");",
+    );
+    assert_ne!(seeded, registry.1, "the mutator we sabotage must exist");
+    registry.1 = seeded;
+
+    let ws = WorkspaceIndex::build(&sources);
+    let adj = build_graph(&ws);
+    let reach_info = reach(&ws, &adj, |f| {
+        ws.files[f.file].label == "crates/core/src/coordinator.rs"
+    });
+    let findings = run_graph_checks(&ws, &reach_info);
+    let hit = findings
+        .iter()
+        .find(|f| {
+            f.check == Check::TransitivePanic
+                && f.file == "crates/core/src/registry.rs"
+                && f.message.contains("panic!")
+        })
+        .unwrap_or_else(|| panic!("seeded panic not found: {findings:#?}"));
+    assert!(
+        hit.chain[0].contains("crates/core/src/coordinator.rs"),
+        "{:#?}",
+        hit.chain
+    );
+    assert!(
+        hit.chain.last().unwrap().contains("Registry::push_data"),
         "{:#?}",
         hit.chain
     );

@@ -1,0 +1,370 @@
+//! Every coordinator exchange gives up the way it says it does.
+//!
+//! The coordinator retries each request it sends (probe, group check,
+//! shard collection for repair or upgrade, split, merge, file-state scan,
+//! degraded read, Δ-suffix pull) for `coord_retries` more rounds and then
+//! concludes. One row per exchange blackholes that exchange's peers with a
+//! [`Partition`] that lifts exactly `coord_retries + 1` periods after the
+//! exchange starts, and pins two things:
+//!
+//! * the give-up outcome (what the coordinator does instead), and
+//! * that exactly `coord_retries + 1` rounds of the request went to the
+//!   silent peers, counted in `msgs_sent{kind}` (plus whatever the rest of
+//!   the scenario sends of that kind, which each row states).
+//!
+//! Every drill runs on the zero-latency network, so each exchange starts
+//! at a simulated time the test can compute and the windows are exact.
+
+use lhrs_core::storage::MemHub;
+use lhrs_core::{Config, CoordEvent, Error, FaultPlan, LhrsFile, NodeId, Partition};
+use lhrs_sim::LatencyModel;
+
+const RETRIES: u32 = 3;
+const ROUNDS: u64 = RETRIES as u64 + 1;
+
+fn cfg(k: usize) -> Config {
+    Config {
+        group_size: 4,
+        initial_k: k,
+        bucket_capacity: 8,
+        record_len: 16,
+        ack_writes: true,
+        ack_parity: true,
+        // A lost request escalates to the coordinator after one timeout.
+        client_retries: 0,
+        coord_retries: RETRIES,
+        latency: LatencyModel::instant(),
+        node_pool: 64,
+        ..Config::default()
+    }
+}
+
+fn payload(key: u64) -> Vec<u8> {
+    format!("v{key}").into_bytes()
+}
+
+/// Insert keys 0, 1, … until the file has `buckets` buckets, then read
+/// them all back (which also brings the client's image up to date, so the
+/// drills' requests go straight to the right bucket); returns the number
+/// of keys inserted.
+fn grow(file: &mut LhrsFile, buckets: u64) -> u64 {
+    let mut keys = 0;
+    while file.bucket_count() < buckets {
+        file.insert(keys, payload(keys)).unwrap();
+        keys += 1;
+    }
+    assert_eq!(file.bucket_count(), buckets);
+    for key in 0..keys {
+        assert_eq!(file.lookup(key).unwrap(), Some(payload(key)));
+    }
+    keys
+}
+
+fn grown(k: usize, buckets: u64) -> (LhrsFile, u64) {
+    let mut file = LhrsFile::new(cfg(k)).unwrap();
+    let keys = grow(&mut file, buckets);
+    (file, keys)
+}
+
+/// An inserted key that lives in `bucket`.
+fn key_in(file: &LhrsFile, keys: u64, bucket: u64) -> u64 {
+    (0..keys)
+        .find(|k| file.address_of(*k) == bucket)
+        .expect("bucket holds a key")
+}
+
+/// Isolate `nodes` during `[from, from + len)`.
+fn blackhole(file: &mut LhrsFile, nodes: Vec<NodeId>, from: u64, len: u64) {
+    file.set_fault_plan(FaultPlan::new(0).partition(Partition::new(nodes, from, from + len)));
+}
+
+fn sent(file: &LhrsFile, kind: &'static str) -> u64 {
+    file.metrics().counter_kind("msgs_sent", kind)
+}
+
+fn events_since(file: &LhrsFile, from: usize) -> Vec<CoordEvent> {
+    file.events()[from..]
+        .iter()
+        .map(|(_, e)| e.clone())
+        .collect()
+}
+
+/// What one drill measured: requests of the row's kind sent during the
+/// drill, and how many of them did not go to the silent peers (answered
+/// first-round requests, and the outcome's own requests).
+struct Sent {
+    total: u64,
+    others: u64,
+}
+
+/// A drill: set up, blackhole, trigger, assert the outcome; takes the
+/// `msgs_sent` kind it counts.
+type Drill = fn(&'static str) -> Sent;
+
+/// A suspected bucket stays silent for every probe round: the coordinator
+/// audits its whole group. The blackhole lifts as the audit starts, so the
+/// audit's one round finds every shard alive and replays the parked lookup.
+fn probe(kind: &'static str) -> Sent {
+    let (mut file, keys) = grown(1, 4);
+    let key = key_in(&file, keys, 0);
+    let c = file.config().clone();
+    let t0 = file.now_us();
+    let node = file.data_node_id(0);
+    // The lookup is lost, the client suspects the bucket one timeout
+    // later, and the probe rounds start.
+    let probing_ends = c.client_timeout_us + ROUNDS * c.probe_timeout_us;
+    blackhole(&mut file, vec![node], t0, probing_ends);
+    let (before, ev) = (sent(&file, kind), file.events().len());
+    assert_eq!(file.lookup(key).unwrap(), Some(payload(key)));
+    assert_eq!(
+        events_since(&file, ev),
+        vec![],
+        "the audit finds no failure"
+    );
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 5, // the group check: 4 data buckets + 1 parity bucket
+    }
+}
+
+/// A group check re-probes its silent shards, then declares them failed.
+fn check(kind: &'static str) -> Sent {
+    let (mut file, _) = grown(1, 4);
+    let c = file.config().clone();
+    let t0 = file.now_us();
+    let node = file.parity_node_id(0, 0);
+    blackhole(&mut file, vec![node], t0, ROUNDS * c.probe_timeout_us);
+    let before = sent(&file, kind);
+    let report = file.check_group(0);
+    assert_eq!(
+        report.failed_shards,
+        vec![4],
+        "verdict on the silent parity"
+    );
+    assert!(report.recovered);
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 4, // the answering data buckets, first round
+    }
+}
+
+/// A repair whose survivor stops answering is abandoned and the group
+/// re-audited; the second repair succeeds.
+fn repair(kind: &'static str) -> Sent {
+    let (mut file, _) = grown(1, 4);
+    let c = file.config().clone();
+    file.crash_data_bucket(0);
+    let collect_at = file.now_us() + ROUNDS * c.probe_timeout_us;
+    let node = file.data_node_id(1);
+    blackhole(
+        &mut file,
+        vec![node],
+        collect_at,
+        ROUNDS * c.coord_retransmit_us,
+    );
+    let (before, ev) = (sent(&file, kind), file.events().len());
+    file.check_group(0);
+    let detected = CoordEvent::FailureDetected {
+        group: 0,
+        shards: vec![0],
+    };
+    let recovered = CoordEvent::GroupRecovered {
+        group: 0,
+        shards: vec![0],
+    };
+    assert_eq!(
+        events_since(&file, ev),
+        vec![detected.clone(), detected, recovered],
+        "re-audit after the abandoned repair"
+    );
+    Sent {
+        total: sent(&file, kind) - before,
+        // First repair: buckets 2, 3 and the parity answer; second: all 4.
+        others: 3 + 4,
+    }
+}
+
+/// An upgrade whose column stops answering goes back to the end of the
+/// upgrade queue: group 1 upgrades first, then group 0 on its second try.
+fn upgrade(kind: &'static str) -> Sent {
+    let mut file = LhrsFile::new(Config {
+        // Crossing M = 4 raises the file to k = 2 (eager upgrades).
+        scale_thresholds: vec![4],
+        ..cfg(1)
+    })
+    .unwrap();
+    let mut key = grow(&mut file, 4);
+    let c = file.config().clone();
+    let node = file.data_node_id(3);
+    let (before, ev) = (sent(&file, kind), file.events().len());
+    // The insert that splits bucket 0 into 4 starts both upgrades at the
+    // same simulated instant; every insert avoids the silent bucket 3.
+    while file.bucket_count() == 4 {
+        if file.address_of(key) != 3 {
+            let now = file.now_us();
+            blackhole(&mut file, vec![node], now, ROUNDS * c.coord_retransmit_us);
+            file.insert(key, payload(key)).unwrap();
+        }
+        key += 1;
+    }
+    let upgraded: Vec<CoordEvent> = events_since(&file, ev)
+        .into_iter()
+        .filter(|e| matches!(e, CoordEvent::GroupUpgraded { .. }))
+        .collect();
+    assert_eq!(
+        upgraded,
+        vec![
+            CoordEvent::GroupUpgraded { group: 1, k: 2 },
+            CoordEvent::GroupUpgraded { group: 0, k: 2 },
+        ],
+        "group 0 re-queued behind group 1"
+    );
+    Sent {
+        total: sent(&file, kind) - before,
+        // Group 0 first try: buckets 0-2; group 1: bucket 4; group 0 again: 4.
+        others: 3 + 1 + 4,
+    }
+}
+
+/// A split whose source never confirms is abandoned: the target's group is
+/// audited and the coordinator is free again (a merge is accepted).
+fn split(kind: &'static str) -> Sent {
+    let (mut file, mut key) = grown(1, 4);
+    let c = file.config().clone();
+    let source = file.data_node_id(0);
+    let (before, probes) = (sent(&file, kind), sent(&file, "probe"));
+    while file.bucket_count() == 4 {
+        if file.address_of(key) != 0 {
+            let now = file.now_us();
+            blackhole(&mut file, vec![source], now, ROUNDS * c.coord_retransmit_us);
+            file.insert(key, payload(key)).unwrap();
+        }
+        key += 1;
+    }
+    let total = sent(&file, kind) - before;
+    assert_eq!(
+        sent(&file, "probe") - probes,
+        2,
+        "audit of the target group: bucket 4 and its parity"
+    );
+    let ev = file.events().len();
+    assert!(file.force_merge(), "no structural work left in flight");
+    assert!(matches!(
+        events_since(&file, ev).as_slice(),
+        [CoordEvent::Merged { target: 4, .. }]
+    ));
+    Sent { total, others: 0 }
+}
+
+/// A merge whose target never answers is abandoned; the next merge is
+/// accepted.
+fn merge(kind: &'static str) -> Sent {
+    let (mut file, _) = grown(1, 5);
+    let c = file.config().clone();
+    let t0 = file.now_us();
+    let node = file.data_node_id(4);
+    blackhole(&mut file, vec![node], t0, ROUNDS * c.coord_retransmit_us);
+    let (before, ev) = (sent(&file, kind), file.events().len());
+    file.force_merge();
+    assert_eq!(events_since(&file, ev), vec![], "merge abandoned");
+    let total = sent(&file, kind) - before;
+    let ev = file.events().len();
+    file.force_merge();
+    assert!(matches!(
+        events_since(&file, ev).as_slice(),
+        [CoordEvent::Merged { .. }]
+    ));
+    Sent { total, others: 0 }
+}
+
+/// A file-state scan with a silent bucket gives up and keeps the state.
+fn state_scan(kind: &'static str) -> Sent {
+    let (mut file, _) = grown(1, 4);
+    let c = file.config().clone();
+    let state = file.drill_file_state_recovery();
+    let t0 = file.now_us();
+    let node = file.data_node_id(1);
+    blackhole(&mut file, vec![node], t0, ROUNDS * c.coord_retransmit_us);
+    let (before, ev) = (sent(&file, kind), file.events().len());
+    assert_eq!(file.drill_file_state_recovery(), state);
+    assert_eq!(events_since(&file, ev), vec![], "no StateRecovered");
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 3, // the answering buckets 0, 2, 3
+    }
+}
+
+/// A degraded read whose parity bucket stays silent fails the lookup.
+fn degraded(kind: &'static str) -> Sent {
+    let (mut file, keys) = grown(1, 4);
+    let key = key_in(&file, keys, 0);
+    let c = file.config().clone();
+    file.crash_data_bucket(0);
+    // Client timeout → Suspect; the probe, then the group check, each
+    // wait out their rounds before the verdict starts the degraded read.
+    let read_at = file.now_us() + c.client_timeout_us + 2 * ROUNDS * c.probe_timeout_us;
+    let node = file.parity_node_id(0, 0);
+    blackhole(
+        &mut file,
+        vec![node],
+        read_at,
+        ROUNDS * c.coord_retransmit_us,
+    );
+    let before = sent(&file, kind);
+    match file.lookup(key) {
+        Err(Error::Stuck(why)) => assert_eq!(why, "degraded read timed out"),
+        other => panic!("degraded read must time out: {other:?}"),
+    }
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 0,
+    }
+}
+
+/// A Δ-suffix pull no parity bucket answers falls back to the RS rebuild.
+fn suffix(kind: &'static str) -> Sent {
+    let mut file = LhrsFile::new(cfg(1)).unwrap();
+    let hub = MemHub::new();
+    file.install_store_factory(hub.factory());
+    grow(&mut file, 4);
+    let c = file.config().clone();
+    file.crash_data_bucket(0);
+    let t0 = file.now_us();
+    let node = file.parity_node_id(0, 0);
+    blackhole(&mut file, vec![node], t0, ROUNDS * c.probe_timeout_us);
+    let before = sent(&file, kind);
+    file.restart_data_bucket_from_store(0).unwrap();
+    assert_eq!(file.metrics().counter("restart_fallbacks"), 1);
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 0,
+    }
+}
+
+#[test]
+fn every_exchange_gives_up_after_coord_retries_plus_one_rounds() {
+    // (exchange, `msgs_sent` kind of its request, drill)
+    let rows: [(&str, &'static str, Drill); 9] = [
+        ("probe", "probe", probe),
+        ("group check", "probe", check),
+        ("repair", "transfer-req", repair),
+        ("upgrade", "transfer-req", upgrade),
+        ("split", "split", split),
+        ("merge", "merge", merge),
+        ("state scan", "state-query", state_scan),
+        ("degraded read", "find-record", degraded),
+        ("suffix pull", "suffix-pull", suffix),
+    ];
+    for (exchange, request, drill) in rows {
+        let sent = drill(request);
+        // Every row blackholes one peer, so each round sends it one request.
+        assert_eq!(
+            sent.total,
+            ROUNDS + sent.others,
+            "{}: `{}` requests sent ({} answered or from the outcome)",
+            exchange,
+            request,
+            sent.others
+        );
+    }
+}
