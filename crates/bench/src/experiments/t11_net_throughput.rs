@@ -185,7 +185,6 @@ fn stats(latencies: &mut [u64], wall: Duration) -> (f64, u64, u64) {
 /// One closed-loop sweep point: insert then look up `OPS` keys through a
 /// `window`-wide pipeline on a fresh cluster. Returns
 /// `((rate, p50, p99), (rate, p50, p99))` for insert and lookup.
-#[allow(clippy::type_complexity)]
 fn closed_loop_phase(cfg: Config, window: usize) -> ((f64, u64, u64), (f64, u64, u64)) {
     let (servers, mut client) = build_cluster(cfg);
 

@@ -1,9 +1,10 @@
 //! Checked integer narrowing for the actor hot paths.
 //!
-//! The panic-freedom lint bans bare `as` narrowing in hot-path modules: a
-//! truncated bucket number or shard index silently addresses the *wrong*
-//! bucket, which is worse than a crash. These helpers make the conversion
-//! policy explicit at the call site.
+//! The panic audit denies narrowing `as` casts in the actor modules
+//! (`clippy::cast_possible_truncation`, DESIGN §8.2): a truncated bucket
+//! number or shard index silently addresses the *wrong* bucket, which is
+//! worse than a crash. These helpers make the conversion policy explicit at
+//! the call site.
 
 /// Narrow a `u64` to `usize` for indexing, saturating on (32-bit-target)
 /// overflow. Saturation composes with `.get(...)`: an absurd value indexes

@@ -121,10 +121,9 @@ impl LhrsFile {
         sim.replace(client, Node::Client(Client::new(shared.clone())));
         sim.replace(bucket0, Node::Data(DataBucket::new(shared.clone(), 0, 0)));
         for (q, node) in parity.iter().enumerate() {
-            sim.replace(
-                *node,
-                Node::Parity(ParityBucket::new(shared.clone(), 0, q, k)),
-            );
+            let p = ParityBucket::new(shared.clone(), 0, q, k)
+                .map_err(|e| Error::InvalidConfig(e.to_string()))?;
+            sim.replace(*node, Node::Parity(p));
         }
         Ok(LhrsFile {
             sim,
@@ -1005,6 +1004,50 @@ mod tests {
             .iter()
             .any(|(_, e)| matches!(e, CoordEvent::InvariantViolated { .. })));
         assert_eq!(file.metrics().counter("invariant_violations"), 1);
+    }
+
+    /// A Δ's `col` is a `usize` off the wire. An entry for a column outside
+    /// the group is dropped and counted; the rest of its batch applies.
+    #[test]
+    fn a_delta_for_a_column_outside_the_group_is_dropped() {
+        let mut file = LhrsFile::new(Config {
+            group_size: 4,
+            initial_k: 1,
+            latency: LatencyModel::instant(),
+            ..Config::default()
+        })
+        .unwrap();
+        for key in 0..8u64 {
+            file.insert(key, vec![7; 4]).unwrap();
+        }
+        let (data, parity) = (file.data_node_id(0), file.parity_node_id(0, 0));
+        let bucket = file.sim.actor(data).as_data();
+        let (rank, _, _) = bucket.iter().next().unwrap();
+        // What the bucket sends for an update that rewrites a payload
+        // unchanged: the next Δ of column 0, zero, no key-list effect.
+        let entry = |col| crate::msg::DeltaEntry {
+            seq: bucket.delta_seq(),
+            rank,
+            col,
+            key_op: crate::msg::KeyOp::Keep,
+            delta_cell: vec![0; file.shared.cfg.cell_len()],
+        };
+        let (valid, outside) = (entry(0), entry(4));
+        let applied = file.metrics().counter("deltas_applied");
+        let batch = Msg::ParityBatch {
+            group: 0,
+            entries: vec![valid, outside],
+            ack_to: None,
+        };
+        file.sim.send_as(data, parity, batch);
+        file.sim.run_until_idle();
+
+        assert_eq!(file.metrics().counter("deltas_applied"), applied + 1);
+        assert_eq!(file.metrics().counter("deltas_dropped"), 1);
+        file.verify_integrity().unwrap();
+        for key in 0..8u64 {
+            assert_eq!(file.lookup(key).unwrap(), Some(vec![7; 4]));
+        }
     }
 
     /// A group check that ends while a merge is in flight must not start a

@@ -55,23 +55,54 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Declares modules under the panic audit (DESIGN §8.2): outside
+/// `cfg(test)`, no `unwrap`/`expect`, no `panic!`-family macro, no `[..]`
+/// indexing and no narrowing `as`. A justified exception is an
+/// `#[expect(lint, reason = "…")]` at the site. `lhrs-net` declares its
+/// actor modules with it too.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! audited {
+    ($($(#[$extra:meta])* $vis:vis mod $name:ident;)+) => {$(
+        $(#[$extra])*
+        #[cfg_attr(not(test), deny(
+            clippy::unwrap_used,
+            clippy::expect_used,
+            clippy::panic,
+            clippy::unreachable,
+            clippy::todo,
+            clippy::unimplemented,
+            clippy::indexing_slicing,
+            clippy::cast_possible_truncation,
+        ))]
+        $vis mod $name;
+    )+};
+}
+
+audited! {
+    pub mod client;
+    // The helpers every frame or exchange passes through also spell out
+    // their overflow semantics.
+    #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+    pub(crate) mod convert;
+    pub mod coordinator;
+    pub mod data_bucket;
+    pub mod parity_bucket;
+    #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+    pub mod registry;
+    pub mod storage;
+    #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+    pub mod wire;
+}
 pub mod api;
 pub mod availability;
-pub mod client;
 pub mod code;
 mod config;
-pub(crate) mod convert;
-pub mod coordinator;
-pub mod data_bucket;
 mod error;
 pub mod file;
 pub mod msg;
 pub mod node;
-pub mod parity_bucket;
 pub mod record;
-pub mod registry;
-pub mod storage;
-pub mod wire;
 
 pub use api::{KvClient, OpOutcome};
 pub use code::GfField;

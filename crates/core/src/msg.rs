@@ -624,6 +624,12 @@ pub enum Msg {
 }
 
 impl lhrs_sim::Payload for Msg {
+    // One label per variant: a `_ =>` arm would fold new messages into one
+    // `msgs_sent`/`msgs_recv` series and hide them from the timeline.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn kind(&self) -> &'static str {
         match self {
             Msg::Do { .. } => "app-do",

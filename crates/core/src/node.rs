@@ -12,10 +12,11 @@ use crate::registry::SharedHandle;
 use crate::storage::StoreId;
 
 /// A node of the LH\*RS multicomputer.
-// A Node is heap-allocated once per hosted actor, never moved in bulk;
-// the variant size spread (DataBucket's in-memory records dominate) is
-// not worth an indirection on every dispatch.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a Node is allocated once per hosted actor and never moved in bulk; \
+              an indirection on every dispatch would cost more than the size spread"
+)]
 pub enum Node {
     /// Unallocated pool node / hot spare. Buffers any early messages (a
     /// race possible only under extreme latency models) and replays them
@@ -128,7 +129,8 @@ impl Node {
                 Some(Node::Data(d))
             }
             Msg::InitParity { group, index, k } => {
-                let mut p = ParityBucket::new(shared.clone(), group, index, k);
+                // A column the field cannot hold: drop the order, stay blank.
+                let mut p = ParityBucket::new(shared.clone(), group, index, k).ok()?;
                 Node::attach_parity_store(shared, env.me(), &mut p);
                 Some(Node::Parity(p))
             }
@@ -171,7 +173,8 @@ impl Node {
                             k,
                             records,
                             col_seqs,
-                        );
+                        )
+                        .ok()?;
                         Node::attach_parity_store(shared, env.me(), &mut p);
                         Node::Parity(p)
                     }

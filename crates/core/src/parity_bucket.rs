@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use lhrs_rs::RsError;
 use lhrs_sim::{Env, NodeId};
 
 use crate::msg::{DeltaEntry, KeyOp, Msg, ShardContent};
@@ -67,12 +68,14 @@ pub struct ParityBucket {
 }
 
 impl ParityBucket {
-    /// Create an empty parity bucket.
-    pub fn new(shared: SharedHandle, group: u64, index: usize, k: usize) -> Self {
+    /// Create an empty parity bucket. Fails when the field has no parity
+    /// column `index` for groups of `m` (an `index`/`k` off the wire that
+    /// no validated `Config` produces).
+    pub fn new(shared: SharedHandle, group: u64, index: usize, k: usize) -> Result<Self, RsError> {
         let m = shared.cfg.group_size;
-        let code = crate::code::AnyCode::new(shared.cfg.field, m, k.max(index + 1))
-            .expect("validated by Config");
-        ParityBucket {
+        let code =
+            crate::code::AnyCode::new(shared.cfg.field, m, k.max(index.saturating_add(1)))?;
+        Ok(ParityBucket {
             shared,
             group,
             index,
@@ -83,7 +86,7 @@ impl ParityBucket {
             key_index: HashMap::new(),
             history: vec![VecDeque::new(); m],
             store: None,
-        }
+        })
     }
 
     /// Restore from recovered content. `col_seqs` resumes each column's
@@ -96,8 +99,8 @@ impl ParityBucket {
         k: usize,
         records: Vec<(Rank, Vec<Option<Key>>, Vec<u8>)>,
         col_seqs: Vec<u64>,
-    ) -> Self {
-        let mut p = ParityBucket::new(shared, group, index, k);
+    ) -> Result<Self, RsError> {
+        let mut p = ParityBucket::new(shared, group, index, k)?;
         for (chan, seq) in p.channels.iter_mut().zip(col_seqs) {
             chan.next_seq = seq;
         }
@@ -107,7 +110,7 @@ impl ParityBucket {
             }
             p.records.insert(rank, ParityRecord { keys, cell });
         }
-        p
+        Ok(p)
     }
 
     /// Number of parity records held.
@@ -297,11 +300,61 @@ impl ParityBucket {
 
     /// Admit + apply one Δ during store replay. No re-logging (the entry
     /// came *from* the log); history is maintained so a restarted parity
-    /// bucket can still serve suffixes over its replayed window.
-    pub(crate) fn replay_entry(&mut self, entry: DeltaEntry) {
-        for ready in self.admit(entry) {
+    /// bucket can still serve suffixes over its replayed window. `false`
+    /// for a column outside the group: every logged Δ was admitted once,
+    /// so such a log is not this bucket's.
+    pub(crate) fn replay_entry(&mut self, entry: DeltaEntry) -> bool {
+        let Some(ready) = self.admit(entry) else {
+            return false;
+        };
+        for ready in ready {
             self.remember(ready.clone());
             self.apply(ready);
+        }
+        true
+    }
+
+    /// Admit, log and apply one sender's Δs (a `ParityDelta` is a batch of
+    /// one), then ack each column that moved. A Δ from a fenced sender or
+    /// for a column outside the group (`col` is off the wire) is dropped
+    /// and counted.
+    fn on_deltas(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        from: NodeId,
+        entries: impl IntoIterator<Item = DeltaEntry>,
+        ack_to: Option<NodeId>,
+    ) {
+        let mut cols = std::collections::BTreeSet::new();
+        let (mut applied, mut dropped) = (0u64, 0u64);
+        for entry in entries {
+            let col = entry.col;
+            let admitted = if self.sender_owns_column(from, col) {
+                self.admit(entry)
+            } else {
+                None
+            };
+            let Some(ready) = admitted else {
+                dropped += 1;
+                continue;
+            };
+            cols.insert(col);
+            for ready in ready {
+                self.commit(env, ready);
+                applied += 1;
+            }
+        }
+        env.obs().add("deltas_applied", applied);
+        if dropped > 0 {
+            env.obs().add("deltas_dropped", dropped);
+        }
+        if let Some(ack) = ack_to {
+            for col in cols {
+                if let Some(chan) = self.channels.get(col) {
+                    let upto = chan.next_seq;
+                    env.send(ack, Msg::ParityAck { col, upto });
+                }
+            }
         }
     }
 
@@ -314,20 +367,7 @@ impl ParityBucket {
                 ack_to,
             } => {
                 debug_assert_eq!(group, self.group);
-                if !self.sender_owns_column(from, entry.col) {
-                    return;
-                }
-                let col = entry.col;
-                let mut applied = 0u64;
-                for ready in self.admit(entry) {
-                    self.commit(env, ready);
-                    applied += 1;
-                }
-                env.obs().add("deltas_applied", applied);
-                if let Some(ack) = ack_to {
-                    let upto = self.channels[col].next_seq;
-                    env.send(ack, Msg::ParityAck { col, upto });
-                }
+                self.on_deltas(env, from, [entry], ack_to);
             }
             Msg::ParityBatch {
                 group,
@@ -335,34 +375,16 @@ impl ParityBucket {
                 ack_to,
             } => {
                 debug_assert_eq!(group, self.group);
-                let mut cols = std::collections::BTreeSet::new();
-                let mut applied = 0u64;
-                for entry in entries {
-                    if !self.sender_owns_column(from, entry.col) {
-                        continue;
-                    }
-                    cols.insert(entry.col);
-                    for ready in self.admit(entry) {
-                        self.commit(env, ready);
-                        applied += 1;
-                    }
-                }
-                env.obs().add("deltas_applied", applied);
-                if let Some(ack) = ack_to {
-                    for col in cols {
-                        let upto = self.channels[col].next_seq;
-                        env.send(ack, Msg::ParityAck { col, upto });
-                    }
-                }
+                self.on_deltas(env, from, entries, ack_to);
             }
             Msg::FindRecord { key, token } => {
                 // O(1) via the internal key index (§4.1); the index and the
                 // key lists are maintained together, which the debug
                 // assertion cross-checks.
-                let found = self.key_index.get(&key).map(|rank| {
-                    let rec = &self.records[rank];
+                let found = self.key_index.get(&key).and_then(|rank| {
+                    let rec = self.records.get(rank)?;
                     debug_assert!(rec.keys.contains(&Some(key)), "index out of sync");
-                    (*rank, rec.keys.clone())
+                    Some((*rank, rec.keys.clone()))
                 });
                 env.send(from, Msg::FindRecordReply { token, found });
             }
@@ -501,7 +523,7 @@ impl ParityBucket {
         let m = self.shared.cfg.group_size as u64;
         let bucket = self.group * m + col as u64;
         let reg = self.shared.registry.borrow();
-        if bucket as usize >= reg.data_count() {
+        if bucket >= reg.data_count() as u64 {
             return true;
         }
         reg.data_node(bucket) == from
@@ -510,10 +532,11 @@ impl ParityBucket {
     /// Admission control for one Δ: returns the entries now ready to apply,
     /// in stream order. A duplicate (seq already applied) yields nothing; a
     /// future Δ is buffered until the gap fills; the expected Δ is returned
-    /// together with any buffered successors it unblocks.
-    fn admit(&mut self, entry: DeltaEntry) -> Vec<DeltaEntry> {
-        let chan = &mut self.channels[entry.col];
-        match entry.seq.cmp(&chan.next_seq) {
+    /// together with any buffered successors it unblocks. `None` for a
+    /// column outside the group.
+    fn admit(&mut self, entry: DeltaEntry) -> Option<Vec<DeltaEntry>> {
+        let chan = self.channels.get_mut(entry.col)?;
+        Some(match entry.seq.cmp(&chan.next_seq) {
             std::cmp::Ordering::Less => Vec::new(), // duplicate: drop
             std::cmp::Ordering::Greater => {
                 chan.buffered.insert(entry.seq, entry);
@@ -528,7 +551,7 @@ impl ParityBucket {
                 }
                 ready
             }
-        }
+        })
     }
 
     /// Fold one Δ into the parity record at `entry.rank`:
@@ -543,23 +566,26 @@ impl ParityBucket {
                 keys: vec![None; m],
                 cell: vec![0u8; cell_len],
             });
-        match entry.key_op {
-            KeyOp::Add(key) => {
-                debug_assert!(rec.keys[entry.col].is_none(), "column already occupied");
-                rec.keys[entry.col] = Some(key);
-                self.key_index.insert(key, entry.rank);
+        // `admit` releases only columns below m, the length of `keys`.
+        if let Some(slot) = rec.keys.get_mut(entry.col) {
+            match entry.key_op {
+                KeyOp::Add(key) => {
+                    debug_assert!(slot.is_none(), "column already occupied");
+                    *slot = Some(key);
+                    self.key_index.insert(key, entry.rank);
+                }
+                KeyOp::Remove(key) => {
+                    debug_assert_eq!(*slot, Some(key), "removing wrong member");
+                    *slot = None;
+                    self.key_index.remove(&key);
+                }
+                KeyOp::Keep => {
+                    debug_assert!(slot.is_some(), "update of absent member");
+                }
             }
-            KeyOp::Remove(key) => {
-                debug_assert_eq!(rec.keys[entry.col], Some(key), "removing wrong member");
-                rec.keys[entry.col] = None;
-                self.key_index.remove(&key);
-            }
-            KeyOp::Keep => {
-                debug_assert!(rec.keys[entry.col].is_some(), "update of absent member");
-            }
+            self.code
+                .apply_delta(entry.col, self.index, &entry.delta_cell, &mut rec.cell);
         }
-        self.code
-            .apply_delta(entry.col, self.index, &entry.delta_cell, &mut rec.cell);
         // Garbage-collect empty record groups.
         if rec.keys.iter().all(Option::is_none) {
             debug_assert!(cell_is_zero(&rec.cell), "ghost parity after last removal");
@@ -582,7 +608,7 @@ mod tests {
             record_len: 8,
             ..Config::default()
         };
-        ParityBucket::new(Shared::new(cfg), 0, 0, 1)
+        ParityBucket::new(Shared::new(cfg), 0, 0, 1).unwrap()
     }
 
     fn delta(seq: u64, col: usize, key: u64, cell_len: usize) -> DeltaEntry {
@@ -601,38 +627,38 @@ mod tests {
         let cl = p.shared.cfg.cell_len();
 
         // In-order Δ applies immediately.
-        let ready = p.admit(delta(0, 0, 10, cl));
+        let ready = p.admit(delta(0, 0, 10, cl)).unwrap();
         assert_eq!(ready.len(), 1);
         assert_eq!(p.channels[0].next_seq, 1);
 
         // Duplicate of an already-applied Δ is dropped.
-        assert!(p.admit(delta(0, 0, 10, cl)).is_empty());
+        assert!(p.admit(delta(0, 0, 10, cl)).unwrap().is_empty());
         assert_eq!(p.channels[0].next_seq, 1);
 
         // A future Δ is buffered, not applied.
-        assert!(p.admit(delta(3, 0, 13, cl)).is_empty());
-        assert!(p.admit(delta(2, 0, 12, cl)).is_empty());
+        assert!(p.admit(delta(3, 0, 13, cl)).unwrap().is_empty());
+        assert!(p.admit(delta(2, 0, 12, cl)).unwrap().is_empty());
         assert_eq!(p.channels[0].next_seq, 1);
 
         // Filling the gap releases the whole contiguous run, in order.
-        let ready = p.admit(delta(1, 0, 11, cl));
+        let ready = p.admit(delta(1, 0, 11, cl)).unwrap();
         let seqs: Vec<u64> = ready.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
         assert_eq!(p.channels[0].next_seq, 4);
         assert!(p.channels[0].buffered.is_empty());
 
         // A duplicate of a buffered-then-applied Δ is also dropped.
-        assert!(p.admit(delta(2, 0, 12, cl)).is_empty());
+        assert!(p.admit(delta(2, 0, 12, cl)).unwrap().is_empty());
     }
 
     #[test]
     fn admit_channels_are_independent_per_column() {
         let mut p = bucket();
         let cl = p.shared.cfg.cell_len();
-        assert_eq!(p.admit(delta(0, 0, 1, cl)).len(), 1);
+        assert_eq!(p.admit(delta(0, 0, 1, cl)).unwrap().len(), 1);
         // Column 1 starts at seq 0 regardless of column 0's progress.
-        assert!(p.admit(delta(1, 1, 2, cl)).is_empty());
-        assert_eq!(p.admit(delta(0, 1, 3, cl)).len(), 2);
+        assert!(p.admit(delta(1, 1, 2, cl)).unwrap().is_empty());
+        assert_eq!(p.admit(delta(0, 1, 3, cl)).unwrap().len(), 2);
         assert_eq!(p.channels[0].next_seq, 1);
         assert_eq!(p.channels[1].next_seq, 2);
     }
@@ -641,12 +667,13 @@ mod tests {
     fn from_content_resumes_streams() {
         let p0 = bucket();
         let shared = p0.shared.clone();
-        let mut p = ParityBucket::from_content(shared, 0, 0, 1, Vec::new(), vec![5, 0, 2, 0]);
+        let mut p =
+            ParityBucket::from_content(shared, 0, 0, 1, Vec::new(), vec![5, 0, 2, 0]).unwrap();
         let cl = p.shared.cfg.cell_len();
         // Δs below the restored watermark are recognised as duplicates.
-        assert!(p.admit(delta(4, 0, 9, cl)).is_empty());
-        assert_eq!(p.admit(delta(5, 0, 9, cl)).len(), 1);
-        assert_eq!(p.admit(delta(2, 2, 9, cl)).len(), 1);
+        assert!(p.admit(delta(4, 0, 9, cl)).unwrap().is_empty());
+        assert_eq!(p.admit(delta(5, 0, 9, cl)).unwrap().len(), 1);
+        assert_eq!(p.admit(delta(2, 2, 9, cl)).unwrap().len(), 1);
     }
 
     /// Deliver Δs `seqs` of column 0, then pull the suffix from seq 1:

@@ -61,8 +61,14 @@ impl Registry {
     /// # Panics
     /// Panics if the bucket does not exist — addressing logic must never
     /// produce a bucket number beyond the file.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers address buckets below the file's bucket count, which the \
+                  coordinator keeps in step with this table; answering a miss with some \
+                  other node would misroute silently, and callers that can race a stale \
+                  table use try_data_node"
+    )]
     pub fn data_node(&self, b: u64) -> NodeId {
-        // lhrs-lint: allow(transitive-panic) reason="callers address buckets below the file's bucket count, which the coordinator keeps in step with this table; answering a miss with some other node would misroute silently, and callers that can race a stale table use try_data_node"
         self.data[crate::convert::to_index(b)]
     }
 

@@ -350,10 +350,17 @@ pub fn recover(
                 ));
             };
             let mut p =
-                ParityBucket::from_content(shared.clone(), group, index, k, records, col_seqs);
+                ParityBucket::from_content(shared.clone(), group, index, k, records, col_seqs)
+                    .map_err(|e| StoreError::Corrupt(format!("parity snapshot: {e}")))?;
             for buf in &replay.ops {
                 match decode_op(buf)? {
-                    WalOp::Delta(entry) => p.replay_entry(entry),
+                    WalOp::Delta(entry) => {
+                        if !p.replay_entry(entry) {
+                            return Err(StoreError::Corrupt(
+                                "parity store logged a Δ for a column outside the group".into(),
+                            ));
+                        }
+                    }
                     WalOp::Set { .. } | WalOp::Del { .. } => {
                         return Err(StoreError::Corrupt("parity store logged a data op".into()));
                     }

@@ -102,9 +102,8 @@ impl std::error::Error for WireError {}
 
 // ----- primitives -----
 //
-// Hand-written on purpose: the static analyzer's call graph does not expand
-// macros, so everything that can truncate, overflow or run out of bytes
-// lives in these `fn`s, and the tables below only call them.
+// Everything that can truncate, overflow or run out of bytes lives in these
+// `fn`s, and the tables below only call them.
 
 /// Append a LEB128 varint.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -465,9 +464,7 @@ macro_rules! wire_enum {
                         $( $( let $f = $crate::wire::Wire::get(r)?; )+ )?
                         $( $( $crate::wire::wire_enum!(@get r; $a $( ($ai) )?); )+ )?
                         Ok($E::$V $( { $($f),+ } )? $( ( $($a $( ($ai) )?),+ ) )?)
-                    } ),+ ,
-                    // (`),+ ,` rather than `)+`: the xtask tokenizer would
-                    // read `)+ tag` as an unchecked addition.)
+                    } )+
                     tag => Err($crate::wire::WireError::UnknownTag {
                         what: stringify!($E),
                         tag,

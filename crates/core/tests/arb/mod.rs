@@ -2,8 +2,6 @@
 //! round-trip fuzz (`wire_roundtrip.rs`) and the golden-bytes pin
 //! (`wire_golden.rs`).
 
-#![allow(dead_code)] // each test binary uses its own subset
-
 use lhrs_core::msg::{
     ClientOp, DeltaEntry, FilterSpec, Iam, KeyOp, Msg, OpResult, ReplayEntry, ReqKind, ShardContent,
 };

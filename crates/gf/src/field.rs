@@ -77,7 +77,11 @@ pub trait GaloisField: Copy + Clone + Debug + Default + Send + Sync + 'static {
             // log is None exactly for zero, and 0^e = 0 for e > 0.
             return Self::zero();
         };
-        let l = (u64::from(la) * u64::from(e)) % (u64::from(Self::ORDER) - 1);
+        // la < 2^16 and e < 2^32, so the product cannot wrap; ORDER >= 2.
+        let l = u64::from(la)
+            .wrapping_mul(u64::from(e))
+            .checked_rem(u64::from(Self::ORDER).saturating_sub(1))
+            .unwrap_or(0);
         // l < ORDER - 1 <= u32::MAX after the modulo, so the conversion is
         // total; fall back to the zero exponent rather than aborting.
         Self::exp(u32::try_from(l).unwrap_or(0))

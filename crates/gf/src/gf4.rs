@@ -14,6 +14,11 @@ const POLY: u8 = 0x13;
 const EXP: [u8; 30] = build_exp();
 const LOG: [u8; 16] = build_log();
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "const-evaluated: a bad index, overflow or narrowing fails the build"
+)]
 const fn build_exp() -> [u8; 30] {
     let mut t = [0u8; 30];
     let mut x: u8 = 1;
@@ -30,6 +35,12 @@ const fn build_exp() -> [u8; 30] {
     t
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "const-evaluated: a bad index, overflow or narrowing fails the build"
+)]
 const fn build_log() -> [u8; 16] {
     let mut t = [0u8; 16];
     let mut i = 0;
@@ -45,6 +56,11 @@ const fn build_log() -> [u8; 16] {
 /// const-built.
 const PAIR_MUL: [[u8; 256]; 16] = build_pair_mul();
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "const-evaluated: a bad index, overflow or narrowing fails the build"
+)]
 const fn scalar_mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         0
@@ -53,6 +69,12 @@ const fn scalar_mul(a: u8, b: u8) -> u8 {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "const-evaluated: a bad index, overflow or narrowing fails the build"
+)]
 const fn build_pair_mul() -> [[u8; 256]; 16] {
     let mut t = [[0u8; 256]; 16];
     let mut c = 0;

@@ -17,6 +17,12 @@ const EXP: [u8; 512] = build_exp();
 /// callers.
 const LOG: [u16; 256] = build_log();
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "const-evaluated: a bad index, overflow or narrowing fails the build"
+)]
 const fn build_exp() -> [u8; 512] {
     let mut t = [0u8; 512];
     let mut x: u16 = 1;
@@ -37,6 +43,12 @@ const fn build_exp() -> [u8; 512] {
     t
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "const-evaluated: a bad index, overflow or narrowing fails the build"
+)]
 const fn build_log() -> [u16; 256] {
     let mut t = [0u16; 256];
     let mut i = 0;

@@ -38,6 +38,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic audit, helper scope: no aborts and no unchecked arithmetic
+// outside tests (DESIGN §8.2).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+    )
+)]
 
 mod field;
 mod gf16;

@@ -91,9 +91,9 @@ impl ClientImage {
             return; // a level-0 bucket proves nothing beyond the initial state
         }
         let i_min = j.saturating_sub(1);
-        // n0 >= 1 keeps the span nonzero, so the modulo below is total.
+        // n0 >= 1 keeps the span nonzero, so the remainder always exists.
         let span = self.boundary_at(i_min);
-        let mut n_min = (a % span.max(1)).saturating_add(1);
+        let mut n_min = a.checked_rem(span).unwrap_or(0).saturating_add(1);
         let mut i_new = i_min;
         if n_min >= span {
             n_min = 0;

@@ -44,6 +44,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic audit, helper scope: no aborts and no unchecked arithmetic
+// outside tests (DESIGN §8.2).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+    )
+)]
 
 mod image;
 mod route;
@@ -65,14 +81,14 @@ pub use table::LhTable;
 #[inline]
 pub fn h(l: u8, n0: u64, key: u64) -> u64 {
     // Total for any (l, n0): the span saturates instead of wrapping, and a
-    // degenerate zero span (n0 == 0) is clamped so the modulo is defined.
+    // degenerate zero span (n0 == 0) addresses bucket 0, as a span of 1.
     let span = if l >= 64 {
         u64::MAX
     } else {
         // Shift amount < 64 here, so wrapping_shl is exact.
         1u64.wrapping_shl(u32::from(l)).saturating_mul(n0)
     };
-    key % span.max(1)
+    key.checked_rem(span).unwrap_or(0)
 }
 
 /// A fast 64-bit mixing function (SplitMix64 finaliser) for clients whose

@@ -72,7 +72,7 @@ impl<V> LhTable<V> {
 
     /// Average load factor: records / (buckets × threshold).
     pub fn load_factor(&self) -> f64 {
-        self.len as f64 / (self.buckets.len() * self.split_threshold) as f64
+        self.len as f64 / self.buckets.len().saturating_mul(self.split_threshold) as f64
     }
 
     /// Insert or replace; returns the previous value if the key existed.

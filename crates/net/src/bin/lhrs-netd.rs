@@ -70,6 +70,10 @@ fn dump_trace(metrics: &Metrics, path: &str) {
 }
 
 /// Periodically flush the trace ring to `path` as JSONL.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock period, not a wait for another thread"
+)]
 fn spawn_trace_dumper(metrics: Metrics, path: String) {
     std::thread::spawn(move || loop {
         std::thread::sleep(Duration::from_millis(500));

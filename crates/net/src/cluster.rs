@@ -231,7 +231,10 @@ impl ClusterSpec {
                 if NodeId(id) == bucket0 {
                     Node::Data(DataBucket::new(shared.clone(), 0, 0))
                 } else if let Some(q) = parity.iter().position(|n| *n == NodeId(id)) {
-                    Node::Parity(ParityBucket::new(shared.clone(), 0, q, k))
+                    Node::Parity(
+                        ParityBucket::new(shared.clone(), 0, q, k)
+                            .expect("the spec's group_size + initial_k fits its field"),
+                    )
                 } else {
                     Node::Blank {
                         shared: shared.clone(),

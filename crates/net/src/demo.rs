@@ -157,6 +157,10 @@ fn await_ready(spec: &ClusterSpec, server_ids: &[u32], timeout: Duration) -> Res
                 None if Instant::now() >= deadline => {
                     return Err(format!("node {id} at {addr} never came up"));
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "polls another process's port: no channel reaches across processes"
+                )]
                 None => std::thread::sleep(Duration::from_millis(50)),
             }
         }

@@ -32,9 +32,11 @@ pub fn wal_factory(root: PathBuf, fsync: FsyncPolicy) -> StoreFactory {
 }
 
 /// What a durable host should boot node `id` as.
-// One value per boot decision; the Recovered(Node) payload's size is
-// irrelevant at this frequency.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one value per boot decision; the Recovered(Node) payload's size is \
+              irrelevant at this frequency"
+)]
 pub enum DurableBoot {
     /// A usable store was found: host this resurrected node and announce
     /// the restart (`Msg::SelfReport`) so the coordinator tops it up with

@@ -179,7 +179,7 @@ impl<T: Transport> NodeHost<T> {
 
     /// Microseconds since host start — the `Env::now` clock.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     /// Ask the authoritative host (node `to`) for the current allocation

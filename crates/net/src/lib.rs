@@ -32,10 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+lhrs_core::audited! {
+    pub mod durable;
+    pub mod frame;
+    pub mod host;
+    pub mod transport;
+}
 pub mod client;
 pub mod cluster;
 pub mod demo;
-pub mod durable;
-pub mod frame;
-pub mod host;
-pub mod transport;

@@ -76,7 +76,7 @@ impl HistogramSnapshot {
     /// total count (the `+Inf` reading).
     pub fn cumulative_le(&self, bound_us: u64) -> u64 {
         match BUCKET_BOUNDS_US.iter().position(|b| *b == bound_us) {
-            Some(idx) => self.counts.iter().take(idx + 1).sum(),
+            Some(idx) => self.counts.iter().take(idx.saturating_add(1)).sum(),
             None => self.count,
         }
     }

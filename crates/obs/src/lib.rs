@@ -26,6 +26,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic audit, helper scope: no aborts and no unchecked arithmetic
+// outside tests (DESIGN §8.2).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+    )
+)]
 
 mod event;
 mod hist;
@@ -605,7 +621,10 @@ mod tests {
     fn wall_clock_advances() {
         let m = Metrics::new(Clock::wall());
         let a = m.now_us();
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        let start = std::time::Instant::now();
+        while start.elapsed() < std::time::Duration::from_millis(2) {
+            std::hint::spin_loop();
+        }
         assert!(m.now_us() > a);
         assert_eq!(m.clock_label(), "wall-us");
     }

@@ -60,7 +60,7 @@ impl RecoveryReport {
             }
         }
         let duration_us = match (first_start, last_end) {
-            (Some(s), Some(e)) if e >= s => e - s,
+            (Some(s), Some(e)) => e.saturating_sub(s),
             _ => 0,
         };
 

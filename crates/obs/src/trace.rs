@@ -59,8 +59,8 @@ impl TraceLog {
                 *slot = ev;
             }
             // head < capacity <= usize::MAX, so the increment cannot wrap;
-            // the modulo keeps the cursor in range either way.
-            ring.head = head.wrapping_add(1) % self.capacity;
+            // the modulo (capacity >= 1) keeps the cursor in range.
+            ring.head = head.wrapping_add(1).checked_rem(self.capacity).unwrap_or(0);
             ring.dropped = ring.dropped.saturating_add(1);
         }
     }
@@ -93,7 +93,7 @@ impl TraceLog {
     /// first (trailing newline included when nonempty).
     pub fn to_jsonl(&self) -> String {
         let events = self.events();
-        let mut out = String::with_capacity(events.len() * 96);
+        let mut out = String::with_capacity(events.len().saturating_mul(96));
         for ev in events {
             out.push_str(&ev.to_json());
             out.push('\n');

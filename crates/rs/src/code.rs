@@ -66,7 +66,7 @@ impl<F: GaloisField> RsCode<F> {
 
     /// Total shards `m + k`.
     pub fn total_shards(&self) -> usize {
-        self.m + self.k
+        self.m.saturating_add(self.k)
     }
 
     /// Generator coefficient `Γ[i][j]`: the weight of data shard `i` in
@@ -281,7 +281,7 @@ impl<F: GaloisField> RsCode<F> {
         // Phase 2: recompute missing parity shards from the (now complete)
         // data shards.
         for &x in missing.iter().filter(|&&i| i >= self.m) {
-            let j = x - self.m;
+            let j = x.saturating_sub(self.m);
             let mut buf = vec![0u8; len];
             for (i, shard) in shards.iter().take(self.m).enumerate() {
                 let c = self.gamma.get(i, j);
@@ -321,7 +321,7 @@ impl<F: GaloisField> RsCode<F> {
     ) -> Result<Vec<u8>, RsError> {
         if available.len() < self.m {
             return Err(RsError::TooManyErasures {
-                missing: self.total_shards() - available.len(),
+                missing: self.total_shards().saturating_sub(available.len()),
                 tolerated: self.k,
             });
         }
@@ -344,7 +344,7 @@ impl<F: GaloisField> RsCode<F> {
         // `available.len() ≥ m` was checked on entry.
         let Some(chosen) = available.get(..self.m) else {
             return Err(RsError::TooManyErasures {
-                missing: self.total_shards() - available.len(),
+                missing: self.total_shards().saturating_sub(available.len()),
                 tolerated: self.k,
             });
         };

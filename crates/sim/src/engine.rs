@@ -530,6 +530,7 @@ mod tests {
     #[test]
     fn multicast_reaches_all_and_counts_once() {
         let mut sim: Sim<Msg, Recorder> = Sim::new(LatencyModel::instant());
+        sim.set_metrics(Metrics::new(lhrs_obs::Clock::logical()));
         let hub = sim.add_node(Recorder::default());
         let b = sim.add_node(Recorder::default());
         let c = sim.add_node(Recorder::default());
@@ -541,6 +542,9 @@ mod tests {
         assert_eq!(sim.stats().multicasts, 1);
         assert_eq!(sim.stats().multicast_deliveries, 2);
         assert_eq!(sim.stats().count("hello"), 2);
+        // The metrics count per recipient, on both sides.
+        assert_eq!(sim.metrics().counter_kind("msgs_sent", "hello"), 2);
+        assert_eq!(sim.metrics().counter_kind("msgs_recv", "hello"), 2);
     }
 
     #[test]

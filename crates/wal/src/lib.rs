@@ -23,6 +23,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic audit: no aborts outside tests (DESIGN §8.2).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+    )
+)]
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -45,7 +59,7 @@ const MAX_FRAME_LEN: u64 = 1 << 30;
 
 /// CRC-32 (IEEE 802.3, reflected), computed bitwise: the log is not the
 /// bottleneck of a simulated SDDS, and the bitwise form needs no table —
-/// no lookups, no casts, nothing for the panic-freedom audit to flag.
+/// no lookups, no casts, nothing for the panic audit to flag.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {

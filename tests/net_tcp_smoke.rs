@@ -14,6 +14,7 @@ use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, NodeSpec, Role};
 use lhrs_net::host::NodeHost;
 use lhrs_net::transport::{HostEvent, TcpTransport};
+use lhrs_obs::{Clock, Metrics};
 
 const RECORDS: u64 = 200;
 const OP_TIMEOUT: Duration = Duration::from_secs(30);
@@ -96,6 +97,7 @@ fn a_file_grows_and_answers_over_tcp_then_shuts_down_clean() {
     let stop = stop_rx.recv().expect("the server host started");
 
     let mut client = NetClient::new(host(&spec, &[1]), 1, 1);
+    client.host_mut().set_metrics(Metrics::new(Clock::wall()));
     assert!(
         client.sync_registry(0, Duration::from_secs(30)),
         "no allocation table from the coordinator"
@@ -118,6 +120,9 @@ fn a_file_grows_and_answers_over_tcp_then_shuts_down_clean() {
         client.bucket_count() > 1,
         "200 records split a 64-slot bucket"
     );
+    // The host's dispatch counts what it delivers, by kind.
+    let replies = client.host().metrics().counter_kind("msgs_recv", "reply");
+    assert!(replies >= 2 * RECORDS, "{replies} replies counted");
 
     stop.send(HostEvent::Shutdown).expect("the host is running");
     servers.join().expect("the server host exits on Shutdown");
