@@ -274,6 +274,16 @@ impl<T: Transport> NodeHost<T> {
                 }
             }
         }
+        // A client arms a timer per op and cancels nearly all of them, so
+        // tombstones would otherwise outnumber live timers a hundredfold
+        // until their deadlines. Once they outnumber them at all, sweep
+        // them out in one pass. Ids are never reused: a cancel whose
+        // timer has already fired can go too.
+        if self.cancelled.len() * 2 > self.timers.len() {
+            let cancelled = std::mem::take(&mut self.cancelled);
+            self.timers
+                .retain(|std::cmp::Reverse((_, _, node, id))| !cancelled.contains(&(*node, *id)));
+        }
         // No per-dispatch transport flush: writes accumulate in the
         // transport's buffers and Δ-commits in the coalescing buffer until
         // the poll-batch boundary (`flush_outbound`), amortising syscalls
@@ -489,20 +499,25 @@ impl<T: Transport> NodeHost<T> {
     /// Fire every timer whose deadline has passed.
     fn fire_due_timers(&mut self) -> bool {
         let mut did = false;
-        loop {
-            let now = self.now_us();
-            match self.timers.peek() {
-                Some(std::cmp::Reverse((deadline, _, _, _))) if *deadline <= now => {}
-                _ => return did,
-            }
-            let Some(std::cmp::Reverse((_, _, node, id))) = self.timers.pop() else {
-                return did; // peeked non-empty just above
-            };
-            if self.cancelled.remove(&(node, id)) {
-                continue; // tombstoned
-            }
+        while let Some((node, id)) = self.next_due_timer(self.now_us()) {
             did = true;
             self.dispatch_timer(node, id);
+        }
+        did
+    }
+
+    /// Pop the earliest live timer due at `now` — in deadline order, FIFO
+    /// within a deadline — dropping the tombstones in front of it.
+    fn next_due_timer(&mut self, now: u64) -> Option<(u32, TimerId)> {
+        loop {
+            match self.timers.peek() {
+                Some(std::cmp::Reverse((deadline, _, _, _))) if *deadline <= now => {}
+                _ => return None,
+            }
+            let std::cmp::Reverse((_, _, node, id)) = self.timers.pop()?;
+            if !self.cancelled.remove(&(node, id)) {
+                return Some((node, id));
+            }
         }
     }
 
@@ -601,5 +616,154 @@ impl<T: Transport> NodeHost<T> {
         while !self.shutdown {
             self.poll(Duration::from_millis(50));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterSpec;
+    use crate::transport::{LoopbackNet, LoopbackTransport};
+    use lhrs_core::msg::ReqKind;
+    use lhrs_obs::Clock;
+    use std::sync::mpsc::channel;
+
+    /// Coordinator 0, client 1, bucket 0 on node 2, its parity on node 3,
+    /// spares 4 and 5.
+    const SPEC: &str = "\
+config group_size 2
+config initial_k 1
+node 0 127.0.0.1:1 coordinator
+node 1 127.0.0.1:1 client
+node 2 127.0.0.1:1
+node 3 127.0.0.1:1
+node 4 127.0.0.1:1
+node 5 127.0.0.1:1
+";
+
+    type Host = NodeHost<LoopbackTransport>;
+
+    /// A host carrying `nodes` of [`SPEC`] over a loopback net on which
+    /// node 1 — the only other node — is the returned channel.
+    fn host(nodes: &[u32]) -> (Host, Receiver<HostEvent>) {
+        let spec = ClusterSpec::parse(SPEC).expect("spec");
+        let shared = spec.build_shared();
+        let net = LoopbackNet::new();
+        let (peer_tx, peer_rx) = channel();
+        net.register(&[1], peer_tx);
+        let (tx, rx) = channel();
+        net.register(nodes, tx.clone());
+        let metrics = Metrics::new(Clock::logical());
+        let transport = LoopbackTransport::with_metrics(net, nodes, metrics.clone());
+        let mut host = NodeHost::new(shared.clone(), transport, tx, rx);
+        host.set_metrics(metrics);
+        for id in nodes {
+            host.add_node(*id, spec.build_node(&shared, *id));
+        }
+        (host, peer_rx)
+    }
+
+    /// Run `handler` as node 5's handler would at time 0.
+    fn with_env(host: &mut Host, handler: impl FnOnce(&mut Env<'_, Msg>)) {
+        let (mut out, off) = (Vec::new(), Metrics::disabled());
+        handler(&mut Env::external(NodeId(5), 0, &mut host.next_timer, &mut out, &off));
+        host.apply_effects(NodeId(5), 0, out);
+    }
+
+    #[test]
+    fn cancelled_timers_are_swept_and_live_ones_fire_in_order() {
+        let (mut host, _peer) = host(&[]);
+        let mut live = Vec::new();
+        with_env(&mut host, |env| {
+            live = [300, 100, 300, 200, 100].map(|delay| env.set_timer(delay)).to_vec();
+        });
+        // What a client does per op: arm a timeout, cancel it on the reply.
+        for _ in 0..100_000 {
+            let mut id = None;
+            with_env(&mut host, |env| id = Some(env.set_timer(200)));
+            with_env(&mut host, |env| env.cancel_timer(id.expect("armed")));
+            assert!(host.timers.len() <= 2 * live.len() + 1, "{} heap entries", host.timers.len());
+            assert!(host.cancelled.len() <= live.len() + 1);
+        }
+        assert_eq!(host.next_due_timer(99), None, "nothing due before 100 µs");
+        let fired: Vec<TimerId> = std::iter::from_fn(|| host.next_due_timer(u64::MAX))
+            .map(|(node, id)| {
+                assert_eq!(node, 5);
+                id
+            })
+            .collect();
+        let order = [1, 4, 3, 0, 2].map(|i| live[i]);
+        assert_eq!(fired, order, "by deadline, FIFO within one");
+        assert!(host.timers.is_empty());
+    }
+
+    /// The allocation tables `peer` has been sent since the last call.
+    fn tables(peer: &Receiver<HostEvent>) -> Vec<RegistryUpdate> {
+        let registry = |event| match event {
+            HostEvent::Registry(up) => Some(up),
+            _ => None,
+        };
+        peer.try_iter().filter_map(registry).collect()
+    }
+
+    /// `n` key searches from client 1, dispatched by bucket 0 (node 2):
+    /// each is answered, and none changes the table.
+    fn lookups(host: &mut Host, n: u64) {
+        for key in 0..n {
+            let msg = Msg::Req {
+                op_id: key,
+                client: NodeId(1),
+                intended: 0,
+                hops: 0,
+                kind: ReqKind::Lookup(key),
+            };
+            host.inject(2, msg);
+        }
+        host.drain_local();
+    }
+
+    #[test]
+    fn the_table_goes_out_once_per_change_and_on_the_heartbeat() {
+        let (mut host, peer) = host(&[0, 2]);
+        let broadcasts = |host: &Host| host.metrics.counter("registry_broadcasts");
+
+        // The first dispatch announces the table; then it stays quiet.
+        lookups(&mut host, 1);
+        assert_eq!(tables(&peer).len(), 1);
+        lookups(&mut host, 100);
+        assert_eq!(broadcasts(&host), 1);
+        assert!(tables(&peer).is_empty());
+
+        type Edit = fn(&mut lhrs_core::registry::Registry);
+        let edits: [(&str, Edit); 5] = [
+            ("push_data", |r| assert!(r.push_data(1, NodeId(4)))),
+            ("move_data", |r| assert!(r.move_data(0, NodeId(5)))),
+            ("set_parity", |r| assert!(r.set_parity(0, vec![NodeId(4)]))),
+            ("set_parity (new group)", |r| assert!(r.set_parity(1, vec![NodeId(5)]))),
+            ("coordinator", |r| r.coordinator = NodeId(3)),
+        ];
+        for (n, (what, edit)) in (2..).zip(edits) {
+            edit(&mut host.shared.registry.borrow_mut());
+            lookups(&mut host, 10);
+            assert_eq!(broadcasts(&host), n, "{what}");
+            let sent = tables(&peer);
+            assert_eq!(sent.len(), 1, "{what}");
+            let mut now = host.snapshot();
+            now.version = n;
+            assert_eq!(sent[0], now, "{what}");
+        }
+
+        // Unchanged, the table is still rebroadcast every HEARTBEAT_US —
+        // and a heartbeat is not a change.
+        host.heartbeat();
+        assert!(tables(&peer).is_empty(), "not yet due");
+        let period = Duration::from_micros(HEARTBEAT_US);
+        host.epoch = host.epoch.checked_sub(period).expect("a heartbeat ago");
+        host.heartbeat();
+        let beat = tables(&peer);
+        assert_eq!(beat.iter().map(|t| t.version).collect::<Vec<_>>(), [6]);
+        host.heartbeat();
+        assert!(tables(&peer).is_empty(), "one per period");
+        assert_eq!(broadcasts(&host), 6);
     }
 }

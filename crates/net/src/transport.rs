@@ -923,6 +923,59 @@ mod tests {
         });
     }
 
+    #[test]
+    fn a_batch_larger_than_the_socket_buffers_waits_for_a_slow_reader() {
+        // 16 MiB in one batch: past what the kernel buffers for a peer
+        // that is not reading, so `flush` has to wait for it.
+        const FRAMES: u64 = 256;
+        let value = vec![0xA5; 64 * 1024];
+        // A peer that answers the hello, then reads nothing until told to.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let (go_tx, go) = channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("a dialer");
+            read_frame(&mut stream).expect("a frame").expect("a hello");
+            let hosted = hosted_payload(&[NodeId(41)]);
+            write_frame(&mut stream, FrameType::HelloReply, NodeId(41), NodeId(1), &hosted)
+                .expect("reply");
+            go.recv().expect("told to read");
+            (0..FRAMES)
+                .map(|_| {
+                    let frame = read_frame(&mut stream).expect("a frame").expect("not EOF");
+                    match decode_msg(&frame.payload).expect("a message") {
+                        Msg::Reply { op_id, .. } => op_id,
+                        other => panic!("unexpected {other:?}"),
+                    }
+                })
+                .collect::<Vec<_>>()
+        });
+
+        let (mut a, _rx, obs) = tcp(&[1]);
+        a.peers.insert(41, addr);
+        for op_id in 0..FRAMES {
+            let result = lhrs_core::msg::OpResult::Value(Some(value.clone()));
+            let iam = None;
+            a.send_msg(NodeId(1), NodeId(41), &Msg::Reply { op_id, result, iam });
+        }
+        let (done_tx, done) = channel();
+        let flusher = std::thread::spawn(move || {
+            a.flush();
+            let _ = done_tx.send(());
+            a
+        });
+        assert!(
+            done.recv_timeout(Duration::from_millis(200)).is_err(),
+            "the batch fit in the socket buffers: nothing here waited"
+        );
+        go_tx.send(()).expect("the peer is waiting");
+        let got = peer.join().expect("peer");
+        let a = flusher.join().expect("flusher");
+        assert_eq!(got, (0..FRAMES).collect::<Vec<_>>(), "every frame, in order");
+        assert_eq!(obs.counter("net_send_drops"), 0);
+        assert_eq!(a.conns.len(), 1, "the connection survives the wait");
+    }
+
     /// How many connections sit unaccepted in `listener`'s backlog.
     fn backlog(listener: &TcpListener) -> usize {
         listener.set_nonblocking(true).expect("nonblocking");

@@ -53,13 +53,57 @@ pub use hist::{Histogram, HistogramSnapshot, BUCKET_BOUNDS_US};
 pub use report::{RecoveryReport, RestartReport};
 pub use trace::{TraceLog, DEFAULT_TRACE_CAPACITY};
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Counter key: `(name, label)`; unlabeled counters use `label = ""`.
 type Key = (&'static str, &'static str);
+
+/// Source of [`Inner::id`]: every registry a process creates gets its own.
+/// Starts at 1 so an empty [`CellCache`] (registry 0) matches none.
+static NEXT_REGISTRY: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's resolved counter cells (see [`Metrics::add_kind`]).
+    static CELLS: RefCell<CellCache> = RefCell::new(CellCache::default());
+}
+
+/// One thread's `(name, label)` → cell map for a single registry.
+#[derive(Default)]
+struct CellCache {
+    /// The [`Inner::id`] whose cells `cells` holds (0: none yet).
+    registry: u64,
+    cells: HashMap<CellKey, Arc<AtomicU64>>,
+}
+
+/// A [`Key`] that hashes and compares by string contents, so equal
+/// literals from different crates share one entry, as they share one cell
+/// in the registry — but compares addresses first. A hit is nearly always
+/// the very literal that made the entry, and comparing the contents of an
+/// empty label (a dangling pointer) costs a hundred nanoseconds where
+/// `memcmp` uses masked vector loads.
+#[derive(Clone, Copy)]
+struct CellKey(Key);
+
+impl PartialEq for CellKey {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &str, b: &str| std::ptr::eq(a, b) || a == b;
+        same(self.0 .0, other.0 .0) && same(self.0 .1, other.0 .1)
+    }
+}
+
+impl Eq for CellKey {}
+
+impl Hash for CellKey {
+    /// By contents, as [`PartialEq`] decides in the end.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
 
 /// The timestamp source for trace events recorded without an explicit
 /// caller-supplied time.
@@ -103,6 +147,9 @@ impl Clock {
 
 #[derive(Debug)]
 struct Inner {
+    /// Process-unique: tells one thread's cached cells of this registry
+    /// from those of another.
+    id: u64,
     clock: Clock,
     counters: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
     hists: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
@@ -127,6 +174,35 @@ fn saturating_add(cell: &AtomicU64, delta: u64) {
     let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
         Some(v.saturating_add(delta))
     });
+}
+
+impl Inner {
+    /// The registry's cell for `(name, label)`, created on first touch.
+    fn cell(&self, key: Key) -> Arc<AtomicU64> {
+        let mut map = lock_or_recover(&self.counters);
+        Arc::clone(map.entry(key).or_default())
+    }
+
+    /// Add `delta` through this thread's cached cell, resolving it once;
+    /// `false` if the thread's cache is unavailable (being torn down).
+    fn add_cached(&self, key: Key, delta: u64) -> bool {
+        let added = CELLS.try_with(|cache| {
+            let Ok(mut cache) = cache.try_borrow_mut() else {
+                return false;
+            };
+            if cache.registry != self.id {
+                cache.cells.clear();
+                cache.registry = self.id;
+            }
+            let cell = cache
+                .cells
+                .entry(CellKey(key))
+                .or_insert_with(|| self.cell(key));
+            saturating_add(cell, delta);
+            true
+        });
+        added.unwrap_or(false)
+    }
 }
 
 /// A cloneable, thread-safe observability handle. Clones share state;
@@ -154,6 +230,7 @@ impl Metrics {
     pub fn with_trace_capacity(clock: Clock, capacity: usize) -> Metrics {
         Metrics {
             inner: Some(Arc::new(Inner {
+                id: NEXT_REGISTRY.fetch_add(1, Ordering::Relaxed),
                 clock,
                 counters: Mutex::new(BTreeMap::new()),
                 hists: Mutex::new(BTreeMap::new()),
@@ -202,14 +279,6 @@ impl Metrics {
             .is_some_and(|i| i.trace_msgs.load(Ordering::Relaxed))
     }
 
-    fn counter_cell(&self, name: &'static str, label: &'static str) -> Option<Arc<AtomicU64>> {
-        let inner = self.inner.as_ref()?;
-        let mut map = lock_or_recover(&inner.counters);
-        Some(Arc::clone(
-            map.entry((name, label)).or_insert_with(Default::default),
-        ))
-    }
-
     /// Add 1 to the unlabeled counter `name`.
     pub fn incr(&self, name: &'static str) {
         self.add(name, 1);
@@ -217,9 +286,7 @@ impl Metrics {
 
     /// Add `delta` to the unlabeled counter `name` (saturating).
     pub fn add(&self, name: &'static str, delta: u64) {
-        if let Some(cell) = self.counter_cell(name, "") {
-            saturating_add(&cell, delta);
-        }
+        self.add_kind(name, "", delta);
     }
 
     /// Add 1 to the labeled counter `name{kind=label}`.
@@ -228,9 +295,16 @@ impl Metrics {
     }
 
     /// Add `delta` to the labeled counter `name{kind=label}` (saturating).
+    ///
+    /// The registry's map is locked only the first time a thread touches
+    /// `(name, label)`: the cell found there is cached per thread and added
+    /// to directly from then on. The cache holds one registry's cells at a
+    /// time — a thread that moves to another registry starts over — so it
+    /// never outgrows the set of counters one registry has.
     pub fn add_kind(&self, name: &'static str, label: &'static str, delta: u64) {
-        if let Some(cell) = self.counter_cell(name, label) {
-            saturating_add(&cell, delta);
+        let Some(inner) = &self.inner else { return };
+        if !inner.add_cached((name, label), delta) {
+            saturating_add(&inner.cell((name, label)), delta);
         }
     }
 
@@ -478,16 +552,23 @@ mod tests {
     #[test]
     fn concurrent_writers_lose_nothing() {
         // The registry is hammered from the host loop, the TCP reader
-        // threads, and STATS pulls at once; totals must stay exact.
+        // threads, and STATS pulls at once; totals must stay exact. The
+        // writers start together, so every cell's first touch — the one
+        // that goes through the registry's map — is raced by all of them
+        // and by the snapshots.
         const THREADS: usize = 8;
         const ROUNDS: u64 = 1_000;
+        const FRESH: [&str; 4] = ["fresh_a", "fresh_b", "fresh_c", "fresh_d"];
         let m = Metrics::new(Clock::logical());
+        let start = Arc::new(std::sync::Barrier::new(THREADS));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let m = m.clone();
+                let (m, start) = (m.clone(), Arc::clone(&start));
                 std::thread::spawn(move || {
                     let kind = if t % 2 == 0 { "insert" } else { "lookup" };
+                    start.wait();
                     for i in 0..ROUNDS {
+                        m.incr(FRESH[i as usize % FRESH.len()]);
                         m.incr_kind("msgs_sent", kind);
                         m.observe_us("op_latency", i);
                         m.trace(i, Event::DegradedRead { group: t as u64 });
@@ -506,6 +587,9 @@ mod tests {
         assert_eq!(m.counter_total("msgs_sent"), THREADS as u64 * ROUNDS);
         assert_eq!(m.counter_kind("msgs_sent", "insert"), 4 * ROUNDS);
         assert_eq!(m.counter_kind("msgs_sent", "lookup"), 4 * ROUNDS);
+        for name in FRESH {
+            assert_eq!(m.counter(name), THREADS as u64 * ROUNDS / 4, "{name}");
+        }
         let snap = m.snapshot();
         let (_, hist) = snap
             .histograms
@@ -516,6 +600,64 @@ mod tests {
         if let Some(log) = m.trace_log() {
             assert_eq!(log.pushed(), THREADS as u64 * ROUNDS);
         }
+    }
+
+    #[test]
+    fn two_registries_on_one_thread_never_count_into_each_other() {
+        let (a, b) = (
+            Metrics::new(Clock::logical()),
+            Metrics::new(Clock::logical()),
+        );
+        for _ in 0..100 {
+            a.incr("hits");
+            b.add("hits", 2);
+            a.incr_kind("msgs_sent", "insert");
+            b.incr_kind("msgs_sent", "lookup");
+        }
+        assert_eq!((a.counter("hits"), b.counter("hits")), (100, 200));
+        assert_eq!(a.counter_kind("msgs_sent", "insert"), 100);
+        assert_eq!(a.counter_kind("msgs_sent", "lookup"), 0);
+        assert_eq!(b.counter_kind("msgs_sent", "lookup"), 100);
+        assert_eq!(b.counter_kind("msgs_sent", "insert"), 0);
+        // A registry created where a dropped one was cannot inherit its cells.
+        drop(a);
+        let c = Metrics::new(Clock::logical());
+        c.incr("hits");
+        assert_eq!((c.counter("hits"), b.counter("hits")), (1, 200));
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_hit_one_cell() {
+        // What two crates' copies of one literal look like.
+        let name: &'static str = Box::leak(String::from("msgs_sent").into_boxed_str());
+        let label: &'static str = Box::leak(String::from("insert").into_boxed_str());
+        assert!(!std::ptr::eq(name, "msgs_sent") && !std::ptr::eq(label, "insert"));
+        let m = Metrics::new(Clock::logical());
+        m.incr_kind("msgs_sent", "insert");
+        m.incr_kind(name, label);
+        m.add_kind(name, "insert", 3);
+        assert_eq!(m.counter_kind("msgs_sent", "insert"), 5);
+        assert_eq!(m.snapshot().counters.len(), 1);
+        assert_eq!(CELLS.with(|c| c.borrow().cells.len()), 1);
+    }
+
+    #[test]
+    fn a_disabled_handle_stays_a_no_op_beside_a_cached_registry() {
+        let m = Metrics::new(Clock::logical());
+        m.incr("x");
+        let off = Metrics::disabled();
+        for _ in 0..10 {
+            off.incr("x");
+            off.add_kind("x", "", 5);
+        }
+        m.incr("x");
+        assert_eq!((m.counter("x"), off.counter("x")), (2, 0));
+        assert_eq!(off.snapshot(), Snapshot::default());
+        // ... and it did not evict the enabled registry's cells.
+        assert_eq!(
+            CELLS.with(|c| c.borrow().registry),
+            m.inner.as_ref().map(|i| i.id).unwrap()
+        );
     }
 
     #[test]
