@@ -575,25 +575,19 @@ impl LhrsFile {
 
     // ----- durable-store drills -----
 
-    /// Install a [`StoreFactory`]: every bucket initialised from now on
-    /// logs its committed ops to a per-shard store, and every *live* bucket
-    /// already in the file gets a store attached and seeded with a snapshot
-    /// of its current state. Pair with [`storage::MemHub`] for
-    /// deterministic disk-survives/disk-lost drills.
+    /// Install a [`StoreFactory`]: every data bucket initialised from now
+    /// on logs its committed ops to a per-shard store, and every *live*
+    /// data bucket already in the file gets a store attached and seeded
+    /// with a snapshot of its current state. Parity columns keep no store
+    /// (a lost one is re-encoded from its group); they start retaining the
+    /// Δ-history restarted data buckets pull. Pair with
+    /// [`storage::MemHub`] for deterministic disk-survives/disk-lost
+    /// drills.
     pub fn install_store_factory(&mut self, factory: StoreFactory) {
         self.shared.set_store_factory(factory);
         let reg = self.shared.registry.borrow();
         let data: Vec<(u64, NodeId)> = (0..reg.data_count() as u64)
             .map(|b| (b, reg.data_node(b)))
-            .collect();
-        let parity: Vec<(u64, usize, NodeId)> = (0..reg.group_count() as u64)
-            .flat_map(|g| {
-                reg.parity_nodes(g)
-                    .iter()
-                    .enumerate()
-                    .map(move |(q, n)| (g, q, *n))
-                    .collect::<Vec<_>>()
-            })
             .collect();
         drop(reg);
         for (bucket, node) in data {
@@ -606,18 +600,6 @@ impl LhrsFile {
                 let d = self.sim.actor_mut(node).as_data_mut();
                 d.attach_store(store);
                 d.snapshot_now();
-            }
-        }
-        for (group, index, node) in parity {
-            if self.sim.is_crashed(node) {
-                continue;
-            }
-            let id = StoreId::Parity { group, index };
-            if let Some(mut store) = self.shared.make_store(node, &id) {
-                let _ = store.reset();
-                let p = self.sim.actor_mut(node).as_parity_mut();
-                p.attach_store(store);
-                p.snapshot_now();
             }
         }
     }

@@ -130,8 +130,7 @@ impl Node {
             }
             Msg::InitParity { group, index, k } => {
                 // A column the field cannot hold: drop the order, stay blank.
-                let mut p = ParityBucket::new(shared.clone(), group, index, k).ok()?;
-                Node::attach_parity_store(shared, env.me(), &mut p);
+                let p = ParityBucket::new(shared.clone(), group, index, k).ok()?;
                 Some(Node::Parity(p))
             }
             Msg::Install {
@@ -166,7 +165,7 @@ impl Node {
                         Node::Data(d)
                     }
                     ShardContent::Parity { records, col_seqs } => {
-                        let mut p = ParityBucket::from_content(
+                        let p = ParityBucket::from_content(
                             shared.clone(),
                             group,
                             index.expect("parity install carries an index"),
@@ -175,7 +174,6 @@ impl Node {
                             col_seqs,
                         )
                         .ok()?;
-                        Node::attach_parity_store(shared, env.me(), &mut p);
                         Node::Parity(p)
                     }
                 };
@@ -201,34 +199,14 @@ impl Node {
         }
     }
 
-    /// Ditto for a freshly initialised parity bucket.
-    fn attach_parity_store(shared: &SharedHandle, me: NodeId, p: &mut ParityBucket) {
-        let id = StoreId::Parity {
-            group: p.group,
-            index: p.index,
-        };
-        if let Some(mut store) = shared.make_store(me, &id) {
-            let _ = store.reset();
-            p.attach_store(store);
-            p.snapshot_now();
-        }
-    }
-
-    /// Attach (and seed) a durable store to a node whose bucket was built
-    /// directly by a driver (initial cluster layout) rather than through
-    /// an `Init`/`Install` message. No-op for blanks, clients, the
-    /// coordinator, or when the factory declines.
+    /// Attach (and seed) a durable store to a node whose data bucket was
+    /// built directly from the initial cluster layout rather than through
+    /// an `Init`/`Install` message. No-op for every other role
+    /// (parity columns keep no store), or when the factory declines.
     pub fn attach_fresh_store(&mut self, me: NodeId) {
-        match self {
-            Node::Data(d) => {
-                let shared = d.shared_handle();
-                Node::attach_data_store(&shared, me, d);
-            }
-            Node::Parity(p) => {
-                let shared = p.shared_handle();
-                Node::attach_parity_store(&shared, me, p);
-            }
-            _ => {}
+        if let Node::Data(d) = self {
+            let shared = d.shared_handle();
+            Node::attach_data_store(&shared, me, d);
         }
     }
 
@@ -238,7 +216,6 @@ impl Node {
     pub fn sync_store(&mut self) -> u64 {
         match self {
             Node::Data(d) => d.sync_store(),
-            Node::Parity(p) => p.sync_store(),
             _ => 0,
         }
     }
@@ -256,10 +233,7 @@ impl Actor<Msg> for Node {
                     d.reset_store();
                     d.shared_handle()
                 }
-                Node::Parity(p) => {
-                    p.reset_store();
-                    p.shared_handle()
-                }
+                Node::Parity(p) => p.shared_handle(),
                 Node::Client(_) | Node::Coordinator(_) => {
                     debug_assert!(false, "clients/coordinator are never retired");
                     return;

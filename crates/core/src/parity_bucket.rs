@@ -9,7 +9,6 @@ use lhrs_sim::{Env, NodeId};
 use crate::msg::{DeltaEntry, KeyOp, Msg, ShardContent};
 use crate::record::cell_is_zero;
 use crate::registry::SharedHandle;
-use crate::storage::{self, BucketStore, WalOp};
 use crate::{Key, Rank};
 
 /// One parity record: the member keys of the record group (by column) and
@@ -61,10 +60,8 @@ pub struct ParityBucket {
     /// Per data column: recently applied Δs (bounded by
     /// `delta_history_cap`), kept to serve Δ-suffix catch-up to restarting
     /// data buckets. Contiguous and, unless empty, ending exactly at
-    /// `channels[col].next_seq`; kept only while a store is attached.
+    /// `channels[col].next_seq`; kept only on a durable node.
     history: Vec<VecDeque<DeltaEntry>>,
-    /// Durable store, when the file runs with persistence.
-    store: Option<Box<dyn BucketStore>>,
 }
 
 impl ParityBucket {
@@ -85,7 +82,6 @@ impl ParityBucket {
             channels: vec![ColChannel::default(); m],
             key_index: HashMap::new(),
             history: vec![VecDeque::new(); m],
-            store: None,
         })
     }
 
@@ -138,47 +134,6 @@ impl ParityBucket {
         self.shared.clone()
     }
 
-    /// Attach a durable store; subsequent Δ-commits are logged to it.
-    pub fn attach_store(&mut self, store: Box<dyn BucketStore>) {
-        self.store = Some(store);
-    }
-
-    /// Whether a durable store is attached (driver/test introspection).
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// Flush the store's buffered appends (the once-per-batch hook behind
-    /// [`crate::FsyncPolicy::Batch`]). Returns how many buffered appends
-    /// this sync made durable (0 when nothing was buffered, the store is
-    /// absent, or the sync failed).
-    pub fn sync_store(&mut self) -> u64 {
-        if let Some(store) = self.store.as_mut() {
-            let pending = store.unsynced_ops();
-            if store.sync().is_err() {
-                // Buffered appends may be gone: the log has a silent hole
-                // and must never be replayed.
-                self.reset_store();
-                return 0;
-            }
-            return pending;
-        }
-        0
-    }
-
-    /// Erase and drop the store — on retirement (the logical parity column
-    /// lives elsewhere now) and on any write failure (the log is holey or
-    /// its base is stale). Either way this copy must not resurrect. The
-    /// Δ-history goes with it: without a store `commit` remembers nothing,
-    /// and a window that stops short of `next_seq` must never be served.
-    pub(crate) fn reset_store(&mut self) {
-        if let Some(store) = self.store.as_mut() {
-            let _ = store.reset();
-        }
-        self.store = None;
-        self.history.iter_mut().for_each(VecDeque::clear);
-    }
-
     /// This bucket's full state as shipped in recovery transfers.
     fn content(&self) -> ShardContent {
         ShardContent::Parity {
@@ -191,78 +146,16 @@ impl ParityBucket {
         }
     }
 
-    /// Write a snapshot and truncate the log (no-op without a store).
-    /// Returns whether a snapshot was written.
-    pub(crate) fn snapshot_now(&mut self) -> bool {
-        if self.store.is_none() {
-            return false;
-        }
-        let state = storage::Snapshot::Parity {
-            group: self.group,
-            index: self.index,
-            k: self.k,
-            content: self.content(),
-        }
-        .encode();
-        let ok = match self.store.as_mut() {
-            Some(store) => store.snapshot(&state).is_ok(),
-            None => false,
-        };
-        if !ok {
-            // The log's base no longer matches RAM; replaying it would
-            // resurrect diverged state. Poison the store instead.
-            self.reset_store();
-        }
-        ok
-    }
-
-    /// Snapshot with observability (the periodic policy lands here).
-    fn snapshot_obs(&mut self, env: &mut Env<'_, Msg>) {
-        let had_store = self.store.is_some();
-        if self.snapshot_now() {
-            env.obs().incr("wal_snapshots");
-        } else if had_store {
-            env.obs().incr("wal_errors");
-        }
-    }
-
-    /// Log one applied Δ to the store, then snapshot if the policy says so.
-    fn log_delta(&mut self, env: &mut Env<'_, Msg>, entry: &DeltaEntry) {
-        let Some(store) = self.store.as_mut() else {
-            return;
-        };
-        let buf = storage::encode_op(&WalOp::Delta(entry.clone()));
-        match store.append(&buf) {
-            Ok(()) => {
-                env.obs().incr("wal_appends");
-                env.obs().add("wal_bytes", buf.len() as u64);
-            }
-            Err(_) => {
-                // A failing disk must not take the bucket down with it: the
-                // RAM copy stays authoritative and keeps serving. But the
-                // log now has a silent hole, so it must never be replayed —
-                // poison the store so the next boot starts from nothing.
-                env.obs().incr("wal_errors");
-                self.reset_store();
-                return;
-            }
-        }
-        let every = self.shared.cfg.wal_snapshot_every;
-        if every > 0 && store.appended_since_snapshot() >= every {
-            self.snapshot_obs(env);
-        }
-    }
-
-    /// Log, remember and apply one admitted Δ. The history's only reader is
-    /// [`Msg::SuffixPull`], which only a WAL-recovered data bucket causes:
-    /// a parity bucket without a store belongs to a file that never pulls
-    /// a suffix (or answers one `complete: false`, and the coordinator
-    /// falls back to the full rebuild), so it retains nothing — and one
-    /// that loses its store ([`Self::reset_store`], possibly inside
-    /// `log_delta` just above) drops what it had retained.
-    fn commit(&mut self, env: &mut Env<'_, Msg>, ready: DeltaEntry) {
-        self.log_delta(env, &ready);
-        if self.store.is_some() {
+    /// Remember and apply one admitted Δ. The history's only reader is
+    /// [`Msg::SuffixPull`], which only a WAL-recovered data bucket causes,
+    /// and only a node with a store factory installed hosts durable data
+    /// buckets: without one the file never pulls a suffix (or answers one
+    /// `complete: false`, and the coordinator falls back to the full
+    /// rebuild), so the bucket retains nothing. The parity column itself
+    /// keeps no store — a lost column is re-encoded from its group, never
+    /// replayed.
+    fn commit(&mut self, ready: DeltaEntry) {
+        if self.shared.has_store_factory() {
             self.remember(ready.clone());
         }
         self.apply(ready);
@@ -298,23 +191,7 @@ impl ParityBucket {
         }
     }
 
-    /// Admit + apply one Δ during store replay. No re-logging (the entry
-    /// came *from* the log); history is maintained so a restarted parity
-    /// bucket can still serve suffixes over its replayed window. `false`
-    /// for a column outside the group: every logged Δ was admitted once,
-    /// so such a log is not this bucket's.
-    pub(crate) fn replay_entry(&mut self, entry: DeltaEntry) -> bool {
-        let Some(ready) = self.admit(entry) else {
-            return false;
-        };
-        for ready in ready {
-            self.remember(ready.clone());
-            self.apply(ready);
-        }
-        true
-    }
-
-    /// Admit, log and apply one sender's Δs (a `ParityDelta` is a batch of
+    /// Admit and apply one sender's Δs (a `ParityDelta` is a batch of
     /// one), then ack each column that moved. A Δ from a fenced sender or
     /// for a column outside the group (`col` is off the wire) is dropped
     /// and counted.
@@ -340,7 +217,7 @@ impl ParityBucket {
             };
             cols.insert(col);
             for ready in ready {
-                self.commit(env, ready);
+                self.commit(ready);
                 applied += 1;
             }
         }
@@ -410,9 +287,9 @@ impl ParityBucket {
                 // The history deque for a column is contiguous, so the
                 // suffix [from_seq, next) is servable iff its filtered view
                 // starts exactly at `from_seq` and ends at `next`. (It ends
-                // there whenever it is non-empty — `reset_store` clears it —
-                // but a short suffix acked as complete is silent loss of
-                // acked updates, so the end is checked, not assumed.)
+                // there whenever it is non-empty, but a short suffix acked
+                // as complete is silent loss of acked updates, so the end is
+                // checked, not assumed.)
                 let entries: Vec<DeltaEntry> = self
                     .history
                     .get(col)
@@ -599,7 +476,7 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use crate::registry::Shared;
-    use crate::storage::{MemHub, StoreId};
+    use crate::storage::MemHub;
     use lhrs_sim::Effect;
 
     fn bucket() -> ParityBucket {
@@ -713,42 +590,28 @@ mod tests {
             .expect("a SuffixPull is answered with a DeltaSuffix")
     }
 
-    /// A bucket with a store on a fresh disk of `hub`.
-    fn durable_bucket(hub: &MemHub) -> (ParityBucket, StoreId) {
-        let mut p = bucket();
-        let id = StoreId::Parity { group: 0, index: 0 };
-        p.attach_store((hub.factory())(NodeId(9), &id).expect("a fresh disk"));
-        (p, id)
-    }
-
     #[test]
     fn delta_history_is_kept_only_where_a_suffix_can_be_pulled() {
-        // No store: nothing is retained, and the pull is declined — the
-        // coordinator then rebuilds the bucket in full.
+        // No store factory: nothing is retained, and the pull is declined —
+        // the coordinator then rebuilds the bucket in full.
         let mut plain = bucket();
         assert_eq!(suffix_after_deltas(&mut plain, 0..3), (Vec::new(), false));
         assert!(plain.history.iter().all(|h| h.is_empty()));
         assert_eq!(plain.channels[0].next_seq, 3, "the Δs were still applied");
 
-        // Store attached: the suffix is served.
-        let (mut durable, _) = durable_bucket(&MemHub::new());
+        // A durable node (store factory installed): the suffix is served.
+        let mut durable = bucket();
+        durable.shared.set_store_factory(MemHub::new().factory());
         assert_eq!(suffix_after_deltas(&mut durable, 0..3), (vec![1, 2], true));
     }
 
-    /// A store lost mid-stream stops the remembering; the window retained
-    /// until then ends short of `next_seq` and must not be served as the
-    /// whole suffix — the puller would resume its Δ stream too low.
+    /// A retained window that ends short of `next_seq` must not be served as
+    /// the whole suffix — the puller would resume its Δ stream too low.
     #[test]
-    fn a_poisoned_store_takes_the_delta_history_with_it() {
-        let hub = MemHub::new();
-        let (mut p, id) = durable_bucket(&hub);
-        assert_eq!(suffix_after_deltas(&mut p, 0..3), (vec![1, 2], true));
-
-        hub.disk(&id).expect("the disk").fail_writes(true);
-        assert_eq!(suffix_after_deltas(&mut p, 3..6), (Vec::new(), false));
-        assert!(!p.has_store(), "the failed append poisoned the store");
-        assert!(p.history.iter().all(|h| h.is_empty()));
-        assert_eq!(p.channels[0].next_seq, 6, "the Δs were still applied");
+    fn a_window_short_of_next_seq_is_never_served_complete() {
+        let mut p = bucket();
+        assert_eq!(suffix_after_deltas(&mut p, 0..6), (Vec::new(), false));
+        assert_eq!(p.channels[0].next_seq, 6, "the Δs were applied");
 
         // Were a stale window to survive anyway, its end gives it away.
         p.history[0].extend((0..3).map(|seq| delta(seq, 0, 10 + seq, 1)));

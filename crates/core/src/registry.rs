@@ -25,9 +25,11 @@ pub struct Shared {
     pub registry: RefCell<Registry>,
     /// File configuration (immutable after creation).
     pub cfg: Config,
-    /// Optional durable-store factory: when set, buckets attach a
+    /// Optional durable-store factory: when set, data buckets attach a
     /// [`crate::storage::BucketStore`] on initialisation and log committed
-    /// ops to it. `None` = the paper's RAM-only multicomputer.
+    /// ops to it, and parity buckets keep the Δ-history a restarted data
+    /// bucket pulls its suffix from. `None` = the paper's RAM-only
+    /// multicomputer.
     store_factory: RefCell<Option<crate::storage::StoreFactory>>,
 }
 
@@ -190,10 +192,16 @@ impl Shared {
         })
     }
 
-    /// Install a durable-store factory; buckets initialised afterwards
+    /// Install a durable-store factory; data buckets initialised afterwards
     /// attach a store for their own identity.
     pub fn set_store_factory(&self, factory: crate::storage::StoreFactory) {
         *self.store_factory.borrow_mut() = Some(factory);
+    }
+
+    /// Whether a store factory is installed: the node is durable, so a
+    /// restarted data bucket may pull a Δ-suffix from its parity group.
+    pub fn has_store_factory(&self) -> bool {
+        self.store_factory.borrow().is_some()
     }
 
     /// Build a store for `(node, id)` via the installed factory, if any.

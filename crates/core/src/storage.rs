@@ -24,7 +24,6 @@ use lhrs_sim::NodeId;
 use crate::data_bucket::DataBucket;
 use crate::msg::{DeltaEntry, ShardContent};
 use crate::node::Node;
-use crate::parity_bucket::ParityBucket;
 use crate::registry::SharedHandle;
 use crate::wire::{self, wire_enum, Reader, Wire};
 use crate::{Key, Rank};
@@ -115,20 +114,15 @@ pub trait BucketStore {
 }
 
 /// The durable identity a store is keyed by: logical shard, not node —
-/// the disk follows the bucket through restarts.
+/// the disk follows the bucket through restarts. Only data buckets have
+/// one: a parity column is a function of its group's data columns, so a
+/// lost one is re-encoded, never replayed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StoreId {
     /// Data bucket `bucket`.
     Data {
         /// The bucket number.
         bucket: u64,
-    },
-    /// Parity column `index` of bucket group `group`.
-    Parity {
-        /// The bucket group.
-        group: u64,
-        /// The parity column index.
-        index: usize,
     },
 }
 
@@ -161,7 +155,9 @@ pub enum WalOp {
         /// The bucket's Δ-stream position *after* this commit.
         delta_seq: u64,
     },
-    /// Parity bucket: a Δ-commit was applied in column order.
+    /// Parity bucket: a Δ-commit was applied in column order. No store
+    /// logs it any more (parity columns keep no store); the tag stays
+    /// reserved, and a data log holding one is refused as corrupt.
     Delta(DeltaEntry),
 }
 
@@ -190,7 +186,8 @@ pub fn decode_op(buf: &[u8]) -> Result<WalOp, StoreError> {
 const SNAP_VERSION: u8 = 1;
 
 /// A bucket's snapshot state: [`SNAP_VERSION`], the role tag, the bucket's
-/// identity, then its whole content.
+/// identity, then its whole content. Tag 1 held parity snapshots, which no
+/// store writes any more.
 pub(crate) enum Snapshot {
     /// A data bucket.
     Data {
@@ -199,22 +196,10 @@ pub(crate) enum Snapshot {
         /// Always [`ShardContent::Data`].
         content: ShardContent,
     },
-    /// A parity bucket.
-    Parity {
-        /// The bucket group.
-        group: u64,
-        /// The parity column index.
-        index: usize,
-        /// The group's availability level.
-        k: usize,
-        /// Always [`ShardContent::Parity`].
-        content: ShardContent,
-    },
 }
 
 wire_enum!(Snapshot {
     0 => Data { bucket, content },
-    1 => Parity { group, index, k, content },
 });
 
 impl Snapshot {
@@ -240,7 +225,7 @@ impl Snapshot {
 
 // ----- recovery -----
 
-/// A bucket rebuilt from its local store by [`recover`].
+/// A data bucket rebuilt from its local store by [`recover`].
 pub struct Recovered {
     /// The reconstructed node, store re-attached, flagged to send
     /// [`crate::msg::Msg::RestartReport`] on its boot `SelfReport`.
@@ -255,8 +240,8 @@ pub struct Recovered {
     pub tail: TailState,
 }
 
-/// Rebuild a bucket from its durable store: decode the snapshot, fold the
-/// logged op suffix over it, and hand back a node ready to be hosted.
+/// Rebuild a data bucket from its durable store: decode the snapshot, fold
+/// the logged op suffix over it, and hand back a node ready to be hosted.
 ///
 /// A torn or corrupt log *tail* is survivable (the clean prefix is state
 /// the rest of the file may have moved past anyway — the Δ-suffix
@@ -271,123 +256,65 @@ pub fn recover(
     let snap_buf = replay
         .snapshot
         .ok_or_else(|| StoreError::Corrupt("store has no snapshot".into()))?;
-    let mut ops_replayed = 0u64;
-    let mut bytes_replayed = 0u64;
-    let node = match Snapshot::decode(&snap_buf)? {
-        Snapshot::Data { bucket, content } => {
-            let ShardContent::Data {
-                level,
-                next_rank,
-                delta_seq,
-                records,
-            } = content
-            else {
-                return Err(StoreError::Corrupt(
-                    "data snapshot holds parity content".into(),
-                ));
-            };
-            let mut map: BTreeMap<Rank, (Key, Vec<u8>)> = records
-                .into_iter()
-                .map(|(rank, key, payload)| (rank, (key, payload)))
-                .collect();
-            let mut next_rank = next_rank;
-            let mut delta_seq = delta_seq;
-            for buf in &replay.ops {
-                match decode_op(buf)? {
-                    WalOp::Set {
-                        rank,
-                        key,
-                        payload,
-                        delta_seq: seq,
-                    } => {
-                        map.insert(rank, (key, payload));
-                        next_rank = next_rank.max(rank.saturating_add(1));
-                        delta_seq = delta_seq.max(seq);
-                    }
-                    WalOp::Del {
-                        rank,
-                        delta_seq: seq,
-                        ..
-                    } => {
-                        map.remove(&rank);
-                        delta_seq = delta_seq.max(seq);
-                    }
-                    WalOp::Delta(_) => {
-                        return Err(StoreError::Corrupt(
-                            "data store logged a parity delta".into(),
-                        ));
-                    }
-                }
-                ops_replayed += 1;
-                bytes_replayed += buf.len() as u64;
-            }
-            let records: Vec<(Rank, Key, Vec<u8>)> = map
-                .into_iter()
-                .map(|(rank, (key, payload))| (rank, key, payload))
-                .collect();
-            let mut d = DataBucket::from_content(
-                shared.clone(),
-                bucket,
-                level,
-                next_rank,
-                delta_seq,
-                records,
-            );
-            d.mark_restarted();
-            d.attach_store(store);
-            d.snapshot_now();
-            Node::Data(d)
-        }
-        Snapshot::Parity {
-            group,
-            index,
-            k,
-            content,
-        } => {
-            let ShardContent::Parity { records, col_seqs } = content else {
-                return Err(StoreError::Corrupt(
-                    "parity snapshot holds data content".into(),
-                ));
-            };
-            let mut p =
-                ParityBucket::from_content(shared.clone(), group, index, k, records, col_seqs)
-                    .map_err(|e| StoreError::Corrupt(format!("parity snapshot: {e}")))?;
-            for buf in &replay.ops {
-                match decode_op(buf)? {
-                    WalOp::Delta(entry) => {
-                        if !p.replay_entry(entry) {
-                            return Err(StoreError::Corrupt(
-                                "parity store logged a Δ for a column outside the group".into(),
-                            ));
-                        }
-                    }
-                    WalOp::Set { .. } | WalOp::Del { .. } => {
-                        return Err(StoreError::Corrupt("parity store logged a data op".into()));
-                    }
-                }
-                ops_replayed += 1;
-                bytes_replayed += buf.len() as u64;
-            }
-            p.attach_store(store);
-            p.snapshot_now();
-            Node::Parity(p)
-        }
+    let Snapshot::Data { bucket, content } = Snapshot::decode(&snap_buf)?;
+    let ShardContent::Data {
+        level,
+        next_rank,
+        delta_seq,
+        records,
+    } = content
+    else {
+        return Err(StoreError::Corrupt(
+            "data snapshot holds parity content".into(),
+        ));
     };
-    let store_id = match &node {
-        Node::Data(d) => StoreId::Data { bucket: d.bucket },
-        Node::Parity(p) => StoreId::Parity {
-            group: p.group,
-            index: p.index,
-        },
-        _ => {
-            return Err(StoreError::Corrupt(
-                "recovered node has no storage role".into(),
-            ))
+    let mut map: BTreeMap<Rank, (Key, Vec<u8>)> = records
+        .into_iter()
+        .map(|(rank, key, payload)| (rank, (key, payload)))
+        .collect();
+    let (mut next_rank, mut delta_seq) = (next_rank, delta_seq);
+    let (mut ops_replayed, mut bytes_replayed) = (0u64, 0u64);
+    for buf in &replay.ops {
+        match decode_op(buf)? {
+            WalOp::Set {
+                rank,
+                key,
+                payload,
+                delta_seq: seq,
+            } => {
+                map.insert(rank, (key, payload));
+                next_rank = next_rank.max(rank.saturating_add(1));
+                delta_seq = delta_seq.max(seq);
+            }
+            WalOp::Del {
+                rank,
+                delta_seq: seq,
+                ..
+            } => {
+                map.remove(&rank);
+                delta_seq = delta_seq.max(seq);
+            }
+            WalOp::Delta(_) => {
+                return Err(StoreError::Corrupt(
+                    "data store logged a parity delta".into(),
+                ));
+            }
         }
-    };
+        ops_replayed += 1;
+        bytes_replayed += buf.len() as u64;
+    }
+    let records: Vec<(Rank, Key, Vec<u8>)> = map
+        .into_iter()
+        .map(|(rank, (key, payload))| (rank, key, payload))
+        .collect();
+    let mut d =
+        DataBucket::from_content(shared.clone(), bucket, level, next_rank, delta_seq, records);
+    d.mark_restarted();
+    d.attach_store(store);
+    d.snapshot_now();
     Ok(Recovered {
-        node,
-        store_id,
+        node: Node::Data(d),
+        store_id: StoreId::Data { bucket },
         ops_replayed,
         bytes_replayed,
         tail: replay.tail,

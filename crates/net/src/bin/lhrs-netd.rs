@@ -13,9 +13,10 @@
 //! actors from the shared cluster spec, and runs the host loop until
 //! killed.
 //!
-//! With `--data-dir <root>` every hosted bucket is durable: commits land in
-//! a per-shard write-ahead log under `<root>/node-<id>/` (fsync cadence set
-//! by the spec's `wal_fsync` knob). On boot, a node whose shard directory
+//! With `--data-dir <root>` every hosted data bucket is durable: commits
+//! land in a per-bucket write-ahead log under `<root>/node-<id>/` (fsync
+//! cadence set by the spec's `wal_fsync` knob). Parity columns write
+//! nothing there: a lost one is re-encoded from its group. On boot, a node whose shard directory
 //! holds a usable snapshot is rebuilt from it — snapshot decode plus log
 //! replay — and announces itself to the coordinator, which tops it up with
 //! the Δ-suffix it missed while down instead of a full Reed–Solomon
@@ -40,11 +41,10 @@ use std::time::Duration;
 
 use lhrs_core::msg::Msg;
 use lhrs_net::cluster::ClusterSpec;
-use lhrs_net::durable::{blank_node, durable_boot, wal_factory, DurableBoot};
+use lhrs_net::durable::{blank_node, durable_boot, fresh_node, wal_factory, DurableBoot};
 use lhrs_net::host::NodeHost;
 use lhrs_net::transport::TcpTransport;
 use lhrs_obs::{Clock, Metrics};
-use lhrs_sim::NodeId;
 
 fn usage() -> ! {
     eprintln!(
@@ -176,11 +176,7 @@ fn main() {
                     );
                     blank_node(&shared)
                 }
-                DurableBoot::Fresh => {
-                    let mut node = spec.build_node(&shared, id);
-                    node.attach_fresh_store(NodeId(id));
-                    node
-                }
+                DurableBoot::Fresh => fresh_node(&spec, &shared, root, id),
             },
             None => spec.build_node(&shared, id),
         };

@@ -11,7 +11,10 @@ use lhrs_core::registry::SharedHandle;
 use lhrs_core::storage::{self, BucketStore, StoreFactory};
 use lhrs_core::FsyncPolicy;
 use lhrs_obs::{Event, Metrics};
+use lhrs_sim::NodeId;
 use lhrs_wal::FileWal;
+
+use crate::cluster::ClusterSpec;
 
 /// The durable root for one hosted node's shards: `<root>/node-<id>`.
 pub fn node_root(root: &Path, id: u32) -> PathBuf {
@@ -44,7 +47,8 @@ pub enum DurableBoot {
     Recovered(Node),
     /// The node's durable root exists but holds no usable data-shard
     /// store — this is a *restart* whose state is gone (wiped disk,
-    /// damaged snapshot, or a parity column, which is never resurrected).
+    /// damaged snapshot, or a parity column, which keeps no store and is
+    /// never resurrected).
     /// The node must boot blank: rebuilding the spec's initial shard here
     /// would fabricate an empty bucket that answers lookups with
     /// authoritative misses for acked records. Blank, it stays silent and
@@ -52,7 +56,7 @@ pub enum DurableBoot {
     /// RS rebuild.
     Blank,
     /// No durable root at all: a genuine first boot. Build the spec's
-    /// initial node and seed a fresh store. (An operator re-pointing a
+    /// initial node with [`fresh_node`]. (An operator re-pointing a
     /// restarted node at a brand-new empty root is indistinguishable from
     /// this — mount the old disk, even if wiped, so the root exists.)
     Fresh,
@@ -65,6 +69,20 @@ pub fn blank_node(shared: &SharedHandle) -> Node {
         shared: shared.clone(),
         pending: Vec::new(),
     }
+}
+
+/// The [`DurableBoot::Fresh`] outcome: the spec's initial node, its data
+/// bucket's store seeded. A parity column keeps no store, so its node
+/// root is created here instead: either way the root exists from the
+/// first boot on, and a restart classifies as [`DurableBoot::Blank`] —
+/// never as a first boot that fabricates an empty shard.
+pub fn fresh_node(spec: &ClusterSpec, shared: &SharedHandle, root: &Path, id: u32) -> Node {
+    let mut node = spec.build_node(shared, id);
+    node.attach_fresh_store(NodeId(id));
+    if matches!(node, Node::Parity(_)) {
+        let _ = std::fs::create_dir_all(node_root(root, id));
+    }
+    node
 }
 
 /// Decide how to boot node `id` under durable root `root`.

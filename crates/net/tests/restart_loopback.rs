@@ -23,14 +23,16 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lhrs_core::msg::Msg;
+use lhrs_core::node::Node;
 use lhrs_core::{Config, FsyncPolicy};
 use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, NodeSpec, Role};
-use lhrs_net::durable::{blank_node, durable_boot, node_root, wal_factory, DurableBoot};
+use lhrs_net::durable::{
+    blank_node, durable_boot, fresh_node, node_root, wal_factory, DurableBoot,
+};
 use lhrs_net::host::NodeHost;
 use lhrs_net::transport::{HostEvent, LoopbackNet, LoopbackTransport};
 use lhrs_obs::{Clock, Metrics, RestartReport};
-use lhrs_sim::NodeId;
 
 const RECORDS: u64 = 80;
 const OP_TIMEOUT: Duration = Duration::from_secs(20);
@@ -107,21 +109,16 @@ fn spawn_server(
         let transport = LoopbackTransport::new(net, &[id]);
         let mut host = NodeHost::new(shared.clone(), transport, thread_tx, rx);
         host.set_metrics(metrics.clone());
-        let boot = match &root {
-            Some(root) => durable_boot(&shared, root, id, fsync, &metrics),
-            None => DurableBoot::Fresh,
-        };
-        match boot {
-            DurableBoot::Recovered(node) => {
-                host.add_node(id, node);
-                host.inject(id, Msg::SelfReport);
-            }
-            DurableBoot::Blank => host.add_node(id, blank_node(&shared)),
-            DurableBoot::Fresh => {
-                let mut node = spec.build_node(&shared, id);
-                node.attach_fresh_store(NodeId(id));
-                host.add_node(id, node);
-            }
+        match &root {
+            Some(root) => match durable_boot(&shared, root, id, fsync, &metrics) {
+                DurableBoot::Recovered(node) => {
+                    host.add_node(id, node);
+                    host.inject(id, Msg::SelfReport);
+                }
+                DurableBoot::Blank => host.add_node(id, blank_node(&shared)),
+                DurableBoot::Fresh => host.add_node(id, fresh_node(&spec, &shared, root, id)),
+            },
+            None => host.add_node(id, spec.build_node(&shared, id)),
         }
         host.run();
     });
@@ -181,6 +178,24 @@ fn quiesce(client: &mut NetClient<LoopbackTransport>, metrics: &Metrics) {
         still = if now_recv == last_recv { still + 1 } else { 0 };
         last_recv = now_recv;
     }
+}
+
+/// Every `parity-*` store directory under any node root of `root`. Parity
+/// columns keep no store, so a durable cluster must never create one.
+fn parity_store_dirs(root: &Path) -> Vec<PathBuf> {
+    let subdirs = |dir: &Path| -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .map(|entries| entries.flatten().map(|e| e.path()).collect())
+            .unwrap_or_default()
+    };
+    subdirs(root)
+        .iter()
+        .flat_map(|node_root| subdirs(node_root))
+        .filter(|p| {
+            p.file_name()
+                .is_some_and(|f| f.to_string_lossy().starts_with("parity-"))
+        })
+        .collect()
 }
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -340,9 +355,42 @@ fn run_arm(
         s.thread.join().expect("server joins");
     }
     if let Some(root) = &root {
+        let parity_dirs = parity_store_dirs(root);
         let _ = std::fs::remove_dir_all(root);
+        assert!(
+            parity_dirs.is_empty(),
+            "[{name}] parity columns keep no store: {parity_dirs:?}"
+        );
     }
     report
+}
+
+/// A parity column keeps no store, yet a restart of its node must still
+/// boot blank: rebuilding the spec's initial parity bucket would serve an
+/// empty column as if it were current.
+#[test]
+fn a_restarted_parity_column_boots_blank() {
+    const PARITY: u32 = 3; // the one parity column in the initial layout
+    let spec = test_spec();
+    let root = temp_root("parity-boot");
+    let _ = std::fs::remove_dir_all(&root);
+    let shared = spec.build_shared();
+    shared.set_store_factory(wal_factory(root.clone(), FsyncPolicy::Never));
+    let metrics = Metrics::new(Clock::wall());
+    let boot = |shared| durable_boot(shared, &root, PARITY, FsyncPolicy::Never, &metrics);
+
+    assert!(matches!(boot(&shared), DurableBoot::Fresh));
+    let node = fresh_node(&spec, &shared, &root, PARITY);
+    assert!(
+        matches!(node, Node::Parity(_)),
+        "node {PARITY} is a parity column"
+    );
+    assert!(parity_store_dirs(&root).is_empty(), "parity keeps no store");
+
+    // The process dies and is relaunched with the same command.
+    drop(node);
+    assert!(matches!(boot(&spec.build_shared()), DurableBoot::Blank));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
