@@ -1,5 +1,5 @@
 //! Runs the full evaluation suite — every table and figure — writing each
-//! to `bench_out/<id>.txt` and an index to `bench_out/ALL.txt`.
+//! to `bench_out/<id>.txt`.
 
 use std::time::Instant;
 

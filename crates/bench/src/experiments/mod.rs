@@ -1,17 +1,15 @@
 //! One module per table/figure of the evaluation. Each `run()` returns the
-//! tables it regenerates; binaries and `all_experiments` call these.
+//! tables it regenerates; `all_experiments` calls these.
 
 pub mod f1_image_convergence;
 pub mod f2_availability_curves;
 pub mod f3_scalable_availability;
 pub mod f4_split_throughput;
 pub mod t10_fault_overhead;
-pub mod t11_net_throughput;
 pub mod t12_restart_cost;
 pub mod t1_storage_overhead;
 pub mod t2_search_cost;
 pub mod t3_insert_cost;
-pub mod t4_coding_throughput;
 pub mod t5_recovery_cost;
 pub mod t6_record_recovery;
 pub mod t7_baseline_comparison;
@@ -28,7 +26,6 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("t2_search_cost", t2_search_cost::run),
         ("t3_insert_cost", t3_insert_cost::run),
         ("f1_image_convergence", f1_image_convergence::run),
-        ("t4_coding_throughput", t4_coding_throughput::run),
         ("t5_recovery_cost", t5_recovery_cost::run),
         ("f2_availability_curves", f2_availability_curves::run),
         ("t6_record_recovery", t6_record_recovery::run),
@@ -38,7 +35,6 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("t8_update_cost", t8_update_cost::run),
         ("t9_grouping_ablation", t9_grouping_ablation::run),
         ("t10_fault_overhead", t10_fault_overhead::run),
-        ("t11_net_throughput", t11_net_throughput::run),
         ("t12_restart_cost", t12_restart_cost::run),
     ]
 }

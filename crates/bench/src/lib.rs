@@ -3,14 +3,15 @@
 //! `EXPERIMENTS.md` for recorded results).
 //!
 //! Each experiment lives in [`experiments`] as a function returning
-//! [`Table`]s; the `src/bin/*` binaries are thin wrappers, and
-//! `all_experiments` runs the whole suite and writes `bench_out/*.txt`.
+//! [`Table`]s; the one binary, `all_experiments`, runs the whole suite and
+//! writes `bench_out/*.txt`. Every table counts messages, records or bytes
+//! in the deterministic simulator, so a rerun reproduces the committed files
+//! byte for byte; wall-clock throughput is measured by `benchmark/` instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod microbench;
 mod table;
 mod workload;
 

@@ -202,8 +202,13 @@ impl Config {
         ConfigBuilder::new()
     }
 
-    /// Validate parameter sanity; called by [`crate::LhrsFile::new`].
-    pub(crate) fn validate(&self) -> Result<(), crate::Error> {
+    /// Validate parameter sanity. One rule set for every way a file is
+    /// configured: [`crate::LhrsFile::new`], [`ConfigBuilder::build`] and a
+    /// networked deployment's `cluster.conf` all call it.
+    ///
+    /// # Errors
+    /// [`crate::Error::InvalidConfig`] naming the first violated constraint.
+    pub fn validate(&self) -> Result<(), crate::Error> {
         if self.group_size == 0
             || self.initial_k == 0
             || self.bucket_capacity == 0
@@ -213,11 +218,19 @@ impl Config {
                 "group_size, initial_k, bucket_capacity, record_len must all be ≥ 1".into(),
             ));
         }
-        let max_k = self.initial_k + self.scale_thresholds.len();
-        if self.group_size + max_k > self.field.max_shards() {
+        if self.record_len > MAX_RECORD_LEN {
             return Err(crate::Error::InvalidConfig(format!(
-                "m + k_max = {} exceeds the {:?} limit of {}",
-                self.group_size + max_k,
+                "record_len must be ≤ {MAX_RECORD_LEN} (got {})",
+                self.record_len
+            )));
+        }
+        let shards = self
+            .group_size
+            .saturating_add(self.initial_k)
+            .saturating_add(self.scale_thresholds.len());
+        if shards > self.field.max_shards() {
+            return Err(crate::Error::InvalidConfig(format!(
+                "m + k_max = {shards} exceeds the {:?} limit of {}",
                 self.field,
                 self.field.max_shards()
             )));
@@ -274,9 +287,9 @@ impl Config {
     }
 }
 
-/// Upper bound on [`Config::record_len`] accepted by the builder: a whole
-/// bucket's shard transfer of maximal records must still fit a network
-/// frame with room to spare.
+/// Upper bound on [`Config::record_len`] accepted by [`Config::validate`]:
+/// a whole bucket's shard transfer of maximal records must still fit a
+/// network frame with room to spare.
 pub const MAX_RECORD_LEN: usize = 1 << 20;
 
 /// Why [`ConfigBuilder::build`] rejected a configuration.

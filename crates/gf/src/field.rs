@@ -7,9 +7,9 @@ use std::hash::Hash;
 /// A binary extension field GF(2^f) with table-driven arithmetic and
 /// byte-buffer kernels.
 ///
-/// Implementations are zero-sized marker types ([`crate::Gf4`],
-/// [`crate::Gf8`], [`crate::Gf16`]); all methods are associated functions so
-/// call sites read like `Gf8::mul(a, b)`.
+/// Implementations are zero-sized marker types ([`crate::Gf8`],
+/// [`crate::Gf16`]); all methods are associated functions so call sites read
+/// like `Gf8::mul(a, b)`.
 ///
 /// # Buffer representation
 ///
@@ -18,8 +18,7 @@ use std::hash::Hash;
 ///
 /// * GF(2^8): one symbol per byte;
 /// * GF(2^16): one symbol per little-endian byte pair — buffer lengths must
-///   be even;
-/// * GF(2^4): two symbols per byte (low nibble first).
+///   be even.
 ///
 /// Because scalar multiplication acts symbol-wise and addition is XOR, every
 /// kernel is linear over the packed representation, which is what the
@@ -34,8 +33,7 @@ pub trait GaloisField: Copy + Clone + Debug + Default + Send + Sync + 'static {
     /// Number of field elements, 2^f.
     const ORDER: u32;
 
-    /// Bytes per symbol in packed buffers (GF(2^4) packs two symbols in one
-    /// byte and reports 1).
+    /// Bytes per symbol in packed buffers.
     const SYMBOL_BYTES: usize;
 
     /// Short human-readable name, e.g. `"GF(2^8)"`.

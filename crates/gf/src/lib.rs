@@ -4,15 +4,14 @@
 //! symbols using a systematic generalized Reed–Solomon code over a binary
 //! extension field GF(2^f). The SIGMOD 2000 paper works with small fields
 //! (GF(2^4), GF(2^8)); the later TODS refinement moves to GF(2^16) to enlarge
-//! the code's support. This crate provides all three:
+//! the code's support. This crate provides the two fields `lhrs-core`'s
+//! `GfField` selects:
 //!
 //! * [`Gf8`] — GF(2^8), the workhorse: one symbol per byte, table-driven.
 //! * [`Gf16`] — GF(2^16): one symbol per *pair* of bytes (little-endian),
 //!   lazily built 512 KiB log/antilog tables.
-//! * [`Gf4`] — GF(2^4): two symbols nibble-packed per byte, used for the
-//!   table-size ablation the paper discusses.
 //!
-//! All fields share the [`GaloisField`] trait so the Reed–Solomon layer
+//! Both fields share the [`GaloisField`] trait so the Reed–Solomon layer
 //! (`lhrs-rs`) is generic over the field. Addition in every GF(2^f) is XOR,
 //! so [`add_slice`] is field-independent; multiplication kernels
 //! ([`GaloisField::mul_slice`], [`GaloisField::mul_add_slice`]) are the hot
@@ -57,18 +56,15 @@
 
 mod field;
 mod gf16;
-mod gf4;
 mod gf8;
 
 pub use field::{add_slice, GaloisField};
 pub use gf16::Gf16;
-pub use gf4::Gf4;
 pub use gf8::Gf8;
 
 #[cfg(test)]
 mod axiom_tests {
-    //! Exhaustive (small field) and sampled field-axiom checks shared by all
-    //! three fields. The per-field modules hold representation-specific
+    //! Sampled field-axiom checks shared by both fields. The per-field modules hold representation-specific
     //! tests; everything generic lives here.
 
     use super::*;
@@ -101,12 +97,6 @@ mod axiom_tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gf4_axioms_exhaustive() {
-        let elems: Vec<u8> = (0..16).collect();
-        check_axioms_sampled::<Gf4>(&elems);
     }
 
     #[test]
@@ -160,10 +150,6 @@ mod axiom_tests {
 
     #[test]
     fn exp_log_roundtrip_all_fields() {
-        for i in 0..15 {
-            let e = Gf4::exp(i);
-            assert_eq!(Gf4::log(e), Some(i));
-        }
         for i in 0..255 {
             let e = Gf8::exp(i);
             assert_eq!(Gf8::log(e), Some(i));
@@ -174,7 +160,6 @@ mod axiom_tests {
         }
         assert_eq!(Gf8::log(0), None);
         assert_eq!(Gf16::log(0), None);
-        assert_eq!(Gf4::log(0), None);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests of the field axioms and slice-kernel linearity for
-//! all three fields. These are the invariants the Reed–Solomon layer and the
+//! both fields. These are the invariants the Reed–Solomon layer and the
 //! LH*RS parity Δ-protocol depend on. Each property runs as seeded cases
 //! via `lhrs-testkit` (hermetic stand-in for proptest).
 
-use lhrs_gf::{add_slice, GaloisField, Gf16, Gf4, Gf8};
+use lhrs_gf::{add_slice, GaloisField, Gf16, Gf8};
 use lhrs_testkit::cases;
 
 fn axioms<F: GaloisField>(a: F::Elem, b: F::Elem, c: F::Elem) {
@@ -34,17 +34,6 @@ fn gf8_axioms() {
 fn gf16_axioms() {
     cases("gf16_axioms", 256, |rng| {
         axioms::<Gf16>(rng.next_u16(), rng.next_u16(), rng.next_u16());
-    });
-}
-
-#[test]
-fn gf4_axioms() {
-    cases("gf4_axioms", 256, |rng| {
-        axioms::<Gf4>(
-            rng.below(16) as u8,
-            rng.below(16) as u8,
-            rng.below(16) as u8,
-        );
     });
 }
 
@@ -119,24 +108,6 @@ fn gf16_mul_slice_then_inverse_roundtrips() {
         let mut dec = vec![0u8; data.len()];
         Gf16::mul_slice(Gf16::inv(c).unwrap(), &enc, &mut dec);
         assert_eq!(dec, data);
-    });
-}
-
-/// GF(2^4) packed-pair kernel agrees with nibble-wise scalar math.
-#[test]
-fn gf4_mul_slice_matches_scalar() {
-    cases("gf4_mul_slice_matches_scalar", 128, |rng| {
-        let c = rng.below(16) as u8;
-        let data = {
-            let n = rng.range_usize(0, 129);
-            rng.bytes(n)
-        };
-        let mut dst = vec![0u8; data.len()];
-        Gf4::mul_slice(c, &data, &mut dst);
-        for (s, d) in data.iter().zip(&dst) {
-            assert_eq!(d & 0x0F, Gf4::mul(c, s & 0x0F));
-            assert_eq!(d >> 4, Gf4::mul(c, s >> 4));
-        }
     });
 }
 

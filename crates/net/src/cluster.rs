@@ -150,8 +150,10 @@ impl ClusterSpec {
         out
     }
 
-    /// Check the spec's structural invariants.
+    /// Check the file config against [`Config::validate`] and the spec's
+    /// structural invariants.
     pub fn validate(&self) -> Result<(), String> {
+        self.cfg.validate().map_err(|e| e.to_string())?;
         for (i, n) in self.nodes.iter().enumerate() {
             if n.id as usize != i {
                 return Err(format!(
@@ -278,12 +280,7 @@ fn apply_config(cfg: &mut Config, key: &str, val: &str) -> Result<(), String> {
         "coord_retransmit_us" => cfg.coord_retransmit_us = p(key, val)?,
         "coord_retries" => cfg.coord_retries = p(key, val)?,
         "replay_cache_cap" => cfg.replay_cache_cap = p(key, val)?,
-        "client_window" => {
-            cfg.client_window = p(key, val)?;
-            if cfg.client_window == 0 {
-                return Err("client_window must be ≥ 1".into());
-            }
-        }
+        "client_window" => cfg.client_window = p(key, val)?,
         "wal_snapshot_every" => cfg.wal_snapshot_every = p(key, val)?,
         "delta_history_cap" => cfg.delta_history_cap = p(key, val)?,
         "wal_fsync" => cfg.wal_fsync = p(key, val)?,
@@ -361,6 +358,22 @@ node 5 127.0.0.1:7005
         assert!(ClusterSpec::parse("config group_size banana").is_err());
         // Coordinator not at id 0.
         assert!(ClusterSpec::parse("node 0 x:1 client\nnode 1 x:2 coordinator").is_err());
+        // Values `Config::validate` refuses: an error here, not a panic at boot.
+        for line in [
+            "config group_size 300",
+            "config group_size 0",
+            "config initial_k 0",
+            "config initial_k 18446744073709551615",
+            "config record_len 0",
+            "config record_len 4000000",
+            "config replay_cache_cap 0",
+            "config delta_history_cap 0",
+        ] {
+            assert!(
+                ClusterSpec::parse(&format!("{SPEC}{line}\n")).is_err(),
+                "{line}"
+            );
+        }
     }
 
     #[test]

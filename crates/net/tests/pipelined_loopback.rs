@@ -50,6 +50,7 @@ fn tiny_spec() -> ClusterSpec {
         ack_writes: true,
         ack_parity: false,
         client_timeout_us: 500_000,
+        retry_backoff_cap_us: 500_000,
         wal_snapshot_every: 0,
         ..Config::default()
     };

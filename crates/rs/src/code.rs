@@ -400,7 +400,7 @@ impl<F: GaloisField> RsCode<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhrs_gf::{Gf16, Gf4, Gf8};
+    use lhrs_gf::{Gf16, Gf8};
 
     fn sample_data(m: usize, len: usize) -> Vec<Vec<u8>> {
         (0..m)
@@ -630,14 +630,13 @@ mod tests {
     }
 
     #[test]
-    fn gf4_supports_small_groups_only() {
-        assert!(RsCode::<Gf4>::new(12, 4).is_ok()); // 16 = 2^4
+    fn gf8_supports_groups_up_to_the_field_order() {
         assert!(matches!(
-            RsCode::<Gf4>::new(14, 3),
+            RsCode::<Gf8>::new(254, 3),
             Err(RsError::InvalidParameters { .. })
         ));
-        let code: RsCode<Gf4> = RsCode::new(4, 2).unwrap();
-        let data = sample_data(4, 16);
+        let code: RsCode<Gf8> = RsCode::new(252, 4).unwrap(); // 256 = 2^8
+        let data = sample_data(252, 16);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let parity = code.encode(&refs).unwrap();
         let mut shards: Vec<Option<Vec<u8>>> = data
@@ -647,10 +646,10 @@ mod tests {
             .map(Some)
             .collect();
         shards[1] = None;
-        shards[4] = None;
+        shards[252] = None;
         code.reconstruct(&mut shards).unwrap();
         assert_eq!(shards[1].as_deref(), Some(&data[1][..]));
-        assert_eq!(shards[4].as_deref(), Some(&parity[0][..]));
+        assert_eq!(shards[252].as_deref(), Some(&parity[0][..]));
     }
 
     #[test]

@@ -309,12 +309,7 @@ mod tests {
             Matrix::<Gf8>::cauchy(200, 100),
             Err(RsError::InvalidParameters { .. })
         ));
-        use lhrs_gf::Gf4;
-        assert!(matches!(
-            Matrix::<Gf4>::cauchy(10, 10),
-            Err(RsError::InvalidParameters { .. })
-        ));
-        assert!(Matrix::<Gf4>::cauchy(10, 6).is_ok());
+        assert!(Matrix::<Gf8>::cauchy(200, 56).is_ok()); // 256 = 2^8
     }
 
     #[test]
