@@ -11,7 +11,7 @@ use lhrs_sim::{Env, NodeId, TimerId};
 use crate::msg::{DeltaEntry, Iam, KeyOp, Msg, OpId, OpResult, ReplayEntry, ReqKind, ShardContent};
 use crate::record::{cell_delta, decode_cell, encode_cell, Record};
 use crate::registry::SharedHandle;
-use crate::storage::{self, BucketStore, WalOp};
+use crate::storage::{self, BucketStore, GroupCommits, StoreError, WalOp};
 use crate::{Key, Rank};
 
 /// A primary (data) bucket of the LH\*RS file.
@@ -220,21 +220,20 @@ impl DataBucket {
     }
 
     /// Flush the store's buffered appends (the once-per-batch hook behind
-    /// [`crate::FsyncPolicy::Batch`]). Returns how many buffered appends
-    /// this sync made durable (the group-commit batch size; 0 when nothing
-    /// was buffered, the store is absent, or the sync failed).
-    pub fn sync_store(&mut self) -> u64 {
-        if let Some(store) = self.store.as_mut() {
-            let pending = store.unsynced_ops();
-            if store.sync().is_err() {
-                // Buffered appends may be gone: the log has a silent hole
-                // and must never be replayed.
-                self.reset_store();
-                return 0;
-            }
-            return pending;
+    /// [`crate::FsyncPolicy::Batch`]) and report the flushes completed
+    /// since the last pass. A failed sync poisons the store and returns
+    /// the error, for the caller to count.
+    pub fn sync_store(&mut self) -> Result<GroupCommits, StoreError> {
+        let Some(store) = self.store.as_mut() else {
+            return Ok(GroupCommits::default());
+        };
+        if let Err(e) = store.sync() {
+            // Buffered appends may be gone: the log has a silent hole
+            // and must never be replayed.
+            self.reset_store();
+            return Err(e);
         }
-        0
+        Ok(store.take_group_commits())
     }
 
     /// Erase and drop the store — on retirement (the logical bucket lives

@@ -9,7 +9,7 @@ use crate::data_bucket::DataBucket;
 use crate::msg::{Msg, ShardContent};
 use crate::parity_bucket::ParityBucket;
 use crate::registry::SharedHandle;
-use crate::storage::StoreId;
+use crate::storage::{GroupCommits, StoreError, StoreId};
 
 /// A node of the LH\*RS multicomputer.
 #[expect(
@@ -211,12 +211,13 @@ impl Node {
     }
 
     /// Flush the attached store's buffered appends, if any — the
-    /// once-per-batch hook behind [`crate::FsyncPolicy::Batch`]. Returns
-    /// how many buffered appends the sync made durable.
-    pub fn sync_store(&mut self) -> u64 {
+    /// once-per-batch hook behind [`crate::FsyncPolicy::Batch`] — and
+    /// report the flushes completed since the last pass. An `Err` means
+    /// the sync failed and the store was poisoned.
+    pub fn sync_store(&mut self) -> Result<GroupCommits, StoreError> {
         match self {
             Node::Data(d) => d.sync_store(),
-            _ => 0,
+            _ => Ok(GroupCommits::default()),
         }
     }
 }

@@ -102,15 +102,27 @@ pub trait BucketStore {
     fn appended_since_snapshot(&self) -> u64;
     /// Current log size in bytes (post-snapshot suffix only).
     fn wal_bytes(&self) -> u64;
-    /// Flush buffered appends to the medium (fsync-policy hook; a no-op
-    /// for memory-backed stores).
+    /// Start making buffered appends durable (fsync-policy hook; a no-op
+    /// for memory-backed stores). A store may finish the flush in the
+    /// background; a flush that fails there fails the next `append`,
+    /// `snapshot` or `sync`.
     fn sync(&mut self) -> Result<(), StoreError>;
-    /// Appends buffered since the last durability point — what the next
-    /// [`BucketStore::sync`] would make durable at once. Feeds the host's
-    /// group-commit accounting; memory-backed stores report 0.
-    fn unsynced_ops(&self) -> u64 {
-        0
+    /// The flushes completed since the last call, and the appends they
+    /// made durable. Feeds the host's group-commit accounting;
+    /// memory-backed stores report none.
+    fn take_group_commits(&mut self) -> GroupCommits {
+        GroupCommits::default()
     }
+}
+
+/// What [`BucketStore::take_group_commits`] reports: `ops / fsyncs` is the
+/// mean number of appends one flush covered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupCommits {
+    /// Flushes (fsyncs) completed.
+    pub fsyncs: u64,
+    /// Appends those flushes made durable.
+    pub ops: u64,
 }
 
 /// The durable identity a store is keyed by: logical shard, not node —

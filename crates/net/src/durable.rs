@@ -167,3 +167,27 @@ pub fn recover_node(
     }
     None
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lhrs_core::storage::StoreId;
+
+    #[test]
+    fn factory_roots_each_shard_in_its_own_dir() {
+        let root =
+            std::env::temp_dir().join(format!("lhrs-net-factory-{}", std::process::id()));
+        let f = wal_factory(root.clone(), FsyncPolicy::Never);
+        let a_id = StoreId::Data { bucket: 4 };
+        let b_id = StoreId::Data { bucket: 5 };
+        let mut a = f(NodeId(7), &a_id).unwrap();
+        let mut b = f(NodeId(8), &b_id).unwrap();
+        a.snapshot(b"A").unwrap();
+        b.snapshot(b"B").unwrap();
+        assert!(FileWal::has_state(&lhrs_wal::store_dir(&node_root(&root, 7), &a_id)));
+        assert!(FileWal::has_state(&lhrs_wal::store_dir(&node_root(&root, 8), &b_id)));
+        assert_eq!(a.replay().unwrap().snapshot.as_deref(), Some(&b"A"[..]));
+        assert_eq!(b.replay().unwrap().snapshot.as_deref(), Some(&b"B"[..]));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}

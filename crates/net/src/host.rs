@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use lhrs_core::msg::{DeltaEntry, Msg};
 use lhrs_core::node::Node;
 use lhrs_core::registry::SharedHandle;
+use lhrs_core::storage::GroupCommits;
 use lhrs_obs::{Event as ObsEvent, Metrics};
 use lhrs_sim::{Actor, Effect, Env, NodeId, Payload, TimerId};
 
@@ -572,26 +573,32 @@ impl<T: Transport> NodeHost<T> {
         did |= self.drain_local();
         self.flush_outbound();
         self.heartbeat();
-        if did {
-            self.sync_stores();
-        }
+        self.sync_stores();
         did
     }
 
-    /// Flush every hosted node's durable store: the
-    /// [`lhrs_core::FsyncPolicy::Batch`] semantic is one fsync per poll
-    /// batch, however many appends the batch carried. A no-op for nodes
-    /// without a store or with nothing buffered. Each non-empty pass is
-    /// one group commit; `wal_group_commit_ops` over `wal_group_commits`
-    /// is the mean appends amortised per fsync pass.
+    /// Hand every hosted node's dirty durable store to the WAL's disk
+    /// thread, after the batch's replies have left: under
+    /// [`lhrs_core::FsyncPolicy::Batch`] one fsync covers whatever its
+    /// store appended before it started, across as many poll batches as
+    /// the disk takes. A no-op for nodes without a store or with nothing
+    /// buffered. Runs on every poll, idle ones included, so the fsyncs the
+    /// disk thread finished land in `wal_group_commits` (with the appends
+    /// they covered in `wal_group_commit_ops`) without waiting for work.
     fn sync_stores(&mut self) {
-        let mut ops = 0;
+        let mut done = GroupCommits::default();
         for node in self.nodes.values_mut() {
-            ops += node.sync_store();
+            match node.sync_store() {
+                Ok(c) => {
+                    done.fsyncs += c.fsyncs;
+                    done.ops += c.ops;
+                }
+                Err(_) => self.metrics.incr("wal_errors"),
+            }
         }
-        if ops > 0 {
-            self.metrics.incr("wal_group_commits");
-            self.metrics.add("wal_group_commit_ops", ops);
+        if done.fsyncs > 0 {
+            self.metrics.add("wal_group_commits", done.fsyncs);
+            self.metrics.add("wal_group_commit_ops", done.ops);
         }
     }
 
