@@ -263,20 +263,19 @@ impl DataBucket {
     }
 
     /// Write a snapshot and truncate the log (no-op without a store).
-    /// Returns whether a snapshot was written.
+    /// Returns whether the store took the snapshot.
     pub(crate) fn snapshot_now(&mut self) -> bool {
-        if self.store.is_none() {
+        let Some(store) = self.store.as_mut() else {
             return false;
-        }
-        let state = storage::Snapshot::Data {
-            bucket: self.bucket,
-            content: self.content(),
-        }
-        .encode();
-        let ok = match self.store.as_mut() {
-            Some(store) => store.snapshot(&state).is_ok(),
-            None => false,
         };
+        let state = storage::Snapshot::encode_data(
+            self.bucket,
+            self.level,
+            self.next_rank,
+            self.delta_seq,
+            &self.records,
+        );
+        let ok = store.snapshot(state).is_ok();
         if !ok {
             // The log's base no longer matches RAM (e.g. the post-split
             // bulk removal was never snapshotted); replaying it would

@@ -24,6 +24,7 @@ use lhrs_sim::NodeId;
 use crate::data_bucket::DataBucket;
 use crate::msg::{DeltaEntry, ShardContent};
 use crate::node::Node;
+use crate::record::Record;
 use crate::registry::SharedHandle;
 use crate::wire::{self, wire_enum, Reader, Wire};
 use crate::{Key, Rank};
@@ -93,7 +94,11 @@ pub trait BucketStore {
     /// Append one encoded op to the log.
     fn append(&mut self, op: &[u8]) -> Result<(), StoreError>;
     /// Atomically replace the snapshot with `state` and truncate the log.
-    fn snapshot(&mut self, state: &[u8]) -> Result<(), StoreError>;
+    /// The bytes move in, so a store may finish writing them in the
+    /// background; until it has, what it holds must still replay to the
+    /// same state, and a write that fails there fails the next `append`,
+    /// `snapshot` or `sync`.
+    fn snapshot(&mut self, state: Vec<u8>) -> Result<(), StoreError>;
     /// Read back the snapshot and the logged ops.
     fn replay(&mut self) -> Result<Replay, StoreError>;
     /// Erase everything (bucket retired or reassigned).
@@ -215,10 +220,41 @@ wire_enum!(Snapshot {
 });
 
 impl Snapshot {
-    /// The bytes handed to [`BucketStore::snapshot`].
-    pub(crate) fn encode(&self) -> Vec<u8> {
+    /// The snapshot bytes of this state: how a data bucket's are defined.
+    #[cfg(test)]
+    fn encode(&self) -> Vec<u8> {
         let mut out = vec![SNAP_VERSION];
         self.put(&mut out);
+        out
+    }
+
+    /// The bytes handed to [`BucketStore::snapshot`]: those of
+    /// `Snapshot::Data` for this bucket state, encoded straight from its
+    /// records instead of from a [`ShardContent::Data`] that would first
+    /// copy every payload.
+    pub(crate) fn encode_data(
+        bucket: u64,
+        level: u8,
+        next_rank: Rank,
+        delta_seq: u64,
+        records: &BTreeMap<Rank, Record>,
+    ) -> Vec<u8> {
+        let payload_bytes: usize = records.values().map(|r| r.payload.len()).sum();
+        // A record adds its rank, key and length varints to its payload.
+        let mut out = Vec::with_capacity(payload_bytes + 12 * records.len() + 32);
+        out.push(SNAP_VERSION);
+        out.push(0); // Snapshot::Data
+        bucket.put(&mut out);
+        out.push(0); // ShardContent::Data
+        level.put(&mut out);
+        next_rank.put(&mut out);
+        delta_seq.put(&mut out);
+        wire::put_varint(&mut out, records.len() as u64);
+        for (rank, record) in records {
+            rank.put(&mut out);
+            record.key.put(&mut out);
+            wire::put_bytes(&mut out, &record.payload);
+        }
         out
     }
 
@@ -399,12 +435,12 @@ impl BucketStore for MemStore {
         Ok(())
     }
 
-    fn snapshot(&mut self, state: &[u8]) -> Result<(), StoreError> {
+    fn snapshot(&mut self, state: Vec<u8>) -> Result<(), StoreError> {
         let mut inner = self.disk.inner.borrow_mut();
         if inner.failing {
             return Err(StoreError::Io("injected snapshot failure".into()));
         }
-        inner.snapshot = Some(state.to_vec());
+        inner.snapshot = Some(state);
         inner.ops.clear();
         inner.bytes = 0;
         Ok(())
@@ -552,12 +588,40 @@ mod tests {
     }
 
     #[test]
+    fn data_snapshot_bytes_are_those_of_its_shard_content() {
+        let mut records = BTreeMap::new();
+        for (rank, key, len) in [(0u64, 7u64, 0usize), (1, 300, 5), (4, u64::MAX, 200)] {
+            let payload = (0..len).map(|i| i as u8).collect();
+            records.insert(rank, Record { key, payload });
+        }
+        for records in [BTreeMap::new(), records] {
+            let content = ShardContent::Data {
+                level: 3,
+                next_rank: 5,
+                delta_seq: 129,
+                records: records
+                    .iter()
+                    .map(|(r, rec)| (*r, rec.key, rec.payload.clone()))
+                    .collect(),
+            };
+            assert_eq!(
+                Snapshot::encode_data(260, 3, 5, 129, &records),
+                Snapshot::Data {
+                    bucket: 260,
+                    content
+                }
+                .encode()
+            );
+        }
+    }
+
+    #[test]
     fn mem_disk_survives_and_truncates() {
         let hub = MemHub::new();
         let id = StoreId::Data { bucket: 0 };
         let factory = hub.factory();
         let mut store = factory(NodeId(1), &id).unwrap();
-        store.snapshot(b"snap").unwrap();
+        store.snapshot(b"snap".to_vec()).unwrap();
         store.append(b"a").unwrap();
         store.append(b"bb").unwrap();
         assert_eq!(store.appended_since_snapshot(), 2);

@@ -6,7 +6,7 @@
 //! lhrs-netcli --config cluster.conf --node 1 delete 42
 //! lhrs-netcli --config cluster.conf --node 1 load 100      # keys 1..=100
 //! lhrs-netcli --config cluster.conf --node 1 load 100 200  # keys 200..=299
-//! lhrs-netcli --config cluster.conf --node 1 verify 100    # re-read them
+//! lhrs-netcli --config cluster.conf --node 1 verify 100    # re-read them, list every miss
 //! lhrs-netcli --config cluster.conf --node 1 status
 //! lhrs-netcli --config cluster.conf --node 1 stats 0       # STATS from node 0
 //! ```
@@ -26,6 +26,7 @@ use lhrs_core::api::OpOutcome;
 use lhrs_core::msg::ClientOp;
 use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, Role};
+use lhrs_net::demo::{self, payload_for};
 use lhrs_net::frame::{read_frame, write_frame, FrameType};
 use lhrs_net::host::NodeHost;
 use lhrs_net::transport::TcpTransport;
@@ -52,12 +53,6 @@ fn usage() -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("lhrs-netcli: {msg}");
     exit(1);
-}
-
-/// The demo's deterministic payload for `key` (load writes it, verify
-/// checks it).
-fn payload_for(key: u64) -> Vec<u8> {
-    format!("v{key:08}").into_bytes()
 }
 
 fn main() {
@@ -241,18 +236,11 @@ fn main() {
         "verify" => {
             let n = arg_n(1);
             let start = if rest.len() > 2 { arg_n(2) } else { 1 };
-            let keys: Vec<u64> = (start..start + n).collect();
-            let ops: Vec<ClientOp> = keys.iter().map(|&key| ClientOp::Lookup { key }).collect();
-            let window = client.window();
-            for (&key, (outcome, _)) in keys.iter().zip(client.run_window(ops, window)) {
-                match outcome {
-                    OpOutcome::Value(Some(v)) if v == payload_for(key) => {}
-                    OpOutcome::Value(Some(_)) => fail(&format!("key {key} has a corrupt payload")),
-                    OpOutcome::Value(None) => fail(&format!("key {key} lost")),
-                    other => fail(&format!("lookup {key} failed: {other:?}")),
-                }
+            let report = demo::verify(&mut client, start..start + n);
+            if !report.misses.is_empty() {
+                fail(&report.render());
             }
-            println!("verified {n} records (window {window})");
+            println!("verified {n} records (window {})", client.window());
         }
         "status" => {
             let version = client

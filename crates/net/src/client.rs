@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use lhrs_core::api::{KvClient, OpOutcome};
 use lhrs_core::msg::{ClientOp, FilterSpec, Msg, OpId, OpResult};
+use lhrs_core::node::Node;
 
 use crate::host::NodeHost;
 use crate::transport::Transport;
@@ -305,6 +306,16 @@ impl<T: Transport> NetClient<T> {
     pub fn scan(&mut self, filter: FilterSpec, timeout: Duration) -> Option<Vec<(u64, Vec<u8>)>> {
         match self.exec(ClientOp::Scan { filter }, timeout)? {
             OpResult::ScanHits(hits) => Some(hits),
+            _ => None,
+        }
+    }
+
+    /// The bucket `key` addresses under this client's image of the file
+    /// (LH\* A1): where its requests go first, not necessarily where the
+    /// record lives.
+    pub fn image_bucket(&self, key: u64) -> Option<u64> {
+        match self.host.node(self.client) {
+            Some(Node::Client(c)) => Some(c.image.address(key)),
             _ => None,
         }
     }

@@ -5,15 +5,126 @@
 //!
 //! Used by the `multi_process` integration test (driving the compiled
 //! `lhrs-netd` / `lhrs-netcli` binaries) and by `examples/net_cluster.rs`.
+//! [`verify`] is `lhrs-netcli verify`'s check.
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use crate::client::NetClient;
 use crate::cluster::{ClusterSpec, NodeSpec, Role};
+use crate::transport::Transport;
+use lhrs_core::api::OpOutcome;
+use lhrs_core::msg::ClientOp;
 use lhrs_core::Config;
+
+/// The payload `lhrs-netcli load` writes for `key`, and [`verify`] expects
+/// back.
+pub fn payload_for(key: u64) -> Vec<u8> {
+    format!("v{key:08}").into_bytes()
+}
+
+/// How a key failed [`verify`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MissKind {
+    /// An authoritative "no such key": an acked record is gone.
+    Lost,
+    /// The key answered with a payload other than [`payload_for`]'s.
+    Corrupt,
+    /// No answer: the lookup timed out or failed.
+    Failed(String),
+}
+
+/// One key that did not read back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Miss {
+    /// The key.
+    pub key: u64,
+    /// The bucket it addresses under the client's image after the reads.
+    pub bucket: Option<u64>,
+    /// What came back instead of its payload.
+    pub kind: MissKind,
+}
+
+/// What [`verify`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifyReport {
+    /// Keys read.
+    pub checked: u64,
+    /// Every key that did not read back, in key order.
+    pub misses: Vec<Miss>,
+}
+
+impl VerifyReport {
+    /// How many misses [`VerifyReport::render`] lists one by one.
+    pub const LISTED: usize = 20;
+
+    /// The operator's summary of the misses: how many, then the first
+    /// [`VerifyReport::LISTED`] with each key's bucket.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "{} of {} keys did not read back",
+            self.misses.len(),
+            self.checked
+        );
+        if self.misses.len() > Self::LISTED {
+            let _ = write!(out, "; the first {}", Self::LISTED);
+        }
+        out.push(':');
+        for miss in self.misses.iter().take(Self::LISTED) {
+            let what = match &miss.kind {
+                MissKind::Lost => "lost".to_string(),
+                MissKind::Corrupt => "has a corrupt payload".to_string(),
+                MissKind::Failed(why) => format!("failed: {why}"),
+            };
+            let bucket = miss
+                .bucket
+                .map_or_else(|| "?".to_string(), |b| b.to_string());
+            let _ = write!(
+                out,
+                "\n  key {} {what} (bucket {bucket} under the client image)",
+                miss.key
+            );
+        }
+        out
+    }
+}
+
+/// Read back `keys` through the client's pipelined window and collect
+/// every key whose payload is not [`payload_for`]'s, instead of stopping
+/// at the first: the shape of a loss (one record, one bucket, one split
+/// image) is the first clue to its cause.
+pub fn verify<T: Transport>(client: &mut NetClient<T>, keys: Range<u64>) -> VerifyReport {
+    let keys: Vec<u64> = keys.collect();
+    let ops = keys.iter().map(|&key| ClientOp::Lookup { key }).collect();
+    let window = client.window();
+    let outcomes = client.run_window(ops, window);
+    let misses = keys
+        .iter()
+        .zip(outcomes)
+        .filter_map(|(&key, (outcome, _))| {
+            let kind = match outcome {
+                OpOutcome::Value(Some(v)) if v == payload_for(key) => return None,
+                OpOutcome::Value(Some(_)) => MissKind::Corrupt,
+                OpOutcome::Value(None) => MissKind::Lost,
+                other => MissKind::Failed(format!("{other:?}")),
+            };
+            Some(Miss {
+                key,
+                bucket: client.image_bucket(key),
+                kind,
+            })
+        })
+        .collect();
+    VerifyReport {
+        checked: keys.len() as u64,
+        misses,
+    }
+}
 
 /// How to launch the two binaries: argv prefixes (program + leading args),
 /// so the demo works both from `CARGO_BIN_EXE_*` paths and from

@@ -182,8 +182,9 @@ mod tests {
         let b_id = StoreId::Data { bucket: 5 };
         let mut a = f(NodeId(7), &a_id).unwrap();
         let mut b = f(NodeId(8), &b_id).unwrap();
-        a.snapshot(b"A").unwrap();
-        b.snapshot(b"B").unwrap();
+        a.snapshot(b"A".to_vec()).unwrap();
+        b.snapshot(b"B".to_vec()).unwrap();
+        lhrs_wal::wait_disk_idle();
         assert!(FileWal::has_state(&lhrs_wal::store_dir(&node_root(&root, 7), &a_id)));
         assert!(FileWal::has_state(&lhrs_wal::store_dir(&node_root(&root, 8), &b_id)));
         assert_eq!(a.replay().unwrap().snapshot.as_deref(), Some(&b"A"[..]));

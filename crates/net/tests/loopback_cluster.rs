@@ -20,6 +20,7 @@ use std::time::Duration;
 use lhrs_core::Config;
 use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, NodeSpec, Role};
+use lhrs_net::demo::{self, MissKind};
 use lhrs_net::host::NodeHost;
 use lhrs_net::transport::{HostEvent, LoopbackNet, LoopbackTransport};
 use lhrs_obs::{parse_prometheus, Clock, Metrics, RecoveryReport};
@@ -91,20 +92,17 @@ fn payload_for(key: u64) -> Vec<u8> {
     format!("loop-{key:06}").into_bytes()
 }
 
-#[test]
-fn cluster_grows_and_recovers_over_loopback() {
-    let spec = test_spec();
+/// Every server of `spec` on its own thread, plus a client on the test
+/// thread holding the allocation table.
+fn start_cluster(
+    spec: &ClusterSpec,
+    metrics: &Metrics,
+) -> (LoopbackNet, Vec<ServerHost>, NetClient<LoopbackTransport>) {
     let net = LoopbackNet::new();
-    // One registry shared by every "process": the aggregate cluster view
-    // an operator would assemble by scraping each node's STATS endpoint.
-    let metrics = Metrics::new(Clock::wall());
-
-    let mut servers: Vec<ServerHost> = std::iter::once(0)
+    let servers: Vec<ServerHost> = std::iter::once(0)
         .chain(spec.server_ids())
-        .map(|id| spawn_server(&spec, &net, id, &metrics))
+        .map(|id| spawn_server(spec, &net, id, metrics))
         .collect();
-
-    // The client runs on the test thread.
     let (tx, rx) = mpsc::channel();
     net.register(&[1], tx.clone());
     let shared = spec.build_shared();
@@ -113,11 +111,70 @@ fn cluster_grows_and_recovers_over_loopback() {
     host.set_metrics(metrics.clone());
     host.add_node(1, spec.build_node(&shared, 1));
     let mut client = NetClient::new(host, 1, 1);
-
     assert!(
         client.sync_registry(0, Duration::from_secs(10)),
         "client never received the allocation table"
     );
+    (net, servers, client)
+}
+
+fn stop(servers: Vec<ServerHost>) {
+    for s in &servers {
+        let _ = s.tx.send(HostEvent::Shutdown);
+    }
+    for s in servers {
+        s.thread.join().expect("server joins");
+    }
+}
+
+/// `lhrs-netcli verify`'s check names every key that does not read back,
+/// not just the first, each with its bucket under the client's image.
+#[test]
+fn verify_names_every_missing_key() {
+    let spec = test_spec();
+    let metrics = Metrics::new(Clock::wall());
+    let (_net, servers, mut client) = start_cluster(&spec, &metrics);
+    for key in 1..=40 {
+        assert_eq!(
+            client.insert(key, demo::payload_for(key), OP_TIMEOUT),
+            Some(true),
+            "insert {key} failed"
+        );
+    }
+    for key in [7, 23] {
+        assert_eq!(client.delete(key, OP_TIMEOUT), Some(true), "delete {key}");
+    }
+
+    let report = demo::verify(&mut client, 1..41);
+    assert_eq!(report.checked, 40);
+    let named: Vec<(u64, &MissKind)> = report.misses.iter().map(|m| (m.key, &m.kind)).collect();
+    assert_eq!(
+        named,
+        [(7, &MissKind::Lost), (23, &MissKind::Lost)],
+        "{}",
+        report.render()
+    );
+    for miss in &report.misses {
+        assert_eq!(miss.bucket, client.image_bucket(miss.key));
+        assert!(miss
+            .bucket
+            .is_some_and(|b| b < client.bucket_count() as u64));
+    }
+    let text = report.render();
+    assert!(
+        text.starts_with("2 of 40 keys did not read back:") && text.contains("key 23 lost"),
+        "{text}"
+    );
+    stop(servers);
+}
+
+#[test]
+fn cluster_grows_and_recovers_over_loopback() {
+    let spec = test_spec();
+    // One registry shared by every "process": the aggregate cluster view
+    // an operator would assemble by scraping each node's STATS endpoint.
+    let metrics = Metrics::new(Clock::wall());
+    let (net, mut servers, mut client) = start_cluster(&spec, &metrics);
 
     // Load through several splits; every write is acked.
     for key in 1..=RECORDS {
@@ -243,10 +300,5 @@ fn cluster_grows_and_recovers_over_loopback() {
         .expect("write recovery_report.json");
     std::fs::write(out_dir.join("loopback_stats.prom"), &prom).expect("write loopback_stats.prom");
 
-    for s in &servers {
-        let _ = s.tx.send(HostEvent::Shutdown);
-    }
-    for s in servers {
-        s.thread.join().expect("server joins");
-    }
+    stop(servers);
 }

@@ -148,14 +148,25 @@ fn segment_files(shard_dir: &Path) -> Vec<PathBuf> {
     segs
 }
 
-/// Logged op frames past the last snapshot. Every op this workload writes
-/// is well under 128 B, so each frame is a 1-byte length varint, a 4-byte
-/// CRC, and the payload.
+/// Where a segment's ops start: past the magic and, in an `LHW2` segment,
+/// the header frame naming the segment it follows. Every frame this
+/// workload writes is well under 128 B, so each is a 1-byte length
+/// varint, a 4-byte CRC, and the payload.
+fn first_op_at(buf: &[u8]) -> usize {
+    match buf.get(4) {
+        Some(&header_len) if buf.starts_with(b"LHW2") => 4 + 5 + header_len as usize,
+        _ => 4,
+    }
+}
+
+/// Logged op frames past the last snapshot, once the WAL's disk thread has
+/// landed every snapshot (and unlinked the segments it covers).
 fn count_frames(shard_dir: &Path) -> u64 {
+    lhrs_wal::wait_disk_idle();
     let mut frames = 0u64;
     for seg in segment_files(shard_dir) {
         let buf = std::fs::read(&seg).unwrap_or_default();
-        let mut pos = 4usize;
+        let mut pos = first_op_at(&buf);
         while pos < buf.len() {
             pos += 5 + buf[pos] as usize;
             frames += 1;
@@ -417,10 +428,14 @@ fn three_way_restart_matrix_over_loopback() {
             let segs = segment_files(&shard);
             let target = segs
                 .iter()
-                .find(|seg| std::fs::read(seg).map(|b| b.len() > 5).unwrap_or(false))
+                .find(|seg| {
+                    std::fs::read(seg)
+                        .map(|b| b.len() > first_op_at(&b))
+                        .unwrap_or(false)
+                })
                 .expect("victim logged at least one op past its snapshot");
             let buf = std::fs::read(target).expect("read victim segment");
-            let first_frame_end = 4 + 5 + buf[4] as usize;
+            let first_frame_end = first_op_at(&buf) + 5 + buf[first_op_at(&buf)] as usize;
             let keep = (first_frame_end + 2).min(buf.len());
             std::fs::write(target, &buf[..keep]).expect("tear victim log");
             for seg in segs.iter().filter(|s| s != &target) {

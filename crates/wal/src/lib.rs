@@ -6,7 +6,9 @@
 //! ```text
 //! <dir>/SNAPSHOT        magic "LHS1" + CRC frames: the latest bucket state,
 //!                       then the first segment number it does not cover
-//! <dir>/wal-<seq>.log   magic "LHW1" + CRC frames (ops since the snapshot)
+//! <dir>/wal-<seq>.log   magic "LHW2", a CRC-framed header naming the segment
+//!                       it follows and that one's length at the rotation,
+//!                       then CRC frames (ops since the snapshot)
 //! ```
 //!
 //! Every record is framed as `[LEB128 length][CRC-32 LE][payload]`, the
@@ -14,21 +16,35 @@
 //! slicing-by-8 over compile-time tables: every logged byte passes through
 //! it on the host thread. Appends go to the highest-numbered
 //! segment; segments rotate at a size cap so truncation after a snapshot
-//! is a directory scan + unlink, never an in-place rewrite. Snapshots are
-//! atomic: write `SNAPSHOT.tmp`, fsync, rename, fsync the directory —
-//! a crash leaves either the old snapshot or the new one, never a hybrid.
-//! Segments older than the snapshot's cover (an unlink the crash cut
-//! short) are skipped and unlinked on the next open or replay; a snapshot
-//! of one frame, written before the cover existed, covers none.
+//! is a directory scan + unlink, never an in-place rewrite.
 //!
+//! A rotation fsyncs nothing: the new segment's header records how long
+//! its predecessor was, and replay stops at a predecessor that is shorter
+//! than that or missing (a crash took its unsynced tail), so no op is ever
+//! folded in over a hole. Segments written before the header existed
+//! (magic "LHW1") have none and replay as they always did.
+//!
+//! Snapshots are atomic: write `SNAPSHOT.tmp`, fsync, rename, fsync the
+//! directory — a crash leaves either the old snapshot or the new one,
+//! never a hybrid. The host thread only rotates to a fresh segment (the
+//! snapshot's cover) and hands the state to the disk thread, which does
+//! that I/O and then unlinks the covered segments. Until the rename lands
+//! the old snapshot and every segment since replay to the same state;
+//! segments older than the cover (an unlink the crash cut short) are
+//! skipped and unlinked on the next open or replay. A snapshot of one
+//! frame, written before the cover existed, covers none.
+//!
+//! One disk thread per process (`lhrs-wal-sync`) serves every store.
 //! Under [`FsyncPolicy::Batch`] an append is a `write` on the caller's
-//! thread and [`BucketStore::sync`] only queues the store for one disk
-//! thread per process (`lhrs-wal-sync`), which fsyncs its current segment
-//! in the background. A store has at most one fsync queued: appends made
-//! while the disk is busy ride on the next one, so one fsync covers as
-//! many sync calls as the disk takes. A background fsync that fails fails
-//! the store's next `append`, `snapshot` or `sync`; dropping a store
-//! fsyncs what the disk thread has not covered yet.
+//! thread and [`BucketStore::sync`] only queues the store for the disk
+//! thread, which fsyncs its segments in the background. A store has at
+//! most one job queued, and at most one snapshot pending: appends made
+//! while the disk is busy ride on the next fsync, and a newer snapshot
+//! replaces one the disk thread has not started. A background fsync or
+//! snapshot that fails fails the store's next `append`, `snapshot` or
+//! `sync`. Dropping a store writes its pending snapshot and fsyncs what
+//! the disk thread has not covered yet; resetting one first waits out
+//! its running job and drops its pending snapshot.
 //!
 //! Replay is defensive, per the crash model of the paper's high-availability
 //! claim: a torn final record (power loss mid-append) is treated as clean
@@ -66,8 +82,10 @@ use lhrs_core::FsyncPolicy;
 
 /// Magic prefix of a snapshot file.
 const SNAP_MAGIC: &[u8; 4] = b"LHS1";
-/// Magic prefix of a log segment.
-const SEG_MAGIC: &[u8; 4] = b"LHW1";
+/// Magic prefix of a log segment: a header frame follows.
+const SEG_MAGIC: &[u8; 4] = b"LHW2";
+/// Magic prefix of a segment written before the header existed.
+const SEG_MAGIC_V1: &[u8; 4] = b"LHW1";
 /// Default segment-rotation threshold.
 const DEFAULT_SEGMENT_CAP: u64 = 1 << 20;
 /// A length claim above this is corruption, not a large record.
@@ -124,9 +142,9 @@ fn crc_lookup(table: &[u32; 256], byte: u8) -> u32 {
 }
 
 /// CRC-32 (IEEE 802.3, reflected) by slicing-by-8: every logged and
-/// snapshotted byte passes through here on the host thread, so it folds
-/// eight bytes per step instead of one bit. The bytes it yields are those
-/// of the plain bitwise definition (pinned by the tests below).
+/// snapshotted byte passes through here, so it folds eight bytes per step
+/// instead of one bit. The bytes it yields are those of the plain bitwise
+/// definition (pinned by the tests below).
 fn crc32(bytes: &[u8]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
@@ -189,20 +207,67 @@ fn get_varint(buf: &[u8]) -> VarintEnd {
     VarintEnd::Short
 }
 
-fn get_u32_le(buf: &[u8]) -> Option<u32> {
-    let mut it = buf.iter();
-    let mut v = 0u32;
-    for shift in [0u32, 8, 16, 24] {
-        v |= u32::from(*it.next()?) << shift;
-    }
-    Some(v)
+/// Append the length and CRC that frame `payload`, not the payload itself.
+fn put_frame_head(out: &mut Vec<u8>, payload: &[u8]) {
+    put_varint(out, payload.len() as u64);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Encode one framed record.
 fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    put_varint(out, payload.len() as u64);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    put_frame_head(out, payload);
     out.extend_from_slice(payload);
+}
+
+/// What one step of a frame walk found.
+enum Frame<'a> {
+    /// An intact payload, and the offset just past its frame.
+    Intact(&'a [u8], usize),
+    /// The buffer ends here, on a frame boundary.
+    End,
+    /// The frame here is torn or corrupt: why, and how much it drops.
+    Bad(TailState),
+}
+
+/// The frame of `buf` starting at `pos`. Never panics; never reads past
+/// the buffer.
+fn next_frame(buf: &[u8], pos: usize) -> Frame<'_> {
+    let rest = buf.get(pos..).unwrap_or_default();
+    if rest.is_empty() {
+        return Frame::End;
+    }
+    let bytes_dropped = rest.len() as u64;
+    let torn = || Frame::Bad(TailState::Torn { bytes_dropped });
+    let corrupt = |context: String| {
+        Frame::Bad(TailState::Corrupt {
+            context,
+            bytes_dropped,
+        })
+    };
+    let (len, len_bytes) = match get_varint(rest) {
+        VarintEnd::Value(len, n) => (len, n),
+        VarintEnd::Short => return torn(),
+        VarintEnd::Malformed => return corrupt("malformed frame length".into()),
+    };
+    if len > MAX_FRAME_LEN {
+        return corrupt(format!("frame claims {len} bytes"));
+    }
+    let Ok(len) = usize::try_from(len) else {
+        return corrupt(format!("frame length {len} overflows"));
+    };
+    let Some((crc, body)) = rest
+        .get(len_bytes..)
+        .and_then(|r| r.split_first_chunk::<4>())
+    else {
+        return torn();
+    };
+    let Some(payload) = body.get(..len) else {
+        return torn();
+    };
+    if crc32(payload) != u32::from_le_bytes(*crc) {
+        return corrupt("frame CRC mismatch".into());
+    }
+    Frame::Intact(payload, pos + len_bytes + 4 + len)
 }
 
 /// What scanning the frames of one buffer found.
@@ -216,103 +281,145 @@ struct Scan {
 }
 
 /// Walk `buf` frame by frame from `start`, stopping at the first torn or
-/// corrupt record. Never panics; never reads past the buffer.
+/// corrupt record.
 fn scan_frames(buf: &[u8], start: usize) -> Scan {
     let mut frames = Vec::new();
     let mut pos = start;
-    while let Some(rest) = buf.get(pos..) {
-        if rest.is_empty() {
+    loop {
+        let tail = match next_frame(buf, pos) {
+            Frame::Intact(payload, next) => {
+                frames.push(payload.to_vec());
+                pos = next;
+                continue;
+            }
+            Frame::End => TailState::Clean,
+            Frame::Bad(tail) => tail,
+        };
+        return Scan {
+            frames,
+            clean_len: pos,
+            tail,
+        };
+    }
+}
+
+// ----- segments -----
+
+/// The head of a new segment: the magic, then one frame naming the segment
+/// it follows and that one's length now (two `u64` LE; length 0 names
+/// none).
+fn segment_head(pred: Option<(u64, u64)>) -> Vec<u8> {
+    let (seq, len) = pred.unwrap_or((0, 0));
+    let mut header = Vec::with_capacity(16);
+    header.extend_from_slice(&seq.to_le_bytes());
+    header.extend_from_slice(&len.to_le_bytes());
+    let mut head = SEG_MAGIC.to_vec();
+    put_frame(&mut head, &header);
+    head
+}
+
+/// Where the frames of segment `buf` start, and the predecessor its header
+/// names; `Err` with the tail to report when the head itself is unusable.
+fn parse_head(buf: &[u8]) -> Result<(usize, Option<(u64, u64)>), TailState> {
+    let magic = buf.get(..SEG_MAGIC.len());
+    if magic == Some(SEG_MAGIC_V1.as_slice()) {
+        return Ok((SEG_MAGIC_V1.len(), None));
+    }
+    if magic != Some(SEG_MAGIC.as_slice()) {
+        return Err(TailState::Corrupt {
+            context: "segment has no magic".into(),
+            bytes_dropped: buf.len() as u64,
+        });
+    }
+    match next_frame(buf, SEG_MAGIC.len()) {
+        Frame::Intact(header, body) => {
+            let pred = header.split_first_chunk::<8>().and_then(|(seq, len)| {
+                let len = u64::from_le_bytes(<[u8; 8]>::try_from(len).ok()?);
+                Some((u64::from_le_bytes(*seq), len))
+            });
+            match pred {
+                Some((_, 0)) => Ok((body, None)),
+                Some(pred) => Ok((body, Some(pred))),
+                None => Err(TailState::Corrupt {
+                    context: format!("segment header of {} bytes", header.len()),
+                    bytes_dropped: buf.len() as u64,
+                }),
+            }
+        }
+        // Created but its header never written: a torn head.
+        Frame::End => Err(TailState::Torn {
+            bytes_dropped: buf.len() as u64,
+        }),
+        Frame::Bad(tail) => Err(tail),
+    }
+}
+
+/// What reading a store's live segments in order found.
+struct Log {
+    /// The replayable ops, oldest first.
+    ops: Vec<Vec<u8>>,
+    /// `Clean`, or why the replayable log ends early.
+    tail: TailState,
+    /// How many of the segments hold replayable ops; those after them
+    /// follow a hole and are never replayed.
+    keep: usize,
+    /// How to cut the last kept segment back to its replayable ops.
+    repair: Option<Repair>,
+}
+
+/// How [`FileWal::open`] cuts a damaged segment back.
+enum Repair {
+    /// A torn or corrupt frame: keep this many bytes.
+    Truncate(u64),
+    /// An unusable magic or header: rewrite the head, naming no
+    /// predecessor.
+    Rehead,
+}
+
+/// Read the live segments `segs` (sorted) of a store whose snapshot covers
+/// the segments below `first_live`, stopping at the first damage: an
+/// unusable head, a torn or corrupt frame, or a segment whose header names
+/// a live predecessor that is missing or shorter than it was at the
+/// rotation. That predecessor lost a tail the segment's ops follow, and
+/// folding them in would skip over the hole.
+fn read_log(segs: &[(u64, PathBuf)], first_live: u64) -> Result<Log, StoreError> {
+    let mut log = Log {
+        ops: Vec::new(),
+        tail: TailState::Clean,
+        keep: segs.len(),
+        repair: None,
+    };
+    let mut prev: Option<(u64, u64)> = None;
+    for (i, (seq, path)) in segs.iter().enumerate() {
+        let buf = fs::read(path).map_err(|e| io_err("read segment", &e))?;
+        let (body, pred) = match parse_head(&buf) {
+            Ok(head) => head,
+            Err(tail) => {
+                log.tail = tail;
+                log.keep = i + 1;
+                log.repair = Some(Repair::Rehead);
+                break;
+            }
+        };
+        if let Some((pred_seq, pred_len)) = pred {
+            let chained = prev.is_some_and(|(seq, len)| seq == pred_seq && len >= pred_len);
+            if pred_seq >= first_live && !chained {
+                log.tail = TailState::Torn { bytes_dropped: 0 };
+                log.keep = i;
+                break;
+            }
+        }
+        let scan = scan_frames(&buf, body);
+        log.ops.extend(scan.frames);
+        if !matches!(scan.tail, TailState::Clean) {
+            log.tail = scan.tail;
+            log.keep = i + 1;
+            log.repair = Some(Repair::Truncate(scan.clean_len as u64));
             break;
         }
-        let dropped = (buf.len() - pos) as u64;
-        let (len, len_bytes) = match get_varint(rest) {
-            VarintEnd::Value(len, n) => (len, n),
-            VarintEnd::Short => {
-                return Scan {
-                    frames,
-                    clean_len: pos,
-                    tail: TailState::Torn {
-                        bytes_dropped: dropped,
-                    },
-                };
-            }
-            VarintEnd::Malformed => {
-                return Scan {
-                    frames,
-                    clean_len: pos,
-                    tail: TailState::Corrupt {
-                        context: "malformed frame length".into(),
-                        bytes_dropped: dropped,
-                    },
-                };
-            }
-        };
-        if len > MAX_FRAME_LEN {
-            return Scan {
-                frames,
-                clean_len: pos,
-                tail: TailState::Corrupt {
-                    context: format!("frame claims {len} bytes"),
-                    bytes_dropped: dropped,
-                },
-            };
-        }
-        let Ok(len) = usize::try_from(len) else {
-            return Scan {
-                frames,
-                clean_len: pos,
-                tail: TailState::Corrupt {
-                    context: format!("frame length {len} overflows"),
-                    bytes_dropped: dropped,
-                },
-            };
-        };
-        let body_at = pos + len_bytes;
-        let Some(crc_bytes) = buf.get(body_at..body_at + 4) else {
-            return Scan {
-                frames,
-                clean_len: pos,
-                tail: TailState::Torn {
-                    bytes_dropped: dropped,
-                },
-            };
-        };
-        let Some(want) = get_u32_le(crc_bytes) else {
-            return Scan {
-                frames,
-                clean_len: pos,
-                tail: TailState::Torn {
-                    bytes_dropped: dropped,
-                },
-            };
-        };
-        let Some(payload) = buf.get(body_at + 4..body_at + 4 + len) else {
-            return Scan {
-                frames,
-                clean_len: pos,
-                tail: TailState::Torn {
-                    bytes_dropped: dropped,
-                },
-            };
-        };
-        if crc32(payload) != want {
-            return Scan {
-                frames,
-                clean_len: pos,
-                tail: TailState::Corrupt {
-                    context: "frame CRC mismatch".into(),
-                    bytes_dropped: dropped,
-                },
-            };
-        }
-        frames.push(payload.to_vec());
-        pos = body_at + 4 + len;
+        prev = Some((*seq, buf.len() as u64));
     }
-    Scan {
-        frames,
-        clean_len: pos,
-        tail: TailState::Clean,
-    }
+    Ok(log)
 }
 
 // ----- the file-backed store -----
@@ -328,12 +435,11 @@ fn io_err(what: &str, e: &std::io::Error) -> StoreError {
 /// (the partial record is truncated away and later segments — unreachable
 /// past the tear — are unlinked).
 pub struct FileWal {
-    /// The segment appends go to; `disk.seg` holds the same file.
+    /// The segment appends go to.
     seg: Arc<File>,
     seg_seq: u64,
     seg_len: u64,
     segment_cap: u64,
-    fsync: FsyncPolicy,
     appended: u64,
     op_bytes: u64,
     tail: TailState,
@@ -348,22 +454,22 @@ pub struct FileWal {
 struct DiskState {
     /// The store's directory; it also names the store to the probe.
     dir: PathBuf,
-    /// The segment appends go to. Replaced before the first append into a
-    /// new segment, and only after the old one was fsynced or made moot,
-    /// so a job that reads it after reading `written` fsyncs the file
-    /// holding every append it counts that is not durable yet.
-    seg: Mutex<Arc<File>>,
+    /// When appends are fsynced; under [`FsyncPolicy::Batch`] the disk
+    /// thread does it, and tracks the segments to fsync.
+    fsync: FsyncPolicy,
+    /// The work handed to the disk thread and not yet taken.
+    owed: Mutex<Owed>,
     /// Appends written to the kernel so far; only the store's own thread
     /// adds to it, with `Release`, so an fsync that reads a count with
     /// `Acquire` before it starts covers that many appends.
     written: AtomicU64,
     /// Appends known durable: covered by a finished fsync, or made moot by
-    /// a rotation's fsync, a snapshot or a reset. Only grows.
+    /// a landed snapshot or a reset. Only grows.
     synced: AtomicU64,
     /// A job for this store waits in the queue, not yet started. Read and
     /// written under the queue lock only.
     queued: AtomicBool,
-    /// A background fsync failed: the log may have a hole.
+    /// A background fsync or snapshot failed: the log may have a hole.
     failed: AtomicBool,
     /// Fsyncs finished since the store last reported them, and the appends
     /// they covered (statistics only).
@@ -371,11 +477,39 @@ struct DiskState {
     fsync_ops: AtomicU64,
 }
 
+/// What a store owes the disk thread.
+#[derive(Default)]
+struct Owed {
+    /// The snapshot to write; a newer one replaces it until a job takes it.
+    snapshot: Option<Pending>,
+    /// A sync asked for the appends written so far to be fsynced.
+    fsync: bool,
+    /// Under `Batch`: the segments that may hold appends no fsync has
+    /// covered, oldest first; the last is the one appends go to. A segment
+    /// joins before the first append into it, so a job that reads
+    /// `written` and then takes these holds every append it counts.
+    segs: Vec<(u64, Arc<File>)>,
+    /// Under `Batch`: a segment was created whose directory entry may not
+    /// be durable yet.
+    new_entry: bool,
+}
+
+/// A snapshot handed to the disk thread.
+struct Pending {
+    /// The bucket state, moved in from the caller.
+    state: Vec<u8>,
+    /// The first segment it does not cover: the one started for it.
+    cover: u64,
+    /// Appends written before it was taken, all moot once it lands.
+    written: u64,
+}
+
 impl DiskState {
-    fn new(dir: PathBuf, seg: Arc<File>) -> DiskState {
+    fn new(dir: PathBuf, fsync: FsyncPolicy) -> DiskState {
         DiskState {
             dir,
-            seg: Mutex::new(seg),
+            fsync,
+            owed: Mutex::new(Owed::default()),
             written: AtomicU64::new(0),
             synced: AtomicU64::new(0),
             queued: AtomicBool::new(false),
@@ -383,6 +517,11 @@ impl DiskState {
             fsyncs: AtomicU64::new(0),
             fsync_ops: AtomicU64::new(0),
         }
+    }
+
+    /// Lock what the store owes. No code panics while holding it.
+    fn owed(&self) -> MutexGuard<'_, Owed> {
+        self.owed.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Everything written so far is durable (or moot).
@@ -395,10 +534,10 @@ impl DiskState {
 // ----- the disk thread -----
 
 struct Queue {
-    /// The stores owed an fsync, oldest request first.
+    /// The stores owed work, oldest request first.
     jobs: VecDeque<Arc<DiskState>>,
-    /// The disk thread is running a job.
-    busy: bool,
+    /// The store whose job the disk thread is running.
+    running: Option<Arc<DiskState>>,
     /// The disk thread exists.
     spawned: bool,
 }
@@ -409,18 +548,18 @@ struct Disk {
     queue: Mutex<Queue>,
     /// Signalled when a job is queued.
     work: Condvar,
-    /// Signalled when the queue drains.
-    idle: Condvar,
+    /// Signalled when a job finishes.
+    done: Condvar,
 }
 
 static DISK: Disk = Disk {
     queue: Mutex::new(Queue {
         jobs: VecDeque::new(),
-        busy: false,
+        running: None,
         spawned: false,
     }),
     work: Condvar::new(),
-    idle: Condvar::new(),
+    done: Condvar::new(),
 };
 
 /// Lock the job queue. No code panics while holding it, and every update
@@ -429,10 +568,10 @@ fn lock_queue() -> MutexGuard<'static, Queue> {
     DISK.queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Queue an fsync of `state`'s store, spawning the disk thread on first
-/// use. A job already queued for the store covers these appends too,
-/// since it reads the append count only when it starts.
-fn request_fsync(state: &Arc<DiskState>) -> Result<(), StoreError> {
+/// Queue a job for `state`'s store, spawning the disk thread on first use.
+/// A job already queued for the store does this work too, since it takes
+/// what the store owes only when it starts.
+fn request(state: &Arc<DiskState>) -> Result<(), StoreError> {
     let mut q = lock_queue();
     if state.queued.load(Ordering::Relaxed) {
         return Ok(());
@@ -455,28 +594,114 @@ fn disk_thread() {
     let mut q = lock_queue();
     loop {
         let Some(state) = q.jobs.pop_front() else {
-            q.busy = false;
-            DISK.idle.notify_all();
             q = DISK.work.wait(q).unwrap_or_else(PoisonError::into_inner);
             continue;
         };
-        q.busy = true;
-        // From here on an append may miss this fsync, so the next sync
-        // call queues another.
+        // From here on new work needs a new job.
         state.queued.store(false, Ordering::Relaxed);
+        q.running = Some(Arc::clone(&state));
         drop(q);
-        fsync(&state);
+        let (snapshot, fsync) = {
+            let mut owed = state.owed();
+            (owed.snapshot.take(), std::mem::take(&mut owed.fsync))
+        };
+        run_job(&state, snapshot, fsync);
         q = lock_queue();
+        q.running = None;
+        DISK.done.notify_all();
     }
 }
 
-/// One job: fsync the store's current segment, then record what it
-/// covered, or that it failed.
-fn fsync(state: &DiskState) {
-    // Count first, then fetch the segment (see `DiskState::seg`).
+/// One job: write the store's snapshot, then fsync its appends if a sync
+/// asked for that. A failure is left for the store's next call to report.
+fn run_job(state: &DiskState, snapshot: Option<Pending>, fsync: bool) {
+    if let Some(snapshot) = snapshot {
+        if write_snapshot(state, snapshot).is_err() {
+            state.failed.store(true, Ordering::Release);
+        }
+    }
+    if fsync {
+        fsync_appends(state);
+    }
+}
+
+/// Make `snap` the store's snapshot: write `SNAPSHOT.tmp`, fsync it, rename
+/// it over `SNAPSHOT`, fsync the directory, unlink the covered segments.
+/// Whether a crash comes before or after the rename, the snapshot on disk
+/// and the segments it does not cover replay to the state the host had.
+fn write_snapshot(state: &DiskState, snap: Pending) -> Result<(), StoreError> {
+    let dir = &state.dir;
+    let Pending {
+        state: bytes,
+        cover,
+        written,
+    } = snap;
+    let tmp = dir.join("SNAPSHOT.tmp");
+    {
+        let mut head = SNAP_MAGIC.to_vec();
+        put_frame_head(&mut head, &bytes);
+        let mut cover_frame = Vec::with_capacity(16);
+        put_frame(&mut cover_frame, &cover.to_le_bytes());
+        let mut f = File::create(&tmp).map_err(|e| io_err("create snapshot tmp", &e))?;
+        for part in [&head, &bytes, &cover_frame] {
+            f.write_all(part)
+                .map_err(|e| io_err("write snapshot", &e))?;
+        }
+        drop(bytes);
+        probe::fault(dir, "snapshot_tmp_fsync", Some(&f))
+            .map_or_else(|| f.sync_all(), Err)
+            .map_err(|e| io_err("sync snapshot", &e))?;
+        probe::record(dir, "snapshot_tmp_fsync");
+    }
+    probe::fault(dir, "snapshot_rename", None)
+        .map_or_else(|| fs::rename(&tmp, dir.join("SNAPSHOT")), Err)
+        .map_err(|e| io_err("rename snapshot", &e))?;
+    probe::record(dir, "snapshot_rename");
+    if let Some(e) = probe::fault(dir, "snapshot_renamed", None) {
+        return Err(io_err("after snapshot rename", &e));
+    }
+    // This fsync also makes every segment entry created so far durable.
+    state.owed().new_entry = false;
+    sync_dir(dir);
+    // The covered segments are moot: unlink them and owe them no fsync.
+    live_segments(dir, cover)?;
+    state.owed().segs.retain(|(seq, _)| *seq >= cover);
+    state.synced.fetch_max(written, Ordering::AcqRel);
+    Ok(())
+}
+
+/// Fsync every segment that may hold appends no fsync covers, oldest
+/// first, and the directory before the newest if a new segment's entry
+/// may not be durable; then record what that covered, or that it failed.
+fn fsync_appends(state: &DiskState) {
+    // Count first, then take the segments (see `Owed::segs`).
     let covered = state.written.load(Ordering::Acquire);
-    let seg = Arc::clone(&state.seg.lock().unwrap_or_else(PoisonError::into_inner));
-    let result = probe::fault(&state.dir, &seg).map_or_else(|| seg.sync_data(), Err);
+    if state.synced.load(Ordering::Acquire) >= covered {
+        return;
+    }
+    let (segs, new_entry) = {
+        let mut owed = state.owed();
+        let current: Vec<_> = owed.segs.last().cloned().into_iter().collect();
+        (
+            std::mem::replace(&mut owed.segs, current),
+            std::mem::take(&mut owed.new_entry),
+        )
+    };
+    let Some(((_, current), older)) = segs.split_last() else {
+        return;
+    };
+    let mut result = Ok(());
+    for (_, seg) in older {
+        result = result.and_then(|()| seg.sync_data());
+        probe::record(&state.dir, "segment_sync");
+    }
+    if new_entry {
+        sync_dir(&state.dir);
+    }
+    result = result.and_then(|()| {
+        probe::fault(&state.dir, "append_fsync", Some(current))
+            .map_or_else(|| current.sync_data(), Err)
+    });
     probe::record(&state.dir, "append_fsync");
     match result {
         Ok(()) => {
@@ -490,13 +715,13 @@ fn fsync(state: &DiskState) {
     }
 }
 
-/// Block until the disk thread has no fsync queued or running: every
-/// [`FsyncPolicy::Batch`] sync handed off before the call has finished
-/// (or failed).
+/// Block until the disk thread has no job queued or running: every
+/// snapshot and [`FsyncPolicy::Batch`] sync handed off before the call has
+/// finished (or failed).
 pub fn wait_disk_idle() {
     let mut q = lock_queue();
-    while q.busy || !q.jobs.is_empty() {
-        q = DISK.idle.wait(q).unwrap_or_else(PoisonError::into_inner);
+    while q.running.is_some() || !q.jobs.is_empty() {
+        q = DISK.done.wait(q).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -527,11 +752,11 @@ fn segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
 /// model, so the "rename/create is durable-ordered" property of `FileWal`
 /// cannot be crash-injected there; instead every durability-relevant IO
 /// step records an event here, with the store's directory and the name of
-/// the thread that ran it, and the tests assert the order directly. This
-/// checks the sequence of calls, not the kernel's behaviour — an honest
-/// but weaker guarantee than a crash test. The probe is process-global so
-/// it sees the disk thread; keying every event by directory keeps tests
-/// running in parallel apart.
+/// the thread that ran it, and the tests assert the order directly — and
+/// copy a store's directory while the disk thread is held between two
+/// steps, which is what a `SIGKILL` there leaves behind. The probe is
+/// process-global so it sees the disk thread; keying every event by
+/// directory keeps tests running in parallel apart.
 #[cfg(test)]
 mod probe {
     use std::fs::File;
@@ -542,14 +767,15 @@ mod probe {
     /// One recorded IO step: its store, its name, its thread's name.
     type Event = (PathBuf, &'static str, String);
 
-    /// A held fsync: its store, where to report its start (with the
-    /// length of the file it is about to fsync), what to wait on.
-    type Pause = (PathBuf, Sender<u64>, Receiver<()>);
+    /// A held step: its store, its name, where to report that it was
+    /// reached (with the length of the file it is about to fsync, or 0),
+    /// what to wait on.
+    type Pause = (PathBuf, &'static str, Sender<u64>, Receiver<()>);
 
     static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-    /// Stores whose next background fsync fails.
-    static FAIL: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
-    /// Stores whose next background fsync reports its start and waits.
+    /// Steps whose next run fails, by store.
+    static FAIL: Mutex<Vec<(PathBuf, &'static str)>> = Mutex::new(Vec::new());
+    /// Steps whose next run reports and waits, by store.
     static PAUSE: Mutex<Vec<Pause>> = Mutex::new(Vec::new());
 
     pub fn record(dir: &Path, ev: &'static str) {
@@ -566,42 +792,52 @@ mod probe {
         mine.into_iter().map(|(_, ev, t)| (ev, t)).collect()
     }
 
-    /// Make the next background fsync of `dir` fail.
-    pub fn fail_next_fsync(dir: &Path) {
-        FAIL.lock().unwrap().push(dir.to_path_buf());
+    /// Whether `dir` has recorded `ev` (the events stay for `take`).
+    pub fn seen(dir: &Path, ev: &str) -> bool {
+        EVENTS
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|e| e.0 == dir && e.1 == ev)
     }
 
-    /// Hold the next background fsync of `dir` in flight: once started it
-    /// sends the length of the file it fsyncs on the first channel, then
-    /// waits for a message on the second.
-    pub fn pause_next_fsync(dir: &Path) -> (Receiver<u64>, Sender<()>) {
+    /// Make the next `step` of `dir`'s disk work fail.
+    pub fn fail_next(dir: &Path, step: &'static str) {
+        FAIL.lock().unwrap().push((dir.to_path_buf(), step));
+    }
+
+    /// Hold the next `step` of `dir`'s disk work: once reached it sends the
+    /// length of the file it is about to fsync (0 for other steps) on the
+    /// first channel, then waits for a message on the second.
+    pub fn pause_next(dir: &Path, step: &'static str) -> (Receiver<u64>, Sender<()>) {
         let (started_tx, started_rx) = channel();
         let (resume_tx, resume_rx) = channel();
         PAUSE
             .lock()
             .unwrap()
-            .push((dir.to_path_buf(), started_tx, resume_rx));
+            .push((dir.to_path_buf(), step, started_tx, resume_rx));
         (started_rx, resume_tx)
     }
 
-    /// Run by the disk thread before it fsyncs `seg`: honour a pause, and
-    /// return the injected error in place of the fsync's own.
-    pub fn fault(dir: &Path, seg: &File) -> Option<std::io::Error> {
+    /// Run before `step` of `dir`: honour a pause, and return the injected
+    /// error in place of the step's own.
+    pub fn fault(dir: &Path, step: &str, file: Option<&File>) -> Option<std::io::Error> {
         let paused = {
             let mut pauses = PAUSE.lock().unwrap();
-            let at = pauses.iter().position(|p| p.0 == dir);
+            let at = pauses.iter().position(|p| p.0 == dir && p.1 == step);
             at.map(|at| pauses.remove(at))
         };
-        if let Some((_, started, resume)) = paused {
+        if let Some((_, _, started, resume)) = paused {
+            let len = file.and_then(|f| f.metadata().ok()).map_or(0, |m| m.len());
             // A test that died holding the pause must not take the disk
             // thread, which every other test shares, with it.
-            let _ = started.send(seg.metadata().map_or(0, |m| m.len()));
+            let _ = started.send(len);
             let _ = resume.recv();
         }
         let mut fails = FAIL.lock().unwrap();
-        let at = fails.iter().position(|d| d == dir)?;
+        let at = fails.iter().position(|f| f.0 == dir && f.1 == step)?;
         fails.remove(at);
-        Some(std::io::Error::other("injected fsync failure"))
+        Some(std::io::Error::other(format!("injected {step} failure")))
     }
 }
 
@@ -612,12 +848,18 @@ mod probe {
 
     pub fn record(_dir: &Path, _ev: &'static str) {}
 
-    pub fn fault(_dir: &Path, _seg: &File) -> Option<std::io::Error> {
+    pub fn fault(_dir: &Path, _step: &str, _file: Option<&File>) -> Option<std::io::Error> {
         None
     }
 }
 
-fn create_segment(dir: &Path, seq: u64) -> Result<Arc<File>, StoreError> {
+/// Create segment `seq` of `dir`, its header naming `pred`; returns the
+/// file and its length.
+fn create_segment(
+    dir: &Path,
+    seq: u64,
+    pred: Option<(u64, u64)>,
+) -> Result<(Arc<File>, u64), StoreError> {
     let path = dir.join(format!("wal-{seq}.log"));
     let mut f = OpenOptions::new()
         .create(true)
@@ -625,13 +867,14 @@ fn create_segment(dir: &Path, seq: u64) -> Result<Arc<File>, StoreError> {
         .write(true)
         .open(&path)
         .map_err(|e| io_err("create segment", &e))?;
-    f.write_all(SEG_MAGIC)
-        .map_err(|e| io_err("write segment magic", &e))?;
+    let head = segment_head(pred);
+    f.write_all(&head)
+        .map_err(|e| io_err("write segment head", &e))?;
     probe::record(dir, "segment_create");
-    Ok(Arc::new(f))
+    Ok((Arc::new(f), head.len() as u64))
 }
 
-/// Fsync a directory so a rename/unlink inside it is durable (best-effort
+/// Fsync a directory so a rename/create inside it is durable (best-effort
 /// on platforms where directories cannot be opened).
 fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
@@ -672,16 +915,14 @@ fn read_snapshot(dir: &Path) -> Result<Option<(Vec<u8>, u64)>, StoreError> {
 
 /// The segments of `dir` from `first` on, sorted. Older ones are unlinked:
 /// the snapshot covers them, and only a crash between its rename and
-/// their unlink leaves them behind.
+/// their unlink leaves them behind. The unlinks need no directory fsync:
+/// a segment the crash brings back is below the cover again.
 fn live_segments(dir: &Path, first: u64) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     let (covered, live): (Vec<_>, Vec<_>) = segments(dir)?
         .into_iter()
         .partition(|(seq, _)| *seq < first);
-    if !covered.is_empty() {
-        for (_, path) in covered {
-            let _ = fs::remove_file(path);
-        }
-        sync_dir(dir);
+    for (_, path) in covered {
+        let _ = fs::remove_file(path);
     }
     Ok(live)
 }
@@ -697,43 +938,29 @@ impl FileWal {
             .flatten()
             .map_or(0, |(_, first)| first);
         let segs = live_segments(&dir, first_live)?;
-
-        let mut appended = 0u64;
-        let mut op_bytes = 0u64;
-        let mut tail = TailState::Clean;
-        let mut keep_upto = segs.len(); // segments after a tear are unreachable
-        for (i, (_, path)) in segs.iter().enumerate() {
-            let buf = fs::read(path).map_err(|e| io_err("read segment", &e))?;
-            if buf.get(..SEG_MAGIC.len()) != Some(SEG_MAGIC.as_slice()) {
-                tail = TailState::Corrupt {
-                    context: format!("segment {} has no magic", path.display()),
-                    bytes_dropped: buf.len() as u64,
-                };
-                // The whole segment is unusable: truncate it to just the
-                // magic so appends can continue cleanly.
-                let _ = fs::write(path, SEG_MAGIC);
-                keep_upto = i + 1;
-                break;
-            }
-            let scan = scan_frames(&buf, SEG_MAGIC.len());
-            appended += scan.frames.len() as u64;
-            op_bytes += scan.frames.iter().map(|f| f.len() as u64).sum::<u64>();
-            if !matches!(scan.tail, TailState::Clean) {
-                tail = scan.tail;
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .map_err(|e| io_err("open segment for repair", &e))?;
-                f.set_len(scan.clean_len as u64)
-                    .map_err(|e| io_err("truncate torn tail", &e))?;
-                let _ = f.sync_all();
-                keep_upto = i + 1;
-                break;
+        let log = read_log(&segs, first_live)?;
+        let mut tail = log.tail;
+        let kept = log.keep.checked_sub(1).and_then(|last| segs.get(last));
+        if let (Some((_, path)), Some(repair)) = (kept, log.repair) {
+            match repair {
+                // Appends can continue after a fresh head.
+                Repair::Rehead => {
+                    let _ = fs::write(path, segment_head(None));
+                }
+                Repair::Truncate(len) => {
+                    let f = OpenOptions::new()
+                        .write(true)
+                        .open(path)
+                        .map_err(|e| io_err("open segment for repair", &e))?;
+                    f.set_len(len)
+                        .map_err(|e| io_err("truncate torn tail", &e))?;
+                    let _ = f.sync_all();
+                }
             }
         }
-        // Unlink segments past a tear: their contents follow a hole in the
-        // op sequence and can never be replayed.
-        for (_, path) in segs.iter().skip(keep_upto) {
+        // Unlink segments past the end: their contents follow a hole in
+        // the op sequence and can never be replayed.
+        for (_, path) in segs.iter().skip(log.keep) {
             if let TailState::Torn { bytes_dropped } | TailState::Corrupt { bytes_dropped, .. } =
                 &mut tail
             {
@@ -744,30 +971,38 @@ impl FileWal {
             let _ = fs::remove_file(path);
         }
 
-        let (seg_seq, seg) = match segs.get(..keep_upto).and_then(|s| s.last()) {
+        let (seg_seq, seg, seg_len, created) = match kept {
             Some((seq, path)) => {
                 let f = OpenOptions::new()
                     .append(true)
                     .open(path)
                     .map_err(|e| io_err("open segment", &e))?;
-                (*seq, Arc::new(f))
+                let len = f
+                    .metadata()
+                    .map_err(|e| io_err("segment metadata", &e))?
+                    .len();
+                (*seq, Arc::new(f), len, false)
             }
             // Numbered past the snapshot's cover, or replay would skip it.
-            None => (first_live, create_segment(&dir, first_live)?),
+            None => {
+                let (seg, len) = create_segment(&dir, first_live, None)?;
+                (first_live, seg, len, true)
+            }
         };
-        let seg_len = seg
-            .metadata()
-            .map_err(|e| io_err("segment metadata", &e))?
-            .len();
+        let disk = Arc::new(DiskState::new(dir, fsync));
+        if fsync == FsyncPolicy::Batch {
+            let mut owed = disk.owed();
+            owed.segs.push((seg_seq, Arc::clone(&seg)));
+            owed.new_entry = created;
+        }
         Ok(FileWal {
-            disk: Arc::new(DiskState::new(dir, Arc::clone(&seg))),
+            disk,
             seg,
             seg_seq,
             seg_len,
             segment_cap: DEFAULT_SEGMENT_CAP,
-            fsync,
-            appended,
-            op_bytes,
+            appended: log.ops.len() as u64,
+            op_bytes: log.ops.iter().map(|op| op.len() as u64).sum(),
             tail,
             requested: 0,
         })
@@ -791,45 +1026,61 @@ impl FileWal {
         fs::metadata(dir.join("SNAPSHOT")).ok()?.modified().ok()
     }
 
-    /// Fail if a background fsync failed: the log may have a hole.
+    /// Fail if a background fsync or snapshot failed: the log may have a
+    /// hole, or the snapshot the log was cut for may be missing.
     fn check_disk(&self) -> Result<(), StoreError> {
         if self.disk.failed.load(Ordering::Acquire) {
             return Err(StoreError::Io(format!(
-                "background fsync of {} failed",
+                "background write to {} failed",
                 self.disk.dir.display()
             )));
         }
         Ok(())
     }
 
-    /// Everything appended so far is durable or moot: no hand-off owed.
-    fn mark_synced(&mut self) {
-        self.disk.mark_synced();
-        self.requested = self.disk.written.load(Ordering::Relaxed);
+    /// Wait out a job of this store the disk thread is running, and take
+    /// back the snapshot it has not started. Until the store hands it new
+    /// work, the disk thread then changes nothing in the store's directory.
+    fn settle(&self) -> Option<Pending> {
+        let mut q = lock_queue();
+        while q
+            .running
+            .as_ref()
+            .is_some_and(|running| Arc::ptr_eq(running, &self.disk))
+        {
+            probe::record(&self.disk.dir, "settle_wait");
+            q = DISK.done.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+        let pending = self.disk.owed().snapshot.take();
+        drop(q);
+        pending
     }
 
-    /// Create segment `seg_seq` and direct appends, and fsyncs, to it.
-    fn start_segment(&mut self) -> Result<(), StoreError> {
-        self.seg = create_segment(&self.disk.dir, self.seg_seq)?;
-        self.seg_len = SEG_MAGIC.len() as u64;
-        *self.disk.seg.lock().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&self.seg);
+    /// Create segment `seg_seq`, its header naming `pred`, and direct
+    /// appends to it.
+    fn start_segment(&mut self, pred: Option<(u64, u64)>) -> Result<(), StoreError> {
+        let (seg, len) = create_segment(&self.disk.dir, self.seg_seq, pred)?;
+        self.seg = seg;
+        self.seg_len = len;
+        if self.disk.fsync == FsyncPolicy::Batch {
+            let mut owed = self.disk.owed();
+            owed.segs.push((self.seg_seq, Arc::clone(&self.seg)));
+            owed.new_entry = true;
+        }
         Ok(())
     }
 
+    /// Start the next segment. Its header names this one and its length
+    /// now, so this one's unsynced tail needs no fsync here: a crash that
+    /// loses it stops replay at the hole instead of folding the new
+    /// segment's ops over it. Under `Always` every append is fsynced
+    /// already, and the new entry is made durable before an op acked from
+    /// the new segment can depend on it.
     fn rotate(&mut self) -> Result<(), StoreError> {
-        if !matches!(self.fsync, FsyncPolicy::Never) {
-            self.seg
-                .sync_data()
-                .map_err(|e| io_err("sync on rotation", &e))?;
-            probe::record(&self.disk.dir, "segment_sync");
-            self.mark_synced();
-        }
+        let pred = (self.seg_seq, self.seg_len);
         self.seg_seq += 1;
-        self.start_segment()?;
-        // The new segment's directory entry must survive a crash before
-        // anything is appended to it: ops written to a file the directory
-        // has forgotten are lost without any torn-tail evidence.
-        if !matches!(self.fsync, FsyncPolicy::Never) {
+        self.start_segment(Some(pred))?;
+        if self.disk.fsync == FsyncPolicy::Always {
             sync_dir(&self.disk.dir);
         }
         Ok(())
@@ -848,7 +1099,7 @@ impl BucketStore for FileWal {
         self.seg_len += frame.len() as u64;
         self.appended += 1;
         self.op_bytes += op.len() as u64;
-        if self.fsync == FsyncPolicy::Always {
+        if self.disk.fsync == FsyncPolicy::Always {
             self.seg.sync_data().map_err(|e| io_err("fsync", &e))?;
             probe::record(&self.disk.dir, "append_fsync");
         }
@@ -858,78 +1109,69 @@ impl BucketStore for FileWal {
         Ok(())
     }
 
-    fn snapshot(&mut self, state: &[u8]) -> Result<(), StoreError> {
+    /// Rotate to the snapshot's cover segment and hand `state` to the disk
+    /// thread, which writes it (see the crate docs).
+    fn snapshot(&mut self, state: Vec<u8>) -> Result<(), StoreError> {
         self.check_disk()?;
-        // Segments from this number on hold ops the snapshot does not.
-        let first_live = self.seg_seq + 1;
-        let tmp = self.disk.dir.join("SNAPSHOT.tmp");
-        let mut buf = Vec::with_capacity(state.len() + 32);
-        buf.extend_from_slice(SNAP_MAGIC);
-        put_frame(&mut buf, state);
-        put_frame(&mut buf, &first_live.to_le_bytes());
-        {
-            let mut f = File::create(&tmp).map_err(|e| io_err("create snapshot tmp", &e))?;
-            f.write_all(&buf)
-                .map_err(|e| io_err("write snapshot", &e))?;
-            f.sync_all().map_err(|e| io_err("sync snapshot", &e))?;
-            probe::record(&self.disk.dir, "snapshot_tmp_fsync");
-        }
-        fs::rename(&tmp, self.disk.dir.join("SNAPSHOT"))
-            .map_err(|e| io_err("rename snapshot", &e))?;
-        probe::record(&self.disk.dir, "snapshot_rename");
-        sync_dir(&self.disk.dir);
-        // The log is now redundant: unlink every segment and start fresh.
-        live_segments(&self.disk.dir, first_live)?;
-        self.seg_seq = first_live;
-        self.start_segment()?;
-        sync_dir(&self.disk.dir);
+        let written = self.disk.written.load(Ordering::Relaxed);
+        // Ops from here on go to segments the snapshot does not cover.
+        self.rotate()?;
+        self.disk.owed().snapshot = Some(Pending {
+            state,
+            cover: self.seg_seq,
+            written,
+        });
+        request(&self.disk)?;
         self.appended = 0;
         self.op_bytes = 0;
         self.tail = TailState::Clean;
-        self.mark_synced();
         Ok(())
     }
 
     fn replay(&mut self) -> Result<Replay, StoreError> {
+        // Land a pending snapshot first, so the directory holds still.
+        if let Some(pending) = self.settle() {
+            if write_snapshot(&self.disk, pending).is_err() {
+                self.disk.failed.store(true, Ordering::Release);
+            }
+        }
         let (snapshot, first_live) = match read_snapshot(&self.disk.dir)? {
             Some((state, first)) => (Some(state), first),
             None => (None, 0),
         };
-        let mut ops = Vec::new();
-        for (_, path) in live_segments(&self.disk.dir, first_live)? {
-            let buf = fs::read(&path).map_err(|e| io_err("read segment", &e))?;
-            if buf.get(..SEG_MAGIC.len()) != Some(SEG_MAGIC.as_slice()) {
-                break;
-            }
-            let scan = scan_frames(&buf, SEG_MAGIC.len());
-            ops.extend(scan.frames);
-            if !matches!(scan.tail, TailState::Clean) {
-                break;
-            }
-        }
+        let log = read_log(&live_segments(&self.disk.dir, first_live)?, first_live)?;
+        let tail = match log.tail {
+            TailState::Clean => self.tail.clone(),
+            damaged => damaged,
+        };
         Ok(Replay {
             snapshot,
-            ops,
-            tail: self.tail.clone(),
+            ops: log.ops,
+            tail,
         })
     }
 
     fn reset(&mut self) -> Result<(), StoreError> {
+        // A snapshot that lands after the erase would resurrect the state
+        // it held: wait out a running one, and drop a pending one.
+        drop(self.settle());
         let _ = fs::remove_file(self.disk.dir.join("SNAPSHOT"));
         let _ = fs::remove_file(self.disk.dir.join("SNAPSHOT.tmp"));
         for (_, path) in segments(&self.disk.dir)? {
             let _ = fs::remove_file(path);
         }
         sync_dir(&self.disk.dir);
+        self.disk.owed().segs.clear();
         self.seg_seq = 0;
-        self.start_segment()?;
+        self.start_segment(None)?;
         sync_dir(&self.disk.dir);
         self.appended = 0;
         self.op_bytes = 0;
         self.tail = TailState::Clean;
         // The erased log has no hole left to report.
         self.disk.failed.store(false, Ordering::Release);
-        self.mark_synced();
+        self.disk.mark_synced();
+        self.requested = self.disk.written.load(Ordering::Relaxed);
         Ok(())
     }
 
@@ -944,8 +1186,9 @@ impl BucketStore for FileWal {
     fn sync(&mut self) -> Result<(), StoreError> {
         self.check_disk()?;
         let written = self.disk.written.load(Ordering::Relaxed);
-        if self.fsync == FsyncPolicy::Batch && written > self.requested {
-            request_fsync(&self.disk)?;
+        if self.disk.fsync == FsyncPolicy::Batch && written > self.requested {
+            self.disk.owed().fsync = true;
+            request(&self.disk)?;
             self.requested = written;
         }
         Ok(())
@@ -960,13 +1203,13 @@ impl BucketStore for FileWal {
 }
 
 impl Drop for FileWal {
-    /// A clean shutdown leaves every append synced: fsync on this thread
-    /// what the disk thread has not covered yet.
+    /// A clean shutdown leaves the snapshot written and every append
+    /// synced: on this thread, land the snapshot the disk thread has not
+    /// started and fsync what it has not covered, so no segment's replay
+    /// depends on an unsynced predecessor.
     fn drop(&mut self) {
-        let written = self.disk.written.load(Ordering::Relaxed);
-        if self.fsync == FsyncPolicy::Batch && self.disk.synced.load(Ordering::Acquire) < written {
-            let _ = self.seg.sync_data();
-        }
+        let pending = self.settle();
+        run_job(&self.disk, pending, self.disk.fsync == FsyncPolicy::Batch);
     }
 }
 
@@ -1067,7 +1310,7 @@ mod tests {
     fn append_snapshot_replay_roundtrip() {
         let dir = temp_dir("roundtrip");
         let mut w = FileWal::open(&dir, FsyncPolicy::Never).unwrap();
-        w.snapshot(b"state-1").unwrap();
+        w.snapshot(b"state-1".to_vec()).unwrap();
         w.append(b"op-a").unwrap();
         w.append(b"op-bb").unwrap();
         assert_eq!(w.appended_since_snapshot(), 2);
@@ -1082,7 +1325,8 @@ mod tests {
         assert_eq!(rep.tail, TailState::Clean);
 
         // A new snapshot truncates the log.
-        w.snapshot(b"state-2").unwrap();
+        w.snapshot(b"state-2".to_vec()).unwrap();
+        wait_disk_idle();
         assert_eq!(w.appended_since_snapshot(), 0);
         let rep = w.replay().unwrap();
         assert_eq!(rep.snapshot.as_deref(), Some(&b"state-2"[..]));
@@ -1096,7 +1340,7 @@ mod tests {
         let mut w = FileWal::open(&dir, FsyncPolicy::Never)
             .unwrap()
             .with_segment_cap(64);
-        w.snapshot(b"base").unwrap();
+        w.snapshot(b"base".to_vec()).unwrap();
         for i in 0..32u8 {
             w.append(&[i; 8]).unwrap();
         }
@@ -1115,7 +1359,7 @@ mod tests {
     fn torn_tail_is_clean_eof() {
         let dir = temp_dir("torn");
         let mut w = FileWal::open(&dir, FsyncPolicy::Always).unwrap();
-        w.snapshot(b"base").unwrap();
+        w.snapshot(b"base".to_vec()).unwrap();
         w.append(b"keep-me").unwrap();
         w.append(b"torn-away").unwrap();
         drop(w);
@@ -1147,7 +1391,7 @@ mod tests {
     fn bit_flip_surfaces_corrupt_tail() {
         let dir = temp_dir("flip");
         let mut w = FileWal::open(&dir, FsyncPolicy::Always).unwrap();
-        w.snapshot(b"base").unwrap();
+        w.snapshot(b"base".to_vec()).unwrap();
         w.append(b"good-record").unwrap();
         w.append(b"bad-record!").unwrap();
         drop(w);
@@ -1169,7 +1413,7 @@ mod tests {
     fn damaged_snapshot_refuses_to_seed() {
         let dir = temp_dir("snapdmg");
         let mut w = FileWal::open(&dir, FsyncPolicy::Always).unwrap();
-        w.snapshot(b"important-state").unwrap();
+        w.snapshot(b"important-state".to_vec()).unwrap();
         drop(w);
         let path = dir.join("SNAPSHOT");
         let mut buf = fs::read(&path).unwrap();
@@ -1186,9 +1430,10 @@ mod tests {
     fn reset_erases_everything() {
         let dir = temp_dir("reset");
         let mut w = FileWal::open(&dir, FsyncPolicy::Never).unwrap();
-        w.snapshot(b"state").unwrap();
+        w.snapshot(b"state".to_vec()).unwrap();
         w.append(b"op").unwrap();
         w.reset().unwrap();
+        wait_disk_idle();
         assert!(!FileWal::has_state(&dir));
         assert_eq!(w.appended_since_snapshot(), 0);
         let rep = w.replay().unwrap();
@@ -1202,16 +1447,25 @@ mod tests {
         probe::take(dir).into_iter().map(|(ev, _)| ev).collect()
     }
 
+    /// The position of the first `needle` in `ev`.
+    fn pos(ev: &[&'static str], needle: &str) -> usize {
+        ev.iter()
+            .position(|e| *e == needle)
+            .unwrap_or_else(|| panic!("{needle} missing from {ev:?}"))
+    }
+
     #[test]
     fn rotation_and_snapshot_rename_are_durable_ordered() {
         // `MemDisk` has no directory model, so this asserts the *sequence*
         // of durability-relevant IO calls via the probe (crate docs on
-        // `mod probe`): the old segment's data reaches disk before the new
-        // segment's directory entry exists, and that entry is itself
-        // sync_dir'd before any op can land in the new file; a snapshot
-        // fsyncs the tmp file before the rename and sync_dirs after it.
+        // `mod probe`), all of them on the disk thread: after a rotation
+        // the old segment's data reaches disk and the new segment's
+        // directory entry is sync_dir'd before the fsync that makes an op
+        // in it durable; a snapshot fsyncs the tmp file before the rename
+        // and sync_dirs after it, which also covers the fresh segment the
+        // host started for it.
         let dir = temp_dir("ordered");
-        let mut w = FileWal::open(&dir, FsyncPolicy::Always)
+        let mut w = FileWal::open(&dir, FsyncPolicy::Batch)
             .unwrap()
             .with_segment_cap(64);
         let _ = events(&dir); // discard open()'s events
@@ -1219,39 +1473,80 @@ mod tests {
         while segments(&dir).unwrap().len() < 2 {
             w.append(&[7u8; 8]).unwrap();
         }
-        let ev = events(&dir);
-        let pos = |needle: &str| {
-            ev.iter()
-                .position(|e| *e == needle)
-                .unwrap_or_else(|| panic!("{needle} missing from {ev:?}"))
-        };
+        w.append(b"in-the-new-one").unwrap();
+        w.sync().unwrap();
+        wait_disk_idle();
+        let all = probe::take(&dir);
+        let on_disk: Vec<&'static str> = all
+            .iter()
+            .filter(|(_, t)| t == "lhrs-wal-sync")
+            .map(|(e, _)| *e)
+            .collect();
         assert!(
-            pos("segment_sync") < pos("segment_create"),
-            "old segment data must be durable before the new entry: {ev:?}"
+            pos(&on_disk, "segment_sync") < pos(&on_disk, "sync_dir"),
+            "old segment data must be durable before the new entry: {all:?}"
         );
         assert!(
-            pos("segment_create") < pos("sync_dir"),
-            "the new entry must be sync_dir'd: {ev:?}"
+            pos(&on_disk, "sync_dir") < pos(&on_disk, "append_fsync"),
+            "the new entry must be durable before the op in it: {all:?}"
         );
 
-        w.snapshot(b"state").unwrap();
+        w.snapshot(b"state".to_vec()).unwrap();
+        wait_disk_idle();
         let ev = events(&dir);
-        let pos = |needle: &str| {
-            ev.iter()
-                .position(|e| *e == needle)
-                .unwrap_or_else(|| panic!("{needle} missing from {ev:?}"))
-        };
-        assert!(pos("snapshot_tmp_fsync") < pos("snapshot_rename"), "{ev:?}");
-        assert!(pos("snapshot_rename") < pos("sync_dir"), "{ev:?}");
-        let trailing_create = ev
-            .iter()
-            .rposition(|e| *e == "segment_create")
-            .unwrap_or_else(|| panic!("no segment_create in {ev:?}"));
+        assert!(pos(&ev, "segment_create") < pos(&ev, "snapshot_tmp_fsync"));
         assert!(
-            ev.get(trailing_create..)
-                .is_some_and(|rest| rest.contains(&"sync_dir")),
-            "the fresh segment after a snapshot must be sync_dir'd: {ev:?}"
+            pos(&ev, "snapshot_tmp_fsync") < pos(&ev, "snapshot_rename"),
+            "{ev:?}"
         );
+        assert!(pos(&ev, "snapshot_rename") < pos(&ev, "sync_dir"), "{ev:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn host_thread_issues_no_fsync_sync_dir_or_rename_under_batch() {
+        let dir = temp_dir("host-io");
+        let mut w = FileWal::open(&dir, FsyncPolicy::Batch)
+            .unwrap()
+            .with_segment_cap(64);
+        let _ = probe::take(&dir);
+        for round in 0..3u8 {
+            w.snapshot(vec![round; 32]).unwrap();
+            // Enough to cross the cap more than once.
+            for i in 0..12u8 {
+                w.append(&[i; 8]).unwrap();
+                w.sync().unwrap();
+            }
+        }
+        wait_disk_idle();
+        let ev = probe::take(&dir);
+        let me = std::thread::current().name().unwrap_or("").to_owned();
+        let mine: Vec<&str> = ev
+            .iter()
+            .filter(|(_, thread)| *thread == me)
+            .map(|(e, _)| *e)
+            .collect();
+        assert!(
+            mine.iter().all(|e| *e == "segment_create"),
+            "the calling thread may only create segments: {mine:?}"
+        );
+        assert!(
+            mine.len() > 3,
+            "snapshots and cap rotations both started segments: {mine:?}"
+        );
+        for step in [
+            "snapshot_tmp_fsync",
+            "snapshot_rename",
+            "sync_dir",
+            "append_fsync",
+        ] {
+            assert!(
+                ev.iter()
+                    .any(|(e, thread)| *e == step && thread == "lhrs-wal-sync"),
+                "the disk thread ran {step}: {ev:?}"
+            );
+        }
+        drop(w);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1260,12 +1555,12 @@ mod tests {
         let dir = temp_dir("cover");
         let mut w = FileWal::open(&dir, FsyncPolicy::Never).unwrap();
         w.append(b"old-op").unwrap(); // wal-0
-        w.snapshot(b"state").unwrap(); // covers wal-0; appends go to wal-1
+        w.snapshot(b"state".to_vec()).unwrap(); // covers wal-0; appends go to wal-1
         w.append(b"new-op").unwrap();
         drop(w);
         // A crash between the snapshot's rename and its unlinks leaves
         // wal-0 behind, full of ops the snapshot already holds.
-        let mut stale = SEG_MAGIC.to_vec();
+        let mut stale = segment_head(None);
         put_frame(&mut stale, b"old-op");
         let stale_path = dir.join("wal-0.log");
         fs::write(&stale_path, &stale).unwrap();
@@ -1295,11 +1590,96 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Three segments: `a` in wal-0, `b` in wal-1, `c` in wal-2, each
+    /// rotated by the cap; no snapshot, so every one is live.
+    fn three_segment_store(tag: &str) -> PathBuf {
+        let dir = temp_dir(tag);
+        let mut w = FileWal::open(&dir, FsyncPolicy::Never)
+            .unwrap()
+            .with_segment_cap(64);
+        for op in [b'a', b'b', b'c'] {
+            // A 34-byte payload frames to 39 bytes: the head plus one
+            // frame reaches the cap, so each op ends its segment.
+            w.append(&[op; 34]).unwrap();
+        }
+        drop(w);
+        let seqs: Vec<u64> = segments(&dir).unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(seqs, [0, 1, 2, 3], "one op per segment, then an empty one");
+        dir
+    }
+
+    #[test]
+    fn a_predecessor_shorter_than_its_successor_header_stops_replay() {
+        let op = |b: u8| vec![b; 34];
+        let intact = three_segment_store("chain");
+        let mut w = FileWal::open(&intact, FsyncPolicy::Never).unwrap();
+        assert_eq!(w.replay().unwrap().ops, [op(b'a'), op(b'b'), op(b'c')]);
+        drop(w);
+
+        // wal-1 lost its unsynced op, cut at the frame boundary: it scans
+        // clean on its own, but wal-2's header says it was longer.
+        let dir = three_segment_store("short");
+        let wal1 = dir.join("wal-1.log");
+        let head = segment_head(Some((0, 0))).len();
+        let buf = fs::read(&wal1).unwrap();
+        fs::write(&wal1, &buf[..head]).unwrap();
+        let mut w = FileWal::open(&dir, FsyncPolicy::Never).unwrap();
+        let rep = w.replay().unwrap();
+        assert_eq!(rep.ops, [op(b'a')], "c must not be folded in over b's hole");
+        assert!(matches!(rep.tail, TailState::Torn { .. }), "{:?}", rep.tail);
+        assert!(
+            !dir.join("wal-2.log").exists(),
+            "open unlinks past the hole"
+        );
+        // Appends continue in the short segment, and the next open keeps
+        // them.
+        w.append(b"after").unwrap();
+        drop(w);
+        let mut w = FileWal::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(w.replay().unwrap().ops, [op(b'a'), b"after".to_vec()]);
+        drop(w);
+
+        // Planted after the open, replay stops there by itself.
+        let live = three_segment_store("short-live");
+        let mut w = FileWal::open(&live, FsyncPolicy::Never).unwrap();
+        let buf = fs::read(live.join("wal-1.log")).unwrap();
+        fs::write(live.join("wal-1.log"), &buf[..head]).unwrap();
+        let rep = w.replay().unwrap();
+        assert_eq!(rep.ops, [op(b'a')]);
+        assert!(matches!(rep.tail, TailState::Torn { .. }), "{:?}", rep.tail);
+        drop(w);
+
+        // A missing predecessor is a hole too.
+        let missing = three_segment_store("missing");
+        fs::remove_file(missing.join("wal-1.log")).unwrap();
+        let mut w = FileWal::open(&missing, FsyncPolicy::Never).unwrap();
+        let rep = w.replay().unwrap();
+        assert_eq!(rep.ops, [op(b'a')]);
+        assert!(matches!(rep.tail, TailState::Torn { .. }), "{:?}", rep.tail);
+        drop(w);
+
+        // Headerless segments, as written before the chain, replay
+        // everything as they always did.
+        let legacy = temp_dir("legacy");
+        fs::create_dir_all(&legacy).unwrap();
+        for (seq, payload) in [(0, b"x"), (2, b"y")] {
+            let mut seg = SEG_MAGIC_V1.to_vec();
+            put_frame(&mut seg, payload);
+            fs::write(legacy.join(format!("wal-{seq}.log")), seg).unwrap();
+        }
+        let mut w = FileWal::open(&legacy, FsyncPolicy::Never).unwrap();
+        assert_eq!(w.replay().unwrap().ops, [b"x".to_vec(), b"y".to_vec()]);
+        drop(w);
+        for d in [intact, dir, live, missing, legacy] {
+            fs::remove_dir_all(d).unwrap();
+        }
+    }
+
     #[test]
     fn batch_sync_never_fsyncs_on_the_calling_thread() {
         let dir = temp_dir("offthread");
         let mut w = FileWal::open(&dir, FsyncPolicy::Batch).unwrap();
-        w.snapshot(b"base").unwrap();
+        w.snapshot(b"base".to_vec()).unwrap();
         let _ = probe::take(&dir);
         for i in 0..64u8 {
             w.append(&[i; 16]).unwrap();
@@ -1328,7 +1708,7 @@ mod tests {
     fn appends_during_an_inflight_fsync_share_the_next_one() {
         let dir = temp_dir("inflight");
         let mut w = FileWal::open(&dir, FsyncPolicy::Batch).unwrap();
-        let (started, resume) = probe::pause_next_fsync(&dir);
+        let (started, resume) = probe::pause_next(&dir, "append_fsync");
         w.append(b"a").unwrap();
         w.sync().unwrap();
         started.recv().unwrap(); // the first fsync is running, covering "a"
@@ -1358,7 +1738,7 @@ mod tests {
         let mut w = FileWal::open(&dir, FsyncPolicy::Batch)
             .unwrap()
             .with_segment_cap(64);
-        let (first, resume_first) = probe::pause_next_fsync(&dir);
+        let (first, resume_first) = probe::pause_next(&dir, "append_fsync");
         w.append(&[1u8; 8]).unwrap();
         w.sync().unwrap();
         first.recv().unwrap(); // running on wal-0
@@ -1369,7 +1749,7 @@ mod tests {
         }
         w.append(b"in-wal-1").unwrap();
         w.sync().unwrap();
-        let (second, resume_second) = probe::pause_next_fsync(&dir);
+        let (second, resume_second) = probe::pause_next(&dir, "append_fsync");
         resume_first.send(()).unwrap();
         let fsynced_len = second.recv().unwrap();
         let (_, newest) = segments(&dir).unwrap().pop().unwrap();
@@ -1384,6 +1764,76 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[test]
+    fn reset_during_a_paused_snapshot_job_leaves_no_snapshot() {
+        let dir = temp_dir("reset-race");
+        let mut w = FileWal::open(&dir, FsyncPolicy::Batch).unwrap();
+        let (reached, resume) = probe::pause_next(&dir, "snapshot_rename");
+        w.snapshot(b"running".to_vec()).unwrap();
+        reached.recv().unwrap(); // held just before its rename
+        w.snapshot(b"pending".to_vec()).unwrap();
+        let resetter = std::thread::spawn(move || {
+            w.reset().unwrap();
+            w
+        });
+        // Let the job go once the reset is waiting on it (bounded, so a
+        // reset that does not wait fails the assertion below, not the run).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !probe::seen(&dir, "settle_wait") && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        resume.send(()).unwrap();
+        let mut w = resetter.join().unwrap();
+        wait_disk_idle();
+        assert!(
+            !FileWal::has_state(&dir),
+            "neither the running nor the pending snapshot outlives the reset"
+        );
+        let rep = w.replay().unwrap();
+        assert!(rep.snapshot.is_none() && rep.ops.is_empty());
+        drop(w);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn drop_lands_a_pending_snapshot_itself() {
+        // Hold the disk thread on another store, so this one's snapshot
+        // is still pending when the store is dropped.
+        let blocker_dir = temp_dir("blocker");
+        let mut blocker = FileWal::open(&blocker_dir, FsyncPolicy::Batch).unwrap();
+        let (reached, resume) = probe::pause_next(&blocker_dir, "snapshot_rename");
+        blocker.snapshot(b"blocker".to_vec()).unwrap();
+        reached.recv().unwrap();
+
+        let dir = temp_dir("drop-pending");
+        let mut w = FileWal::open(&dir, FsyncPolicy::Batch).unwrap();
+        w.append(b"covered").unwrap();
+        w.snapshot(b"state".to_vec()).unwrap();
+        w.append(b"after").unwrap();
+        let _ = probe::take(&dir);
+        drop(w);
+        let me = std::thread::current().name().unwrap_or("").to_owned();
+        let ev = probe::take(&dir);
+        assert!(
+            ev.iter().any(|(e, t)| *e == "snapshot_rename" && *t == me)
+                && ev.iter().any(|(e, t)| *e == "append_fsync" && *t == me),
+            "the drop landed the snapshot, then fsynced the append after it: {ev:?}"
+        );
+        let (state, cover) = read_snapshot(&dir).unwrap().unwrap();
+        assert_eq!((state.as_slice(), cover), (&b"state"[..], 1));
+        assert!(!dir.join("wal-0.log").exists());
+
+        resume.send(()).unwrap();
+        wait_disk_idle();
+        drop(blocker);
+        let mut w = FileWal::open(&dir, FsyncPolicy::Batch).unwrap();
+        assert_eq!(w.replay().unwrap().ops, vec![b"after".to_vec()]);
+        drop(w);
+        for d in [dir, blocker_dir] {
+            fs::remove_dir_all(d).unwrap();
+        }
+    }
+
     /// `NodeHost::poll`'s sync pass in miniature: each append is followed
     /// by the hand-off the host makes at the end of a poll batch.
     struct SyncEachAppend(FileWal);
@@ -1393,7 +1843,7 @@ mod tests {
             self.0.append(op)?;
             self.0.sync()
         }
-        fn snapshot(&mut self, state: &[u8]) -> Result<(), StoreError> {
+        fn snapshot(&mut self, state: Vec<u8>) -> Result<(), StoreError> {
             self.0.snapshot(state)
         }
         fn replay(&mut self) -> Result<Replay, StoreError> {
@@ -1413,30 +1863,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn failed_background_fsync_poisons_the_store() {
-        let root = temp_dir("bgfail");
+    /// A simulated file whose data buckets log to `FileWal`s under `root`
+    /// (`Batch`, synced after every append), snapshotting every
+    /// `snapshot_every` appends.
+    fn durable_file(root: &Path, snapshot_every: u64) -> LhrsFile {
         let cfg = Config {
             ack_writes: true,
             ack_parity: true,
             bucket_capacity: 1000,
+            wal_snapshot_every: snapshot_every,
             ..Config::default()
         };
         let mut file = LhrsFile::new(cfg).unwrap();
-        let factory_root = root.clone();
+        let factory_root = root.to_path_buf();
         file.install_store_factory(Rc::new(move |_node, id| {
             let w = FileWal::open(store_dir(&factory_root, id), FsyncPolicy::Batch).ok()?;
             Some(Box::new(SyncEachAppend(w)) as Box<dyn BucketStore>)
         }));
+        file
+    }
+
+    fn payload(k: u64) -> Vec<u8> {
+        format!("bg-{k}").into_bytes()
+    }
+
+    /// Keys of bucket 0 (the file never splits at this capacity).
+    fn bucket0_keys(file: &LhrsFile, n: usize) -> Vec<u64> {
+        (0..).filter(|k| file.address_of(*k) == 0).take(n).collect()
+    }
+
+    /// A disk-thread failure at `step` during the second insert poisons
+    /// the store: the next insert resets it, counts one `wal_errors`, and
+    /// the bucket can no longer resurrect from it; its group rebuilds it.
+    fn background_failure_poisons_the_store(tag: &str, step: &'static str, snapshot_every: u64) {
+        let root = temp_dir(tag);
+        let mut file = durable_file(&root, snapshot_every);
         let dir = store_dir(&root, &StoreId::Data { bucket: 0 });
-        let keys: Vec<u64> = (0..).filter(|k| file.address_of(*k) == 0).take(3).collect();
-        let payload = |k: u64| format!("bg-{k}").into_bytes();
+        let keys = bucket0_keys(&file, 3);
         let wal_errors = |file: &LhrsFile| file.metrics().counter("wal_errors");
 
         file.insert(keys[0], payload(keys[0])).unwrap();
         wait_disk_idle();
-        probe::fail_next_fsync(&dir);
-        file.insert(keys[1], payload(keys[1])).unwrap(); // its fsync fails
+        probe::fail_next(&dir, step);
+        file.insert(keys[1], payload(keys[1])).unwrap(); // its disk job fails
         wait_disk_idle();
         assert_eq!(
             wal_errors(&file),
@@ -1447,6 +1916,7 @@ mod tests {
 
         file.insert(keys[2], payload(keys[2])).unwrap();
         assert_eq!(wal_errors(&file), 1);
+        wait_disk_idle();
         assert!(
             !FileWal::has_state(&dir),
             "the poisoned store is reset, so a durable boot of it is Blank"
@@ -1462,6 +1932,98 @@ mod tests {
         for k in keys {
             assert_eq!(file.lookup(k).unwrap(), Some(payload(k)), "acked key {k}");
         }
+        // The rebuilt bucket's store may still be writing its snapshot.
+        drop(file);
+        wait_disk_idle();
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn failed_background_fsync_poisons_the_store() {
+        background_failure_poisons_the_store("bgfail", "append_fsync", 1024);
+    }
+
+    #[test]
+    fn failed_background_snapshot_poisons_the_store() {
+        background_failure_poisons_the_store("bgsnapfail", "snapshot_tmp_fsync", 2);
+    }
+
+    /// Copy every file of `from` into a fresh `to`.
+    fn copy_dir(from: &Path, to: &Path) {
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+
+    /// Hold bucket 0's next snapshot job at `step`, copy its store
+    /// directory there — what a `SIGKILL` at that moment leaves — and
+    /// boot the bucket from the copy: every acked key reads back and
+    /// parity still equals RS(data).
+    fn killed_mid_snapshot_boots_to_the_acked_state(tag: &str, step: &'static str) {
+        let root = temp_dir(tag);
+        let mut file = durable_file(&root, 8);
+        let dir = store_dir(&root, &StoreId::Data { bucket: 0 });
+        let keys = bucket0_keys(&file, 40);
+        let mut keys = keys.into_iter();
+        let mut acked = Vec::new();
+        let mut insert = |file: &mut LhrsFile, acked: &mut Vec<u64>| {
+            let k = keys.next().unwrap();
+            file.insert(k, payload(k)).unwrap();
+            acked.push(k);
+        };
+        for _ in 0..3 {
+            insert(&mut file, &mut acked);
+        }
+        wait_disk_idle();
+
+        let (reached, resume) = probe::pause_next(&dir, step);
+        let snapshots = file.metrics().counter("wal_snapshots");
+        while file.metrics().counter("wal_snapshots") == snapshots {
+            insert(&mut file, &mut acked);
+        }
+        reached.recv().unwrap();
+        // Acked while the job is held: these live in the new segment.
+        for _ in 0..3 {
+            insert(&mut file, &mut acked);
+        }
+        let killed = root.join("killed");
+        copy_dir(&dir, &killed);
+        resume.send(()).unwrap();
+        wait_disk_idle();
+
+        // The copy is behind the parity group by whatever is acked after
+        // it: the restart's Δ-suffix must bring those back.
+        for _ in 0..2 {
+            insert(&mut file, &mut acked);
+        }
+        file.crash_data_bucket(0);
+        fs::remove_dir_all(&dir).unwrap();
+        fs::rename(&killed, &dir).unwrap();
+        assert_eq!(file.restart_data_bucket_from_store(0), Ok(true));
+        assert_eq!(
+            file.metrics().counter("restart_suffix_entries"),
+            2,
+            "the copy replays every op acked before it; the suffix brings only the rest"
+        );
+        for k in &acked {
+            assert_eq!(file.lookup(*k).unwrap(), Some(payload(*k)), "acked key {k}");
+        }
+        file.verify_integrity().unwrap();
+        assert_eq!(file.metrics().counter("wal_errors"), 0);
+        drop(file);
+        wait_disk_idle();
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_kill_before_the_snapshot_rename_boots_to_the_acked_state() {
+        killed_mid_snapshot_boots_to_the_acked_state("kill-before", "snapshot_rename");
+    }
+
+    #[test]
+    fn a_kill_after_the_snapshot_rename_boots_to_the_acked_state() {
+        killed_mid_snapshot_boots_to_the_acked_state("kill-after", "snapshot_renamed");
     }
 }

@@ -30,11 +30,12 @@ fn op(i: u64) -> Vec<u8> {
 fn seed_store(tag: &str, n: u64) -> (PathBuf, PathBuf) {
     let dir = temp_dir(tag);
     let mut wal = FileWal::open(dir.clone(), FsyncPolicy::Never).unwrap();
-    wal.snapshot(b"snapshot-state").unwrap();
+    wal.snapshot(b"snapshot-state".to_vec()).unwrap();
     for i in 0..n {
         wal.append(&op(i)).unwrap();
     }
     wal.sync().unwrap();
+    lhrs_wal::wait_disk_idle();
     let seg = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
@@ -85,9 +86,10 @@ fn every_truncation_point_replays_a_clean_prefix() {
     let full = std::fs::read(&seg).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Clean frame boundaries: after the 4-byte magic, each frame is a
-    // 1-byte length varint (all seeded ops are < 128 B), a 4-byte CRC, and
-    // the payload. Cuts exactly here mimic a clean shutdown.
+    // Clean frame boundaries: after the 4-byte magic, each frame — the
+    // segment header first, then the ops — is a 1-byte length varint (all
+    // are < 128 B), a 4-byte CRC, and the payload. Cuts exactly here mimic
+    // a clean shutdown.
     let mut boundaries = std::collections::BTreeSet::new();
     let mut pos = 4usize;
     boundaries.insert(pos);
