@@ -1,8 +1,7 @@
 //! File-level configuration.
 
+use lhrs_gf::{GaloisField, Gf8};
 use lhrs_sim::LatencyModel;
-
-use crate::code::GfField;
 
 /// How existing bucket groups acquire additional parity buckets when the
 /// scalable-availability rule raises the file's availability level `k`.
@@ -100,10 +99,6 @@ pub struct Config {
     /// client. Required for client-side failure detection of blind writes;
     /// adds one message per operation. Lookups always get replies.
     pub ack_writes: bool,
-    /// Galois field for the parity arithmetic: GF(2^8) (default, compact
-    /// tables, `m + k ≤ 256`) or GF(2^16) (huge groups, two-byte symbols —
-    /// `record_len` must be even so coding cells symbol-align).
-    pub field: GfField,
     /// Scan termination protocol.
     pub scan_termination: ScanTermination,
     /// Client request timeout (µs) before reporting a suspected bucket
@@ -121,9 +116,6 @@ pub struct Config {
     /// nothing is retransmitted (or even tracked) in the paper's
     /// fire-and-forget base mode.
     pub delta_retransmit_us: u64,
-    /// Consecutive no-progress retransmission rounds before a data bucket
-    /// gives up on a parity bucket (recovery will rebuild it).
-    pub delta_retry_limit: u32,
     /// Coordinator probe timeout (µs) before declaring a suspect dead.
     pub probe_timeout_us: u64,
     /// Interval (µs) at which the coordinator retransmits unanswered
@@ -133,17 +125,12 @@ pub struct Config {
     /// Retransmission rounds the coordinator attempts (per probe, shard
     /// transfer, install, split, or merge) before giving up.
     pub coord_retries: u32,
-    /// Data-bucket replay-cache capacity: how many recent client-op results
-    /// each bucket remembers for duplicate suppression. FIFO-evicted beyond
-    /// this bound; must be ≥ 1. Size it above `clients × in-flight ops` so
-    /// a retried write still finds its first execution's result.
-    pub replay_cache_cap: usize,
     /// Pipelined-client in-flight window: how many operations a batch
     /// driver (`KvClient::run_batch` over the multiplexed network client)
     /// keeps outstanding at once. 1 restores strict one-op-at-a-time
-    /// behaviour; must be ≥ 1. Keep `replay_cache_cap` above
-    /// `clients × client_window` so a retried write still finds its first
-    /// execution's result.
+    /// behaviour; must be ≥ 1. Keep `clients × client_window` below
+    /// [`crate::data_bucket::REPLAY_CACHE_CAP`] so a retried write still
+    /// finds its first execution's result.
     pub client_window: usize,
     /// Snapshot interval for durable buckets: after this many write-ahead
     /// log appends since the last snapshot, a bucket writes a fresh
@@ -151,10 +138,6 @@ pub struct Config {
     /// (structural events — splits, merges, installs — still snapshot).
     /// Ignored when no [`crate::storage::BucketStore`] is attached.
     pub wal_snapshot_every: u64,
-    /// Per-column Δ-commit history retained by each parity bucket, used to
-    /// serve Δ-suffix catch-up to restarting data buckets. A restart whose
-    /// gap exceeds this cap falls back to a full RS rebuild.
-    pub delta_history_cap: usize,
     /// When the durable store fsyncs its write-ahead log.
     pub wal_fsync: FsyncPolicy,
     /// Network latency model for the simulated multicomputer.
@@ -175,20 +158,16 @@ impl Default for Config {
             upgrade_mode: UpgradeMode::Eager,
             ack_parity: false,
             ack_writes: false,
-            field: GfField::default(),
             scan_termination: ScanTermination::Deterministic,
             client_timeout_us: 10_000,
             client_retries: 3,
             retry_backoff_cap_us: 160_000,
             delta_retransmit_us: 8_000,
-            delta_retry_limit: 20,
             probe_timeout_us: 5_000,
             coord_retransmit_us: 8_000,
             coord_retries: 10,
-            replay_cache_cap: 4096,
             client_window: 64,
             wal_snapshot_every: 1024,
-            delta_history_cap: 4096,
             wal_fsync: FsyncPolicy::default(),
             latency: LatencyModel::default(),
             node_pool: 512,
@@ -223,18 +202,10 @@ impl Config {
             .group_size
             .saturating_add(self.initial_k)
             .saturating_add(self.scale_thresholds.len());
-        if shards > self.field.max_shards() {
+        if shards > MAX_SHARDS {
             return Err(crate::Error::InvalidConfig(format!(
-                "m + k_max = {shards} exceeds the {:?} limit of {}",
-                self.field,
-                self.field.max_shards()
-            )));
-        }
-        if !self.cell_len().is_multiple_of(self.field.symbol_bytes()) {
-            return Err(crate::Error::InvalidConfig(format!(
-                "coding cell of {} bytes is not {:?}-symbol aligned: use an even record_len",
-                self.cell_len(),
-                self.field
+                "m + k_max = {shards} exceeds the {MAX_SHARDS} points of {}",
+                Gf8::NAME
             )));
         }
         if self.delta_retransmit_us == 0 || self.coord_retransmit_us == 0 {
@@ -242,19 +213,9 @@ impl Config {
                 "delta_retransmit_us and coord_retransmit_us must be ≥ 1 µs".into(),
             ));
         }
-        if self.replay_cache_cap == 0 {
-            return Err(crate::Error::InvalidConfig(
-                "replay_cache_cap must be ≥ 1".into(),
-            ));
-        }
         if self.client_window == 0 {
             return Err(crate::Error::InvalidConfig(
                 "client_window must be ≥ 1".into(),
-            ));
-        }
-        if self.delta_history_cap == 0 {
-            return Err(crate::Error::InvalidConfig(
-                "delta_history_cap must be ≥ 1".into(),
             ));
         }
         if self.retry_backoff_cap_us < self.client_timeout_us {
@@ -281,6 +242,10 @@ impl Config {
         4 + self.record_len
     }
 }
+
+/// Upper bound on `m + k_max`: the Cauchy construction needs that many
+/// distinct points of GF(2^8).
+const MAX_SHARDS: usize = Gf8::ORDER as usize;
 
 /// Upper bound on [`Config::record_len`] accepted by [`Config::validate`]:
 /// a whole bucket's shard transfer of maximal records must still fit a
@@ -315,23 +280,17 @@ mod tests {
         let c = Config {
             group_size: 250,
             initial_k: 10,
+            node_pool: 4096,
             ..Config::default()
         };
         assert!(c.validate().is_err(), "m + k > 256 invalid under GF(2^8)");
         let c = Config {
             group_size: 250,
-            initial_k: 10,
-            field: GfField::Gf16,
+            initial_k: 6,
             node_pool: 4096,
             ..Config::default()
         };
-        assert!(c.validate().is_ok(), "GF(2^16) lifts the limit");
-        let c = Config {
-            field: GfField::Gf16,
-            record_len: 33, // odd ⇒ odd cell: misaligned for 2-byte symbols
-            ..Config::default()
-        };
-        assert!(c.validate().is_err());
+        assert!(c.validate().is_ok(), "m + k = 256 fits GF(2^8)");
     }
 
     #[test]
@@ -349,15 +308,6 @@ mod tests {
             assert_eq!(p.to_string().parse::<FsyncPolicy>(), Ok(p));
         }
         assert!("sometimes".parse::<FsyncPolicy>().is_err());
-    }
-
-    #[test]
-    fn zero_delta_history_cap_rejected() {
-        let c = Config {
-            delta_history_cap: 0,
-            ..Config::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -7,11 +7,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
+use lhrs_gf::Gf8;
 use lhrs_lh::FileState;
 use lhrs_obs::Event as ObsEvent;
+use lhrs_rs::RsCode;
 use lhrs_sim::{Env, NodeId, Payload, TimerId};
-
-use crate::code::AnyCode;
 
 use crate::msg::{Msg, OpId, OpResult, ReqKind, ShardContent};
 use crate::record::decode_cell;
@@ -271,7 +271,8 @@ pub struct Coordinator {
     pub k_file: usize,
     /// Per-group availability level (index = group).
     pub group_k: Vec<usize>,
-    pool: Vec<NodeId>,
+    /// Hot spares, handed out from the back.
+    pub(crate) pool: Vec<NodeId>,
     thresholds_crossed: usize,
     /// Confirmed-failed shards: (group, shard index).
     failed: HashSet<(u64, usize)>,
@@ -569,7 +570,7 @@ impl Coordinator {
 
     /// Timer handler: one retransmission round of the exchange the timer
     /// belongs to. Past `coord_retries` rounds — or when nothing is left
-    /// to re-send — the exchange is concluded by [`Self::exhausted`].
+    /// to re-send — the exchange is concluded by `exhausted`.
     pub fn on_timer(&mut self, env: &mut Env<'_, Msg>, timer: TimerId) {
         let Some((&token, ex)) = self.exchanges.iter_mut().find(|(_, e)| e.timer == timer) else {
             return;
@@ -1729,14 +1730,14 @@ impl Coordinator {
         else {
             return;
         };
-        // group_k and the field/m pair were validated when the group was
-        // created; a mismatch here degrades the one lookup, not the actor.
+        // group_k and m were validated when the group was created; a
+        // mismatch here degrades the one lookup, not the actor.
         let k_g = self
             .group_k
             .get(crate::convert::to_index(d.group))
             .copied()
             .unwrap_or(0);
-        let result = match AnyCode::new(self.shared.cfg.field, self.m(), k_g) {
+        let result = match RsCode::<Gf8>::new(self.m(), k_g) {
             Ok(code) => {
                 let avail: Vec<(usize, &[u8])> =
                     cells.iter().map(|(s, c)| (*s, c.as_slice())).collect();
@@ -1784,9 +1785,13 @@ impl Coordinator {
         else {
             return;
         };
-        if r.awaiting.remove(&shard) {
-            r.collected.insert(shard, content);
+        // Each (token, shard) settles once: a late or duplicated reply —
+        // after the collection completed, too — is dropped, or it would
+        // decode again and install onto a second set of spares.
+        if !r.awaiting.remove(&shard) {
+            return;
         }
+        r.collected.insert(shard, content);
         if !r.awaiting.is_empty() {
             return;
         }
@@ -1850,12 +1855,12 @@ impl Coordinator {
         let m = self.m();
         let cell_len = self.shared.cfg.cell_len();
         let existing = self.existing_cols(group);
-        // The (field, m, k) triple was validated at file creation and every
-        // upgrade; if decode still fails the collected shards are
-        // inconsistent. Either way: record it, abandon the rebuild (the
-        // shards stay marked failed, so the next suspect re-audits), and
-        // fail the parked writes back to their clients.
-        let rebuilt = AnyCode::new(self.shared.cfg.field, m, k)
+        // The (m, k) pair was validated at file creation and every upgrade;
+        // if decode still fails the collected shards are inconsistent.
+        // Either way: record it, abandon the rebuild (the shards stay
+        // marked failed, so the next suspect re-audits), and fail the
+        // parked writes back to their clients.
+        let rebuilt = RsCode::<Gf8>::new(m, k)
             .map_err(|e| e.to_string())
             .and_then(|code| {
                 rebuild_shards(m, k, cell_len, existing, &r.collected, &r.rebuild, &code)
@@ -2113,7 +2118,7 @@ fn rebuild_shards(
     existing_cols: usize,
     collected: &HashMap<usize, ShardContent>,
     rebuild: &[usize],
-    code: &AnyCode,
+    code: &RsCode<Gf8>,
 ) -> Result<Vec<(usize, ShardContent)>, String> {
     // Universe of ranks, plus the per-column delta-sequence watermarks.
     // Collection happens at quiescence (every survivor has applied the same
@@ -2285,7 +2290,6 @@ fn recompute_state(replies: &[(u64, u8)]) -> (u64, u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::GfField;
     use crate::record::encode_cell;
 
     #[test]
@@ -2311,7 +2315,7 @@ mod tests {
         let m = 4;
         let k = 2;
         let cell_len = 12;
-        let code = AnyCode::new(GfField::Gf8, m, k).unwrap();
+        let code = RsCode::<Gf8>::new(m, k).unwrap();
 
         // Build a consistent group: 3 existing columns with some records.
         let data: Vec<Vec<(Rank, Key, Vec<u8>)>> = vec![
@@ -2406,7 +2410,7 @@ mod tests {
         let m = 4;
         let k = 1;
         let cell_len = 10;
-        let code = AnyCode::new(GfField::Gf8, m, k).unwrap();
+        let code = RsCode::<Gf8>::new(m, k).unwrap();
         let rec: (Rank, Key, Vec<u8>) = (0, 77, b"xyz".to_vec());
         let cell = encode_cell(&rec.2, cell_len);
         // Parity 0 is the XOR of the single member.
@@ -2436,7 +2440,7 @@ mod tests {
     fn rebuild_empty_group_yields_empty_shards() {
         let m = 2;
         let k = 1;
-        let code = AnyCode::new(GfField::Gf8, m, k).unwrap();
+        let code = RsCode::<Gf8>::new(m, k).unwrap();
         let mut collected = HashMap::new();
         collected.insert(
             1,

@@ -14,6 +14,17 @@ use crate::registry::SharedHandle;
 use crate::storage::{self, BucketStore, GroupCommits, StoreError, WalOp};
 use crate::{Key, Rank};
 
+/// Consecutive no-progress Δ retransmission rounds after which a data
+/// bucket gives up on a parity bucket (recovery will rebuild it).
+pub const DELTA_RETRY_LIMIT: u32 = 20;
+
+/// Replay-cache capacity: how many recent client-op results each bucket
+/// remembers for duplicate suppression, least recently used evicted first.
+/// It stays above `clients × client_window` for the deployments this
+/// reproduction runs, so a retried write still finds its first execution's
+/// result.
+pub const REPLAY_CACHE_CAP: usize = 4096;
+
 /// What one parity fan-out carries: a client write's Δ or a bulk batch.
 enum Deltas {
     One(DeltaEntry),
@@ -680,7 +691,7 @@ impl DataBucket {
         } else {
             self.retry_rounds += 1;
         }
-        if self.retry_rounds > self.shared.cfg.delta_retry_limit {
+        if self.retry_rounds > DELTA_RETRY_LIMIT {
             // No progress for too long: a dead parity bucket is the
             // recovery machinery's problem. Stop retransmitting (the timer
             // re-arms when an ack or a fresh Δ shows signs of life).
@@ -772,7 +783,7 @@ impl DataBucket {
             self.replay_lru.remove(&old_gen);
         }
         self.replay_lru.insert(gen, id);
-        while self.replay.len() > self.shared.cfg.replay_cache_cap {
+        while self.replay.len() > REPLAY_CACHE_CAP {
             let Some((_, coldest)) = self.replay_lru.pop_first() else {
                 break; // maps out of sync only on a logic bug; never spin
             };
@@ -794,7 +805,7 @@ impl DataBucket {
     }
 
     /// Number of entries currently in the replay cache (bounded by
-    /// [`crate::Config::replay_cache_cap`]).
+    /// [`REPLAY_CACHE_CAP`]).
     pub fn replay_cache_len(&self) -> usize {
         self.replay.len()
     }

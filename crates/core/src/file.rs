@@ -7,10 +7,10 @@
 //! message, failure, and recovery underneath is fully simulated and
 //! accounted.
 
+use lhrs_gf::Gf8;
 use lhrs_obs::{Clock, Metrics};
+use lhrs_rs::RsCode;
 use lhrs_sim::{NetStats, NodeId, Sim};
-
-use crate::code::AnyCode;
 
 use crate::client::Client;
 use crate::coordinator::{CoordEvent, Coordinator};
@@ -19,7 +19,7 @@ use crate::msg::{ClientOp, FilterSpec, Msg, OpId, OpResult};
 use crate::node::Node;
 use crate::parity_bucket::ParityBucket;
 use crate::record::encode_cell;
-use crate::registry::{Shared, SharedHandle};
+use crate::registry::{initial_layout, Shared, SharedHandle};
 use crate::storage::{self, StoreError, StoreFactory, StoreId};
 use crate::wire::Reader;
 use crate::{Config, Error, Key};
@@ -105,9 +105,8 @@ impl LhrsFile {
             .collect();
         let coordinator = ids[0];
         let client = ids[1];
-        let bucket0 = ids[2];
-        let parity: Vec<NodeId> = ids[3..3 + k].to_vec();
-        let pool: Vec<NodeId> = ids[3 + k..].iter().rev().copied().collect();
+        let (bucket0, parity, pool) = initial_layout(&ids[2..], k)
+            .ok_or_else(|| Error::InvalidConfig("node_pool too small for group 0".into()))?;
 
         {
             let mut reg = shared.registry.borrow_mut();
@@ -745,7 +744,7 @@ impl LhrsFile {
             {
                 continue;
             }
-            let code = AnyCode::new(cfg.field, m, k_g).map_err(|e| e.to_string())?;
+            let code = RsCode::<Gf8>::new(m, k_g).map_err(|e| e.to_string())?;
 
             // Gather per-rank member cells and keys.
             use std::collections::BTreeMap;
@@ -991,6 +990,62 @@ mod tests {
             .iter()
             .any(|(_, e)| matches!(e, CoordEvent::InvariantViolated { .. })));
         assert_eq!(file.metrics().counter("invariant_violations"), 1);
+    }
+
+    /// A `ShardData` settles its (token, shard) once: a duplicate that
+    /// arrives after the collection completed must not decode again, take
+    /// a second spare or send a second `Install`.
+    #[test]
+    fn a_duplicated_shard_data_does_not_rerun_the_rebuild() {
+        let mut file = LhrsFile::new(Config {
+            group_size: 4,
+            initial_k: 1,
+            bucket_capacity: 64,
+            ack_writes: true,
+            ack_parity: true,
+            latency: LatencyModel::instant(),
+            ..Config::default()
+        })
+        .unwrap();
+        for key in 0..8u64 {
+            file.insert(key, vec![7; 4]).unwrap();
+        }
+        let pnode = file.parity_node_id(0, 0);
+        let spares = file.coord().pool.len();
+        file.crash_data_bucket(0);
+
+        // Audit the group and stop the world once the collection is
+        // complete and the rebuilt shard is on its way to a spare ...
+        file.sim
+            .send_external(file.coordinator, Msg::CheckGroup { group: 0 });
+        while file.sim.stats().count("install") == 0 {
+            assert!(file.sim.step(), "the rebuild must start");
+        }
+        // ... then deliver the parity shard again under every token in
+        // the small token space.
+        for token in 0..64 {
+            let content = crate::msg::ShardContent::Parity {
+                records: Vec::new(),
+                col_seqs: vec![0; 4],
+            };
+            let again = Msg::ShardData {
+                token,
+                shard: 4,
+                content,
+            };
+            file.sim.send_as(pnode, file.coordinator, again);
+        }
+        file.sim.run_until_idle();
+
+        let recovered = file
+            .events()
+            .iter()
+            .filter(|(_, e)| matches!(e, CoordEvent::GroupRecovered { .. }))
+            .count();
+        assert_eq!(recovered, 1);
+        assert_eq!(file.sim.stats().count("install"), 1);
+        assert_eq!(file.coord().pool.len(), spares - 1);
+        assert_eq!(file.lookup(3).unwrap(), Some(vec![7; 4]));
     }
 
     /// A Δ's `col` is a `usize` off the wire. An entry for a column outside

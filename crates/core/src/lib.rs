@@ -96,7 +96,6 @@ audited! {
 }
 pub mod api;
 pub mod availability;
-pub mod code;
 mod config;
 mod error;
 pub mod file;
@@ -105,7 +104,6 @@ pub mod node;
 pub mod record;
 
 pub use api::{KvClient, OpOutcome};
-pub use code::GfField;
 pub use config::{Config, FsyncPolicy, ScanTermination, UpgradeMode, MAX_RECORD_LEN};
 pub use coordinator::CoordEvent;
 pub use error::Error;

@@ -3,13 +3,19 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use lhrs_rs::RsError;
+use lhrs_gf::Gf8;
+use lhrs_rs::{RsCode, RsError};
 use lhrs_sim::{Env, NodeId};
 
 use crate::msg::{DeltaEntry, KeyOp, Msg, ShardContent};
 use crate::record::cell_is_zero;
 use crate::registry::SharedHandle;
 use crate::{Key, Rank};
+
+/// Per-column Δ-commit history each parity bucket of a durable file
+/// retains to serve Δ-suffix catch-up to restarting data buckets. A
+/// restart whose gap exceeds it falls back to a full RS rebuild.
+pub const DELTA_HISTORY_CAP: usize = 4096;
 
 /// One parity record: the member keys of the record group (by column) and
 /// the accumulated parity cell for this bucket's parity column.
@@ -47,7 +53,7 @@ pub struct ParityBucket {
     /// Only `coeff(col, index)` is consulted, and generator columns are
     /// prefix-stable in `k`, so a later `k` increase does not invalidate it.
     pub k: usize,
-    code: crate::code::AnyCode,
+    code: RsCode<Gf8>,
     records: BTreeMap<Rank, ParityRecord>,
     /// Per data column: Δ-stream admission state.
     channels: Vec<ColChannel>,
@@ -58,20 +64,19 @@ pub struct ParityBucket {
     /// argues).
     key_index: HashMap<Key, Rank>,
     /// Per data column: recently applied Δs (bounded by
-    /// `delta_history_cap`), kept to serve Δ-suffix catch-up to restarting
+    /// [`DELTA_HISTORY_CAP`]), kept to serve Δ-suffix catch-up to restarting
     /// data buckets. Contiguous and, unless empty, ending exactly at
     /// `channels[col].next_seq`; kept only on a durable node.
     history: Vec<VecDeque<DeltaEntry>>,
 }
 
 impl ParityBucket {
-    /// Create an empty parity bucket. Fails when the field has no parity
+    /// Create an empty parity bucket. Fails when GF(2^8) has no parity
     /// column `index` for groups of `m` (an `index`/`k` off the wire that
     /// no validated `Config` produces).
     pub fn new(shared: SharedHandle, group: u64, index: usize, k: usize) -> Result<Self, RsError> {
         let m = shared.cfg.group_size;
-        let code =
-            crate::code::AnyCode::new(shared.cfg.field, m, k.max(index.saturating_add(1)))?;
+        let code = RsCode::new(m, k.max(index.saturating_add(1)))?;
         Ok(ParityBucket {
             shared,
             group,
@@ -166,12 +171,11 @@ impl ParityBucket {
     /// Applies happen strictly in column order, so each deque is contiguous
     /// and ends exactly at `channels[col].next_seq`.
     fn remember(&mut self, entry: DeltaEntry) {
-        let cap = self.shared.cfg.delta_history_cap;
         let Some(hist) = self.history.get_mut(entry.col) else {
             return;
         };
         hist.push_back(entry);
-        while hist.len() > cap {
+        while hist.len() > DELTA_HISTORY_CAP {
             hist.pop_front();
         }
     }

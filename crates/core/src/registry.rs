@@ -182,6 +182,18 @@ impl Registry {
     }
 }
 
+/// A new file's placement over its server nodes, given in ascending id
+/// order: bucket 0 on the lowest server, the next `k` as group 0's parity,
+/// and the rest as the spare pool, listed highest id first (the
+/// coordinator pops spares from the back). Every process of a deployment
+/// derives the same placement from the same server list. `None` when there
+/// are fewer than `1 + k` servers.
+pub fn initial_layout(servers: &[NodeId], k: usize) -> Option<(NodeId, Vec<NodeId>, Vec<NodeId>)> {
+    let (&bucket0, rest) = servers.split_first()?;
+    let (parity, spares) = rest.split_at_checked(k)?;
+    Some((bucket0, parity.to_vec(), spares.iter().rev().copied().collect()))
+}
+
 impl Shared {
     /// Create the shared handle.
     pub fn new(cfg: Config) -> SharedHandle {
@@ -220,6 +232,16 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn initial_layout_lists_spares_highest_id_first() {
+        let servers: Vec<NodeId> = (2..7).map(NodeId).collect();
+        let (bucket0, parity, pool) = initial_layout(&servers, 2).unwrap();
+        assert_eq!(bucket0, NodeId(2));
+        assert_eq!(parity, [NodeId(3), NodeId(4)]);
+        assert_eq!(pool, [NodeId(6), NodeId(5)]);
+        assert_eq!(initial_layout(&servers[..2], 2), None);
+    }
 
     #[test]
     fn dense_append_enforced() {

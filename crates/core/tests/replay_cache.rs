@@ -1,24 +1,23 @@
-//! The data-bucket replay cache stays bounded by
-//! [`Config::replay_cache_cap`] under sustained retried writes, evicting
+//! The data-bucket replay cache stays bounded by [`REPLAY_CACHE_CAP`]
+//! under sustained retried writes, evicting
 //! least-recently-*used*: recent duplicates are still suppressed, evicted
 //! ones re-execute, and — the pipelined-client case — an old id whose
 //! retries keep touching the cache outlives colder entries that plain
 //! FIFO insertion order would have kept instead.
 
-use lhrs_core::data_bucket::DataBucket;
+use lhrs_core::data_bucket::{DataBucket, REPLAY_CACHE_CAP};
 use lhrs_core::msg::{Msg, OpResult, ReqKind};
 use lhrs_core::registry::Shared;
 use lhrs_core::Config;
 use lhrs_obs::Metrics;
 use lhrs_sim::{Effect, Env, NodeId};
 
-const CAP: usize = 8;
+const CAP: usize = REPLAY_CACHE_CAP;
 
 fn test_bucket() -> DataBucket {
     let cfg = Config {
-        replay_cache_cap: CAP,
         ack_writes: true,
-        bucket_capacity: 10_000, // never overflow in this test
+        bucket_capacity: 4 * CAP, // never overflow in this test
         ..Config::default()
     };
     let shared = Shared::new(cfg);
@@ -59,8 +58,8 @@ fn cache_is_lru_bounded() {
     let mut bucket = test_bucket();
     let client = NodeId(99);
 
-    // 50 distinct writes: the cache must never exceed the configured cap.
-    for op in 0..50u64 {
+    // More distinct writes than the cap: the cache must never exceed it.
+    for op in 0..CAP as u64 + 42 {
         let r = drive(&mut bucket, client, op, ReqKind::Insert(op, vec![op as u8]));
         assert_eq!(r, Some(OpResult::Inserted));
         assert!(
@@ -76,18 +75,19 @@ fn cache_is_lru_bounded() {
 fn recent_duplicate_is_suppressed_evicted_one_reexecutes() {
     let mut bucket = test_bucket();
     let client = NodeId(99);
-    for op in 0..20u64 {
+    let last = CAP as u64 + 11;
+    for op in 0..=last {
         drive(&mut bucket, client, op, ReqKind::Insert(op, vec![1]));
     }
 
-    // Op 19 is still cached: the retry is answered from the cache with the
-    // original result, not re-executed (a re-run insert of an existing key
-    // would say DuplicateKey).
-    let r = drive(&mut bucket, client, 19, ReqKind::Insert(19, vec![1]));
+    // The last op is still cached: the retry is answered from the cache
+    // with the original result, not re-executed (a re-run insert of an
+    // existing key would say DuplicateKey).
+    let r = drive(&mut bucket, client, last, ReqKind::Insert(last, vec![1]));
     assert_eq!(r, Some(OpResult::Inserted), "cached result replayed");
 
-    // Op 0 went cold and was evicted (cap 8 < 20 entries, never touched
-    // since): its retry re-executes, and the re-run insert sees the
+    // Op 0 went cold and was evicted (more entries than the cap, never
+    // touched since): its retry re-executes, and the re-run insert sees the
     // existing key.
     let r = drive(&mut bucket, client, 0, ReqKind::Insert(0, vec![1]));
     assert_eq!(r, Some(OpResult::DuplicateKey), "evicted retry re-executed");
@@ -98,7 +98,7 @@ fn sustained_retries_do_not_grow_the_cache() {
     let mut bucket = test_bucket();
     let client = NodeId(7);
     // Interleave fresh writes with retries of recent ones.
-    for round in 0..30u64 {
+    for round in 0..CAP as u64 + 22 {
         drive(&mut bucket, client, round, ReqKind::Insert(round, vec![0]));
         // Retry every op still plausibly in flight.
         for back in 0..4 {

@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 
+use lhrs_core::parity_bucket::DELTA_HISTORY_CAP;
 use lhrs_core::storage::{MemHub, StoreId};
 use lhrs_core::{Config, CoordEvent, FaultPlan, LhrsFile, Partition};
 use lhrs_obs::RestartReport;
@@ -183,12 +184,18 @@ fn three_way_restart_matrix() {
 /// suffix and fall back to the full rebuild — without losing a record.
 #[test]
 fn truncated_history_falls_back_to_full_rebuild() {
-    let mut cfg = restart_cfg();
-    cfg.delta_history_cap = 2; // far less than the gap the drill creates
-    let mut file = LhrsFile::new(cfg).unwrap();
+    let mut file = LhrsFile::new(restart_cfg()).unwrap();
     let hub = MemHub::new();
     file.install_store_factory(hub.factory());
-    let oracle = load(&mut file, LOAD);
+    let mut oracle = load(&mut file, LOAD);
+    // Outrun the history: more Δs on bucket 0's column than a parity
+    // bucket retains.
+    assert_eq!(file.address_of(0), 0);
+    for round in 0..=DELTA_HISTORY_CAP as u64 {
+        let value = format!("rewrite-{round}").into_bytes();
+        file.update(0, value.clone()).unwrap();
+        oracle.insert(0, value);
+    }
 
     file.crash_data_bucket(0);
     hub.disk(&StoreId::Data { bucket: 0 })

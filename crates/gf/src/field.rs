@@ -7,22 +7,17 @@ use std::hash::Hash;
 /// A binary extension field GF(2^f) with table-driven arithmetic and
 /// byte-buffer kernels.
 ///
-/// Implementations are zero-sized marker types ([`crate::Gf8`],
-/// [`crate::Gf16`]); all methods are associated functions so call sites read
-/// like `Gf8::mul(a, b)`.
+/// Implementations are zero-sized marker types ([`crate::Gf8`]); all
+/// methods are associated functions so call sites read like
+/// `Gf8::mul(a, b)`.
 ///
 /// # Buffer representation
 ///
 /// The slice kernels operate on `&[u8]` buffers holding a packed vector of
-/// field symbols:
-///
-/// * GF(2^8): one symbol per byte;
-/// * GF(2^16): one symbol per little-endian byte pair — buffer lengths must
-///   be even.
-///
-/// Because scalar multiplication acts symbol-wise and addition is XOR, every
-/// kernel is linear over the packed representation, which is what the
-/// Reed–Solomon encoder relies on.
+/// field symbols, [`GaloisField::SYMBOL_BYTES`] bytes each (one for
+/// GF(2^8)). Because scalar multiplication acts symbol-wise and addition is
+/// XOR, every kernel is linear over the packed representation, which is
+/// what the Reed–Solomon encoder relies on.
 pub trait GaloisField: Copy + Clone + Debug + Default + Send + Sync + 'static {
     /// The unsigned integer type holding one field element.
     type Elem: Copy + Eq + Ord + Debug + Default + Hash + Send + Sync + 'static;

@@ -2,18 +2,15 @@
 //!
 //! LH\*RS encodes the non-key payloads of a *record group* into parity
 //! symbols using a systematic generalized Reed–Solomon code over a binary
-//! extension field GF(2^f). The SIGMOD 2000 paper works with small fields
-//! (GF(2^4), GF(2^8)); the later TODS refinement moves to GF(2^16) to enlarge
-//! the code's support. This crate provides the two fields `lhrs-core`'s
-//! `GfField` selects:
+//! extension field GF(2^f). A file grows by adding bucket groups, not by
+//! widening them, so one group never needs more than `m + k ≤ 256`
+//! symbols, and this crate provides one field:
 //!
-//! * [`Gf8`] — GF(2^8), the workhorse: one symbol per byte, table-driven.
-//! * [`Gf16`] — GF(2^16): one symbol per *pair* of bytes (little-endian),
-//!   lazily built 512 KiB log/antilog tables.
+//! * [`Gf8`] — GF(2^8): one symbol per byte, table-driven.
 //!
-//! Both fields share the [`GaloisField`] trait so the Reed–Solomon layer
-//! (`lhrs-rs`) is generic over the field. Addition in every GF(2^f) is XOR,
-//! so [`add_slice`] is field-independent; multiplication kernels
+//! The [`GaloisField`] trait keeps the Reed–Solomon layer (`lhrs-rs`)
+//! generic over the field. Addition in every GF(2^f) is XOR, so
+//! [`add_slice`] is field-independent; multiplication kernels
 //! ([`GaloisField::mul_slice`], [`GaloisField::mul_add_slice`]) are the hot
 //! path of encoding and are implemented with split nibble tables in the
 //! style of ISA-L.
@@ -55,17 +52,15 @@
 )]
 
 mod field;
-mod gf16;
 mod gf8;
 
 pub use field::{add_slice, GaloisField};
-pub use gf16::Gf16;
 pub use gf8::Gf8;
 
 #[cfg(test)]
 mod axiom_tests {
-    //! Sampled field-axiom checks shared by both fields. The per-field modules hold representation-specific
-    //! tests; everything generic lives here.
+    //! Sampled field-axiom checks written against the trait. The field
+    //! module holds representation-specific tests.
 
     use super::*;
 
@@ -113,17 +108,6 @@ mod axiom_tests {
     }
 
     #[test]
-    fn gf16_axioms_sampled() {
-        let mut elems: Vec<u16> = vec![0, 1, 2, 3, 0xFFFF, 0x8000, 0x1234];
-        let mut x = 7u16;
-        for _ in 0..8 {
-            x = x.wrapping_mul(31).wrapping_add(1017);
-            elems.push(x);
-        }
-        check_axioms_sampled::<Gf16>(&elems);
-    }
-
-    #[test]
     fn gf8_mul_matches_carryless_reference() {
         // Reference: schoolbook carry-less multiply then reduce mod 0x11D.
         fn slow_mul(mut a: u8, mut b: u8) -> u8 {
@@ -149,17 +133,12 @@ mod axiom_tests {
     }
 
     #[test]
-    fn exp_log_roundtrip_all_fields() {
+    fn exp_log_roundtrip() {
         for i in 0..255 {
             let e = Gf8::exp(i);
             assert_eq!(Gf8::log(e), Some(i));
         }
-        for i in (0..65535).step_by(257) {
-            let e = Gf16::exp(i);
-            assert_eq!(Gf16::log(e), Some(i));
-        }
         assert_eq!(Gf8::log(0), None);
-        assert_eq!(Gf16::log(0), None);
     }
 
     #[test]

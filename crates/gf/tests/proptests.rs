@@ -1,9 +1,9 @@
-//! Property-based tests of the field axioms and slice-kernel linearity for
-//! both fields. These are the invariants the Reed–Solomon layer and the
+//! Property-based tests of the field axioms and slice-kernel linearity of
+//! GF(2^8). These are the invariants the Reed–Solomon layer and the
 //! LH*RS parity Δ-protocol depend on. Each property runs as seeded cases
 //! via `lhrs-testkit` (hermetic stand-in for proptest).
 
-use lhrs_gf::{add_slice, GaloisField, Gf16, Gf8};
+use lhrs_gf::{add_slice, GaloisField, Gf8};
 use lhrs_testkit::cases;
 
 fn axioms<F: GaloisField>(a: F::Elem, b: F::Elem, c: F::Elem) {
@@ -27,13 +27,6 @@ fn axioms<F: GaloisField>(a: F::Elem, b: F::Elem, c: F::Elem) {
 fn gf8_axioms() {
     cases("gf8_axioms", 256, |rng| {
         axioms::<Gf8>(rng.next_u8(), rng.next_u8(), rng.next_u8());
-    });
-}
-
-#[test]
-fn gf16_axioms() {
-    cases("gf16_axioms", 256, |rng| {
-        axioms::<Gf16>(rng.next_u16(), rng.next_u16(), rng.next_u16());
     });
 }
 
@@ -89,61 +82,5 @@ fn gf8_delta_commit_equivalence() {
         let mut direct = vec![0u8; n];
         Gf8::mul_add_slice(c, newv, &mut direct);
         assert_eq!(parity, direct);
-    });
-}
-
-#[test]
-fn gf16_mul_slice_then_inverse_roundtrips() {
-    cases("gf16_mul_slice_then_inverse_roundtrips", 128, |rng| {
-        let c = rng.range(1, u16::MAX as u64 + 1) as u16;
-        let mut data = {
-            let n = rng.range_usize(0, 65);
-            rng.bytes(n)
-        };
-        if data.len() % 2 == 1 {
-            data.pop();
-        }
-        let mut enc = vec![0u8; data.len()];
-        Gf16::mul_slice(c, &data, &mut enc);
-        let mut dec = vec![0u8; data.len()];
-        Gf16::mul_slice(Gf16::inv(c).unwrap(), &enc, &mut dec);
-        assert_eq!(dec, data);
-    });
-}
-
-/// GF(2^16) mul_add accumulates exactly like per-symbol scalar math.
-#[test]
-fn gf16_mul_add_slice_matches_scalar() {
-    cases("gf16_mul_add_slice_matches_scalar", 128, |rng| {
-        let c = rng.next_u16();
-        let syms: Vec<u16> = (0..rng.range_usize(0, 65))
-            .map(|_| rng.next_u16())
-            .collect();
-        let base: Vec<u16> = (0..rng.range_usize(0, 65))
-            .map(|_| rng.next_u16())
-            .collect();
-        let n = syms.len().min(base.len());
-        let src: Vec<u8> = syms[..n].iter().flat_map(|s| s.to_le_bytes()).collect();
-        let mut dst: Vec<u8> = base[..n].iter().flat_map(|s| s.to_le_bytes()).collect();
-        Gf16::mul_add_slice(c, &src, &mut dst);
-        for i in 0..n {
-            let got = u16::from_le_bytes([dst[2 * i], dst[2 * i + 1]]);
-            assert_eq!(got, base[i] ^ Gf16::mul(c, syms[i]));
-        }
-    });
-}
-
-#[test]
-fn pow_laws_gf16() {
-    cases("pow_laws_gf16", 256, |rng| {
-        let a = rng.next_u16();
-        let e1 = rng.below(1000) as u32;
-        let e2 = rng.below(1000) as u32;
-        if a != 0 {
-            assert_eq!(
-                Gf16::mul(Gf16::pow(a, e1), Gf16::pow(a, e2)),
-                Gf16::pow(a, e1 + e2)
-            );
-        }
     });
 }

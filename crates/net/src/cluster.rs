@@ -3,10 +3,11 @@
 //!
 //! A deployment is described by one text file (see [`ClusterSpec::parse`])
 //! that every `lhrs-netd` / `lhrs-netcli` invocation reads. Because each
-//! process derives the *same* initial registry from the same spec (mirroring
-//! `LhrsFile::new`'s layout), the cluster starts coherent without any
-//! bootstrap protocol; from then on the coordinator's host broadcasts
-//! [`crate::frame::RegistryUpdate`] snapshots as the table evolves.
+//! process derives the *same* initial registry from the same spec (by
+//! [`initial_layout`], as `LhrsFile::new` does), the cluster starts
+//! coherent without any bootstrap protocol; from then on the coordinator's
+//! host broadcasts [`crate::frame::RegistryUpdate`] snapshots as the table
+//! evolves.
 //!
 //! ```text
 //! # lines are `config <key> <value>` or `node <id> <addr> [role]`
@@ -21,16 +22,15 @@
 //! ```
 //!
 //! Ids must be dense from 0; node 0 must be the coordinator. Server nodes
-//! (no role) are laid out exactly like the simulator's initial file: the
-//! lowest server id carries bucket 0, the next `k` carry group 0's parity,
-//! and the rest form the spare pool (highest id used first).
+//! (no role) are laid out by [`initial_layout`], as in the simulator's
+//! initial file.
 
 use lhrs_core::client::Client;
 use lhrs_core::coordinator::Coordinator;
 use lhrs_core::data_bucket::DataBucket;
 use lhrs_core::node::Node;
 use lhrs_core::parity_bucket::ParityBucket;
-use lhrs_core::registry::{Shared, SharedHandle};
+use lhrs_core::registry::{initial_layout, Shared, SharedHandle};
 use lhrs_core::Config;
 use lhrs_sim::NodeId;
 
@@ -127,14 +127,11 @@ impl ClusterSpec {
             ("client_retries", c.client_retries.to_string()),
             ("retry_backoff_cap_us", c.retry_backoff_cap_us.to_string()),
             ("delta_retransmit_us", c.delta_retransmit_us.to_string()),
-            ("delta_retry_limit", c.delta_retry_limit.to_string()),
             ("probe_timeout_us", c.probe_timeout_us.to_string()),
             ("coord_retransmit_us", c.coord_retransmit_us.to_string()),
             ("coord_retries", c.coord_retries.to_string()),
-            ("replay_cache_cap", c.replay_cache_cap.to_string()),
             ("client_window", c.client_window.to_string()),
             ("wal_snapshot_every", c.wal_snapshot_every.to_string()),
-            ("delta_history_cap", c.delta_history_cap.to_string()),
             ("wal_fsync", c.wal_fsync.to_string()),
         ] {
             out.push_str(&format!("config {key} {val}\n"));
@@ -194,15 +191,12 @@ impl ClusterSpec {
             .collect()
     }
 
-    /// The initial placement, mirroring the simulator's `LhrsFile::new`:
-    /// `(bucket0, parity nodes of group 0, spare pool in hand-out order)`.
+    /// The initial placement, [`initial_layout`] over the server nodes:
+    /// `(bucket0, parity nodes of group 0, spare pool)`.
     pub fn layout(&self) -> (NodeId, Vec<NodeId>, Vec<NodeId>) {
-        let servers = self.server_ids();
-        let k = self.cfg.initial_k;
-        let bucket0 = NodeId(servers[0]);
-        let parity: Vec<NodeId> = servers[1..1 + k].iter().map(|&i| NodeId(i)).collect();
-        let pool: Vec<NodeId> = servers[1 + k..].iter().rev().map(|&i| NodeId(i)).collect();
-        (bucket0, parity, pool)
+        let servers: Vec<NodeId> = self.server_ids().into_iter().map(NodeId).collect();
+        initial_layout(&servers, self.cfg.initial_k)
+            .expect("validate() requires bucket 0 + k parity servers")
     }
 
     /// Build this process's shared handle with the initial allocation
@@ -275,14 +269,11 @@ fn apply_config(cfg: &mut Config, key: &str, val: &str) -> Result<(), String> {
         "client_retries" => cfg.client_retries = p(key, val)?,
         "retry_backoff_cap_us" => cfg.retry_backoff_cap_us = p(key, val)?,
         "delta_retransmit_us" => cfg.delta_retransmit_us = p(key, val)?,
-        "delta_retry_limit" => cfg.delta_retry_limit = p(key, val)?,
         "probe_timeout_us" => cfg.probe_timeout_us = p(key, val)?,
         "coord_retransmit_us" => cfg.coord_retransmit_us = p(key, val)?,
         "coord_retries" => cfg.coord_retries = p(key, val)?,
-        "replay_cache_cap" => cfg.replay_cache_cap = p(key, val)?,
         "client_window" => cfg.client_window = p(key, val)?,
         "wal_snapshot_every" => cfg.wal_snapshot_every = p(key, val)?,
-        "delta_history_cap" => cfg.delta_history_cap = p(key, val)?,
         "wal_fsync" => cfg.wal_fsync = p(key, val)?,
         other => return Err(format!("unknown config key {other:?}")),
     }
@@ -316,7 +307,7 @@ node 5 127.0.0.1:7005
         let (b0, parity, pool) = spec.layout();
         assert_eq!(b0, NodeId(2));
         assert_eq!(parity, vec![NodeId(3)]);
-        // Spares handed out highest-id first, like the simulator.
+        // Spares listed highest id first, like the simulator's.
         assert_eq!(pool, vec![NodeId(5), NodeId(4)]);
     }
 
@@ -326,19 +317,16 @@ node 5 127.0.0.1:7005
         let again = ClusterSpec::parse(&spec.render()).unwrap();
         assert_eq!(spec.nodes, again.nodes);
         assert_eq!(spec.cfg.group_size, again.cfg.group_size);
-        assert_eq!(spec.cfg.replay_cache_cap, again.cfg.replay_cache_cap);
         assert_eq!(spec.cfg.client_window, again.cfg.client_window);
         assert_eq!(spec.cfg.wal_snapshot_every, again.cfg.wal_snapshot_every);
-        assert_eq!(spec.cfg.delta_history_cap, again.cfg.delta_history_cap);
         assert_eq!(spec.cfg.wal_fsync, again.cfg.wal_fsync);
     }
 
     #[test]
     fn wal_knobs_parse() {
-        let text = format!("{SPEC}config wal_snapshot_every 16\nconfig delta_history_cap 64\nconfig wal_fsync always\n");
+        let text = format!("{SPEC}config wal_snapshot_every 16\nconfig wal_fsync always\n");
         let spec = ClusterSpec::parse(&text).unwrap();
         assert_eq!(spec.cfg.wal_snapshot_every, 16);
-        assert_eq!(spec.cfg.delta_history_cap, 64);
         assert_eq!(spec.cfg.wal_fsync, lhrs_core::FsyncPolicy::Always);
         assert!(ClusterSpec::parse(&format!("{SPEC}config wal_fsync sometimes\n")).is_err());
     }
@@ -366,8 +354,6 @@ node 5 127.0.0.1:7005
             "config initial_k 18446744073709551615",
             "config record_len 0",
             "config record_len 4000000",
-            "config replay_cache_cap 0",
-            "config delta_history_cap 0",
         ] {
             assert!(
                 ClusterSpec::parse(&format!("{SPEC}{line}\n")).is_err(),

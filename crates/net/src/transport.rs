@@ -213,7 +213,7 @@ impl TcpTransport {
     /// Stop every accept and reader thread and close the listeners; also
     /// runs on drop. Never blocks exit: each thread is woken — an accept
     /// thread by a connection to its own listener, a reader by shutting
-    /// its socket down — and all together are awaited [`JOIN_TIMEOUT`].
+    /// its socket down — and all together are awaited at most one second.
     pub fn shutdown(&mut self) {
         // An accept thread spawns a reader only into a map it finds under
         // this lock, so every reader is either in `readers` now or never

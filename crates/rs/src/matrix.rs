@@ -239,7 +239,7 @@ impl<F: GaloisField> Matrix<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhrs_gf::{Gf16, Gf8};
+    use lhrs_gf::Gf8;
 
     #[test]
     fn identity_is_multiplicative_neutral() {
@@ -255,13 +255,6 @@ mod tests {
         let inv = m.inverse().unwrap();
         assert_eq!(m.mul(&inv).unwrap(), Matrix::<Gf8>::identity(5));
         assert_eq!(inv.mul(&m).unwrap(), Matrix::<Gf8>::identity(5));
-    }
-
-    #[test]
-    fn inverse_roundtrip_gf16() {
-        let m = Matrix::<Gf16>::cauchy(4, 4).unwrap();
-        let inv = m.inverse().unwrap();
-        assert_eq!(m.mul(&inv).unwrap(), Matrix::<Gf16>::identity(4));
     }
 
     #[test]

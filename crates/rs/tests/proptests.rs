@@ -4,7 +4,7 @@
 //! invariant LH*RS's k-availability claim rests on. Seeded cases via
 //! `lhrs-testkit`.
 
-use lhrs_gf::{add_slice, Gf16, Gf8};
+use lhrs_gf::{add_slice, Gf8};
 use lhrs_rs::{Matrix, RsCode, RsError};
 use lhrs_testkit::{cases, Rng};
 
@@ -52,31 +52,6 @@ fn gf8_any_k_erasures_recoverable() {
             for (i, s) in shards.iter().enumerate() {
                 assert_eq!(s.as_deref(), Some(&full[i][..]), "erased {erased:?}");
             }
-        }
-    });
-}
-
-#[test]
-fn gf16_any_k_erasures_recoverable() {
-    cases("gf16_any_k_erasures_recoverable", 64, |rng| {
-        let (m, k, len8) = params(rng);
-        let dseed = rng.next_u64();
-        let eseed = rng.next_u64();
-        let len = len8 * 2; // even for GF(2^16)
-        let code: RsCode<Gf16> = RsCode::new(m, k).unwrap();
-        let data = make_data(m, len, dseed);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = code.encode(&refs).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
-
-        let erased = erasure_set(m + k, k, eseed);
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        for &e in &erased {
-            shards[e] = None;
-        }
-        code.reconstruct(&mut shards).unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.as_deref(), Some(&full[i][..]), "erased {erased:?}");
         }
     });
 }
@@ -167,14 +142,12 @@ fn matrix_inverse_roundtrips_or_rejects() {
     });
 }
 
-/// Cauchy matrices are always invertible, over both fields.
+/// Cauchy matrices are always invertible.
 #[test]
 fn cauchy_matrices_always_invertible() {
     for n in 1usize..12 {
         let a = Matrix::<Gf8>::cauchy(n, n).unwrap();
         assert!(a.is_nonsingular());
-        let b = Matrix::<Gf16>::cauchy(n, n).unwrap();
-        assert!(b.is_nonsingular());
     }
 }
 

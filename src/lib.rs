@@ -30,7 +30,8 @@ pub use lhrs_sim as sim;
 ///
 /// # Writing transport-agnostic code
 ///
-/// [`KvClient`] is implemented by both [`LhrsFile`] (simulator) and
+/// [`KvClient`](lhrs_core::KvClient) is implemented by both
+/// [`LhrsFile`](lhrs_core::LhrsFile) (simulator) and
 /// [`NetClient`](crate::net::client::NetClient) (real TCP cluster), so a
 /// load generator written against the trait runs over either:
 ///
@@ -53,7 +54,7 @@ pub use lhrs_sim as sim;
 ///
 /// # Observability
 ///
-/// Every [`LhrsFile`] records counters, latency histograms, and a
+/// Every [`LhrsFile`](lhrs_core::LhrsFile) records counters, latency histograms, and a
 /// structured trace under a logical (simulated-time) clock:
 ///
 /// ```
@@ -67,7 +68,7 @@ pub use lhrs_sim as sim;
 /// ```
 pub mod prelude {
     pub use lhrs_core::{
-        Config, CoordEvent, Error, FilterSpec, GfField, Key, KvClient, LhrsFile, NodeId, OpOutcome,
+        Config, CoordEvent, Error, FilterSpec, Key, KvClient, LhrsFile, NodeId, OpOutcome,
         OpResult, ScanTermination, UpgradeMode,
     };
     pub use lhrs_net::client::NetClient;

@@ -1,6 +1,7 @@
 //! Facts about the source that no compiler lint states (DESIGN §8.2):
-//! every `Config` field is read by the program outside its definition;
-//! every `CoordEvent` variant, and every `restart_*`/`wal_*`/
+//! every `Config` field is read by the program outside its definition, and
+//! set by some program outside `config.rs` and `cluster.conf` parsing (a
+//! value only tests change is a constant); every `CoordEvent` variant, and every `restart_*`/`wal_*`/
 //! `recovery_*`/`inflight_*`/`window_*` counter the program mints, is named
 //! by some test; and the helper crates hold no `assert!`-family macro
 //! outside tests (`clippy::disallowed_macros` would also flag
@@ -101,10 +102,65 @@ fn counters(text: &str) -> Vec<&str> {
     names
 }
 
-/// Every gap in `tree`, one message each.
+/// The bodies of the `Config { … }` literals in `text`.
+fn config_literals(text: &str) -> Vec<&str> {
+    let heads = text
+        .match_indices("Config {")
+        .filter(|(at, _)| text[..*at].chars().next_back().is_none_or(not_ident));
+    let body = |(at, head): (usize, &str)| {
+        let body = &text[at + head.len()..];
+        let mut depth = 1usize;
+        let end = body.find(|c| {
+            match c {
+                '{' => depth += 1,
+                '}' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        });
+        &body[..end.unwrap_or(body.len())]
+    };
+    heads.map(body).collect()
+}
+
+/// Whether `text` sets `field`: `field:` inside a `Config { … }` literal,
+/// or `.field =`.
+fn assigns(text: &str, field: &str) -> bool {
+    let literal = format!("{field}:");
+    let in_literal = |body: &&str| {
+        let mut hits = body.match_indices(&literal).map(|(at, _)| at);
+        hits.any(|at| {
+            body[..at].chars().next_back().is_none_or(not_ident)
+                && !body[at + literal.len()..].starts_with(':')
+        })
+    };
+    let store = format!(".{field} =");
+    let mut stores = text.match_indices(&store).map(|(at, _)| at);
+    config_literals(text).iter().any(in_literal)
+        || stores.any(|at| !text[at + store.len()..].starts_with('='))
+}
+
+/// The program text that may set a `Config` field: `crates/*/src` and
+/// `benchmark/src`, less `config.rs` and `cluster.rs`'s `apply_config`.
+fn setters(tree: &[Source]) -> String {
+    let sets = |s: &&Source| {
+        let label = s.label.as_str();
+        let crate_src = label.starts_with("crates/") && label.contains("/src/");
+        (crate_src || label.starts_with("benchmark/src/")) && !label.ends_with("core/src/config.rs")
+    };
+    let strip = |s: &Source| match s.program.find("fn apply_config(") {
+        Some(_) => s.program.replace(block(&s.program, "fn apply_config("), ""),
+        None => s.program.clone(),
+    };
+    tree.iter().filter(sets).map(strip).collect()
+}
+
+/// Every gap in `tree`, one message each. `benchmark/` only counts as a
+/// place that sets `Config` fields.
 fn gaps(tree: &[Source]) -> Vec<String> {
-    let program: String = tree.iter().map(|s| s.program.as_str()).collect();
-    let corpus: String = tree.iter().map(|s| s.tests.as_str()).collect();
+    let workspace = || tree.iter().filter(|s| !s.label.starts_with("benchmark/"));
+    let program: String = workspace().map(|s| s.program.as_str()).collect();
+    let corpus: String = workspace().map(|s| s.tests.as_str()).collect();
     let mut out = Vec::new();
 
     let config = block(&program, "pub struct Config {");
@@ -112,6 +168,9 @@ fn gaps(tree: &[Source]) -> Vec<String> {
     let fields = members(config, "pub ");
     let unread = fields.iter().filter(|f| !reads(&readers, f));
     out.extend(unread.map(|f| format!("Config.{f} is never read")));
+    let setters = setters(tree).replace(config, "");
+    let unset = fields.iter().filter(|f| !assigns(&setters, f));
+    out.extend(unset.map(|f| format!("Config.{f} is set by no program")));
     let variants = members(block(&program, "pub enum CoordEvent {"), "");
     let unnamed = variants
         .iter()
@@ -124,7 +183,7 @@ fn gaps(tree: &[Source]) -> Vec<String> {
         .into_iter()
         .filter(|n| !corpus.contains(n));
     out.extend(unasserted.map(|n| format!("counter {n} is asserted by no test")));
-    for s in tree {
+    for s in workspace() {
         let code = s.program.replace("debug_assert", "");
         let asserts = ["assert!(", "assert_eq!(", "assert_ne!("].map(|m| code.contains(m));
         if asserts.contains(&true) && HELPER_CRATES.iter().any(|c| s.label.starts_with(c)) {
@@ -151,7 +210,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<Source>) {
 fn the_workspace_has_no_gaps() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut tree = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
         walk(root, &root.join(dir), &mut tree);
     }
     let gaps = gaps(&tree);
@@ -160,15 +219,28 @@ fn the_workspace_has_no_gaps() {
 
 #[test]
 fn seeded_gaps_are_caught() {
-    let core = "pub struct Config {\n    /// Read.\n    pub live: u32,\n    pub dead: u32,\n}\n\
-                fn f(c: &Config) -> u64 { c.live + c.deadline }\n\
+    let core = "pub struct Config {\n    /// Read.\n    pub live: u32,\n    pub dead: u32,\n    pub knob: u32,\n}\n\
+                fn f(c: &Config) -> u64 { c.live + c.deadline + c.knob }\n\
+                fn h() -> Config { Config { dead: 0, ..d() } }\n\
                 pub enum CoordEvent {\n    Named {\n        bucket: u64,\n    },\n    Unnamed,\n}\n\
                 fn g(o: &Obs) { o.incr(\"wal_named\"); o.incr(\"wal_unnamed\"); }\n\
-                #[cfg(test)]\nmod tests {\n    fn t() { CoordEvent::Named; o.incr(\"recovery_x\"); }\n}\n";
+                #[cfg(test)]\nmod tests {\n    fn t() { CoordEvent::Named; o.incr(\"recovery_x\"); c.knob = 2; }\n}\n";
     let kernel = "//! assert!(doc);\nfn k(x: u8) { debug_assert!(x < 16); assert!(x < 16); }\n\
                   #[cfg(test)]\nmod tests {\n    fn t() { assert_eq!(1, 1); }\n}\n";
     let tree = [
         Source::new("crates/core/src/lib.rs", core),
+        Source::new(
+            "crates/core/src/config.rs",
+            "fn d() -> Config { Config { live: 0, dead: 0, knob: 0 } }\n",
+        ),
+        Source::new(
+            "crates/net/src/cluster.rs",
+            "fn apply_config(cfg: &mut Config) {\n    cfg.knob = 1;\n}\n",
+        ),
+        Source::new(
+            "benchmark/src/workload.rs",
+            "fn w(o: &Obs) -> Config { o.incr(\"wal_bench\"); Config { live: 1, ..d() } }\n",
+        ),
         Source::new("crates/core/tests/t.rs", "m.counter(\"wal_named\");\n"),
         Source::new("crates/gf/src/kernel.rs", kernel),
     ];
@@ -176,6 +248,7 @@ fn seeded_gaps_are_caught() {
         gaps(&tree),
         [
             "Config.dead is never read",
+            "Config.knob is set by no program",
             "CoordEvent::Unnamed is named by no test",
             "counter wal_unnamed is asserted by no test",
             "crates/gf/src/kernel.rs: assert outside tests",
