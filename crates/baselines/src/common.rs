@@ -589,8 +589,6 @@ pub struct BClient {
     pub image: ClientImage,
     pending: HashMap<u64, BPending>,
     results: Vec<(u64, Option<Vec<u8>>)>,
-    /// IAMs received.
-    pub iams_received: u64,
 }
 
 impl BClient {
@@ -601,7 +599,6 @@ impl BClient {
             image: ClientImage::new(1),
             pending: HashMap::new(),
             results: Vec::new(),
-            iams_received: 0,
         }
     }
 
@@ -639,7 +636,6 @@ impl BClient {
             } => {
                 if let Some((level, bucket)) = iam {
                     self.image.adjust(level, bucket);
-                    self.iams_received += 1;
                 }
                 match self.pending.get_mut(&op_id) {
                     Some(BPending::Lookup) => {
@@ -819,14 +815,6 @@ pub enum BNode {
 impl BNode {
     /// Client accessor.
     pub fn as_client_mut(&mut self) -> &mut BClient {
-        match self {
-            BNode::Client(c) => c,
-            _ => panic!("not a client"),
-        }
-    }
-
-    /// Client accessor.
-    pub fn as_client(&self) -> &BClient {
         match self {
             BNode::Client(c) => c,
             _ => panic!("not a client"),

@@ -37,7 +37,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use lhrs_lh::{a2_route, A2Outcome, ClientImage, FileState};
-use lhrs_sim::{Actor, Env, LatencyModel, NetStats, NodeId, Payload, Sim, TimerId};
+use lhrs_obs::Snapshot;
+use lhrs_sim::{Actor, Env, LatencyModel, NodeId, Payload, Sim, TimerId};
 
 /// Record-group key `(g, r)` packed into one `u64` so the parity file can
 /// hash it with the ordinary LH family.
@@ -1160,9 +1161,9 @@ impl GroupedLh {
         self.shared.parity.borrow().len() as u64
     }
 
-    /// Message statistics.
-    pub fn stats(&self) -> NetStats {
-        self.sim.stats().clone()
+    /// Every counter so far: messages by kind, bytes, fault outcomes.
+    pub fn stats(&self) -> Snapshot {
+        self.sim.metrics().snapshot()
     }
 
     /// Deep invariant: for every record group, the XOR of the member cells
@@ -1250,7 +1251,7 @@ impl crate::Scheme for GroupedLh {
         GroupedLh::lookup(self, key)
     }
 
-    fn stats(&self) -> NetStats {
+    fn stats(&self) -> Snapshot {
         GroupedLh::stats(self)
     }
 

@@ -1,11 +1,8 @@
-//! The uniform [`Scheme`] interface the benchmark harness drives, the
-//! shared [`BaseDriver`] behind the three baselines, and the adapter
-//! wrapping `lhrs-core`.
+//! The uniform [`Scheme`] interface the benchmark harness drives, and the
+//! adapter wrapping `lhrs-core`.
 
-use lhrs_sim::{LatencyModel, NetStats, NodeId, Sim};
-
-use crate::common::{BClient, BCoordinator, BHandle, BMsg, BNode, BOp, BRegistry, BShared, Mode};
 use lhrs_core::{Config, LhrsFile};
+use lhrs_obs::Snapshot;
 
 /// Uniform interface over every scheme in the comparison (T7).
 pub trait Scheme {
@@ -19,8 +16,8 @@ pub trait Scheme {
     /// Key search.
     fn lookup(&mut self, key: u64) -> Option<Vec<u8>>;
 
-    /// Message statistics so far.
-    fn stats(&self) -> NetStats;
+    /// Every counter so far: messages by kind, bytes, fault outcomes.
+    fn stats(&self) -> Snapshot;
 
     /// Logical data buckets `M`.
     fn data_buckets(&self) -> u64;
@@ -37,175 +34,6 @@ pub trait Scheme {
 
     /// How many arbitrary bucket losses the scheme always tolerates.
     fn tolerates(&self) -> usize;
-}
-
-/// Shared simulation driver of the three baseline schemes.
-pub struct BaseDriver {
-    sim: Sim<BMsg, BNode>,
-    shared: BHandle,
-    client: NodeId,
-    next_op: u64,
-    mode: Mode,
-}
-
-impl BaseDriver {
-    /// Build a baseline file of the given mode.
-    pub fn new(mode: Mode, capacity: usize, node_pool: usize, latency: LatencyModel) -> Self {
-        let replicas = mode.replicas();
-        let shared: BHandle = std::rc::Rc::new(BShared {
-            registry: std::cell::RefCell::new(BRegistry {
-                nodes: vec![Vec::new(); replicas],
-                coordinator: lhrs_sim::EXTERNAL,
-            }),
-            mode,
-            capacity,
-        });
-        let mut sim: Sim<BMsg, BNode> = Sim::new(latency);
-        let ids: Vec<NodeId> = (0..node_pool)
-            .map(|_| {
-                sim.add_node(BNode::Blank {
-                    shared: shared.clone(),
-                    pending: Vec::new(),
-                })
-            })
-            .collect();
-        let coordinator = ids[0];
-        let client = ids[1];
-        {
-            let mut reg = shared.registry.borrow_mut();
-            reg.coordinator = coordinator;
-            for r in 0..replicas {
-                reg.nodes[r].push(ids[2 + r]);
-            }
-        }
-        for r in 0..replicas {
-            sim.replace(
-                ids[2 + r],
-                BNode::Bucket(crate::common::BBucket::new(shared.clone(), 0, 0, r)),
-            );
-        }
-        let pool: Vec<NodeId> = ids[2 + replicas..].iter().rev().copied().collect();
-        sim.replace(
-            coordinator,
-            BNode::Coordinator(BCoordinator::new(shared.clone(), pool)),
-        );
-        sim.replace(client, BNode::Client(BClient::new(shared.clone())));
-        BaseDriver {
-            sim,
-            shared,
-            client,
-            next_op: 1,
-            mode,
-        }
-    }
-
-    fn exec(&mut self, op: BOp) -> Option<Vec<u8>> {
-        let op_id = self.next_op;
-        self.next_op += 1;
-        self.sim.send_external(self.client, BMsg::Do { op_id, op });
-        self.sim.run_until_idle();
-        let c = self.sim.actor_mut(self.client).as_client_mut();
-        c.settle_writes();
-        c.take_results()
-            .into_iter()
-            .find(|(id, _)| *id == op_id)
-            .expect("operation completed")
-            .1
-    }
-
-    /// Insert a record.
-    pub fn insert(&mut self, key: u64, payload: Vec<u8>) {
-        self.exec(BOp::Insert(key, payload));
-    }
-
-    /// Key search.
-    pub fn lookup(&mut self, key: u64) -> Option<Vec<u8>> {
-        self.exec(BOp::Lookup(key))
-    }
-
-    /// Message statistics.
-    pub fn stats(&self) -> NetStats {
-        self.sim.stats().clone()
-    }
-
-    /// Logical bucket count.
-    pub fn data_buckets(&self) -> u64 {
-        self.sim
-            .actor(self.shared.registry.borrow().coordinator)
-            .as_coordinator()
-            .state
-            .bucket_count()
-    }
-
-    /// Total servers in use.
-    pub fn total_servers(&self) -> u64 {
-        self.data_buckets() * self.mode.replicas() as u64
-    }
-
-    /// `(primary payload bytes, redundancy bytes)`.
-    pub fn storage_bytes(&self) -> (u64, u64) {
-        let reg = self.shared.registry.borrow();
-        let mut primary = 0u64;
-        let mut redundant = 0u64;
-        for (r, nodes) in reg.nodes.iter().enumerate() {
-            for node in nodes {
-                let bytes: u64 = self
-                    .sim
-                    .actor(*node)
-                    .as_bucket()
-                    .records
-                    .values()
-                    .map(|p| p.len() as u64)
-                    .sum();
-                match self.mode {
-                    Mode::Plain => primary += bytes,
-                    Mode::Mirror => {
-                        if r == 0 {
-                            primary += bytes
-                        } else {
-                            redundant += bytes
-                        }
-                    }
-                    Mode::Stripe { m } => {
-                        if r < m {
-                            primary += bytes
-                        } else {
-                            redundant += bytes
-                        }
-                    }
-                }
-            }
-        }
-        (primary, redundant)
-    }
-
-    /// IAMs received by the client.
-    pub fn client_iams(&self) -> u64 {
-        self.sim.actor(self.client).as_client().iams_received
-    }
-
-    /// Crash the node carrying `(replica, bucket)`.
-    pub fn crash_replica(&mut self, bucket: u64, replica: usize) {
-        let node = self.shared.registry.borrow().nodes[replica][bucket as usize];
-        self.sim.crash(node);
-    }
-
-    /// Rebuild `(replica, bucket)` onto a spare from the surviving
-    /// replicas (copy for mirroring, XOR for striping). Returns whether
-    /// the coordinator confirmed the install.
-    pub fn recover_replica(&mut self, bucket: u64, replica: usize) -> bool {
-        let coord = self.shared.registry.borrow().coordinator;
-        self.sim
-            .send_external(coord, BMsg::RecoverReplica { bucket, replica });
-        self.sim.run_until_idle();
-        let done = self
-            .sim
-            .actor(coord)
-            .as_coordinator()
-            .recovered
-            .contains(&(bucket, replica));
-        done
-    }
 }
 
 /// Adapter presenting `lhrs-core` (at any `k`) through the [`Scheme`]
@@ -243,8 +71,8 @@ impl Scheme for LhrsScheme {
         self.file.lookup(key).expect("lookup")
     }
 
-    fn stats(&self) -> NetStats {
-        self.file.stats().clone()
+    fn stats(&self) -> Snapshot {
+        self.file.stats()
     }
 
     fn data_buckets(&self) -> u64 {

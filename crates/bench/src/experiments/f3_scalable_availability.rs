@@ -5,7 +5,7 @@
 //! upgrade policy: eager (every group immediately) vs lazy (on next touch).
 
 use lhrs_core::availability::file_availability;
-use lhrs_core::{Config, CoordEvent, LhrsFile, UpgradeMode};
+use lhrs_core::{Config, LhrsFile, UpgradeMode};
 use lhrs_sim::LatencyModel;
 
 use crate::table::{f2, f4};
@@ -92,12 +92,8 @@ pub fn run() -> Vec<Table> {
         let keys = uniform_keys(3000, 0xF3B);
         file.insert_batch(keys.iter().map(|&key| (key, payload_of(key, 64))))
             .expect("bulk");
-        let stats = file.stats().clone();
-        let upgrades = file
-            .events()
-            .iter()
-            .filter(|(_, e)| matches!(e, CoordEvent::GroupUpgraded { .. }))
-            .count();
+        let stats = file.stats();
+        let upgrades = stats.counter("events", "group_upgraded");
         let k_file = file.k_file();
         let lagging = (0..file.group_count() as u64)
             .filter(|&g| file.group_k(g) < k_file)

@@ -66,7 +66,7 @@ pub fn run() -> Vec<Table> {
             f2(permille as f64 / 10.0),
             f2(per_op),
             f2((per_op / base - 1.0) * 100.0),
-            cost.fault_dropped.to_string(),
+            cost.counter("fault_dropped", "").to_string(),
             cost.count("suspect").to_string(),
             failed.to_string(),
         ]);

@@ -5,7 +5,7 @@
 //! decode, and one install per spare — messages ∝ group size, bytes ∝
 //! bucket contents, with simulated wall-clock dominated by the transfers.
 
-use lhrs_baselines::{MirrorLh, Scheme, StripeLh};
+use lhrs_baselines::{ReplicatedLh, Scheme};
 use lhrs_core::{Config, LhrsFile};
 use lhrs_sim::LatencyModel;
 
@@ -126,7 +126,7 @@ pub fn run() -> Vec<Table> {
         ],
     );
     {
-        let mut f = MirrorLh::new(32, 2048, LatencyModel::default());
+        let mut f = ReplicatedLh::mirror(32, 2048, LatencyModel::default());
         for &key in uniform_keys(2000, 0x75C).iter() {
             f.insert(key, payload_of(key, 64));
         }
@@ -143,7 +143,7 @@ pub fn run() -> Vec<Table> {
         ]);
     }
     {
-        let mut f = StripeLh::new(4, 32, 4096, LatencyModel::default());
+        let mut f = ReplicatedLh::stripe(4, 32, 4096, LatencyModel::default());
         for &key in uniform_keys(2000, 0x75C).iter() {
             f.insert(key, payload_of(key, 64));
         }

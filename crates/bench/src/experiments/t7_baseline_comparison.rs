@@ -6,7 +6,7 @@
 //! availability? LH\*RS's claim is the best overhead/availability frontier
 //! with LH\*-grade search cost.
 
-use lhrs_baselines::{GroupedLh, LhrsScheme, MirrorLh, PlainLh, Scheme, StripeLh};
+use lhrs_baselines::{GroupedLh, LhrsScheme, ReplicatedLh, Scheme};
 use lhrs_core::Config;
 use lhrs_sim::LatencyModel;
 
@@ -93,9 +93,9 @@ pub fn run() -> Vec<Table> {
     };
 
     let rows = vec![
-        measure(&mut PlainLh::new(cap, pool, latency), 0x77),
-        measure(&mut MirrorLh::new(cap, pool, latency), 0x77),
-        measure(&mut StripeLh::new(4, cap, pool, latency), 0x77),
+        measure(&mut ReplicatedLh::plain(cap, pool, latency), 0x77),
+        measure(&mut ReplicatedLh::mirror(cap, pool, latency), 0x77),
+        measure(&mut ReplicatedLh::stripe(4, cap, pool, latency), 0x77),
         measure(&mut GroupedLh::new(4, cap, PAYLOAD, pool, latency), 0x77),
         measure(&mut LhrsScheme::new("LH*g (RS k=1)", lhrs_cfg(1)), 0x77),
         measure(&mut LhrsScheme::new("LH*RS k=2", lhrs_cfg(2)), 0x77),

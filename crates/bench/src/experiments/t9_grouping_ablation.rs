@@ -56,13 +56,13 @@ pub fn run() -> Vec<Table> {
     for &key in &keys {
         rs.insert(key, payload_of(key, 64)).expect("insert");
     }
-    let rs_load = rs.stats().clone();
+    let rs_load = rs.stats();
     let rs_splits = rs_load.count("split");
     // Record recovery (degraded read) cost: crash the bucket, read the key.
     let victim = keys[123];
     let bucket = rs.address_of(victim);
     rs.crash_data_bucket(bucket);
-    let before = rs.stats().clone();
+    let before = rs.stats();
     let got = rs.lookup(victim).expect("degraded lookup");
     assert_eq!(got.unwrap(), payload_of(victim, 64));
     let rs_rec = rs.stats().since(&before);

@@ -18,97 +18,6 @@ use crate::record::decode_cell;
 use crate::registry::SharedHandle;
 use crate::{Config, Key, Rank, UpgradeMode};
 
-/// Observable coordinator events, consumed by the driver and the tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoordEvent {
-    /// A split completed (bucket created).
-    Split {
-        /// Splitting bucket.
-        source: u64,
-        /// New bucket.
-        target: u64,
-        /// Bucket count after the split.
-        buckets: u64,
-    },
-    /// The scalable-availability rule raised the file availability level.
-    KIncreased {
-        /// The new file-wide `k`.
-        k: usize,
-    },
-    /// A group finished upgrading to a higher `k`.
-    GroupUpgraded {
-        /// The group.
-        group: u64,
-        /// Its new availability level.
-        k: usize,
-    },
-    /// Failure(s) confirmed in a group.
-    FailureDetected {
-        /// The group.
-        group: u64,
-        /// Failed shard indices (`0..m` data, `m..` parity).
-        shards: Vec<usize>,
-    },
-    /// A group was fully rebuilt onto spares.
-    GroupRecovered {
-        /// The group.
-        group: u64,
-        /// Shards rebuilt.
-        shards: Vec<usize>,
-    },
-    /// More shards failed than the group's `k` tolerates.
-    GroupUnrecoverable {
-        /// The group.
-        group: u64,
-        /// Number of failed shards.
-        failed: usize,
-    },
-    /// A bucket merge completed (file shrank by one bucket).
-    Merged {
-        /// The absorbing bucket.
-        source: u64,
-        /// The removed bucket.
-        target: u64,
-        /// Bucket count after the merge.
-        buckets: u64,
-    },
-    /// File state `(n, i)` reconstructed from a bucket scan.
-    StateRecovered {
-        /// Recovered split pointer.
-        n: u64,
-        /// Recovered file level.
-        i: u8,
-    },
-    /// A rebuild collected its shards but found no spare nodes to install
-    /// them on; the attempt was abandoned (a later suspect retries, and
-    /// lookups are served in degraded mode meanwhile).
-    RecoveryStalled {
-        /// The group.
-        group: u64,
-        /// Spare nodes the rebuild needed.
-        needed: usize,
-    },
-    /// The coordinator hit a state it believes impossible (a stale token, a
-    /// malformed reply, an out-of-range shard index). Instead of aborting —
-    /// which would take the whole file's control plane down with it — the
-    /// offending operation is dropped and this event records what happened
-    /// so the driver/operator can see the degradation.
-    InvariantViolated {
-        /// Where the violation was detected (static context string).
-        context: String,
-    },
-    /// A restarted data bucket was re-admitted after replaying its local
-    /// store and catching up on the Δ-suffix it missed — the cheap
-    /// recovery path that avoids a full RS rebuild.
-    BucketRestarted {
-        /// The bucket.
-        bucket: u64,
-        /// Δ-suffix entries it had to catch up (0 = it was already
-        /// current).
-        suffix_len: u64,
-    },
-}
-
 /// One exchange in flight: requests the coordinator sent and is waiting on.
 /// [`Coordinator::on_timer`] re-sends whatever is still outstanding once
 /// per period and concludes the exchange after `coord_retries` fruitless
@@ -294,8 +203,6 @@ pub struct Coordinator {
     col_floors: HashMap<u64, u64>,
     /// Groups lagging behind `k_file` (lazy mode).
     lagging: HashSet<u64>,
-    /// Event log for the driver: `(simulated time µs, event)`.
-    pub events: Vec<(u64, CoordEvent)>,
 }
 
 impl Coordinator {
@@ -320,7 +227,6 @@ impl Coordinator {
             upgrade_queue: VecDeque::new(),
             col_floors: HashMap::new(),
             lagging: HashSet::new(),
-            events: Vec::new(),
         }
     }
 
@@ -350,25 +256,19 @@ impl Coordinator {
     /// Pop a spare node. Callers check `pool.len()` up front and reserve
     /// enough nodes for the whole operation, so `None` here means the
     /// reservation arithmetic is wrong — an invariant violation the caller
-    /// surfaces as a [`CoordEvent::InvariantViolated`] instead of aborting.
+    /// surfaces as an [`ObsEvent::InvariantViolated`] instead of aborting.
     fn alloc_node(&mut self) -> Option<NodeId> {
         self.pool.pop()
     }
 
     /// Record an invariant violation as a degraded-mode event. The
     /// coordinator drops the operation that tripped it and keeps serving;
-    /// the event stream is the audit trail.
+    /// the trace is the audit trail.
     fn invariant_violated(&mut self, env: &mut Env<'_, Msg>, context: &str) {
         env.obs().incr("invariant_violations");
         env.trace(ObsEvent::InvariantViolated {
             context: context.to_string(),
         });
-        self.events.push((
-            env.now(),
-            CoordEvent::InvariantViolated {
-                context: context.to_string(),
-            },
-        ));
     }
 
     /// Existing data buckets of `group` (the file may not have grown the
@@ -466,8 +366,7 @@ impl Coordinator {
                 match FileState::from_parts(n, i, 1) {
                     Some(state) => {
                         self.state = state;
-                        self.events
-                            .push((env.now(), CoordEvent::StateRecovered { n, i }));
+                        env.trace(ObsEvent::StateRecovered { n, i });
                     }
                     None => {
                         // The survivors' reports recompose into an
@@ -903,15 +802,9 @@ impl Coordinator {
         env.obs().incr("splits_started");
         env.trace(ObsEvent::SplitStart {
             bucket: plan.source,
+            new_bucket: plan.target,
+            buckets: self.state.bucket_count(),
         });
-        self.events.push((
-            env.now(),
-            CoordEvent::Split {
-                source: plan.source,
-                target: plan.target,
-                buckets: self.state.bucket_count(),
-            },
-        ));
 
         // Scalable availability: raise k when M crosses the next threshold.
         let m_now = self.state.bucket_count();
@@ -924,8 +817,9 @@ impl Coordinator {
         {
             self.thresholds_crossed += 1;
             self.k_file += 1;
-            self.events
-                .push((env.now(), CoordEvent::KIncreased { k: self.k_file }));
+            env.trace(ObsEvent::KRaised {
+                k: self.k_file as u64,
+            });
             let k_file = self.k_file;
             let behind: Vec<u64> = self
                 .group_k
@@ -1017,14 +911,11 @@ impl Coordinator {
             }
         }
         drop(reg);
-        self.events.push((
-            env.now(),
-            CoordEvent::Merged {
-                source,
-                target,
-                buckets: self.state.bucket_count(),
-            },
-        ));
+        env.trace(ObsEvent::MergeDone {
+            bucket: source,
+            removed: target,
+            buckets: self.state.bucket_count(),
+        });
         self.drain_queues(env);
     }
 
@@ -1229,13 +1120,10 @@ impl Coordinator {
             self.drain_queues(env);
             return;
         };
-        self.events.push((
-            env.now(),
-            CoordEvent::FailureDetected {
-                group,
-                shards: failed.clone(),
-            },
-        ));
+        env.trace(ObsEvent::FailureDetected {
+            group,
+            shards: failed.iter().map(|&s| s as u64).collect(),
+        });
         if failed.len() > k_g {
             self.dead_groups.insert(group);
             env.obs().incr("recoveries_failed");
@@ -1244,13 +1132,6 @@ impl Coordinator {
                 rebuilt: 0,
                 ok: false,
             });
-            self.events.push((
-                env.now(),
-                CoordEvent::GroupUnrecoverable {
-                    group,
-                    failed: failed.len(),
-                },
-            ));
             self.fail_queued(env, group, "group unrecoverable");
             self.drain_queues(env);
             return;
@@ -1410,13 +1291,10 @@ impl Coordinator {
             self.failed.remove(&(group, col));
             env.send(from, Msg::OwnershipAck);
             env.obs().incr("restart_recoveries");
-            self.events.push((
-                env.now(),
-                CoordEvent::BucketRestarted {
-                    bucket,
-                    suffix_len: 0,
-                },
-            ));
+            env.trace(ObsEvent::BucketRestarted {
+                bucket,
+                suffix_len: 0,
+            });
             return;
         }
         let token = self.token();
@@ -1492,13 +1370,10 @@ impl Coordinator {
         let moved: u64 = s.infos.values().map(|r| r.bytes).sum();
         env.obs().incr("restart_recoveries");
         env.obs().add("recovery_bytes_moved", moved);
-        self.events.push((
-            env.now(),
-            CoordEvent::BucketRestarted {
-                bucket: s.bucket,
-                suffix_len: r0 - s.from_seq,
-            },
-        ));
+        env.trace(ObsEvent::BucketRestarted {
+            bucket: s.bucket,
+            suffix_len: r0 - s.from_seq,
+        });
         self.drain_queues(env);
     }
 
@@ -1884,13 +1759,10 @@ impl Coordinator {
         if self.pool.len() < rebuilt.len() {
             self.settle(env, token);
             env.obs().incr("recoveries_stalled");
-            self.events.push((
-                env.now(),
-                CoordEvent::RecoveryStalled {
-                    group,
-                    needed: rebuilt.len(),
-                },
-            ));
+            env.trace(ObsEvent::RecoveryStalled {
+                group,
+                needed: rebuilt.len() as u64,
+            });
             self.fail_queued(env, group, "no spare nodes to rebuild onto");
             return;
         }
@@ -2021,13 +1893,6 @@ impl Coordinator {
                     rebuilt: r.rebuild.len() as u64,
                     ok: true,
                 });
-                self.events.push((
-                    env.now(),
-                    CoordEvent::GroupRecovered {
-                        group: r.group,
-                        shards: r.rebuild.clone(),
-                    },
-                ));
                 self.replay_queued(env, r.group);
             }
             Purpose::Upgrade => {
@@ -2035,13 +1900,10 @@ impl Coordinator {
                 if let Some(slot) = self.group_k.get_mut(crate::convert::to_index(r.group)) {
                     *slot = r.k;
                 }
-                self.events.push((
-                    env.now(),
-                    CoordEvent::GroupUpgraded {
-                        group: r.group,
-                        k: r.k,
-                    },
-                ));
+                env.trace(ObsEvent::GroupUpgraded {
+                    group: r.group,
+                    k: r.k as u64,
+                });
             }
         }
         self.drain_queues(env);

@@ -8,12 +8,12 @@
 //! accounted.
 
 use lhrs_gf::Gf8;
-use lhrs_obs::{Clock, Metrics};
+use lhrs_obs::{Event, Metrics, Snapshot, TimedEvent};
 use lhrs_rs::RsCode;
-use lhrs_sim::{NetStats, NodeId, Sim};
+use lhrs_sim::{NodeId, Sim};
 
 use crate::client::Client;
-use crate::coordinator::{CoordEvent, Coordinator};
+use crate::coordinator::Coordinator;
 use crate::data_bucket::DataBucket;
 use crate::msg::{ClientOp, FilterSpec, Msg, OpId, OpResult};
 use crate::node::Node;
@@ -50,7 +50,7 @@ pub struct StorageReport {
     pub storage_overhead: f64,
 }
 
-/// What a failure drill did, distilled from the coordinator event log.
+/// What a failure drill did, distilled from the coordinator's trace events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Shard indices detected as failed (`0..m` data, `m..` parity).
@@ -91,9 +91,6 @@ impl LhrsFile {
         let k = cfg.initial_k;
         let shared = Shared::new(cfg);
         let mut sim: Sim<Msg, Node> = Sim::new(latency);
-        // Logical-clock metrics: events are stamped with sim time, so
-        // latency histograms and recovery timelines are deterministic.
-        sim.set_metrics(Metrics::new(Clock::logical()));
         let total = shared.cfg.node_pool;
         let ids: Vec<NodeId> = (0..total)
             .map(|_| {
@@ -369,13 +366,17 @@ impl LhrsFile {
         &self.shared.cfg
     }
 
-    /// Network statistics accumulated so far.
-    pub fn stats(&self) -> &NetStats {
-        self.sim.stats()
+    /// Every counter and histogram so far: messages by kind
+    /// ([`Snapshot::count`], [`Snapshot::total_messages`]), bytes, fault
+    /// outcomes, and the protocol's own counters.
+    pub fn stats(&self) -> Snapshot {
+        self.metrics().snapshot()
     }
 
     /// The observability handle: counters, latency histograms, and the
-    /// structured trace ring recorded by every actor in this file.
+    /// structured trace ring recorded by every actor in this file, on a
+    /// logical clock (events are stamped with simulated µs, so readings
+    /// are deterministic).
     ///
     /// [`Metrics`] is cheaply cloneable (`Arc` inside), so callers can hold
     /// a copy across mutations of the file.
@@ -383,16 +384,20 @@ impl LhrsFile {
         self.sim.metrics()
     }
 
-    /// Run `f` and return the message statistics it generated.
-    pub fn cost_of(&mut self, f: impl FnOnce(&mut Self)) -> NetStats {
-        let before = self.sim.stats().clone();
+    /// Run `f` and return what it cost: the [`Snapshot`] diff across it.
+    pub fn cost_of(&mut self, f: impl FnOnce(&mut Self)) -> Snapshot {
+        let before = self.stats();
         f(self);
-        self.sim.stats().since(&before)
+        self.stats().since(&before)
     }
 
-    /// Coordinator event log `(simulated µs, event)`.
-    pub fn events(&self) -> &[(u64, CoordEvent)] {
-        &self.coord().events
+    /// The retained trace, oldest first: every structural fact the
+    /// coordinator recorded (splits, merges, `k` raises, upgrades,
+    /// failures, recoveries, restarts, invariant violations) and the other
+    /// actors' events. The ring keeps the newest 4096; count facts over a
+    /// whole run with the `events{kind}` counter instead.
+    pub fn events(&self) -> Vec<TimedEvent> {
+        self.metrics().events()
     }
 
     /// IAMs received by a client (image-convergence metric).
@@ -649,11 +654,10 @@ impl LhrsFile {
     /// Audit a group's liveness and recover any failed shards; returns what
     /// happened.
     pub fn check_group(&mut self, group: u64) -> RecoveryReport {
-        let events_before = self.coord().events.len();
+        let cursor = self.metrics().trace_log().map_or(0, |t| t.pushed());
         self.sim
             .send_external(self.coordinator, Msg::CheckGroup { group });
         self.sim.run_until_idle();
-        let events = &self.coord().events[events_before..];
         let mut report = RecoveryReport {
             failed_shards: Vec::new(),
             recovered: false,
@@ -661,19 +665,24 @@ impl LhrsFile {
             duration_us: 0,
         };
         let mut t_detect = None;
-        for (t, ev) in events {
-            match ev {
-                CoordEvent::FailureDetected { group: g, shards } if *g == group => {
-                    report.failed_shards = shards.clone();
-                    t_detect = Some(*t);
+        for ev in self.events().into_iter().filter(|e| e.seq >= cursor) {
+            let t = ev.at_us;
+            match ev.event {
+                Event::FailureDetected { group: g, shards } if g == group => {
+                    report.failed_shards = shards.into_iter().map(|s| s as usize).collect();
+                    t_detect = Some(t);
                 }
-                CoordEvent::GroupRecovered { group: g, .. } if *g == group => {
+                Event::RecoveryEnd {
+                    group: g, ok: true, ..
+                } if g == group => {
                     report.recovered = true;
-                    report.duration_us = t - t_detect.unwrap_or(*t);
+                    report.duration_us = t - t_detect.unwrap_or(t);
                 }
-                CoordEvent::GroupUnrecoverable { group: g, .. } if *g == group => {
-                    report.unrecoverable = true;
-                }
+                Event::RecoveryEnd {
+                    group: g,
+                    ok: false,
+                    ..
+                } if g == group => report.unrecoverable = true,
                 _ => {}
             }
         }
@@ -965,7 +974,7 @@ mod tests {
         file.next_op += 1;
         let op = ClientOp::Lookup { key: 3 };
         file.sim.send_external(client, Msg::Do { op_id, op });
-        while file.sim.stats().count("find-record") == 0 {
+        while file.metrics().counter_kind("msgs_sent", "find-record") == 0 {
             assert!(file.sim.step(), "the degraded read must start");
         }
         // ... then answer in the parity bucket's place. The token is the
@@ -988,7 +997,7 @@ mod tests {
         assert!(file
             .events()
             .iter()
-            .any(|(_, e)| matches!(e, CoordEvent::InvariantViolated { .. })));
+            .any(|e| matches!(e.event, Event::InvariantViolated { .. })));
         assert_eq!(file.metrics().counter("invariant_violations"), 1);
     }
 
@@ -1018,7 +1027,7 @@ mod tests {
         // complete and the rebuilt shard is on its way to a spare ...
         file.sim
             .send_external(file.coordinator, Msg::CheckGroup { group: 0 });
-        while file.sim.stats().count("install") == 0 {
+        while file.metrics().counter_kind("msgs_sent", "install") == 0 {
             assert!(file.sim.step(), "the rebuild must start");
         }
         // ... then deliver the parity shard again under every token in
@@ -1037,13 +1046,8 @@ mod tests {
         }
         file.sim.run_until_idle();
 
-        let recovered = file
-            .events()
-            .iter()
-            .filter(|(_, e)| matches!(e, CoordEvent::GroupRecovered { .. }))
-            .count();
-        assert_eq!(recovered, 1);
-        assert_eq!(file.sim.stats().count("install"), 1);
+        assert_eq!(file.metrics().counter("recoveries_completed"), 1);
+        assert_eq!(file.stats().count("install"), 1);
         assert_eq!(file.coord().pool.len(), spares - 1);
         assert_eq!(file.lookup(3).unwrap(), Some(vec![7; 4]));
     }
@@ -1109,7 +1113,7 @@ mod tests {
             for key in 0..200u64 {
                 file.insert(key, vec![key as u8; 8]).unwrap();
             }
-            let before = file.events().len();
+            let cursor = file.metrics().trace_log().unwrap().pushed();
             for msg in [
                 Msg::ForceMerge,
                 Msg::ReportOverflow { bucket: 0, size: 0 },
@@ -1119,11 +1123,20 @@ mod tests {
             }
             file.sim.run_until_idle();
 
-            let events: Vec<&CoordEvent> = file.events()[before..].iter().map(|(_, e)| e).collect();
+            let events: Vec<Event> = file
+                .events()
+                .into_iter()
+                .filter(|e| e.seq >= cursor)
+                .map(|e| e.event)
+                .collect();
             assert!(
                 matches!(
                     events.as_slice(),
-                    [CoordEvent::Merged { .. }, CoordEvent::Split { .. }]
+                    [
+                        Event::MergeDone { .. },
+                        Event::SplitStart { .. },
+                        Event::SplitEnd { .. }
+                    ]
                 ),
                 "{events:?}"
             );

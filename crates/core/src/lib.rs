@@ -105,7 +105,6 @@ pub mod record;
 
 pub use api::{KvClient, OpOutcome};
 pub use config::{Config, FsyncPolicy, ScanTermination, UpgradeMode, MAX_RECORD_LEN};
-pub use coordinator::CoordEvent;
 pub use error::Error;
 pub use file::{LhrsFile, RecoveryReport, StorageReport};
 pub use lhrs_sim::{FaultPlan, NodeId, Partition};

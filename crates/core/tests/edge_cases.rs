@@ -81,7 +81,7 @@ fn extreme_keys_and_payload_sizes() {
     assert_eq!(file.lookup(0).unwrap().unwrap(), Vec::<u8>::new());
     assert_eq!(file.lookup(u64::MAX).unwrap().unwrap(), vec![0xFF; 32]);
     // Over-length payload rejected before touching the network.
-    let before = file.stats().clone();
+    let before = file.stats();
     assert!(matches!(
         file.insert(2, vec![0u8; 33]),
         Err(Error::PayloadTooLarge { got: 33, max: 32 })

@@ -2,7 +2,8 @@
 //! growth, addressing, parity consistency, failures, degraded reads,
 //! multi-bucket recovery, scalable availability, and the drills.
 
-use lhrs_core::{Config, CoordEvent, Error, FilterSpec, LhrsFile, UpgradeMode};
+use lhrs_core::{Config, Error, FilterSpec, LhrsFile, UpgradeMode};
+use lhrs_obs::Event;
 use lhrs_sim::LatencyModel;
 
 fn small_cfg() -> Config {
@@ -170,7 +171,7 @@ fn lookup_through_failed_bucket_served_degraded_and_recovered() {
     let recovered = file
         .events()
         .iter()
-        .any(|(_, e)| matches!(e, lhrs_core::CoordEvent::GroupRecovered { .. }));
+        .any(|e| matches!(e.event, Event::RecoveryEnd { ok: true, .. }));
     assert!(recovered, "bucket was not rebuilt: {:?}", file.events());
 
     // After recovery everything is intact, including the failed bucket's
@@ -337,20 +338,24 @@ fn scalable_availability_eager_upgrades_groups() {
         assert_eq!(file.group_k(g), 3, "group {g} lagging");
     }
     file.verify_integrity().unwrap();
-    // The event log tells the same story: one Split per bucket beyond the
-    // first, one KIncreased per threshold, and group 0 upgraded up to k = 3.
-    let count = |pred: &dyn Fn(&CoordEvent) -> bool| {
-        file.events().iter().filter(|(_, e)| pred(e)).count() as u64
-    };
+    // The trace tells the same story: one SplitStart per bucket beyond the
+    // first, one KRaised per threshold, and group 0 upgraded up to k = 3.
+    let events = |kind| file.metrics().counter_kind("events", kind);
+    assert_eq!(events("split_start"), file.bucket_count() - 1);
+    assert_eq!(events("k_raised"), 2);
     assert_eq!(
-        count(&|e| matches!(e, CoordEvent::Split { .. })),
-        file.bucket_count() - 1
+        events("group_upgraded"),
+        file.metrics().counter("group_upgrades")
     );
-    assert_eq!(count(&|e| matches!(e, CoordEvent::KIncreased { .. })), 2);
-    assert_eq!(
-        count(&|e| matches!(e, CoordEvent::GroupUpgraded { group: 0, k: 3 })),
-        1
-    );
+    // The ring kept the whole run, so the one upgrade of group 0 to k = 3
+    // is in it exactly once.
+    assert_eq!(file.metrics().trace_log().unwrap().dropped(), 0);
+    let to_k3 = file
+        .events()
+        .iter()
+        .filter(|e| matches!(e.event, Event::GroupUpgraded { group: 0, k: 3 }))
+        .count();
+    assert_eq!(to_k3, 1);
     // And the extra parity actually works: kill 3 shards of group 0.
     let mut cfg2 = file.config().clone();
     cfg2.latency = LatencyModel::default();
@@ -389,8 +394,8 @@ fn file_state_recovery_drill() {
     let (n, i) = file.drill_file_state_recovery();
     assert_eq!(n + (1u64 << i), m, "recovered state inconsistent with M");
     assert_eq!(
-        file.events().last().map(|(_, e)| e),
-        Some(&CoordEvent::StateRecovered { n, i })
+        file.events().last().map(|e| &e.event),
+        Some(&Event::StateRecovered { n, i })
     );
     // File still fully operational afterwards.
     assert_eq!(
@@ -532,13 +537,14 @@ fn rebuild_without_a_spare_node_stalls_instead_of_aborting() {
     assert_eq!(report.failed_shards, vec![1]);
     assert!(!report.recovered && !report.unrecoverable, "{report:?}");
     assert_eq!(
-        file.events().last().map(|(_, e)| e),
-        Some(&CoordEvent::RecoveryStalled {
+        file.events().last().map(|e| &e.event),
+        Some(&Event::RecoveryStalled {
             group: 0,
             needed: 1
         })
     );
     assert_eq!(file.metrics().counter("recoveries_stalled"), 1);
+    assert_eq!(file.metrics().counter_kind("events", "recovery_stalled"), 1);
     // The coordinator is still serving: the other buckets answer, and the
     // lost one reads degraded through the parity bucket.
     for key in 0..60u64 {

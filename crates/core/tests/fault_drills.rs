@@ -188,10 +188,10 @@ fn run_chaos_drill(seed: u64, ops: usize, with_partition: bool) -> DrillOutcome 
     DrillOutcome {
         now_us: file.now_us(),
         total_messages: stats.total_messages(),
-        fault_dropped: stats.fault_dropped,
-        partition_dropped: stats.partition_dropped,
-        duplicated: stats.duplicated,
-        reordered: stats.reordered,
+        fault_dropped: stats.counter("fault_dropped", ""),
+        partition_dropped: stats.counter("partition_dropped", ""),
+        duplicated: stats.counter("fault_duplicated", ""),
+        reordered: stats.counter("fault_reordered", ""),
         buckets: file.bucket_count(),
         acked: oracle.acked.into_iter().collect(),
         tainted: oracle.tainted.len(),
@@ -247,7 +247,7 @@ fn duplicated_insert_requests_are_applied_once() {
     for key in 0..30u64 {
         assert_eq!(file.lookup(key).unwrap().unwrap(), payload(key, 0));
     }
-    assert!(file.stats().duplicated > 0);
+    assert!(file.metrics().counter("fault_duplicated") > 0);
     file.clear_fault_plan();
     file.verify_integrity().unwrap();
 }
@@ -270,7 +270,7 @@ fn duplicated_delta_commits_do_not_drift_parity() {
     for key in (0..25u64).step_by(3) {
         file.delete(key).unwrap();
     }
-    assert!(file.stats().duplicated > 0);
+    assert!(file.metrics().counter("fault_duplicated") > 0);
     file.clear_fault_plan();
     file.verify_integrity().unwrap();
 }
@@ -288,7 +288,10 @@ fn pure_loss_is_absorbed_by_retransmission() {
     for key in 0..60u64 {
         assert_eq!(file.lookup(key).unwrap().unwrap(), payload(key, 0));
     }
-    assert!(file.stats().fault_dropped > 0, "loss must actually fire");
+    assert!(
+        file.metrics().counter("fault_dropped") > 0,
+        "loss must actually fire"
+    );
     file.clear_fault_plan();
     file.verify_integrity().unwrap();
 }
@@ -309,7 +312,10 @@ fn pure_reordering_keeps_parity_exact() {
     for key in (0..60u64).step_by(2) {
         file.update(key, payload(key, 1)).unwrap();
     }
-    assert!(file.stats().reordered > 0, "reordering must actually fire");
+    assert!(
+        file.metrics().counter("fault_reordered") > 0,
+        "reordering must actually fire"
+    );
     file.clear_fault_plan();
     file.verify_integrity().unwrap();
     for key in 0..60u64 {
@@ -498,7 +504,7 @@ fn timed_partition_heals_without_acked_loss() {
         }
     }
     assert!(
-        file.stats().partition_dropped > 0,
+        file.metrics().counter("partition_dropped") > 0,
         "the partition must actually drop traffic"
     );
 

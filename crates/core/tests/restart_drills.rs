@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 
 use lhrs_core::parity_bucket::DELTA_HISTORY_CAP;
 use lhrs_core::storage::{MemHub, StoreId};
-use lhrs_core::{Config, CoordEvent, FaultPlan, LhrsFile, Partition};
-use lhrs_obs::RestartReport;
+use lhrs_core::{Config, FaultPlan, LhrsFile, Partition};
+use lhrs_obs::{Event, RestartReport};
 use lhrs_sim::LatencyModel;
 
 fn restart_cfg() -> Config {
@@ -114,9 +114,9 @@ fn run_disk_survives_arm() -> u64 {
     let report = RestartReport::from_metrics("disk-survives", file.metrics());
     assert_eq!(report.restart_recoveries, 1, "{report:?}");
     assert!(
-        file.events().iter().any(|(_, e)| matches!(
-            e,
-            CoordEvent::BucketRestarted { bucket: 0, suffix_len } if *suffix_len == report.suffix_entries
+        file.events().iter().any(|e| matches!(
+            e.event,
+            Event::BucketRestarted { bucket: 0, suffix_len } if suffix_len == report.suffix_entries
         )),
         "{:?}",
         file.events()

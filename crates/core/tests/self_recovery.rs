@@ -66,7 +66,7 @@ fn replaced_node_is_demoted_to_spare() {
     let recovered = file
         .events()
         .iter()
-        .any(|(_, e)| matches!(e, lhrs_core::CoordEvent::GroupRecovered { .. }));
+        .any(|e| matches!(e.event, lhrs_obs::Event::RecoveryEnd { ok: true, .. }));
     assert!(recovered, "rebuild must have run during the outage");
 
     assert!(

@@ -2,7 +2,8 @@
 //! inverse of splitting, with parity retraction/re-enrolment, node
 //! decommissioning, and client-image coarsening.
 
-use lhrs_core::{Config, CoordEvent, FilterSpec, LhrsFile};
+use lhrs_core::{Config, FilterSpec, LhrsFile};
+use lhrs_obs::Event;
 use lhrs_sim::LatencyModel;
 
 fn cfg() -> Config {
@@ -33,7 +34,7 @@ fn merge_undoes_one_split() {
     let merged = file
         .events()
         .iter()
-        .any(|(_, e)| matches!(e, CoordEvent::Merged { .. }));
+        .any(|e| matches!(e.event, Event::MergeDone { .. }));
     assert!(merged);
     file.verify_integrity().unwrap();
     for key in 0..200u64 {

@@ -30,7 +30,9 @@
 //! `--trace-dump <path>` the trace ring is additionally flushed to `path`
 //! as JSONL twice a second (write-to-temp + fsync + rename), so the last
 //! pre-kill timeline survives even a SIGKILL during a failure drill; a
-//! final dump is written on clean shutdown.
+//! final dump is written on clean shutdown. On the coordinator's process
+//! that trace is the record of every structural fact: splits, merges, `k`
+//! raises, group upgrades, failures, recoveries and restarts.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -49,7 +51,7 @@ use lhrs_obs::{Clock, Metrics};
 fn usage() -> ! {
     eprintln!(
         "usage: lhrs-netd --config <cluster.conf> --nodes <id[,id...]> \
-         [--data-dir <root>] [--trace-dump <path>] [--verbose]"
+         [--data-dir <root>] [--trace-dump <path>]"
     );
     exit(2);
 }
@@ -86,14 +88,12 @@ fn main() {
     let mut nodes: Vec<u32> = Vec::new();
     let mut trace_dump: Option<String> = None;
     let mut data_dir: Option<String> = None;
-    let mut verbose = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--config" => config = args.next(),
             "--trace-dump" => trace_dump = args.next(),
             "--data-dir" => data_dir = args.next(),
-            "--verbose" => verbose = true,
             "--nodes" => {
                 let list = args.next().unwrap_or_else(|| usage());
                 for part in list.split(',') {
@@ -196,21 +196,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    if verbose && nodes.contains(&0) {
-        // Coordinator host: narrate structural events as they happen.
-        let mut seen = 0usize;
-        while !host.is_shutdown() {
-            host.poll(std::time::Duration::from_millis(50));
-            let Some(node) = host.node(0) else { continue };
-            let events = &node.as_coordinator().events;
-            for (t, ev) in events.iter().skip(seen) {
-                eprintln!("lhrs-netd: [{t}us] {ev:?}");
-            }
-            seen = events.len();
-        }
-    } else {
-        host.run();
-    }
+    host.run();
     // Clean shutdown: one final durable dump so the trace file reflects the
     // whole run, not just the last 500 ms tick.
     if let Some(path) = &trace_dump {

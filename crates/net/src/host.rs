@@ -173,11 +173,6 @@ impl<T: Transport> NodeHost<T> {
         }
     }
 
-    /// Whether [`HostEvent::Shutdown`] has been received.
-    pub fn is_shutdown(&self) -> bool {
-        self.shutdown
-    }
-
     /// Microseconds since host start — the `Env::now` clock.
     pub fn now_us(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)

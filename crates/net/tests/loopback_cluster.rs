@@ -23,7 +23,7 @@ use lhrs_net::cluster::{ClusterSpec, NodeSpec, Role};
 use lhrs_net::demo::{self, MissKind};
 use lhrs_net::host::NodeHost;
 use lhrs_net::transport::{HostEvent, LoopbackNet, LoopbackTransport};
-use lhrs_obs::{parse_prometheus, Clock, Metrics, RecoveryReport};
+use lhrs_obs::{parse_prometheus, Clock, Event, Metrics, RecoveryReport};
 
 const RECORDS: u64 = 80;
 const OP_TIMEOUT: Duration = Duration::from_secs(20);
@@ -268,6 +268,27 @@ fn cluster_grows_and_recovers_over_loopback() {
     assert_eq!(snap.counter("recoveries_failed", ""), 0);
     assert!(snap.counter("recovery_bytes_moved", "") > 0);
     assert!(snap.counter("splits_completed", "") >= 1, "the file grew");
+
+    // The coordinator's trace carries each structural fact with its
+    // payload: every split names the bucket it creates, and the failure
+    // names the shard it lost (bucket 0 is shard 0 of group 0).
+    let events = metrics.events();
+    let created: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::SplitStart { new_bucket, .. } => Some(new_bucket),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        (1..buckets as u64).all(|b| created.contains(&b)),
+        "a split per bucket: {created:?}"
+    );
+    let lost = Event::FailureDetected {
+        group: 0,
+        shards: vec![0],
+    };
+    assert!(events.iter().any(|e| e.event == lost), "{events:?}");
 
     // The Prometheus rendering must round-trip and carry a rich counter
     // set (the netd STATS acceptance bar: ≥ 10 distinct series).

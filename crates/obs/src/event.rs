@@ -39,6 +39,10 @@ pub enum Event {
     SplitStart {
         /// The bucket being split.
         bucket: u64,
+        /// The bucket the split creates.
+        new_bucket: u64,
+        /// Bucket count once the split lands.
+        buckets: u64,
     },
     /// A bucket split completed (coordinator saw `SplitDone`).
     SplitEnd {
@@ -46,6 +50,35 @@ pub enum Event {
         bucket: u64,
         /// The new sibling bucket created by the split.
         new_bucket: u64,
+    },
+    /// A bucket merge completed: the file shrank by one bucket.
+    MergeDone {
+        /// The absorbing bucket.
+        bucket: u64,
+        /// The bucket merged away.
+        removed: u64,
+        /// Bucket count after the merge.
+        buckets: u64,
+    },
+    /// The scalable-availability rule raised the file's availability
+    /// level.
+    KRaised {
+        /// The new file-wide `k`.
+        k: u64,
+    },
+    /// A group finished upgrading to a higher `k`.
+    GroupUpgraded {
+        /// The group.
+        group: u64,
+        /// Its new availability level.
+        k: u64,
+    },
+    /// The file state `(n, i)` was rebuilt from a scan of the buckets.
+    StateRecovered {
+        /// Recovered split pointer.
+        n: u64,
+        /// Recovered file level.
+        i: u8,
     },
     /// A data bucket committed a Δ to its parity group.
     DeltaCommit {
@@ -55,6 +88,14 @@ pub enum Event {
         bytes: u64,
         /// Number of parity columns addressed (k).
         columns: u64,
+    },
+    /// A group check confirmed failed shards. Recovery follows when the
+    /// group's `k` covers them; otherwise a failed `RecoveryEnd` does.
+    FailureDetected {
+        /// The bucket group.
+        group: u64,
+        /// Failed shard indices (`0..m` data, `m..` parity).
+        shards: Vec<u64>,
     },
     /// Group recovery started (failure confirmed, spares allocated).
     RecoveryStart {
@@ -81,6 +122,15 @@ pub enum Event {
         /// `false` when the group was declared unrecoverable.
         ok: bool,
     },
+    /// A rebuild collected its shards but found too few spare nodes to
+    /// install them on, and was abandoned: a later suspect retries, and
+    /// lookups are served in degraded mode meanwhile.
+    RecoveryStalled {
+        /// The bucket group.
+        group: u64,
+        /// Spare nodes the rebuild needed.
+        needed: u64,
+    },
     /// A read was served through parity decoding while data buckets were
     /// down — the user-visible availability event.
     DegradedRead {
@@ -90,7 +140,7 @@ pub enum Event {
     /// A protocol invariant was violated; the actor degraded instead of
     /// aborting.
     InvariantViolated {
-        /// Human-readable context (mirrors `CoordEvent::InvariantViolated`).
+        /// Where the violation was detected.
         context: String,
     },
     /// The networked runtime failed to decode an inbound frame or message.
@@ -118,6 +168,15 @@ pub enum Event {
         entries: u64,
         /// Suffix payload bytes applied.
         bytes: u64,
+    },
+    /// The coordinator re-admitted a restarted data bucket once its local
+    /// store and the Δ-suffix it missed agreed with its parity group: the
+    /// cheap recovery path that avoids a full RS rebuild.
+    BucketRestarted {
+        /// The bucket.
+        bucket: u64,
+        /// Δ-suffix entries it had to catch up (0: it was already current).
+        suffix_len: u64,
     },
     /// A restart could not be served by Δ-suffix catch-up (divergent parity
     /// watermarks, truncated history, or a busy group): the coordinator
@@ -157,15 +216,22 @@ impl Event {
             Event::Retry { .. } => "retry",
             Event::SplitStart { .. } => "split_start",
             Event::SplitEnd { .. } => "split_end",
+            Event::MergeDone { .. } => "merge_done",
+            Event::KRaised { .. } => "k_raised",
+            Event::GroupUpgraded { .. } => "group_upgraded",
+            Event::StateRecovered { .. } => "state_recovered",
             Event::DeltaCommit { .. } => "delta_commit",
+            Event::FailureDetected { .. } => "failure_detected",
             Event::RecoveryStart { .. } => "recovery_start",
             Event::RecoveryShard { .. } => "recovery_shard",
             Event::RecoveryEnd { .. } => "recovery_end",
+            Event::RecoveryStalled { .. } => "recovery_stalled",
             Event::DegradedRead { .. } => "degraded_read",
             Event::InvariantViolated { .. } => "invariant_violated",
             Event::DecodeError { .. } => "decode_error",
             Event::WalReplay { .. } => "wal_replay",
             Event::RestartSuffix { .. } => "restart_suffix",
+            Event::BucketRestarted { .. } => "bucket_restarted",
             Event::RestartFallback { .. } => "restart_fallback",
         }
     }
@@ -190,11 +256,35 @@ impl Event {
             Event::Retry { op, attempt } => {
                 out.push_str(&format!("\"op\":{op},\"attempt\":{attempt}"));
             }
-            Event::SplitStart { bucket } => {
-                out.push_str(&format!("\"bucket\":{bucket}"));
+            Event::SplitStart {
+                bucket,
+                new_bucket,
+                buckets,
+            } => {
+                out.push_str(&format!(
+                    "\"bucket\":{bucket},\"new_bucket\":{new_bucket},\"buckets\":{buckets}"
+                ));
             }
             Event::SplitEnd { bucket, new_bucket } => {
                 out.push_str(&format!("\"bucket\":{bucket},\"new_bucket\":{new_bucket}"));
+            }
+            Event::MergeDone {
+                bucket,
+                removed,
+                buckets,
+            } => {
+                out.push_str(&format!(
+                    "\"bucket\":{bucket},\"removed\":{removed},\"buckets\":{buckets}"
+                ));
+            }
+            Event::KRaised { k } => {
+                out.push_str(&format!("\"k\":{k}"));
+            }
+            Event::GroupUpgraded { group, k } => {
+                out.push_str(&format!("\"group\":{group},\"k\":{k}"));
+            }
+            Event::StateRecovered { n, i } => {
+                out.push_str(&format!("\"n\":{n},\"i\":{i}"));
             }
             Event::DeltaCommit {
                 bucket,
@@ -203,6 +293,13 @@ impl Event {
             } => {
                 out.push_str(&format!(
                     "\"bucket\":{bucket},\"bytes\":{bytes},\"columns\":{columns}"
+                ));
+            }
+            Event::FailureDetected { group, shards } => {
+                let shards: Vec<String> = shards.iter().map(u64::to_string).collect();
+                out.push_str(&format!(
+                    "\"group\":{group},\"shards\":[{}]",
+                    shards.join(",")
                 ));
             }
             Event::RecoveryStart { group, failed } => {
@@ -221,6 +318,9 @@ impl Event {
                 out.push_str(&format!(
                     "\"group\":{group},\"rebuilt\":{rebuilt},\"ok\":{ok}"
                 ));
+            }
+            Event::RecoveryStalled { group, needed } => {
+                out.push_str(&format!("\"group\":{group},\"needed\":{needed}"));
             }
             Event::DegradedRead { group } => {
                 out.push_str(&format!("\"group\":{group}"));
@@ -242,6 +342,9 @@ impl Event {
                 out.push_str(&format!(
                     "\"bucket\":{bucket},\"entries\":{entries},\"bytes\":{bytes}"
                 ));
+            }
+            Event::BucketRestarted { bucket, suffix_len } => {
+                out.push_str(&format!("\"bucket\":{bucket},\"suffix_len\":{suffix_len}"));
             }
             Event::RestartFallback { bucket } => {
                 out.push_str(&format!("\"bucket\":{bucket}"));
@@ -359,15 +462,31 @@ mod tests {
                 to: 2,
             },
             Event::Retry { op: 9, attempt: 1 },
-            Event::SplitStart { bucket: 0 },
+            Event::SplitStart {
+                bucket: 0,
+                new_bucket: 4,
+                buckets: 5,
+            },
             Event::SplitEnd {
                 bucket: 0,
                 new_bucket: 4,
             },
+            Event::MergeDone {
+                bucket: 0,
+                removed: 4,
+                buckets: 4,
+            },
+            Event::KRaised { k: 2 },
+            Event::GroupUpgraded { group: 1, k: 2 },
+            Event::StateRecovered { n: 3, i: 2 },
             Event::DeltaCommit {
                 bucket: 2,
                 bytes: 132,
                 columns: 2,
+            },
+            Event::FailureDetected {
+                group: 0,
+                shards: vec![1, 4],
             },
             Event::RecoveryStart {
                 group: 0,
@@ -382,6 +501,10 @@ mod tests {
                 group: 0,
                 rebuilt: 2,
                 ok: true,
+            },
+            Event::RecoveryStalled {
+                group: 0,
+                needed: 2,
             },
             Event::DegradedRead { group: 0 },
             Event::InvariantViolated {
@@ -400,6 +523,10 @@ mod tests {
                 entries: 5,
                 bytes: 160,
             },
+            Event::BucketRestarted {
+                bucket: 3,
+                suffix_len: 5,
+            },
             Event::RestartFallback { bucket: 3 },
         ];
         for (i, event) in events.into_iter().enumerate() {
@@ -414,5 +541,16 @@ mod tests {
                 "{json}"
             );
         }
+        let detected = TimedEvent {
+            at_us: 0,
+            seq: 0,
+            event: Event::FailureDetected {
+                group: 0,
+                shards: vec![1, 4],
+            },
+        };
+        assert!(detected
+            .to_json()
+            .ends_with("\"group\":0,\"shards\":[1,4]}"));
     }
 }

@@ -455,6 +455,49 @@ impl Snapshot {
             .map_or(0, |c| c.value)
     }
 
+    /// The difference `self - earlier`, counter by counter: what a
+    /// registry counted between two snapshots. Cost an operation by
+    /// snapshotting, running it, and diffing. Histograms are left out.
+    pub fn since(&self, earlier: &Snapshot) -> Snapshot {
+        let counters = self
+            .counters
+            .iter()
+            .map(|c| CounterSample {
+                value: c.value.saturating_sub(earlier.counter(&c.name, &c.label)),
+                ..c.clone()
+            })
+            .collect();
+        Snapshot {
+            counters,
+            histograms: Vec::new(),
+        }
+    }
+
+    /// Messages sent per kind (`msgs_sent{kind}`), in kind order.
+    pub fn messages_by_kind(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.counters
+            .iter()
+            .filter(|c| c.name == "msgs_sent" && !c.label.is_empty())
+            .map(|c| (c.label.as_str(), c.value))
+    }
+
+    /// Messages sent of one kind.
+    pub fn count(&self, kind: &str) -> u64 {
+        self.counter("msgs_sent", kind)
+    }
+
+    /// Messages sent, every kind together: the SDDS papers' "number of
+    /// messages" (a multicast counts once per recipient).
+    pub fn total_messages(&self) -> u64 {
+        self.messages_by_kind()
+            .fold(0u64, |acc, (_, v)| acc.saturating_add(v))
+    }
+
+    /// Payload bytes sent, every kind together (`msgs_sent_bytes`).
+    pub fn total_bytes(&self) -> u64 {
+        self.counter("msgs_sent_bytes", "")
+    }
+
     /// Render in Prometheus text exposition format. Counter names gain the
     /// `lhrs_` prefix and `_total` suffix; labeled counters render a
     /// `kind` label.
@@ -527,7 +570,7 @@ mod tests {
         m.incr("x");
         m.add_kind("msgs_sent", "insert", 5);
         m.observe_us("op_latency", 42);
-        m.trace(1, Event::SplitStart { bucket: 0 });
+        m.trace(1, Event::KRaised { k: 2 });
         assert!(!m.is_enabled());
         assert_eq!(m.counter("x"), 0);
         assert_eq!(m.counter_kind("msgs_sent", "insert"), 0);
@@ -757,6 +800,25 @@ mod tests {
         assert_eq!(snap.counter("events", "split_start"), 1);
         assert_eq!(snap.counter("deltas_applied", ""), 1);
         assert_eq!(snap.counter("missing", ""), 0);
+    }
+
+    #[test]
+    fn since_diffs_per_kind() {
+        let m = Metrics::new(Clock::logical());
+        m.incr_kind("msgs_sent", "a");
+        m.add("msgs_sent_bytes", 10);
+        let snap = m.snapshot();
+        m.incr_kind("msgs_sent", "a");
+        m.incr_kind("msgs_sent", "c");
+        m.add("msgs_sent_bytes", 12);
+        let d = m.snapshot().since(&snap);
+        assert_eq!((d.count("a"), d.count("c"), d.count("nope")), (1, 1, 0));
+        assert_eq!(d.total_messages(), 2);
+        assert_eq!(d.total_bytes(), 12);
+        let kinds: Vec<(&str, u64)> = d.messages_by_kind().collect();
+        assert_eq!(kinds, [("a", 1), ("c", 1)]);
+        // Against an empty snapshot the diff is the snapshot itself.
+        assert_eq!(m.snapshot().since(&Snapshot::default()), m.snapshot());
     }
 
     #[test]

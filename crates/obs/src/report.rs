@@ -37,16 +37,11 @@ impl RecoveryReport {
     /// Derive a report from the counters and retained trace of `metrics`.
     pub fn from_metrics(scenario: &str, metrics: &Metrics) -> RecoveryReport {
         let snap = metrics.snapshot();
-        let mut messages_by_kind: Vec<(String, u64)> = snap
-            .counters
-            .iter()
-            .filter(|c| c.name == "msgs_sent" && !c.label.is_empty())
-            .map(|c| (c.label.clone(), c.value))
+        let messages_by_kind: Vec<(String, u64)> = snap
+            .messages_by_kind()
+            .map(|(kind, v)| (kind.to_string(), v))
             .collect();
-        messages_by_kind.sort();
-        let total_messages = messages_by_kind
-            .iter()
-            .fold(0u64, |acc, (_, v)| acc.saturating_add(*v));
+        let total_messages = snap.total_messages();
 
         let mut first_start = None;
         let mut last_end = None;

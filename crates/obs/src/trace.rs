@@ -113,7 +113,10 @@ mod tests {
     use super::*;
 
     fn ev(n: u64) -> Event {
-        Event::SplitStart { bucket: n }
+        Event::SplitEnd {
+            bucket: n,
+            new_bucket: n,
+        }
     }
 
     #[test]

@@ -134,8 +134,8 @@ impl<'a, M: Payload> Env<'a, M> {
         self.obs.trace(self.now, event);
     }
 
-    /// Send a unicast message to `to` (counted once in [`crate::NetStats`]
-    /// and in the `msgs_sent{kind}` counter).
+    /// Send a unicast message to `to` (counted once in the
+    /// `msgs_sent{kind}` and `msgs_sent_bytes` counters).
     pub fn send(&mut self, to: NodeId, msg: M) {
         let bytes = msg.size_bytes() as u64;
         self.obs.incr_kind("msgs_sent", msg.kind());
@@ -154,10 +154,10 @@ impl<'a, M: Payload> Env<'a, M> {
         self.effects.push(Effect::Send { to, msg });
     }
 
-    /// Send one multicast message to all `to` nodes. Tallied as a single
-    /// multicast plus one delivery per recipient, matching how the LH\*
-    /// papers cost scans on multicast-capable networks; the `msgs_sent`
-    /// counter tallies one send per recipient.
+    /// Send one multicast message to all `to` nodes. The `msgs_sent`
+    /// counter tallies one send per recipient, matching how the LH\*
+    /// papers cost scan replies; the simulator also counts the multicast
+    /// itself once (`multicasts`).
     pub fn multicast(&mut self, to: impl IntoIterator<Item = NodeId>, msg: M) {
         let to: Vec<NodeId> = to.into_iter().collect();
         self.obs.add_kind("msgs_sent", msg.kind(), to.len() as u64);

@@ -4,11 +4,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use lhrs_obs::{Event as ObsEvent, Metrics};
+use lhrs_obs::{Clock, Event as ObsEvent, Metrics};
 
 use crate::actor::{Actor, Effect, Env, TimerId};
 use crate::faults::FaultOutcome;
-use crate::{FaultPlan, LatencyModel, NetStats, Payload};
+use crate::{FaultPlan, LatencyModel, Payload};
 
 /// Identifier of a simulated node. Dense indices assigned by
 /// [`Sim::add_node`] in creation order.
@@ -79,14 +79,14 @@ pub struct Sim<M: Payload, A: Actor<M>> {
     armed_timers: HashSet<u64>,
     latency: LatencyModel,
     faults: Option<FaultPlan>,
-    stats: NetStats,
     /// Last scheduled arrival per (src, dst): deliveries between a node
     /// pair are FIFO, like the TCP connections of the paper's testbed.
     channel_clock: std::collections::HashMap<(NodeId, NodeId), u64>,
     /// Per-node "busy until" clock for the serial service-time model.
     node_free_at: Vec<u64>,
-    /// Observability handle shared with every [`Env`] this engine builds.
-    /// Disabled by default; install one via [`Sim::set_metrics`].
+    /// The run's one record: message and fault counters, latency
+    /// histograms and the trace ring, shared with every [`Env`] this
+    /// engine builds.
     metrics: Metrics,
 }
 
@@ -104,23 +104,21 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
             armed_timers: HashSet::new(),
             latency,
             faults: None,
-            stats: NetStats::default(),
             channel_clock: std::collections::HashMap::new(),
             node_free_at: Vec::new(),
-            metrics: Metrics::disabled(),
+            metrics: Metrics::new(Clock::logical()),
         }
     }
 
-    /// Install an observability handle. Every subsequent handler invocation
-    /// sees it through [`Env::obs`], `msgs_sent`/`msgs_recv` counters run
-    /// at the engine's send/deliver choke points, and the caller keeps a
-    /// shared clone to read counters and traces from.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
-    }
-
-    /// The installed observability handle (disabled unless
-    /// [`Sim::set_metrics`] was called).
+    /// The run's metrics, counting from construction on a logical clock
+    /// (events are stamped with simulated µs, so every reading is
+    /// deterministic). `msgs_sent{kind}` and `msgs_sent_bytes` count each
+    /// node-to-node message once, a multicast once per recipient; the
+    /// engine adds `msgs_recv{kind}`, `multicasts`, and one counter per
+    /// fault outcome: `fault_dropped`, `partition_dropped`,
+    /// `fault_duplicated`, `fault_reordered`, and `crash_dropped` for a
+    /// delivery that found its node crashed. Diff two
+    /// [`snapshot`](Metrics::snapshot)s to cost an operation.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -143,17 +141,20 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
     /// Inject a message from the external driver into the simulation.
     ///
     /// Driver injections model the application handing work to its local
-    /// client, not network traffic, so they are **not** tallied in
-    /// [`NetStats`] (the SDDS cost model counts messages between nodes
+    /// client, not network traffic, so they are **not** counted in
+    /// `msgs_sent` (the SDDS cost model counts messages between nodes
     /// only).
     pub fn send_external(&mut self, to: NodeId, msg: M) {
         self.enqueue_delivery(EXTERNAL, to, msg);
     }
 
     /// Inject a message with an arbitrary (spoofed) sender — used by test
-    /// harnesses that play the role of a specific node.
+    /// harnesses that play the role of a specific node. Counted as that
+    /// node's send.
     pub fn send_as(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.enqueue_send(from, to, msg);
+        self.metrics.incr_kind("msgs_sent", msg.kind());
+        self.metrics.add("msgs_sent_bytes", msg.size_bytes() as u64);
+        self.enqueue_delivery(from, to, msg);
     }
 
     /// Validate a node id and return its dense index. `EXTERNAL` and ids
@@ -177,7 +178,7 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
     }
 
     /// Crash a node: its pending and future deliveries and timers are
-    /// silently dropped (and counted in [`NetStats::dropped`]) until
+    /// silently dropped (and counted in `crash_dropped`) until
     /// [`Sim::restart`]. Actor state is retained, modelling a transient
     /// outage; use [`Sim::replace`] to model state loss onto a hot spare.
     pub fn crash(&mut self, node: NodeId) {
@@ -239,11 +240,6 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
         self.now
     }
 
-    /// Message statistics so far.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
     /// Process a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         let Some(Reverse(ev)) = self.queue.pop() else {
@@ -255,7 +251,7 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
         match ev.kind {
             EventKind::Deliver { from, msg } => {
                 if self.crashed[idx] {
-                    self.stats.record_drop();
+                    self.metrics.incr("crash_dropped");
                     return true;
                 }
                 // Serial service: a message reaching a busy node waits for
@@ -349,10 +345,9 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
         self.actors[idx] = Some(actor);
         for eff in effects {
             match eff {
-                Effect::Send { to, msg } => self.enqueue_send(node, to, msg),
+                Effect::Send { to, msg } => self.enqueue_delivery(node, to, msg),
                 Effect::Multicast { to, msg } => {
-                    self.stats
-                        .record_multicast(msg.kind(), msg.size_bytes(), to.len());
+                    self.metrics.incr("multicasts");
                     for dest in to {
                         self.enqueue_delivery(node, dest, msg.clone());
                     }
@@ -379,11 +374,6 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
         }
     }
 
-    fn enqueue_send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.stats.record_unicast(msg.kind(), msg.size_bytes());
-        self.enqueue_delivery(from, to, msg);
-    }
-
     fn enqueue_delivery(&mut self, from: NodeId, to: NodeId, msg: M) {
         // Fault injection applies to node-to-node traffic only; driver
         // injections model the app handing work to its local client.
@@ -392,12 +382,12 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
                 match plan.decide(self.seq, self.now, from, to) {
                     FaultOutcome::Dropped => {
                         self.next_seq(); // keep the decision stream advancing
-                        self.stats.record_fault_drop();
+                        self.metrics.incr("fault_dropped");
                         return;
                     }
                     FaultOutcome::Partitioned => {
                         self.next_seq();
-                        self.stats.record_partition_drop();
+                        self.metrics.incr("partition_dropped");
                         return;
                     }
                     FaultOutcome::Deliver {
@@ -405,10 +395,10 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
                         reorder_extra_us,
                     } => {
                         if copies > 1 {
-                            self.stats.record_duplicate();
+                            self.metrics.incr("fault_duplicated");
                         }
                         if reorder_extra_us.is_some() {
-                            self.stats.record_reorder();
+                            self.metrics.incr("fault_reordered");
                         }
                         for _ in 0..copies {
                             self.enqueue_copy(from, to, msg.clone(), reorder_extra_us);
@@ -502,14 +492,16 @@ mod tests {
         sim.send_external(a, Msg::Hello(1));
         sim.run_until_idle();
         assert_eq!(sim.actor(a).seen, vec![(EXTERNAL, Msg::Hello(1))]);
-        // Driver injections are not network traffic and are not tallied.
-        assert_eq!(sim.stats().count("hello"), 0);
-        assert_eq!(sim.stats().total_bytes(), 0);
-        // A node-to-node send is tallied.
+        // Driver injections are not network traffic and are not counted.
+        let stats = sim.metrics().snapshot();
+        assert_eq!(stats.count("hello"), 0);
+        assert_eq!(stats.total_bytes(), 0);
+        // A node-to-node send is counted.
         sim.send_as(a, a, Msg::Hello(2));
         sim.run_until_idle();
-        assert_eq!(sim.stats().count("hello"), 1);
-        assert_eq!(sim.stats().total_bytes(), 4);
+        let stats = sim.metrics().snapshot();
+        assert_eq!(stats.count("hello"), 1);
+        assert_eq!(stats.total_bytes(), 4);
     }
 
     #[test]
@@ -520,7 +512,7 @@ mod tests {
         sim.send_external(a, Msg::Hello(1));
         sim.run_until_idle();
         assert!(sim.actor(a).seen.is_empty());
-        assert_eq!(sim.stats().dropped, 1);
+        assert_eq!(sim.metrics().counter("crash_dropped"), 1);
         sim.restart(a);
         sim.send_external(a, Msg::Hello(2));
         sim.run_until_idle();
@@ -530,7 +522,6 @@ mod tests {
     #[test]
     fn multicast_reaches_all_and_counts_once() {
         let mut sim: Sim<Msg, Recorder> = Sim::new(LatencyModel::instant());
-        sim.set_metrics(Metrics::new(lhrs_obs::Clock::logical()));
         let hub = sim.add_node(Recorder::default());
         let b = sim.add_node(Recorder::default());
         let c = sim.add_node(Recorder::default());
@@ -539,12 +530,12 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.actor(b).seen.len(), 1);
         assert_eq!(sim.actor(c).seen.len(), 1);
-        assert_eq!(sim.stats().multicasts, 1);
-        assert_eq!(sim.stats().multicast_deliveries, 2);
-        assert_eq!(sim.stats().count("hello"), 2);
-        // The metrics count per recipient, on both sides.
-        assert_eq!(sim.metrics().counter_kind("msgs_sent", "hello"), 2);
-        assert_eq!(sim.metrics().counter_kind("msgs_recv", "hello"), 2);
+        // One multicast, counted once per recipient on both sides.
+        let stats = sim.metrics().snapshot();
+        assert_eq!(stats.counter("multicasts", ""), 1);
+        assert_eq!((stats.count("hello"), stats.total_messages()), (2, 2));
+        assert_eq!(stats.total_bytes(), 8);
+        assert_eq!(stats.counter("msgs_recv", "hello"), 2);
     }
 
     #[test]

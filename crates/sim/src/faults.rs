@@ -10,16 +10,16 @@
 //!
 //! Semantics:
 //!
-//! - **Drop**: the message is never enqueued (tallied in
-//!   [`NetStats::fault_dropped`](crate::NetStats::fault_dropped)).
+//! - **Drop**: the message is never enqueued (counted in the
+//!   [`Sim::metrics`](crate::Sim::metrics) counter `fault_dropped`).
 //! - **Duplicate**: the message is enqueued twice; each copy gets its own
-//!   delay draw (tallied in `duplicated`).
+//!   delay draw (counted in `fault_duplicated`).
 //! - **Reorder**: the message skips the per-channel FIFO clamp and is given
 //!   extra delay, so later sends on the same channel can overtake it
-//!   (tallied in `reordered`).
+//!   (counted in `fault_reordered`).
 //! - **Partition**: during `[from_us, until_us)`, messages crossing the
 //!   boundary between the partitioned set and the rest are dropped
-//!   (tallied in `partition_dropped`).
+//!   (counted in `partition_dropped`).
 //!
 //! Messages injected by the external driver ([`Sim::send_external`]
 //! (crate::Sim::send_external)) model the application handing work to its

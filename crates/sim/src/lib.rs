@@ -11,8 +11,9 @@
 //!
 //! 1. The SDDS literature's primary metric is the **number of messages** per
 //!    operation, chosen exactly because it is network-speed invariant. The
-//!    simulator counts every message by kind ([`NetStats`]), so the paper's
-//!    tables are regenerated exactly rather than approximated.
+//!    simulator counts every message by kind (`msgs_sent{kind}` in the
+//!    run's [`Sim::metrics`]), so the paper's tables are regenerated
+//!    exactly rather than approximated.
 //! 2. Events are totally ordered by `(time, sequence-number)`, so every
 //!    experiment — including failure drills — is **reproducible bit for
 //!    bit**, something the original testbed could not offer.
@@ -46,7 +47,7 @@
 //! sim.send_as(a, b, Msg::Ping(41));
 //! sim.run_until_idle();
 //! assert_eq!(sim.actor(a).got, Some(42));
-//! assert_eq!(sim.stats().count("ping"), 1);
+//! assert_eq!(sim.metrics().snapshot().count("ping"), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,17 +57,15 @@ mod actor;
 mod engine;
 mod faults;
 mod latency;
-mod stats;
 
 pub use actor::{Actor, Effect, Env, TimerId};
 pub use engine::{NodeId, Sim, EXTERNAL};
 pub use faults::{FaultPlan, Partition, PERMILLE};
 pub use latency::LatencyModel;
-pub use stats::{KindStats, NetStats};
 
 /// Message payloads carried by the simulator.
 ///
-/// `kind` labels the message for per-kind accounting ([`NetStats`]);
+/// `kind` labels the message for per-kind accounting (`msgs_sent{kind}`);
 /// `size_bytes` feeds the latency model's per-byte term and the byte
 /// tallies.
 pub trait Payload: Clone + std::fmt::Debug {

@@ -59,8 +59,10 @@ fn loss_drops_messages_and_is_tallied() {
     }
     sim.run_until_idle();
     let delivered = sim.actor(b).seen.len() as u64;
-    let lost = sim.stats().fault_dropped;
+    let stats = sim.metrics().snapshot();
+    let lost = stats.counter("fault_dropped", "");
     assert_eq!(delivered + lost, 400);
+    assert_eq!(stats.count("num"), 400, "a lost message was still sent");
     assert!((100..300).contains(&lost), "≈50% of 400 lost, got {lost}");
     // External injections into `a` were exempt: a saw everything.
     assert_eq!(sim.actor(a).seen.len(), 400);
@@ -136,7 +138,7 @@ fn partition_window_blocks_then_heals() {
     sim.send_external(a, Num(1)); // relayed at t=10, inside the window
     sim.run_until(5_000);
     assert!(sim.actor(b).seen.is_empty());
-    assert_eq!(sim.stats().partition_dropped, 1);
+    assert_eq!(sim.metrics().counter("partition_dropped"), 1);
     // After the window closes the channel works again.
     sim.send_external(a, Num(2));
     sim.run_until_idle();

@@ -91,6 +91,6 @@ fn main() {
     println!(
         "total network messages: {} ({} kinds tracked)",
         stats.total_messages(),
-        stats.by_kind.len()
+        stats.messages_by_kind().count()
     );
 }

@@ -6,7 +6,8 @@
 //! ```
 
 use lhrs_core::availability::{file_availability, group_availability};
-use lhrs_core::{Config, CoordEvent, LhrsFile, UpgradeMode};
+use lhrs_core::{Config, LhrsFile, UpgradeMode};
+use lhrs_obs::Event;
 use lhrs_sim::LatencyModel;
 
 fn main() {
@@ -55,16 +56,12 @@ fn main() {
         );
     }
 
-    let upgrades = file
+    let upgrades = file.metrics().counter_kind("events", "group_upgraded");
+    let k_bumps: Vec<u64> = file
         .events()
         .iter()
-        .filter(|(_, e)| matches!(e, CoordEvent::GroupUpgraded { .. }))
-        .count();
-    let k_bumps: Vec<usize> = file
-        .events()
-        .iter()
-        .filter_map(|(_, e)| match e {
-            CoordEvent::KIncreased { k } => Some(*k),
+        .filter_map(|e| match e.event {
+            Event::KRaised { k } => Some(k),
             _ => None,
         })
         .collect();

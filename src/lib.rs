@@ -68,10 +68,10 @@ pub use lhrs_sim as sim;
 /// ```
 pub mod prelude {
     pub use lhrs_core::{
-        Config, CoordEvent, Error, FilterSpec, Key, KvClient, LhrsFile, NodeId, OpOutcome,
-        OpResult, ScanTermination, UpgradeMode,
+        Config, Error, FilterSpec, Key, KvClient, LhrsFile, NodeId, OpOutcome, OpResult,
+        ScanTermination, UpgradeMode,
     };
     pub use lhrs_net::client::NetClient;
     pub use lhrs_net::cluster::ClusterSpec;
-    pub use lhrs_obs::{Clock, Metrics, RecoveryReport, TraceLog};
+    pub use lhrs_obs::{Clock, Event, Metrics, RecoveryReport, Snapshot, TraceLog};
 }

@@ -16,7 +16,8 @@
 //! at a simulated time the test can compute and the windows are exact.
 
 use lhrs_core::storage::MemHub;
-use lhrs_core::{Config, CoordEvent, Error, FaultPlan, LhrsFile, NodeId, Partition};
+use lhrs_core::{Config, Error, FaultPlan, LhrsFile, NodeId, Partition};
+use lhrs_obs::Event;
 use lhrs_sim::LatencyModel;
 
 const RETRIES: u32 = 3;
@@ -82,11 +83,21 @@ fn sent(file: &LhrsFile, kind: &'static str) -> u64 {
     file.metrics().counter_kind("msgs_sent", kind)
 }
 
-fn events_since(file: &LhrsFile, from: usize) -> Vec<CoordEvent> {
-    file.events()[from..]
-        .iter()
-        .map(|(_, e)| e.clone())
-        .collect()
+/// The trace's next sequence number: a cursor for [`events_since`].
+fn cursor(file: &LhrsFile) -> u64 {
+    file.metrics().trace_log().unwrap().pushed()
+}
+
+/// The events traced since `cursor`, none lost to the ring's wraparound.
+fn events_since(file: &LhrsFile, cursor: u64) -> Vec<Event> {
+    let events: Vec<Event> = file
+        .events()
+        .into_iter()
+        .filter(|e| e.seq >= cursor)
+        .map(|e| e.event)
+        .collect();
+    assert_eq!(events.len() as u64, self::cursor(file) - cursor);
+    events
 }
 
 /// What one drill measured: requests of the row's kind sent during the
@@ -114,7 +125,7 @@ fn probe(kind: &'static str) -> Sent {
     // later, and the probe rounds start.
     let probing_ends = c.client_timeout_us + ROUNDS * c.probe_timeout_us;
     blackhole(&mut file, vec![node], t0, probing_ends);
-    let (before, ev) = (sent(&file, kind), file.events().len());
+    let (before, ev) = (sent(&file, kind), cursor(&file));
     assert_eq!(file.lookup(key).unwrap(), Some(payload(key)));
     assert_eq!(
         events_since(&file, ev),
@@ -162,21 +173,31 @@ fn repair(kind: &'static str) -> Sent {
         collect_at,
         ROUNDS * c.coord_retransmit_us,
     );
-    let (before, ev) = (sent(&file, kind), file.events().len());
+    let (before, ev) = (sent(&file, kind), cursor(&file));
     file.check_group(0);
-    let detected = CoordEvent::FailureDetected {
+    let detected = Event::FailureDetected {
         group: 0,
         shards: vec![0],
     };
-    let recovered = CoordEvent::GroupRecovered {
+    let started = Event::RecoveryStart {
         group: 0,
-        shards: vec![0],
+        failed: 1,
     };
-    assert_eq!(
-        events_since(&file, ev),
-        vec![detected.clone(), detected, recovered],
-        "re-audit after the abandoned repair"
-    );
+    // Detected, started and abandoned; re-audited, rebuilt.
+    let events = events_since(&file, ev);
+    let [d1, s1, d2, s2, Event::RecoveryShard {
+        group: 0, shard: 0, ..
+    }, end] = events.as_slice()
+    else {
+        panic!("re-audit after the abandoned repair: {events:?}")
+    };
+    assert_eq!([d1, s1, d2, s2], [&detected, &started, &detected, &started]);
+    let rebuilt = Event::RecoveryEnd {
+        group: 0,
+        rebuilt: 1,
+        ok: true,
+    };
+    assert_eq!(end, &rebuilt);
     Sent {
         total: sent(&file, kind) - before,
         // First repair: buckets 2, 3 and the parity answer; second: all 4.
@@ -196,7 +217,7 @@ fn upgrade(kind: &'static str) -> Sent {
     let mut key = grow(&mut file, 4);
     let c = file.config().clone();
     let node = file.data_node_id(3);
-    let (before, ev) = (sent(&file, kind), file.events().len());
+    let (before, ev) = (sent(&file, kind), cursor(&file));
     // The insert that splits bucket 0 into 4 starts both upgrades at the
     // same simulated instant; every insert avoids the silent bucket 3.
     while file.bucket_count() == 4 {
@@ -207,15 +228,15 @@ fn upgrade(kind: &'static str) -> Sent {
         }
         key += 1;
     }
-    let upgraded: Vec<CoordEvent> = events_since(&file, ev)
+    let upgraded: Vec<Event> = events_since(&file, ev)
         .into_iter()
-        .filter(|e| matches!(e, CoordEvent::GroupUpgraded { .. }))
+        .filter(|e| matches!(e, Event::GroupUpgraded { .. }))
         .collect();
     assert_eq!(
         upgraded,
         vec![
-            CoordEvent::GroupUpgraded { group: 1, k: 2 },
-            CoordEvent::GroupUpgraded { group: 0, k: 2 },
+            Event::GroupUpgraded { group: 1, k: 2 },
+            Event::GroupUpgraded { group: 0, k: 2 },
         ],
         "group 0 re-queued behind group 1"
     );
@@ -247,11 +268,11 @@ fn split(kind: &'static str) -> Sent {
         2,
         "audit of the target group: bucket 4 and its parity"
     );
-    let ev = file.events().len();
+    let ev = cursor(&file);
     assert!(file.force_merge(), "no structural work left in flight");
     assert!(matches!(
         events_since(&file, ev).as_slice(),
-        [CoordEvent::Merged { target: 4, .. }]
+        [Event::MergeDone { removed: 4, .. }]
     ));
     Sent { total, others: 0 }
 }
@@ -264,15 +285,15 @@ fn merge(kind: &'static str) -> Sent {
     let t0 = file.now_us();
     let node = file.data_node_id(4);
     blackhole(&mut file, vec![node], t0, ROUNDS * c.coord_retransmit_us);
-    let (before, ev) = (sent(&file, kind), file.events().len());
+    let (before, ev) = (sent(&file, kind), cursor(&file));
     file.force_merge();
     assert_eq!(events_since(&file, ev), vec![], "merge abandoned");
     let total = sent(&file, kind) - before;
-    let ev = file.events().len();
+    let ev = cursor(&file);
     file.force_merge();
     assert!(matches!(
         events_since(&file, ev).as_slice(),
-        [CoordEvent::Merged { .. }]
+        [Event::MergeDone { .. }]
     ));
     Sent { total, others: 0 }
 }
@@ -285,7 +306,7 @@ fn state_scan(kind: &'static str) -> Sent {
     let t0 = file.now_us();
     let node = file.data_node_id(1);
     blackhole(&mut file, vec![node], t0, ROUNDS * c.coord_retransmit_us);
-    let (before, ev) = (sent(&file, kind), file.events().len());
+    let (before, ev) = (sent(&file, kind), cursor(&file));
     assert_eq!(file.drill_file_state_recovery(), state);
     assert_eq!(events_since(&file, ev), vec![], "no StateRecovered");
     Sent {

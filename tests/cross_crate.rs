@@ -3,7 +3,7 @@
 //! plus consistency checks between the analytic availability model and the
 //! behavioural (simulated) failure tolerance.
 
-use lhrs_baselines::{MirrorLh, PlainLh, Scheme, StripeLh};
+use lhrs_baselines::{ReplicatedLh, Scheme};
 use lhrs_core::{availability, Config, FilterSpec, LhrsFile};
 use lhrs_gf::{GaloisField, Gf8};
 use lhrs_lh::{scramble, FileState, LhTable};
@@ -89,9 +89,9 @@ fn lh_table_and_distributed_file_agree_on_addressing() {
 fn schemes_rank_as_the_paper_argues() {
     // Search cost: LH*RS ≈ LH* ≪ LH*s. Storage overhead: LH*RS(k=1) ≪ LH*m.
     let latency = LatencyModel::instant();
-    let mut plain = PlainLh::new(16, 512, latency);
-    let mut mirror = MirrorLh::new(16, 512, latency);
-    let mut stripe = StripeLh::new(4, 16, 1024, latency);
+    let mut plain = ReplicatedLh::plain(16, 512, latency);
+    let mut mirror = ReplicatedLh::mirror(16, 512, latency);
+    let mut stripe = ReplicatedLh::stripe(4, 16, 1024, latency);
     let mut lhrs = lhrs_baselines::LhrsScheme::new(
         "lhrs",
         Config {

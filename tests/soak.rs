@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use lhrs_core::{Config, CoordEvent, Error, FilterSpec, LhrsFile, UpgradeMode};
+use lhrs_core::{Config, Error, FilterSpec, LhrsFile, UpgradeMode};
 use lhrs_lh::scramble;
 use lhrs_sim::LatencyModel;
 
@@ -147,8 +147,14 @@ fn long_mixed_lifecycle() {
         model.remove(&k);
     }
     let stats = file.stats();
-    assert!(stats.duplicated > 0, "duplication must actually fire");
-    assert!(stats.reordered > 0, "reordering must actually fire");
+    assert!(
+        stats.counter("fault_duplicated", "") > 0,
+        "duplication must actually fire"
+    );
+    assert!(
+        stats.counter("fault_reordered", "") > 0,
+        "reordering must actually fire"
+    );
     file.clear_fault_plan();
     file.verify_integrity().unwrap();
     for (k, v) in &model {
@@ -157,21 +163,14 @@ fn long_mixed_lifecycle() {
 
     // Sanity over the whole life: every failure we injected was detected
     // and every recovery completed.
-    let detected = file
-        .events()
-        .iter()
-        .filter(|(_, e)| matches!(e, CoordEvent::FailureDetected { .. }))
-        .count();
-    let recovered = file
-        .events()
-        .iter()
-        .filter(|(_, e)| matches!(e, CoordEvent::GroupRecovered { .. }))
-        .count();
+    let metrics = file.metrics();
+    let detected = metrics.counter_kind("events", "failure_detected");
+    let recovered = metrics.counter("recoveries_completed");
     assert!(detected >= 4, "{detected} detections");
     assert_eq!(detected, recovered, "every detection must end in recovery");
-    let unrecoverable = file
-        .events()
-        .iter()
-        .any(|(_, e)| matches!(e, CoordEvent::GroupUnrecoverable { .. }));
-    assert!(!unrecoverable);
+    assert_eq!(
+        metrics.counter("recoveries_failed"),
+        0,
+        "none unrecoverable"
+    );
 }

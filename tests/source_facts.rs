@@ -1,7 +1,7 @@
 //! Facts about the source that no compiler lint states (DESIGN §8.2):
 //! every `Config` field is read by the program outside its definition, and
 //! set by some program outside `config.rs` and `cluster.conf` parsing (a
-//! value only tests change is a constant); every `CoordEvent` variant, and every `restart_*`/`wal_*`/
+//! value only tests change is a constant); every trace `Event` variant, and every `restart_*`/`wal_*`/
 //! `recovery_*`/`inflight_*`/`window_*` counter the program mints, is named
 //! by some test; and the helper crates hold no `assert!`-family macro
 //! outside tests (`clippy::disallowed_macros` would also flag
@@ -171,13 +171,13 @@ fn gaps(tree: &[Source]) -> Vec<String> {
     let setters = setters(tree).replace(config, "");
     let unset = fields.iter().filter(|f| !assigns(&setters, f));
     out.extend(unset.map(|f| format!("Config.{f} is set by no program")));
-    let variants = members(block(&program, "pub enum CoordEvent {"), "");
+    let variants = members(block(&program, "pub enum Event {"), "");
     let unnamed = variants
         .iter()
-        .filter(|v| !corpus.contains(&format!("CoordEvent::{v}")));
-    out.extend(unnamed.map(|v| format!("CoordEvent::{v} is named by no test")));
+        .filter(|v| !corpus.contains(&format!("Event::{v}")));
+    out.extend(unnamed.map(|v| format!("Event::{v} is named by no test")));
     if fields.is_empty() || variants.is_empty() {
-        out.push("Config or CoordEvent not found: the checks above read nothing".into());
+        out.push("Config or Event not found: the checks above read nothing".into());
     }
     let unasserted = counters(&program)
         .into_iter()
@@ -222,9 +222,9 @@ fn seeded_gaps_are_caught() {
     let core = "pub struct Config {\n    /// Read.\n    pub live: u32,\n    pub dead: u32,\n    pub knob: u32,\n}\n\
                 fn f(c: &Config) -> u64 { c.live + c.deadline + c.knob }\n\
                 fn h() -> Config { Config { dead: 0, ..d() } }\n\
-                pub enum CoordEvent {\n    Named {\n        bucket: u64,\n    },\n    Unnamed,\n}\n\
+                pub enum Event {\n    Named {\n        bucket: u64,\n    },\n    Unnamed,\n}\n\
                 fn g(o: &Obs) { o.incr(\"wal_named\"); o.incr(\"wal_unnamed\"); }\n\
-                #[cfg(test)]\nmod tests {\n    fn t() { CoordEvent::Named; o.incr(\"recovery_x\"); c.knob = 2; }\n}\n";
+                #[cfg(test)]\nmod tests {\n    fn t() { Event::Named; o.incr(\"recovery_x\"); c.knob = 2; }\n}\n";
     let kernel = "//! assert!(doc);\nfn k(x: u8) { debug_assert!(x < 16); assert!(x < 16); }\n\
                   #[cfg(test)]\nmod tests {\n    fn t() { assert_eq!(1, 1); }\n}\n";
     let tree = [
@@ -249,10 +249,10 @@ fn seeded_gaps_are_caught() {
         [
             "Config.dead is never read",
             "Config.knob is set by no program",
-            "CoordEvent::Unnamed is named by no test",
+            "Event::Unnamed is named by no test",
             "counter wal_unnamed is asserted by no test",
             "crates/gf/src/kernel.rs: assert outside tests",
         ]
     );
-    assert!(gaps(&[])[0].starts_with("Config or CoordEvent not found"));
+    assert!(gaps(&[])[0].starts_with("Config or Event not found"));
 }
