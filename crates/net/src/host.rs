@@ -10,7 +10,7 @@
 //! can tell whether it is running here or inside `lhrs_sim::Sim`.
 
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use lhrs_core::msg::{DeltaEntry, Msg};
@@ -47,6 +47,9 @@ pub struct NodeHost<T: Transport> {
     transport: T,
     tx: Sender<HostEvent>,
     rx: Receiver<HostEvent>,
+    /// One wait's inbound events, handled as a batch. Kept to reuse its
+    /// allocation.
+    inbox: Vec<HostEvent>,
     shared: SharedHandle,
     nodes: HashMap<u32, Node>,
     /// Same-process deliveries, drained before blocking on the channel.
@@ -82,10 +85,11 @@ pub struct NodeHost<T: Transport> {
 }
 
 impl<T: Transport> NodeHost<T> {
-    /// A host over `transport`, reading inbound events from `rx`. Keep the
-    /// matching `tx` flowing into the transport's reader threads; the host
-    /// also holds a clone (see [`NodeHost::sender`]) so the channel never
-    /// disconnects.
+    /// A host over `transport`. Inbound traffic comes from the transport's
+    /// [`Transport::wait`] when it has one (TCP), and from `rx` otherwise
+    /// (the loopback, whose peers send into the matching `tx`); the host
+    /// also holds a clone of `tx` (see [`NodeHost::sender`]) so the channel
+    /// never disconnects.
     pub fn new(
         shared: SharedHandle,
         transport: T,
@@ -96,6 +100,7 @@ impl<T: Transport> NodeHost<T> {
             transport,
             tx,
             rx,
+            inbox: Vec::new(),
             shared,
             nodes: HashMap::new(),
             local_queue: VecDeque::new(),
@@ -156,8 +161,10 @@ impl<T: Transport> NodeHost<T> {
         &self.shared
     }
 
-    /// A sender feeding this host's event queue (give clones to transport
-    /// reader threads or use it to signal [`HostEvent::Shutdown`]).
+    /// A sender feeding this host's event channel: give clones to loopback
+    /// peers, or use it to signal [`HostEvent::Shutdown`]. A host that
+    /// waits on its transport drains the channel each time the wait
+    /// returns, so a shutdown lands within one `poll` wait.
     pub fn sender(&self) -> Sender<HostEvent> {
         self.tx.clone()
     }
@@ -518,7 +525,8 @@ impl<T: Transport> NodeHost<T> {
     }
 
     /// Wait for the earlier of the next timer deadline, the heartbeat, or
-    /// `max_wait`, handling inbound events as they arrive. Returns whether
+    /// `max_wait` — on the transport when it can wait, on the event channel
+    /// otherwise — handling inbound events as they arrive. Returns whether
     /// any work was done. Call in a loop (or use [`NodeHost::run`]).
     pub fn poll(&mut self, max_wait: Duration) -> bool {
         let mut did = false;
@@ -540,27 +548,22 @@ impl<T: Transport> NodeHost<T> {
             wait = wait.min(Duration::from_micros(next_hb.saturating_sub(now)));
         }
 
-        match self.rx.recv_timeout(wait) {
-            Ok(event) => {
-                did = true;
-                if !self.handle_event(event) {
-                    self.shutdown = true;
-                    return did;
-                }
-                // Batch whatever else is already queued.
-                while let Ok(event) = self.rx.try_recv() {
-                    if !self.handle_event(event) {
-                        self.shutdown = true;
-                        return did;
-                    }
-                }
+        // A transport that cannot wait leaves the wait to the channel,
+        // which `self.tx` keeps from ever disconnecting.
+        if !self.transport.wait(wait, &mut self.inbox) {
+            if let Ok(event) = self.rx.recv_timeout(wait) {
+                self.inbox.push(event);
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // Cannot happen: self.tx keeps the channel alive.
-                self.shutdown = true;
-                return did;
-            }
+        }
+        // Batch whatever else is already queued.
+        let mut batch = std::mem::take(&mut self.inbox);
+        batch.extend(self.rx.try_iter());
+        did |= !batch.is_empty();
+        let stay = batch.drain(..).all(|event| self.handle_event(event));
+        self.inbox = batch;
+        if !stay {
+            self.shutdown = true;
+            return did;
         }
 
         did |= self.drain_local();

@@ -11,7 +11,7 @@
 //! | module | role |
 //! |--------|------|
 //! | [`frame`] | length-prefixed frames over the `lhrs_core::wire` codec, plus allocation-table snapshots |
-//! | [`transport`] | the [`Transport`](transport::Transport) trait, [`TcpTransport`](transport::TcpTransport) (lazy connect, reconnect, write buffering, reader-thread inbound), and the in-process [`LoopbackNet`](transport::LoopbackNet) |
+//! | [`transport`] | the [`Transport`](transport::Transport) trait, [`TcpTransport`](transport::TcpTransport) (lazy connect, reconnect, write buffering, inbound read on the host thread through one `poll(2)` wait), and the in-process [`LoopbackNet`](transport::LoopbackNet) |
 //! | [`host`] | [`NodeHost`](host::NodeHost): sim-identical `Env` semantics (send, min-heap timers, `now()`) over a transport |
 //! | [`cluster`] | the cluster spec: node ids, addresses, roles, config — shared by every process |
 //! | [`client`] | [`NetClient`](client::NetClient): synchronous client ops over a hosted client node |

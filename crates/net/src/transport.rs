@@ -1,29 +1,35 @@
 //! Message transports: real TCP and an in-process loopback.
 //!
-//! A [`Transport`] is the outbound half a [`crate::host::NodeHost`] writes
-//! to; the inbound half is a shared mpsc channel of [`HostEvent`]s fed by
-//! reader threads (TCP) or directly by peer hosts (loopback). Delivery is
-//! deliberately best-effort — a send to an unreachable peer is dropped and
-//! counted, because the protocol stack above (client retries, replay
-//! caches, Δ retransmission, coordinator timeouts) is already built to
-//! heal message loss.
+//! A [`Transport`] is what a [`crate::host::NodeHost`] writes protocol
+//! traffic to and, for TCP, what it waits on for inbound traffic: the host
+//! thread itself sleeps in one `poll(2)` over every inbound connection and
+//! a wake socket ([`Transport::wait`]), reads the connections that are
+//! ready and decodes their frames straight into its batch — one wake-up
+//! per inbound hop. Accept threads greet new connections (answering a
+//! dialer's hello and `STATS` pulls whatever the host is doing) and hand
+//! them over. The loopback delivers into the host's mpsc channel instead.
+//! Delivery is deliberately best-effort — a send to an unreachable peer is
+//! dropped and counted, because the protocol stack above (client retries,
+//! replay caches, Δ retransmission, coordinator timeouts) is already built
+//! to heal message loss.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use lhrs_core::msg::Msg;
 use lhrs_core::wire::{decode_msg, encode_msg, encode_msg_into};
 use lhrs_obs::{Event as ObsEvent, Metrics};
+use lhrs_poll::PollFd;
 use lhrs_sim::NodeId;
 
 use crate::frame::{
-    decode_hosted, encode_frame_into, hosted_payload, read_frame, write_frame, Frame,
+    decode_hosted, encode_frame, encode_frame_into, hosted_payload, read_frame, write_frame, Frame,
     FrameAccumulator, FrameType, RegistryUpdate,
 };
 
@@ -51,10 +57,10 @@ pub enum HostEvent {
     Shutdown,
 }
 
-/// The outbound interface a node host writes protocol traffic to. Sends
-/// are best-effort; every frame dropped for want of a connection, registry
-/// traffic included, counts in the `net_send_drops` obs counter (as does,
-/// once, a connection lost with a batch in it).
+/// The interface a node host writes protocol traffic to and waits on.
+/// Sends are best-effort; every frame dropped for want of a connection,
+/// registry traffic included, counts in the `net_send_drops` obs counter
+/// (as does, once, a connection lost with a batch in it).
 pub trait Transport {
     /// Send one protocol message.
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: &Msg);
@@ -69,12 +75,21 @@ pub trait Transport {
     fn broadcast_registry(&mut self, from: NodeId, update: &RegistryUpdate);
     /// Flush buffered writes to the wire.
     fn flush(&mut self);
+    /// Sleep until inbound traffic arrives or `timeout` passes, and append
+    /// every event that arrived to `events`. Returns `false`, at once and
+    /// without waiting, when inbound traffic reaches the host through its
+    /// event channel instead — the default, and the loopback's case.
+    fn wait(&mut self, timeout: Duration, events: &mut Vec<HostEvent>) -> bool {
+        let _ = (timeout, events);
+        false
+    }
 }
 
 // ----- TCP -----
 
 /// How long an outbound connect, and the hello exchange after it, may
-/// each take before the send is dropped.
+/// each take before the send is dropped. An accept thread gives a new
+/// connection as long to send its first frame.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// How much write buffer a connection keeps between batches: one huge
@@ -89,12 +104,22 @@ const BACKOFF_MAX: Duration = Duration::from_secs(4);
 /// before leaving them behind.
 const JOIN_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// The most one [`Transport::wait`] reads from one connection. A peer
+/// writing a huge batch holds back the other connections, and the host's
+/// timers, by at most this much; polling is level-triggered, so the rest
+/// is simply ready at the next wait.
+const READ_SLICE: usize = 256 * 1024;
+
+/// The size of one `read` into the host's buffer.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// TCP transport. Outbound: one lazily dialed connection per peer
 /// *process* — the dialer's [`FrameType::Hello`] is answered with the
 /// nodes that process hosts, and every frame for any of them shares the
 /// socket — written once per poll batch. Inbound: one listener per hosted
-/// node, and per accepted connection one reader thread that sleeps in
-/// `read` until bytes arrive and feeds the host's event channel.
+/// node, each with an accept thread that greets a new connection and hands
+/// it to the host thread, which reads every inbound connection itself in
+/// [`Transport::wait`].
 pub struct TcpTransport {
     /// Node → address: where to dial a node no open connection reaches.
     peers: HashMap<u32, String>,
@@ -115,39 +140,75 @@ pub struct TcpTransport {
     /// Per hosted node, in `start` order: the listener's bound address. A
     /// connection to it wakes the accept thread.
     listeners: Vec<SocketAddr>,
-    /// Disconnects once every accept and reader thread has let go of its
-    /// socket and returned.
+    /// Disconnects once every accept thread has let go of its listener
+    /// and returned.
     exited: Receiver<()>,
+    /// The inbound connections, read on the host thread.
+    readers: Readers,
 }
 
-/// One outbound connection. Write-only after the hello exchange: the peer
-/// replies over its own connection to our listener.
+/// One outbound connection, nonblocking. Write-only after the hello
+/// exchange: the peer replies over its own connection to our listener.
 struct Conn {
     stream: TcpStream,
     /// Frames encoded since the last flush: a poll batch is one `write`.
     buf: Vec<u8>,
 }
 
-/// What a transport shares with its accept and reader threads.
+/// The inbound side, read on the host thread: the connections the accept
+/// threads handed over, and the socket they signal a handover on.
+struct Readers {
+    conns: Vec<Reader>,
+    /// The host's end of the wake socket: a byte on it means an accept
+    /// thread has handed over a connection.
+    wake: UnixStream,
+    /// The `poll` entries of one wait: the wake socket, then `conns` in
+    /// order, then an outbound connection a flush waits on. Kept to reuse
+    /// its allocation.
+    fds: Vec<PollFd>,
+    /// What one `read` fills.
+    chunk: Box<[u8]>,
+    /// Events read while a flush waited for room on a peer's socket, for
+    /// the next [`Transport::wait`] to deliver.
+    backlog: Vec<HostEvent>,
+}
+
+/// One inbound connection, read by the host thread.
+struct Reader {
+    stream: TcpStream,
+    acc: FrameAccumulator,
+    /// The nodes that spoke over this connection: its hello's sender, then
+    /// every other sender of a protocol frame, in first-seen order. Empty
+    /// for a connection that only pulled stats, whose close is no peer's.
+    nodes: Vec<u32>,
+}
+
+impl Reader {
+    fn spoke(&mut self, from: NodeId) {
+        if self.nodes.last() != Some(&from.0) && !self.nodes.contains(&from.0) {
+            self.nodes.push(from.0);
+        }
+    }
+}
+
+/// What a transport shares with its accept threads.
 struct Inbound {
-    tx: Sender<HostEvent>,
-    /// Observability handle; reader threads answer `STATS` pulls from it.
+    /// Observability handle; accept threads answer `STATS` pulls from it.
     obs: Metrics,
     /// The nodes this process hosts: the `HelloReply` payload.
     hosted: Vec<NodeId>,
-    /// Per live reader thread, a second handle onto its socket: shutting
-    /// that down is what wakes a reader blocked in `read`. `None` once the
-    /// transport has shut down.
-    readers: Mutex<Option<Readers>>,
+    /// Connections greeted and not yet taken by the host thread. `None`
+    /// once the transport has shut down.
+    handoff: Mutex<Option<Vec<Reader>>>,
+    /// The accept threads' end of the wake socket (nonblocking).
+    wake: UnixStream,
 }
 
-type Readers = HashMap<ThreadId, TcpStream>;
-
 impl Inbound {
-    fn readers(&self) -> MutexGuard<'_, Option<Readers>> {
-        // The map is only inserted into and removed from: valid at every
-        // step, so a panicked reader must not wedge shutdown.
-        self.readers.lock().unwrap_or_else(|e| e.into_inner())
+    fn handoff(&self) -> MutexGuard<'_, Option<Vec<Reader>>> {
+        // The list is only pushed to and taken: valid at every step, so a
+        // panicked accept thread must not wedge the host.
+        self.handoff.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn decode_error(&self, context: &str) {
@@ -159,9 +220,11 @@ impl Inbound {
 }
 
 impl TcpTransport {
-    /// Bind a listener for every `(node, addr)` in `local`, spawn the
-    /// accept threads feeding `tx`, and return the outbound half.
-    /// `peers` maps every node of the cluster to its address.
+    /// Bind a listener for every `(node, addr)` in `local`, spawn their
+    /// accept threads, and return the transport. `peers` maps every node
+    /// of the cluster to its address. Inbound traffic is read by
+    /// [`Transport::wait`] on the host thread, so nothing is sent on `tx`;
+    /// it is taken so that a TCP host is wired exactly like a loopback one.
     pub fn start(
         local: &[(u32, String)],
         peers: HashMap<u32, String>,
@@ -172,28 +235,39 @@ impl TcpTransport {
 
     /// Like [`TcpTransport::start`], with an observability handle. The
     /// transport tallies frame/byte/drop/reconnect counters into it, and
-    /// every reader thread answers inbound [`FrameType::StatsPull`] frames
-    /// with a Prometheus snapshot of it — the `STATS` command.
+    /// answers inbound [`FrameType::StatsPull`] frames with a Prometheus
+    /// snapshot of it — the `STATS` command.
     pub fn start_with_metrics(
         local: &[(u32, String)],
         peers: HashMap<u32, String>,
         tx: Sender<HostEvent>,
         obs: Metrics,
     ) -> std::io::Result<TcpTransport> {
+        drop(tx);
         let (exited_tx, exited) = std::sync::mpsc::channel();
+        let (wake, wake_tx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         let mut transport = TcpTransport {
             peers,
             conns: HashMap::new(),
             routes: HashMap::new(),
             down: HashMap::new(),
             inbound: Arc::new(Inbound {
-                tx,
                 obs,
                 hosted: local.iter().map(|(id, _)| NodeId(*id)).collect(),
-                readers: Mutex::new(Some(HashMap::new())),
+                handoff: Mutex::new(Some(Vec::new())),
+                wake: wake_tx,
             }),
             listeners: Vec::new(),
             exited,
+            readers: Readers {
+                conns: Vec::new(),
+                wake,
+                fds: Vec::new(),
+                chunk: vec![0; READ_CHUNK].into_boxed_slice(),
+                backlog: Vec::new(),
+            },
         };
         // A failed bind drops `transport`, which stops the threads spawned
         // for the listeners before it.
@@ -204,28 +278,28 @@ impl TcpTransport {
             // `accept_loop` closes the listener before the latch lets go.
             std::thread::Builder::new()
                 .name(format!("lhrs-accept-{node}"))
-                .spawn(move || accept_loop(listener, inbound, &exited_tx))?;
+                .spawn(move || {
+                    accept_loop(listener, &inbound);
+                    drop(exited_tx);
+                })?;
             transport.listeners.push(bound);
         }
         Ok(transport)
     }
 
-    /// Stop every accept and reader thread and close the listeners; also
-    /// runs on drop. Never blocks exit: each thread is woken — an accept
-    /// thread by a connection to its own listener, a reader by shutting
-    /// its socket down — and all together are awaited at most one second.
+    /// Stop every accept thread and close the listeners and the inbound
+    /// connections; also runs on drop. Never blocks exit: each accept
+    /// thread is woken by a connection to its own listener, and all of
+    /// them are awaited at most one second.
     pub fn shutdown(&mut self) {
-        // An accept thread spawns a reader only into a map it finds under
-        // this lock, so every reader is either in `readers` now or never
-        // started.
-        let Some(readers) = self.inbound.readers().take() else {
+        // An accept thread hands a connection over only into a list it
+        // finds under this lock, so none arrives after this.
+        if self.inbound.handoff().take().is_none() {
             return; // already shut down
-        };
+        }
+        self.readers.conns.clear();
         for addr in &self.listeners {
             let _ = TcpStream::connect_timeout(addr, CONNECT_TIMEOUT);
-        }
-        for wake in readers.values() {
-            let _ = wake.shutdown(Shutdown::Both);
         }
         let _ = self.exited.recv_timeout(JOIN_TIMEOUT);
     }
@@ -318,6 +392,71 @@ impl TcpTransport {
     }
 }
 
+impl Readers {
+    /// One `poll(2)` over the wake socket, every inbound connection and,
+    /// if given, an outbound connection waiting for room; then a bounded
+    /// read of each ready inbound connection into `events`.
+    fn poll(
+        &mut self,
+        out: Option<&TcpStream>,
+        timeout: Duration,
+        inbound: &Inbound,
+        events: &mut Vec<HostEvent>,
+    ) {
+        self.fds.clear();
+        self.fds.push(PollFd::readable(&self.wake));
+        let conns = self.conns.iter().map(|r| PollFd::readable(&r.stream));
+        self.fds.extend(conns);
+        self.fds.extend(out.map(PollFd::writable));
+        // An error (the kernel out of memory) reads as nothing ready: the
+        // host fires its timers and waits again.
+        if lhrs_poll::wait(&mut self.fds, timeout).unwrap_or(0) == 0 {
+            return;
+        }
+        let (fds, chunk) = (&self.fds, &mut self.chunk);
+        let mut ready = fds.iter().skip(1).map(PollFd::ready);
+        let mut closed = Vec::new();
+        self.conns.retain_mut(|reader| {
+            let open = !ready.next().unwrap_or(false) || read_ready(reader, chunk, inbound, events);
+            if !open {
+                closed.push(std::mem::take(&mut reader.nodes));
+            }
+            open
+        });
+        for nodes in closed {
+            peer_closed(nodes, &inbound.obs);
+        }
+        if fds.first().is_some_and(PollFd::ready) {
+            // Empty the wake socket, then take what it announced.
+            while matches!((&self.wake).read(&mut [0u8; 64]), Ok(n) if n > 0) {}
+            if let Some(handed) = inbound.handoff().as_mut() {
+                self.conns.append(handed);
+            }
+        }
+    }
+
+    /// Write all of `buf` to the nonblocking `stream`, reading every
+    /// inbound connection while the peer's socket is full: two hosts
+    /// flushing big batches at each other both make progress. Returns
+    /// whether the connection survived.
+    fn write_all(&mut self, stream: &mut TcpStream, mut buf: &[u8], inbound: &Inbound) -> bool {
+        while !buf.is_empty() {
+            match stream.write(buf) {
+                Ok(0) => return false,
+                Ok(n) => buf = buf.get(n..).unwrap_or(&[]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let mut backlog = std::mem::take(&mut self.backlog);
+                    self.poll(Some(stream), Duration::MAX, inbound, &mut backlog);
+                    self.backlog = backlog;
+                }
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+}
+
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown();
@@ -333,6 +472,7 @@ fn hello(addr: &SocketAddr, from: NodeId, to: NodeId) -> std::io::Result<(Conn, 
     let reply = read_frame(&mut stream)?.ok_or(ErrorKind::UnexpectedEof)?;
     let hosted = decode_hosted(&reply.payload).ok();
     let hosted = hosted.filter(|_| reply.ftype == FrameType::HelloReply);
+    stream.set_nonblocking(true)?;
     let buf = Vec::new();
     Ok((Conn { stream, buf }, hosted.ok_or(ErrorKind::InvalidData)?))
 }
@@ -346,82 +486,142 @@ fn hello(addr: &SocketAddr, from: NodeId, to: NodeId) -> std::io::Result<(Conn, 
 /// Writes into such a half-dead socket "succeed" at the OS level and
 /// vanish, which is why this runs before them.
 fn conn_is_stale(stream: &TcpStream, obs: &Metrics) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let stale = match stream.peek(&mut [0u8; 1]) {
+    match stream.peek(&mut [0u8; 1]) {
         Err(e) if e.kind() == ErrorKind::WouldBlock => false,
         Ok(0) | Err(_) => true,
         Ok(_) => {
             obs.incr("net_stale_replies_dropped");
             true
         }
-    };
-    let _ = stream.set_nonblocking(false);
-    stale
-}
-
-/// Give every accepted connection a reader thread, until the listener
-/// fails or the transport stops.
-fn accept_loop(listener: TcpListener, inbound: Arc<Inbound>, exited: &Sender<()>) {
-    while let Ok((stream, _)) = listener.accept() {
-        let _ = stream.set_nodelay(true);
-        let Ok(wake) = stream.try_clone() else {
-            continue;
-        };
-        // Spawn and register under one lock: a reader that exits at once
-        // (a connect-and-close probe) finds its entry to remove, and
-        // `shutdown` sees every reader that was ever started.
-        let mut readers = inbound.readers();
-        let Some(readers) = readers.as_mut() else {
-            return;
-        };
-        let (shared, exited) = (Arc::clone(&inbound), exited.clone());
-        let reader = std::thread::Builder::new()
-            .name("lhrs-rx".to_string())
-            .spawn(move || {
-                read_loop(stream, &shared);
-                if let Some(readers) = shared.readers().as_mut() {
-                    readers.remove(&std::thread::current().id());
-                }
-                drop(exited);
-            });
-        if let Ok(thread) = reader {
-            readers.insert(thread.thread().id(), wake);
-        }
     }
 }
 
-/// One connection's reader: sleep in `read` until bytes arrive, decode
-/// every complete frame and hand it to the host; return on EOF, a socket
-/// error, a corrupt stream, or when the host is gone.
-fn read_loop(mut stream: TcpStream, inbound: &Inbound) {
-    let mut acc = FrameAccumulator::new();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        let n = match stream.read(&mut chunk) {
+/// Greet every accepted connection and hand it to the host thread, until
+/// the listener fails or the transport stops.
+fn accept_loop(listener: TcpListener, inbound: &Inbound) {
+    while let Ok((stream, _)) = listener.accept() {
+        if inbound.handoff().is_none() {
+            break; // shut down: this was the wake-up connection
+        }
+        let Some(reader) = greet(stream, inbound) else {
+            continue;
+        };
+        match inbound.handoff().as_mut() {
+            Some(handed) => handed.push(reader),
+            None => break,
+        }
+        // Nonblocking: a full wake socket already holds a wake-up.
+        let _ = (&inbound.wake).write(&[1]);
+    }
+}
+
+/// Answer a new connection's opening frame here, on the accept thread, so
+/// that neither a dialer's hello nor a `STATS` pull waits for the host
+/// loop: two hosts dialing each other at once are each answered while
+/// they block on the other's reply. Returns the connection, nonblocking,
+/// for the host to read — or `None` if it closed or sent nothing within
+/// [`CONNECT_TIMEOUT`] (a launcher's connect-and-close probe).
+fn greet(mut stream: TcpStream, inbound: &Inbound) -> Option<Reader> {
+    let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(CONNECT_TIMEOUT)).ok()?;
+    stream.set_write_timeout(Some(CONNECT_TIMEOUT)).ok()?;
+    let first = match read_frame(&mut stream) {
+        Ok(first) => first?,
+        Err(e) => {
+            if matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof) {
+                inbound.decode_error("opening frame");
+            }
+            return None;
+        }
+    };
+    let mut reader = Reader {
+        stream,
+        acc: FrameAccumulator::new(),
+        nodes: Vec::new(),
+    };
+    match first.ftype {
+        FrameType::Hello => {
+            reader.spoke(first.from);
+            answer(&mut reader.stream, &first, inbound).ok()?;
+        }
+        FrameType::StatsPull => answer(&mut reader.stream, &first, inbound).ok()?,
+        // Anything else is the host's to dispatch, ahead of what follows.
+        _ => reader.acc.extend(&encode_frame(
+            first.ftype,
+            first.from,
+            first.to,
+            &first.payload,
+        )),
+    }
+    reader.stream.set_nonblocking(true).ok()?;
+    Some(reader)
+}
+
+/// Answer a `Hello` with the hosted nodes, or a `StatsPull` with a
+/// Prometheus snapshot, on the connection it came in on — so
+/// `lhrs-netcli stats` needs no listener.
+fn answer(stream: &mut TcpStream, frame: &Frame, inbound: &Inbound) -> std::io::Result<()> {
+    let (rtype, payload) = if frame.ftype == FrameType::Hello {
+        (FrameType::HelloReply, hosted_payload(&inbound.hosted))
+    } else {
+        inbound.obs.incr("net_stats_pulls");
+        let text = inbound.obs.render_prometheus();
+        (FrameType::StatsReply, text.into_bytes())
+    };
+    write_frame(stream, rtype, frame.to, frame.from, &payload)
+}
+
+/// Read what one connection has buffered — at most [`READ_SLICE`] — and
+/// decode every complete frame into `events`. Returns whether the
+/// connection stays open: `false` on EOF, a socket error or a corrupt
+/// stream.
+fn read_ready(
+    reader: &mut Reader,
+    chunk: &mut [u8],
+    inbound: &Inbound,
+    events: &mut Vec<HostEvent>,
+) -> bool {
+    let mut taken = 0;
+    while taken < READ_SLICE {
+        let n = match reader.stream.read(chunk) {
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Ok(0) | Err(_) => return,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            Ok(0) | Err(_) => return false,
             Ok(n) => n,
         };
-        acc.extend(chunk.get(..n).unwrap_or(&[]));
+        reader.acc.extend(chunk.get(..n).unwrap_or(&[]));
         loop {
-            match acc.next_frame() {
+            match reader.acc.next_frame() {
                 Ok(Some(frame)) => {
-                    if !handle_frame(frame, &mut stream, inbound) {
-                        return;
+                    if !handle_frame(frame, reader, inbound, events) {
+                        return false;
                     }
                 }
                 Ok(None) => break,
                 // A desynced stream has no recovery point.
-                Err(_) => return inbound.decode_error("inbound frame"),
+                Err(_) => {
+                    inbound.decode_error("inbound frame");
+                    return false;
+                }
             }
         }
+        // A short read emptied the socket: skip the `read` that would
+        // only say so. Anything arriving meanwhile makes it ready again.
+        if n < chunk.len() {
+            return true;
+        }
+        taken += n;
     }
+    true
 }
 
 /// Dispatch one decoded frame; returns whether the connection stays up.
-fn handle_frame(frame: Frame, stream: &mut TcpStream, inbound: &Inbound) -> bool {
+fn handle_frame(
+    frame: Frame,
+    reader: &mut Reader,
+    inbound: &Inbound,
+    events: &mut Vec<HostEvent>,
+) -> bool {
     let (obs, ftype, from, to) = (&inbound.obs, frame.ftype, frame.from, frame.to);
     obs.incr("net_frames_recv");
     let decoded = match ftype {
@@ -435,27 +635,35 @@ fn handle_frame(frame: Frame, stream: &mut TcpStream, inbound: &Inbound) -> bool
         // A reply frame is only meaningful to whoever asked, which reads
         // its connection directly; a host receiving one ignores it.
         FrameType::StatsReply | FrameType::HelloReply => return true,
-        // A dialer's hello and the `STATS` command are answered right
-        // here on the same connection, whatever the host loop is busy
-        // with — so `lhrs-netcli stats` needs no listener.
+        // A later hello or pull on a connection the accept thread handed
+        // over: answered here, blocking for as long as the write takes.
         FrameType::Hello | FrameType::StatsPull => {
-            let (rtype, answer) = if ftype == FrameType::Hello {
-                (FrameType::HelloReply, hosted_payload(&inbound.hosted))
-            } else {
-                obs.incr("net_stats_pulls");
-                (FrameType::StatsReply, obs.render_prometheus().into_bytes())
-            };
-            return write_frame(stream, rtype, to, from, &answer).is_ok();
+            if ftype == FrameType::Hello {
+                reader.spoke(from);
+            }
+            let stream = &mut reader.stream;
+            return stream.set_nonblocking(false).is_ok()
+                && answer(stream, &frame, inbound).is_ok()
+                && stream.set_nonblocking(true).is_ok();
         }
     };
+    reader.spoke(from);
     match decoded {
-        Ok(event) => inbound.tx.send(event).is_ok(),
-        Err(context) => {
-            // Defensive: skip the undecodable frame, keep the stream.
-            inbound.decode_error(context);
-            true
-        }
+        Ok(event) => events.push(event),
+        // Defensive: skip the undecodable frame, keep the stream.
+        Err(context) => inbound.decode_error(context),
     }
+    true
+}
+
+/// A peer's connection ended: record which nodes spoke over it. What to
+/// make of the hint is the protocol's business; the transport only says.
+fn peer_closed(nodes: Vec<u32>, obs: &Metrics) {
+    if nodes.is_empty() {
+        return; // a `STATS` puller, not a peer
+    }
+    obs.incr("net_peer_closed");
+    obs.trace_now(ObsEvent::PeerClosed { nodes });
 }
 
 impl Transport for TcpTransport {
@@ -493,21 +701,36 @@ impl Transport for TcpTransport {
         }
     }
 
+    /// One `poll(2)` over the wake socket and every inbound connection,
+    /// then a bounded read of each ready one.
+    fn wait(&mut self, timeout: Duration, events: &mut Vec<HostEvent>) -> bool {
+        let readers = &mut self.readers;
+        // What a blocked flush read is older than anything still queued.
+        let timeout = if readers.backlog.is_empty() {
+            timeout
+        } else {
+            events.append(&mut readers.backlog);
+            Duration::ZERO
+        };
+        readers.poll(None, timeout, &self.inbound, events);
+        true
+    }
+
     /// One `write` per peer process that the poll batch had frames for.
     fn flush(&mut self) {
-        let obs = &self.inbound.obs;
+        let (readers, inbound) = (&mut self.readers, &*self.inbound);
         self.conns.retain(|_, conn| {
             if conn.buf.is_empty() {
                 return true;
             }
-            let written = conn.stream.write_all(&conn.buf).is_ok();
+            let written = readers.write_all(&mut conn.stream, &conn.buf, inbound);
             conn.buf.clear();
             conn.buf.shrink_to(BUF_KEEP);
             if !written {
                 // The peer went away mid-batch. How much of this batch —
                 // and of the writes before it — it had read is unknowable,
                 // so the loss counts once.
-                obs.incr("net_send_drops");
+                inbound.obs.incr("net_send_drops");
             }
             written
         });
@@ -681,16 +904,15 @@ mod tests {
     const DEADLINE: Duration = Duration::from_secs(30);
 
     /// A transport hosting `nodes` on ports the kernel picks.
-    fn tcp(nodes: &[u32]) -> (TcpTransport, Receiver<HostEvent>, Metrics) {
+    fn tcp(nodes: &[u32]) -> (TcpTransport, Metrics) {
         let local: Vec<(u32, String)> = nodes
             .iter()
             .map(|n| (*n, "127.0.0.1:0".to_string()))
             .collect();
-        let (tx, rx) = channel();
         let obs = Metrics::new(Clock::logical());
-        let t = TcpTransport::start_with_metrics(&local, HashMap::new(), tx, obs.clone())
+        let t = TcpTransport::start_with_metrics(&local, HashMap::new(), channel().0, obs.clone())
             .expect("bind");
-        (t, rx, obs)
+        (t, obs)
     }
 
     /// Where `t`'s nodes listen, in the shape `start` takes.
@@ -709,19 +931,28 @@ mod tests {
         Msg::ParityAck { col: 0, upto }
     }
 
-    /// The next `n` events of `rx`, each as `from>to:upto` or `registry`.
-    fn take(rx: &Receiver<HostEvent>, n: usize) -> Vec<String> {
-        (0..n)
-            .map(|_| match rx.recv_timeout(DEADLINE).expect("an event") {
-                HostEvent::Deliver {
-                    from,
-                    to,
-                    msg: Msg::ParityAck { upto, .. },
-                } => format!("{}>{}:{upto}", from.0, to.0),
-                HostEvent::Registry(up) if up == update() => "registry".to_string(),
-                other => format!("{other:?}"),
-            })
-            .collect()
+    /// Wait on `t` until at least `n` events arrived; every event that did,
+    /// each as `from>to:upto` or `registry`.
+    fn take(t: &mut TcpTransport, n: usize) -> Vec<String> {
+        let deadline = Instant::now() + DEADLINE;
+        let mut events = Vec::new();
+        while events.len() < n {
+            assert!(Instant::now() < deadline, "{} of {n} events", events.len());
+            assert!(t.wait(Duration::from_millis(100), &mut events), "TCP waits");
+        }
+        events.into_iter().map(label).collect()
+    }
+
+    fn label(event: HostEvent) -> String {
+        match event {
+            HostEvent::Deliver {
+                from,
+                to,
+                msg: Msg::ParityAck { upto, .. },
+            } => format!("{}>{}:{upto}", from.0, to.0),
+            HostEvent::Registry(up) if up == update() => "registry".to_string(),
+            other => format!("{other:?}"),
+        }
     }
 
     fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -781,8 +1012,8 @@ mod tests {
 
     #[test]
     fn one_connection_per_peer_process_carries_everything_in_order() {
-        let (mut a, rx_a, _) = tcp(&[1, 2, 3]);
-        let (mut b, rx_b, _) = tcp(&[11, 12, 13]);
+        let (mut a, _) = tcp(&[1, 2, 3]);
+        let (mut b, _) = tcp(&[11, 12, 13]);
         introduce(&mut a, &b);
         introduce(&mut b, &a);
 
@@ -796,33 +1027,29 @@ mod tests {
         a.send_msg(NodeId(1), NodeId(11), &ack(3));
         a.flush();
         assert_eq!(
-            take(&rx_b, 5),
+            take(&mut b, 5),
             ["1>12:0", "2>11:1", "registry", "3>13:2", "1>11:3"]
         );
         b.send_msg(NodeId(13), NodeId(2), &ack(4));
         b.send_msg(NodeId(11), NodeId(3), &ack(5));
         b.flush();
-        assert_eq!(take(&rx_a, 2), ["13>2:4", "11>3:5"]);
+        assert_eq!(take(&mut a, 2), ["13>2:4", "11>3:5"]);
 
         for t in [&a, &b] {
             assert_eq!(t.conns.len(), 1, "one outbound connection");
             assert_eq!(t.routes.len(), 3, "reaching all three peer nodes");
-            assert_eq!(
-                t.inbound.readers().as_ref().map(|r| r.len()),
-                Some(1),
-                "one inbound connection"
-            );
+            assert_eq!(t.readers.conns.len(), 1, "one inbound connection");
         }
     }
 
     #[test]
     fn a_restarted_peer_is_redialed_once_and_its_routes_relearned() {
-        let (mut a, _rx_a, obs) = tcp(&[1]);
-        let (b, rx_b, _) = tcp(&[11, 12, 13]);
+        let (mut a, obs) = tcp(&[1]);
+        let (mut b, _) = tcp(&[11, 12, 13]);
         introduce(&mut a, &b);
         a.send_msg(NodeId(1), NodeId(11), &ack(0));
         a.flush();
-        assert_eq!(take(&rx_b, 1), ["1>11:0"]);
+        assert_eq!(take(&mut b, 1), ["1>11:0"]);
 
         // The peer goes away and comes back on the same addresses.
         let addrs = addrs_of(&b);
@@ -830,8 +1057,7 @@ mod tests {
         wait_until("the FIN of the dead peer", || {
             conn_is_stale(&a.conns[&11].stream, &Metrics::disabled())
         });
-        let (tx, rx_b2) = channel();
-        let _b2 = TcpTransport::start(&addrs, HashMap::new(), tx).expect("rebind");
+        let mut b2 = TcpTransport::start(&addrs, HashMap::new(), channel().0).expect("rebind");
 
         // The peek before the batch's first frame finds the old socket
         // dead: nothing is written into it, and one dial serves all three
@@ -840,18 +1066,17 @@ mod tests {
         a.send_msg(NodeId(1), NodeId(13), &ack(2));
         a.send_msg(NodeId(1), NodeId(11), &ack(3));
         a.flush();
-        assert_eq!(take(&rx_b2, 3), ["1>12:1", "1>13:2", "1>11:3"]);
+        assert_eq!(take(&mut b2, 3), ["1>12:1", "1>13:2", "1>11:3"]);
         assert_eq!(obs.counter("net_reconnects"), 1);
         assert_eq!(obs.counter("net_send_drops"), 0);
         assert_eq!((a.conns.len(), a.routes.len()), (1, 3));
-        assert!(rx_b.try_recv().is_err(), "the dead peer was sent nothing");
 
         // A connection lost to a failed write instead (this is what `flush`
         // does about one) is redialed by the next send and counts as well.
         a.conns.clear();
         a.send_msg(NodeId(1), NodeId(13), &ack(4));
         a.flush();
-        assert_eq!(take(&rx_b2, 1), ["1>13:4"]);
+        assert_eq!(take(&mut b2, 1), ["1>13:4"]);
         assert_eq!(obs.counter("net_reconnects"), 2);
     }
 
@@ -885,7 +1110,7 @@ mod tests {
         let (addr21, peer21) = fake_peer(garbage);
         let (addr22, peer22) = fake_peer(truncated);
 
-        let (mut a, _rx, obs) = tcp(&[1]);
+        let (mut a, obs) = tcp(&[1]);
         a.peers.extend([(21, addr21), (22, addr22)]);
         a.send_msg(NodeId(1), NodeId(21), &ack(0));
         a.send_msg(NodeId(1), NodeId(22), &ack(1));
@@ -897,12 +1122,8 @@ mod tests {
         assert!(a.conns.is_empty() && a.routes.is_empty());
     }
 
-    #[test]
-    fn a_stats_pull_needs_no_hello_and_a_closed_probe_leaves_no_thread() {
-        let (a, _rx, _) = tcp(&[1]);
-        let addr = a.listeners[0];
-        // What a launcher does to see whether the listener is up.
-        drop(TcpStream::connect(addr).expect("probe"));
+    /// One `STATS` exchange on a fresh connection to `addr`.
+    fn pull_stats(addr: SocketAddr) -> (TcpStream, String) {
         let mut puller = TcpStream::connect(addr).expect("connect");
         write_frame(
             &mut puller,
@@ -914,13 +1135,218 @@ mod tests {
         .expect("pull");
         let reply = read_frame(&mut puller).expect("a frame").expect("a reply");
         assert_eq!(reply.ftype, FrameType::StatsReply);
-        assert!(String::from_utf8_lossy(&reply.payload).contains("net_stats_pulls"));
-        // Connections are accepted in order, so the probe's reader was
-        // started before the one that answered; both end at EOF.
+        (puller, String::from_utf8_lossy(&reply.payload).into_owned())
+    }
+
+    #[test]
+    fn a_stats_pull_needs_no_hello_and_a_closed_probe_leaves_no_thread() {
+        let (mut a, obs) = tcp(&[1]);
+        let addr = a.listeners[0];
+        // What a launcher does to see whether the listener is up.
+        drop(TcpStream::connect(addr).expect("probe"));
+        let (puller, stats) = pull_stats(addr);
+        assert!(stats.contains("net_stats_pulls"));
+        // Connections are greeted in order: the probe ended at EOF on the
+        // accept thread, and the puller's connection went to the host,
+        // which drops it at EOF without calling it a peer.
         drop(puller);
-        wait_until("both readers gone", || {
-            a.inbound.readers().as_ref().is_some_and(|r| r.is_empty())
+        let mut events = Vec::new();
+        wait_until("the puller's connection handed over", || {
+            a.wait(Duration::from_millis(10), &mut events);
+            !a.readers.conns.is_empty()
         });
+        wait_until("the puller's connection gone", || {
+            a.wait(Duration::from_millis(10), &mut events);
+            a.readers.conns.is_empty()
+        });
+        assert!(events.is_empty());
+        assert_eq!(obs.counter("net_peer_closed"), 0);
+    }
+
+    #[test]
+    fn a_stats_pull_is_answered_while_the_host_thread_is_blocked() {
+        let (a, obs) = tcp(&[1]);
+        let addr = a.listeners[0];
+        // A host thread stuck in a long handler: it never waits on `a`.
+        let (release, blocked) = channel::<()>();
+        let host = std::thread::spawn(move || {
+            blocked.recv().expect("released");
+            a
+        });
+        for pulls in 1..=2 {
+            let (_puller, stats) = pull_stats(addr);
+            let line = format!("lhrs_net_stats_pulls_total {pulls}");
+            assert!(stats.contains(&line), "{stats}");
+        }
+        release.send(()).expect("the host thread is blocked");
+        host.join().expect("host thread");
+        assert_eq!(obs.counter("net_stats_pulls"), 2);
+    }
+
+    #[test]
+    fn two_transports_dialing_each_other_at_once_both_finish_their_hellos() {
+        let (mut a, obs_a) = tcp(&[1]);
+        let (mut b, obs_b) = tcp(&[11]);
+        introduce(&mut a, &b);
+        introduce(&mut b, &a);
+        // Each host thread blocks in its dial until the other process
+        // answers the hello, and neither is waiting on its transport.
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let dial = |mut t: TcpTransport, from: u32, to: u32| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let started = Instant::now();
+                t.send_msg(NodeId(from), NodeId(to), &ack(u64::from(from)));
+                t.flush();
+                (t, started.elapsed())
+            })
+        };
+        let (dial_a, dial_b) = (dial(a, 1, 11), dial(b, 11, 1));
+        let (mut a, took_a) = dial_a.join().expect("a dials");
+        let (mut b, took_b) = dial_b.join().expect("b dials");
+        for took in [took_a, took_b] {
+            assert!(took < CONNECT_TIMEOUT / 2, "a hello took {took:?}");
+        }
+        assert_eq!(take(&mut a, 1), ["11>1:11"]);
+        assert_eq!(take(&mut b, 1), ["1>11:1"]);
+        for obs in [obs_a, obs_b] {
+            assert_eq!(obs.counter("net_send_drops"), 0);
+        }
+    }
+
+    #[test]
+    fn a_huge_batch_holds_back_another_peer_by_at_most_one_read_slice() {
+        const FRAMES: usize = 256;
+        let value = vec![0x5A; 64 * 1024];
+        let per_slice = READ_SLICE / value.len() + 1;
+        let (mut a, _) = tcp(&[1]);
+        let (mut big, _) = tcp(&[11]);
+        let (mut small, _) = tcp(&[21]);
+        introduce(&mut big, &a);
+        introduce(&mut small, &a);
+        // Both connections open and handed to `a` before the flood.
+        big.send_msg(NodeId(11), NodeId(1), &ack(0));
+        big.flush();
+        small.send_msg(NodeId(21), NodeId(1), &ack(0));
+        small.flush();
+        let mut first = take(&mut a, 2);
+        first.sort();
+        assert_eq!(first, ["11>1:0", "21>1:0"]);
+
+        // 16 MiB in one batch, written by a thread of its own.
+        for op_id in 0..FRAMES as u64 {
+            let result = lhrs_core::msg::OpResult::Value(Some(value.clone()));
+            let iam = None;
+            big.send_msg(NodeId(11), NodeId(1), &Msg::Reply { op_id, result, iam });
+        }
+        let flood = std::thread::spawn(move || {
+            big.flush();
+            big
+        });
+        let is_big = |e: &HostEvent| matches!(e, HostEvent::Deliver { from, .. } if from.0 == 11);
+        let deadline = Instant::now() + DEADLINE;
+        let mut events = Vec::new();
+        // One wait: how many frames of the flood came, and what else.
+        let mut wait = |a: &mut TcpTransport| {
+            assert!(Instant::now() < deadline, "the flood stalled");
+            events.clear();
+            a.wait(Duration::from_millis(100), &mut events);
+            let big_here = events.iter().filter(|e| is_big(e)).count();
+            // The host gets its loop back — and fires its timers — after
+            // at most one slice of the flood per wait.
+            assert!(big_here <= per_slice, "{big_here} frames in one wait");
+            let other = events.iter().find(|e| !is_big(e));
+            (big_here, other.map(|e| format!("{e:?}")))
+        };
+        // A quarter of the flood is read; then, with the rest still
+        // coming, the other peer has one frame to say.
+        let mut got = 0;
+        while got < FRAMES / 4 {
+            let (big_here, other) = wait(&mut a);
+            assert_eq!(other, None);
+            got += big_here;
+        }
+        small.send_msg(NodeId(21), NodeId(1), &ack(1));
+        small.flush();
+        let from_small = a.readers.conns.iter().find(|r| r.nodes == [21]);
+        let from_small = from_small.expect("the small peer's connection");
+        wait_until("the small frame buffered", || {
+            from_small.stream.peek(&mut [0]).is_ok_and(|n| n == 1)
+        });
+        let (big_here, other) = wait(&mut a);
+        let small_frame = other.expect("the small frame, in the first wait");
+        assert!(small_frame.contains("upto: 1"), "{small_frame}");
+        got += big_here;
+        while got < FRAMES {
+            let (big_here, other) = wait(&mut a);
+            assert_eq!(other, None);
+            got += big_here;
+        }
+        assert_eq!(got, FRAMES);
+        flood.join().expect("flood");
+    }
+
+    #[test]
+    fn two_hosts_flushing_huge_batches_at_each_other_both_finish() {
+        // 16 MiB each way: more than the kernel buffers, so each flush
+        // needs the other host to read while it is itself flushing.
+        const FRAMES: usize = 256;
+        let value = vec![0xC3; 64 * 1024];
+        let (mut a, obs_a) = tcp(&[1]);
+        let (mut b, obs_b) = tcp(&[11]);
+        introduce(&mut a, &b);
+        introduce(&mut b, &a);
+        let (done_tx, done) = channel();
+        for (mut t, from, to) in [(a, 1, 11), (b, 11, 1)] {
+            for op_id in 0..FRAMES as u64 {
+                let result = lhrs_core::msg::OpResult::Value(Some(value.clone()));
+                let iam = None;
+                t.send_msg(NodeId(from), NodeId(to), &Msg::Reply { op_id, result, iam });
+            }
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                t.flush();
+                let _ = done_tx.send(t);
+            });
+        }
+        for _ in 0..2 {
+            let mut t = done.recv_timeout(DEADLINE).expect("both flushes finish");
+            assert_eq!(take(&mut t, FRAMES).len(), FRAMES, "every frame arrived");
+        }
+        for obs in [obs_a, obs_b] {
+            assert_eq!(obs.counter("net_send_drops"), 0);
+        }
+    }
+
+    #[test]
+    fn a_dropped_peer_is_counted_and_traced_with_the_nodes_that_spoke() {
+        let (mut a, obs) = tcp(&[1]);
+        let (mut b, _) = tcp(&[11, 12]);
+        introduce(&mut b, &a);
+        b.send_msg(NodeId(12), NodeId(1), &ack(0));
+        b.send_msg(NodeId(11), NodeId(1), &ack(1));
+        b.flush();
+        assert_eq!(take(&mut a, 2), ["12>1:0", "11>1:1"]);
+        assert_eq!(obs.counter("net_peer_closed"), 0);
+
+        drop(b);
+        let mut events = Vec::new();
+        wait_until("the peer's EOF", || {
+            a.wait(Duration::from_millis(10), &mut events);
+            a.readers.conns.is_empty()
+        });
+        assert!(events.is_empty());
+        assert_eq!(obs.counter("net_peer_closed"), 1);
+        let closed: Vec<_> = obs
+            .events()
+            .into_iter()
+            .filter_map(|t| match t.event {
+                ObsEvent::PeerClosed { nodes } => Some(nodes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closed, [vec![12, 11]], "the hello's sender first");
     }
 
     #[test]
@@ -951,7 +1377,7 @@ mod tests {
                 .collect::<Vec<_>>()
         });
 
-        let (mut a, _rx, obs) = tcp(&[1]);
+        let (mut a, obs) = tcp(&[1]);
         a.peers.insert(41, addr);
         for op_id in 0..FRAMES {
             let result = lhrs_core::msg::OpResult::Value(Some(value.clone()));
@@ -992,8 +1418,8 @@ mod tests {
         let (addr31, peer31) = fake_peer(reply);
         let mute32 = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr32 = mute32.local_addr().expect("bound").to_string();
-        let (mut a, _rx_a, obs) = tcp(&[1]);
-        let (b, rx_b, _) = tcp(&[11]);
+        let (mut a, obs) = tcp(&[1]);
+        let (mut b, _) = tcp(&[11]);
         introduce(&mut a, &b);
         a.peers.extend([(31, addr31.clone()), (32, addr32.clone())]);
         a.send_msg(NodeId(1), NodeId(31), &ack(0));
@@ -1021,19 +1447,20 @@ mod tests {
         // this thread stalled past a back-off there could be one more.)
         let dials = backlog(&mute31) + backlog(&mute32);
         assert!((1..=3).contains(&dials), "{dials} dials for 40 frames");
-        assert_eq!(take(&rx_b, 20).len(), 20, "the healthy peer missed nothing");
+        assert_eq!(take(&mut b, 20).len(), 20, "the healthy peer missed nothing");
 
         // The peer turns responsive: the first send after the back-off
         // connects.
         drop((mute31, mute32));
-        let (tx, rx_c) = channel();
-        let _c =
-            TcpTransport::start(&[(31, addr31), (32, addr32)], HashMap::new(), tx).expect("rebind");
+        let mut c = TcpTransport::start(&[(31, addr31), (32, addr32)], HashMap::new(), channel().0)
+            .expect("rebind");
         let deadline = Instant::now() + DEADLINE;
+        let mut events = Vec::new();
         loop {
             a.send_msg(NodeId(1), NodeId(32), &ack(99));
             a.flush();
-            if rx_c.recv_timeout(Duration::from_millis(50)).is_ok() {
+            c.wait(Duration::from_millis(50), &mut events);
+            if !events.is_empty() {
                 break;
             }
             assert!(Instant::now() < deadline, "never reconnected");

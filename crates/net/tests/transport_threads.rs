@@ -1,9 +1,10 @@
-//! `TcpTransport` owns its threads: dropping it stops them. One test, in a
-//! process of its own, because it counts the process's threads.
+//! `TcpTransport` owns its threads: one accept thread per hosted node, none
+//! per connection, and dropping it stops them. One test, in a process of
+//! its own, because it counts the process's threads.
 
 use std::collections::HashMap;
 use std::net::TcpListener;
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 use lhrs_net::transport::{HostEvent, TcpTransport, Transport};
@@ -15,15 +16,23 @@ fn threads() -> usize {
         .count()
 }
 
+/// Wait until the process is back to `count` threads: a thread that has
+/// let go of the shutdown latch still takes a moment to exit.
+fn settle(count: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while threads() != count {
+        assert!(
+            Instant::now() < deadline,
+            "{} threads where {count} were expected",
+            threads()
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// A transport hosting `node` at `addr`.
-fn start(
-    node: u32,
-    addr: &str,
-    peers: HashMap<u32, String>,
-) -> (TcpTransport, Receiver<HostEvent>) {
-    let (tx, rx) = channel();
-    let t = TcpTransport::start(&[(node, addr.to_string())], peers, tx).expect("bind");
-    (t, rx)
+fn start(node: u32, addr: &str, peers: HashMap<u32, String>) -> TcpTransport {
+    TcpTransport::start(&[(node, addr.to_string())], peers, channel().0).expect("bind")
 }
 
 /// Two free localhost ports: reserved together, released for the
@@ -37,32 +46,33 @@ fn two_addrs() -> [String; 2] {
 fn started_and_dropped_transports_leave_no_thread() {
     let before = threads();
     for round in 0..20 {
+        settle(before);
         let [server_addr, client_addr] = two_addrs();
-        let (server, rx) = start(7, &server_addr, HashMap::new());
-        let (mut client, _rx) = start(8, &client_addr, HashMap::from([(7, server_addr)]));
-        // A delivered frame: the server has a reader thread for the
-        // client's connection besides its accept thread.
+        let mut server = start(7, &server_addr, HashMap::new());
+        let mut client = start(8, &client_addr, HashMap::from([(7, server_addr)]));
+        assert_eq!(threads(), before + 2, "round {round}: two accept threads");
+        // A delivered frame: the server's host thread read the client's
+        // connection itself.
         client.send_registry_pull(NodeId(8), NodeId(7));
         client.flush();
-        let event = rx.recv_timeout(Duration::from_secs(30));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut events = Vec::new();
+        while events.is_empty() {
+            assert!(Instant::now() < deadline, "round {round}: nothing arrived");
+            assert!(server.wait(Duration::from_millis(100), &mut events));
+        }
         assert!(
-            matches!(event, Ok(HostEvent::RegistryPull { from }) if from == NodeId(8)),
-            "round {round}: {event:?}"
+            matches!(events[..], [HostEvent::RegistryPull { from }] if from == NodeId(8)),
+            "round {round}: {events:?}"
         );
-        assert!(threads() >= before + 3, "two accept threads and a reader");
-        // Server first: its reader is still blocked on the open connection.
+        assert_eq!(
+            threads(),
+            before + 2,
+            "round {round}: the connection added none"
+        );
+        // Server first: the client's connection to it is still open.
         drop(server);
         drop(client);
     }
-    // `shutdown` joins what it stopped; a reader that had already seen EOF
-    // exits on its own a moment later.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while threads() != before {
-        assert!(
-            Instant::now() < deadline,
-            "{} threads left behind",
-            threads().saturating_sub(before)
-        );
-        std::thread::yield_now();
-    }
+    settle(before);
 }

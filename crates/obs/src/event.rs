@@ -148,6 +148,14 @@ pub enum Event {
         /// What failed to decode.
         context: String,
     },
+    /// An inbound peer connection ended: the peer process closed it,
+    /// reset it or sent a corrupt stream. A hint that its nodes may be
+    /// down, not a proof: a restarted peer dials again.
+    PeerClosed {
+        /// The node whose hello opened the connection, then every other
+        /// node that sent a frame over it, in first-seen order.
+        nodes: Vec<u32>,
+    },
     /// A bucket rebuilt itself from its local snapshot + write-ahead log
     /// after a process restart.
     WalReplay {
@@ -229,6 +237,7 @@ impl Event {
             Event::DegradedRead { .. } => "degraded_read",
             Event::InvariantViolated { .. } => "invariant_violated",
             Event::DecodeError { .. } => "decode_error",
+            Event::PeerClosed { .. } => "peer_closed",
             Event::WalReplay { .. } => "wal_replay",
             Event::RestartSuffix { .. } => "restart_suffix",
             Event::BucketRestarted { .. } => "bucket_restarted",
@@ -301,6 +310,10 @@ impl Event {
                     "\"group\":{group},\"shards\":[{}]",
                     shards.join(",")
                 ));
+            }
+            Event::PeerClosed { nodes } => {
+                let nodes: Vec<String> = nodes.iter().map(u32::to_string).collect();
+                out.push_str(&format!("\"nodes\":[{}]", nodes.join(",")));
             }
             Event::RecoveryStart { group, failed } => {
                 out.push_str(&format!("\"group\":{group},\"failed\":{failed}"));
@@ -513,6 +526,7 @@ mod tests {
             Event::DecodeError {
                 context: "frame".into(),
             },
+            Event::PeerClosed { nodes: vec![3, 5] },
             Event::WalReplay {
                 bucket: 3,
                 ops: 12,
