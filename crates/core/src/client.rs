@@ -240,7 +240,7 @@ impl Client {
                 let new_timer = env.set_timer(self.shared.cfg.client_timeout_us * 50);
                 p.timer = Some(new_timer);
                 self.timer_to_op.insert(new_timer, op_id);
-                let coord = self.shared.registry.borrow().coordinator;
+                let coord = self.shared.registry.borrow().coordinator();
                 let (bucket, kind) = (p.sent_to, p.kind.clone());
                 env.send(
                     coord,

@@ -440,7 +440,7 @@ impl DataBucket {
                 // bucket (that would undo the shrink the file manager asked
                 // for); a later insert can still report overflow.
                 self.absorb_movers(env, records, replay, false);
-                let coord = self.shared.registry.borrow().coordinator;
+                let coord = self.shared.registry.borrow().coordinator();
                 env.send(
                     coord,
                     Msg::MergeDone {
@@ -463,7 +463,7 @@ impl DataBucket {
                 debug_assert_eq!(bucket, self.bucket);
                 let _ = level;
                 self.absorb_movers(env, records, replay, true);
-                let coord = self.shared.registry.borrow().coordinator;
+                let coord = self.shared.registry.borrow().coordinator();
                 env.send(
                     coord,
                     Msg::SplitDone {
@@ -576,7 +576,7 @@ impl DataBucket {
                 // Boot after an outage: check with the coordinator before
                 // serving (the coordinator may have recreated this bucket
                 // on a spare meanwhile).
-                let coord = self.shared.registry.borrow().coordinator;
+                let coord = self.shared.registry.borrow().coordinator();
                 if self.report_restart {
                     // Recovered from the local store: offer the Δ-suffix
                     // handshake. No write is served until the coordinator
@@ -1256,11 +1256,6 @@ impl DataBucket {
             Deltas::Batch(entries) => entries.as_slice(),
         };
         env.obs().add("deltas_emitted", entries.len() as u64);
-        env.trace(ObsEvent::DeltaCommit {
-            bucket: self.bucket,
-            bytes: entries.iter().map(|e| e.delta_cell.len() as u64).sum(),
-            columns: nodes.len() as u64,
-        });
         if ack_to.is_some() {
             for e in entries {
                 self.unacked.insert(e.seq, e.clone());
@@ -1318,7 +1313,7 @@ impl DataBucket {
         self.overflow_reported = true;
         self.last_report_size = len;
         env.obs().incr("overflow_reports");
-        let coord = self.shared.registry.borrow().coordinator;
+        let coord = self.shared.registry.borrow().coordinator();
         env.send(
             coord,
             Msg::ReportOverflow {
@@ -1480,7 +1475,7 @@ impl DataBucket {
         }
         self.reset_store();
         env.obs().incr("restart_aborts");
-        let coord = self.shared.registry.borrow().coordinator;
+        let coord = self.shared.registry.borrow().coordinator();
         env.send(
             coord,
             Msg::RestartAbort {

@@ -107,7 +107,7 @@ impl LhrsFile {
 
         {
             let mut reg = shared.registry.borrow_mut();
-            reg.coordinator = coordinator;
+            reg.set_coordinator(coordinator);
             reg.push_data(0, bucket0);
             reg.set_parity(0, parity.clone());
         }

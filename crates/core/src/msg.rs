@@ -116,15 +116,6 @@ impl ReqKind {
         }
     }
 
-    fn label(&self) -> &'static str {
-        match self {
-            ReqKind::Insert(..) => "insert",
-            ReqKind::Lookup(..) => "lookup",
-            ReqKind::Update(..) => "update",
-            ReqKind::Delete(..) => "delete",
-        }
-    }
-
     fn bytes(&self) -> usize {
         match self {
             ReqKind::Insert(_, p) | ReqKind::Update(_, p) => 8 + p.len(),
@@ -624,58 +615,9 @@ pub enum Msg {
 }
 
 impl lhrs_sim::Payload for Msg {
-    // One label per variant: a `_ =>` arm would fold new messages into one
-    // `msgs_sent`/`msgs_recv` series and hide them from the timeline.
-    #[deny(
-        clippy::wildcard_enum_match_arm,
-        clippy::match_wildcard_for_single_variants
-    )]
+    /// The label in the variant's `wire.rs` row.
     fn kind(&self) -> &'static str {
-        match self {
-            Msg::Do { .. } => "app-do",
-            Msg::Req { kind, .. } => kind.label(),
-            Msg::Reply { .. } => "reply",
-            Msg::Scan { .. } => "scan",
-            Msg::ScanReply { .. } => "scan-reply",
-            Msg::ParityDelta { .. } => "parity-delta",
-            Msg::ParityBatch { .. } => "parity-batch",
-            Msg::ParityAck { .. } => "parity-ack",
-            Msg::ReportOverflow { .. } => "overflow",
-            Msg::InitData { .. } => "init-data",
-            Msg::InitParity { .. } => "init-parity",
-            Msg::DoSplit { .. } => "split",
-            Msg::SplitLoad { .. } => "split-load",
-            Msg::Suspect { .. } => "suspect",
-            Msg::Probe { .. } => "probe",
-            Msg::ProbeAck { .. } => "probe-ack",
-            Msg::TransferShard { .. } => "transfer-req",
-            Msg::ShardData { .. } => "transfer-data",
-            Msg::Install { .. } => "install",
-            Msg::InstallAck { .. } => "install-ack",
-            Msg::FindRecord { .. } => "find-record",
-            Msg::FindRecordReply { .. } => "find-record-reply",
-            Msg::ReadCell { .. } => "read-cell",
-            Msg::CellData { .. } => "cell-data",
-            Msg::SplitDone { .. } => "split-done",
-            Msg::ForceMerge => "force-merge",
-            Msg::DoMerge { .. } => "merge",
-            Msg::MergeLoad { .. } => "merge-load",
-            Msg::MergeDone { .. } => "merge-done",
-            Msg::Retire => "retire",
-            Msg::SelfReport => "self-report",
-            Msg::CheckOwnership { .. } => "check-ownership",
-            Msg::OwnershipAck => "ownership-ack",
-            Msg::RestartReport { .. } => "restart-report",
-            Msg::SuffixPull { .. } => "suffix-pull",
-            Msg::DeltaSuffix { .. } => "delta-suffix",
-            Msg::SuffixInfo { .. } => "suffix-info",
-            Msg::RestartAbort { .. } => "restart-abort",
-            Msg::ResumeWrites { .. } => "resume-writes",
-            Msg::CheckGroup { .. } => "check-group",
-            Msg::RecoverFileState => "recover-file-state",
-            Msg::StateQuery => "state-query",
-            Msg::StateReply { .. } => "state-reply",
-        }
+        self.label()
     }
 
     fn size_bytes(&self) -> usize {

@@ -357,7 +357,7 @@ impl ParityBucket {
                 );
             }
             Msg::SelfReport => {
-                let coord = self.shared.registry.borrow().coordinator;
+                let coord = self.shared.registry.borrow().coordinator();
                 env.send(
                     coord,
                     Msg::CheckOwnership {

@@ -44,7 +44,9 @@ pub struct Registry {
     /// Per bucket group: parity column index → node.
     parity: Vec<Vec<NodeId>>,
     /// The coordinator node.
-    pub coordinator: NodeId,
+    coordinator: NodeId,
+    /// Moves on every change to the table (see [`Registry::edits`]).
+    edits: u64,
 }
 
 impl Default for Registry {
@@ -53,11 +55,39 @@ impl Default for Registry {
             data: Vec::new(),
             parity: Vec::new(),
             coordinator: lhrs_sim::EXTERNAL,
+            edits: 0,
         }
     }
 }
 
 impl Registry {
+    /// Moves whenever an edit changes the table, so equal counts read the
+    /// same table. A refused or same-value edit leaves it alone.
+    pub fn edits(&self) -> u64 {
+        self.edits
+    }
+
+    /// Count one change, when `changed`.
+    fn edited(&mut self, changed: bool) {
+        self.edits = self.edits.wrapping_add(u64::from(changed));
+    }
+
+    /// Write `value` into `slot`, counting it in `edits` if it differs.
+    fn set<T: PartialEq>(edits: &mut u64, slot: &mut T, value: T) {
+        *edits = edits.wrapping_add(u64::from(*slot != value));
+        *slot = value;
+    }
+
+    /// The coordinator node.
+    pub fn coordinator(&self) -> NodeId {
+        self.coordinator
+    }
+
+    /// Move the coordinator to `node`.
+    pub fn set_coordinator(&mut self, node: NodeId) {
+        Self::set(&mut self.edits, &mut self.coordinator, node);
+    }
+
     /// Node currently carrying data bucket `b`.
     ///
     /// # Panics
@@ -94,6 +124,7 @@ impl Registry {
             return false;
         }
         self.data.push(node);
+        self.edited(true);
         true
     }
 
@@ -102,7 +133,7 @@ impl Registry {
     pub fn move_data(&mut self, b: u64, node: NodeId) -> bool {
         match self.data.get_mut(crate::convert::to_index(b)) {
             Some(slot) => {
-                *slot = node;
+                Self::set(&mut self.edits, slot, node);
                 true
             }
             None => false,
@@ -112,13 +143,17 @@ impl Registry {
     /// Remove the last data bucket (merge); returns its ex-node, `None`
     /// for an empty table.
     pub fn pop_data(&mut self) -> Option<NodeId> {
-        self.data.pop()
+        let popped = self.data.pop();
+        self.edited(popped.is_some());
+        popped
     }
 
     /// Drop the last group's (empty) parity mapping, returning its nodes
     /// for decommissioning.
     pub fn pop_parity_group(&mut self) -> Vec<NodeId> {
-        self.parity.pop().unwrap_or_default()
+        let popped = self.parity.pop();
+        self.edited(popped.is_some());
+        popped.unwrap_or_default()
     }
 
     /// Parity nodes of bucket group `g` (empty slice if the group has no
@@ -149,10 +184,11 @@ impl Registry {
         };
         if self.parity.len() < len {
             self.parity.resize(len, Vec::new());
+            self.edited(true);
         }
         match self.parity.get_mut(g) {
             Some(slot) => {
-                *slot = nodes;
+                Self::set(&mut self.edits, slot, nodes);
                 true
             }
             None => false,
@@ -168,7 +204,7 @@ impl Registry {
             .and_then(|nodes| nodes.get_mut(q));
         match slot {
             Some(slot) => {
-                *slot = node;
+                Self::set(&mut self.edits, slot, node);
                 true
             }
             None => false,
@@ -261,6 +297,7 @@ mod tests {
         assert!(!r.move_parity(0, 0, NodeId(1)));
         assert_eq!(r.data_count(), 0);
         assert_eq!(r.group_count(), 0);
+        assert_eq!(r.edits(), 0, "a refused edit changes nothing");
     }
 
     #[test]
@@ -273,5 +310,9 @@ mod tests {
         assert_eq!(r.parity_nodes(0), &[] as &[NodeId]);
         assert!(r.move_parity(2, 1, NodeId(9)));
         assert_eq!(r.parity_nodes(2), &[NodeId(7), NodeId(9)]);
+        let edits = r.edits();
+        assert!(edits > 0);
+        assert!(r.move_parity(2, 1, NodeId(9)), "unchanged, but accepted");
+        assert_eq!(r.edits(), edits, "and not counted");
     }
 }

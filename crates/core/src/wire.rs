@@ -8,8 +8,10 @@
 //! and one table per enum/struct lists the variants with their tag and
 //! their fields in wire order. The table expands to the [`tag`] constants,
 //! the encode `match` (no wildcard — a variant without a row does not
-//! compile), the decode `match` and [`TAGS`]. To add a message: the
-//! variant in `msg.rs`, one row here, one pin in `wire_tags.toml`.
+//! compile), the decode `match`, [`TAGS`] and the `msgs_sent{kind}` label
+//! `match` behind `Payload::kind`. To add a message: the variant in
+//! `msg.rs`, one row here with its counter label, one pin in
+//! `wire_tags.toml`.
 //!
 //! * **Versioned**: every encoding starts with [`WIRE_VERSION`]; a decoder
 //!   refuses other versions with [`WireError::Version`].
@@ -398,8 +400,11 @@ macro_rules! wire_struct {
 /// `wire_enum!(E { tag => Variant { a, b }, tag => Variant(a), tag => Variant })`:
 /// one row per variant — its tag byte, then its fields in wire order. The
 /// row is used as the encode pattern and as the decode constructor, so a
-/// field is named once. `wire_enum!(E in tags { NAME = tag => … })` also
-/// emits `pub mod tags` with one constant per row and `pub const TAGS`.
+/// field is named once. `wire_enum!(E in tags { NAME = tag label => … })`
+/// also emits `pub mod tags` with one constant per row and `pub const TAGS`.
+/// Rows that all carry a label after the tag emit `E::label`: the row's
+/// `msgs_sent{kind}` counter label, a string, or `(field)` for the label of
+/// that field (`Msg::Req` counts under its `ReqKind`).
 ///
 /// A tuple-variant argument is a field binder or the folded option `None`
 /// / `Some(binder)`: an `Option` whose presence is carried by the variant's
@@ -419,8 +424,25 @@ macro_rules! wire_enum {
     (@get $r:ident; $some:ident($b:ident)) => {
         let $b = $crate::wire::Wire::get($r)?;
     };
+    (@label_pat $E:ident $V:ident ($f:ident)) => { $E::$V { $f, .. } };
+    (@label_pat $E:ident $V:ident $label:literal) => { $E::$V { .. } };
+    (@label ($f:ident)) => { $f.label() };
+    (@label $label:literal) => { $label };
+    (@labels $E:ident { $( $V:ident ),+ }) => {};
+    (@labels $E:ident { $( $V:ident $label:tt ),+ }) => {
+        impl $E {
+            /// The `msgs_sent{kind}` counter label of this variant.
+            pub(crate) fn label(&self) -> &'static str {
+                match self { $(
+                    $crate::wire::wire_enum!(@label_pat $E $V $label) => {
+                        $crate::wire::wire_enum!(@label $label)
+                    }
+                )+ }
+            }
+        }
+    };
     ($E:ident in $tags:ident { $(
-        $name:ident = $n:literal => $V:ident
+        $name:ident = $n:literal $label:tt => $V:ident
             $( { $($f:ident),+ } )?
             $( ( $($a:ident $( ($ai:ident) )?),+ ) )?
     ),+ $(,)? }) => {
@@ -437,15 +459,17 @@ macro_rules! wire_enum {
         #[doc = concat!("Every [`", stringify!($E), "`] tag as `(name, value)`, in table order.")]
         pub const TAGS: &[(&str, u8)] = &[ $( (stringify!($name), $n) ),+ ];
 
+        $crate::wire::wire_enum!(@labels $E { $( $V $label ),+ });
         $crate::wire::wire_enum!($E { $(
             $n => $V $( { $($f),+ } )? $( ( $($a $( ($ai) )?),+ ) )?
         ),+ });
     };
     ($E:ident { $(
-        $n:literal => $V:ident
+        $n:literal $( $label:literal )? => $V:ident
             $( { $($f:ident),+ } )?
             $( ( $($a:ident $( ($ai:ident) )?),+ ) )?
     ),+ $(,)? }) => {
+        $crate::wire::wire_enum!(@labels $E { $( $V $( $label )? ),+ });
         impl $crate::wire::Wire for $E {
             #[inline]
             fn put(&self, out: &mut Vec<u8>) {
@@ -508,10 +532,10 @@ wire_enum!(ClientOp {
 });
 
 wire_enum!(ReqKind {
-    0 => Insert(key, payload),
-    1 => Lookup(key),
-    2 => Update(key, payload),
-    3 => Delete(key),
+    0 "insert" => Insert(key, payload),
+    1 "lookup" => Lookup(key),
+    2 "update" => Update(key, payload),
+    3 "delete" => Delete(key),
 });
 
 wire_enum!(OpResult {
@@ -538,49 +562,49 @@ wire_enum!(ShardContent {
 });
 
 wire_enum!(Msg in tag {
-    DO = 1 => Do { op_id, op },
-    REQ = 2 => Req { op_id, client, intended, hops, kind },
-    REPLY = 3 => Reply { op_id, result, iam },
-    SCAN = 4 => Scan { op_id, client, filter, assumed_level, reply_if_empty },
-    SCAN_REPLY = 5 => ScanReply { op_id, bucket, level, hits },
-    PARITY_DELTA = 6 => ParityDelta { group, entry, ack_to },
-    PARITY_BATCH = 7 => ParityBatch { group, entries, ack_to },
-    PARITY_ACK = 8 => ParityAck { col, upto },
-    REPORT_OVERFLOW = 9 => ReportOverflow { bucket, size },
-    INIT_DATA = 10 => InitData { bucket, level, delta_seq },
-    INIT_PARITY = 11 => InitParity { group, index, k },
-    DO_SPLIT = 12 => DoSplit { source, target, new_level },
-    SPLIT_LOAD = 13 => SplitLoad { bucket, level, records, replay },
-    SUSPECT = 14 => Suspect { op_id, client, bucket, kind },
-    PROBE = 15 => Probe { token },
-    PROBE_ACK = 16 => ProbeAck { token, bucket },
-    TRANSFER_SHARD = 17 => TransferShard { token },
-    SHARD_DATA = 18 => ShardData { token, shard, content },
-    INSTALL = 19 => Install { group, bucket, index, k, content, token },
-    INSTALL_ACK = 20 => InstallAck { token },
-    FIND_RECORD = 21 => FindRecord { key, token },
-    FIND_RECORD_REPLY = 22 => FindRecordReply { token, found },
-    READ_CELL = 23 => ReadCell { rank, token },
-    CELL_DATA = 24 => CellData { token, shard, cell },
-    SPLIT_DONE = 25 => SplitDone { bucket },
-    FORCE_MERGE = 26 => ForceMerge,
-    DO_MERGE = 27 => DoMerge { source, target, new_level },
-    MERGE_LOAD = 28 => MergeLoad { level, records, replay, final_seq },
-    MERGE_DONE = 29 => MergeDone { bucket, final_seq },
-    RETIRE = 30 => Retire,
-    SELF_REPORT = 31 => SelfReport,
-    CHECK_OWNERSHIP = 32 => CheckOwnership { bucket, parity },
-    OWNERSHIP_ACK = 33 => OwnershipAck,
-    CHECK_GROUP = 34 => CheckGroup { group },
-    RECOVER_FILE_STATE = 35 => RecoverFileState,
-    STATE_QUERY = 36 => StateQuery,
-    STATE_REPLY = 37 => StateReply { bucket, level },
-    RESTART_REPORT = 38 => RestartReport { bucket, delta_seq },
-    SUFFIX_PULL = 39 => SuffixPull { group, col, from_seq, target },
-    DELTA_SUFFIX = 40 => DeltaSuffix { col, from_seq, entries, complete },
-    SUFFIX_INFO = 41 => SuffixInfo { bucket, col, next_seq, covered, count, bytes },
-    RESTART_ABORT = 42 => RestartAbort { bucket },
-    RESUME_WRITES = 43 => ResumeWrites { group },
+    DO = 1 "app-do" => Do { op_id, op },
+    REQ = 2 (kind) => Req { op_id, client, intended, hops, kind },
+    REPLY = 3 "reply" => Reply { op_id, result, iam },
+    SCAN = 4 "scan" => Scan { op_id, client, filter, assumed_level, reply_if_empty },
+    SCAN_REPLY = 5 "scan-reply" => ScanReply { op_id, bucket, level, hits },
+    PARITY_DELTA = 6 "parity-delta" => ParityDelta { group, entry, ack_to },
+    PARITY_BATCH = 7 "parity-batch" => ParityBatch { group, entries, ack_to },
+    PARITY_ACK = 8 "parity-ack" => ParityAck { col, upto },
+    REPORT_OVERFLOW = 9 "overflow" => ReportOverflow { bucket, size },
+    INIT_DATA = 10 "init-data" => InitData { bucket, level, delta_seq },
+    INIT_PARITY = 11 "init-parity" => InitParity { group, index, k },
+    DO_SPLIT = 12 "split" => DoSplit { source, target, new_level },
+    SPLIT_LOAD = 13 "split-load" => SplitLoad { bucket, level, records, replay },
+    SUSPECT = 14 "suspect" => Suspect { op_id, client, bucket, kind },
+    PROBE = 15 "probe" => Probe { token },
+    PROBE_ACK = 16 "probe-ack" => ProbeAck { token, bucket },
+    TRANSFER_SHARD = 17 "transfer-req" => TransferShard { token },
+    SHARD_DATA = 18 "transfer-data" => ShardData { token, shard, content },
+    INSTALL = 19 "install" => Install { group, bucket, index, k, content, token },
+    INSTALL_ACK = 20 "install-ack" => InstallAck { token },
+    FIND_RECORD = 21 "find-record" => FindRecord { key, token },
+    FIND_RECORD_REPLY = 22 "find-record-reply" => FindRecordReply { token, found },
+    READ_CELL = 23 "read-cell" => ReadCell { rank, token },
+    CELL_DATA = 24 "cell-data" => CellData { token, shard, cell },
+    SPLIT_DONE = 25 "split-done" => SplitDone { bucket },
+    FORCE_MERGE = 26 "force-merge" => ForceMerge,
+    DO_MERGE = 27 "merge" => DoMerge { source, target, new_level },
+    MERGE_LOAD = 28 "merge-load" => MergeLoad { level, records, replay, final_seq },
+    MERGE_DONE = 29 "merge-done" => MergeDone { bucket, final_seq },
+    RETIRE = 30 "retire" => Retire,
+    SELF_REPORT = 31 "self-report" => SelfReport,
+    CHECK_OWNERSHIP = 32 "check-ownership" => CheckOwnership { bucket, parity },
+    OWNERSHIP_ACK = 33 "ownership-ack" => OwnershipAck,
+    CHECK_GROUP = 34 "check-group" => CheckGroup { group },
+    RECOVER_FILE_STATE = 35 "recover-file-state" => RecoverFileState,
+    STATE_QUERY = 36 "state-query" => StateQuery,
+    STATE_REPLY = 37 "state-reply" => StateReply { bucket, level },
+    RESTART_REPORT = 38 "restart-report" => RestartReport { bucket, delta_seq },
+    SUFFIX_PULL = 39 "suffix-pull" => SuffixPull { group, col, from_seq, target },
+    DELTA_SUFFIX = 40 "delta-suffix" => DeltaSuffix { col, from_seq, entries, complete },
+    SUFFIX_INFO = 41 "suffix-info" => SuffixInfo { bucket, col, next_seq, covered, count, bytes },
+    RESTART_ABORT = 42 "restart-abort" => RestartAbort { bucket },
+    RESUME_WRITES = 43 "resume-writes" => ResumeWrites { group },
 });
 
 // ----- top-level message codec -----

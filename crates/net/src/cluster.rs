@@ -206,7 +206,7 @@ impl ClusterSpec {
         let (bucket0, parity, _) = self.layout();
         {
             let mut reg = shared.registry.borrow_mut();
-            reg.coordinator = NodeId(0);
+            reg.set_coordinator(NodeId(0));
             reg.push_data(0, bucket0);
             reg.set_parity(0, parity);
         }
@@ -367,7 +367,7 @@ node 5 127.0.0.1:7005
         let spec = ClusterSpec::parse(SPEC).unwrap();
         let shared = spec.build_shared();
         let reg = shared.registry.borrow();
-        assert_eq!(reg.coordinator, NodeId(0));
+        assert_eq!(reg.coordinator(), NodeId(0));
         assert_eq!(reg.data_node(0), NodeId(2));
         assert_eq!(reg.parity_nodes(0), &[NodeId(3)]);
     }

@@ -17,7 +17,7 @@ use lhrs_core::msg::{DeltaEntry, Msg};
 use lhrs_core::node::Node;
 use lhrs_core::registry::SharedHandle;
 use lhrs_core::storage::GroupCommits;
-use lhrs_obs::{Event as ObsEvent, Metrics};
+use lhrs_obs::Metrics;
 use lhrs_sim::{Actor, Effect, Env, NodeId, Payload, TimerId};
 
 use crate::frame::RegistryUpdate;
@@ -64,6 +64,8 @@ pub struct NodeHost<T: Transport> {
     authoritative: bool,
     /// Last broadcast snapshot + version (authoritative side).
     last_snapshot: Option<RegistryUpdate>,
+    /// The registry's edit count when `last_snapshot` was taken.
+    snapshot_edits: u64,
     reg_version: u64,
     last_broadcast_at: u64,
     /// Version last applied from the authoritative host (receiver side);
@@ -76,8 +78,6 @@ pub struct NodeHost<T: Transport> {
     /// keeps flush order deterministic (insertion order of first Δ).
     pending_deltas: HashMap<DeltaKey, Vec<DeltaEntry>>,
     pending_delta_order: Vec<DeltaKey>,
-    /// Dump every dispatched message to stderr (`LHRS_NET_TRACE=1`).
-    trace: bool,
     /// Observability handle shared with every [`Env`] this host builds
     /// (and usually with the transport). Disabled unless installed via
     /// [`NodeHost::set_metrics`].
@@ -111,13 +111,13 @@ impl<T: Transport> NodeHost<T> {
             epoch: Instant::now(),
             authoritative: false,
             last_snapshot: None,
+            snapshot_edits: 0,
             reg_version: 0,
             last_broadcast_at: 0,
             seen_version: None,
             shutdown: false,
             pending_deltas: HashMap::new(),
             pending_delta_order: Vec::new(),
-            trace: std::env::var_os("LHRS_NET_TRACE").is_some(),
             metrics: Metrics::disabled(),
         }
     }
@@ -202,23 +202,10 @@ impl<T: Transport> NodeHost<T> {
     /// Dispatch one message into a hosted node and apply its effects.
     fn dispatch(&mut self, from: NodeId, to: NodeId, msg: Msg) {
         let now = self.now_us();
-        if self.trace {
-            eprintln!("trace: [{now}us] {from:?} -> {to:?}: {msg:?}");
-        }
         let mut effects: Vec<Effect<Msg>> = Vec::new();
         match self.nodes.get_mut(&to.0) {
             Some(node) => {
                 self.metrics.incr_kind("msgs_recv", msg.kind());
-                if self.metrics.msg_trace() {
-                    self.metrics.trace(
-                        now,
-                        ObsEvent::MsgRecv {
-                            kind: msg.kind(),
-                            from: from.0,
-                            to: to.0,
-                        },
-                    );
-                }
                 let mut env =
                     Env::external(to, now, &mut self.next_timer, &mut effects, &self.metrics);
                 node.on_message(&mut env, from, msg);
@@ -383,30 +370,25 @@ impl<T: Transport> NodeHost<T> {
             .collect();
         RegistryUpdate {
             version: 0,
-            coordinator: reg.coordinator,
+            coordinator: reg.coordinator(),
             data,
             parity,
         }
     }
 
-    /// Authoritative side: broadcast a fresh snapshot if the table changed
-    /// since the last broadcast.
+    /// Authoritative side: broadcast a fresh snapshot if the table was
+    /// edited since the last broadcast. Runs on every dispatch, so it
+    /// compares edit counts, not tables.
     fn broadcast_registry_if_changed(&mut self, now: u64) {
         if !self.authoritative {
             return;
         }
-        let mut snap = self.snapshot();
-        let changed = match &self.last_snapshot {
-            None => true,
-            Some(last) => {
-                last.coordinator != snap.coordinator
-                    || last.data != snap.data
-                    || last.parity != snap.parity
-            }
-        };
-        if !changed {
+        let edits = self.shared.registry.borrow().edits();
+        if self.last_snapshot.is_some() && edits == self.snapshot_edits {
             return;
         }
+        let mut snap = self.snapshot();
+        self.snapshot_edits = edits;
         self.reg_version += 1;
         snap.version = self.reg_version;
         self.metrics.incr("registry_broadcasts");
@@ -415,22 +397,11 @@ impl<T: Transport> NodeHost<T> {
         self.last_snapshot = Some(snap);
     }
 
-    /// Authoritative side: the current versioned snapshot (allocating
-    /// version 1 if nothing was ever broadcast).
+    /// Authoritative side: the current versioned snapshot (broadcasting
+    /// it first if the table changed; the first call always does).
     fn current_snapshot(&mut self) -> RegistryUpdate {
         self.broadcast_registry_if_changed(self.now_us());
-        match &self.last_snapshot {
-            Some(snap) => snap.clone(),
-            None => {
-                // Table unchanged since construction and never broadcast:
-                // stamp and remember version 1 now.
-                let mut snap = self.snapshot();
-                self.reg_version = self.reg_version.max(1);
-                snap.version = self.reg_version;
-                self.last_snapshot = Some(snap.clone());
-                snap
-            }
-        }
+        self.last_snapshot.clone().unwrap_or_else(|| self.snapshot())
     }
 
     /// Receiver side: apply a strictly newer snapshot to the local table.
@@ -446,7 +417,7 @@ impl<T: Transport> NodeHost<T> {
         self.seen_version = Some(up.version);
         self.metrics.incr("registry_updates_applied");
         let mut reg = self.shared.registry.borrow_mut();
-        reg.coordinator = up.coordinator;
+        reg.set_coordinator(up.coordinator);
         while reg.data_count() > up.data.len() {
             reg.pop_data();
         }
@@ -745,7 +716,7 @@ node 5 127.0.0.1:1
             ("move_data", |r| assert!(r.move_data(0, NodeId(5)))),
             ("set_parity", |r| assert!(r.set_parity(0, vec![NodeId(4)]))),
             ("set_parity (new group)", |r| assert!(r.set_parity(1, vec![NodeId(5)]))),
-            ("coordinator", |r| r.coordinator = NodeId(3)),
+            ("coordinator", |r| r.set_coordinator(NodeId(3))),
         ];
         for (n, (what, edit)) in (2..).zip(edits) {
             edit(&mut host.shared.registry.borrow_mut());
@@ -756,6 +727,21 @@ node 5 127.0.0.1:1
             let mut now = host.snapshot();
             now.version = n;
             assert_eq!(sent[0], now, "{what}");
+        }
+
+        // A refused edit, or one that leaves the table as it was, changes
+        // nothing and sends nothing.
+        let no_ops: [(&str, Edit); 4] = [
+            ("sparse push_data", |r| assert!(!r.push_data(9, NodeId(4)))),
+            ("move_data to its node", |r| assert!(r.move_data(0, NodeId(5)))),
+            ("set_parity to its nodes", |r| assert!(r.set_parity(1, vec![NodeId(5)]))),
+            ("coordinator to itself", |r| r.set_coordinator(NodeId(3))),
+        ];
+        for (what, edit) in no_ops {
+            edit(&mut host.shared.registry.borrow_mut());
+            lookups(&mut host, 10);
+            assert_eq!(broadcasts(&host), 6, "{what}");
+            assert!(tables(&peer).is_empty(), "{what}");
         }
 
         // Unchanged, the table is still rebroadcast every HEARTBEAT_US —

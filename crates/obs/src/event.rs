@@ -1,42 +1,62 @@
 //! The structured trace-event taxonomy shared by the simulator and the TCP
 //! runtime, plus a dependency-free JSONL encoding of it.
 
-/// One structured observation emitted by an actor hot path.
-///
-/// Node identifiers are carried as raw `u32`s (the payload of
-/// `lhrs_sim::NodeId`) so this crate stays dependency-free and usable from
-/// every layer of the workspace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A protocol message left a node.
-    MsgSent {
-        /// Message kind label (`Payload::kind()`).
-        kind: &'static str,
-        /// Sending node.
-        from: u32,
-        /// Destination node.
-        to: u32,
-        /// Encoded payload size.
-        bytes: u64,
-    },
-    /// A protocol message was delivered to a node.
-    MsgRecv {
-        /// Message kind label (`Payload::kind()`).
-        kind: &'static str,
-        /// Sending node.
-        from: u32,
-        /// Receiving node.
-        to: u32,
-    },
+use crate::json::{JsonObject, COMPACT};
+
+/// `events! { Variant = "label" { field: Type, … }, … }`, each row and
+/// field under its doc comment: one row per trace event — its docs, its
+/// label and its typed fields. The table is the [`Event`] enum,
+/// [`Event::kind`] and the JSONL field writer; a field's type needs a
+/// `JsonValue` rendering.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $V:ident = $label:literal {
+            $( $(#[$fdoc:meta])* $f:ident: $T:ty ),* $(,)?
+        }
+    ),+ $(,)?) => {
+        /// One structured observation emitted by an actor hot path.
+        ///
+        /// Node identifiers are carried as raw `u32`s (the payload of
+        /// `lhrs_sim::NodeId`) so this crate stays dependency-free and usable
+        /// from every layer of the workspace.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Event {$(
+            $(#[$doc])*
+            $V { $( $(#[$fdoc])* $f: $T ),* },
+        )+}
+
+        impl Event {
+            /// Stable label for the event type (used as the JSON `"type"`
+            /// field and in per-event-type counters).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$V { .. } => $label, )+
+                }
+            }
+
+            /// Add this event's fields to `obj`, in row order.
+            fn write_json_fields(&self, obj: &mut JsonObject<'_>) {
+                match self {
+                    $( Event::$V { $($f),* } => {
+                        $( obj.field(stringify!($f), $f); )*
+                    } )+
+                }
+            }
+        }
+    };
+}
+
+events! {
     /// A client re-sent an operation after a timeout.
-    Retry {
+    Retry = "retry" {
         /// The operation id being retried.
         op: u64,
         /// Retry attempt number (1 = first resend).
         attempt: u64,
     },
     /// A bucket split began (coordinator issued `DoSplit`).
-    SplitStart {
+    SplitStart = "split_start" {
         /// The bucket being split.
         bucket: u64,
         /// The bucket the split creates.
@@ -45,14 +65,14 @@ pub enum Event {
         buckets: u64,
     },
     /// A bucket split completed (coordinator saw `SplitDone`).
-    SplitEnd {
+    SplitEnd = "split_end" {
         /// The bucket that split.
         bucket: u64,
         /// The new sibling bucket created by the split.
         new_bucket: u64,
     },
     /// A bucket merge completed: the file shrank by one bucket.
-    MergeDone {
+    MergeDone = "merge_done" {
         /// The absorbing bucket.
         bucket: u64,
         /// The bucket merged away.
@@ -62,50 +82,41 @@ pub enum Event {
     },
     /// The scalable-availability rule raised the file's availability
     /// level.
-    KRaised {
+    KRaised = "k_raised" {
         /// The new file-wide `k`.
         k: u64,
     },
     /// A group finished upgrading to a higher `k`.
-    GroupUpgraded {
+    GroupUpgraded = "group_upgraded" {
         /// The group.
         group: u64,
         /// Its new availability level.
         k: u64,
     },
     /// The file state `(n, i)` was rebuilt from a scan of the buckets.
-    StateRecovered {
+    StateRecovered = "state_recovered" {
         /// Recovered split pointer.
         n: u64,
         /// Recovered file level.
         i: u8,
     },
-    /// A data bucket committed a Δ to its parity group.
-    DeltaCommit {
-        /// The emitting data bucket.
-        bucket: u64,
-        /// Δ payload bytes pushed to parity.
-        bytes: u64,
-        /// Number of parity columns addressed (k).
-        columns: u64,
-    },
     /// A group check confirmed failed shards. Recovery follows when the
     /// group's `k` covers them; otherwise a failed `RecoveryEnd` does.
-    FailureDetected {
+    FailureDetected = "failure_detected" {
         /// The bucket group.
         group: u64,
         /// Failed shard indices (`0..m` data, `m..` parity).
         shards: Vec<u64>,
     },
     /// Group recovery started (failure confirmed, spares allocated).
-    RecoveryStart {
+    RecoveryStart = "recovery_start" {
         /// The bucket group being recovered.
         group: u64,
         /// Number of failed shards being rebuilt.
         failed: u64,
     },
     /// One shard finished rebuilding onto its spare.
-    RecoveryShard {
+    RecoveryShard = "recovery_shard" {
         /// The bucket group.
         group: u64,
         /// Shard index inside the group (data column or m+parity column).
@@ -114,7 +125,7 @@ pub enum Event {
         bytes: u64,
     },
     /// Group recovery finished.
-    RecoveryEnd {
+    RecoveryEnd = "recovery_end" {
         /// The bucket group.
         group: u64,
         /// Shards rebuilt during this recovery.
@@ -125,7 +136,7 @@ pub enum Event {
     /// A rebuild collected its shards but found too few spare nodes to
     /// install them on, and was abandoned: a later suspect retries, and
     /// lookups are served in degraded mode meanwhile.
-    RecoveryStalled {
+    RecoveryStalled = "recovery_stalled" {
         /// The bucket group.
         group: u64,
         /// Spare nodes the rebuild needed.
@@ -133,32 +144,32 @@ pub enum Event {
     },
     /// A read was served through parity decoding while data buckets were
     /// down — the user-visible availability event.
-    DegradedRead {
+    DegradedRead = "degraded_read" {
         /// The bucket group that served the read.
         group: u64,
     },
     /// A protocol invariant was violated; the actor degraded instead of
     /// aborting.
-    InvariantViolated {
+    InvariantViolated = "invariant_violated" {
         /// Where the violation was detected.
         context: String,
     },
     /// The networked runtime failed to decode an inbound frame or message.
-    DecodeError {
+    DecodeError = "decode_error" {
         /// What failed to decode.
         context: String,
     },
     /// An inbound peer connection ended: the peer process closed it,
     /// reset it or sent a corrupt stream. A hint that its nodes may be
     /// down, not a proof: a restarted peer dials again.
-    PeerClosed {
+    PeerClosed = "peer_closed" {
         /// The node whose hello opened the connection, then every other
         /// node that sent a frame over it, in first-seen order.
         nodes: Vec<u32>,
     },
     /// A bucket rebuilt itself from its local snapshot + write-ahead log
     /// after a process restart.
-    WalReplay {
+    WalReplay = "wal_replay" {
         /// The replayed shard: the data bucket number, or `m + index` for
         /// parity column `index` (the shard-index convention of recovery).
         bucket: u64,
@@ -169,7 +180,7 @@ pub enum Event {
     },
     /// A restarted data bucket caught up via a Δ-suffix from its parity
     /// group instead of a full RS rebuild.
-    RestartSuffix {
+    RestartSuffix = "restart_suffix" {
         /// The catching-up data bucket.
         bucket: u64,
         /// Suffix entries applied.
@@ -180,7 +191,7 @@ pub enum Event {
     /// The coordinator re-admitted a restarted data bucket once its local
     /// store and the Δ-suffix it missed agreed with its parity group: the
     /// cheap recovery path that avoids a full RS rebuild.
-    BucketRestarted {
+    BucketRestarted = "bucket_restarted" {
         /// The bucket.
         bucket: u64,
         /// Δ-suffix entries it had to catch up (0: it was already current).
@@ -189,181 +200,10 @@ pub enum Event {
     /// A restart could not be served by Δ-suffix catch-up (divergent parity
     /// watermarks, truncated history, or a busy group): the coordinator
     /// fell back to the full RS rebuild.
-    RestartFallback {
+    RestartFallback = "restart_fallback" {
         /// The data bucket that fell back.
         bucket: u64,
     },
-}
-
-/// Append a JSON string literal (with escaping) to `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl Event {
-    /// Stable label for the event type (used as the JSON `"type"` field and
-    /// in per-event-type counters).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::MsgSent { .. } => "msg_sent",
-            Event::MsgRecv { .. } => "msg_recv",
-            Event::Retry { .. } => "retry",
-            Event::SplitStart { .. } => "split_start",
-            Event::SplitEnd { .. } => "split_end",
-            Event::MergeDone { .. } => "merge_done",
-            Event::KRaised { .. } => "k_raised",
-            Event::GroupUpgraded { .. } => "group_upgraded",
-            Event::StateRecovered { .. } => "state_recovered",
-            Event::DeltaCommit { .. } => "delta_commit",
-            Event::FailureDetected { .. } => "failure_detected",
-            Event::RecoveryStart { .. } => "recovery_start",
-            Event::RecoveryShard { .. } => "recovery_shard",
-            Event::RecoveryEnd { .. } => "recovery_end",
-            Event::RecoveryStalled { .. } => "recovery_stalled",
-            Event::DegradedRead { .. } => "degraded_read",
-            Event::InvariantViolated { .. } => "invariant_violated",
-            Event::DecodeError { .. } => "decode_error",
-            Event::PeerClosed { .. } => "peer_closed",
-            Event::WalReplay { .. } => "wal_replay",
-            Event::RestartSuffix { .. } => "restart_suffix",
-            Event::BucketRestarted { .. } => "bucket_restarted",
-            Event::RestartFallback { .. } => "restart_fallback",
-        }
-    }
-
-    /// Append this event's fields as JSON key/value pairs (no surrounding
-    /// braces; the caller owns the object envelope).
-    pub(crate) fn write_json_fields(&self, out: &mut String) {
-        match self {
-            Event::MsgSent {
-                kind,
-                from,
-                to,
-                bytes,
-            } => {
-                out.push_str(&format!(
-                    "\"kind\":\"{kind}\",\"from\":{from},\"to\":{to},\"bytes\":{bytes}"
-                ));
-            }
-            Event::MsgRecv { kind, from, to } => {
-                out.push_str(&format!("\"kind\":\"{kind}\",\"from\":{from},\"to\":{to}"));
-            }
-            Event::Retry { op, attempt } => {
-                out.push_str(&format!("\"op\":{op},\"attempt\":{attempt}"));
-            }
-            Event::SplitStart {
-                bucket,
-                new_bucket,
-                buckets,
-            } => {
-                out.push_str(&format!(
-                    "\"bucket\":{bucket},\"new_bucket\":{new_bucket},\"buckets\":{buckets}"
-                ));
-            }
-            Event::SplitEnd { bucket, new_bucket } => {
-                out.push_str(&format!("\"bucket\":{bucket},\"new_bucket\":{new_bucket}"));
-            }
-            Event::MergeDone {
-                bucket,
-                removed,
-                buckets,
-            } => {
-                out.push_str(&format!(
-                    "\"bucket\":{bucket},\"removed\":{removed},\"buckets\":{buckets}"
-                ));
-            }
-            Event::KRaised { k } => {
-                out.push_str(&format!("\"k\":{k}"));
-            }
-            Event::GroupUpgraded { group, k } => {
-                out.push_str(&format!("\"group\":{group},\"k\":{k}"));
-            }
-            Event::StateRecovered { n, i } => {
-                out.push_str(&format!("\"n\":{n},\"i\":{i}"));
-            }
-            Event::DeltaCommit {
-                bucket,
-                bytes,
-                columns,
-            } => {
-                out.push_str(&format!(
-                    "\"bucket\":{bucket},\"bytes\":{bytes},\"columns\":{columns}"
-                ));
-            }
-            Event::FailureDetected { group, shards } => {
-                let shards: Vec<String> = shards.iter().map(u64::to_string).collect();
-                out.push_str(&format!(
-                    "\"group\":{group},\"shards\":[{}]",
-                    shards.join(",")
-                ));
-            }
-            Event::PeerClosed { nodes } => {
-                let nodes: Vec<String> = nodes.iter().map(u32::to_string).collect();
-                out.push_str(&format!("\"nodes\":[{}]", nodes.join(",")));
-            }
-            Event::RecoveryStart { group, failed } => {
-                out.push_str(&format!("\"group\":{group},\"failed\":{failed}"));
-            }
-            Event::RecoveryShard {
-                group,
-                shard,
-                bytes,
-            } => {
-                out.push_str(&format!(
-                    "\"group\":{group},\"shard\":{shard},\"bytes\":{bytes}"
-                ));
-            }
-            Event::RecoveryEnd { group, rebuilt, ok } => {
-                out.push_str(&format!(
-                    "\"group\":{group},\"rebuilt\":{rebuilt},\"ok\":{ok}"
-                ));
-            }
-            Event::RecoveryStalled { group, needed } => {
-                out.push_str(&format!("\"group\":{group},\"needed\":{needed}"));
-            }
-            Event::DegradedRead { group } => {
-                out.push_str(&format!("\"group\":{group}"));
-            }
-            Event::InvariantViolated { context } | Event::DecodeError { context } => {
-                out.push_str("\"context\":");
-                push_json_str(out, context);
-            }
-            Event::WalReplay { bucket, ops, bytes } => {
-                out.push_str(&format!(
-                    "\"bucket\":{bucket},\"ops\":{ops},\"bytes\":{bytes}"
-                ));
-            }
-            Event::RestartSuffix {
-                bucket,
-                entries,
-                bytes,
-            } => {
-                out.push_str(&format!(
-                    "\"bucket\":{bucket},\"entries\":{entries},\"bytes\":{bytes}"
-                ));
-            }
-            Event::BucketRestarted { bucket, suffix_len } => {
-                out.push_str(&format!("\"bucket\":{bucket},\"suffix_len\":{suffix_len}"));
-            }
-            Event::RestartFallback { bucket } => {
-                out.push_str(&format!("\"bucket\":{bucket}"));
-            }
-        }
-    }
 }
 
 /// An [`Event`] stamped with a timestamp and a global push sequence.
@@ -382,14 +222,12 @@ impl TimedEvent {
     /// Render as one JSONL line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
-        out.push_str(&format!(
-            "{{\"at_us\":{},\"seq\":{},\"type\":\"{}\",",
-            self.at_us,
-            self.seq,
-            self.event.kind()
-        ));
-        self.event.write_json_fields(&mut out);
-        out.push('}');
+        let mut obj = JsonObject::open(&mut out, &COMPACT);
+        obj.field("at_us", &self.at_us)
+            .field("seq", &self.seq)
+            .field("type", self.event.kind());
+        self.event.write_json_fields(&mut obj);
+        obj.close();
         out
     }
 }
@@ -463,17 +301,6 @@ mod tests {
     #[test]
     fn every_event_renders_valid_envelope() {
         let events = [
-            Event::MsgSent {
-                kind: "insert",
-                from: 1,
-                to: 2,
-                bytes: 64,
-            },
-            Event::MsgRecv {
-                kind: "insert",
-                from: 1,
-                to: 2,
-            },
             Event::Retry { op: 9, attempt: 1 },
             Event::SplitStart {
                 bucket: 0,
@@ -492,11 +319,6 @@ mod tests {
             Event::KRaised { k: 2 },
             Event::GroupUpgraded { group: 1, k: 2 },
             Event::StateRecovered { n: 3, i: 2 },
-            Event::DeltaCommit {
-                bucket: 2,
-                bytes: 132,
-                columns: 2,
-            },
             Event::FailureDetected {
                 group: 0,
                 shards: vec![1, 4],

@@ -45,6 +45,7 @@
 
 mod event;
 mod hist;
+mod json;
 mod report;
 mod trace;
 
@@ -56,7 +57,7 @@ pub use trace::{TraceLog, DEFAULT_TRACE_CAPACITY};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -154,10 +155,6 @@ struct Inner {
     counters: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
     hists: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
     trace: TraceLog,
-    /// When false (the default), `MsgSent`/`MsgRecv` trace *events* are
-    /// suppressed (the counters still run) so per-message noise cannot
-    /// wash recovery timelines out of the bounded ring.
-    trace_msgs: AtomicBool,
 }
 
 /// Recover from mutex poisoning: registry maps hold plain data with no
@@ -235,7 +232,6 @@ impl Metrics {
                 counters: Mutex::new(BTreeMap::new()),
                 hists: Mutex::new(BTreeMap::new()),
                 trace: TraceLog::with_capacity(capacity),
-                trace_msgs: AtomicBool::new(false),
             })),
         }
     }
@@ -260,23 +256,6 @@ impl Metrics {
     /// handle).
     pub fn clock_label(&self) -> &'static str {
         self.inner.as_ref().map_or("disabled", |i| i.clock.label())
-    }
-
-    /// Opt into recording the per-operation **trace events** — `MsgSent`,
-    /// `MsgRecv`, `DeltaCommit` (their counters always run). Off by default
-    /// so bulk traffic cannot evict recovery timelines from the bounded
-    /// ring.
-    pub fn set_msg_trace(&self, enabled: bool) {
-        if let Some(inner) = &self.inner {
-            inner.trace_msgs.store(enabled, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether per-message trace events are being recorded.
-    pub fn msg_trace(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.trace_msgs.load(Ordering::Relaxed))
     }
 
     /// Add 1 to the unlabeled counter `name`.
@@ -353,16 +332,7 @@ impl Metrics {
     /// or wall µs). Also bumps the `events{kind=<event type>}` counter.
     pub fn trace(&self, at_us: u64, event: Event) {
         let Some(inner) = &self.inner else { return };
-        // Per-operation events stay out of the ring unless opted into;
-        // `DeltaCommit`, which no other counter tallies, still counts.
-        let gated = !inner.trace_msgs.load(Ordering::Relaxed);
-        if gated && matches!(event, Event::MsgSent { .. } | Event::MsgRecv { .. }) {
-            return;
-        }
         self.incr_kind("events", event.kind());
-        if gated && matches!(event, Event::DeltaCommit { .. }) {
-            return;
-        }
         inner.trace.push(at_us, event);
     }
 
@@ -721,52 +691,6 @@ mod tests {
         m.add("big", u64::MAX - 1);
         m.add("big", 5);
         assert_eq!(m.counter("big"), u64::MAX);
-    }
-
-    #[test]
-    fn msg_trace_events_are_gated_but_counters_are_not() {
-        let m = Metrics::new(Clock::logical());
-        m.trace(
-            1,
-            Event::MsgSent {
-                kind: "insert",
-                from: 0,
-                to: 1,
-                bytes: 8,
-            },
-        );
-        assert!(m.events().is_empty(), "msg events gated off by default");
-        m.set_msg_trace(true);
-        m.trace(
-            2,
-            Event::MsgSent {
-                kind: "insert",
-                from: 0,
-                to: 1,
-                bytes: 8,
-            },
-        );
-        assert_eq!(m.events().len(), 1);
-        // `DeltaCommit` is per operation too, but keeps its only counter.
-        let commit = Event::DeltaCommit {
-            bucket: 0,
-            bytes: 8,
-            columns: 1,
-        };
-        m.trace(2, commit.clone());
-        m.set_msg_trace(false);
-        m.trace(2, commit);
-        assert_eq!(m.events().len(), 2);
-        assert_eq!(m.counter_kind("events", "delta_commit"), 2);
-        // Every other event always passes the gate.
-        m.trace(
-            3,
-            Event::RecoveryStart {
-                group: 0,
-                failed: 1,
-            },
-        );
-        assert_eq!(m.events().len(), 3);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! messages by type), ready to land in `bench_out/` as JSON.
 
 use crate::event::Event;
+use crate::json::{JsonObject, PRETTY};
 use crate::Metrics;
 
 /// A derived summary of the recovery work one [`Metrics`] registry saw.
@@ -77,35 +78,19 @@ impl RecoveryReport {
     /// Render as a pretty-printed JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"scenario\": \"{}\",\n",
-            self.scenario.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-        out.push_str(&format!("  \"clock\": \"{}\",\n", self.clock));
-        out.push_str(&format!(
-            "  \"recoveries_started\": {},\n",
-            self.recoveries_started
-        ));
-        out.push_str(&format!(
-            "  \"recoveries_completed\": {},\n",
-            self.recoveries_completed
-        ));
-        out.push_str(&format!("  \"shards_rebuilt\": {},\n", self.shards_rebuilt));
-        out.push_str(&format!("  \"bytes_moved\": {},\n", self.bytes_moved));
-        out.push_str(&format!("  \"degraded_reads\": {},\n", self.degraded_reads));
-        out.push_str(&format!("  \"retries\": {},\n", self.retries));
-        out.push_str(&format!("  \"duration_us\": {},\n", self.duration_us));
-        out.push_str("  \"messages_by_kind\": {");
-        for (i, (kind, v)) in self.messages_by_kind.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{kind}\": {v}"));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("  \"total_messages\": {}\n", self.total_messages));
-        out.push_str("}\n");
+        let mut obj = JsonObject::open(&mut out, &PRETTY);
+        obj.field("scenario", &self.scenario)
+            .field("clock", self.clock)
+            .field("recoveries_started", &self.recoveries_started)
+            .field("recoveries_completed", &self.recoveries_completed)
+            .field("shards_rebuilt", &self.shards_rebuilt)
+            .field("bytes_moved", &self.bytes_moved)
+            .field("degraded_reads", &self.degraded_reads)
+            .field("retries", &self.retries)
+            .field("duration_us", &self.duration_us)
+            .field("messages_by_kind", self.messages_by_kind.as_slice())
+            .field("total_messages", &self.total_messages);
+        obj.close();
         out
     }
 }
@@ -182,38 +167,23 @@ impl RestartReport {
     /// Render as a pretty-printed JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"scenario\": \"{}\",\n",
-            self.scenario.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-        out.push_str(&format!("  \"clock\": \"{}\",\n", self.clock));
-        out.push_str(&format!("  \"wal_appends\": {},\n", self.wal_appends));
-        out.push_str(&format!("  \"wal_bytes\": {},\n", self.wal_bytes));
-        out.push_str(&format!("  \"wal_snapshots\": {},\n", self.wal_snapshots));
-        out.push_str(&format!("  \"wal_errors\": {},\n", self.wal_errors));
-        out.push_str(&format!(
-            "  \"restart_recoveries\": {},\n",
-            self.restart_recoveries
-        ));
-        out.push_str(&format!(
-            "  \"restart_fallbacks\": {},\n",
-            self.restart_fallbacks
-        ));
-        out.push_str(&format!("  \"restart_aborts\": {},\n", self.restart_aborts));
-        out.push_str(&format!("  \"suffix_entries\": {},\n", self.suffix_entries));
-        out.push_str(&format!("  \"suffix_bytes\": {},\n", self.suffix_bytes));
-        out.push_str(&format!(
-            "  \"recovery_bytes_moved\": {},\n",
-            self.recovery_bytes_moved
-        ));
-        out.push_str(&format!(
-            "  \"recovery_shards_rebuilt\": {},\n",
-            self.recovery_shards_rebuilt
-        ));
-        out.push_str(&format!("  \"replay_ops\": {},\n", self.replay_ops));
-        out.push_str(&format!("  \"replay_bytes\": {}\n", self.replay_bytes));
-        out.push_str("}\n");
+        let mut obj = JsonObject::open(&mut out, &PRETTY);
+        obj.field("scenario", &self.scenario)
+            .field("clock", self.clock)
+            .field("wal_appends", &self.wal_appends)
+            .field("wal_bytes", &self.wal_bytes)
+            .field("wal_snapshots", &self.wal_snapshots)
+            .field("wal_errors", &self.wal_errors)
+            .field("restart_recoveries", &self.restart_recoveries)
+            .field("restart_fallbacks", &self.restart_fallbacks)
+            .field("restart_aborts", &self.restart_aborts)
+            .field("suffix_entries", &self.suffix_entries)
+            .field("suffix_bytes", &self.suffix_bytes)
+            .field("recovery_bytes_moved", &self.recovery_bytes_moved)
+            .field("recovery_shards_rebuilt", &self.recovery_shards_rebuilt)
+            .field("replay_ops", &self.replay_ops)
+            .field("replay_bytes", &self.replay_bytes);
+        obj.close();
         out
     }
 }

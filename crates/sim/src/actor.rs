@@ -90,10 +90,9 @@ impl<'a, M: Payload> Env<'a, M> {
     /// invocation.
     ///
     /// `obs` is the host's observability handle; the environment records
-    /// `msgs_sent` counters (and, when enabled, `MsgSent` trace events)
-    /// into it exactly as the simulator does, so instrumentation emitted
-    /// by actor code behaves identically under both runtimes. Pass a
-    /// reference to [`Metrics::disabled`] to opt out.
+    /// `msgs_sent` counters into it exactly as the simulator does, so
+    /// instrumentation emitted by actor code behaves identically under both
+    /// runtimes. Pass a reference to [`Metrics::disabled`] to opt out.
     pub fn external(
         me: NodeId,
         now: u64,
@@ -137,20 +136,8 @@ impl<'a, M: Payload> Env<'a, M> {
     /// Send a unicast message to `to` (counted once in the
     /// `msgs_sent{kind}` and `msgs_sent_bytes` counters).
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let bytes = msg.size_bytes() as u64;
         self.obs.incr_kind("msgs_sent", msg.kind());
-        self.obs.add("msgs_sent_bytes", bytes);
-        if self.obs.msg_trace() {
-            self.obs.trace(
-                self.now,
-                Event::MsgSent {
-                    kind: msg.kind(),
-                    from: self.me.0,
-                    to: to.0,
-                    bytes,
-                },
-            );
-        }
+        self.obs.add("msgs_sent_bytes", msg.size_bytes() as u64);
         self.effects.push(Effect::Send { to, msg });
     }
 

@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use lhrs_obs::{Clock, Event as ObsEvent, Metrics};
+use lhrs_obs::{Clock, Metrics};
 
 use crate::actor::{Actor, Effect, Env, TimerId};
 use crate::faults::FaultOutcome;
@@ -271,16 +271,6 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
                 }
                 self.node_free_at[idx] = ev.time + self.latency.service_us;
                 self.metrics.incr_kind("msgs_recv", msg.kind());
-                if self.metrics.msg_trace() {
-                    self.metrics.trace(
-                        self.now,
-                        ObsEvent::MsgRecv {
-                            kind: msg.kind(),
-                            from: from.0,
-                            to: ev.node.0,
-                        },
-                    );
-                }
                 self.dispatch(ev.node, |actor, env| actor.on_message(env, from, msg));
             }
             EventKind::Timer { id } => {

@@ -1,9 +1,9 @@
 //! Facts about the source that no compiler lint states (DESIGN §8.2):
 //! every `Config` field is read by the program outside its definition, and
 //! set by some program outside `config.rs` and `cluster.conf` parsing (a
-//! value only tests change is a constant); every trace `Event` variant, and every `restart_*`/`wal_*`/
-//! `recovery_*`/`inflight_*`/`window_*` counter the program mints, is named
-//! by some test; and the helper crates hold no `assert!`-family macro
+//! value only tests change is a constant); every row of the trace `events!`
+//! table, and every `restart_*`/`wal_*`/`recovery_*`/`inflight_*`/`window_*`
+//! counter the program mints, is named (`Event::Row`) by some test; and the helper crates hold no `assert!`-family macro
 //! outside tests (`clippy::disallowed_macros` would also flag
 //! `debug_assert!`, which expands to `assert!`). Plain `str` search, no
 //! parser; `seeded_gaps_are_caught` shows each check firing.
@@ -171,7 +171,7 @@ fn gaps(tree: &[Source]) -> Vec<String> {
     let setters = setters(tree).replace(config, "");
     let unset = fields.iter().filter(|f| !assigns(&setters, f));
     out.extend(unset.map(|f| format!("Config.{f} is set by no program")));
-    let variants = members(block(&program, "pub enum Event {"), "");
+    let variants = members(block(&program, "events! {"), "");
     let unnamed = variants
         .iter()
         .filter(|v| !corpus.contains(&format!("Event::{v}")));
@@ -222,7 +222,7 @@ fn seeded_gaps_are_caught() {
     let core = "pub struct Config {\n    /// Read.\n    pub live: u32,\n    pub dead: u32,\n    pub knob: u32,\n}\n\
                 fn f(c: &Config) -> u64 { c.live + c.deadline + c.knob }\n\
                 fn h() -> Config { Config { dead: 0, ..d() } }\n\
-                pub enum Event {\n    Named {\n        bucket: u64,\n    },\n    Unnamed,\n}\n\
+                events! {\n    /// Docs.\n    Named = \"named\" {\n        bucket: u64,\n    },\n    Unnamed = \"unnamed\" {},\n}\n\
                 fn g(o: &Obs) { o.incr(\"wal_named\"); o.incr(\"wal_unnamed\"); }\n\
                 #[cfg(test)]\nmod tests {\n    fn t() { Event::Named; o.incr(\"recovery_x\"); c.knob = 2; }\n}\n";
     let kernel = "//! assert!(doc);\nfn k(x: u8) { debug_assert!(x < 16); assert!(x < 16); }\n\
