@@ -11,29 +11,17 @@ use lhrs_gf::Gf8;
 use lhrs_lh::FileState;
 use lhrs_obs::Event as ObsEvent;
 use lhrs_rs::RsCode;
-use lhrs_sim::{Env, NodeId, Payload, TimerId};
+use lhrs_sim::{Env, NodeId, Payload};
 
+use crate::exchange::{Exchanges, Owner, Schedule};
 use crate::msg::{Msg, OpId, OpResult, ReqKind, ShardContent};
 use crate::record::decode_cell;
 use crate::registry::SharedHandle;
 use crate::{Config, Key, Rank, UpgradeMode};
 
-/// One exchange in flight: requests the coordinator sent and is waiting on.
-/// [`Coordinator::on_timer`] re-sends whatever is still outstanding once
-/// per period and concludes the exchange after `coord_retries` fruitless
-/// rounds, so a lost message (or lost reply) only costs latency. The table
-/// of these, keyed by the token the requests carry, is the coordinator's
-/// whole in-flight state.
-struct Exchange {
-    timer: TimerId,
-    /// Re-send rounds so far.
-    rounds: u32,
-    kind: Kind,
-}
-
 /// The protocol state of one exchange (DESIGN.md §2.4 lists, per kind, the
 /// request, the period, what a round re-sends, and the give-up outcome).
-enum Kind {
+pub(crate) enum Kind {
     /// Liveness probe of one suspected data bucket. A node is only
     /// declared dead after `coord_retries` unanswered re-probes — one lost
     /// probe (or ack) must not trigger a spurious recovery.
@@ -77,7 +65,7 @@ enum Kind {
     Suffix(Suffix),
 }
 
-impl Kind {
+impl Schedule for Kind {
     /// Retransmission period: liveness questions (probes, audits, suffix
     /// pulls) are timed by `probe_timeout_us`, everything else by
     /// `coord_retransmit_us`.
@@ -87,10 +75,16 @@ impl Kind {
             _ => cfg.coord_retransmit_us,
         }
     }
+
+    /// A lost message (or lost reply) only costs latency: every exchange
+    /// re-sends for `coord_retries` rounds before it concludes.
+    fn limit(&self, cfg: &Config) -> u32 {
+        cfg.coord_retries
+    }
 }
 
 /// Outstanding group audit: probing every shard of a group.
-struct GroupCheck {
+pub(crate) struct GroupCheck {
     group: u64,
     /// shard index → node probed.
     probed: Vec<(usize, NodeId)>,
@@ -107,7 +101,7 @@ enum Purpose {
 }
 
 /// Outstanding shard collection for one group.
-struct Recovery {
+pub(crate) struct Recovery {
     group: u64,
     purpose: Purpose,
     /// Group availability level used for the code (target level for
@@ -116,7 +110,7 @@ struct Recovery {
     /// Shard indices being rebuilt.
     rebuild: Vec<usize>,
     /// Shard indices we are waiting to receive.
-    awaiting: HashSet<usize>,
+    awaiting: BTreeSet<usize>,
     collected: HashMap<usize, ShardContent>,
     /// Install acks outstanding: token → (shard index, spare, the `Install`
     /// kept verbatim for retransmission).
@@ -124,7 +118,7 @@ struct Recovery {
 }
 
 /// Degraded-mode record read in progress.
-struct Degraded {
+pub(crate) struct Degraded {
     group: u64,
     op_id: OpId,
     client: NodeId,
@@ -148,7 +142,7 @@ enum DegradedStage {
 }
 
 /// Outstanding Δ-suffix catch-up handshake for one restarted data bucket.
-struct Suffix {
+pub(crate) struct Suffix {
     group: u64,
     col: usize,
     bucket: u64,
@@ -188,8 +182,9 @@ pub struct Coordinator {
     /// Groups declared unrecoverable.
     pub dead_groups: HashSet<u64>,
     next_token: u64,
-    /// Every exchange in flight, keyed by its token.
-    exchanges: BTreeMap<u64, Exchange>,
+    /// Every exchange in flight, keyed by its token: the coordinator's
+    /// whole in-flight state.
+    exchanges: Exchanges<Kind>,
     /// group → ops parked until the group heals.
     queued_ops: HashMap<u64, Vec<(OpId, NodeId, ReqKind)>>,
     /// Overflow reports waiting for the coordinator to go idle, one split
@@ -221,7 +216,7 @@ impl Coordinator {
             failed: HashSet::new(),
             dead_groups: HashSet::new(),
             next_token: 1,
-            exchanges: BTreeMap::new(),
+            exchanges: Exchanges::new(),
             queued_ops: HashMap::new(),
             deferred_splits: 0,
             upgrade_queue: VecDeque::new(),
@@ -234,8 +229,7 @@ impl Coordinator {
     /// probe or a file-state scan. Splits, upgrades and merges wait for it.
     fn structural_work(&self) -> bool {
         self.exchanges
-            .values()
-            .any(|e| !matches!(e.kind, Kind::Probe { .. } | Kind::StateRec { .. }))
+            .any(|k| !matches!(k, Kind::Probe { .. } | Kind::StateRec { .. }))
     }
 
     /// Whether structural work is in flight or queued.
@@ -293,10 +287,11 @@ impl Coordinator {
             Msg::SplitDone { bucket } => {
                 // Only a split we are actually waiting for completes; a
                 // duplicated confirmation finds nothing.
-                let token =
-                    self.find(|k| matches!(k, Kind::Split { target, .. } if *target == bucket));
+                let token = self
+                    .exchanges
+                    .find(|k| matches!(k, Kind::Split { target, .. } if *target == bucket));
                 if let Some(Kind::Split { source, target, .. }) =
-                    token.and_then(|t| self.settle(env, t))
+                    token.and_then(|t| self.exchanges.settle(env, t))
                 {
                     env.obs().incr("splits_completed");
                     env.trace(ObsEvent::SplitEnd {
@@ -329,7 +324,7 @@ impl Coordinator {
             Msg::FindRecordReply { token, found } => self.handle_find_reply(env, token, found),
             Msg::CellData { token, shard, cell } => self.handle_cell_data(env, token, shard, cell),
             Msg::RecoverFileState => {
-                if self.find(|k| matches!(k, Kind::StateRec { .. })).is_some() {
+                if self.exchanges.any(|k| matches!(k, Kind::StateRec { .. })) {
                     return; // duplicated trigger: scan already running
                 }
                 let nodes = self.shared.registry.borrow().all_data_nodes();
@@ -338,27 +333,23 @@ impl Coordinator {
                     expected: nodes.len(),
                     replies: BTreeMap::new(),
                 };
-                self.open(env, token, kind);
+                // Armed before the queries go out, as a merge is; every
+                // other kind sends its first round first (`start`).
+                self.exchanges.open(env, &self.shared.cfg, token, kind);
                 for n in nodes {
                     env.send(n, Msg::StateQuery);
                 }
             }
             Msg::StateReply { bucket, level } => {
-                let Some(token) = self.find(|k| matches!(k, Kind::StateRec { .. })) else {
-                    return;
-                };
-                let Some(Exchange {
-                    kind: Kind::StateRec { expected, replies },
-                    ..
-                }) = self.exchanges.get_mut(&token)
-                else {
+                let scan = self.exchanges.find_mut(|k| matches!(k, Kind::StateRec { .. }));
+                let Some((token, Kind::StateRec { expected, replies })) = scan else {
                     return;
                 };
                 replies.insert(bucket, level);
                 if replies.len() != *expected {
                     return;
                 }
-                let Some(Kind::StateRec { replies, .. }) = self.settle(env, token) else {
+                let Some(Kind::StateRec { replies, .. }) = self.exchanges.settle(env, token) else {
                     return;
                 };
                 let pairs: Vec<(u64, u8)> = replies.into_iter().collect();
@@ -424,86 +415,1185 @@ impl Coordinator {
         }
     }
 
-    // ----- the exchange driver -----
-
-    /// Register exchange `token`, whose first round has been (or is about
-    /// to be) sent, and arm its retransmission timer.
-    fn open(&mut self, env: &mut Env<'_, Msg>, token: u64, kind: Kind) {
-        let timer = env.set_timer(kind.period(&self.shared.cfg));
-        self.exchanges.insert(
-            token,
-            Exchange {
-                timer,
-                rounds: 0,
-                kind,
-            },
-        );
-    }
-
-    /// Conclude exchange `token`: cancel its timer and hand back its state.
-    fn settle(&mut self, env: &mut Env<'_, Msg>, token: u64) -> Option<Kind> {
-        let ex = self.exchanges.remove(&token)?;
-        env.cancel_timer(ex.timer);
-        Some(ex.kind)
-    }
-
-    /// The token of the first exchange whose state satisfies `pred`.
-    fn find(&self, pred: impl Fn(&Kind) -> bool) -> Option<u64> {
-        self.exchanges
-            .iter()
-            .find(|(_, e)| pred(&e.kind))
-            .map(|(t, _)| *t)
-    }
+    // ----- exchanges -----
 
     /// Whether a group check is auditing `group`.
     fn checking(&self, group: u64) -> bool {
-        self.find(|k| matches!(k, Kind::Check(c) if c.group == group))
-            .is_some()
+        self.exchanges.any(|k| matches!(k, Kind::Check(c) if c.group == group))
     }
 
     /// Whether a shard collection (repair or upgrade) is running on `group`.
     fn recovering(&self, group: u64) -> bool {
-        self.find(|k| matches!(k, Kind::Recovery(r) if r.group == group))
-            .is_some()
+        self.exchanges.any(|k| matches!(k, Kind::Recovery(r) if r.group == group))
     }
 
-    /// Timer handler: one retransmission round of the exchange the timer
-    /// belongs to. Past `coord_retries` rounds — or when nothing is left
-    /// to re-send — the exchange is concluded by `exhausted`.
-    pub fn on_timer(&mut self, env: &mut Env<'_, Msg>, timer: TimerId) {
-        let Some((&token, ex)) = self.exchanges.iter_mut().find(|(_, e)| e.timer == timer) else {
+    /// Park ops for a group, without duplicating an op already parked (a
+    /// duplicated Suspect or a probe round can offer the same op twice).
+    fn queue_ops(&mut self, group: u64, ops: Vec<(OpId, NodeId, ReqKind)>) {
+        let queued = self.queued_ops.entry(group).or_default();
+        for (op_id, client, kind) in ops {
+            if !queued.iter().any(|(o, c, _)| *o == op_id && *c == client) {
+                queued.push((op_id, client, kind));
+            }
+        }
+    }
+
+    // ----- splits and availability scaling -----
+
+    fn do_split(&mut self, env: &mut Env<'_, Msg>) {
+        let m = self.m() as u64;
+
+        // Out of spare nodes: drop the split rather than panic. The
+        // overflowing bucket keeps serving (just over capacity) and will
+        // re-report as it grows, so the split retries once nodes free up.
+        // Checked before `state.split()` commits the address-space change;
+        // the next bucket number is always the current count, so the
+        // new-group test is exact.
+        let next_target = self.state.bucket_count();
+        let needed = 1 + if self.group_k.len() as u64 <= next_target / m {
+            self.k_file
+        } else {
+            0
+        };
+        if self.pool.len() < needed {
+            return;
+        }
+
+        let plan = self.state.split();
+        let target_group = plan.target / m;
+
+        // Provision parity for a group touched for the first time. The
+        // InitParity orders are remembered on the split exchange so a lost
+        // one is re-sent with the split orders (Blank nodes buffer traffic
+        // until initialised, so a late init is harmless).
+        let mut init_parity: Vec<(NodeId, Msg)> = Vec::new();
+        if self.group_k.len() as u64 <= target_group {
+            debug_assert_eq!(self.group_k.len() as u64, target_group);
+            let k = self.k_file;
+            let mut nodes = Vec::with_capacity(k);
+            for q in 0..k {
+                let Some(n) = self.alloc_node() else {
+                    self.invariant_violated(
+                        env,
+                        "node pool ran dry mid-split despite the up-front reservation check",
+                    );
+                    return;
+                };
+                let msg = Msg::InitParity {
+                    group: target_group,
+                    index: q,
+                    k,
+                };
+                init_parity.push((n, msg));
+                nodes.push(n);
+            }
+            if !self
+                .shared
+                .registry
+                .borrow_mut()
+                .set_parity(target_group, nodes)
+            {
+                self.invariant_violated(env, "allocation table refused a new group's parity");
+                return;
+            }
+            self.group_k.push(k);
+        }
+
+        // Lazy upgrades: a touched lagging group catches up now.
+        let source_group = plan.source / m;
+        if self.shared.cfg.upgrade_mode == UpgradeMode::Lazy {
+            for g in [source_group, target_group] {
+                if self.lagging.remove(&g) {
+                    self.upgrade_queue.push_back(g);
+                }
+            }
+        }
+
+        // Create the new bucket and order the split.
+        let seq0 = self.col_floors.remove(&plan.target).unwrap_or(0);
+        let Some(target_node) = self.alloc_node() else {
+            self.invariant_violated(
+                env,
+                "node pool ran dry mid-split despite the up-front reservation check",
+            );
             return;
         };
-        ex.rounds += 1;
-        let sends = if ex.rounds > self.shared.cfg.coord_retries {
-            Vec::new()
-        } else {
-            self.resend(token)
+        if !self
+            .shared
+            .registry
+            .borrow_mut()
+            .push_data(plan.target, target_node)
+        {
+            self.invariant_violated(
+                env,
+                "split target is not the allocation table's next bucket",
+            );
+            return;
+        }
+        let token = self.token();
+        self.start(
+            env,
+            token,
+            Kind::Split {
+                source: plan.source,
+                target: plan.target,
+                new_level: plan.new_level,
+                seq0,
+                init_parity,
+            },
+        );
+        env.obs().incr("splits_started");
+        env.trace(ObsEvent::SplitStart {
+            bucket: plan.source,
+            new_bucket: plan.target,
+            buckets: self.state.bucket_count(),
+        });
+
+        // Scalable availability: raise k when M crosses the next threshold.
+        let m_now = self.state.bucket_count();
+        while self
+            .shared
+            .cfg
+            .scale_thresholds
+            .get(self.thresholds_crossed)
+            .is_some_and(|&t| m_now > t)
+        {
+            self.thresholds_crossed += 1;
+            self.k_file += 1;
+            env.trace(ObsEvent::KRaised {
+                k: self.k_file as u64,
+            });
+            let k_file = self.k_file;
+            let behind: Vec<u64> = self
+                .group_k
+                .iter()
+                .enumerate()
+                .filter(|(_, &k)| k < k_file)
+                .map(|(g, _)| g as u64)
+                .collect();
+            match self.shared.cfg.upgrade_mode {
+                UpgradeMode::Eager => {
+                    for g in behind {
+                        if !self.upgrade_queue.contains(&g) {
+                            self.upgrade_queue.push_back(g);
+                        }
+                    }
+                }
+                UpgradeMode::Lazy => self.lagging.extend(behind),
+            }
+        }
+    }
+
+    /// Undo the last split: order the last bucket to fold back into its
+    /// split source. Ignored while other structural work is in flight or
+    /// at the initial size.
+    fn do_merge(&mut self, env: &mut Env<'_, Msg>) {
+        if self.busy() || self.state.bucket_count() <= 1 {
+            return;
+        }
+        let Some(plan) = self.state.merge() else {
+            return;
         };
-        if sends.is_empty() {
-            if let Some(ex) = self.exchanges.remove(&token) {
-                self.exhausted(env, ex.kind);
+        // plan.target is the disappearing bucket, plan.source absorbs;
+        // both end at level new_level - 1.
+        let (source, target, new_level) = (plan.source, plan.target, plan.new_level - 1);
+        let target_node = self.shared.registry.borrow().data_node(target);
+        let token = self.token();
+        // Armed before the order goes out (see `RecoverFileState`).
+        self.exchanges.open(
+            env,
+            &self.shared.cfg,
+            token,
+            Kind::Merge {
+                source,
+                target,
+                new_level,
+            },
+        );
+        env.send(
+            target_node,
+            Msg::DoMerge {
+                source,
+                target,
+                new_level,
+            },
+        );
+    }
+
+    /// The absorbing bucket confirmed: retire the ex-bucket's node (and the
+    /// last group's parity nodes if the group emptied) back into the pool.
+    fn finish_merge(&mut self, env: &mut Env<'_, Msg>, final_seq: u64) {
+        let token = self.exchanges.find(|k| matches!(k, Kind::Merge { .. }));
+        let Some(Kind::Merge { source, target, .. }) =
+            token.and_then(|t| self.exchanges.settle(env, t))
+        else {
+            return;
+        };
+        self.col_floors.insert(target, final_seq);
+        let m = self.m() as u64;
+        let mut reg = self.shared.registry.borrow_mut();
+        let Some(ex_node) = reg.pop_data() else {
+            drop(reg);
+            self.invariant_violated(env, "merge confirmed against an empty allocation table");
+            return;
+        };
+        env.send(ex_node, Msg::Retire);
+        self.pool.push(ex_node);
+        // If the removed bucket was the sole member of the last group, the
+        // group's (now record-free) parity buckets are decommissioned too.
+        if target % m == 0 {
+            debug_assert_eq!(self.group_k.len() as u64, target / m + 1);
+            for pn in reg.pop_parity_group() {
+                env.send(pn, Msg::Retire);
+                self.pool.push(pn);
+            }
+            self.group_k.pop();
+            self.lagging.remove(&(target / m));
+            // The group's parity state is gone with its buckets: any Δ
+            // floors recorded for this group's columns die with it (a
+            // regrow gets fresh parity channels starting at 0).
+            for b in target..target + m {
+                self.col_floors.remove(&b);
+            }
+        }
+        drop(reg);
+        env.trace(ObsEvent::MergeDone {
+            bucket: source,
+            removed: target,
+            buckets: self.state.bucket_count(),
+        });
+        self.drain_queues(env);
+    }
+
+    /// Run queued structural work once none is in flight: the next upgrade,
+    /// else the next deferred split. Queued work that starts nothing — an
+    /// upgrade whose group is gone or caught up, a split the pool cannot
+    /// fund — is dropped and the next item tried, so a dry pool cannot
+    /// leave `busy()` set with nothing in flight.
+    fn drain_queues(&mut self, env: &mut Env<'_, Msg>) {
+        while !self.structural_work() {
+            if let Some(group) = self.upgrade_queue.pop_front() {
+                self.start_upgrade(env, group);
+            } else if self.deferred_splits > 0 {
+                self.deferred_splits -= 1;
+                self.do_split(env);
+            } else {
+                return;
+            }
+        }
+    }
+
+    fn start_upgrade(&mut self, env: &mut Env<'_, Msg>, group: u64) {
+        // A queued upgrade can outlive its group (merged away).
+        let Some(&k_old) = self.group_k.get(crate::convert::to_index(group)) else {
+            return;
+        };
+        let k_new = self.k_file;
+        if k_old >= k_new {
+            return;
+        }
+        let token = self.token();
+        let existing = self.existing_cols(group);
+        let recovery = Recovery {
+            group,
+            purpose: Purpose::Upgrade,
+            k: k_new,
+            rebuild: (self.m() + k_old..self.m() + k_new).collect(),
+            awaiting: (0..existing).collect(),
+            collected: HashMap::new(),
+            installs: HashMap::new(),
+        };
+        self.start(env, token, Kind::Recovery(recovery));
+        // A group with no existing columns (cannot happen: groups are
+        // created by splits into them) would stall; guard anyway.
+        if existing == 0 {
+            self.finish_collection(env, token);
+        }
+    }
+
+    // ----- failure detection -----
+
+    fn handle_suspect(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        op_id: OpId,
+        client: NodeId,
+        kind: ReqKind,
+    ) {
+        let bucket = self.state.address(kind.key());
+        let group = bucket / self.m() as u64;
+        if self.dead_groups.contains(&group) {
+            env.send(
+                client,
+                Msg::Reply {
+                    op_id,
+                    result: OpResult::Failed("group unrecoverable".into()),
+                    iam: None,
+                },
+            );
+            return;
+        }
+        // Already working on this group: park the op.
+        if self.checking(group) || self.recovering(group) {
+            self.queue_ops(group, vec![(op_id, client, kind)]);
+            return;
+        }
+        let col = crate::convert::to_index(bucket % self.m() as u64);
+        if self.failed.contains(&(group, col)) {
+            // Known failure, recovery apparently finished (or pending
+            // elsewhere); queue and audit again.
+            self.queue_ops(group, vec![(op_id, client, kind)]);
+            self.start_group_check(env, group);
+            return;
+        }
+        // A probe for this bucket is already in flight (e.g. a duplicated
+        // Suspect): ride along instead of double-probing.
+        let probing = self
+            .exchanges
+            .find_mut(|k| matches!(k, Kind::Probe { bucket: b, .. } if *b == bucket));
+        if let Some((_, Kind::Probe { pending, .. })) = probing {
+            if !pending.iter().any(|(o, c, _)| *o == op_id && *c == client) {
+                pending.push((op_id, client, kind));
             }
             return;
         }
-        for (node, msg) in sends {
-            env.send(node, msg);
+        // Probe the bucket's node.
+        let token = self.token();
+        let pending = vec![(op_id, client, kind)];
+        self.start(env, token, Kind::Probe { bucket, pending });
+    }
+
+    fn handle_probe_ack(&mut self, env: &mut Env<'_, Msg>, token: u64, from: NodeId) {
+        match self.exchanges.get_mut(token) {
+            // A plain probe: the node is alive, deliver the parked ops
+            // directly (the client image or a forwarding hop was at fault).
+            Some(Kind::Probe { .. }) => {
+                let Some(Kind::Probe { bucket, pending }) = self.exchanges.settle(env, token) else {
+                    return;
+                };
+                let node = self.shared.registry.borrow().data_node(bucket);
+                for (op_id, client, kind) in pending {
+                    env.send(
+                        node,
+                        Msg::Req {
+                            op_id,
+                            client,
+                            intended: bucket,
+                            hops: 1,
+                            kind,
+                        },
+                    );
+                }
+            }
+            // A group check's probe: the responding shard is identified by
+            // its node id. A check whose every probed shard responded
+            // finishes early (healthy groups pay no timeout).
+            Some(Kind::Check(check)) => {
+                if let Some((shard, _)) = check.probed.iter().find(|(_, n)| *n == from) {
+                    check.responded.insert(*shard);
+                }
+                if check.responded.len() == check.probed.len() {
+                    if let Some(Kind::Check(check)) = self.exchanges.settle(env, token) {
+                        self.finish_group_check(env, check);
+                    }
+                }
+            }
+            _ => {}
         }
-        if let Some(ex) = self.exchanges.get_mut(&token) {
-            ex.timer = env.set_timer(ex.kind.period(&self.shared.cfg));
+    }
+
+    fn start_group_check(&mut self, env: &mut Env<'_, Msg>, group: u64) {
+        let token = self.token();
+        let m = self.m() as u64;
+        let existing = self.existing_cols(group);
+        let reg = self.shared.registry.borrow();
+        let mut probed = Vec::new();
+        for c in 0..existing {
+            probed.push((c, reg.data_node(group * m + c as u64)));
         }
+        for (q, n) in reg.parity_nodes(group).iter().enumerate() {
+            probed.push((self.m() + q, *n));
+        }
+        drop(reg);
+        let check = GroupCheck {
+            group,
+            probed,
+            responded: HashSet::new(),
+        };
+        self.start(env, token, Kind::Check(check));
+    }
+
+    fn finish_group_check(&mut self, env: &mut Env<'_, Msg>, check: GroupCheck) {
+        let group = check.group;
+        let failed: Vec<usize> = check
+            .probed
+            .iter()
+            .map(|(s, _)| *s)
+            .filter(|s| !check.responded.contains(s))
+            .collect();
+        if failed.is_empty() {
+            // False alarm: replay queued ops to their (live) buckets.
+            self.replay_queued(env, group);
+            self.drain_queues(env);
+            return;
+        }
+        let Some(&k_g) = self.group_k.get(crate::convert::to_index(group)) else {
+            // The group vanished (merged away) between probe and reply.
+            self.invariant_violated(
+                env,
+                "group check finished for a group with no parity record",
+            );
+            self.drain_queues(env);
+            return;
+        };
+        env.trace(ObsEvent::FailureDetected {
+            group,
+            shards: failed.iter().map(|&s| s as u64).collect(),
+        });
+        if failed.len() > k_g {
+            self.dead_groups.insert(group);
+            env.obs().incr("recoveries_failed");
+            env.trace(ObsEvent::RecoveryEnd {
+                group,
+                rebuilt: 0,
+                ok: false,
+            });
+            self.fail_queued(env, group, "group unrecoverable");
+            self.drain_queues(env);
+            return;
+        }
+        for &s in &failed {
+            self.failed.insert((group, s));
+        }
+
+        // Serve queued *lookups* right now in degraded mode; writes wait
+        // for the rebuilt bucket.
+        let queued = self.queued_ops.entry(group).or_default();
+        let mut keep = Vec::new();
+        let mut degraded_lookups = Vec::new();
+        for (op_id, client, kind) in queued.drain(..) {
+            match kind {
+                ReqKind::Lookup(key) => degraded_lookups.push((op_id, client, key)),
+                other => keep.push((op_id, client, other)),
+            }
+        }
+        *queued = keep;
+        for (op_id, client, key) in degraded_lookups {
+            self.start_degraded_read(env, group, op_id, client, key);
+        }
+
+        // Kick off the rebuild: collect all surviving data columns plus as
+        // many parity shards as there are failed data columns.
+        env.obs().incr("recoveries_started");
+        env.trace(ObsEvent::RecoveryStart {
+            group,
+            failed: failed.len() as u64,
+        });
+        let token = self.token();
+        let m = self.m();
+        let existing = self.existing_cols(group);
+        let failed_data: Vec<usize> = failed.iter().copied().filter(|&s| s < m).collect();
+        let mut awaiting: BTreeSet<usize> = (0..existing).filter(|c| !failed.contains(c)).collect();
+        let mut parity_needed = failed_data.len();
+        for q in 0..self.shared.registry.borrow().group_k(group) {
+            if parity_needed == 0 {
+                break;
+            }
+            if !failed.contains(&(m + q)) {
+                awaiting.insert(m + q);
+                parity_needed -= 1;
+            }
+        }
+        debug_assert_eq!(parity_needed, 0, "tolerance check guarantees survivors");
+        // Degenerate case: nothing to await (e.g. group of one existing
+        // failed column rebuilt purely from parity... then parity was
+        // awaited; truly empty only if no survivors needed).
+        let nothing_to_await = awaiting.is_empty();
+        let recovery = Recovery {
+            group,
+            purpose: Purpose::Repair,
+            k: k_g,
+            rebuild: failed,
+            awaiting,
+            collected: HashMap::new(),
+            installs: HashMap::new(),
+        };
+        self.start(env, token, Kind::Recovery(recovery));
+        if nothing_to_await {
+            self.finish_collection(env, token);
+        }
+    }
+
+    fn replay_queued(&mut self, env: &mut Env<'_, Msg>, group: u64) {
+        let reg = self.shared.registry.borrow();
+        for (op_id, client, kind) in self.queued_ops.remove(&group).unwrap_or_default() {
+            let bucket = self.state.address(kind.key());
+            env.send(
+                reg.data_node(bucket),
+                Msg::Req {
+                    op_id,
+                    client,
+                    intended: bucket,
+                    hops: 1,
+                    kind,
+                },
+            );
+        }
+    }
+
+    /// Fail every op parked on `group` back to its client.
+    fn fail_queued(&mut self, env: &mut Env<'_, Msg>, group: u64, why: &str) {
+        for (op_id, client, _) in self.queued_ops.remove(&group).unwrap_or_default() {
+            env.send(
+                client,
+                Msg::Reply {
+                    op_id,
+                    result: OpResult::Failed(why.into()),
+                    iam: None,
+                },
+            );
+        }
+    }
+
+    // ----- restart (Δ-suffix) recovery -----
+
+    /// A data bucket replayed its local store and asks to resume its column
+    /// at `delta_seq`. Cheap path: confirm every parity channel for that
+    /// column stands at one common watermark `R ≥ delta_seq` and have the
+    /// parity buckets ship the missed Δ-suffix `[delta_seq, R)`. Anything
+    /// murkier — displaced bucket, busy or dead group, divergent parity
+    /// watermarks, truncated history — falls back to the full RS rebuild;
+    /// correctness never depends on the suffix path.
+    fn handle_restart_report(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        from: NodeId,
+        bucket: u64,
+        delta_seq: u64,
+    ) {
+        let m = self.m() as u64;
+        let group = bucket / m;
+        let col = crate::convert::to_index(bucket % m);
+        if !self.owns(bucket, from) {
+            // Recreated elsewhere meanwhile: demote to a hot spare — the
+            // same path as a plain CheckOwnership miss.
+            self.demote(env, from);
+            return;
+        }
+        let parity: Vec<NodeId> = self.shared.registry.borrow().parity_nodes(group).to_vec();
+        if self
+            .exchanges
+            .any(|k| matches!(k, Kind::Suffix(s) if s.bucket == bucket))
+        {
+            return; // duplicated report: handshake already running
+        }
+        let group_busy = self.dead_groups.contains(&group)
+            || self.checking(group)
+            || self.recovering(group)
+            || self
+                .exchanges
+                .any(|k| matches!(k, Kind::Degraded(d) if d.group == group));
+        if group_busy {
+            // Racing the failure machinery would certify a resume point the
+            // rebuild is about to invalidate.
+            self.restart_fallback(env, bucket, group, col, from);
+            return;
+        }
+        if parity.is_empty() {
+            // k = 0: no parity stream to reconcile with — the local log is
+            // the only copy and it is authoritative.
+            self.failed.remove(&(group, col));
+            env.send(from, Msg::OwnershipAck);
+            env.obs().incr("restart_recoveries");
+            env.trace(ObsEvent::BucketRestarted {
+                bucket,
+                suffix_len: 0,
+            });
+            return;
+        }
+        let token = self.token();
+        let suffix = Suffix {
+            group,
+            col,
+            bucket,
+            node: from,
+            from_seq: delta_seq,
+            infos: HashMap::new(),
+            expected: parity.len(),
+        };
+        self.start(env, token, Kind::Suffix(suffix));
+    }
+
+    /// One parity bucket answered a `SuffixPull`. Once all `k` are in, the
+    /// resume point is certified iff every parity channel reports the same
+    /// watermark `R`, the bucket is at or behind it, and (when behind) at
+    /// least one parity bucket's history covered the gap.
+    fn handle_suffix_info(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        from: NodeId,
+        bucket: u64,
+        next_seq: u64,
+        covered: bool,
+        bytes: u64,
+    ) {
+        let pull = self.exchanges.find_mut(|k| matches!(k, Kind::Suffix(s) if s.bucket == bucket));
+        let Some((token, Kind::Suffix(s))) = pull else {
+            return; // stale answer for a settled handshake
+        };
+        let reply = SuffixReply {
+            next_seq,
+            covered,
+            bytes,
+        };
+        s.infos.insert(from, reply);
+        if s.infos.len() < s.expected {
+            return;
+        }
+        let Some(Kind::Suffix(s)) = self.exchanges.settle(env, token) else {
+            return;
+        };
+        let mut seqs = s.infos.values().map(|r| r.next_seq);
+        let r0 = seqs.next().unwrap_or(s.from_seq);
+        let all_equal = seqs.all(|seq| seq == r0);
+        let any_covered = s.infos.values().any(|r| r.covered);
+        let ok = all_equal && s.from_seq <= r0 && (s.from_seq == r0 || any_covered);
+        if !ok {
+            self.restart_fallback(env, s.bucket, s.group, s.col, s.node);
+            return;
+        }
+        self.failed.remove(&(s.group, s.col));
+        env.send(s.node, Msg::OwnershipAck);
+        let moved: u64 = s.infos.values().map(|r| r.bytes).sum();
+        env.obs().incr("restart_recoveries");
+        env.obs().add("recovery_bytes_moved", moved);
+        env.trace(ObsEvent::BucketRestarted {
+            bucket: s.bucket,
+            suffix_len: r0 - s.from_seq,
+        });
+        self.drain_queues(env);
+    }
+
+    /// The restarted bucket itself gave up on the Δ-suffix catch-up: it
+    /// could not apply a shipped suffix entry, or its watchdog expired with
+    /// the handshake wedged. Same outcome as a coordinator-side give-up —
+    /// cancel any handshake still in flight and demote the node into the
+    /// full RS rebuild. An abort can also arrive *after* certification
+    /// (the undecodable suffix raced the `OwnershipAck`); the bucket
+    /// ignores that ack, so the fallback here is still the only path back
+    /// to a serving replica.
+    fn handle_restart_abort(&mut self, env: &mut Env<'_, Msg>, from: NodeId, bucket: u64) {
+        let pred = |k: &Kind| matches!(k, Kind::Suffix(s) if s.bucket == bucket && s.node == from);
+        if let Some(token) = self.exchanges.find(pred) {
+            self.exchanges.settle(env, token);
+        }
+        let m = self.m() as u64;
+        let group = bucket / m;
+        let col = crate::convert::to_index(bucket % m);
+        if self.owns(bucket, from) {
+            self.restart_fallback(env, bucket, group, col, from);
+        } else {
+            // Displaced meanwhile: the bucket already lives elsewhere; just
+            // demote the reporter.
+            self.demote(env, from);
+        }
+    }
+
+    /// Whether data bucket `bucket` exists and `node` carries it.
+    fn owns(&self, bucket: u64, node: NodeId) -> bool {
+        let reg = self.shared.registry.borrow();
+        crate::convert::to_index(bucket) < reg.data_count() && reg.data_node(bucket) == node
+    }
+
+    /// Retire `node` into the hot-spare pool. A duplicated claim must not
+    /// pool the same node twice (it would be allocated to two roles at
+    /// once).
+    fn demote(&mut self, env: &mut Env<'_, Msg>, node: NodeId) {
+        env.send(node, Msg::Retire);
+        if !self.pool.contains(&node) {
+            self.pool.push(node);
+        }
+    }
+
+    /// Give up on the Δ-suffix path for `bucket`: demote the restarted node
+    /// to a hot spare and let the standard audit → RS-rebuild machinery
+    /// recreate the bucket from the group's survivors. The handshake held
+    /// queued structural work back, so the queues are drained after.
+    fn restart_fallback(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        bucket: u64,
+        group: u64,
+        col: usize,
+        node: NodeId,
+    ) {
+        env.obs().incr("restart_fallbacks");
+        env.trace(ObsEvent::RestartFallback { bucket });
+        self.demote(env, node);
+        self.failed.insert((group, col));
+        let audit_clear =
+            !self.checking(group) && !self.dead_groups.contains(&group) && !self.recovering(group);
+        if audit_clear {
+            self.start_group_check(env, group);
+        }
+        self.drain_queues(env);
+    }
+
+    // ----- degraded-mode record recovery -----
+
+    fn start_degraded_read(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        group: u64,
+        op_id: OpId,
+        client: NodeId,
+        key: Key,
+    ) {
+        // Ask a surviving parity bucket which rank holds the key.
+        let m = self.m();
+        let reg = self.shared.registry.borrow();
+        let alive_parity = reg
+            .parity_nodes(group)
+            .iter()
+            .enumerate()
+            .find(|(q, _)| !self.failed.contains(&(group, m + q)));
+        let Some((_, &pnode)) = alive_parity else {
+            drop(reg);
+            env.send(
+                client,
+                Msg::Reply {
+                    op_id,
+                    result: OpResult::Failed("no surviving parity bucket".into()),
+                    iam: None,
+                },
+            );
+            return;
+        };
+        drop(reg);
+        env.obs().incr("degraded_reads");
+        env.trace(ObsEvent::DegradedRead { group });
+        let token = self.token();
+        let read = Degraded {
+            group,
+            op_id,
+            client,
+            key,
+            stage: DegradedStage::AwaitFind { pnode },
+        };
+        self.start(env, token, Kind::Degraded(read));
+    }
+
+    fn handle_find_reply(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        token: u64,
+        found: Option<(Rank, Vec<Option<Key>>)>,
+    ) {
+        // A duplicated reply for a read already in the cell stage must not
+        // restart it.
+        let (group, key) = match self.exchanges.get(token) {
+            Some(Kind::Degraded(d)) if matches!(d.stage, DegradedStage::AwaitFind { .. }) => {
+                (d.group, d.key)
+            }
+            _ => return,
+        };
+        let Some((rank, keys)) = found else {
+            // The key never existed: unsuccessful-search semantics.
+            if let Some(Kind::Degraded(d)) = self.exchanges.settle(env, token) {
+                self.answer_degraded(env, &d, OpResult::Value(None));
+            }
+            return;
+        };
+        let m = self.m();
+        // The parity bucket claimed it found the key, so the key list it
+        // returned must contain it. A reply that violates that (a buggy or
+        // byzantine parity node — this arrives off the wire) fails the one
+        // lookup instead of aborting the coordinator.
+        let Some(target_col) = keys.iter().position(|k| *k == Some(key)) else {
+            if let Some(Kind::Degraded(d)) = self.exchanges.settle(env, token) {
+                self.invariant_violated(
+                    env,
+                    "FindRecordReply's key list does not contain the key it claims to have found",
+                );
+                let result = OpResult::Failed("inconsistent parity reply".into());
+                self.answer_degraded(env, &d, result);
+            }
+            return;
+        };
+        // Gather m shards: existing live data columns first, then parity.
+        let existing = self.existing_cols(group);
+        let mut cells: HashMap<usize, Vec<u8>> = HashMap::new();
+        // Non-existing columns are known-zero locally.
+        for c in existing..m {
+            cells.insert(c, vec![0u8; self.shared.cfg.cell_len()]);
+        }
+        let mut requested: Vec<(usize, NodeId)> = Vec::new();
+        let reg = self.shared.registry.borrow();
+        let mut remaining = m.saturating_sub(cells.len());
+        for c in 0..existing {
+            if remaining == 0 {
+                break;
+            }
+            if !self.failed.contains(&(group, c)) {
+                let node = reg.data_node(group * m as u64 + c as u64);
+                env.send(node, Msg::ReadCell { rank, token });
+                requested.push((c, node));
+                remaining -= 1;
+            }
+        }
+        for (q, node) in reg.parity_nodes(group).iter().enumerate() {
+            if remaining == 0 {
+                break;
+            }
+            if !self.failed.contains(&(group, m + q)) {
+                env.send(*node, Msg::ReadCell { rank, token });
+                requested.push((m + q, *node));
+                remaining -= 1;
+            }
+        }
+        drop(reg);
+        debug_assert_eq!(remaining, 0, "tolerance guarantees m live shards");
+        let need = cells.len() + requested.len();
+        debug_assert_eq!(need, m);
+        if let Some(Kind::Degraded(d)) = self.exchanges.get_mut(token) {
+            d.stage = DegradedStage::AwaitCells {
+                target_col,
+                rank,
+                requested,
+                cells,
+                need,
+            };
+        }
+    }
+
+    fn handle_cell_data(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        token: u64,
+        shard: usize,
+        cell: Vec<u8>,
+    ) {
+        let Some(Kind::Degraded(d)) = self.exchanges.get_mut(token) else {
+            return;
+        };
+        let DegradedStage::AwaitCells { cells, need, .. } = &mut d.stage else {
+            return;
+        };
+        cells.insert(shard, cell);
+        if cells.len() < *need {
+            return;
+        }
+        let Some(Kind::Degraded(d)) = self.exchanges.settle(env, token) else {
+            return;
+        };
+        let DegradedStage::AwaitCells {
+            target_col, cells, ..
+        } = &d.stage
+        else {
+            return;
+        };
+        // group_k and m were validated when the group was created; a
+        // mismatch here degrades the one lookup, not the actor.
+        let k_g = self
+            .group_k
+            .get(crate::convert::to_index(d.group))
+            .copied()
+            .unwrap_or(0);
+        let result = match RsCode::<Gf8>::new(self.m(), k_g) {
+            Ok(code) => {
+                let avail: Vec<(usize, &[u8])> =
+                    cells.iter().map(|(s, c)| (*s, c.as_slice())).collect();
+                match code.reconstruct_one(*target_col, &avail) {
+                    Ok(cell) => match decode_cell(&cell) {
+                        Some(payload) => OpResult::Value(Some(payload)),
+                        None => OpResult::Failed("corrupt cell after decode".into()),
+                    },
+                    Err(e) => OpResult::Failed(format!("decode failed: {e}")),
+                }
+            }
+            Err(e) => OpResult::Failed(format!("code construction failed: {e}")),
+        };
+        self.answer_degraded(env, &d, result);
+    }
+
+    /// A degraded read is over, however it ended: answer its client and
+    /// let queued structural work run.
+    fn answer_degraded(&mut self, env: &mut Env<'_, Msg>, d: &Degraded, result: OpResult) {
+        env.send(
+            d.client,
+            Msg::Reply {
+                op_id: d.op_id,
+                result,
+                iam: None,
+            },
+        );
+        self.drain_queues(env);
+    }
+
+    // ----- shard collection, decode, install -----
+
+    fn handle_shard_data(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        token: u64,
+        shard: usize,
+        content: ShardContent,
+    ) {
+        let m = self.m();
+        let Some(Kind::Recovery(r)) = self.exchanges.get_mut(token) else {
+            return;
+        };
+        // Each (token, shard) settles once: a late or duplicated reply —
+        // after the collection completed, too — is dropped, or it would
+        // decode again and install onto a second set of spares.
+        if !r.awaiting.remove(&shard) {
+            return;
+        }
+        r.collected.insert(shard, content);
+        if !r.awaiting.is_empty() {
+            return;
+        }
+        // The rebuild XORs shards cell-by-cell, so every collected shard
+        // must sit on the same Δ-prefix. Survivors freeze on
+        // `TransferShard`, but a write racing the first round (or a Δ still
+        // in flight to a parity bucket) can tear the cut — detect it and
+        // re-collect rather than rebuild garbage. The re-request rides
+        // outside the retransmission schedule and its give-up budget.
+        if torn_cut(m, &r.collected).is_some() {
+            env.obs().incr("recovery_torn_cuts");
+            r.awaiting = r.collected.keys().copied().collect();
+            r.collected.clear();
+            if let Some(kind) = self.exchanges.get(token) {
+                for (node, msg) in self.resend(env, token, kind) {
+                    env.send(node, msg);
+                }
+            }
+            return;
+        }
+        self.finish_collection(env, token);
+    }
+
+    /// The shard collection for `group` is over, however it ended: tell
+    /// the surviving data columns to serve writes again. Columns being
+    /// rebuilt are skipped (their nodes are gone); a bucket that never
+    /// froze treats the message as a no-op, and a lost message is covered
+    /// by the bucket's own freeze row.
+    fn resume_group_writes(&self, env: &mut Env<'_, Msg>, group: u64, rebuild: &[usize]) {
+        let m = self.m();
+        let reg = self.shared.registry.borrow();
+        let mut targets = Vec::new();
+        for col in 0..m {
+            if rebuild.contains(&col) {
+                continue;
+            }
+            if let Some(node) = reg.try_data_node(group * m as u64 + col as u64) {
+                targets.push(node);
+            }
+        }
+        drop(reg);
+        for node in targets {
+            env.send(node, Msg::ResumeWrites { group });
+        }
+    }
+
+    /// Collection `token` is complete: decode the rebuilt shards and send
+    /// each to a spare. The exchange stays open until every install is
+    /// acknowledged.
+    fn finish_collection(&mut self, env: &mut Env<'_, Msg>, token: u64) {
+        let Some(Kind::Recovery(r)) = self.exchanges.get(token) else {
+            return;
+        };
+        let (group, k) = (r.group, r.k);
+        // A consistent cut is in hand: the survivors may serve writes again
+        // whatever happens below (the rebuild works on the snapshot, and
+        // the dead bucket's ops stay parked here until the install).
+        self.resume_group_writes(env, group, &r.rebuild);
+        let m = self.m();
+        let cell_len = self.shared.cfg.cell_len();
+        let existing = self.existing_cols(group);
+        // The (m, k) pair was validated at file creation and every upgrade;
+        // if decode still fails the collected shards are inconsistent.
+        // Either way: record it, abandon the rebuild (the shards stay
+        // marked failed, so the next suspect re-audits), and fail the
+        // parked writes back to their clients.
+        let rebuilt = RsCode::<Gf8>::new(m, k)
+            .map_err(|e| e.to_string())
+            .and_then(|code| {
+                rebuild_shards(m, k, cell_len, existing, &r.collected, &r.rebuild, &code)
+            });
+        let rebuilt = match rebuilt {
+            Ok(rebuilt) => rebuilt,
+            Err(why) => {
+                self.exchanges.settle(env, token);
+                self.invariant_violated(env, &format!("group rebuild failed: {why}"));
+                self.fail_queued(env, group, "group rebuild failed");
+                self.drain_queues(env);
+                return;
+            }
+        };
+
+        // Out of spare nodes: abandon this rebuild instead of panicking
+        // the coordinator. The shards stay marked failed, so the next
+        // suspect re-audits the group and retries once nodes free up (a
+        // merge, say); queued lookups were already served degraded, and
+        // parked writes fail back to their clients.
+        if self.pool.len() < rebuilt.len() {
+            self.exchanges.settle(env, token);
+            env.obs().incr("recoveries_stalled");
+            env.trace(ObsEvent::RecoveryStalled {
+                group,
+                needed: rebuilt.len() as u64,
+            });
+            self.fail_queued(env, group, "no spare nodes to rebuild onto");
+            return;
+        }
+
+        // Install each rebuilt shard on a spare node.
+        let mut installs = Vec::new();
+        for (shard, content) in rebuilt {
+            let Some(spare) = self.alloc_node() else {
+                // Reserved above (`pool.len() >= rebuilt.len()`); the
+                // retransmit timer retries whatever this round missed.
+                self.invariant_violated(env, "node pool ran dry mid-install despite reservation");
+                break;
+            };
+            let install_token = self.token();
+            let (bucket, index) = if shard < m {
+                (Some(group * m as u64 + shard as u64), None)
+            } else {
+                (None, Some(shard - m))
+            };
+            // Data buckets need their level restored; the coordinator
+            // computes it from the file state. Only a data shard (shard < m,
+            // i.e. `bucket` is Some) carries a level to restore.
+            let content = match (content, bucket) {
+                (
+                    ShardContent::Data {
+                        next_rank,
+                        delta_seq,
+                        records,
+                        ..
+                    },
+                    Some(b),
+                ) => ShardContent::Data {
+                    level: self.state.level_of(b),
+                    next_rank,
+                    delta_seq,
+                    records,
+                },
+                (p, _) => p,
+            };
+            let msg = Msg::Install {
+                group,
+                bucket,
+                index,
+                k,
+                content,
+                token: install_token,
+            };
+            env.send(spare, msg.clone());
+            installs.push((install_token, (shard, spare, msg)));
+        }
+        if let Some(Kind::Recovery(r)) = self.exchanges.get_mut(token) {
+            r.installs.extend(installs);
+        }
+    }
+
+    fn handle_install_ack(&mut self, env: &mut Env<'_, Msg>, install_token: u64) {
+        let m = self.m();
+        let ours =
+            |k: &Kind| matches!(k, Kind::Recovery(r) if r.installs.contains_key(&install_token));
+        let Some((token, Kind::Recovery(r))) = self.exchanges.find_mut(ours) else {
+            return;
+        };
+        let Some((shard, spare, msg)) = r.installs.remove(&install_token) else {
+            return;
+        };
+        let group = r.group;
+        if r.purpose == Purpose::Repair {
+            let bytes = msg.size_bytes() as u64;
+            env.obs().incr("recovery_shards_rebuilt");
+            env.obs().add("recovery_bytes_moved", bytes);
+            env.trace(ObsEvent::RecoveryShard {
+                group,
+                shard: shard as u64,
+                bytes,
+            });
+        }
+        let done = r.installs.is_empty();
+        let mut reg = self.shared.registry.borrow_mut();
+        let (displaced, placed) = if shard < m {
+            let bucket = group * m as u64 + shard as u64;
+            (reg.try_data_node(bucket), reg.move_data(bucket, spare))
+        } else if shard - m < reg.group_k(group) {
+            let displaced = reg.parity_nodes(group).get(shard - m).copied();
+            (displaced, reg.move_parity(group, shard - m, spare))
+        } else {
+            // Upgrade: append the new parity column.
+            let mut nodes = reg.parity_nodes(group).to_vec();
+            debug_assert_eq!(nodes.len(), shard - m);
+            nodes.push(spare);
+            (None, reg.set_parity(group, nodes))
+        };
+        drop(reg);
+        if !placed {
+            self.invariant_violated(env, "installed shard has no slot in the allocation table");
+        }
+        // Fence the replaced node: if it was only partitioned (not dead) it
+        // must not keep serving the shard. The Retire is best-effort — the
+        // parity sender check (deltas accepted only from the registered
+        // bucket node) backs it up while the Retire is in flight.
+        if let Some(old) = displaced {
+            env.send(old, Msg::Retire);
+        }
+        if !done {
+            return;
+        }
+        let Some(Kind::Recovery(r)) = self.exchanges.settle(env, token) else {
+            return;
+        };
+        match r.purpose {
+            Purpose::Repair => {
+                for &s in &r.rebuild {
+                    self.failed.remove(&(r.group, s));
+                }
+                env.obs().incr("recoveries_completed");
+                env.trace(ObsEvent::RecoveryEnd {
+                    group: r.group,
+                    rebuilt: r.rebuild.len() as u64,
+                    ok: true,
+                });
+                self.replay_queued(env, r.group);
+            }
+            Purpose::Upgrade => {
+                env.obs().incr("group_upgrades");
+                if let Some(slot) = self.group_k.get_mut(crate::convert::to_index(r.group)) {
+                    *slot = r.k;
+                }
+                env.trace(ObsEvent::GroupUpgraded {
+                    group: r.group,
+                    k: r.k as u64,
+                });
+            }
+        }
+        self.drain_queues(env);
+    }
+}
+
+impl Owner for Coordinator {
+    type Kind = Kind;
+
+    fn exchanges(&mut self) -> (&mut Exchanges<Kind>, &Config) {
+        (&mut self.exchanges, &self.shared.cfg)
     }
 
     /// What exchange `token` is still waiting on, as the messages that ask
     /// for it again. Every request is idempotent at its receiver (a split
     /// source re-ships its cached `SplitLoad`, an installed spare re-acks).
-    fn resend(&self, token: u64) -> Vec<(NodeId, Msg)> {
-        let Some(ex) = self.exchanges.get(&token) else {
-            return Vec::new();
-        };
+    fn resend(&self, _: &Env<'_, Msg>, token: u64, kind: &Kind) -> Vec<(NodeId, Msg)> {
         let m = self.m();
         let reg = self.shared.registry.borrow();
-        match &ex.kind {
+        match kind {
             Kind::Probe { bucket, .. } => vec![(reg.data_node(*bucket), Msg::Probe { token })],
             Kind::Check(c) => c
                 .probed
@@ -628,7 +1718,7 @@ impl Coordinator {
             Kind::Check(check) => self.finish_group_check(env, check),
             Kind::Recovery(r) => {
                 // Whatever froze for this collection must not stay frozen
-                // until its safety timer: the collection is dead.
+                // until its freeze row expires: the collection is dead.
                 self.resume_group_writes(env, r.group, &r.rebuild);
                 match r.purpose {
                     Purpose::Repair => {
@@ -664,1249 +1754,6 @@ impl Coordinator {
             Kind::StateRec { .. } => {}
             Kind::Suffix(s) => self.restart_fallback(env, s.bucket, s.group, s.col, s.node),
         }
-    }
-
-    /// Park ops for a group, without duplicating an op already parked (a
-    /// duplicated Suspect or a probe round can offer the same op twice).
-    fn queue_ops(&mut self, group: u64, ops: Vec<(OpId, NodeId, ReqKind)>) {
-        let queued = self.queued_ops.entry(group).or_default();
-        for (op_id, client, kind) in ops {
-            if !queued.iter().any(|(o, c, _)| *o == op_id && *c == client) {
-                queued.push((op_id, client, kind));
-            }
-        }
-    }
-
-    // ----- splits and availability scaling -----
-
-    fn do_split(&mut self, env: &mut Env<'_, Msg>) {
-        let m = self.m() as u64;
-
-        // Out of spare nodes: drop the split rather than panic. The
-        // overflowing bucket keeps serving (just over capacity) and will
-        // re-report as it grows, so the split retries once nodes free up.
-        // Checked before `state.split()` commits the address-space change;
-        // the next bucket number is always the current count, so the
-        // new-group test is exact.
-        let next_target = self.state.bucket_count();
-        let needed = 1 + if self.group_k.len() as u64 <= next_target / m {
-            self.k_file
-        } else {
-            0
-        };
-        if self.pool.len() < needed {
-            return;
-        }
-
-        let plan = self.state.split();
-        let target_group = plan.target / m;
-
-        // Provision parity for a group touched for the first time. The
-        // InitParity orders are remembered on the split exchange so a lost
-        // one is re-sent with the split orders (Blank nodes buffer traffic
-        // until initialised, so a late init is harmless).
-        let mut init_parity: Vec<(NodeId, Msg)> = Vec::new();
-        if self.group_k.len() as u64 <= target_group {
-            debug_assert_eq!(self.group_k.len() as u64, target_group);
-            let k = self.k_file;
-            let mut nodes = Vec::with_capacity(k);
-            for q in 0..k {
-                let Some(n) = self.alloc_node() else {
-                    self.invariant_violated(
-                        env,
-                        "node pool ran dry mid-split despite the up-front reservation check",
-                    );
-                    return;
-                };
-                let msg = Msg::InitParity {
-                    group: target_group,
-                    index: q,
-                    k,
-                };
-                env.send(n, msg.clone());
-                init_parity.push((n, msg));
-                nodes.push(n);
-            }
-            if !self
-                .shared
-                .registry
-                .borrow_mut()
-                .set_parity(target_group, nodes)
-            {
-                self.invariant_violated(env, "allocation table refused a new group's parity");
-                return;
-            }
-            self.group_k.push(k);
-        }
-
-        // Lazy upgrades: a touched lagging group catches up now.
-        let source_group = plan.source / m;
-        if self.shared.cfg.upgrade_mode == UpgradeMode::Lazy {
-            for g in [source_group, target_group] {
-                if self.lagging.remove(&g) {
-                    self.upgrade_queue.push_back(g);
-                }
-            }
-        }
-
-        // Create the new bucket and order the split.
-        let seq0 = self.col_floors.remove(&plan.target).unwrap_or(0);
-        let Some(target_node) = self.alloc_node() else {
-            self.invariant_violated(
-                env,
-                "node pool ran dry mid-split despite the up-front reservation check",
-            );
-            return;
-        };
-        env.send(
-            target_node,
-            Msg::InitData {
-                bucket: plan.target,
-                level: plan.new_level,
-                delta_seq: seq0,
-            },
-        );
-        if !self
-            .shared
-            .registry
-            .borrow_mut()
-            .push_data(plan.target, target_node)
-        {
-            self.invariant_violated(
-                env,
-                "split target is not the allocation table's next bucket",
-            );
-            return;
-        }
-        let source_node = self.shared.registry.borrow().data_node(plan.source);
-        env.send(
-            source_node,
-            Msg::DoSplit {
-                source: plan.source,
-                target: plan.target,
-                new_level: plan.new_level,
-            },
-        );
-        let token = self.token();
-        self.open(
-            env,
-            token,
-            Kind::Split {
-                source: plan.source,
-                target: plan.target,
-                new_level: plan.new_level,
-                seq0,
-                init_parity,
-            },
-        );
-        env.obs().incr("splits_started");
-        env.trace(ObsEvent::SplitStart {
-            bucket: plan.source,
-            new_bucket: plan.target,
-            buckets: self.state.bucket_count(),
-        });
-
-        // Scalable availability: raise k when M crosses the next threshold.
-        let m_now = self.state.bucket_count();
-        while self
-            .shared
-            .cfg
-            .scale_thresholds
-            .get(self.thresholds_crossed)
-            .is_some_and(|&t| m_now > t)
-        {
-            self.thresholds_crossed += 1;
-            self.k_file += 1;
-            env.trace(ObsEvent::KRaised {
-                k: self.k_file as u64,
-            });
-            let k_file = self.k_file;
-            let behind: Vec<u64> = self
-                .group_k
-                .iter()
-                .enumerate()
-                .filter(|(_, &k)| k < k_file)
-                .map(|(g, _)| g as u64)
-                .collect();
-            match self.shared.cfg.upgrade_mode {
-                UpgradeMode::Eager => {
-                    for g in behind {
-                        if !self.upgrade_queue.contains(&g) {
-                            self.upgrade_queue.push_back(g);
-                        }
-                    }
-                }
-                UpgradeMode::Lazy => self.lagging.extend(behind),
-            }
-        }
-    }
-
-    /// Undo the last split: order the last bucket to fold back into its
-    /// split source. Ignored while other structural work is in flight or
-    /// at the initial size.
-    fn do_merge(&mut self, env: &mut Env<'_, Msg>) {
-        if self.busy() || self.state.bucket_count() <= 1 {
-            return;
-        }
-        let Some(plan) = self.state.merge() else {
-            return;
-        };
-        // plan.target is the disappearing bucket, plan.source absorbs;
-        // both end at level new_level - 1.
-        let (source, target, new_level) = (plan.source, plan.target, plan.new_level - 1);
-        let target_node = self.shared.registry.borrow().data_node(target);
-        let token = self.token();
-        self.open(
-            env,
-            token,
-            Kind::Merge {
-                source,
-                target,
-                new_level,
-            },
-        );
-        env.send(
-            target_node,
-            Msg::DoMerge {
-                source,
-                target,
-                new_level,
-            },
-        );
-    }
-
-    /// The absorbing bucket confirmed: retire the ex-bucket's node (and the
-    /// last group's parity nodes if the group emptied) back into the pool.
-    fn finish_merge(&mut self, env: &mut Env<'_, Msg>, final_seq: u64) {
-        let token = self.find(|k| matches!(k, Kind::Merge { .. }));
-        let Some(Kind::Merge { source, target, .. }) = token.and_then(|t| self.settle(env, t))
-        else {
-            return;
-        };
-        self.col_floors.insert(target, final_seq);
-        let m = self.m() as u64;
-        let mut reg = self.shared.registry.borrow_mut();
-        let Some(ex_node) = reg.pop_data() else {
-            drop(reg);
-            self.invariant_violated(env, "merge confirmed against an empty allocation table");
-            return;
-        };
-        env.send(ex_node, Msg::Retire);
-        self.pool.push(ex_node);
-        // If the removed bucket was the sole member of the last group, the
-        // group's (now record-free) parity buckets are decommissioned too.
-        if target % m == 0 {
-            debug_assert_eq!(self.group_k.len() as u64, target / m + 1);
-            for pn in reg.pop_parity_group() {
-                env.send(pn, Msg::Retire);
-                self.pool.push(pn);
-            }
-            self.group_k.pop();
-            self.lagging.remove(&(target / m));
-            // The group's parity state is gone with its buckets: any Δ
-            // floors recorded for this group's columns die with it (a
-            // regrow gets fresh parity channels starting at 0).
-            for b in target..target + m {
-                self.col_floors.remove(&b);
-            }
-        }
-        drop(reg);
-        env.trace(ObsEvent::MergeDone {
-            bucket: source,
-            removed: target,
-            buckets: self.state.bucket_count(),
-        });
-        self.drain_queues(env);
-    }
-
-    /// Run queued structural work once none is in flight: the next upgrade,
-    /// else the next deferred split. Queued work that starts nothing — an
-    /// upgrade whose group is gone or caught up, a split the pool cannot
-    /// fund — is dropped and the next item tried, so a dry pool cannot
-    /// leave `busy()` set with nothing in flight.
-    fn drain_queues(&mut self, env: &mut Env<'_, Msg>) {
-        while !self.structural_work() {
-            if let Some(group) = self.upgrade_queue.pop_front() {
-                self.start_upgrade(env, group);
-            } else if self.deferred_splits > 0 {
-                self.deferred_splits -= 1;
-                self.do_split(env);
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn start_upgrade(&mut self, env: &mut Env<'_, Msg>, group: u64) {
-        // A queued upgrade can outlive its group (merged away).
-        let Some(&k_old) = self.group_k.get(crate::convert::to_index(group)) else {
-            return;
-        };
-        let k_new = self.k_file;
-        if k_old >= k_new {
-            return;
-        }
-        let token = self.token();
-        let existing = self.existing_cols(group);
-        let mut awaiting = HashSet::new();
-        let reg = self.shared.registry.borrow();
-        let m = self.m() as u64;
-        for c in 0..existing {
-            awaiting.insert(c);
-            env.send(
-                reg.data_node(group * m + c as u64),
-                Msg::TransferShard { token },
-            );
-        }
-        drop(reg);
-        let recovery = Recovery {
-            group,
-            purpose: Purpose::Upgrade,
-            k: k_new,
-            rebuild: (self.m() + k_old..self.m() + k_new).collect(),
-            awaiting,
-            collected: HashMap::new(),
-            installs: HashMap::new(),
-        };
-        self.open(env, token, Kind::Recovery(recovery));
-        // A group with no existing columns (cannot happen: groups are
-        // created by splits into them) would stall; guard anyway.
-        if existing == 0 {
-            self.finish_collection(env, token);
-        }
-    }
-
-    // ----- failure detection -----
-
-    fn handle_suspect(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        op_id: OpId,
-        client: NodeId,
-        kind: ReqKind,
-    ) {
-        let bucket = self.state.address(kind.key());
-        let group = bucket / self.m() as u64;
-        if self.dead_groups.contains(&group) {
-            env.send(
-                client,
-                Msg::Reply {
-                    op_id,
-                    result: OpResult::Failed("group unrecoverable".into()),
-                    iam: None,
-                },
-            );
-            return;
-        }
-        // Already working on this group: park the op.
-        if self.checking(group) || self.recovering(group) {
-            self.queue_ops(group, vec![(op_id, client, kind)]);
-            return;
-        }
-        let col = crate::convert::to_index(bucket % self.m() as u64);
-        if self.failed.contains(&(group, col)) {
-            // Known failure, recovery apparently finished (or pending
-            // elsewhere); queue and audit again.
-            self.queue_ops(group, vec![(op_id, client, kind)]);
-            self.start_group_check(env, group);
-            return;
-        }
-        // A probe for this bucket is already in flight (e.g. a duplicated
-        // Suspect): ride along instead of double-probing.
-        let probing = self.exchanges.values_mut().find_map(|e| match &mut e.kind {
-            Kind::Probe { bucket: b, pending } if *b == bucket => Some(pending),
-            _ => None,
-        });
-        if let Some(pending) = probing {
-            if !pending.iter().any(|(o, c, _)| *o == op_id && *c == client) {
-                pending.push((op_id, client, kind));
-            }
-            return;
-        }
-        // Probe the bucket's node.
-        let token = self.token();
-        let node = self.shared.registry.borrow().data_node(bucket);
-        env.send(node, Msg::Probe { token });
-        let pending = vec![(op_id, client, kind)];
-        self.open(env, token, Kind::Probe { bucket, pending });
-    }
-
-    fn handle_probe_ack(&mut self, env: &mut Env<'_, Msg>, token: u64, from: NodeId) {
-        let Some(ex) = self.exchanges.get_mut(&token) else {
-            return;
-        };
-        match &mut ex.kind {
-            // A plain probe: the node is alive, deliver the parked ops
-            // directly (the client image or a forwarding hop was at fault).
-            Kind::Probe { .. } => {
-                let Some(Kind::Probe { bucket, pending }) = self.settle(env, token) else {
-                    return;
-                };
-                let node = self.shared.registry.borrow().data_node(bucket);
-                for (op_id, client, kind) in pending {
-                    env.send(
-                        node,
-                        Msg::Req {
-                            op_id,
-                            client,
-                            intended: bucket,
-                            hops: 1,
-                            kind,
-                        },
-                    );
-                }
-            }
-            // A group check's probe: the responding shard is identified by
-            // its node id. A check whose every probed shard responded
-            // finishes early (healthy groups pay no timeout).
-            Kind::Check(check) => {
-                if let Some((shard, _)) = check.probed.iter().find(|(_, n)| *n == from) {
-                    check.responded.insert(*shard);
-                }
-                if check.responded.len() == check.probed.len() {
-                    if let Some(Kind::Check(check)) = self.settle(env, token) {
-                        self.finish_group_check(env, check);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn start_group_check(&mut self, env: &mut Env<'_, Msg>, group: u64) {
-        let token = self.token();
-        let m = self.m() as u64;
-        let existing = self.existing_cols(group);
-        let reg = self.shared.registry.borrow();
-        let mut probed = Vec::new();
-        for c in 0..existing {
-            probed.push((c, reg.data_node(group * m + c as u64)));
-        }
-        for (q, n) in reg.parity_nodes(group).iter().enumerate() {
-            probed.push((self.m() + q, *n));
-        }
-        drop(reg);
-        for (_, node) in &probed {
-            env.send(*node, Msg::Probe { token });
-        }
-        let check = GroupCheck {
-            group,
-            probed,
-            responded: HashSet::new(),
-        };
-        self.open(env, token, Kind::Check(check));
-    }
-
-    fn finish_group_check(&mut self, env: &mut Env<'_, Msg>, check: GroupCheck) {
-        let group = check.group;
-        let failed: Vec<usize> = check
-            .probed
-            .iter()
-            .map(|(s, _)| *s)
-            .filter(|s| !check.responded.contains(s))
-            .collect();
-        if failed.is_empty() {
-            // False alarm: replay queued ops to their (live) buckets.
-            self.replay_queued(env, group);
-            self.drain_queues(env);
-            return;
-        }
-        let Some(&k_g) = self.group_k.get(crate::convert::to_index(group)) else {
-            // The group vanished (merged away) between probe and reply.
-            self.invariant_violated(
-                env,
-                "group check finished for a group with no parity record",
-            );
-            self.drain_queues(env);
-            return;
-        };
-        env.trace(ObsEvent::FailureDetected {
-            group,
-            shards: failed.iter().map(|&s| s as u64).collect(),
-        });
-        if failed.len() > k_g {
-            self.dead_groups.insert(group);
-            env.obs().incr("recoveries_failed");
-            env.trace(ObsEvent::RecoveryEnd {
-                group,
-                rebuilt: 0,
-                ok: false,
-            });
-            self.fail_queued(env, group, "group unrecoverable");
-            self.drain_queues(env);
-            return;
-        }
-        for &s in &failed {
-            self.failed.insert((group, s));
-        }
-
-        // Serve queued *lookups* right now in degraded mode; writes wait
-        // for the rebuilt bucket.
-        let queued = self.queued_ops.entry(group).or_default();
-        let mut keep = Vec::new();
-        let mut degraded_lookups = Vec::new();
-        for (op_id, client, kind) in queued.drain(..) {
-            match kind {
-                ReqKind::Lookup(key) => degraded_lookups.push((op_id, client, key)),
-                other => keep.push((op_id, client, other)),
-            }
-        }
-        *queued = keep;
-        for (op_id, client, key) in degraded_lookups {
-            self.start_degraded_read(env, group, op_id, client, key);
-        }
-
-        // Kick off the rebuild: collect all surviving data columns plus as
-        // many parity shards as there are failed data columns.
-        env.obs().incr("recoveries_started");
-        env.trace(ObsEvent::RecoveryStart {
-            group,
-            failed: failed.len() as u64,
-        });
-        let token = self.token();
-        let m = self.m();
-        let existing = self.existing_cols(group);
-        let failed_data: Vec<usize> = failed.iter().copied().filter(|&s| s < m).collect();
-        let reg = self.shared.registry.borrow();
-        let mut awaiting = HashSet::new();
-        for c in 0..existing {
-            if !failed.contains(&c) {
-                awaiting.insert(c);
-                env.send(
-                    reg.data_node(group * m as u64 + c as u64),
-                    Msg::TransferShard { token },
-                );
-            }
-        }
-        let mut parity_needed = failed_data.len();
-        for (q, node) in reg.parity_nodes(group).iter().enumerate() {
-            if parity_needed == 0 {
-                break;
-            }
-            if !failed.contains(&(m + q)) {
-                awaiting.insert(m + q);
-                env.send(*node, Msg::TransferShard { token });
-                parity_needed -= 1;
-            }
-        }
-        drop(reg);
-        debug_assert_eq!(parity_needed, 0, "tolerance check guarantees survivors");
-        // Degenerate case: nothing to await (e.g. group of one existing
-        // failed column rebuilt purely from parity... then parity was
-        // awaited; truly empty only if no survivors needed).
-        let nothing_to_await = awaiting.is_empty();
-        let recovery = Recovery {
-            group,
-            purpose: Purpose::Repair,
-            k: k_g,
-            rebuild: failed,
-            awaiting,
-            collected: HashMap::new(),
-            installs: HashMap::new(),
-        };
-        self.open(env, token, Kind::Recovery(recovery));
-        if nothing_to_await {
-            self.finish_collection(env, token);
-        }
-    }
-
-    fn replay_queued(&mut self, env: &mut Env<'_, Msg>, group: u64) {
-        let reg = self.shared.registry.borrow();
-        for (op_id, client, kind) in self.queued_ops.remove(&group).unwrap_or_default() {
-            let bucket = self.state.address(kind.key());
-            env.send(
-                reg.data_node(bucket),
-                Msg::Req {
-                    op_id,
-                    client,
-                    intended: bucket,
-                    hops: 1,
-                    kind,
-                },
-            );
-        }
-    }
-
-    /// Fail every op parked on `group` back to its client.
-    fn fail_queued(&mut self, env: &mut Env<'_, Msg>, group: u64, why: &str) {
-        for (op_id, client, _) in self.queued_ops.remove(&group).unwrap_or_default() {
-            env.send(
-                client,
-                Msg::Reply {
-                    op_id,
-                    result: OpResult::Failed(why.into()),
-                    iam: None,
-                },
-            );
-        }
-    }
-
-    // ----- restart (Δ-suffix) recovery -----
-
-    /// A data bucket replayed its local store and asks to resume its column
-    /// at `delta_seq`. Cheap path: confirm every parity channel for that
-    /// column stands at one common watermark `R ≥ delta_seq` and have the
-    /// parity buckets ship the missed Δ-suffix `[delta_seq, R)`. Anything
-    /// murkier — displaced bucket, busy or dead group, divergent parity
-    /// watermarks, truncated history — falls back to the full RS rebuild;
-    /// correctness never depends on the suffix path.
-    fn handle_restart_report(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        from: NodeId,
-        bucket: u64,
-        delta_seq: u64,
-    ) {
-        let m = self.m() as u64;
-        let group = bucket / m;
-        let col = crate::convert::to_index(bucket % m);
-        if !self.owns(bucket, from) {
-            // Recreated elsewhere meanwhile: demote to a hot spare — the
-            // same path as a plain CheckOwnership miss.
-            self.demote(env, from);
-            return;
-        }
-        let parity: Vec<NodeId> = self.shared.registry.borrow().parity_nodes(group).to_vec();
-        if self
-            .find(|k| matches!(k, Kind::Suffix(s) if s.bucket == bucket))
-            .is_some()
-        {
-            return; // duplicated report: handshake already running
-        }
-        let group_busy = self.dead_groups.contains(&group)
-            || self.checking(group)
-            || self.recovering(group)
-            || self
-                .find(|k| matches!(k, Kind::Degraded(d) if d.group == group))
-                .is_some();
-        if group_busy {
-            // Racing the failure machinery would certify a resume point the
-            // rebuild is about to invalidate.
-            self.restart_fallback(env, bucket, group, col, from);
-            return;
-        }
-        if parity.is_empty() {
-            // k = 0: no parity stream to reconcile with — the local log is
-            // the only copy and it is authoritative.
-            self.failed.remove(&(group, col));
-            env.send(from, Msg::OwnershipAck);
-            env.obs().incr("restart_recoveries");
-            env.trace(ObsEvent::BucketRestarted {
-                bucket,
-                suffix_len: 0,
-            });
-            return;
-        }
-        let token = self.token();
-        for pn in &parity {
-            env.send(
-                *pn,
-                Msg::SuffixPull {
-                    group,
-                    col,
-                    from_seq: delta_seq,
-                    target: from,
-                },
-            );
-        }
-        let suffix = Suffix {
-            group,
-            col,
-            bucket,
-            node: from,
-            from_seq: delta_seq,
-            infos: HashMap::new(),
-            expected: parity.len(),
-        };
-        self.open(env, token, Kind::Suffix(suffix));
-    }
-
-    /// One parity bucket answered a `SuffixPull`. Once all `k` are in, the
-    /// resume point is certified iff every parity channel reports the same
-    /// watermark `R`, the bucket is at or behind it, and (when behind) at
-    /// least one parity bucket's history covered the gap.
-    fn handle_suffix_info(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        from: NodeId,
-        bucket: u64,
-        next_seq: u64,
-        covered: bool,
-        bytes: u64,
-    ) {
-        let Some(token) = self.find(|k| matches!(k, Kind::Suffix(s) if s.bucket == bucket)) else {
-            return; // stale answer for a settled handshake
-        };
-        let Some(Exchange {
-            kind: Kind::Suffix(s),
-            ..
-        }) = self.exchanges.get_mut(&token)
-        else {
-            return;
-        };
-        let reply = SuffixReply {
-            next_seq,
-            covered,
-            bytes,
-        };
-        s.infos.insert(from, reply);
-        if s.infos.len() < s.expected {
-            return;
-        }
-        let Some(Kind::Suffix(s)) = self.settle(env, token) else {
-            return;
-        };
-        let mut seqs = s.infos.values().map(|r| r.next_seq);
-        let r0 = seqs.next().unwrap_or(s.from_seq);
-        let all_equal = seqs.all(|seq| seq == r0);
-        let any_covered = s.infos.values().any(|r| r.covered);
-        let ok = all_equal && s.from_seq <= r0 && (s.from_seq == r0 || any_covered);
-        if !ok {
-            self.restart_fallback(env, s.bucket, s.group, s.col, s.node);
-            return;
-        }
-        self.failed.remove(&(s.group, s.col));
-        env.send(s.node, Msg::OwnershipAck);
-        let moved: u64 = s.infos.values().map(|r| r.bytes).sum();
-        env.obs().incr("restart_recoveries");
-        env.obs().add("recovery_bytes_moved", moved);
-        env.trace(ObsEvent::BucketRestarted {
-            bucket: s.bucket,
-            suffix_len: r0 - s.from_seq,
-        });
-        self.drain_queues(env);
-    }
-
-    /// The restarted bucket itself gave up on the Δ-suffix catch-up: it
-    /// could not apply a shipped suffix entry, or its watchdog expired with
-    /// the handshake wedged. Same outcome as a coordinator-side give-up —
-    /// cancel any handshake still in flight and demote the node into the
-    /// full RS rebuild. An abort can also arrive *after* certification
-    /// (the undecodable suffix raced the `OwnershipAck`); the bucket
-    /// ignores that ack, so the fallback here is still the only path back
-    /// to a serving replica.
-    fn handle_restart_abort(&mut self, env: &mut Env<'_, Msg>, from: NodeId, bucket: u64) {
-        let token =
-            self.find(|k| matches!(k, Kind::Suffix(s) if s.bucket == bucket && s.node == from));
-        if let Some(token) = token {
-            self.settle(env, token);
-        }
-        let m = self.m() as u64;
-        let group = bucket / m;
-        let col = crate::convert::to_index(bucket % m);
-        if self.owns(bucket, from) {
-            self.restart_fallback(env, bucket, group, col, from);
-        } else {
-            // Displaced meanwhile: the bucket already lives elsewhere; just
-            // demote the reporter.
-            self.demote(env, from);
-        }
-    }
-
-    /// Whether data bucket `bucket` exists and `node` carries it.
-    fn owns(&self, bucket: u64, node: NodeId) -> bool {
-        let reg = self.shared.registry.borrow();
-        crate::convert::to_index(bucket) < reg.data_count() && reg.data_node(bucket) == node
-    }
-
-    /// Retire `node` into the hot-spare pool. A duplicated claim must not
-    /// pool the same node twice (it would be allocated to two roles at
-    /// once).
-    fn demote(&mut self, env: &mut Env<'_, Msg>, node: NodeId) {
-        env.send(node, Msg::Retire);
-        if !self.pool.contains(&node) {
-            self.pool.push(node);
-        }
-    }
-
-    /// Give up on the Δ-suffix path for `bucket`: demote the restarted node
-    /// to a hot spare and let the standard audit → RS-rebuild machinery
-    /// recreate the bucket from the group's survivors. The handshake held
-    /// queued structural work back, so the queues are drained after.
-    fn restart_fallback(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        bucket: u64,
-        group: u64,
-        col: usize,
-        node: NodeId,
-    ) {
-        env.obs().incr("restart_fallbacks");
-        env.trace(ObsEvent::RestartFallback { bucket });
-        self.demote(env, node);
-        self.failed.insert((group, col));
-        let audit_clear =
-            !self.checking(group) && !self.dead_groups.contains(&group) && !self.recovering(group);
-        if audit_clear {
-            self.start_group_check(env, group);
-        }
-        self.drain_queues(env);
-    }
-
-    // ----- degraded-mode record recovery -----
-
-    fn start_degraded_read(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        group: u64,
-        op_id: OpId,
-        client: NodeId,
-        key: Key,
-    ) {
-        // Ask a surviving parity bucket which rank holds the key.
-        let m = self.m();
-        let reg = self.shared.registry.borrow();
-        let alive_parity = reg
-            .parity_nodes(group)
-            .iter()
-            .enumerate()
-            .find(|(q, _)| !self.failed.contains(&(group, m + q)));
-        let Some((_, &pnode)) = alive_parity else {
-            drop(reg);
-            env.send(
-                client,
-                Msg::Reply {
-                    op_id,
-                    result: OpResult::Failed("no surviving parity bucket".into()),
-                    iam: None,
-                },
-            );
-            return;
-        };
-        drop(reg);
-        env.obs().incr("degraded_reads");
-        env.trace(ObsEvent::DegradedRead { group });
-        let token = self.token();
-        env.send(pnode, Msg::FindRecord { key, token });
-        let read = Degraded {
-            group,
-            op_id,
-            client,
-            key,
-            stage: DegradedStage::AwaitFind { pnode },
-        };
-        self.open(env, token, Kind::Degraded(read));
-    }
-
-    fn handle_find_reply(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        token: u64,
-        found: Option<(Rank, Vec<Option<Key>>)>,
-    ) {
-        // A duplicated reply for a read already in the cell stage must not
-        // restart it.
-        let (group, key) = match self.exchanges.get(&token).map(|e| &e.kind) {
-            Some(Kind::Degraded(d)) if matches!(d.stage, DegradedStage::AwaitFind { .. }) => {
-                (d.group, d.key)
-            }
-            _ => return,
-        };
-        let Some((rank, keys)) = found else {
-            // The key never existed: unsuccessful-search semantics.
-            if let Some(Kind::Degraded(d)) = self.settle(env, token) {
-                self.answer_degraded(env, &d, OpResult::Value(None));
-            }
-            return;
-        };
-        let m = self.m();
-        // The parity bucket claimed it found the key, so the key list it
-        // returned must contain it. A reply that violates that (a buggy or
-        // byzantine parity node — this arrives off the wire) fails the one
-        // lookup instead of aborting the coordinator.
-        let Some(target_col) = keys.iter().position(|k| *k == Some(key)) else {
-            if let Some(Kind::Degraded(d)) = self.settle(env, token) {
-                self.invariant_violated(
-                    env,
-                    "FindRecordReply's key list does not contain the key it claims to have found",
-                );
-                let result = OpResult::Failed("inconsistent parity reply".into());
-                self.answer_degraded(env, &d, result);
-            }
-            return;
-        };
-        // Gather m shards: existing live data columns first, then parity.
-        let existing = self.existing_cols(group);
-        let mut cells: HashMap<usize, Vec<u8>> = HashMap::new();
-        // Non-existing columns are known-zero locally.
-        for c in existing..m {
-            cells.insert(c, vec![0u8; self.shared.cfg.cell_len()]);
-        }
-        let mut requested: Vec<(usize, NodeId)> = Vec::new();
-        let reg = self.shared.registry.borrow();
-        let mut remaining = m.saturating_sub(cells.len());
-        for c in 0..existing {
-            if remaining == 0 {
-                break;
-            }
-            if !self.failed.contains(&(group, c)) {
-                let node = reg.data_node(group * m as u64 + c as u64);
-                env.send(node, Msg::ReadCell { rank, token });
-                requested.push((c, node));
-                remaining -= 1;
-            }
-        }
-        for (q, node) in reg.parity_nodes(group).iter().enumerate() {
-            if remaining == 0 {
-                break;
-            }
-            if !self.failed.contains(&(group, m + q)) {
-                env.send(*node, Msg::ReadCell { rank, token });
-                requested.push((m + q, *node));
-                remaining -= 1;
-            }
-        }
-        drop(reg);
-        debug_assert_eq!(remaining, 0, "tolerance guarantees m live shards");
-        let need = cells.len() + requested.len();
-        debug_assert_eq!(need, m);
-        if let Some(Exchange {
-            kind: Kind::Degraded(d),
-            ..
-        }) = self.exchanges.get_mut(&token)
-        {
-            d.stage = DegradedStage::AwaitCells {
-                target_col,
-                rank,
-                requested,
-                cells,
-                need,
-            };
-        }
-    }
-
-    fn handle_cell_data(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        token: u64,
-        shard: usize,
-        cell: Vec<u8>,
-    ) {
-        let Some(Exchange {
-            kind: Kind::Degraded(d),
-            ..
-        }) = self.exchanges.get_mut(&token)
-        else {
-            return;
-        };
-        let DegradedStage::AwaitCells { cells, need, .. } = &mut d.stage else {
-            return;
-        };
-        cells.insert(shard, cell);
-        if cells.len() < *need {
-            return;
-        }
-        let Some(Kind::Degraded(d)) = self.settle(env, token) else {
-            return;
-        };
-        let DegradedStage::AwaitCells {
-            target_col, cells, ..
-        } = &d.stage
-        else {
-            return;
-        };
-        // group_k and m were validated when the group was created; a
-        // mismatch here degrades the one lookup, not the actor.
-        let k_g = self
-            .group_k
-            .get(crate::convert::to_index(d.group))
-            .copied()
-            .unwrap_or(0);
-        let result = match RsCode::<Gf8>::new(self.m(), k_g) {
-            Ok(code) => {
-                let avail: Vec<(usize, &[u8])> =
-                    cells.iter().map(|(s, c)| (*s, c.as_slice())).collect();
-                match code.reconstruct_one(*target_col, &avail) {
-                    Ok(cell) => match decode_cell(&cell) {
-                        Some(payload) => OpResult::Value(Some(payload)),
-                        None => OpResult::Failed("corrupt cell after decode".into()),
-                    },
-                    Err(e) => OpResult::Failed(format!("decode failed: {e}")),
-                }
-            }
-            Err(e) => OpResult::Failed(format!("code construction failed: {e}")),
-        };
-        self.answer_degraded(env, &d, result);
-    }
-
-    /// A degraded read is over, however it ended: answer its client and
-    /// let queued structural work run.
-    fn answer_degraded(&mut self, env: &mut Env<'_, Msg>, d: &Degraded, result: OpResult) {
-        env.send(
-            d.client,
-            Msg::Reply {
-                op_id: d.op_id,
-                result,
-                iam: None,
-            },
-        );
-        self.drain_queues(env);
-    }
-
-    // ----- shard collection, decode, install -----
-
-    fn handle_shard_data(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        token: u64,
-        shard: usize,
-        content: ShardContent,
-    ) {
-        let m = self.m();
-        let Some(Exchange {
-            kind: Kind::Recovery(r),
-            ..
-        }) = self.exchanges.get_mut(&token)
-        else {
-            return;
-        };
-        // Each (token, shard) settles once: a late or duplicated reply —
-        // after the collection completed, too — is dropped, or it would
-        // decode again and install onto a second set of spares.
-        if !r.awaiting.remove(&shard) {
-            return;
-        }
-        r.collected.insert(shard, content);
-        if !r.awaiting.is_empty() {
-            return;
-        }
-        // The rebuild XORs shards cell-by-cell, so every collected shard
-        // must sit on the same Δ-prefix. Survivors freeze on
-        // `TransferShard`, but a write racing the first round (or a Δ still
-        // in flight to a parity bucket) can tear the cut — detect it and
-        // re-collect rather than rebuild garbage. The re-request rides
-        // outside the retransmission schedule and its give-up budget.
-        if torn_cut(m, &r.collected).is_some() {
-            env.obs().incr("recovery_torn_cuts");
-            r.awaiting = r.collected.keys().copied().collect();
-            r.collected.clear();
-            for (node, msg) in self.resend(token) {
-                env.send(node, msg);
-            }
-            return;
-        }
-        self.finish_collection(env, token);
-    }
-
-    /// The shard collection for `group` is over, however it ended: tell
-    /// the surviving data columns to serve writes again. Columns being
-    /// rebuilt are skipped (their nodes are gone); a bucket that never
-    /// froze treats the message as a no-op, and a lost message is covered
-    /// by the bucket's own freeze safety timer.
-    fn resume_group_writes(&self, env: &mut Env<'_, Msg>, group: u64, rebuild: &[usize]) {
-        let m = self.m();
-        let reg = self.shared.registry.borrow();
-        let mut targets = Vec::new();
-        for col in 0..m {
-            if rebuild.contains(&col) {
-                continue;
-            }
-            if let Some(node) = reg.try_data_node(group * m as u64 + col as u64) {
-                targets.push(node);
-            }
-        }
-        drop(reg);
-        for node in targets {
-            env.send(node, Msg::ResumeWrites { group });
-        }
-    }
-
-    /// Collection `token` is complete: decode the rebuilt shards and send
-    /// each to a spare. The exchange stays open until every install is
-    /// acknowledged.
-    fn finish_collection(&mut self, env: &mut Env<'_, Msg>, token: u64) {
-        let Some(Exchange {
-            kind: Kind::Recovery(r),
-            ..
-        }) = self.exchanges.get(&token)
-        else {
-            return;
-        };
-        let (group, k) = (r.group, r.k);
-        // A consistent cut is in hand: the survivors may serve writes again
-        // whatever happens below (the rebuild works on the snapshot, and
-        // the dead bucket's ops stay parked here until the install).
-        self.resume_group_writes(env, group, &r.rebuild);
-        let m = self.m();
-        let cell_len = self.shared.cfg.cell_len();
-        let existing = self.existing_cols(group);
-        // The (m, k) pair was validated at file creation and every upgrade;
-        // if decode still fails the collected shards are inconsistent.
-        // Either way: record it, abandon the rebuild (the shards stay
-        // marked failed, so the next suspect re-audits), and fail the
-        // parked writes back to their clients.
-        let rebuilt = RsCode::<Gf8>::new(m, k)
-            .map_err(|e| e.to_string())
-            .and_then(|code| {
-                rebuild_shards(m, k, cell_len, existing, &r.collected, &r.rebuild, &code)
-            });
-        let rebuilt = match rebuilt {
-            Ok(rebuilt) => rebuilt,
-            Err(why) => {
-                self.settle(env, token);
-                self.invariant_violated(env, &format!("group rebuild failed: {why}"));
-                self.fail_queued(env, group, "group rebuild failed");
-                self.drain_queues(env);
-                return;
-            }
-        };
-
-        // Out of spare nodes: abandon this rebuild instead of panicking
-        // the coordinator. The shards stay marked failed, so the next
-        // suspect re-audits the group and retries once nodes free up (a
-        // merge, say); queued lookups were already served degraded, and
-        // parked writes fail back to their clients.
-        if self.pool.len() < rebuilt.len() {
-            self.settle(env, token);
-            env.obs().incr("recoveries_stalled");
-            env.trace(ObsEvent::RecoveryStalled {
-                group,
-                needed: rebuilt.len() as u64,
-            });
-            self.fail_queued(env, group, "no spare nodes to rebuild onto");
-            return;
-        }
-
-        // Install each rebuilt shard on a spare node.
-        let mut installs = Vec::new();
-        for (shard, content) in rebuilt {
-            let Some(spare) = self.alloc_node() else {
-                // Reserved above (`pool.len() >= rebuilt.len()`); the
-                // retransmit timer retries whatever this round missed.
-                self.invariant_violated(env, "node pool ran dry mid-install despite reservation");
-                break;
-            };
-            let install_token = self.token();
-            let (bucket, index) = if shard < m {
-                (Some(group * m as u64 + shard as u64), None)
-            } else {
-                (None, Some(shard - m))
-            };
-            // Data buckets need their level restored; the coordinator
-            // computes it from the file state. Only a data shard (shard < m,
-            // i.e. `bucket` is Some) carries a level to restore.
-            let content = match (content, bucket) {
-                (
-                    ShardContent::Data {
-                        next_rank,
-                        delta_seq,
-                        records,
-                        ..
-                    },
-                    Some(b),
-                ) => ShardContent::Data {
-                    level: self.state.level_of(b),
-                    next_rank,
-                    delta_seq,
-                    records,
-                },
-                (p, _) => p,
-            };
-            let msg = Msg::Install {
-                group,
-                bucket,
-                index,
-                k,
-                content,
-                token: install_token,
-            };
-            env.send(spare, msg.clone());
-            installs.push((install_token, (shard, spare, msg)));
-        }
-        if let Some(Exchange {
-            kind: Kind::Recovery(r),
-            ..
-        }) = self.exchanges.get_mut(&token)
-        {
-            r.installs.extend(installs);
-        }
-    }
-
-    fn handle_install_ack(&mut self, env: &mut Env<'_, Msg>, install_token: u64) {
-        let Some(token) = self
-            .find(|k| matches!(k, Kind::Recovery(r) if r.installs.contains_key(&install_token)))
-        else {
-            return;
-        };
-        let m = self.m();
-        let Some(Exchange {
-            kind: Kind::Recovery(r),
-            ..
-        }) = self.exchanges.get_mut(&token)
-        else {
-            return;
-        };
-        let Some((shard, spare, msg)) = r.installs.remove(&install_token) else {
-            return;
-        };
-        let group = r.group;
-        if r.purpose == Purpose::Repair {
-            let bytes = msg.size_bytes() as u64;
-            env.obs().incr("recovery_shards_rebuilt");
-            env.obs().add("recovery_bytes_moved", bytes);
-            env.trace(ObsEvent::RecoveryShard {
-                group,
-                shard: shard as u64,
-                bytes,
-            });
-        }
-        let done = r.installs.is_empty();
-        let mut reg = self.shared.registry.borrow_mut();
-        let (displaced, placed) = if shard < m {
-            let bucket = group * m as u64 + shard as u64;
-            (reg.try_data_node(bucket), reg.move_data(bucket, spare))
-        } else if shard - m < reg.group_k(group) {
-            let displaced = reg.parity_nodes(group).get(shard - m).copied();
-            (displaced, reg.move_parity(group, shard - m, spare))
-        } else {
-            // Upgrade: append the new parity column.
-            let mut nodes = reg.parity_nodes(group).to_vec();
-            debug_assert_eq!(nodes.len(), shard - m);
-            nodes.push(spare);
-            (None, reg.set_parity(group, nodes))
-        };
-        drop(reg);
-        if !placed {
-            self.invariant_violated(env, "installed shard has no slot in the allocation table");
-        }
-        // Fence the replaced node: if it was only partitioned (not dead) it
-        // must not keep serving the shard. The Retire is best-effort — the
-        // parity sender check (deltas accepted only from the registered
-        // bucket node) backs it up while the Retire is in flight.
-        if let Some(old) = displaced {
-            env.send(old, Msg::Retire);
-        }
-        if !done {
-            return;
-        }
-        let Some(Kind::Recovery(r)) = self.settle(env, token) else {
-            return;
-        };
-        match r.purpose {
-            Purpose::Repair => {
-                for &s in &r.rebuild {
-                    self.failed.remove(&(r.group, s));
-                }
-                env.obs().incr("recoveries_completed");
-                env.trace(ObsEvent::RecoveryEnd {
-                    group: r.group,
-                    rebuilt: r.rebuild.len() as u64,
-                    ok: true,
-                });
-                self.replay_queued(env, r.group);
-            }
-            Purpose::Upgrade => {
-                env.obs().incr("group_upgrades");
-                if let Some(slot) = self.group_k.get_mut(crate::convert::to_index(r.group)) {
-                    *slot = r.k;
-                }
-                env.trace(ObsEvent::GroupUpgraded {
-                    group: r.group,
-                    k: r.k as u64,
-                });
-            }
-        }
-        self.drain_queues(env);
     }
 }
 

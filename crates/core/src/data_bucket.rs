@@ -6,13 +6,14 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use lhrs_lh::{a2_route, A2Outcome};
 use lhrs_obs::Event as ObsEvent;
-use lhrs_sim::{Env, NodeId, TimerId};
+use lhrs_sim::{Env, NodeId};
 
+use crate::exchange::{Exchanges, Owner, Schedule};
 use crate::msg::{DeltaEntry, Iam, KeyOp, Msg, OpId, OpResult, ReplayEntry, ReqKind, ShardContent};
 use crate::record::{cell_delta, decode_cell, encode_cell, Record};
 use crate::registry::SharedHandle;
 use crate::storage::{self, BucketStore, GroupCommits, StoreError, WalOp};
-use crate::{Key, Rank};
+use crate::{Config, Key, Rank};
 
 /// Consecutive no-progress Δ retransmission rounds after which a data
 /// bucket gives up on a parity bucket (recovery will rebuild it).
@@ -29,6 +30,45 @@ pub const REPLAY_CACHE_CAP: usize = 4096;
 enum Deltas {
     One(DeltaEntry),
     Batch(Vec<DeltaEntry>),
+}
+
+/// The data bucket's exchange rows (DESIGN.md §2.4), at most one of each;
+/// a row's token is its kind (`row as u64`).
+#[derive(Clone, Copy)]
+pub(crate) enum Row {
+    /// Δs not yet acked by every parity bucket (reliable mode).
+    Deltas,
+    /// The recovery write freeze, from `TransferShard` to `ResumeWrites`.
+    Freeze,
+    /// The Δ-suffix catch-up, from the boot `RestartReport` to resumption.
+    Catchup,
+}
+
+impl Schedule for Row {
+    fn period(&self, cfg: &Config) -> u64 {
+        match self {
+            Row::Deltas => cfg.delta_retransmit_us,
+            // Long enough for several collection retry rounds, short
+            // enough that a dead coordinator doesn't read as a dead bucket.
+            Row::Freeze => cfg.coord_retransmit_us.saturating_mul(8),
+            // The coordinator's full retry budget plus slack, so the
+            // bucket never aborts a handshake the coordinator is still
+            // driving.
+            Row::Catchup => cfg
+                .probe_timeout_us
+                .saturating_mul(u64::from(cfg.coord_retries).saturating_add(2)),
+        }
+    }
+
+    /// The Δ window gives up on a silent parity bucket after
+    /// [`DELTA_RETRY_LIMIT`] rounds without progress; the freeze and the
+    /// catch-up are watchdogs that conclude on their first expiry.
+    fn limit(&self, _: &Config) -> u32 {
+        match self {
+            Row::Deltas => DELTA_RETRY_LIMIT,
+            Row::Freeze | Row::Catchup => 0,
+        }
+    }
 }
 
 /// A primary (data) bucket of the LH\*RS file.
@@ -60,12 +100,11 @@ pub struct DataBucket {
     /// Per parity column `q`: cumulative ack watermark (every Δ with
     /// `seq < parity_acked[q]` is applied there).
     parity_acked: Vec<u64>,
-    /// Retransmission timer, armed while `unacked` is nonempty.
-    retry_timer: Option<TimerId>,
-    /// Consecutive retransmission rounds without watermark progress.
-    retry_rounds: u32,
-    /// Watermark minimum at the last progress check.
+    /// Watermark minimum at the last progress check, taken when the Δ
+    /// window opens.
     last_min_acked: u64,
+    /// The retried work in flight: the Δ window and the two watchdogs.
+    exchanges: Exchanges<Row>,
     /// Client-op replay cache: the result each recent write produced, so a
     /// retried (duplicated) request is answered identically without
     /// re-executing. The `u64` is the entry's LRU generation stamp.
@@ -87,33 +126,18 @@ pub struct DataBucket {
     /// Set by local-store recovery: the boot `SelfReport` should offer the
     /// coordinator a Δ-suffix catch-up instead of a plain ownership check.
     report_restart: bool,
-    /// Between `RestartReport` and resumption: only catch-up traffic is
-    /// processed, everything else is held in `held`.
-    catching_up: bool,
-    /// Messages deferred while catching up, replayed on resumption.
+    /// Messages deferred while catching up or frozen, replayed when the
+    /// row that held them settles or concludes. Catch-up holds
+    /// `TransferShard`, so the two never hold at once.
     held: Vec<(NodeId, Msg)>,
     /// Δ-suffixes received from distinct parity buckets this catch-up.
     suffixes_seen: usize,
     /// Whether the coordinator confirmed ownership this catch-up.
     got_ack: bool,
-    /// Watchdog armed while catching up: if the handshake never completes
-    /// (a suffix or the ack lost for good), the bucket gives up instead of
-    /// deferring traffic forever.
-    catchup_timer: Option<TimerId>,
     /// The catch-up was aborted (inapplicable suffix or watchdog expiry):
     /// the bucket is waiting for the coordinator's `Retire` and must not
     /// resume, whatever still arrives.
     catchup_failed: bool,
-    /// Writes frozen while a recovery shard collection is in flight: the
-    /// coordinator must observe every survivor at the same Δ-sequence, so
-    /// between `TransferShard` and `ResumeWrites` all mutations are
-    /// deferred into `frozen_held`.
-    frozen: bool,
-    /// Mutating messages deferred while frozen, replayed on resume.
-    frozen_held: Vec<(NodeId, Msg)>,
-    /// Safety valve: unfreeze anyway if the coordinator's `ResumeWrites`
-    /// is lost (or the coordinator dies mid-recovery).
-    freeze_timer: Option<TimerId>,
 }
 
 impl DataBucket {
@@ -132,24 +156,18 @@ impl DataBucket {
             delta_seq: 0,
             unacked: BTreeMap::new(),
             parity_acked: Vec::new(),
-            retry_timer: None,
-            retry_rounds: 0,
             last_min_acked: 0,
+            exchanges: Exchanges::new(),
             replay: HashMap::new(),
             replay_lru: BTreeMap::new(),
             replay_gen: 0,
             shipped: None,
             store: None,
             report_restart: false,
-            catching_up: false,
             held: Vec::new(),
             suffixes_seen: 0,
             got_ack: false,
-            catchup_timer: None,
             catchup_failed: false,
-            frozen: false,
-            frozen_held: Vec::new(),
-            freeze_timer: None,
         }
     }
 
@@ -167,7 +185,6 @@ impl DataBucket {
         let mut b = DataBucket::new(shared, bucket, level);
         b.next_rank = next_rank;
         b.delta_seq = delta_seq;
-        b.last_min_acked = delta_seq;
         for (rank, key, payload) in records {
             b.by_key.insert(key, rank);
             b.records.insert(rank, Record { key, payload });
@@ -375,41 +392,39 @@ impl DataBucket {
         // While catching up after a local-store restart, only catch-up and
         // liveness traffic flows; everything else is deferred so no write
         // can commit at a Δ-sequence the parity group already assigned.
-        if self.catching_up {
-            match &msg {
-                Msg::DeltaSuffix { .. }
-                | Msg::OwnershipAck
-                | Msg::ParityAck { .. }
-                | Msg::Probe { .. }
-                | Msg::StateQuery
-                | Msg::SelfReport => {}
-                _ => {
-                    // After an abort nothing is replayed — the coordinator's
-                    // Retire is coming and held traffic would be stale.
-                    if !self.catchup_failed {
-                        self.held.push((from, msg));
-                    }
-                    return;
-                }
-            }
-        }
         // While a recovery shard collection is in flight the coordinator
         // needs this column to hold still at the Δ-sequence it shipped in
         // `ShardData` — defer everything that would advance it (or move
-        // records wholesale) until `ResumeWrites` or the safety timer.
-        if self.frozen {
-            let mutates = match &msg {
+        // records wholesale) until `ResumeWrites` or the freeze expires.
+        let hold = if self.catching_up() || self.catchup_failed {
+            !matches!(
+                msg,
+                Msg::DeltaSuffix { .. }
+                    | Msg::OwnershipAck
+                    | Msg::ParityAck { .. }
+                    | Msg::Probe { .. }
+                    | Msg::StateQuery
+                    | Msg::SelfReport
+            )
+        } else if self.exchanges.is_open(Row::Freeze as u64) {
+            match &msg {
                 Msg::Req { kind, .. } => !matches!(kind, ReqKind::Lookup(_)),
                 Msg::DoSplit { .. }
                 | Msg::SplitLoad { .. }
                 | Msg::DoMerge { .. }
                 | Msg::MergeLoad { .. } => true,
                 _ => false,
-            };
-            if mutates {
-                self.frozen_held.push((from, msg));
-                return;
             }
+        } else {
+            false
+        };
+        if hold {
+            // After an abort nothing is replayed — the coordinator's
+            // Retire is coming and held traffic would be stale.
+            if !self.catchup_failed {
+                self.held.push((from, msg));
+            }
+            return;
         }
         match msg {
             Msg::Req {
@@ -526,7 +541,7 @@ impl DataBucket {
                 // Freeze (or re-arm an existing freeze — collection retries
                 // re-send this) so the shipped Δ-sequence stays the truth
                 // until the coordinator finishes the collection.
-                self.freeze(env);
+                self.open(env, Row::Freeze);
                 let content = self.content();
                 env.send(
                     from,
@@ -537,7 +552,11 @@ impl DataBucket {
                     },
                 );
             }
-            Msg::ResumeWrites { .. } => self.unfreeze(env),
+            Msg::ResumeWrites { .. } => {
+                if self.exchanges.settle(env, Row::Freeze as u64).is_some() {
+                    self.replay_held(env);
+                }
+            }
             Msg::ReadCell { rank, token } => {
                 let cell_len = self.shared.cfg.cell_len();
                 let cell = self
@@ -584,11 +603,10 @@ impl DataBucket {
                     // sent its suffix — otherwise a fresh commit could
                     // reuse a Δ-sequence the parity group already applied.
                     self.report_restart = false;
-                    self.catching_up = true;
                     self.catchup_failed = false;
                     self.suffixes_seen = 0;
                     self.got_ack = false;
-                    self.arm_catchup_watchdog(env);
+                    self.open(env, Row::Catchup);
                     env.send(
                         coord,
                         Msg::RestartReport {
@@ -614,20 +632,14 @@ impl DataBucket {
                     // against.
                     return;
                 }
-                if self.catching_up {
+                if self.catching_up() {
                     self.got_ack = true;
                     self.try_resume(env);
                 }
                 // Still the owner: resume serving. A crash dropped this
-                // node's timers, so restart retransmission of any Δs that
-                // were still unacknowledged.
-                if self.shared.cfg.ack_parity
-                    && !self.unacked.is_empty()
-                    && self.retry_timer.is_none()
-                {
-                    self.retry_rounds = 0;
-                    self.retry_timer = Some(env.set_timer(self.shared.cfg.delta_retransmit_us));
-                }
+                // node's timers, so re-open the Δ window if Δs are still
+                // unacknowledged.
+                self.reopen_deltas(env);
             }
             Msg::DeltaSuffix {
                 col,
@@ -653,77 +665,25 @@ impl DataBucket {
         }
     }
 
-    /// Timer callback: the catch-up watchdog, or retransmission of
-    /// unacknowledged Δs (reliable mode).
-    pub fn on_timer(&mut self, env: &mut Env<'_, Msg>, timer: TimerId) {
-        if self.catchup_timer == Some(timer) {
-            self.catchup_timer = None;
-            if self.catching_up && !self.catchup_failed {
-                // The Δ-suffix handshake wedged: a suffix or the ack never
-                // arrived, and this bucket has been deferring all traffic
-                // while still answering probes — invisible to everyone.
-                // Give up and route through the full RS rebuild.
-                self.abort_catchup(env);
-            }
-            return;
+    /// Open `row`, or re-arm it if it is open.
+    fn open(&mut self, env: &mut Env<'_, Msg>, row: Row) {
+        self.exchanges.open(env, &self.shared.cfg, row as u64, row);
+    }
+
+    /// Re-open the Δ window after progress, a give-up or a crash, if Δs
+    /// are still unacknowledged.
+    fn reopen_deltas(&mut self, env: &mut Env<'_, Msg>) {
+        if self.shared.cfg.ack_parity
+            && !self.unacked.is_empty()
+            && !self.exchanges.is_open(Row::Deltas as u64)
+        {
+            self.open(env, Row::Deltas);
         }
-        if self.freeze_timer == Some(timer) {
-            // The coordinator never said `ResumeWrites` (lost frame, or it
-            // died mid-recovery): serve writes again rather than wedge.
-            self.freeze_timer = None;
-            if self.frozen {
-                env.obs().incr("recovery_freeze_expired");
-            }
-            self.unfreeze(env);
-            return;
-        }
-        if self.retry_timer != Some(timer) {
-            return; // stale timer from a cancelled round
-        }
-        self.retry_timer = None;
-        if self.unacked.is_empty() {
-            return;
-        }
-        let min = self.min_acked();
-        if min > self.last_min_acked {
-            self.retry_rounds = 0;
-            self.last_min_acked = min;
-        } else {
-            self.retry_rounds += 1;
-        }
-        if self.retry_rounds > DELTA_RETRY_LIMIT {
-            // No progress for too long: a dead parity bucket is the
-            // recovery machinery's problem. Stop retransmitting (the timer
-            // re-arms when an ack or a fresh Δ shows signs of life).
-            return;
-        }
-        let group = self.group();
-        let me = env.me();
-        let parity_nodes = self.parity_nodes();
-        self.ensure_acked_slots(parity_nodes.len());
-        for (q, pn) in parity_nodes.iter().enumerate() {
-            let acked = self.parity_acked.get(q).copied().unwrap_or(0);
-            let pending: Vec<DeltaEntry> = self
-                .unacked
-                .range(acked..)
-                .map(|(_, e)| e.clone())
-                .collect();
-            if !pending.is_empty() {
-                env.send(
-                    *pn,
-                    Msg::ParityBatch {
-                        group,
-                        entries: pending,
-                        ack_to: Some(me),
-                    },
-                );
-            }
-        }
-        self.retry_timer = Some(env.set_timer(self.shared.cfg.delta_retransmit_us));
     }
 
     /// Cumulative ack from parity column holder `from`: advance its
-    /// watermark, prune Δs every parity bucket has, and manage the timer.
+    /// watermark, prune Δs every parity bucket has, and settle or re-open
+    /// the Δ window.
     fn handle_parity_ack(&mut self, env: &mut Env<'_, Msg>, from: NodeId, col: usize, upto: u64) {
         if col != self.col() {
             return; // stale ack addressed to a previous tenant of this node
@@ -741,17 +701,14 @@ impl DataBucket {
         let min = self.min_acked();
         self.unacked = self.unacked.split_off(&min);
         if min > self.last_min_acked {
-            self.retry_rounds = 0;
+            self.exchanges.reset_rounds(Row::Deltas as u64);
             self.last_min_acked = min;
         }
         if self.unacked.is_empty() {
-            if let Some(t) = self.retry_timer.take() {
-                env.cancel_timer(t);
-            }
-        } else if self.retry_timer.is_none() && self.shared.cfg.ack_parity {
+            self.exchanges.settle(env, Row::Deltas as u64);
+        } else {
             // Progress after a give-up (or a post-crash ack): resume.
-            self.retry_rounds = 0;
-            self.retry_timer = Some(env.set_timer(self.shared.cfg.delta_retransmit_us));
+            self.reopen_deltas(env);
         }
     }
 
@@ -1196,7 +1153,6 @@ impl DataBucket {
     pub fn resume_delta_seq(&mut self, seq: u64) {
         debug_assert_eq!(self.delta_seq, 0, "only meaningful on a fresh bucket");
         self.delta_seq = seq;
-        self.last_min_acked = seq;
     }
 
     /// The next Δ of this column's stream.
@@ -1260,7 +1216,10 @@ impl DataBucket {
             for e in entries {
                 self.unacked.insert(e.seq, e.clone());
             }
-            self.arm_retry(env);
+            if !self.exchanges.is_open(Row::Deltas as u64) {
+                self.last_min_acked = self.min_acked();
+                self.open(env, Row::Deltas);
+            }
         }
         for pn in nodes {
             let msg = match &deltas {
@@ -1276,15 +1235,6 @@ impl DataBucket {
                 },
             };
             env.send(pn, msg);
-        }
-    }
-
-    /// Arm the retransmission timer if it is not already running.
-    fn arm_retry(&mut self, env: &mut Env<'_, Msg>) {
-        if self.retry_timer.is_none() {
-            self.retry_rounds = 0;
-            self.last_min_acked = self.min_acked();
-            self.retry_timer = Some(env.set_timer(self.shared.cfg.delta_retransmit_us));
         }
     }
 
@@ -1335,7 +1285,7 @@ impl DataBucket {
         entries: Vec<DeltaEntry>,
         complete: bool,
     ) {
-        if col != self.col() || !self.catching_up || self.catchup_failed {
+        if col != self.col() || !self.catching_up() {
             return; // stale suffix addressed to a previous tenant
         }
         let cell_len = self.shared.cfg.cell_len();
@@ -1415,51 +1365,16 @@ impl DataBucket {
         self.try_resume(env);
     }
 
-    /// How long a catch-up may stay wedged before the bucket gives up: the
-    /// coordinator's full retry budget plus slack, so the bucket never
-    /// aborts a handshake the coordinator is still driving.
-    fn catchup_deadline_us(&self) -> u64 {
-        self.shared
-            .cfg
-            .probe_timeout_us
-            .saturating_mul(u64::from(self.shared.cfg.coord_retries).saturating_add(2))
+    /// Whether the Δ-suffix catch-up is running: its row is open.
+    fn catching_up(&self) -> bool {
+        self.exchanges.is_open(Row::Catchup as u64)
     }
 
-    /// Enter (or extend) the recovery write freeze: every mutation defers
-    /// until [`Self::unfreeze`]. Re-armed on every `TransferShard` so a
-    /// retried collection keeps its window open.
-    fn freeze(&mut self, env: &mut Env<'_, Msg>) {
-        self.frozen = true;
-        if let Some(t) = self.freeze_timer.take() {
-            env.cancel_timer(t);
-        }
-        // Long enough for several collection retry rounds, short enough
-        // that a dead coordinator doesn't read as a dead bucket.
-        let deadline = self.shared.cfg.coord_retransmit_us.saturating_mul(8);
-        self.freeze_timer = Some(env.set_timer(deadline));
-    }
-
-    /// Leave the recovery write freeze and replay everything deferred.
-    fn unfreeze(&mut self, env: &mut Env<'_, Msg>) {
-        if let Some(t) = self.freeze_timer.take() {
-            env.cancel_timer(t);
-        }
-        if !self.frozen {
-            return;
-        }
-        self.frozen = false;
-        let held = std::mem::take(&mut self.frozen_held);
-        for (f, m) in held {
+    /// Re-deliver every held message.
+    fn replay_held(&mut self, env: &mut Env<'_, Msg>) {
+        for (f, m) in std::mem::take(&mut self.held) {
             self.on_message(env, f, m);
         }
-    }
-
-    /// (Re)arm the catch-up watchdog.
-    fn arm_catchup_watchdog(&mut self, env: &mut Env<'_, Msg>) {
-        if let Some(t) = self.catchup_timer.take() {
-            env.cancel_timer(t);
-        }
-        self.catchup_timer = Some(env.set_timer(self.catchup_deadline_us()));
     }
 
     /// Give up on the Δ-suffix catch-up: the local replica cannot reach the
@@ -1470,9 +1385,7 @@ impl DataBucket {
     fn abort_catchup(&mut self, env: &mut Env<'_, Msg>) {
         self.catchup_failed = true;
         self.held.clear();
-        if let Some(t) = self.catchup_timer.take() {
-            env.cancel_timer(t);
-        }
+        self.exchanges.settle(env, Row::Catchup as u64);
         self.reset_store();
         env.obs().incr("restart_aborts");
         let coord = self.shared.registry.borrow().coordinator();
@@ -1487,17 +1400,14 @@ impl DataBucket {
     /// Leave catch-up mode once the coordinator acked ownership and every
     /// parity bucket answered; replay everything held meanwhile.
     fn try_resume(&mut self, env: &mut Env<'_, Msg>) {
-        if !self.catching_up || self.catchup_failed || !self.got_ack {
+        if !self.catching_up() || !self.got_ack {
             return;
         }
         let k = self.shared.registry.borrow().group_k(self.group());
         if self.suffixes_seen < k {
             return;
         }
-        self.catching_up = false;
-        if let Some(t) = self.catchup_timer.take() {
-            env.cancel_timer(t);
-        }
+        self.exchanges.settle(env, Row::Catchup as u64);
         // The whole group stands at delta_seq now: nothing is in flight.
         self.unacked.clear();
         self.parity_acked.clear();
@@ -1505,7 +1415,6 @@ impl DataBucket {
         for slot in self.parity_acked.iter_mut() {
             *slot = self.delta_seq;
         }
-        self.last_min_acked = self.delta_seq;
         // Suffix entries may have re-filled ranks the snapshot had free.
         self.free_ranks.clear();
         for r in 0..self.next_rank {
@@ -1514,10 +1423,7 @@ impl DataBucket {
             }
         }
         self.snapshot_obs(env);
-        let held = std::mem::take(&mut self.held);
-        for (f, m) in held {
-            self.on_message(env, f, m);
-        }
+        self.replay_held(env);
     }
 
     /// The insert counter (exposed for tests and recovery assertions).
@@ -1528,5 +1434,57 @@ impl DataBucket {
     /// The shared handle (used by the node dispatcher for retirement).
     pub(crate) fn shared_handle(&self) -> SharedHandle {
         self.shared.clone()
+    }
+}
+
+impl Owner for DataBucket {
+    type Kind = Row;
+
+    fn exchanges(&mut self) -> (&mut Exchanges<Row>, &Config) {
+        (&mut self.exchanges, &self.shared.cfg)
+    }
+
+    /// A Δ-window round re-sends each parity column the Δs it has not
+    /// acked, as one `ParityBatch`; the watchdogs re-send nothing.
+    fn resend(&self, env: &Env<'_, Msg>, _: u64, row: &Row) -> Vec<(NodeId, Msg)> {
+        if !matches!(row, Row::Deltas) {
+            return Vec::new();
+        }
+        let (group, ack_to) = (self.group(), Some(env.me()));
+        let pending = |q: usize| -> Vec<DeltaEntry> {
+            let acked = self.parity_acked.get(q).copied().unwrap_or(0);
+            self.unacked.range(acked..).map(|(_, e)| e.clone()).collect()
+        };
+        let batch = |entries| Msg::ParityBatch {
+            group,
+            entries,
+            ack_to,
+        };
+        let nodes = self.parity_nodes().into_iter().enumerate();
+        nodes
+            .map(|(q, pn)| (pn, pending(q)))
+            .filter(|(_, entries)| !entries.is_empty())
+            .map(|(pn, entries)| (pn, batch(entries)))
+            .collect()
+    }
+
+    fn exhausted(&mut self, env: &mut Env<'_, Msg>, row: Row) {
+        match row {
+            // No progress for too long: a dead parity bucket is the
+            // recovery machinery's problem. An ack or a fresh Δ re-opens
+            // the window.
+            Row::Deltas => {}
+            // The coordinator never said `ResumeWrites` (lost frame, or it
+            // died mid-recovery): serve writes again rather than wedge.
+            Row::Freeze => {
+                env.obs().incr("recovery_freeze_expired");
+                self.replay_held(env);
+            }
+            // The Δ-suffix handshake wedged: a suffix or the ack never
+            // arrived, and this bucket has been deferring all traffic
+            // while still answering probes — invisible to everyone. Give
+            // up and route through the full RS rebuild.
+            Row::Catchup => self.abort_catchup(env),
+        }
     }
 }

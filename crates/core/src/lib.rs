@@ -86,6 +86,8 @@ audited! {
     #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
     pub(crate) mod convert;
     pub mod coordinator;
+    #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+    pub(crate) mod exchange;
     pub mod data_bucket;
     pub mod parity_bucket;
     #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]

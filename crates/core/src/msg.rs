@@ -585,7 +585,7 @@ pub enum Msg {
     /// up) — resume applying writes deferred since [`Msg::TransferShard`].
     /// Data buckets freeze mutations while a collection is in flight so
     /// the coordinator can observe every survivor at the same Δ-sequence;
-    /// a lost `ResumeWrites` is covered by the bucket's own safety timer.
+    /// a lost `ResumeWrites` is covered by the bucket's own freeze row.
     ResumeWrites {
         /// The parity group whose collection finished.
         group: u64,

@@ -6,6 +6,7 @@ use lhrs_sim::{Actor, Env, NodeId, TimerId};
 use crate::client::Client;
 use crate::coordinator::Coordinator;
 use crate::data_bucket::DataBucket;
+use crate::exchange::Owner;
 use crate::msg::{Msg, ShardContent};
 use crate::parity_bucket::ParityBucket;
 use crate::registry::SharedHandle;
@@ -267,8 +268,8 @@ impl Actor<Msg> for Node {
     fn on_timer(&mut self, env: &mut Env<'_, Msg>, timer: TimerId) {
         match self {
             Node::Client(c) => c.on_timer(env, timer),
-            Node::Coordinator(c) => c.on_timer(env, timer),
-            Node::Data(d) => d.on_timer(env, timer),
+            Node::Coordinator(c) => c.round(env, timer),
+            Node::Data(d) => d.round(env, timer),
             _ => {}
         }
     }

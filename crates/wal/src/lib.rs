@@ -21,8 +21,7 @@
 //! A rotation fsyncs nothing: the new segment's header records how long
 //! its predecessor was, and replay stops at a predecessor that is shorter
 //! than that or missing (a crash took its unsynced tail), so no op is ever
-//! folded in over a hole. Segments written before the header existed
-//! (magic "LHW1") have none and replay as they always did.
+//! folded in over a hole.
 //!
 //! Snapshots are atomic: write `SNAPSHOT.tmp`, fsync, rename, fsync the
 //! directory — a crash leaves either the old snapshot or the new one,
@@ -85,8 +84,6 @@ use lhrs_core::FsyncPolicy;
 const SNAP_MAGIC: &[u8; 4] = b"LHS1";
 /// Magic prefix of a log segment: a header frame follows.
 const SEG_MAGIC: &[u8; 4] = b"LHW2";
-/// Magic prefix of a segment written before the header existed.
-const SEG_MAGIC_V1: &[u8; 4] = b"LHW1";
 /// Default segment-rotation threshold.
 const DEFAULT_SEGMENT_CAP: u64 = 1 << 20;
 /// A length claim above this is corruption, not a large record.
@@ -277,11 +274,7 @@ fn segment_head(pred: Option<(u64, u64)>) -> Vec<u8> {
 /// Where the frames of segment `buf` start, and the predecessor its header
 /// names; `Err` with the tail to report when the head itself is unusable.
 fn parse_head(buf: &[u8]) -> Result<(usize, Option<(u64, u64)>), TailState> {
-    let magic = buf.get(..SEG_MAGIC.len());
-    if magic == Some(SEG_MAGIC_V1.as_slice()) {
-        return Ok((SEG_MAGIC_V1.len(), None));
-    }
-    if magic != Some(SEG_MAGIC.as_slice()) {
+    if buf.get(..SEG_MAGIC.len()) != Some(SEG_MAGIC.as_slice()) {
         return Err(TailState::Corrupt {
             context: "segment has no magic".into(),
             bytes_dropped: buf.len() as u64,
@@ -1599,17 +1592,16 @@ mod tests {
         assert!(matches!(rep.tail, TailState::Torn { .. }), "{:?}", rep.tail);
         drop(w);
 
-        // Headerless segments, as written before the chain, replay
-        // everything as they always did.
+        // A headerless "LHW1" segment, as written before the chain, is a
+        // corrupt head now, not replayed ops.
         let legacy = temp_dir("legacy");
         fs::create_dir_all(&legacy).unwrap();
-        for (seq, payload) in [(0, b"x"), (2, b"y")] {
-            let mut seg = SEG_MAGIC_V1.to_vec();
-            put_frame(&mut seg, payload);
-            fs::write(legacy.join(format!("wal-{seq}.log")), seg).unwrap();
-        }
+        let mut seg = b"LHW1".to_vec();
+        put_frame(&mut seg, b"x");
+        fs::write(legacy.join("wal-0.log"), seg).unwrap();
         let mut w = FileWal::open(&legacy, FsyncPolicy::Never).unwrap();
-        assert_eq!(w.replay().unwrap().ops, [b"x".to_vec(), b"y".to_vec()]);
+        let rep = w.replay().unwrap();
+        assert!(rep.ops.is_empty() && matches!(rep.tail, TailState::Corrupt { .. }));
         drop(w);
         for d in [intact, dir, live, missing, legacy] {
             fs::remove_dir_all(d).unwrap();

@@ -1,4 +1,4 @@
-//! Every coordinator exchange gives up the way it says it does.
+//! Every exchange of every node gives up the way it says it does.
 //!
 //! The coordinator retries each request it sends (probe, group check,
 //! shard collection for repair or upgrade, split, merge, file-state scan,
@@ -12,10 +12,19 @@
 //!   silent peers, counted in `msgs_sent{kind}` (plus whatever the rest of
 //!   the scenario sends of that kind, which each row states).
 //!
-//! Every drill runs on the zero-latency network, so each exchange starts
-//! at a simulated time the test can compute and the windows are exact.
+//! A data bucket keeps three rows of its own (DESIGN.md §2.4): the Δ
+//! window re-sends unacknowledged Δs for `DELTA_RETRY_LIMIT` rounds
+//! without progress, while the write freeze and the restart catch-up are
+//! watchdogs that re-send nothing and conclude on their first expiry. The
+//! second table pins each row's re-sends and give-up outcome the same way.
+//!
+//! Every drill but the freeze runs on the zero-latency network, so each
+//! exchange starts at a simulated time the test can compute and the
+//! windows are exact; the freeze drill needs a message between two others
+//! of the same instant to go missing, so it runs on a fixed latency.
 
-use lhrs_core::storage::MemHub;
+use lhrs_core::data_bucket::DELTA_RETRY_LIMIT;
+use lhrs_core::storage::{MemHub, StoreId};
 use lhrs_core::{Config, Error, FaultPlan, LhrsFile, NodeId, Partition};
 use lhrs_obs::Event;
 use lhrs_sim::LatencyModel;
@@ -384,6 +393,159 @@ fn every_exchange_gives_up_after_coord_retries_plus_one_rounds() {
             ROUNDS + sent.others,
             "{}: `{}` requests sent ({} answered or from the outcome)",
             exchange,
+            request,
+            sent.others
+        );
+    }
+}
+
+/// The Δ window: a parity bucket that never acks is sent the window's
+/// pending Δs once per `delta_retransmit_us` until `DELTA_RETRY_LIMIT`
+/// rounds pass without watermark progress, then the row concludes. The
+/// next write re-opens it, which repairs the parity once the peer is back.
+fn delta_window(kind: &'static str) -> Sent {
+    let mut file = LhrsFile::new(cfg(1)).unwrap();
+    file.insert(0, payload(0)).unwrap();
+    let c = file.config().clone();
+    let t0 = file.now_us();
+    let node = file.parity_node_id(0, 0);
+    let rounds = u64::from(DELTA_RETRY_LIMIT) + 1;
+    blackhole(&mut file, vec![node], t0, rounds * c.delta_retransmit_us);
+    let before = sent(&file, kind) + sent(&file, "parity-delta");
+    // The write's `ParityDelta` is the first round; it is lost, and so is
+    // every re-send. The run settles only once the row has concluded.
+    file.insert(1, payload(1)).unwrap();
+    let total = sent(&file, kind) + sent(&file, "parity-delta") - before;
+    assert_eq!(
+        file.now_us(),
+        t0 + rounds * c.delta_retransmit_us,
+        "silence after the last no-progress round"
+    );
+    assert!(file.verify_integrity().is_err(), "parity missed a Δ");
+    // A fresh Δ re-opens the row: its first round re-sends the lost Δ
+    // along with the new one.
+    file.clear_fault_plan();
+    file.insert(2, payload(2)).unwrap();
+    file.verify_integrity().unwrap();
+    for key in 0..3 {
+        assert_eq!(file.lookup(key).unwrap(), Some(payload(key)));
+    }
+    Sent { total, others: 0 }
+}
+
+/// The write freeze: a survivor whose `ResumeWrites` is lost unfreezes on
+/// its own when the watchdog expires, and applies the write it held.
+///
+/// Bucket 0 is dead. An update to bucket 1 is lost, its probe rounds go
+/// unanswered, and the coordinator parks it on group 0; the group check
+/// finds bucket 0 dead, the survivors freeze for the shard collection,
+/// and bucket 1 misses the `ResumeWrites`. The parked update reaches it
+/// after the rebuild and waits out the freeze.
+fn freeze(kind: &'static str) -> Sent {
+    const L: u64 = 100;
+    let mut file = LhrsFile::new(Config {
+        latency: LatencyModel::fixed(L),
+        ..cfg(1)
+    })
+    .unwrap();
+    let keys = grow(&mut file, 4);
+    let key = key_in(&file, keys, 1);
+    let c = file.config().clone();
+    file.crash_data_bucket(0);
+    let node = file.data_node_id(1);
+    let t0 = file.now_us();
+    // The client sends the update at t0 + L and suspects one timeout
+    // later; the coordinator's first probe leaves as the `Suspect` lands.
+    let probe = t0 + L + c.client_timeout_us + L;
+    let check = probe + ROUNDS * c.probe_timeout_us;
+    // The check's probe answers arrive by `check + 2L`; the collection
+    // starts when the last re-probe of bucket 0 times out.
+    let collect = check + ROUNDS * c.probe_timeout_us;
+    // Bucket 1 is silent through every probe round and answers the check.
+    // In the collection, TransferShard lands at +L and ShardData at +2L,
+    // when `ResumeWrites` leaves: lose just that one.
+    file.set_fault_plan(
+        FaultPlan::new(0)
+            .partition(Partition::new(
+                vec![node],
+                t0,
+                check - c.probe_timeout_us / 2,
+            ))
+            .partition(Partition::new(
+                vec![node],
+                collect + 2 * L - L / 2,
+                collect + 2 * L + L / 2,
+            )),
+    );
+    let before = sent(&file, kind);
+    file.update(key, b"held".to_vec()).unwrap();
+    // Lost: the update, its probe rounds, and the one `ResumeWrites`.
+    let lost = 1 + ROUNDS + 1;
+    assert_eq!(file.metrics().counter("partition_dropped"), lost);
+    assert_eq!(file.metrics().counter("recovery_freeze_expired"), 1);
+    assert_eq!(file.lookup(key).unwrap(), Some(b"held".to_vec()));
+    file.verify_integrity().unwrap();
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 3, // buckets 2, 3 and the parity bucket
+    }
+}
+
+/// The restart catch-up: a restarted bucket whose `RestartReport` is lost
+/// never re-sends it. Its watchdog concludes the handshake into an abort,
+/// and the coordinator rebuilds the bucket from its group.
+fn catchup(kind: &'static str) -> Sent {
+    let mut file = LhrsFile::new(cfg(1)).unwrap();
+    let hub = MemHub::new();
+    file.install_store_factory(hub.factory());
+    let keys = grow(&mut file, 4);
+    let node = file.data_node_id(0);
+    file.crash_data_bucket(0);
+    hub.disk(&StoreId::Data { bucket: 0 })
+        .expect("bucket 0 has a disk")
+        .truncate_ops(0);
+    let now = file.now_us();
+    blackhole(&mut file, vec![node], now, 1);
+    let before = sent(&file, kind);
+    let _ = file.restart_data_bucket_from_store(0).unwrap();
+    let total = sent(&file, kind) - before;
+    file.clear_fault_plan();
+    let m = file.metrics();
+    assert_eq!(m.counter("restart_aborts"), 1, "the watchdog fired");
+    assert_eq!(m.counter("restart_fallbacks"), 1);
+    assert_eq!(m.counter("restart_recoveries"), 0);
+    assert!(m.counter("recovery_shards_rebuilt") >= 1, "RS rebuild");
+    for key in 0..keys {
+        assert_eq!(file.lookup(key).unwrap(), Some(payload(key)));
+    }
+    file.verify_integrity().unwrap();
+    Sent { total, others: 0 }
+}
+
+#[test]
+fn every_data_bucket_row_gives_up_the_way_it_says() {
+    // (row, `msgs_sent` kind of its request, rounds the request goes
+    // out before the row concludes, drill)
+    let rows: [(&str, &'static str, u64, Drill); 3] = [
+        // The first round is the write's own `ParityDelta`.
+        (
+            "Δ window",
+            "parity-batch",
+            u64::from(DELTA_RETRY_LIMIT) + 1,
+            delta_window,
+        ),
+        // The watchdogs re-send nothing: the frozen bucket ships its shard
+        // once, the restarted one its boot report once.
+        ("freeze", "transfer-data", 1, freeze),
+        ("catch-up", "restart-report", 1, catchup),
+    ];
+    for (row, request, rounds, drill) in rows {
+        let sent = drill(request);
+        assert_eq!(
+            sent.total,
+            rounds + sent.others,
+            "{}: `{}` sent ({} from the rest of the scenario)",
+            row,
             request,
             sent.others
         );
