@@ -1,31 +1,24 @@
 //! The client actor: image-based addressing (A1), image adjustment from
 //! IAMs (A3), timeout-based failure reporting, and scan orchestration with
-//! deterministic termination.
+//! deterministic termination. Its retried work is rows of an exchange
+//! table (DESIGN.md §2.4), keyed by op id.
 
 use std::collections::{BTreeMap, HashMap};
 
 use lhrs_lh::ClientImage;
 use lhrs_obs::Event as ObsEvent;
-use lhrs_sim::{Env, NodeId, TimerId};
+use lhrs_sim::{Env, NodeId};
 
+use crate::exchange::{Exchanges, Owner, Schedule};
 use crate::msg::{ClientOp, FilterSpec, Msg, OpId, OpResult, ReqKind};
 use crate::registry::SharedHandle;
-use crate::{Key, ScanTermination};
+use crate::{Config, Key, ScanTermination};
 
-/// A stalled request context, kept until the reply (or final failure).
-struct Pending {
+/// A request awaiting its reply.
+pub(crate) struct Request {
     kind: ReqKind,
     /// Logical bucket the request was (last) sent to.
     sent_to: u64,
-    timer: Option<TimerId>,
-    /// Retransmissions attempted so far (bounded by `client_retries`).
-    attempts: u32,
-    /// Whether the coordinator has already been alerted.
-    escalated: bool,
-    /// Fire-and-forget write (`ack_writes = false`): assumed successful
-    /// unless an error reply arrives before the driver settles — the
-    /// paper's 1-message insert cost model.
-    optimistic: bool,
     /// Sim time the request was first issued (op-latency histogram).
     issued_at: u64,
 }
@@ -34,15 +27,74 @@ struct Pending {
 type ScanReply = (u8, Vec<(Key, Vec<u8>)>);
 
 /// An in-progress scan: replies collected so far.
-struct ScanState {
+pub(crate) struct ScanState {
     /// bucket → (level, hits)
     replies: BTreeMap<u64, ScanReply>,
-    timer: TimerId,
-    termination: ScanTermination,
     /// The filter, kept for retransmission to unresponsive buckets.
     filter: FilterSpec,
-    /// Retransmission rounds attempted (bounded by `client_retries`).
-    attempts: u32,
+}
+
+impl ScanState {
+    /// The termination rule: with i the least level replied and n the
+    /// least bucket replying at that level, the file has exactly
+    /// M = n + 2^i buckets. Returns `(i, M)`, `None` before any reply.
+    fn expected(&self) -> Option<(u8, u64)> {
+        let i = self.replies.values().map(|(l, _)| *l).min()?;
+        let levels = self.replies.iter().filter(|(_, (l, _))| *l == i);
+        let n = levels.map(|(b, _)| *b).min()?;
+        Some((i, n + (1u64 << i)))
+    }
+
+    /// Whether every bucket 0..M-1 has replied.
+    fn complete(&self) -> bool {
+        self.expected().is_some_and(|(_, m)| {
+            self.replies.len() as u64 == m && self.replies.keys().copied().eq(0..m)
+        })
+    }
+}
+
+/// The client's exchange rows (DESIGN.md §2.4).
+pub(crate) enum Row {
+    /// A lookup, or a write with `ack_writes`: re-sent with backoff.
+    Request(Request),
+    /// A request reported to the coordinator, waiting out its grace period.
+    Escalated(Request),
+    /// A deterministic scan: re-sent to the buckets that have not replied.
+    Scan(ScanState),
+    /// A probabilistic scan and its silence window, µs.
+    Silence(ScanState, u64),
+}
+
+impl Schedule for Row {
+    fn period(&self, cfg: &Config, round: u32) -> u64 {
+        match self {
+            // Exponential backoff from the client timeout, capped.
+            Row::Request(_) => 1u64
+                .checked_shl(round)
+                .map_or(u64::MAX, |f| cfg.client_timeout_us.saturating_mul(f))
+                .min(cfg.retry_backoff_cap_us),
+            // Grace period for detection + degraded service + recovery; a
+            // deterministic scan waits as long for its slowest bucket.
+            Row::Escalated(_) | Row::Scan(_) => cfg.client_timeout_us.saturating_mul(50),
+            // The window also covers the in-flight time of the scan
+            // requests themselves.
+            Row::Silence(_, silence_us) => *silence_us,
+        }
+    }
+
+    /// Requests and deterministic scans re-send `client_retries` times;
+    /// the escalation and the silence window are watchdogs.
+    fn limit(&self, cfg: &Config) -> u32 {
+        match self {
+            Row::Request(_) | Row::Scan(_) => cfg.client_retries,
+            Row::Escalated(_) | Row::Silence(..) => 0,
+        }
+    }
+
+    /// The client arms a round's timer before re-sending.
+    fn arm_first(&self) -> bool {
+        true
+    }
 }
 
 /// An LH\*RS client.
@@ -53,17 +105,15 @@ pub struct Client {
     shared: SharedHandle,
     /// The client's LH\* image.
     pub image: ClientImage,
-    pending: HashMap<OpId, Pending>,
-    scans: HashMap<OpId, ScanState>,
-    timer_to_op: HashMap<TimerId, OpId>,
+    exchanges: Exchanges<Row>,
+    /// Writes sent without `ack_writes`, with their issue time and the
+    /// result they are assumed to have. They are never re-sent, so they
+    /// are no rows: an error reply or [`Client::settle_optimistic`]
+    /// resolves them — the paper's 1-message insert cost model.
+    unacked: HashMap<OpId, (u64, OpResult)>,
     results: Vec<(OpId, OpResult)>,
     /// IAMs received — the convergence metric of experiment F1.
     pub iams_received: u64,
-    /// Requests that needed coordinator assistance (failure path metric).
-    pub escalations: u64,
-    /// Retransmissions sent (request or scan rounds) — the fault-overhead
-    /// metric of the loss-rate experiments.
-    pub retries: u64,
 }
 
 impl Client {
@@ -72,13 +122,10 @@ impl Client {
         Client {
             shared,
             image: ClientImage::new(1),
-            pending: HashMap::new(),
-            scans: HashMap::new(),
-            timer_to_op: HashMap::new(),
+            exchanges: Exchanges::new(),
+            unacked: HashMap::new(),
             results: Vec::new(),
             iams_received: 0,
-            escalations: 0,
-            retries: 0,
         }
     }
 
@@ -91,32 +138,8 @@ impl Client {
     /// driver once the network is quiet: any error reply would have
     /// arrived and resolved the op by then.
     pub fn settle_optimistic(&mut self) {
-        // Lookups are never optimistic (they always get replies); a lookup
-        // in this set would be a logic bug, and is left pending rather than
-        // fabricating a result.
-        let settled: Vec<OpId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.optimistic && !matches!(p.kind, ReqKind::Lookup(..)))
-            .map(|(id, _)| *id)
-            .collect();
-        for op_id in settled {
-            let Some(p) = self.pending.remove(&op_id) else {
-                continue;
-            };
-            let result = match p.kind {
-                ReqKind::Insert(..) => OpResult::Inserted,
-                ReqKind::Update(..) => OpResult::Updated,
-                ReqKind::Delete(..) => OpResult::Deleted,
-                ReqKind::Lookup(..) => continue, // filtered out above
-            };
-            self.results.push((op_id, result));
-        }
-    }
-
-    /// Number of operations still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len() + self.scans.len()
+        let settled = self.unacked.drain().map(|(op_id, (_, result))| (op_id, result));
+        self.results.extend(settled);
     }
 
     /// Main message handler.
@@ -128,15 +151,20 @@ impl Client {
                     self.image.adjust(iam.level, iam.bucket);
                     self.iams_received += 1;
                 }
-                if let Some(p) = self.pending.remove(&op_id) {
-                    if let Some(t) = p.timer {
-                        env.cancel_timer(t);
-                        self.timer_to_op.remove(&t);
-                    }
-                    env.obs()
-                        .observe_us("op_latency", env.now().saturating_sub(p.issued_at));
-                    self.results.push((op_id, result));
-                }
+                let issued_at = if let Some(Row::Request(r) | Row::Escalated(r)) =
+                    self.exchanges.get(op_id)
+                {
+                    let at = r.issued_at;
+                    self.exchanges.settle(env, op_id);
+                    at
+                } else if let Some((at, _)) = self.unacked.remove(&op_id) {
+                    at
+                } else {
+                    return;
+                };
+                env.obs()
+                    .observe_us("op_latency", env.now().saturating_sub(issued_at));
+                self.results.push((op_id, result));
             }
             Msg::ScanReply {
                 op_id,
@@ -144,34 +172,18 @@ impl Client {
                 level,
                 hits,
             } => {
-                let done = {
-                    let Some(scan) = self.scans.get_mut(&op_id) else {
-                        return;
-                    };
-                    scan.replies.insert(bucket, (level, hits));
-                    // Deterministic termination: with i = min level received
-                    // and n = the smallest bucket at that level, the file
-                    // has exactly M = n + 2^i buckets; finish once every
-                    // bucket 0..M-1 has replied.
-                    // `replies` is nonempty: one was inserted just above.
-                    let Some(i) = scan.replies.values().map(|(l, _)| *l).min() else {
-                        return;
-                    };
-                    let Some(n) = scan
-                        .replies
-                        .iter()
-                        .filter(|(_, (l, _))| *l == i)
-                        .map(|(b, _)| *b)
-                        .min()
-                    else {
-                        return;
-                    };
-                    let expected = n + (1u64 << i);
-                    scan.replies.len() as u64 == expected
-                        && scan.replies.keys().copied().eq(0..expected)
+                let Some(Row::Scan(scan) | Row::Silence(scan, _)) = self.exchanges.get_mut(op_id)
+                else {
+                    return;
                 };
-                if done {
-                    self.finish_scan(env, op_id);
+                scan.replies.insert(bucket, (level, hits));
+                if !scan.complete() {
+                    return;
+                }
+                if let Some(Row::Scan(scan) | Row::Silence(scan, _)) =
+                    self.exchanges.settle(env, op_id)
+                {
+                    self.finish_scan(op_id, scan);
                 }
             }
             other => {
@@ -180,193 +192,8 @@ impl Client {
         }
     }
 
-    /// Timer handler: retry a stalled request (bounded exponential
-    /// backoff), then escalate it to the coordinator, then give up after
-    /// the escalation grace period.
-    pub fn on_timer(&mut self, env: &mut Env<'_, Msg>, timer: TimerId) {
-        let Some(&op_id) = self.timer_to_op.get(&timer) else {
-            return;
-        };
-        self.timer_to_op.remove(&timer);
-        if self.pending.contains_key(&op_id) {
-            let (escalated, attempts, key) = {
-                let Some(p) = self.pending.get(&op_id) else {
-                    return;
-                };
-                (p.escalated, p.attempts, p.kind.key())
-            };
-            if !escalated && attempts < self.shared.cfg.client_retries {
-                // Retry: the request or its reply may simply have been
-                // lost. Re-resolve the address — the bucket may have moved
-                // (split, recovery) while we waited.
-                let bucket = self.clamped_address(key);
-                let node = self.shared.registry.borrow().data_node(bucket);
-                let backoff = (self.shared.cfg.client_timeout_us << (attempts + 1))
-                    .min(self.shared.cfg.retry_backoff_cap_us);
-                let new_timer = env.set_timer(backoff);
-                self.timer_to_op.insert(new_timer, op_id);
-                self.retries += 1;
-                env.obs().incr("client_retries");
-                env.trace(ObsEvent::Retry {
-                    op: op_id,
-                    attempt: u64::from(attempts) + 1,
-                });
-                let me = env.me();
-                let Some(p) = self.pending.get_mut(&op_id) else {
-                    return;
-                };
-                p.attempts += 1;
-                p.sent_to = bucket;
-                p.timer = Some(new_timer);
-                let kind = p.kind.clone();
-                env.send(
-                    node,
-                    Msg::Req {
-                        op_id,
-                        client: me,
-                        intended: bucket,
-                        hops: 0,
-                        kind,
-                    },
-                );
-            } else if !escalated {
-                let Some(p) = self.pending.get_mut(&op_id) else {
-                    return;
-                };
-                p.escalated = true;
-                self.escalations += 1;
-                env.obs().incr("client_escalations");
-                // Grace period for detection + degraded service + recovery.
-                let new_timer = env.set_timer(self.shared.cfg.client_timeout_us * 50);
-                p.timer = Some(new_timer);
-                self.timer_to_op.insert(new_timer, op_id);
-                let coord = self.shared.registry.borrow().coordinator();
-                let (bucket, kind) = (p.sent_to, p.kind.clone());
-                env.send(
-                    coord,
-                    Msg::Suspect {
-                        op_id,
-                        client: env.me(),
-                        bucket,
-                        kind,
-                    },
-                );
-            } else {
-                // Even the coordinator could not complete it.
-                self.pending.remove(&op_id);
-                self.results.push((
-                    op_id,
-                    OpResult::Failed("request unrecoverable or timed out".into()),
-                ));
-            }
-        } else if let Some(scan) = self.scans.get(&op_id) {
-            match scan.termination {
-                // The silence window elapsed: the probabilistic scan is
-                // complete with whatever replied.
-                ScanTermination::Probabilistic { .. } => self.finish_scan(env, op_id),
-                ScanTermination::Deterministic => self.retry_or_fail_scan(env, op_id),
-            }
-        }
-    }
-
-    /// A deterministic scan timed out: re-send it to the buckets that have
-    /// not replied (messages or replies may have been lost), or fail the
-    /// scan once the retry budget is spent.
-    fn retry_or_fail_scan(&mut self, env: &mut Env<'_, Msg>, op_id: OpId) {
-        let (attempts, replied, min_level) = {
-            let Some(scan) = self.scans.get(&op_id) else {
-                return;
-            };
-            (
-                scan.attempts,
-                scan.replies
-                    .iter()
-                    .map(|(b, (l, _))| (*b, *l))
-                    .collect::<Vec<(u64, u8)>>(),
-                scan.replies.values().map(|(l, _)| *l).min(),
-            )
-        };
-        if attempts >= self.shared.cfg.client_retries {
-            self.scans.remove(&op_id);
-            self.results
-                .push((op_id, OpResult::Failed("scan timed out".into())));
-            return;
-        }
-        // Rebuild the target set. With replies in hand the expected bucket
-        // range is known exactly (the termination rule); without any, fall
-        // back to the image. Buckets that replied are skipped; re-reaching
-        // a bucket twice is harmless (replies are keyed by bucket).
-        let mut targets: Vec<(u64, u8)> = Vec::new();
-        match min_level {
-            Some(i) => {
-                // Same rule as the termination check: n = smallest bucket at
-                // the minimum level ⇒ the file has n + 2^i buckets.
-                // `min_level` came from this same reply set, so a bucket at
-                // that level exists.
-                let Some(n) = replied
-                    .iter()
-                    .filter(|(_, l)| *l == i)
-                    .map(|(b, _)| *b)
-                    .min()
-                else {
-                    return;
-                };
-                let expected = n + (1u64 << i);
-                for b in 0..expected {
-                    if !replied.iter().any(|(rb, _)| *rb == b) {
-                        targets.push((b, i));
-                    }
-                }
-            }
-            None => {
-                self.clamped_address(0);
-                for b in 0..self.image.bucket_count() {
-                    targets.push((b, self.image.level_of(b)));
-                }
-            }
-        }
-        let me = env.me();
-        let new_timer = env.set_timer(self.shared.cfg.client_timeout_us * 50);
-        self.timer_to_op.insert(new_timer, op_id);
-        self.retries += 1;
-        env.obs().incr("client_retries");
-        env.trace(ObsEvent::Retry {
-            op: op_id,
-            attempt: u64::from(attempts) + 1,
-        });
-        let Some(scan) = self.scans.get_mut(&op_id) else {
-            return;
-        };
-        scan.attempts += 1;
-        scan.timer = new_timer;
-        let filter = scan.filter.clone();
-        for (b, assumed_level) in targets {
-            // A networked host's allocation table can lag the level a reply
-            // advertised; skip unmapped buckets — the next retry round sees
-            // a fresher table.
-            let Some(node) = self.shared.registry.borrow().try_data_node(b) else {
-                continue;
-            };
-            env.send(
-                node,
-                Msg::Scan {
-                    op_id,
-                    client: me,
-                    filter: filter.clone(),
-                    assumed_level,
-                    reply_if_empty: true,
-                },
-            );
-        }
-    }
-
     /// Close out a scan: fold levels into the image, sort, deliver.
-    fn finish_scan(&mut self, env: &mut Env<'_, Msg>, op_id: OpId) {
-        let Some(scan) = self.scans.remove(&op_id) else {
-            return;
-        };
-        env.cancel_timer(scan.timer);
-        self.timer_to_op.remove(&scan.timer);
+    fn finish_scan(&mut self, op_id: OpId, scan: ScanState) {
         for (b, (l, _)) in &scan.replies {
             self.image.adjust(*l, *b);
         }
@@ -386,43 +213,61 @@ impl Client {
                 self.send_req(env, op_id, ReqKind::Update(key, payload))
             }
             ClientOp::Delete { key } => self.send_req(env, op_id, ReqKind::Delete(key)),
-            ClientOp::Scan { filter } => self.start_scan(env, op_id, filter),
+            ClientOp::Scan { filter } => {
+                let scan = ScanState {
+                    replies: BTreeMap::new(),
+                    filter,
+                };
+                let row = match self.shared.cfg.scan_termination {
+                    ScanTermination::Deterministic => Row::Scan(scan),
+                    ScanTermination::Probabilistic { silence_us } => {
+                        Row::Silence(scan, silence_us)
+                    }
+                };
+                self.start(env, op_id, row);
+            }
         }
     }
 
     fn send_req(&mut self, env: &mut Env<'_, Msg>, op_id: OpId, kind: ReqKind) {
+        let issued_at = env.now();
+        // Lookups always get a reply; writes only in ack mode.
+        let assumed = match kind {
+            ReqKind::Lookup(_) => None,
+            _ if self.shared.cfg.ack_writes => None,
+            ReqKind::Insert(..) => Some(OpResult::Inserted),
+            ReqKind::Update(..) => Some(OpResult::Updated),
+            ReqKind::Delete(..) => Some(OpResult::Deleted),
+        };
+        let Some(result) = assumed else {
+            let (sent_to, node, req) = self.req(env, op_id, kind.clone());
+            let request = Request {
+                kind,
+                sent_to,
+                issued_at,
+            };
+            let row = Row::Request(request);
+            self.exchanges.open(env, &self.shared.cfg, op_id, row);
+            return env.send(node, req);
+        };
+        self.unacked.insert(op_id, (issued_at, result));
+        let (_, node, req) = self.req(env, op_id, kind);
+        env.send(node, req);
+    }
+
+    /// Op `op_id`'s request, addressed by the image: its bucket, that
+    /// bucket's node, and the message.
+    fn req(&mut self, env: &Env<'_, Msg>, op_id: OpId, kind: ReqKind) -> (u64, NodeId, Msg) {
         let bucket = self.clamped_address(kind.key());
         let node = self.shared.registry.borrow().data_node(bucket);
-        // Lookups always get a reply; writes only in ack mode. Un-acked
-        // writes are optimistic: no timer, settled by the driver.
-        let needs_reply = matches!(kind, ReqKind::Lookup(_)) || self.shared.cfg.ack_writes;
-        let timer = needs_reply.then(|| {
-            let t = env.set_timer(self.shared.cfg.client_timeout_us);
-            self.timer_to_op.insert(t, op_id);
-            t
-        });
-        self.pending.insert(
+        let req = Msg::Req {
             op_id,
-            Pending {
-                kind: kind.clone(),
-                sent_to: bucket,
-                timer,
-                attempts: 0,
-                escalated: false,
-                optimistic: !needs_reply,
-                issued_at: env.now(),
-            },
-        );
-        env.send(
-            node,
-            Msg::Req {
-                op_id,
-                client: env.me(),
-                intended: bucket,
-                hops: 0,
-                kind,
-            },
-        );
+            client: env.me(),
+            intended: bucket,
+            hops: 0,
+            kind,
+        };
+        (bucket, node, req)
     }
 
     /// A1 over the image, coarsening the image first if it is *ahead* of a
@@ -437,47 +282,119 @@ impl Client {
         }
         self.image.address(key)
     }
+}
 
-    fn start_scan(&mut self, env: &mut Env<'_, Msg>, op_id: OpId, filter: FilterSpec) {
-        // Unicast one scan message per bucket in the image, each tagged with
-        // the level the image assumes — that tag drives exactly-once
-        // propagation to buckets the image does not know about.
-        let me = env.me();
-        let termination = self.shared.cfg.scan_termination;
-        let (timer, reply_if_empty) = match termination {
-            ScanTermination::Deterministic => {
-                (env.set_timer(self.shared.cfg.client_timeout_us * 50), true)
+/// Count and trace retry `round` of op `op`.
+fn count_retry(env: &Env<'_, Msg>, op: OpId, round: u32) {
+    env.obs().incr("client_retries");
+    env.trace(ObsEvent::Retry {
+        op,
+        attempt: u64::from(round),
+    });
+}
+
+impl Owner for Client {
+    type Kind = Row;
+
+    fn exchanges(&mut self) -> (&mut Exchanges<Row>, &Config) {
+        (&mut self.exchanges, &self.shared.cfg)
+    }
+
+    /// A request goes again to its key's bucket, re-resolved: the request
+    /// or its reply may simply have been lost, and the bucket may have
+    /// moved (split, recovery) while the client waited. A scan goes first
+    /// to every bucket of the image, then again to the buckets that have
+    /// not replied.
+    fn resend(
+        &mut self,
+        env: &Env<'_, Msg>,
+        op_id: u64,
+        round: u32,
+        row: &mut Row,
+    ) -> Vec<(NodeId, Msg)> {
+        let (scan, reply_if_empty) = match row {
+            Row::Request(r) => {
+                count_retry(env, op_id, round);
+                let (bucket, node, req) = self.req(env, op_id, r.kind.clone());
+                r.sent_to = bucket;
+                return vec![(node, req)];
             }
-            // The initial silence window also covers the in-flight time of
-            // the scan requests themselves.
-            ScanTermination::Probabilistic { silence_us } => (env.set_timer(silence_us), false),
+            Row::Escalated(_) => return Vec::new(),
+            Row::Scan(scan) => (scan, true),
+            Row::Silence(scan, _) => (scan, false),
         };
-        self.timer_to_op.insert(timer, op_id);
-        self.scans.insert(
-            op_id,
-            ScanState {
-                replies: BTreeMap::new(),
-                timer,
-                termination,
-                filter: filter.clone(),
-                attempts: 0,
-            },
-        );
-        // Coarsen first if the file shrank below the image.
-        self.clamped_address(0);
-        let count = self.image.bucket_count();
-        for b in 0..count {
-            let node = self.shared.registry.borrow().data_node(b);
-            env.send(
-                node,
-                Msg::Scan {
+        // With replies in hand the file's buckets are known exactly (the
+        // termination rule); without any, the image's are asked, each
+        // tagged with the level the image assumes — that tag drives
+        // exactly-once propagation to buckets the image does not know
+        // about. Re-reaching a bucket twice is harmless: replies are keyed
+        // by bucket.
+        let targets: Vec<(u64, u8)> = match scan.expected() {
+            Some((i, m)) => (0..m)
+                .filter(|b| !scan.replies.contains_key(b))
+                .map(|b| (b, i))
+                .collect(),
+            None => {
+                // Coarsen first if the file shrank below the image.
+                self.clamped_address(0);
+                let image = &self.image;
+                (0..image.bucket_count())
+                    .map(|b| (b, image.level_of(b)))
+                    .collect()
+            }
+        };
+        let reg = self.shared.registry.borrow();
+        // A networked host's allocation table can lag the level a reply
+        // advertised; skip unmapped buckets — the next round sees a
+        // fresher table.
+        let sends: Vec<(NodeId, Msg)> = targets
+            .into_iter()
+            .filter_map(|(b, assumed_level)| {
+                let msg = Msg::Scan {
                     op_id,
-                    client: me,
-                    filter: filter.clone(),
-                    assumed_level: self.image.level_of(b),
+                    client: env.me(),
+                    filter: scan.filter.clone(),
+                    assumed_level,
                     reply_if_empty,
-                },
-            );
+                };
+                Some((reg.try_data_node(b)?, msg))
+            })
+            .collect();
+        if round > 0 && !sends.is_empty() {
+            count_retry(env, op_id, round);
+        }
+        sends
+    }
+
+    fn exhausted(&mut self, env: &mut Env<'_, Msg>, op_id: u64, row: Row) {
+        match row {
+            // Report the silent bucket to the coordinator, which probes it
+            // and recovers it or answers the request itself.
+            Row::Request(r) => {
+                env.obs().incr("client_escalations");
+                let suspect = Msg::Suspect {
+                    op_id,
+                    client: env.me(),
+                    bucket: r.sent_to,
+                    kind: r.kind.clone(),
+                };
+                self.exchanges
+                    .open(env, &self.shared.cfg, op_id, Row::Escalated(r));
+                let coord = self.shared.registry.borrow().coordinator();
+                env.send(coord, suspect);
+            }
+            // Even the coordinator could not complete it.
+            Row::Escalated(_) => {
+                let failed = OpResult::Failed("request unrecoverable or timed out".into());
+                self.results.push((op_id, failed));
+            }
+            Row::Scan(_) => {
+                let failed = OpResult::Failed("scan timed out".into());
+                self.results.push((op_id, failed));
+            }
+            // The window elapsed: the scan is complete with whatever
+            // replied.
+            Row::Silence(scan, _) => self.finish_scan(op_id, scan),
         }
     }
 }

@@ -69,7 +69,7 @@ impl Schedule for Kind {
     /// Retransmission period: liveness questions (probes, audits, suffix
     /// pulls) are timed by `probe_timeout_us`, everything else by
     /// `coord_retransmit_us`.
-    fn period(&self, cfg: &Config) -> u64 {
+    fn period(&self, cfg: &Config, _: u32) -> u64 {
         match self {
             Kind::Probe { .. } | Kind::Check(_) | Kind::Suffix(_) => cfg.probe_timeout_us,
             _ => cfg.coord_retransmit_us,
@@ -1364,7 +1364,7 @@ impl Coordinator {
             r.awaiting = r.collected.keys().copied().collect();
             r.collected.clear();
             if let Some(kind) = self.exchanges.get(token) {
-                for (node, msg) in self.resend(env, token, kind) {
+                for (node, msg) in self.requests(token, kind) {
                     env.send(node, msg);
                 }
             }
@@ -1580,17 +1580,11 @@ impl Coordinator {
     }
 }
 
-impl Owner for Coordinator {
-    type Kind = Kind;
-
-    fn exchanges(&mut self) -> (&mut Exchanges<Kind>, &Config) {
-        (&mut self.exchanges, &self.shared.cfg)
-    }
-
+impl Coordinator {
     /// What exchange `token` is still waiting on, as the messages that ask
     /// for it again. Every request is idempotent at its receiver (a split
     /// source re-ships its cached `SplitLoad`, an installed spare re-acks).
-    fn resend(&self, _: &Env<'_, Msg>, token: u64, kind: &Kind) -> Vec<(NodeId, Msg)> {
+    fn requests(&self, token: u64, kind: &Kind) -> Vec<(NodeId, Msg)> {
         let m = self.m();
         let reg = self.shared.registry.borrow();
         match kind {
@@ -1702,8 +1696,27 @@ impl Owner for Coordinator {
         }
     }
 
+}
+
+impl Owner for Coordinator {
+    type Kind = Kind;
+
+    fn exchanges(&mut self) -> (&mut Exchanges<Kind>, &Config) {
+        (&mut self.exchanges, &self.shared.cfg)
+    }
+
+    fn resend(
+        &mut self,
+        _: &Env<'_, Msg>,
+        token: u64,
+        _: u32,
+        kind: &mut Kind,
+    ) -> Vec<(NodeId, Msg)> {
+        self.requests(token, kind)
+    }
+
     /// Conclude an exchange whose peers stayed silent.
-    fn exhausted(&mut self, env: &mut Env<'_, Msg>, kind: Kind) {
+    fn exhausted(&mut self, env: &mut Env<'_, Msg>, _: u64, kind: Kind) {
         match kind {
             Kind::Probe { bucket, pending } => {
                 // The addressed bucket is dead: remember the ops and audit
@@ -1769,14 +1782,6 @@ fn copy_cell(buf: &mut [u8], pos: usize, cell_len: usize, cell: &[u8]) {
     }
 }
 
-/// Rebuild the listed shards of one group from the collected survivors.
-///
-/// Pure function (no messaging) so the decode logic is unit-testable. Uses
-/// the concatenated-buffer trick: all ranks of a shard are laid out
-/// rank-major in one buffer, so one `reconstruct` call decodes every record
-/// group at once.
-///
-/// # Errors
 /// Check a completed shard collection for a torn cut. The rebuild treats
 /// the collected shards as one code word per rank, which is only sound if
 /// every parity shard has applied exactly the Δ-prefix each collected data
@@ -1817,6 +1822,14 @@ fn torn_cut(m: usize, collected: &HashMap<usize, ShardContent>) -> Option<String
     None
 }
 
+/// Rebuild the listed shards of one group from the collected survivors.
+///
+/// Pure function (no messaging) so the decode logic is unit-testable. Uses
+/// the concatenated-buffer trick: all ranks of a shard are laid out
+/// rank-major in one buffer, so one `reconstruct` call decodes every record
+/// group at once.
+///
+/// # Errors
 /// A human-readable description when the survivors cannot produce the
 /// requested shards (too many erasures, inconsistent content). The caller
 /// surfaces it as a degraded-mode event and abandons the rebuild.

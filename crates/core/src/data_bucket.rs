@@ -45,7 +45,7 @@ pub(crate) enum Row {
 }
 
 impl Schedule for Row {
-    fn period(&self, cfg: &Config) -> u64 {
+    fn period(&self, cfg: &Config, _: u32) -> u64 {
         match self {
             Row::Deltas => cfg.delta_retransmit_us,
             // Long enough for several collection retry rounds, short
@@ -1446,7 +1446,13 @@ impl Owner for DataBucket {
 
     /// A Δ-window round re-sends each parity column the Δs it has not
     /// acked, as one `ParityBatch`; the watchdogs re-send nothing.
-    fn resend(&self, env: &Env<'_, Msg>, _: u64, row: &Row) -> Vec<(NodeId, Msg)> {
+    fn resend(
+        &mut self,
+        env: &Env<'_, Msg>,
+        _: u64,
+        _: u32,
+        row: &mut Row,
+    ) -> Vec<(NodeId, Msg)> {
         if !matches!(row, Row::Deltas) {
             return Vec::new();
         }
@@ -1468,7 +1474,7 @@ impl Owner for DataBucket {
             .collect()
     }
 
-    fn exhausted(&mut self, env: &mut Env<'_, Msg>, row: Row) {
+    fn exhausted(&mut self, env: &mut Env<'_, Msg>, _: u64, row: Row) {
         match row {
             // No progress for too long: a dead parity bucket is the
             // recovery machinery's problem. An ack or a fresh Δ re-opens

@@ -489,6 +489,11 @@ impl LhrsFile {
         self.shared.registry.borrow().data_node(bucket)
     }
 
+    /// The simulator node running the coordinator.
+    pub fn coordinator_node_id(&self) -> NodeId {
+        self.coordinator
+    }
+
     /// The simulator node currently carrying parity bucket `index` of
     /// `group`.
     pub fn parity_node_id(&self, group: u64, index: usize) -> NodeId {

@@ -267,7 +267,7 @@ impl Actor<Msg> for Node {
 
     fn on_timer(&mut self, env: &mut Env<'_, Msg>, timer: TimerId) {
         match self {
-            Node::Client(c) => c.on_timer(env, timer),
+            Node::Client(c) => c.round(env, timer),
             Node::Coordinator(c) => c.round(env, timer),
             Node::Data(d) => d.round(env, timer),
             _ => {}

@@ -12,11 +12,7 @@
 //! * [`a2_route`] — the server-side forwarding test **A2**, which delivers
 //!   any request to the correct bucket in **at most two hops** no matter how
 //!   stale the client image is (property-tested in `tests/`);
-//! * [`SplitPlan`] / [`partition_keys`] — what moves where when bucket `n`
-//!   splits;
-//! * [`LhTable`] — a self-contained single-node linear-hash dictionary built
-//!   on the same arithmetic, usable on its own and doubling as an executable
-//!   specification of the bucket math.
+//! * [`SplitPlan`] — what moves where when bucket `n` splits.
 //!
 //! # Example
 //!
@@ -65,13 +61,11 @@ mod image;
 mod route;
 mod split;
 mod state;
-mod table;
 
 pub use image::ClientImage;
 pub use route::{a2_route, A2Outcome};
-pub use split::{partition_keys, SplitPlan};
+pub use split::SplitPlan;
 pub use state::FileState;
-pub use table::LhTable;
 
 /// The LH hash family: `h_l(c) = c mod (2^l · n0)`.
 ///

@@ -1,5 +1,4 @@
-//! Split plans and key partitioning: what moves where when bucket `n`
-//! splits.
+//! Split plans: what moves where when bucket `n` splits.
 
 use crate::h;
 
@@ -27,77 +26,9 @@ impl SplitPlan {
     }
 }
 
-/// Partition `keys` (all currently resident in `plan.source`) into
-/// `(stayers, movers)` under the plan.
-pub fn partition_keys(
-    plan: &SplitPlan,
-    keys: impl IntoIterator<Item = u64>,
-) -> (Vec<u64>, Vec<u64>) {
-    let mut stay = Vec::new();
-    let mut go = Vec::new();
-    for k in keys {
-        debug_assert_eq!(
-            h(plan.new_level.saturating_sub(1), plan.n0, k),
-            plan.source,
-            "key {k} was not resident in the splitting bucket"
-        );
-        if plan.moves(k) {
-            go.push(k);
-        } else {
-            stay.push(k);
-        }
-    }
-    (stay, go)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::FileState;
-
-    #[test]
-    fn movers_land_on_target_stayers_on_source() {
-        let mut state = FileState::new(1);
-        for _ in 0..6 {
-            state.split();
-        }
-        // Collect keys for the bucket about to split.
-        let source = state.split_pointer();
-        let keys: Vec<u64> = (0..4000u64)
-            .filter(|&k| state.address(k) == source)
-            .collect();
-        assert!(!keys.is_empty());
-        let plan = state.split();
-        let (stay, go) = partition_keys(&plan, keys.iter().copied());
-        assert_eq!(stay.len() + go.len(), keys.len());
-        for &k in &stay {
-            assert_eq!(state.address(k), plan.source);
-        }
-        for &k in &go {
-            assert_eq!(state.address(k), plan.target);
-        }
-    }
-
-    #[test]
-    fn split_moves_roughly_half_of_uniform_keys() {
-        let mut state = FileState::new(1);
-        for _ in 0..3 {
-            state.split();
-        }
-        let source = state.split_pointer();
-        let keys: Vec<u64> = (0..40_000u64)
-            .map(crate::scramble)
-            .filter(|&k| state.address(k) == source)
-            .collect();
-        let plan = state.split();
-        let (stay, go) = partition_keys(&plan, keys.iter().copied());
-        let frac = go.len() as f64 / keys.len() as f64;
-        assert!(
-            (0.45..=0.55).contains(&frac),
-            "uniform keys should split ~50/50, got {frac}"
-        );
-        assert!(!stay.is_empty());
-    }
 
     #[test]
     fn plan_numbers_match_lh_arithmetic() {

@@ -2,7 +2,7 @@
 //! the A2 two-hop bound under arbitrarily stale images, A3 convergence and
 //! safety, and split/merge inversion. Seeded cases via `lhrs-testkit`.
 
-use lhrs_lh::{a2_route, partition_keys, A2Outcome, ClientImage, FileState, LhTable};
+use lhrs_lh::{a2_route, A2Outcome, ClientImage, FileState};
 use lhrs_testkit::{cases, Rng};
 
 /// Resolve a request via A2 from `start`, panicking on chains > 3.
@@ -131,57 +131,5 @@ fn merge_inverts_split() {
         let merged = state.merge().unwrap();
         assert_eq!(state, before);
         assert_eq!(merged, plan);
-    });
-}
-
-/// partition_keys is a partition: disjoint, exhaustive, and consistent
-/// with post-split addressing.
-#[test]
-fn partition_is_exact() {
-    cases("partition_is_exact", 128, |rng| {
-        let splits = rng.range_usize(0, 100);
-        let seed = rng.next_u64();
-        let mut state = FileState::new(1);
-        for _ in 0..splits {
-            state.split();
-        }
-        let source = state.split_pointer();
-        let keys: Vec<u64> = (0..500u64)
-            .map(|i| lhrs_lh::scramble(seed.wrapping_add(i)))
-            .filter(|&k| state.address(k) == source)
-            .collect();
-        let plan = state.split();
-        let (stay, go) = partition_keys(&plan, keys.iter().copied());
-        assert_eq!(stay.len() + go.len(), keys.len());
-        for &k in &stay {
-            assert_eq!(state.address(k), plan.source);
-        }
-        for &k in &go {
-            assert_eq!(state.address(k), plan.target);
-        }
-    });
-}
-
-/// LhTable behaves like a HashMap under random workloads.
-#[test]
-fn lh_table_matches_model() {
-    cases("lh_table_matches_model", 128, |rng| {
-        use std::collections::HashMap;
-        let threshold = rng.range_usize(1, 16);
-        let mut table = LhTable::new(threshold);
-        let mut model: HashMap<u64, u16> = HashMap::new();
-        for _ in 0..rng.range_usize(1, 400) {
-            let k = rng.next_u16() as u64;
-            let v = rng.next_u16();
-            if rng.chance(1, 2) {
-                assert_eq!(table.insert(k, v), model.insert(k, v));
-            } else {
-                assert_eq!(table.remove(k), model.remove(&k));
-            }
-            assert_eq!(table.len(), model.len());
-        }
-        for (k, v) in &model {
-            assert_eq!(table.get(*k), Some(v));
-        }
     });
 }

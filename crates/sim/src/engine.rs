@@ -346,7 +346,7 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
                     let seq = self.next_seq();
                     self.armed_timers.insert(id.0);
                     self.queue.push(Reverse(Event {
-                        time: self.now + delay,
+                        time: self.now.saturating_add(delay),
                         seq,
                         node,
                         kind: EventKind::Timer { id },
@@ -413,11 +413,11 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
                 // FIFO per channel: never schedule an arrival before an
                 // earlier send on the same (src, dst) pair.
                 let clock = self.channel_clock.entry((from, to)).or_insert(0);
-                let time = (self.now + delay).max(*clock);
+                let time = self.now.saturating_add(delay).max(*clock);
                 *clock = time;
                 time
             }
-            Some(extra) => self.now + delay + extra,
+            Some(extra) => self.now.saturating_add(delay).saturating_add(extra),
         };
         self.queue.push(Reverse(Event {
             time,

@@ -18,6 +18,15 @@
 //! watchdogs that re-send nothing and conclude on their first expiry. The
 //! second table pins each row's re-sends and give-up outcome the same way.
 //!
+//! The client is the third owner. A request (a lookup, or a write with
+//! `ack_writes`) is re-sent `client_retries` times with a doubling period,
+//! then reported to the coordinator in one `Suspect`, and fails once the
+//! escalation watchdog expires; a deterministic scan re-sends to the buckets
+//! that have not replied and then fails; a probabilistic scan completes when
+//! its silence window expires. The third table pins each client row's
+//! re-sends, their times and its give-up outcome, on configurations that
+//! push the periods to the end of the clock as well.
+//!
 //! Every drill but the freeze runs on the zero-latency network, so each
 //! exchange starts at a simulated time the test can compute and the
 //! windows are exact; the freeze drill needs a message between two others
@@ -25,7 +34,9 @@
 
 use lhrs_core::data_bucket::DELTA_RETRY_LIMIT;
 use lhrs_core::storage::{MemHub, StoreId};
-use lhrs_core::{Config, Error, FaultPlan, LhrsFile, NodeId, Partition};
+use lhrs_core::{
+    Config, Error, FaultPlan, FilterSpec, LhrsFile, NodeId, Partition, ScanTermination,
+};
 use lhrs_obs::Event;
 use lhrs_sim::LatencyModel;
 
@@ -71,7 +82,11 @@ fn grow(file: &mut LhrsFile, buckets: u64) -> u64 {
 }
 
 fn grown(k: usize, buckets: u64) -> (LhrsFile, u64) {
-    let mut file = LhrsFile::new(cfg(k)).unwrap();
+    grown_with(cfg(k), buckets)
+}
+
+fn grown_with(c: Config, buckets: u64) -> (LhrsFile, u64) {
+    let mut file = LhrsFile::new(c).unwrap();
     let keys = grow(&mut file, buckets);
     (file, keys)
 }
@@ -545,6 +560,181 @@ fn every_data_bucket_row_gives_up_the_way_it_says() {
             sent.total,
             rounds + sent.others,
             "{}: `{}` sent ({} from the rest of the scenario)",
+            row,
+            request,
+            sent.others
+        );
+    }
+}
+
+/// The client's configuration: `RETRIES` re-sends per request, with a
+/// backoff cap that the last of them reaches.
+fn client_cfg() -> Config {
+    Config {
+        client_retries: RETRIES,
+        retry_backoff_cap_us: 40_000,
+        ..cfg(1)
+    }
+}
+
+/// How long a request's round `round` waits: the client timeout doubled
+/// per round, capped.
+fn backoff(c: &Config, round: u32) -> u64 {
+    let doubled = 1u64
+        .checked_shl(round)
+        .map_or(u64::MAX, |f| c.client_timeout_us.saturating_mul(f));
+    doubled.min(c.retry_backoff_cap_us)
+}
+
+/// A lookup whose bucket and coordinator stay silent: the lookup goes out
+/// once and is re-sent `client_retries` times at the backed-off times,
+/// then one `Suspect` goes out, and the op fails when the escalation
+/// watchdog (`client_timeout_us × 50`) expires.
+fn give_up(c: Config, kind: &'static str) -> Sent {
+    let (mut file, keys) = grown_with(c, 4);
+    let key = key_in(&file, keys, 0);
+    let c = file.config().clone();
+    let t0 = file.now_us();
+    let nodes = vec![file.data_node_id(0), file.coordinator_node_id()];
+    blackhole(&mut file, nodes, t0, u64::MAX - t0);
+    let (before, suspects, ev) = (sent(&file, kind), sent(&file, "suspect"), cursor(&file));
+    match file.lookup(key) {
+        Err(Error::Stuck(why)) => assert_eq!(why, "request unrecoverable or timed out"),
+        other => panic!("the lookup must give up: {other:?}"),
+    }
+    let retried_at: Vec<u64> = file
+        .events()
+        .into_iter()
+        .filter(|e| e.seq >= ev && matches!(e.event, Event::Retry { .. }))
+        .map(|e| e.at_us)
+        .collect();
+    let mut at = t0;
+    let backed_off: Vec<u64> = (0..c.client_retries)
+        .map(|round| {
+            at = at.saturating_add(backoff(&c, round));
+            at
+        })
+        .collect();
+    assert_eq!(retried_at, backed_off, "re-sent at the backed-off times");
+    assert_eq!(sent(&file, "suspect") - suspects, 1, "one escalation");
+    let suspected_at = at.saturating_add(backoff(&c, c.client_retries));
+    let watchdog = c.client_timeout_us.saturating_mul(50);
+    assert_eq!(file.now_us(), suspected_at.saturating_add(watchdog));
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 0,
+    }
+}
+
+fn request(kind: &'static str) -> Sent {
+    give_up(client_cfg(), kind)
+}
+
+/// Periods at the end of the clock: a retry count past the width of the
+/// backoff shift, and a timeout whose escalation watchdog overflows. Both
+/// saturate and reach the request row's give-up outcome.
+fn overflow(kind: &'static str) -> Sent {
+    let many = give_up(
+        Config {
+            client_retries: MANY_RETRIES,
+            ..client_cfg()
+        },
+        kind,
+    );
+    let huge = u64::MAX / 40;
+    let late = give_up(
+        Config {
+            client_timeout_us: huge,
+            retry_backoff_cap_us: huge,
+            ..client_cfg()
+        },
+        kind,
+    );
+    Sent {
+        total: many.total + late.total,
+        others: 0,
+    }
+}
+
+/// Past the 64-bit shift width.
+const MANY_RETRIES: u32 = 70;
+
+/// A deterministic scan with a silent bucket re-sends to that bucket only,
+/// once per `client_timeout_us × 50`, and fails after `client_retries`
+/// re-sends.
+fn scan(kind: &'static str) -> Sent {
+    let (mut file, _) = grown_with(client_cfg(), 4);
+    let c = file.config().clone();
+    let t0 = file.now_us();
+    let node = file.data_node_id(1);
+    blackhole(&mut file, vec![node], t0, u64::MAX - t0);
+    let before = sent(&file, kind);
+    match file.scan(FilterSpec::All) {
+        Err(Error::Stuck(why)) => assert_eq!(why, "scan timed out"),
+        other => panic!("the scan must time out: {other:?}"),
+    }
+    assert_eq!(file.metrics().counter("partition_dropped"), ROUNDS);
+    assert_eq!(file.now_us(), t0 + ROUNDS * c.client_timeout_us * 50);
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 3, // the answering buckets 0, 2, 3
+    }
+}
+
+/// A probabilistic scan with a silent bucket completes with the other
+/// buckets' hits when its silence window expires.
+fn silence(kind: &'static str) -> Sent {
+    const SILENCE: u64 = 50_000;
+    let (mut file, keys) = grown_with(
+        Config {
+            scan_termination: ScanTermination::Probabilistic {
+                silence_us: SILENCE,
+            },
+            ..client_cfg()
+        },
+        4,
+    );
+    let t0 = file.now_us();
+    let node = file.data_node_id(1);
+    blackhole(&mut file, vec![node], t0, u64::MAX - t0);
+    let before = sent(&file, kind);
+    let hits: Vec<u64> = file
+        .scan(FilterSpec::All)
+        .unwrap()
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    let others: Vec<u64> = (0..keys).filter(|k| file.address_of(*k) != 1).collect();
+    assert_eq!(hits, others, "every hit but the silent bucket's");
+    assert_eq!(file.now_us(), t0 + SILENCE);
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 3, // the answering buckets 0, 2, 3
+    }
+}
+
+#[test]
+fn every_client_row_gives_up_the_way_it_says() {
+    // (row, `msgs_sent` kind of its request, rounds the request goes out
+    // to the silent peer before the row concludes, drill)
+    let rows: [(&str, &'static str, u64, Drill); 4] = [
+        ("request", "lookup", ROUNDS, request),
+        ("deterministic scan", "scan", ROUNDS, scan),
+        // A watchdog: the scan goes out once.
+        ("probabilistic scan", "scan", 1, silence),
+        (
+            "request at the end of the clock",
+            "lookup",
+            u64::from(MANY_RETRIES) + 1 + ROUNDS,
+            overflow,
+        ),
+    ];
+    for (row, request, rounds, drill) in rows {
+        let sent = drill(request);
+        assert_eq!(
+            sent.total,
+            rounds + sent.others,
+            "{}: `{}` sent ({} answered)",
             row,
             request,
             sent.others

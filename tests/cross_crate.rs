@@ -6,7 +6,7 @@
 use lhrs_baselines::{ReplicatedLh, Scheme};
 use lhrs_core::{availability, Config, FilterSpec, LhrsFile};
 use lhrs_gf::{GaloisField, Gf8};
-use lhrs_lh::{scramble, FileState, LhTable};
+use lhrs_lh::{scramble, FileState};
 use lhrs_rs::RsCode;
 use lhrs_sim::LatencyModel;
 
@@ -63,15 +63,12 @@ fn simulated_tolerance_matches_analytic_model() {
 }
 
 #[test]
-fn lh_table_and_distributed_file_agree_on_addressing() {
-    // The single-node LhTable and the distributed file share the hash
+fn distributed_file_addresses_as_file_state() {
+    // The distributed file and the pure LH arithmetic share the hash
     // family; a key's bucket in the file equals FileState::address.
     let mut file = LhrsFile::new(cfg(1)).unwrap();
-    let mut table = LhTable::new(16);
     for key in 0..500u64 {
-        let k = scramble(key);
-        file.insert(k, vec![1]).unwrap();
-        table.insert(k, ());
+        file.insert(scramble(key), vec![1]).unwrap();
     }
     let m = file.bucket_count();
     let mut state = FileState::new(1);
@@ -82,7 +79,6 @@ fn lh_table_and_distributed_file_agree_on_addressing() {
         let k = scramble(key);
         assert_eq!(file.address_of(k), state.address(k));
     }
-    assert_eq!(table.len(), 500);
 }
 
 #[test]
