@@ -116,14 +116,18 @@ pub struct Config {
     /// nothing is retransmitted (or even tracked) in the paper's
     /// fire-and-forget base mode.
     pub delta_retransmit_us: u64,
-    /// Coordinator probe timeout (µs) before declaring a suspect dead.
+    /// Period (µs) of the coordinator's liveness questions: each round of
+    /// a group check (opened by a client's `Suspect`) and of a Δ-suffix
+    /// pull. A silent shard is declared dead `coord_retries + 1` periods
+    /// after the check opens.
     pub probe_timeout_us: u64,
     /// Interval (µs) at which the coordinator retransmits unanswered
     /// recovery traffic (shard transfers, installs) and structural orders
     /// (splits, merges).
     pub coord_retransmit_us: u64,
-    /// Retransmission rounds the coordinator attempts (per probe, shard
-    /// transfer, install, split, or merge) before giving up.
+    /// Retransmission rounds the coordinator attempts per exchange (group
+    /// check, shard collection and install, degraded read, split, merge,
+    /// file-state scan, suffix pull) before giving up.
     pub coord_retries: u32,
     /// Pipelined-client in-flight window: how many operations a batch
     /// driver (`KvClient::run_batch` over the multiplexed network client)
@@ -208,9 +212,15 @@ impl Config {
                 Gf8::NAME
             )));
         }
-        if self.delta_retransmit_us == 0 || self.coord_retransmit_us == 0 {
+        if self.delta_retransmit_us == 0
+            || self.coord_retransmit_us == 0
+            || self.probe_timeout_us == 0
+            || self.client_timeout_us == 0
+        {
             return Err(crate::Error::InvalidConfig(
-                "delta_retransmit_us and coord_retransmit_us must be ≥ 1 µs".into(),
+                "delta_retransmit_us, coord_retransmit_us, probe_timeout_us and \
+                 client_timeout_us must be ≥ 1 µs"
+                    .into(),
             ));
         }
         if self.client_window == 0 {
@@ -268,6 +278,8 @@ mod tests {
             |c: &mut Config| c.initial_k = 0,
             |c: &mut Config| c.bucket_capacity = 0,
             |c: &mut Config| c.record_len = 0,
+            |c: &mut Config| c.probe_timeout_us = 0,
+            |c: &mut Config| c.client_timeout_us = 0,
         ] {
             let mut c = Config::default();
             f(&mut c);

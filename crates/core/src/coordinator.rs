@@ -22,15 +22,10 @@ use crate::{Config, Key, Rank, UpgradeMode};
 /// The protocol state of one exchange (DESIGN.md §2.4 lists, per kind, the
 /// request, the period, what a round re-sends, and the give-up outcome).
 pub(crate) enum Kind {
-    /// Liveness probe of one suspected data bucket. A node is only
-    /// declared dead after `coord_retries` unanswered re-probes — one lost
-    /// probe (or ack) must not trigger a spurious recovery.
-    Probe {
-        bucket: u64,
-        /// Client ops parked on the verdict.
-        pending: Vec<(OpId, NodeId, ReqKind)>,
-    },
-    /// Group audit.
+    /// Group audit, opened by a client's `Suspect`, by a restart
+    /// fallback or another row's give-up, or by `CheckGroup`. A shard is
+    /// only declared dead after `coord_retries` unanswered re-probes — one
+    /// lost probe (or ack) must not trigger a spurious recovery.
     Check(GroupCheck),
     /// Shard collection, then install, for one group.
     Recovery(Recovery),
@@ -66,12 +61,12 @@ pub(crate) enum Kind {
 }
 
 impl Schedule for Kind {
-    /// Retransmission period: liveness questions (probes, audits, suffix
-    /// pulls) are timed by `probe_timeout_us`, everything else by
+    /// Retransmission period: liveness questions (audits, suffix pulls)
+    /// are timed by `probe_timeout_us`, everything else by
     /// `coord_retransmit_us`.
     fn period(&self, cfg: &Config, _: u32) -> u64 {
         match self {
-            Kind::Probe { .. } | Kind::Check(_) | Kind::Suffix(_) => cfg.probe_timeout_us,
+            Kind::Check(_) | Kind::Suffix(_) => cfg.probe_timeout_us,
             _ => cfg.coord_retransmit_us,
         }
     }
@@ -225,11 +220,10 @@ impl Coordinator {
         }
     }
 
-    /// Whether structural work is in flight: any exchange but a plain
-    /// probe or a file-state scan. Splits, upgrades and merges wait for it.
+    /// Whether structural work is in flight: any exchange but a
+    /// file-state scan. Splits, upgrades and merges wait for it.
     fn structural_work(&self) -> bool {
-        self.exchanges
-            .any(|k| !matches!(k, Kind::Probe { .. } | Kind::StateRec { .. }))
+        self.exchanges.any(|k| !matches!(k, Kind::StateRec { .. }))
     }
 
     /// Whether structural work is in flight or queued.
@@ -427,14 +421,12 @@ impl Coordinator {
         self.exchanges.any(|k| matches!(k, Kind::Recovery(r) if r.group == group))
     }
 
-    /// Park ops for a group, without duplicating an op already parked (a
-    /// duplicated Suspect or a probe round can offer the same op twice).
-    fn queue_ops(&mut self, group: u64, ops: Vec<(OpId, NodeId, ReqKind)>) {
+    /// Park an op on a group, unless it is parked already (a duplicated
+    /// `Suspect` can offer the same op twice).
+    fn queue_op(&mut self, group: u64, op_id: OpId, client: NodeId, kind: ReqKind) {
         let queued = self.queued_ops.entry(group).or_default();
-        for (op_id, client, kind) in ops {
-            if !queued.iter().any(|(o, c, _)| *o == op_id && *c == client) {
-                queued.push((op_id, client, kind));
-            }
+        if !queued.iter().any(|(o, c, _)| *o == op_id && *c == client) {
+            queued.push((op_id, client, kind));
         }
     }
 
@@ -720,8 +712,7 @@ impl Coordinator {
         client: NodeId,
         kind: ReqKind,
     ) {
-        let bucket = self.state.address(kind.key());
-        let group = bucket / self.m() as u64;
+        let group = self.state.address(kind.key()) / self.m() as u64;
         if self.dead_groups.contains(&group) {
             env.send(
                 client,
@@ -733,72 +724,29 @@ impl Coordinator {
             );
             return;
         }
-        // Already working on this group: park the op.
-        if self.checking(group) || self.recovering(group) {
-            self.queue_ops(group, vec![(op_id, client, kind)]);
-            return;
-        }
-        let col = crate::convert::to_index(bucket % self.m() as u64);
-        if self.failed.contains(&(group, col)) {
-            // Known failure, recovery apparently finished (or pending
-            // elsewhere); queue and audit again.
-            self.queue_ops(group, vec![(op_id, client, kind)]);
+        // Park the op on its group's verdict: a false alarm replays it to
+        // the live bucket, a failure serves it degraded or after the
+        // rebuild. A check or repair already running covers the group.
+        self.queue_op(group, op_id, client, kind);
+        if !self.checking(group) && !self.recovering(group) {
             self.start_group_check(env, group);
-            return;
         }
-        // A probe for this bucket is already in flight (e.g. a duplicated
-        // Suspect): ride along instead of double-probing.
-        let probing = self
-            .exchanges
-            .find_mut(|k| matches!(k, Kind::Probe { bucket: b, .. } if *b == bucket));
-        if let Some((_, Kind::Probe { pending, .. })) = probing {
-            if !pending.iter().any(|(o, c, _)| *o == op_id && *c == client) {
-                pending.push((op_id, client, kind));
-            }
-            return;
-        }
-        // Probe the bucket's node.
-        let token = self.token();
-        let pending = vec![(op_id, client, kind)];
-        self.start(env, token, Kind::Probe { bucket, pending });
     }
 
+    /// A group check's probe: the responding shard is identified by its
+    /// node id. A check whose every probed shard responded finishes early
+    /// (healthy groups pay no timeout).
     fn handle_probe_ack(&mut self, env: &mut Env<'_, Msg>, token: u64, from: NodeId) {
-        match self.exchanges.get_mut(token) {
-            // A plain probe: the node is alive, deliver the parked ops
-            // directly (the client image or a forwarding hop was at fault).
-            Some(Kind::Probe { .. }) => {
-                let Some(Kind::Probe { bucket, pending }) = self.exchanges.settle(env, token) else {
-                    return;
-                };
-                let node = self.shared.registry.borrow().data_node(bucket);
-                for (op_id, client, kind) in pending {
-                    env.send(
-                        node,
-                        Msg::Req {
-                            op_id,
-                            client,
-                            intended: bucket,
-                            hops: 1,
-                            kind,
-                        },
-                    );
-                }
+        let Some(Kind::Check(check)) = self.exchanges.get_mut(token) else {
+            return;
+        };
+        if let Some((shard, _)) = check.probed.iter().find(|(_, n)| *n == from) {
+            check.responded.insert(*shard);
+        }
+        if check.responded.len() == check.probed.len() {
+            if let Some(Kind::Check(check)) = self.exchanges.settle(env, token) {
+                self.finish_group_check(env, check);
             }
-            // A group check's probe: the responding shard is identified by
-            // its node id. A check whose every probed shard responded
-            // finishes early (healthy groups pay no timeout).
-            Some(Kind::Check(check)) => {
-                if let Some((shard, _)) = check.probed.iter().find(|(_, n)| *n == from) {
-                    check.responded.insert(*shard);
-                }
-                if check.responded.len() == check.probed.len() {
-                    if let Some(Kind::Check(check)) = self.exchanges.settle(env, token) {
-                        self.finish_group_check(env, check);
-                    }
-                }
-            }
-            _ => {}
         }
     }
 
@@ -1588,7 +1536,6 @@ impl Coordinator {
         let m = self.m();
         let reg = self.shared.registry.borrow();
         match kind {
-            Kind::Probe { bucket, .. } => vec![(reg.data_node(*bucket), Msg::Probe { token })],
             Kind::Check(c) => c
                 .probed
                 .iter()
@@ -1718,15 +1665,6 @@ impl Owner for Coordinator {
     /// Conclude an exchange whose peers stayed silent.
     fn exhausted(&mut self, env: &mut Env<'_, Msg>, _: u64, kind: Kind) {
         match kind {
-            Kind::Probe { bucket, pending } => {
-                // The addressed bucket is dead: remember the ops and audit
-                // its whole group.
-                let group = bucket / self.m() as u64;
-                self.queue_ops(group, pending);
-                if !self.checking(group) {
-                    self.start_group_check(env, group);
-                }
-            }
             // The verdict: whoever is still silent has failed.
             Kind::Check(check) => self.finish_group_check(env, check),
             Kind::Recovery(r) => {

@@ -235,11 +235,6 @@ impl DataBucket {
         self.store = Some(store);
     }
 
-    /// Whether a durable store is attached (driver/test introspection).
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Current Δ-stream position (next sequence to emit).
     pub fn delta_seq(&self) -> u64 {
         self.delta_seq

@@ -64,14 +64,6 @@ impl Node {
         }
     }
 
-    /// Mutable coordinator access.
-    pub fn as_coordinator_mut(&mut self) -> &mut Coordinator {
-        match self {
-            Node::Coordinator(c) => c,
-            _ => panic!("node is not the coordinator"),
-        }
-    }
-
     /// Access a data bucket (panics otherwise).
     pub fn as_data(&self) -> &DataBucket {
         match self {

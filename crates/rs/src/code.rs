@@ -54,11 +54,6 @@ impl<F: GaloisField> RsCode<F> {
         Ok(RsCode { m, k, gamma })
     }
 
-    /// Number of data shards (bucket-group size `m`).
-    pub fn data_shards(&self) -> usize {
-        self.m
-    }
-
     /// Number of parity shards (availability level `k`).
     pub fn parity_shards(&self) -> usize {
         self.k

@@ -133,11 +133,6 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
         id
     }
 
-    /// Number of nodes ever added (crashed ones included).
-    pub fn node_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Inject a message from the external driver into the simulation.
     ///
     /// Driver injections model the application handing work to its local

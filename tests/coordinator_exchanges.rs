@@ -1,7 +1,7 @@
 //! Every exchange of every node gives up the way it says it does.
 //!
-//! The coordinator retries each request it sends (probe, group check,
-//! shard collection for repair or upgrade, split, merge, file-state scan,
+//! The coordinator retries each request it sends (group check, shard
+//! collection for repair or upgrade, split, merge, file-state scan,
 //! degraded read, Δ-suffix pull) for `coord_retries` more rounds and then
 //! concludes. One row per exchange blackholes that exchange's peers with a
 //! [`Partition`] that lifts exactly `coord_retries + 1` periods after the
@@ -11,6 +11,12 @@
 //! * that exactly `coord_retries + 1` rounds of the request went to the
 //!   silent peers, counted in `msgs_sent{kind}` (plus whatever the rest of
 //!   the scenario sends of that kind, which each row states).
+//!
+//! The group check is the coordinator's one liveness question, and a
+//! client's `Suspect` opens it. Two rows pin its schedule from the
+//! suspicion on: a dead bucket is detected exactly `coord_retries + 1`
+//! probe periods after the `Suspect` lands, and a bucket that is slow but
+//! answers the check's last round is a false alarm that rebuilds nothing.
 //!
 //! A data bucket keeps three rows of its own (DESIGN.md §2.4): the Δ
 //! window re-sends unacknowledged Δs for `DELTA_RETRY_LIMIT` rounds
@@ -136,29 +142,60 @@ struct Sent {
 /// `msgs_sent` kind it counts.
 type Drill = fn(&'static str) -> Sent;
 
-/// A suspected bucket stays silent for every probe round: the coordinator
-/// audits its whole group. The blackhole lifts as the audit starts, so the
-/// audit's one round finds every shard alive and replays the parked lookup.
-fn probe(kind: &'static str) -> Sent {
+/// A suspected bucket is dead. The `Suspect` opens the check of its group,
+/// and the check's one budget of rounds is the whole detection: the
+/// verdict lands `coord_retries + 1` probe periods after the `Suspect`,
+/// serves the parked lookup degraded and rebuilds the bucket.
+fn suspect_dead(kind: &'static str) -> Sent {
+    let (mut file, keys) = grown(1, 4);
+    let key = key_in(&file, keys, 0);
+    let c = file.config().clone();
+    file.crash_data_bucket(0);
+    // The lookup goes unanswered; the client suspects the bucket one
+    // timeout later, and the `Suspect` lands at once.
+    let suspected = file.now_us() + c.client_timeout_us;
+    let (before, ev) = (sent(&file, kind), cursor(&file));
+    assert_eq!(file.lookup(key).unwrap(), Some(payload(key)));
+    let detected_at: Vec<u64> = file
+        .events()
+        .into_iter()
+        .filter(|e| e.seq >= ev && matches!(e.event, Event::FailureDetected { .. }))
+        .map(|e| e.at_us)
+        .collect();
+    assert_eq!(
+        detected_at,
+        vec![suspected + ROUNDS * c.probe_timeout_us],
+        "one detection budget after the Suspect"
+    );
+    assert_eq!(file.metrics().counter("recoveries_completed"), 1);
+    file.verify_integrity().unwrap();
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 4, // the answering buckets 1-3 and the parity bucket
+    }
+}
+
+/// A suspected bucket is slow but alive: it stays silent until just
+/// before the check's last round and answers that one. The verdict is a
+/// false alarm: nothing is detected or rebuilt, and the parked lookup is
+/// replayed to the bucket.
+fn suspect_slow(kind: &'static str) -> Sent {
     let (mut file, keys) = grown(1, 4);
     let key = key_in(&file, keys, 0);
     let c = file.config().clone();
     let t0 = file.now_us();
     let node = file.data_node_id(0);
-    // The lookup is lost, the client suspects the bucket one timeout
-    // later, and the probe rounds start.
-    let probing_ends = c.client_timeout_us + ROUNDS * c.probe_timeout_us;
-    blackhole(&mut file, vec![node], t0, probing_ends);
-    let (before, ev) = (sent(&file, kind), cursor(&file));
+    let last_round = t0 + c.client_timeout_us + u64::from(RETRIES) * c.probe_timeout_us;
+    blackhole(&mut file, vec![node], t0, last_round - t0);
+    let (before, acks, ev) = (sent(&file, kind), sent(&file, "probe-ack"), cursor(&file));
     assert_eq!(file.lookup(key).unwrap(), Some(payload(key)));
-    assert_eq!(
-        events_since(&file, ev),
-        vec![],
-        "the audit finds no failure"
-    );
+    assert_eq!(events_since(&file, ev), vec![], "no failure detected");
+    assert_eq!(file.metrics().counter("recoveries_started"), 0);
     Sent {
         total: sent(&file, kind) - before,
-        others: 5, // the group check: 4 data buckets + 1 parity bucket
+        // Every probe to another shard is answered at once; the slow
+        // bucket answers only its last round.
+        others: sent(&file, "probe-ack") - acks - 1,
     }
 }
 
@@ -345,9 +382,9 @@ fn degraded(kind: &'static str) -> Sent {
     let key = key_in(&file, keys, 0);
     let c = file.config().clone();
     file.crash_data_bucket(0);
-    // Client timeout → Suspect; the probe, then the group check, each
-    // wait out their rounds before the verdict starts the degraded read.
-    let read_at = file.now_us() + c.client_timeout_us + 2 * ROUNDS * c.probe_timeout_us;
+    // Client timeout → Suspect; the group check it opens waits out its
+    // rounds before the verdict starts the degraded read.
+    let read_at = file.now_us() + c.client_timeout_us + ROUNDS * c.probe_timeout_us;
     let node = file.parity_node_id(0, 0);
     blackhole(
         &mut file,
@@ -389,8 +426,9 @@ fn suffix(kind: &'static str) -> Sent {
 #[test]
 fn every_exchange_gives_up_after_coord_retries_plus_one_rounds() {
     // (exchange, `msgs_sent` kind of its request, drill)
-    let rows: [(&str, &'static str, Drill); 9] = [
-        ("probe", "probe", probe),
+    let rows: [(&str, &'static str, Drill); 10] = [
+        ("suspected bucket dead", "probe", suspect_dead),
+        ("suspected bucket slow but alive", "probe", suspect_slow),
         ("group check", "probe", check),
         ("repair", "transfer-req", repair),
         ("upgrade", "transfer-req", upgrade),
@@ -451,8 +489,8 @@ fn delta_window(kind: &'static str) -> Sent {
 /// The write freeze: a survivor whose `ResumeWrites` is lost unfreezes on
 /// its own when the watchdog expires, and applies the write it held.
 ///
-/// Bucket 0 is dead. An update to bucket 1 is lost, its probe rounds go
-/// unanswered, and the coordinator parks it on group 0; the group check
+/// Bucket 0 is dead. An update to bucket 1 is lost, and the client's
+/// `Suspect` parks it on group 0 and opens the group check; the check
 /// finds bucket 0 dead, the survivors freeze for the shard collection,
 /// and bucket 1 misses the `ResumeWrites`. The parked update reaches it
 /// after the rebuild and waits out the freeze.
@@ -470,15 +508,14 @@ fn freeze(kind: &'static str) -> Sent {
     let node = file.data_node_id(1);
     let t0 = file.now_us();
     // The client sends the update at t0 + L and suspects one timeout
-    // later; the coordinator's first probe leaves as the `Suspect` lands.
-    let probe = t0 + L + c.client_timeout_us + L;
-    let check = probe + ROUNDS * c.probe_timeout_us;
-    // The check's probe answers arrive by `check + 2L`; the collection
-    // starts when the last re-probe of bucket 0 times out.
+    // later; the check's first probes leave as the `Suspect` lands.
+    let check = t0 + L + c.client_timeout_us + L;
+    // The probe answers arrive by `check + 2L`; the collection starts
+    // when the last re-probe of bucket 0 times out.
     let collect = check + ROUNDS * c.probe_timeout_us;
-    // Bucket 1 is silent through every probe round and answers the check.
-    // In the collection, TransferShard lands at +L and ShardData at +2L,
-    // when `ResumeWrites` leaves: lose just that one.
+    // Bucket 1 is silent until the check and answers it. In the
+    // collection, TransferShard lands at +L and ShardData at +2L, when
+    // `ResumeWrites` leaves: lose just that one.
     file.set_fault_plan(
         FaultPlan::new(0)
             .partition(Partition::new(
@@ -494,8 +531,8 @@ fn freeze(kind: &'static str) -> Sent {
     );
     let before = sent(&file, kind);
     file.update(key, b"held".to_vec()).unwrap();
-    // Lost: the update, its probe rounds, and the one `ResumeWrites`.
-    let lost = 1 + ROUNDS + 1;
+    // Lost: the update and the one `ResumeWrites`.
+    let lost = 1 + 1;
     assert_eq!(file.metrics().counter("partition_dropped"), lost);
     assert_eq!(file.metrics().counter("recovery_freeze_expired"), 1);
     assert_eq!(file.lookup(key).unwrap(), Some(b"held".to_vec()));
