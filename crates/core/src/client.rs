@@ -155,7 +155,7 @@ impl Client {
                     self.exchanges.get(op_id)
                 {
                     let at = r.issued_at;
-                    self.exchanges.settle(env, op_id);
+                    let _ = self.exchanges.settle(env, op_id);
                     at
                 } else if let Some((at, _)) = self.unacked.remove(&op_id) {
                     at

@@ -60,6 +60,18 @@ pub(crate) enum Kind {
     Suffix(Suffix),
 }
 
+impl Kind {
+    /// Whether this is the check or recovery of `group`: the row a client
+    /// op suspecting that group is parked on.
+    fn covers(&self, group: u64) -> bool {
+        match self {
+            Kind::Check(c) => c.group == group,
+            Kind::Recovery(r) => r.group == group,
+            _ => false,
+        }
+    }
+}
+
 impl Schedule for Kind {
     /// Retransmission period: liveness questions (audits, suffix pulls)
     /// are timed by `probe_timeout_us`, everything else by
@@ -84,6 +96,47 @@ pub(crate) struct GroupCheck {
     /// shard index → node probed.
     probed: Vec<(usize, NodeId)>,
     responded: HashSet<usize>,
+    /// Client ops waiting on the verdict.
+    parked: Vec<ParkedOp>,
+}
+
+/// A client op parked on the `Check` or `Recovery` row that will answer
+/// it, from the client's `Suspect`.
+pub(crate) struct ParkedOp {
+    op_id: OpId,
+    client: NodeId,
+    /// The bucket the client suspected: a replay goes to its current node.
+    bucket: u64,
+    kind: ReqKind,
+}
+
+/// Where a concluding `Check` or `Recovery` row sends its parked ops, and
+/// [`Coordinator::hand_on`] delivers it. A check's verdict, a repair's
+/// completion and a failed rebuild build one; an upgrade's conclusion and
+/// a recovery's give-up park their ops on the group again instead.
+#[must_use = "a concluding row hands its parked ops on"]
+enum HandOn {
+    /// Group `.0` answered for its ops: each goes to its suspected
+    /// bucket's current node (`hops: 1`), whose A2 forwards it from there.
+    /// An op whose key lives in another group (the client's image was
+    /// stale, and the suspected bucket forwards) is parked on that group,
+    /// which no check has vouched for.
+    Replay(u64, Vec<ParkedOp>),
+    /// Group `.0`, at level `.1`, lost shards `.2` but can rebuild them:
+    /// lookups are served degraded at once, writes wait on the repair row
+    /// this opens.
+    Repair(u64, usize, Vec<usize>, Vec<ParkedOp>),
+    /// `Failed(why)` to each op's client.
+    Fail(Vec<ParkedOp>, &'static str),
+}
+
+/// Structural work owed until none is in flight.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Owed {
+    /// Raise a group to `k_file`.
+    Upgrade(u64),
+    /// One split per overflow report that found the coordinator busy.
+    Split,
 }
 
 /// Why shards are being collected.
@@ -110,14 +163,16 @@ pub(crate) struct Recovery {
     /// Install acks outstanding: token → (shard index, spare, the `Install`
     /// kept verbatim for retransmission).
     installs: HashMap<u64, (usize, NodeId, Msg)>,
+    /// Client ops waiting for the group to heal (repair) or for the
+    /// upgrade to end.
+    parked: Vec<ParkedOp>,
 }
 
-/// Degraded-mode record read in progress.
+/// Degraded-mode record read in progress: a parked lookup, served from
+/// the group's parity and surviving columns.
 pub(crate) struct Degraded {
     group: u64,
-    op_id: OpId,
-    client: NodeId,
-    key: Key,
+    op: ParkedOp,
     stage: DegradedStage,
 }
 
@@ -177,22 +232,18 @@ pub struct Coordinator {
     /// Groups declared unrecoverable.
     pub dead_groups: HashSet<u64>,
     next_token: u64,
-    /// Every exchange in flight, keyed by its token: the coordinator's
-    /// whole in-flight state.
+    /// Every exchange in flight, keyed by its token, with the client ops
+    /// parked on it: the coordinator's whole in-flight state.
     exchanges: Exchanges<Kind>,
-    /// group → ops parked until the group heals.
-    queued_ops: HashMap<u64, Vec<(OpId, NodeId, ReqKind)>>,
-    /// Overflow reports waiting for the coordinator to go idle, one split
-    /// owed per report (the paper's split policy). Runaway growth under
-    /// slow networks is bounded by the pool guard in `do_split`, not here.
-    deferred_splits: u64,
-    upgrade_queue: VecDeque<u64>,
+    /// Upgrades and splits owed once no structural work is in flight, in
+    /// the order owed; upgrades run first. One split is owed per overflow
+    /// report (the paper's split policy). Runaway growth under slow
+    /// networks is bounded by the pool guard in `do_split`, not here.
+    owed: VecDeque<Owed>,
     /// Final Δ sequence of merged-away buckets, keyed by bucket number: a
     /// regrow split re-creating the bucket resumes its column's stream here
     /// (parity channels are never reset).
     col_floors: HashMap<u64, u64>,
-    /// Groups lagging behind `k_file` (lazy mode).
-    lagging: HashSet<u64>,
 }
 
 impl Coordinator {
@@ -212,11 +263,8 @@ impl Coordinator {
             dead_groups: HashSet::new(),
             next_token: 1,
             exchanges: Exchanges::new(),
-            queued_ops: HashMap::new(),
-            deferred_splits: 0,
-            upgrade_queue: VecDeque::new(),
+            owed: VecDeque::new(),
             col_floors: HashMap::new(),
-            lagging: HashSet::new(),
         }
     }
 
@@ -226,9 +274,9 @@ impl Coordinator {
         self.exchanges.any(|k| !matches!(k, Kind::StateRec { .. }))
     }
 
-    /// Whether structural work is in flight or queued.
+    /// Whether structural work is in flight or owed.
     fn busy(&self) -> bool {
-        self.structural_work() || !self.upgrade_queue.is_empty() || self.deferred_splits > 0
+        self.structural_work() || !self.owed.is_empty()
     }
 
     fn m(&self) -> usize {
@@ -273,7 +321,7 @@ impl Coordinator {
         match msg {
             Msg::ReportOverflow { .. } => {
                 if self.busy() {
-                    self.deferred_splits += 1;
+                    self.owed.push_back(Owed::Split);
                 } else {
                     self.do_split(env);
                 }
@@ -292,7 +340,7 @@ impl Coordinator {
                         bucket: source,
                         new_bucket: target,
                     });
-                    self.drain_queues(env);
+                    self.run_owed(env);
                 }
             }
             Msg::ForceMerge => self.do_merge(env),
@@ -300,13 +348,22 @@ impl Coordinator {
             Msg::Suspect {
                 op_id,
                 client,
-                bucket: _,
+                bucket,
                 kind,
-            } => self.handle_suspect(env, op_id, client, kind),
+            } => {
+                let bucket = self.suspected(bucket, kind.key());
+                let op = ParkedOp {
+                    op_id,
+                    client,
+                    bucket,
+                    kind,
+                };
+                self.park(env, bucket / self.m() as u64, vec![op]);
+            }
             Msg::ProbeAck { token, .. } => self.handle_probe_ack(env, token, from),
             Msg::CheckGroup { group } => {
                 if group < self.group_k.len() as u64 && !self.checking(group) {
-                    self.start_group_check(env, group);
+                    self.start_group_check(env, group, Vec::new());
                 }
             }
             Msg::ShardData {
@@ -416,17 +473,10 @@ impl Coordinator {
         self.exchanges.any(|k| matches!(k, Kind::Check(c) if c.group == group))
     }
 
-    /// Whether a shard collection (repair or upgrade) is running on `group`.
-    fn recovering(&self, group: u64) -> bool {
-        self.exchanges.any(|k| matches!(k, Kind::Recovery(r) if r.group == group))
-    }
-
-    /// Park an op on a group, unless it is parked already (a duplicated
-    /// `Suspect` can offer the same op twice).
-    fn queue_op(&mut self, group: u64, op_id: OpId, client: NodeId, kind: ReqKind) {
-        let queued = self.queued_ops.entry(group).or_default();
-        if !queued.iter().any(|(o, c, _)| *o == op_id && *c == client) {
-            queued.push((op_id, client, kind));
+    /// Owe an upgrade of `group`, unless one is owed already.
+    fn owe_upgrade(&mut self, group: u64) {
+        if !self.owed.contains(&Owed::Upgrade(group)) {
+            self.owed.push_back(Owed::Upgrade(group));
         }
     }
 
@@ -491,12 +541,15 @@ impl Coordinator {
             self.group_k.push(k);
         }
 
-        // Lazy upgrades: a touched lagging group catches up now.
+        // Lazy upgrades: a touched group lagging behind `k_file` catches
+        // up now. A split runs with no upgrade in flight, so a lagging
+        // group's upgrade is owed or not started.
         let source_group = plan.source / m;
         if self.shared.cfg.upgrade_mode == UpgradeMode::Lazy {
             for g in [source_group, target_group] {
-                if self.lagging.remove(&g) {
-                    self.upgrade_queue.push_back(g);
+                let k_g = self.group_k.get(crate::convert::to_index(g));
+                if k_g.is_some_and(|&k| k < self.k_file) {
+                    self.owe_upgrade(g);
                 }
             }
         }
@@ -555,35 +608,33 @@ impl Coordinator {
             env.trace(ObsEvent::KRaised {
                 k: self.k_file as u64,
             });
-            let k_file = self.k_file;
-            let behind: Vec<u64> = self
-                .group_k
-                .iter()
-                .enumerate()
-                .filter(|(_, &k)| k < k_file)
-                .map(|(g, _)| g as u64)
-                .collect();
-            match self.shared.cfg.upgrade_mode {
-                UpgradeMode::Eager => {
-                    for g in behind {
-                        if !self.upgrade_queue.contains(&g) {
-                            self.upgrade_queue.push_back(g);
-                        }
-                    }
+            // Lazy mode upgrades a lagging group once a split touches it.
+            if self.shared.cfg.upgrade_mode == UpgradeMode::Eager {
+                let k_file = self.k_file;
+                let behind: Vec<u64> = self
+                    .group_k
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &k)| k < k_file)
+                    .map(|(g, _)| g as u64)
+                    .collect();
+                for g in behind {
+                    self.owe_upgrade(g);
                 }
-                UpgradeMode::Lazy => self.lagging.extend(behind),
             }
         }
     }
 
     /// Undo the last split: order the last bucket to fold back into its
     /// split source. Ignored while other structural work is in flight or
-    /// at the initial size.
+    /// at the initial size. The file state shrinks in `finish_merge`, once
+    /// the source holds the records: an abandoned merge leaves it as it was.
     fn do_merge(&mut self, env: &mut Env<'_, Msg>) {
         if self.busy() || self.state.bucket_count() <= 1 {
             return;
         }
-        let Some(plan) = self.state.merge() else {
+        let mut next = self.state;
+        let Some(plan) = next.merge() else {
             return;
         };
         // plan.target is the disappearing bucket, plan.source absorbs;
@@ -621,6 +672,12 @@ impl Coordinator {
         else {
             return;
         };
+        let mut state = self.state;
+        if state.merge().map(|plan| plan.target) != Some(target) {
+            self.invariant_violated(env, "merge confirmed against a different file state");
+            return;
+        }
+        self.state = state;
         self.col_floors.insert(target, final_seq);
         let m = self.m() as u64;
         let mut reg = self.shared.registry.borrow_mut();
@@ -640,7 +697,6 @@ impl Coordinator {
                 self.pool.push(pn);
             }
             self.group_k.pop();
-            self.lagging.remove(&(target / m));
             // The group's parity state is gone with its buckets: any Δ
             // floors recorded for this group's columns die with it (a
             // regrow gets fresh parity channels starting at 0).
@@ -654,29 +710,27 @@ impl Coordinator {
             removed: target,
             buckets: self.state.bucket_count(),
         });
-        self.drain_queues(env);
+        self.run_owed(env);
     }
 
-    /// Run queued structural work once none is in flight: the next upgrade,
-    /// else the next deferred split. Queued work that starts nothing — an
+    /// Run owed structural work once none is in flight: the first owed
+    /// upgrade, else the next split. Owed work that starts nothing — an
     /// upgrade whose group is gone or caught up, a split the pool cannot
     /// fund — is dropped and the next item tried, so a dry pool cannot
     /// leave `busy()` set with nothing in flight.
-    fn drain_queues(&mut self, env: &mut Env<'_, Msg>) {
+    fn run_owed(&mut self, env: &mut Env<'_, Msg>) {
         while !self.structural_work() {
-            if let Some(group) = self.upgrade_queue.pop_front() {
-                self.start_upgrade(env, group);
-            } else if self.deferred_splits > 0 {
-                self.deferred_splits -= 1;
-                self.do_split(env);
-            } else {
-                return;
+            let upgrade = self.owed.iter().position(|o| matches!(o, Owed::Upgrade(_)));
+            match self.owed.remove(upgrade.unwrap_or(0)) {
+                Some(Owed::Upgrade(group)) => self.start_upgrade(env, group),
+                Some(Owed::Split) => self.do_split(env),
+                None => return,
             }
         }
     }
 
     fn start_upgrade(&mut self, env: &mut Env<'_, Msg>, group: u64) {
-        // A queued upgrade can outlive its group (merged away).
+        // An owed upgrade can outlive its group (merged away).
         let Some(&k_old) = self.group_k.get(crate::convert::to_index(group)) else {
             return;
         };
@@ -694,6 +748,7 @@ impl Coordinator {
             awaiting: (0..existing).collect(),
             collected: HashMap::new(),
             installs: HashMap::new(),
+            parked: Vec::new(),
         };
         self.start(env, token, Kind::Recovery(recovery));
         // A group with no existing columns (cannot happen: groups are
@@ -705,32 +760,32 @@ impl Coordinator {
 
     // ----- failure detection -----
 
-    fn handle_suspect(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        op_id: OpId,
-        client: NodeId,
-        kind: ReqKind,
-    ) {
-        let group = self.state.address(kind.key()) / self.m() as u64;
+    /// The bucket a `Suspect` names, or the key's address when the file has
+    /// no such bucket: the number arrives off the wire, and a merge may
+    /// have removed the bucket since.
+    fn suspected(&self, bucket: u64, key: Key) -> u64 {
+        if bucket < self.state.bucket_count() {
+            bucket
+        } else {
+            self.state.address(key)
+        }
+    }
+
+    /// Park `ops` on the row that will answer them: the open check or
+    /// recovery of `group`, else a fresh check, so with no ops this audits
+    /// a group no row covers. A group declared dead fails them at once.
+    fn park(&mut self, env: &mut Env<'_, Msg>, group: u64, mut ops: Vec<ParkedOp>) {
         if self.dead_groups.contains(&group) {
-            env.send(
-                client,
-                Msg::Reply {
-                    op_id,
-                    result: OpResult::Failed("group unrecoverable".into()),
-                    iam: None,
-                },
-            );
-            return;
+            return self.hand_on(env, HandOn::Fail(ops, "group unrecoverable"));
         }
-        // Park the op on its group's verdict: a false alarm replays it to
-        // the live bucket, a failure serves it degraded or after the
-        // rebuild. A check or repair already running covers the group.
-        self.queue_op(group, op_id, client, kind);
-        if !self.checking(group) && !self.recovering(group) {
-            self.start_group_check(env, group);
-        }
+        let parked = match self.exchanges.find_mut(|k| k.covers(group)) {
+            Some((_, Kind::Check(c))) => &mut c.parked,
+            Some((_, Kind::Recovery(r))) => &mut r.parked,
+            _ => return self.start_group_check(env, group, ops),
+        };
+        // A duplicated `Suspect` offers the same op twice.
+        ops.retain(|op| !parked.iter().any(|p| p.op_id == op.op_id && p.client == op.client));
+        parked.append(&mut ops);
     }
 
     /// A group check's probe: the responding shard is identified by its
@@ -750,7 +805,7 @@ impl Coordinator {
         }
     }
 
-    fn start_group_check(&mut self, env: &mut Env<'_, Msg>, group: u64) {
+    fn start_group_check(&mut self, env: &mut Env<'_, Msg>, group: u64, parked: Vec<ParkedOp>) {
         let token = self.token();
         let m = self.m() as u64;
         let existing = self.existing_cols(group);
@@ -767,12 +822,23 @@ impl Coordinator {
             group,
             probed,
             responded: HashSet::new(),
+            parked,
         };
         self.start(env, token, Kind::Check(check));
     }
 
+    /// A check is over: deliver its verdict's hand-on, then run owed work.
     fn finish_group_check(&mut self, env: &mut Env<'_, Msg>, check: GroupCheck) {
-        let group = check.group;
+        let to = self.verdict(env, check);
+        self.hand_on(env, to);
+        self.run_owed(env);
+    }
+
+    /// Whoever stayed silent through the check has failed. The ops parked
+    /// on it are replayed on a false alarm, failed if the group is lost,
+    /// and otherwise wait on the repair the verdict opens.
+    fn verdict(&mut self, env: &mut Env<'_, Msg>, check: GroupCheck) -> HandOn {
+        let (group, parked) = (check.group, check.parked);
         let failed: Vec<usize> = check
             .probed
             .iter()
@@ -780,10 +846,7 @@ impl Coordinator {
             .filter(|s| !check.responded.contains(s))
             .collect();
         if failed.is_empty() {
-            // False alarm: replay queued ops to their (live) buckets.
-            self.replay_queued(env, group);
-            self.drain_queues(env);
-            return;
+            return HandOn::Replay(group, parked);
         }
         let Some(&k_g) = self.group_k.get(crate::convert::to_index(group)) else {
             // The group vanished (merged away) between probe and reply.
@@ -791,8 +854,7 @@ impl Coordinator {
                 env,
                 "group check finished for a group with no parity record",
             );
-            self.drain_queues(env);
-            return;
+            return HandOn::Fail(parked, "group vanished");
         };
         env.trace(ObsEvent::FailureDetected {
             group,
@@ -806,32 +868,69 @@ impl Coordinator {
                 rebuilt: 0,
                 ok: false,
             });
-            self.fail_queued(env, group, "group unrecoverable");
-            self.drain_queues(env);
-            return;
+            return HandOn::Fail(parked, "group unrecoverable");
         }
         for &s in &failed {
             self.failed.insert((group, s));
         }
+        HandOn::Repair(group, k_g, failed, parked)
+    }
 
-        // Serve queued *lookups* right now in degraded mode; writes wait
-        // for the rebuilt bucket.
-        let queued = self.queued_ops.entry(group).or_default();
-        let mut keep = Vec::new();
-        let mut degraded_lookups = Vec::new();
-        for (op_id, client, kind) in queued.drain(..) {
-            match kind {
-                ReqKind::Lookup(key) => degraded_lookups.push((op_id, client, key)),
-                other => keep.push((op_id, client, other)),
+    /// Deliver a concluded row's parked ops where its conclusion says.
+    fn hand_on(&mut self, env: &mut Env<'_, Msg>, to: HandOn) {
+        match to {
+            HandOn::Replay(group, ops) => {
+                for op in ops {
+                    let home = self.state.address(op.kind.key()) / self.m() as u64;
+                    if home != group {
+                        self.park(env, home, vec![op]);
+                        continue;
+                    }
+                    let bucket = self.suspected(op.bucket, op.kind.key());
+                    let node = self.shared.registry.borrow().data_node(bucket);
+                    let req = Msg::Req {
+                        op_id: op.op_id,
+                        client: op.client,
+                        intended: bucket,
+                        hops: 1,
+                        kind: op.kind,
+                    };
+                    env.send(node, req);
+                }
+            }
+            HandOn::Repair(group, k, failed, ops) => self.start_repair(env, group, k, failed, ops),
+            HandOn::Fail(ops, why) => {
+                for op in ops {
+                    let result = OpResult::Failed(why.into());
+                    let reply = Msg::Reply {
+                        op_id: op.op_id,
+                        result,
+                        iam: None,
+                    };
+                    env.send(op.client, reply);
+                }
             }
         }
-        *queued = keep;
-        for (op_id, client, key) in degraded_lookups {
-            self.start_degraded_read(env, group, op_id, client, key);
-        }
+    }
 
-        // Kick off the rebuild: collect all surviving data columns plus as
-        // many parity shards as there are failed data columns.
+    /// Rebuild `group`'s `failed` shards: serve the parked lookups
+    /// degraded right now, then collect all surviving data columns plus as
+    /// many parity shards as there are failed data columns. Parked writes
+    /// wait on the repair row for the rebuilt bucket.
+    fn start_repair(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        group: u64,
+        k_g: usize,
+        failed: Vec<usize>,
+        ops: Vec<ParkedOp>,
+    ) {
+        let (lookups, writes) = ops
+            .into_iter()
+            .partition(|op| matches!(op.kind, ReqKind::Lookup(_)));
+        for op in lookups {
+            self.start_degraded_read(env, group, op);
+        }
         env.obs().incr("recoveries_started");
         env.trace(ObsEvent::RecoveryStart {
             group,
@@ -865,41 +964,11 @@ impl Coordinator {
             awaiting,
             collected: HashMap::new(),
             installs: HashMap::new(),
+            parked: writes,
         };
         self.start(env, token, Kind::Recovery(recovery));
         if nothing_to_await {
             self.finish_collection(env, token);
-        }
-    }
-
-    fn replay_queued(&mut self, env: &mut Env<'_, Msg>, group: u64) {
-        let reg = self.shared.registry.borrow();
-        for (op_id, client, kind) in self.queued_ops.remove(&group).unwrap_or_default() {
-            let bucket = self.state.address(kind.key());
-            env.send(
-                reg.data_node(bucket),
-                Msg::Req {
-                    op_id,
-                    client,
-                    intended: bucket,
-                    hops: 1,
-                    kind,
-                },
-            );
-        }
-    }
-
-    /// Fail every op parked on `group` back to its client.
-    fn fail_queued(&mut self, env: &mut Env<'_, Msg>, group: u64, why: &str) {
-        for (op_id, client, _) in self.queued_ops.remove(&group).unwrap_or_default() {
-            env.send(
-                client,
-                Msg::Reply {
-                    op_id,
-                    result: OpResult::Failed(why.into()),
-                    iam: None,
-                },
-            );
         }
     }
 
@@ -936,11 +1005,9 @@ impl Coordinator {
             return; // duplicated report: handshake already running
         }
         let group_busy = self.dead_groups.contains(&group)
-            || self.checking(group)
-            || self.recovering(group)
-            || self
-                .exchanges
-                .any(|k| matches!(k, Kind::Degraded(d) if d.group == group));
+            || self.exchanges.any(|k| {
+                k.covers(group) || matches!(k, Kind::Degraded(d) if d.group == group)
+            });
         if group_busy {
             // Racing the failure machinery would certify a resume point the
             // rebuild is about to invalidate.
@@ -1019,7 +1086,7 @@ impl Coordinator {
             bucket: s.bucket,
             suffix_len: r0 - s.from_seq,
         });
-        self.drain_queues(env);
+        self.run_owed(env);
     }
 
     /// The restarted bucket itself gave up on the Δ-suffix catch-up: it
@@ -1033,7 +1100,7 @@ impl Coordinator {
     fn handle_restart_abort(&mut self, env: &mut Env<'_, Msg>, from: NodeId, bucket: u64) {
         let pred = |k: &Kind| matches!(k, Kind::Suffix(s) if s.bucket == bucket && s.node == from);
         if let Some(token) = self.exchanges.find(pred) {
-            self.exchanges.settle(env, token);
+            let _ = self.exchanges.settle(env, token);
         }
         let m = self.m() as u64;
         let group = bucket / m;
@@ -1066,7 +1133,7 @@ impl Coordinator {
     /// Give up on the Δ-suffix path for `bucket`: demote the restarted node
     /// to a hot spare and let the standard audit → RS-rebuild machinery
     /// recreate the bucket from the group's survivors. The handshake held
-    /// queued structural work back, so the queues are drained after.
+    /// owed structural work back, so it runs after.
     fn restart_fallback(
         &mut self,
         env: &mut Env<'_, Msg>,
@@ -1079,24 +1146,13 @@ impl Coordinator {
         env.trace(ObsEvent::RestartFallback { bucket });
         self.demote(env, node);
         self.failed.insert((group, col));
-        let audit_clear =
-            !self.checking(group) && !self.dead_groups.contains(&group) && !self.recovering(group);
-        if audit_clear {
-            self.start_group_check(env, group);
-        }
-        self.drain_queues(env);
+        self.park(env, group, Vec::new());
+        self.run_owed(env);
     }
 
     // ----- degraded-mode record recovery -----
 
-    fn start_degraded_read(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        group: u64,
-        op_id: OpId,
-        client: NodeId,
-        key: Key,
-    ) {
+    fn start_degraded_read(&mut self, env: &mut Env<'_, Msg>, group: u64, op: ParkedOp) {
         // Ask a surviving parity bucket which rank holds the key.
         let m = self.m();
         let reg = self.shared.registry.borrow();
@@ -1108,9 +1164,9 @@ impl Coordinator {
         let Some((_, &pnode)) = alive_parity else {
             drop(reg);
             env.send(
-                client,
+                op.client,
                 Msg::Reply {
-                    op_id,
+                    op_id: op.op_id,
                     result: OpResult::Failed("no surviving parity bucket".into()),
                     iam: None,
                 },
@@ -1123,9 +1179,7 @@ impl Coordinator {
         let token = self.token();
         let read = Degraded {
             group,
-            op_id,
-            client,
-            key,
+            op,
             stage: DegradedStage::AwaitFind { pnode },
         };
         self.start(env, token, Kind::Degraded(read));
@@ -1141,16 +1195,28 @@ impl Coordinator {
         // restart it.
         let (group, key) = match self.exchanges.get(token) {
             Some(Kind::Degraded(d)) if matches!(d.stage, DegradedStage::AwaitFind { .. }) => {
-                (d.group, d.key)
+                (d.group, d.op.kind.key())
             }
             _ => return,
         };
         let Some((rank, keys)) = found else {
-            // The key never existed: unsuccessful-search semantics.
-            if let Some(Kind::Degraded(d)) = self.exchanges.settle(env, token) {
-                self.answer_degraded(env, &d, OpResult::Value(None));
+            let Some(Kind::Degraded(d)) = self.exchanges.settle(env, token) else {
+                return;
+            };
+            // No record group here holds the key. Unless its home is a
+            // failed bucket of this group, the key lives at its home: a
+            // split the client's image missed moved it before the
+            // suspected bucket failed, and the replay (or, in another
+            // group, that group's check) finds it. Otherwise it never
+            // existed: unsuccessful-search semantics.
+            let (home, m) = (self.state.address(key), self.m() as u64);
+            let col = crate::convert::to_index(home % m);
+            if home / m == group && self.failed.contains(&(group, col)) {
+                return self.answer_degraded(env, d, OpResult::Value(None));
             }
-            return;
+            let op = ParkedOp { bucket: home, ..d.op };
+            self.hand_on(env, HandOn::Replay(group, vec![op]));
+            return self.run_owed(env);
         };
         let m = self.m();
         // The parity bucket claimed it found the key, so the key list it
@@ -1164,7 +1230,7 @@ impl Coordinator {
                     "FindRecordReply's key list does not contain the key it claims to have found",
                 );
                 let result = OpResult::Failed("inconsistent parity reply".into());
-                self.answer_degraded(env, &d, result);
+                self.answer_degraded(env, d, result);
             }
             return;
         };
@@ -1261,21 +1327,21 @@ impl Coordinator {
             }
             Err(e) => OpResult::Failed(format!("code construction failed: {e}")),
         };
-        self.answer_degraded(env, &d, result);
+        self.answer_degraded(env, d, result);
     }
 
     /// A degraded read is over, however it ended: answer its client and
-    /// let queued structural work run.
-    fn answer_degraded(&mut self, env: &mut Env<'_, Msg>, d: &Degraded, result: OpResult) {
+    /// let owed structural work run.
+    fn answer_degraded(&mut self, env: &mut Env<'_, Msg>, d: Degraded, result: OpResult) {
         env.send(
-            d.client,
+            d.op.client,
             Msg::Reply {
-                op_id: d.op_id,
+                op_id: d.op.op_id,
                 result,
                 iam: None,
             },
         );
-        self.drain_queues(env);
+        self.run_owed(env);
     }
 
     // ----- shard collection, decode, install -----
@@ -1372,10 +1438,12 @@ impl Coordinator {
         let rebuilt = match rebuilt {
             Ok(rebuilt) => rebuilt,
             Err(why) => {
-                self.exchanges.settle(env, token);
+                let Some(Kind::Recovery(r)) = self.exchanges.settle(env, token) else {
+                    return;
+                };
                 self.invariant_violated(env, &format!("group rebuild failed: {why}"));
-                self.fail_queued(env, group, "group rebuild failed");
-                self.drain_queues(env);
+                self.hand_on(env, HandOn::Fail(r.parked, "group rebuild failed"));
+                self.run_owed(env);
                 return;
             }
         };
@@ -1383,16 +1451,18 @@ impl Coordinator {
         // Out of spare nodes: abandon this rebuild instead of panicking
         // the coordinator. The shards stay marked failed, so the next
         // suspect re-audits the group and retries once nodes free up (a
-        // merge, say); queued lookups were already served degraded, and
+        // merge, say); parked lookups were already served degraded, and
         // parked writes fail back to their clients.
         if self.pool.len() < rebuilt.len() {
-            self.exchanges.settle(env, token);
+            let Some(Kind::Recovery(r)) = self.exchanges.settle(env, token) else {
+                return;
+            };
             env.obs().incr("recoveries_stalled");
             env.trace(ObsEvent::RecoveryStalled {
                 group,
                 needed: rebuilt.len() as u64,
             });
-            self.fail_queued(env, group, "no spare nodes to rebuild onto");
+            self.hand_on(env, HandOn::Fail(r.parked, "no spare nodes to rebuild onto"));
             return;
         }
 
@@ -1511,7 +1581,7 @@ impl Coordinator {
                     rebuilt: r.rebuild.len() as u64,
                     ok: true,
                 });
-                self.replay_queued(env, r.group);
+                self.hand_on(env, HandOn::Replay(r.group, r.parked));
             }
             Purpose::Upgrade => {
                 env.obs().incr("group_upgrades");
@@ -1522,9 +1592,14 @@ impl Coordinator {
                     group: r.group,
                     k: r.k as u64,
                 });
+                // An upgrade says nothing about the suspected buckets'
+                // liveness: their ops go to a fresh check.
+                if !r.parked.is_empty() {
+                    self.park(env, r.group, r.parked);
+                }
             }
         }
-        self.drain_queues(env);
+        self.run_owed(env);
     }
 }
 
@@ -1569,7 +1644,7 @@ impl Coordinator {
             }
             Kind::Degraded(d) => match &d.stage {
                 DegradedStage::AwaitFind { pnode } => {
-                    vec![(*pnode, Msg::FindRecord { key: d.key, token })]
+                    vec![(*pnode, Msg::FindRecord { key: d.op.kind.key(), token })]
                 }
                 DegradedStage::AwaitCells {
                     rank,
@@ -1671,37 +1746,27 @@ impl Owner for Coordinator {
                 // Whatever froze for this collection must not stay frozen
                 // until its freeze row expires: the collection is dead.
                 self.resume_group_writes(env, r.group, &r.rebuild);
-                match r.purpose {
-                    Purpose::Repair => {
-                        // Survivors stopped answering (the survivor set may
-                        // have changed under us): audit the group afresh.
-                        if !self.checking(r.group) {
-                            self.start_group_check(env, r.group);
-                        }
-                    }
-                    Purpose::Upgrade => {
-                        if !self.upgrade_queue.contains(&r.group) {
-                            self.upgrade_queue.push_back(r.group);
-                        }
-                    }
+                if r.purpose == Purpose::Upgrade {
+                    self.owe_upgrade(r.group);
                 }
-                self.drain_queues(env);
+                // Survivors stopped answering (the survivor set may have
+                // changed under us): audit the group afresh, with the ops
+                // parked here.
+                self.park(env, r.group, r.parked);
+                self.run_owed(env);
             }
             // The lookup fails cleanly — the client's own retry may still
             // land once the group is rebuilt.
             Kind::Degraded(d) => {
                 let result = OpResult::Failed("degraded read timed out".into());
-                self.answer_degraded(env, &d, result);
+                self.answer_degraded(env, d, result);
             }
             Kind::Split { target, .. } => {
-                // Unblock the queue and audit the target's group.
-                let group = target / self.m() as u64;
-                if !self.checking(group) {
-                    self.start_group_check(env, group);
-                }
-                self.drain_queues(env);
+                // Unblock owed work and audit the target's group.
+                self.park(env, target / self.m() as u64, Vec::new());
+                self.run_owed(env);
             }
-            Kind::Merge { .. } => self.drain_queues(env),
+            Kind::Merge { .. } => self.run_owed(env),
             Kind::StateRec { .. } => {}
             Kind::Suffix(s) => self.restart_fallback(env, s.bucket, s.group, s.col, s.node),
         }

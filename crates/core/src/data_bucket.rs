@@ -42,6 +42,9 @@ pub(crate) enum Row {
     Freeze,
     /// The Δ-suffix catch-up, from the boot `RestartReport` to resumption.
     Catchup,
+    /// A split target's wait for its movers, from the first key request it
+    /// holds to the first `SplitLoad`.
+    Load,
 }
 
 impl Schedule for Row {
@@ -57,16 +60,22 @@ impl Schedule for Row {
             Row::Catchup => cfg
                 .probe_timeout_us
                 .saturating_mul(u64::from(cfg.coord_retries).saturating_add(2)),
+            // The split row's full budget plus slack: after it, no order
+            // re-sends the load.
+            Row::Load => cfg
+                .coord_retransmit_us
+                .saturating_mul(u64::from(cfg.coord_retries).saturating_add(2)),
         }
     }
 
     /// The Δ window gives up on a silent parity bucket after
-    /// [`DELTA_RETRY_LIMIT`] rounds without progress; the freeze and the
-    /// catch-up are watchdogs that conclude on their first expiry.
+    /// [`DELTA_RETRY_LIMIT`] rounds without progress; the freeze, the
+    /// catch-up and the load are watchdogs that conclude on their first
+    /// expiry.
     fn limit(&self, _: &Config) -> u32 {
         match self {
             Row::Deltas => DELTA_RETRY_LIMIT,
-            Row::Freeze | Row::Catchup => 0,
+            Row::Freeze | Row::Catchup | Row::Load => 0,
         }
     }
 }
@@ -126,10 +135,16 @@ pub struct DataBucket {
     /// Set by local-store recovery: the boot `SelfReport` should offer the
     /// coordinator a Δ-suffix catch-up instead of a plain ownership check.
     report_restart: bool,
-    /// Messages deferred while catching up or frozen, replayed when the
-    /// row that held them settles or concludes. Catch-up holds
-    /// `TransferShard`, so the two never hold at once.
+    /// Messages deferred while catching up, frozen or awaiting the split
+    /// load, replayed when the row that held them settles or concludes.
+    /// Catch-up holds `TransferShard`, so it and the freeze never hold at
+    /// once.
     held: Vec<(NodeId, Msg)>,
+    /// A split target from its `InitData` until its first `SplitLoad` or
+    /// the load row's expiry: key requests wait in `held`, so that no
+    /// mover not yet received is answered as absent, not found or a fresh
+    /// insert.
+    awaiting_load: bool,
     /// Δ-suffixes received from distinct parity buckets this catch-up.
     suffixes_seen: usize,
     /// Whether the coordinator confirmed ownership this catch-up.
@@ -165,6 +180,7 @@ impl DataBucket {
             store: None,
             report_restart: false,
             held: Vec::new(),
+            awaiting_load: false,
             suffixes_seen: 0,
             got_ack: false,
             catchup_failed: false,
@@ -233,6 +249,12 @@ impl DataBucket {
     /// Attach a durable store; subsequent commits are logged to it.
     pub fn attach_store(&mut self, store: Box<dyn BucketStore>) {
         self.store = Some(store);
+    }
+
+    /// Hold key requests until the first `SplitLoad`: a split target's
+    /// movers are on their way.
+    pub(crate) fn await_load(&mut self) {
+        self.awaiting_load = true;
     }
 
     /// Current Δ-stream position (next sequence to emit).
@@ -401,6 +423,12 @@ impl DataBucket {
                     | Msg::StateQuery
                     | Msg::SelfReport
             )
+        } else if self.awaiting_load && matches!(msg, Msg::Req { .. }) {
+            // The first held request arms the row that bounds the wait.
+            if !self.exchanges.is_open(Row::Load as u64) {
+                self.open(env, Row::Load);
+            }
+            true
         } else if self.exchanges.is_open(Row::Freeze as u64) {
             match &msg {
                 Msg::Req { kind, .. } => !matches!(kind, ReqKind::Lookup(_)),
@@ -480,6 +508,10 @@ impl DataBucket {
                         bucket: self.bucket,
                     },
                 );
+                if std::mem::take(&mut self.awaiting_load) {
+                    let _ = self.exchanges.settle(env, Row::Load as u64);
+                    self.replay_held(env);
+                }
             }
             Msg::Scan {
                 op_id,
@@ -700,7 +732,7 @@ impl DataBucket {
             self.last_min_acked = min;
         }
         if self.unacked.is_empty() {
-            self.exchanges.settle(env, Row::Deltas as u64);
+            let _ = self.exchanges.settle(env, Row::Deltas as u64);
         } else {
             // Progress after a give-up (or a post-crash ack): resume.
             self.reopen_deltas(env);
@@ -1380,7 +1412,7 @@ impl DataBucket {
     fn abort_catchup(&mut self, env: &mut Env<'_, Msg>) {
         self.catchup_failed = true;
         self.held.clear();
-        self.exchanges.settle(env, Row::Catchup as u64);
+        let _ = self.exchanges.settle(env, Row::Catchup as u64);
         self.reset_store();
         env.obs().incr("restart_aborts");
         let coord = self.shared.registry.borrow().coordinator();
@@ -1402,7 +1434,7 @@ impl DataBucket {
         if self.suffixes_seen < k {
             return;
         }
-        self.exchanges.settle(env, Row::Catchup as u64);
+        let _ = self.exchanges.settle(env, Row::Catchup as u64);
         // The whole group stands at delta_seq now: nothing is in flight.
         self.unacked.clear();
         self.parity_acked.clear();
@@ -1486,6 +1518,14 @@ impl Owner for DataBucket {
             // while still answering probes — invisible to everyone. Give
             // up and route through the full RS rebuild.
             Row::Catchup => self.abort_catchup(env),
+            // No load came within the split's budget (the split was
+            // abandoned): serve from what this bucket holds rather than
+            // hold key traffic for good.
+            Row::Load => {
+                env.obs().incr("split_load_expired");
+                self.awaiting_load = false;
+                self.replay_held(env);
+            }
         }
     }
 }

@@ -85,7 +85,9 @@ impl<K: Schedule> Exchanges<K> {
         self.rows.insert(i, row);
     }
 
-    /// Conclude row `token`: cancel its timer and hand back its state.
+    /// Conclude row `token`: cancel its timer and hand back its state,
+    /// which may hold work to hand on.
+    #[must_use = "a settled row's state may hold work to hand on"]
     pub(crate) fn settle(&mut self, env: &mut Env<'_, Msg>, token: u64) -> Option<K> {
         let row = self.rows.remove(self.index(token).ok()?)?;
         env.cancel_timer(row.timer);

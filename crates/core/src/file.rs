@@ -21,7 +21,6 @@ use crate::parity_bucket::ParityBucket;
 use crate::record::encode_cell;
 use crate::registry::{initial_layout, Shared, SharedHandle};
 use crate::storage::{self, StoreError, StoreFactory, StoreId};
-use crate::wire::Reader;
 use crate::{Config, Error, Key};
 
 /// Index of a client created by [`LhrsFile::add_client`]; the file always
@@ -842,77 +841,6 @@ impl LhrsFile {
     fn coord(&self) -> &Coordinator {
         self.sim.actor(self.coordinator).as_coordinator()
     }
-
-    // ----- snapshots -----
-
-    /// Export every live record as a portable byte snapshot (logical dump:
-    /// keys + payloads, not the physical bucket layout). Format:
-    /// `LHRS1 | u64 count | (u64 key | u32 len | bytes)*`, little-endian.
-    pub fn export_snapshot(&self) -> Vec<u8> {
-        let reg = self.shared.registry.borrow();
-        let mut records: Vec<(Key, Vec<u8>)> = Vec::new();
-        for b in 0..reg.data_count() as u64 {
-            let node = reg.data_node(b);
-            if self.sim.is_crashed(node) {
-                continue;
-            }
-            for (_, key, payload) in self.sim.actor(node).as_data().iter() {
-                records.push((key, payload.to_vec()));
-            }
-        }
-        records.sort_by_key(|(k, _)| *k);
-        let mut out = Vec::with_capacity(16 + records.len() * 24);
-        out.extend_from_slice(b"LHRS1");
-        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-        for (key, payload) in &records {
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-        out
-    }
-
-    /// Rebuild a file from a snapshot produced by
-    /// [`LhrsFile::export_snapshot`] (records are re-inserted under the
-    /// given configuration, so `m`, `k`, and field may all differ from the
-    /// original file's).
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] for a malformed snapshot, plus anything
-    /// [`LhrsFile::insert_batch`] can return.
-    pub fn import_snapshot(cfg: Config, bytes: &[u8]) -> Result<Self, Error> {
-        let records = parse_snapshot(bytes)
-            .ok_or_else(|| Error::InvalidConfig("malformed snapshot".into()))?;
-        let mut file = LhrsFile::new(cfg)?;
-        file.insert_batch(records)?;
-        Ok(file)
-    }
-}
-
-/// The records of an [`LhrsFile::export_snapshot`] dump, or `None` if
-/// `bytes` is not one.
-fn parse_snapshot(bytes: &[u8]) -> Option<Vec<(Key, Vec<u8>)>> {
-    fn u64le(r: &mut Reader<'_>) -> Option<u64> {
-        Some(u64::from_le_bytes(*r.take(8).ok()?.first_chunk()?))
-    }
-    let mut r = Reader::new(bytes);
-    if r.take(5).ok()? != b"LHRS1" {
-        return None;
-    }
-    // Every record costs at least 12 bytes (key and length), which bounds
-    // the count before anything is allocated for it.
-    let count = usize::try_from(u64le(&mut r)?).ok()?;
-    if count > r.remaining() / 12 {
-        return None;
-    }
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = u64le(&mut r)?;
-        let len = usize::try_from(r.u32le().ok()?).ok()?;
-        records.push((key, r.take(len).ok()?.to_vec()));
-    }
-    r.finish().ok()?;
-    Some(records)
 }
 
 /// The unified client API over the simulated file: every operation runs
@@ -949,6 +877,65 @@ impl crate::api::KvClient for LhrsFile {
 mod tests {
     use super::*;
     use lhrs_sim::LatencyModel;
+
+    /// The split target's load row: a target whose source never partitions
+    /// (here, `DoSplit` is lost until the split row gives up) holds the key
+    /// request it gets, and serves it when the row expires instead of
+    /// holding key traffic for good.
+    #[test]
+    fn a_split_target_whose_load_never_comes_serves_after_its_watchdog() {
+        let cfg = Config {
+            group_size: 4,
+            initial_k: 1,
+            bucket_capacity: 8,
+            ack_writes: true,
+            ack_parity: true,
+            latency: LatencyModel::instant(),
+            ..Config::default()
+        };
+        let (retransmit, rounds) = (cfg.coord_retransmit_us, u64::from(cfg.coord_retries));
+        let mut file = LhrsFile::new(cfg).unwrap();
+        let mut key = 0u64;
+        while file.bucket_count() < 4 {
+            file.insert(key, vec![7; 4]).unwrap();
+            key += 1;
+        }
+        let source = file.data_node_id(0);
+        let now = file.now_us();
+        let silent = lhrs_sim::Partition::new(vec![source], now, now + 100 * retransmit);
+        file.set_fault_plan(lhrs_sim::FaultPlan::new(0).partition(silent));
+        file.sim
+            .send_external(file.coordinator, Msg::ReportOverflow { bucket: 0, size: 0 });
+        while file.bucket_count() == 4 {
+            assert!(file.sim.step(), "the overflow commits a split");
+        }
+        let target = file.data_node_id(4);
+        while file.sim.actor(target).is_blank() {
+            assert!(file.sim.step(), "InitData reaches the target");
+        }
+        let fresh = (key..).find(|k| file.address_of(*k) == 4).unwrap();
+        let insert = Msg::Req {
+            op_id: 1 << 40,
+            client: file.clients[0],
+            intended: 4,
+            hops: 0,
+            kind: crate::msg::ReqKind::Insert(fresh, vec![9; 4]),
+        };
+        let held_at = file.now_us();
+        file.sim.send_as(file.clients[0], target, insert);
+        file.sim.run_until_idle();
+
+        assert_eq!(file.metrics().counter("split_load_expired"), 1);
+        assert!(file.now_us() >= held_at + (rounds + 2) * retransmit);
+        let records: Vec<Key> = file
+            .sim
+            .actor(target)
+            .as_data()
+            .iter()
+            .map(|r| r.1)
+            .collect();
+        assert_eq!(records, vec![fresh], "the held insert applied");
+    }
 
     /// `FindRecordReply` arrives off the wire, so a parity bucket that
     /// claims "found" with a key list lacking the key (buggy or byzantine)
@@ -1103,7 +1090,7 @@ mod tests {
 
     /// A group check that ends while a merge is in flight must not start a
     /// deferred split: the split would re-create the bucket being merged
-    /// away. Merges count as structural work for `drain_queues` as they do
+    /// away. Merges count as structural work for `run_owed` as they do
     /// for `busy()`, so the split waits for `MergeDone`.
     #[test]
     fn check_ending_mid_merge_defers_the_split_until_the_merge_lands() {

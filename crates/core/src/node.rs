@@ -118,6 +118,7 @@ impl Node {
             } => {
                 let mut d = DataBucket::new(shared.clone(), bucket, level);
                 d.resume_delta_seq(delta_seq);
+                d.await_load();
                 Node::attach_data_store(shared, env.me(), &mut d);
                 Some(Node::Data(d))
             }

@@ -476,6 +476,83 @@ fn kill_between_split_commit_and_partition_loses_nothing() {
     assert_eq!(snap.counter("recovery_freeze_expired", ""), 0);
 }
 
+/// The same interleaving across groups: with m = 2 the split 0 → 4 opens
+/// group 2, and the source dies before its `DoSplit`. The client's image
+/// predates the split, so a mover's lookup goes to the dead source, and the
+/// source's group is the one to check. Each mover, read right after the
+/// drill, must come back with its value, not as absent from the empty
+/// target.
+#[test]
+fn kill_during_a_cross_group_split_reads_every_mover_at_once() {
+    let cfg = Config {
+        group_size: 2,
+        initial_k: 1,
+        bucket_capacity: 16,
+        record_len: 32,
+        ack_writes: true,
+        ack_parity: true,
+        node_pool: 64,
+        ..Config::default()
+    };
+    let mut file = LhrsFile::new(cfg).unwrap();
+    let mut keys = 0u64;
+    while file.bucket_count() < 4 {
+        file.insert(keys, payload(keys, 0)).unwrap();
+        keys += 1;
+    }
+
+    let (source, target) = file.drill_kill_during_split();
+    assert_eq!((source, target), (0, 4));
+    let movers: Vec<u64> = (0..keys)
+        .filter(|&k| file.address_of(k) == target)
+        .collect();
+    assert!(!movers.is_empty(), "some keys must address the new bucket");
+    for &key in &movers {
+        assert_eq!(
+            file.lookup(key),
+            Ok(Some(payload(key, 0))),
+            "mover {key}, read right after the drill"
+        );
+    }
+    for key in 0..keys {
+        assert_eq!(file.lookup(key), Ok(Some(payload(key, 0))), "key {key}");
+    }
+    file.verify_integrity().unwrap();
+}
+
+/// A fresh client's image knows one bucket, so it sends every key to
+/// bucket 0, whose A2 forwards it home. When the home is a dead bucket of
+/// another group, the client suspects bucket 0, whose group answers: the
+/// key's own group must be checked as well, and its lookup served
+/// degraded and its write applied after the rebuild.
+#[test]
+fn a_stale_image_suspecting_a_live_group_reaches_the_dead_home() {
+    let mut file = LhrsFile::new(Config {
+        initial_k: 1,
+        ..chaos_cfg()
+    })
+    .unwrap();
+    let mut keys = 0u64;
+    while file.bucket_count() < 6 {
+        file.insert(keys, payload(keys, 0)).unwrap();
+        keys += 1;
+    }
+    let home = 4;
+    let key = (0..keys).find(|&k| file.address_of(k) == home).unwrap();
+    file.crash_data_bucket(home);
+
+    let fresh = file.add_client();
+    assert_eq!(file.client_image(fresh), (0, 0), "a one-bucket image");
+    assert_eq!(file.lookup_via(fresh, key), Ok(Some(payload(key, 0))));
+    assert_eq!(file.metrics().counter("degraded_reads"), 1);
+    file.update(key, payload(key, 1)).unwrap();
+    assert_eq!(file.lookup_via(fresh, key), Ok(Some(payload(key, 1))));
+    for k in (0..keys).filter(|&k| k != key) {
+        assert_eq!(file.lookup(k), Ok(Some(payload(k, 0))), "key {k}");
+    }
+    file.verify_integrity().unwrap();
+}
+
 /// A focused partition drill: isolate one data node for a fixed window.
 /// Operations during the window may fail after retries (tolerated); once
 /// the partition lifts, every acknowledged record must be readable —

@@ -18,11 +18,14 @@
 //! probe periods after the `Suspect` lands, and a bucket that is slow but
 //! answers the check's last round is a false alarm that rebuilds nothing.
 //!
-//! A data bucket keeps three rows of its own (DESIGN.md §2.4): the Δ
+//! A data bucket keeps four rows of its own (DESIGN.md §2.4): the Δ
 //! window re-sends unacknowledged Δs for `DELTA_RETRY_LIMIT` rounds
-//! without progress, while the write freeze and the restart catch-up are
-//! watchdogs that re-send nothing and conclude on their first expiry. The
-//! second table pins each row's re-sends and give-up outcome the same way.
+//! without progress, while the write freeze, the restart catch-up and a
+//! split target's load are watchdogs that re-send nothing and conclude on
+//! their first expiry. The second table pins the first three rows'
+//! re-sends and give-up outcome the same way; the load row needs a key
+//! request delivered to a target no client image knows yet, so its drill
+//! is a unit test in `crates/core/src/file.rs`.
 //!
 //! The client is the third owner. A request (a lookup, or a write with
 //! `ack_writes`) is re-sent `client_retries` times with a doubling period,
@@ -308,10 +311,61 @@ fn upgrade(kind: &'static str) -> Sent {
     }
 }
 
+/// A `Suspect` that lands while its group is being upgraded is parked on
+/// the upgrade row. The upgrade's give-up hands it to a fresh check, whose
+/// false alarm replays it to the bucket, so the write is answered; the
+/// upgrades still run group 1 first, then group 0 again.
+fn suspect_upgrade(kind: &'static str) -> Sent {
+    let mut file = LhrsFile::new(Config {
+        scale_thresholds: vec![4],
+        ..cfg(1)
+    })
+    .unwrap();
+    let key = grow(&mut file, 4);
+    let c = file.config().clone();
+    let node = file.data_node_id(3);
+    let (before, ev) = (sent(&file, kind), cursor(&file));
+    let t0 = file.now_us();
+    blackhole(&mut file, vec![node], t0, ROUNDS * c.coord_retransmit_us);
+    // One batch of 16 overflows bucket 0, whose split starts both
+    // upgrades, and sends bucket 3 writes that the blackhole drops.
+    let batch: Vec<u64> = (key..key + 16).collect();
+    let to_three = batch.iter().filter(|&&k| file.address_of(k) == 3).count();
+    assert!(to_three > 0, "the batch writes to the silent bucket");
+    let inserted = file.insert_batch(batch.iter().map(|&k| (k, payload(k))));
+    assert_eq!(inserted, Ok(batch.len()), "every suspected write answered");
+    let suspected = file.metrics().counter("client_escalations");
+    assert_eq!(suspected, to_three as u64, "each dropped write suspected");
+    let events = events_since(&file, ev);
+    let upgraded: Vec<&Event> = events
+        .iter()
+        .filter(|e| matches!(e, Event::GroupUpgraded { .. }))
+        .collect();
+    assert_eq!(
+        upgraded,
+        [
+            &Event::GroupUpgraded { group: 1, k: 2 },
+            &Event::GroupUpgraded { group: 0, k: 2 },
+        ],
+        "{events:?}"
+    );
+    for k in batch {
+        assert_eq!(file.lookup(k).unwrap(), Some(payload(k)));
+    }
+    file.verify_integrity().unwrap();
+    Sent {
+        total: sent(&file, kind) - before,
+        // As in the upgrade row: buckets 0-2, bucket 4, then all 4.
+        others: 3 + 1 + 4,
+    }
+}
+
 /// A split whose source never confirms is abandoned: the target's group is
-/// audited and the coordinator is free again (a merge is accepted).
+/// audited, the target's keys are still served, and the coordinator is
+/// free again (a merge is accepted).
 fn split(kind: &'static str) -> Sent {
-    let (mut file, mut key) = grown(1, 4);
+    let (mut file, grown_keys) = grown(1, 4);
+    let mut key = grown_keys;
     let c = file.config().clone();
     let source = file.data_node_id(0);
     let (before, probes) = (sent(&file, kind), sent(&file, "probe"));
@@ -329,6 +383,12 @@ fn split(kind: &'static str) -> Sent {
         2,
         "audit of the target group: bucket 4 and its parity"
     );
+    // The keys of the abandoned target are still served, old and new.
+    let old = key_in(&file, grown_keys, 4);
+    assert_eq!(file.lookup(old).unwrap(), Some(payload(old)));
+    let new = (key..).find(|k| file.address_of(*k) == 4).unwrap();
+    file.insert(new, payload(new)).unwrap();
+    assert_eq!(file.lookup(new).unwrap(), Some(payload(new)));
     let ev = cursor(&file);
     assert!(file.force_merge(), "no structural work left in flight");
     assert!(matches!(
@@ -338,10 +398,10 @@ fn split(kind: &'static str) -> Sent {
     Sent { total, others: 0 }
 }
 
-/// A merge whose target never answers is abandoned; the next merge is
-/// accepted.
+/// A merge whose target never answers is abandoned and leaves the file
+/// state as it was; the next merge is accepted and loses no key.
 fn merge(kind: &'static str) -> Sent {
-    let (mut file, _) = grown(1, 5);
+    let (mut file, keys) = grown(1, 5);
     let c = file.config().clone();
     let t0 = file.now_us();
     let node = file.data_node_id(4);
@@ -349,6 +409,7 @@ fn merge(kind: &'static str) -> Sent {
     let (before, ev) = (sent(&file, kind), cursor(&file));
     file.force_merge();
     assert_eq!(events_since(&file, ev), vec![], "merge abandoned");
+    assert_eq!(file.bucket_count(), 5, "the file state is left as it was");
     let total = sent(&file, kind) - before;
     let ev = cursor(&file);
     file.force_merge();
@@ -356,6 +417,10 @@ fn merge(kind: &'static str) -> Sent {
         events_since(&file, ev).as_slice(),
         [Event::MergeDone { .. }]
     ));
+    file.verify_integrity().unwrap();
+    for key in 0..keys {
+        assert_eq!(file.lookup(key).unwrap(), Some(payload(key)), "key {key}");
+    }
     Sent { total, others: 0 }
 }
 
@@ -426,12 +491,13 @@ fn suffix(kind: &'static str) -> Sent {
 #[test]
 fn every_exchange_gives_up_after_coord_retries_plus_one_rounds() {
     // (exchange, `msgs_sent` kind of its request, drill)
-    let rows: [(&str, &'static str, Drill); 10] = [
+    let rows: [(&str, &'static str, Drill); 11] = [
         ("suspected bucket dead", "probe", suspect_dead),
         ("suspected bucket slow but alive", "probe", suspect_slow),
         ("group check", "probe", check),
         ("repair", "transfer-req", repair),
         ("upgrade", "transfer-req", upgrade),
+        ("suspect during upgrade", "transfer-req", suspect_upgrade),
         ("split", "split", split),
         ("merge", "merge", merge),
         ("state scan", "state-query", state_scan),
