@@ -2,7 +2,7 @@
 //! assignment, Δ-emission to parity buckets, and splitting.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use lhrs_lh::{a2_route, A2Outcome};
 use lhrs_obs::Event as ObsEvent;
@@ -10,9 +10,10 @@ use lhrs_sim::{Env, NodeId};
 
 use crate::exchange::{Exchanges, Owner, Schedule};
 use crate::msg::{DeltaEntry, Iam, KeyOp, Msg, OpId, OpResult, ReplayEntry, ReqKind, ShardContent};
+use crate::parity_bucket::DELTA_HISTORY_CAP;
 use crate::record::{cell_delta, decode_cell, encode_cell, Record};
 use crate::registry::SharedHandle;
-use crate::storage::{self, BucketStore, GroupCommits, StoreError, WalOp};
+use crate::storage::{self, BucketStore, Durable, GroupCommits, StoreError, WalOp};
 use crate::{Config, Key, Rank};
 
 /// Consecutive no-progress Δ retransmission rounds after which a data
@@ -30,6 +31,23 @@ pub const REPLAY_CACHE_CAP: usize = 4096;
 enum Deltas {
     One(DeltaEntry),
     Batch(Vec<DeltaEntry>),
+}
+
+/// One write to the bucket's store, numbered as [`Durable`] counts them.
+#[derive(Clone, Copy)]
+enum StoreWrite {
+    Append(u64),
+    Snapshot(u64),
+}
+
+impl StoreWrite {
+    /// Whether a restart from the store is sure to recover this write.
+    fn is_durable(self, done: Durable) -> bool {
+        match self {
+            StoreWrite::Append(n) => n <= done.appends,
+            StoreWrite::Snapshot(n) => n <= done.snapshots,
+        }
+    }
 }
 
 /// The data bucket's exchange rows (DESIGN.md §2.4), at most one of each;
@@ -132,6 +150,14 @@ pub struct DataBucket {
     shipped: Option<(u64, Msg)>,
     /// Durable store, when the file runs with persistence.
     store: Option<Box<dyn BucketStore>>,
+    /// The appends and snapshots made through `store`.
+    store_writes: Durable,
+    /// Store writes not yet known durable, oldest first, each with the
+    /// Δ-sequence a restart from it resumes at.
+    unsynced: VecDeque<(StoreWrite, u64)>,
+    /// The durable watermark: a restart from `store` resumes at this
+    /// Δ-sequence or later, so the parity group need keep no Δ below it.
+    durable_seq: u64,
     /// Set by local-store recovery: the boot `SelfReport` should offer the
     /// coordinator a Δ-suffix catch-up instead of a plain ownership check.
     report_restart: bool,
@@ -178,6 +204,9 @@ impl DataBucket {
             replay_gen: 0,
             shipped: None,
             store: None,
+            store_writes: Durable::default(),
+            unsynced: VecDeque::new(),
+            durable_seq: 0,
             report_restart: false,
             held: Vec::new(),
             awaiting_load: false,
@@ -246,9 +275,49 @@ impl DataBucket {
         self.records.values().map(|r| r.payload.len()).sum()
     }
 
-    /// Attach a durable store; subsequent commits are logged to it.
+    /// Attach a durable store; subsequent commits are logged to it. A
+    /// restart from it can resume no lower than the bucket stands now.
     pub fn attach_store(&mut self, store: Box<dyn BucketStore>) {
+        self.attach_store_at(store, self.delta_seq);
+    }
+
+    /// Attach a store a restart from which resumes at `durable_seq` or
+    /// later: a replayed store's snapshot position, since the ops replayed
+    /// over it may not survive an OS crash.
+    pub(crate) fn attach_store_at(&mut self, store: Box<dyn BucketStore>, durable_seq: u64) {
         self.store = Some(store);
+        self.store_writes = Durable::default();
+        self.unsynced.clear();
+        self.durable_seq = durable_seq;
+    }
+
+    /// Note a store write a restart resumes from at the current Δ-sequence.
+    /// Only the newest [`DELTA_HISTORY_CAP`] writes are told apart (a store
+    /// whose appends wait for a snapshot can hold many): forgetting an
+    /// older one can only keep the watermark lower, and no parity bucket
+    /// keeps more Δs than that anyway.
+    fn note_write(&mut self, write: StoreWrite) {
+        if self.unsynced.len() >= DELTA_HISTORY_CAP {
+            self.unsynced.pop_front();
+        }
+        self.unsynced.push_back((write, self.delta_seq));
+    }
+
+    /// The durable watermark every Δ carries: `None` without a store (no
+    /// restart can pull a suffix), else the lowest Δ-sequence a restart
+    /// from the store can resume at (DESIGN §10.3).
+    fn durable_watermark(&mut self) -> Option<u64> {
+        let done = self.store.as_ref()?.durable();
+        // Only a durable prefix counts: an append after a snapshot still
+        // in flight may be durable alone, and waits for the snapshot.
+        while let Some(&(write, seq)) = self.unsynced.front() {
+            if !write.is_durable(done) {
+                break;
+            }
+            self.durable_seq = seq;
+            self.unsynced.pop_front();
+        }
+        Some(self.durable_seq)
     }
 
     /// Hold key requests until the first `SplitLoad`: a split target's
@@ -295,6 +364,7 @@ impl DataBucket {
             let _ = store.reset();
         }
         self.store = None;
+        self.unsynced.clear();
     }
 
     /// This bucket's full state as shipped in recovery transfers.
@@ -325,7 +395,10 @@ impl DataBucket {
             &self.records,
         );
         let ok = store.snapshot(state).is_ok();
-        if !ok {
+        if ok {
+            self.store_writes.snapshots += 1;
+            self.note_write(StoreWrite::Snapshot(self.store_writes.snapshots));
+        } else {
             // The log's base no longer matches RAM (e.g. the post-split
             // bulk removal was never snapshotted); replaying it would
             // resurrect diverged state that the Δ-suffix handshake could
@@ -352,10 +425,10 @@ impl DataBucket {
             return;
         };
         let buf = storage::encode_op(op);
-        match store.append(&buf) {
+        let due = match store.append(&buf) {
             Ok(()) => {
-                env.obs().incr("wal_appends");
-                env.obs().add("wal_bytes", buf.len() as u64);
+                let every = self.shared.cfg.wal_snapshot_every;
+                every > 0 && store.appended_since_snapshot() >= every
             }
             Err(_) => {
                 // A failing disk must not take the bucket down with it: the
@@ -367,9 +440,12 @@ impl DataBucket {
                 self.reset_store();
                 return;
             }
-        }
-        let every = self.shared.cfg.wal_snapshot_every;
-        if every > 0 && store.appended_since_snapshot() >= every {
+        };
+        env.obs().incr("wal_appends");
+        env.obs().add("wal_bytes", buf.len() as u64);
+        self.store_writes.appends += 1;
+        self.note_write(StoreWrite::Append(self.store_writes.appends));
+        if due {
             self.snapshot_obs(env);
         }
     }
@@ -1234,6 +1310,7 @@ impl DataBucket {
     fn fan_out(&mut self, env: &mut Env<'_, Msg>, nodes: Vec<NodeId>, deltas: Deltas) {
         let group = self.group();
         let ack_to = self.shared.cfg.ack_parity.then(|| env.me());
+        let durable = self.durable_watermark();
         let entries = match &deltas {
             Deltas::One(entry) => std::slice::from_ref(entry),
             Deltas::Batch(entries) => entries.as_slice(),
@@ -1253,11 +1330,13 @@ impl DataBucket {
                 Deltas::One(entry) => Msg::ParityDelta {
                     group,
                     entry: entry.clone(),
+                    durable,
                     ack_to,
                 },
                 Deltas::Batch(entries) => Msg::ParityBatch {
                     group,
                     entries: entries.clone(),
+                    durable,
                     ack_to,
                 },
             };
@@ -1472,7 +1551,8 @@ impl Owner for DataBucket {
     }
 
     /// A Δ-window round re-sends each parity column the Δs it has not
-    /// acked, as one `ParityBatch`; the watchdogs re-send nothing.
+    /// acked, as one `ParityBatch` carrying the current durable watermark;
+    /// the watchdogs re-send nothing.
     fn resend(
         &mut self,
         env: &Env<'_, Msg>,
@@ -1484,6 +1564,7 @@ impl Owner for DataBucket {
             return Vec::new();
         }
         let (group, ack_to) = (self.group(), Some(env.me()));
+        let durable = self.durable_watermark();
         let pending = |q: usize| -> Vec<DeltaEntry> {
             let acked = self.parity_acked.get(q).copied().unwrap_or(0);
             self.unacked.range(acked..).map(|(_, e)| e.clone()).collect()
@@ -1491,6 +1572,7 @@ impl Owner for DataBucket {
         let batch = |entries| Msg::ParityBatch {
             group,
             entries,
+            durable,
             ack_to,
         };
         let nodes = self.parity_nodes().into_iter().enumerate();

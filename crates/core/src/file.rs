@@ -1075,6 +1075,7 @@ mod tests {
         let batch = Msg::ParityBatch {
             group: 0,
             entries: vec![valid, outside],
+            durable: None,
             ack_to: None,
         };
         file.sim.send_as(data, parity, batch);

@@ -292,6 +292,9 @@ pub enum Msg {
         group: u64,
         /// The Δ entry.
         entry: DeltaEntry,
+        /// The sender's durable watermark: a restart from its store
+        /// resumes at this Δ-sequence or later. `None` without a store.
+        durable: Option<u64>,
         /// Where to send the ack, when `ack_parity` is on.
         ack_to: Option<NodeId>,
     },
@@ -302,6 +305,8 @@ pub enum Msg {
         group: u64,
         /// All entries of the batch.
         entries: Vec<DeltaEntry>,
+        /// The sender's durable watermark, as in `ParityDelta`.
+        durable: Option<u64>,
         /// Where to send the ack, when `ack_parity` is on.
         ack_to: Option<NodeId>,
     },

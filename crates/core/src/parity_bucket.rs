@@ -12,9 +12,13 @@ use crate::record::cell_is_zero;
 use crate::registry::SharedHandle;
 use crate::{Key, Rank};
 
-/// Per-column Δ-commit history each parity bucket of a durable file
-/// retains to serve Δ-suffix catch-up to restarting data buckets. A
-/// restart whose gap exceeds it falls back to a full RS rebuild.
+/// Backstop on the per-column Δ history a parity bucket keeps to serve
+/// Δ-suffix catch-up to restarting data buckets. The history holds only
+/// the Δs at or above the column's durable watermark, the sender's flush
+/// lag (DESIGN §10.3); the cap bounds it when that watermark stands still
+/// (a store that only snapshots at structural events and whose appends
+/// never count as durable). A restart whose gap exceeds it falls back to
+/// a full RS rebuild.
 pub const DELTA_HISTORY_CAP: usize = 4096;
 
 /// One parity record: the member keys of the record group (by column) and
@@ -63,10 +67,11 @@ pub struct ParityBucket {
     /// record size, so the overhead is inconsequential (as the paper
     /// argues).
     key_index: HashMap<Key, Rank>,
-    /// Per data column: recently applied Δs (bounded by
-    /// [`DELTA_HISTORY_CAP`]), kept to serve Δ-suffix catch-up to restarting
-    /// data buckets. Contiguous and, unless empty, ending exactly at
-    /// `channels[col].next_seq`; kept only on a durable node.
+    /// Per data column: the applied Δs a restart of the column's store can
+    /// still ask for — those at or above the durable watermark its Δs
+    /// carry, none when they carry `None` — kept to serve Δ-suffix
+    /// catch-up (bounded by [`DELTA_HISTORY_CAP`]). Contiguous and, unless
+    /// empty, ending exactly at `channels[col].next_seq`.
     history: Vec<VecDeque<DeltaEntry>>,
 }
 
@@ -151,33 +156,34 @@ impl ParityBucket {
         }
     }
 
-    /// Remember and apply one admitted Δ. The history's only reader is
-    /// [`Msg::SuffixPull`], which only a WAL-recovered data bucket causes,
-    /// and only a node with a store factory installed hosts durable data
-    /// buckets: without one the file never pulls a suffix (or answers one
-    /// `complete: false`, and the coordinator falls back to the full
-    /// rebuild), so the bucket retains nothing. The parity column itself
-    /// keeps no store — a lost column is re-encoded from its group, never
-    /// replayed.
-    fn commit(&mut self, ready: DeltaEntry) {
-        if self.shared.has_store_factory() {
-            self.remember(ready.clone());
-        }
-        self.apply(ready);
-    }
-
     /// Remember an applied Δ in the bounded per-column history — the window
     /// this bucket can serve as a Δ-suffix to a restarting data bucket.
     /// Applies happen strictly in column order, so each deque is contiguous
-    /// and ends exactly at `channels[col].next_seq`.
-    fn remember(&mut self, entry: DeltaEntry) {
+    /// and ends exactly at `channels[col].next_seq`. Returns how many Δs
+    /// the backstop dropped.
+    fn remember(&mut self, entry: DeltaEntry) -> u64 {
         let Some(hist) = self.history.get_mut(entry.col) else {
-            return;
+            return 0;
         };
         hist.push_back(entry);
-        while hist.len() > DELTA_HISTORY_CAP {
-            hist.pop_front();
-        }
+        let over = hist.len().saturating_sub(DELTA_HISTORY_CAP);
+        hist.drain(..over);
+        over as u64
+    }
+
+    /// Forget the Δs of column `col` no restart can ask for any more:
+    /// those below the sender's `durable` watermark, or every one when the
+    /// sender has no store. Returns how many were dropped.
+    fn trim(&mut self, col: usize, durable: Option<u64>) -> u64 {
+        let Some(hist) = self.history.get_mut(col) else {
+            return 0;
+        };
+        let keep_from = match durable {
+            None => hist.len(),
+            Some(w) => hist.partition_point(|e| e.seq < w),
+        };
+        hist.drain(..keep_from);
+        keep_from as u64
     }
 
     /// Drill hook: overwrite every retained history entry of column `col`
@@ -198,19 +204,30 @@ impl ParityBucket {
     /// Admit and apply one sender's Δs (a `ParityDelta` is a batch of
     /// one), then ack each column that moved. A Δ from a fenced sender or
     /// for a column outside the group (`col` is off the wire) is dropped
-    /// and counted.
+    /// and counted, and its watermark moves nothing.
+    ///
+    /// The history keeps an applied Δ only while a restart of its column's
+    /// store can still ask for it: its only reader is [`Msg::SuffixPull`],
+    /// which pulls from where a WAL-recovered data bucket's store left it,
+    /// never below the `durable` watermark the sender's Δs carry, and
+    /// never at all when they carry `None`. The parity column itself keeps
+    /// no store — a lost column is re-encoded from its group, never
+    /// replayed.
     fn on_deltas(
         &mut self,
         env: &mut Env<'_, Msg>,
         from: NodeId,
         entries: impl IntoIterator<Item = DeltaEntry>,
+        durable: Option<u64>,
         ack_to: Option<NodeId>,
     ) {
         let mut cols = std::collections::BTreeSet::new();
         let (mut applied, mut dropped) = (0u64, 0u64);
+        let (mut remembered, mut forgotten) = (0u64, 0u64);
         for entry in entries {
             let col = entry.col;
             let admitted = if self.sender_owns_column(from, col) {
+                forgotten += self.trim(col, durable);
                 self.admit(entry)
             } else {
                 None
@@ -221,13 +238,23 @@ impl ParityBucket {
             };
             cols.insert(col);
             for ready in ready {
-                self.commit(ready);
+                self.apply(&ready);
                 applied += 1;
+                if durable.is_some_and(|w| ready.seq >= w) {
+                    forgotten += self.remember(ready);
+                    remembered += 1;
+                }
             }
         }
         env.obs().add("deltas_applied", applied);
         if dropped > 0 {
             env.obs().add("deltas_dropped", dropped);
+        }
+        if remembered > 0 {
+            env.obs().add("deltas_remembered", remembered);
+        }
+        if forgotten > 0 {
+            env.obs().add("deltas_forgotten", forgotten);
         }
         if let Some(ack) = ack_to {
             for col in cols {
@@ -245,18 +272,20 @@ impl ParityBucket {
             Msg::ParityDelta {
                 group,
                 entry,
+                durable,
                 ack_to,
             } => {
                 debug_assert_eq!(group, self.group);
-                self.on_deltas(env, from, [entry], ack_to);
+                self.on_deltas(env, from, [entry], durable, ack_to);
             }
             Msg::ParityBatch {
                 group,
                 entries,
+                durable,
                 ack_to,
             } => {
                 debug_assert_eq!(group, self.group);
-                self.on_deltas(env, from, entries, ack_to);
+                self.on_deltas(env, from, entries, durable, ack_to);
             }
             Msg::FindRecord { key, token } => {
                 // O(1) via the internal key index (§4.1); the index and the
@@ -437,7 +466,7 @@ impl ParityBucket {
 
     /// Fold one Δ into the parity record at `entry.rank`:
     /// `cell ^= Γ[col][index] · Δ`, plus the key-list effect.
-    fn apply(&mut self, entry: DeltaEntry) {
+    fn apply(&mut self, entry: &DeltaEntry) {
         let m = self.shared.cfg.group_size;
         let cell_len = self.shared.cfg.cell_len();
         let rec = self
@@ -480,7 +509,6 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use crate::registry::Shared;
-    use crate::storage::MemHub;
     use lhrs_sim::Effect;
 
     fn bucket() -> ParityBucket {
@@ -557,25 +585,43 @@ mod tests {
         assert_eq!(p.admit(delta(2, 2, 9, cl)).unwrap().len(), 1);
     }
 
-    /// Deliver Δs `seqs` of column 0, then pull the suffix from seq 1:
-    /// what the puller is sent.
-    fn suffix_after_deltas(p: &mut ParityBucket, seqs: std::ops::Range<u64>) -> (Vec<u64>, bool) {
+    /// Deliver Δs `seqs` of column 0 from `from`, each carrying the
+    /// watermark `durable`; returns the history counters they moved,
+    /// `(deltas_remembered, deltas_forgotten)`.
+    fn deliver(
+        p: &mut ParityBucket,
+        from: NodeId,
+        seqs: std::ops::Range<u64>,
+        durable: Option<u64>,
+    ) -> (u64, u64) {
         let cl = p.shared.cfg.cell_len();
         let (mut next_timer, mut effects) = (0, Vec::new());
-        let obs = lhrs_obs::Metrics::disabled();
+        let obs = lhrs_obs::Metrics::new(lhrs_obs::Clock::logical());
         let mut env = Env::external(NodeId(9), 0, &mut next_timer, &mut effects, &obs);
         for seq in seqs {
             let msg = Msg::ParityDelta {
                 group: 0,
                 entry: delta(seq, 0, 10 + seq, cl),
+                durable,
                 ack_to: None,
             };
-            p.on_message(&mut env, NodeId(1), msg);
+            p.on_message(&mut env, from, msg);
         }
+        (
+            obs.counter("deltas_remembered"),
+            obs.counter("deltas_forgotten"),
+        )
+    }
+
+    /// Pull column 0's suffix from `from_seq`: what the puller is sent.
+    fn pull(p: &mut ParityBucket, from_seq: u64) -> (Vec<u64>, bool) {
+        let (mut next_timer, mut effects) = (0, Vec::new());
+        let obs = lhrs_obs::Metrics::disabled();
+        let mut env = Env::external(NodeId(9), 0, &mut next_timer, &mut effects, &obs);
         let pull = Msg::SuffixPull {
             group: 0,
             col: 0,
-            from_seq: 1,
+            from_seq,
             target: NodeId(1),
         };
         p.on_message(&mut env, NodeId(0), pull);
@@ -594,19 +640,67 @@ mod tests {
             .expect("a SuffixPull is answered with a DeltaSuffix")
     }
 
-    #[test]
-    fn delta_history_is_kept_only_where_a_suffix_can_be_pulled() {
-        // No store factory: nothing is retained, and the pull is declined —
-        // the coordinator then rebuilds the bucket in full.
-        let mut plain = bucket();
-        assert_eq!(suffix_after_deltas(&mut plain, 0..3), (Vec::new(), false));
-        assert!(plain.history.iter().all(|h| h.is_empty()));
-        assert_eq!(plain.channels[0].next_seq, 3, "the Δs were still applied");
+    /// The sequence numbers column 0's history holds.
+    fn kept(p: &ParityBucket) -> Vec<u64> {
+        p.history[0].iter().map(|e| e.seq).collect()
+    }
 
-        // A durable node (store factory installed): the suffix is served.
-        let mut durable = bucket();
-        durable.shared.set_store_factory(MemHub::new().factory());
-        assert_eq!(suffix_after_deltas(&mut durable, 0..3), (vec![1, 2], true));
+    #[test]
+    fn a_durable_watermark_trims_the_history_below_it() {
+        let mut p = bucket();
+        assert_eq!(deliver(&mut p, NodeId(1), 0..6, Some(0)), (6, 0));
+        assert_eq!(kept(&p), vec![0, 1, 2, 3, 4, 5]);
+
+        // The sender's store made everything below 4 durable: a restart
+        // resumes at 4 or later, so nothing below it is kept.
+        assert_eq!(deliver(&mut p, NodeId(1), 6..8, Some(4)), (2, 4));
+        assert_eq!(kept(&p), vec![4, 5, 6, 7]);
+
+        // A pull from at or above the watermark is served whole ...
+        assert_eq!(pull(&mut p, 4), (vec![4, 5, 6, 7], true));
+        assert_eq!(pull(&mut p, 6), (vec![6, 7], true));
+        assert_eq!(pull(&mut p, 8), (Vec::new(), true), "nothing missed");
+        // ... and one from below the pruned point is declined.
+        assert_eq!(pull(&mut p, 3), (Vec::new(), false));
+
+        // A watermark ahead of the column: the Δs below it are applied
+        // but never stored.
+        assert_eq!(deliver(&mut p, NodeId(1), 8..10, Some(10)), (0, 4));
+        assert!(kept(&p).is_empty());
+        assert_eq!(p.channels[0].next_seq, 10, "the Δs were still applied");
+        assert_eq!(pull(&mut p, 10), (Vec::new(), true));
+    }
+
+    #[test]
+    fn a_sender_without_a_store_leaves_no_history() {
+        // `durable: None`: nothing is kept, and the pull is declined — the
+        // coordinator then rebuilds the bucket in full.
+        let mut p = bucket();
+        assert_eq!(deliver(&mut p, NodeId(1), 0..3, None), (0, 0));
+        assert!(p.history.iter().all(|h| h.is_empty()));
+        assert_eq!(p.channels[0].next_seq, 3, "the Δs were still applied");
+        assert_eq!(pull(&mut p, 1), (Vec::new(), false));
+
+        // A sender whose store is poisoned sends `None`: what was kept goes.
+        assert_eq!(deliver(&mut p, NodeId(1), 3..5, Some(3)), (2, 0));
+        assert_eq!(deliver(&mut p, NodeId(1), 5..6, None), (0, 2));
+        assert!(kept(&p).is_empty());
+    }
+
+    #[test]
+    fn a_fenced_senders_watermark_moves_nothing() {
+        let mut p = bucket();
+        // Bucket 0 (column 0 of group 0) lives on node 1.
+        assert!(p.shared.registry.borrow_mut().push_data(0, NodeId(1)));
+        deliver(&mut p, NodeId(1), 0..4, Some(0));
+        assert_eq!(kept(&p), vec![0, 1, 2, 3]);
+
+        // Node 7 lost the column: its Δs and its watermark are dropped.
+        assert_eq!(deliver(&mut p, NodeId(7), 4..6, Some(5)), (0, 0));
+        assert_eq!(deliver(&mut p, NodeId(7), 4..5, None), (0, 0));
+        assert_eq!(kept(&p), vec![0, 1, 2, 3]);
+        assert_eq!(p.channels[0].next_seq, 4);
+        assert_eq!(pull(&mut p, 0), (vec![0, 1, 2, 3], true));
     }
 
     /// A retained window that ends short of `next_seq` must not be served as
@@ -614,11 +708,11 @@ mod tests {
     #[test]
     fn a_window_short_of_next_seq_is_never_served_complete() {
         let mut p = bucket();
-        assert_eq!(suffix_after_deltas(&mut p, 0..6), (Vec::new(), false));
+        deliver(&mut p, NodeId(1), 0..6, None);
         assert_eq!(p.channels[0].next_seq, 6, "the Δs were applied");
 
         // Were a stale window to survive anyway, its end gives it away.
         p.history[0].extend((0..3).map(|seq| delta(seq, 0, 10 + seq, 1)));
-        assert_eq!(suffix_after_deltas(&mut p, 6..6), (Vec::new(), false));
+        assert_eq!(pull(&mut p, 1), (Vec::new(), false));
     }
 }

@@ -246,12 +246,6 @@ impl Shared {
         *self.store_factory.borrow_mut() = Some(factory);
     }
 
-    /// Whether a store factory is installed: the node is durable, so a
-    /// restarted data bucket may pull a Δ-suffix from its parity group.
-    pub fn has_store_factory(&self) -> bool {
-        self.store_factory.borrow().is_some()
-    }
-
     /// Build a store for `(node, id)` via the installed factory, if any.
     /// The factory itself may decline (e.g. a simulated node whose "disk"
     /// was destroyed), which also yields `None`.

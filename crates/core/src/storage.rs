@@ -118,6 +118,23 @@ pub trait BucketStore {
     fn take_group_commits(&mut self) -> GroupCommits {
         GroupCommits::default()
     }
+    /// How far a restart from this store is sure to get after an OS
+    /// crash, in the store's own writes counted from when it was opened:
+    /// the appends made durable (by a finished flush, or made moot by a
+    /// landed snapshot) and the snapshots landed. A data bucket maps these
+    /// to Δ-sequences: the durable watermark its Δs carry (DESIGN §10.3).
+    fn durable(&self) -> Durable;
+}
+
+/// What [`BucketStore::durable`] reports, both counts starting at 0 when
+/// the store is opened: every append up to the `appends`-th and every
+/// snapshot up to the `snapshots`-th survives an OS crash.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Durable {
+    /// Appends durable.
+    pub appends: u64,
+    /// The last snapshot landed, numbered in call order.
+    pub snapshots: u64,
 }
 
 /// What [`BucketStore::take_group_commits`] reports: `ops / fsyncs` is the
@@ -320,6 +337,9 @@ pub fn recover(
         .into_iter()
         .map(|(rank, key, payload)| (rank, (key, payload)))
         .collect();
+    // A restart from this store resumes no lower than its snapshot: the
+    // ops replayed over it may not survive an OS crash.
+    let snapshot_seq = delta_seq;
     let (mut next_rank, mut delta_seq) = (next_rank, delta_seq);
     let (mut ops_replayed, mut bytes_replayed) = (0u64, 0u64);
     for buf in &replay.ops {
@@ -358,7 +378,7 @@ pub fn recover(
     let mut d =
         DataBucket::from_content(shared.clone(), bucket, level, next_rank, delta_seq, records);
     d.mark_restarted();
-    d.attach_store(store);
+    d.attach_store_at(store, snapshot_seq);
     d.snapshot_now();
     Ok(Recovered {
         node: Node::Data(d),
@@ -415,13 +435,23 @@ impl MemDisk {
 
     /// Open a store view onto this disk.
     pub fn open(&self) -> Box<dyn BucketStore> {
-        Box::new(MemStore { disk: self.clone() })
+        Box::new(MemStore {
+            disk: self.clone(),
+            appends: 0,
+            durable: Durable::default(),
+        })
     }
 }
 
-/// [`BucketStore`] over a [`MemDisk`].
+/// [`BucketStore`] over a [`MemDisk`]. Its snapshots survive a crash
+/// and its logged ops may not (a drill can [`MemDisk::truncate_ops`]), so
+/// an append counts as durable only once a snapshot covers it.
 pub struct MemStore {
     disk: MemDisk,
+    /// Appends made through this view.
+    appends: u64,
+    /// What the last snapshot through this view made durable.
+    durable: Durable,
 }
 
 impl BucketStore for MemStore {
@@ -432,6 +462,7 @@ impl BucketStore for MemStore {
         }
         inner.bytes += op.len() as u64;
         inner.ops.push(op.to_vec());
+        self.appends += 1;
         Ok(())
     }
 
@@ -443,6 +474,10 @@ impl BucketStore for MemStore {
         inner.snapshot = Some(state);
         inner.ops.clear();
         inner.bytes = 0;
+        self.durable = Durable {
+            appends: self.appends,
+            snapshots: self.durable.snapshots + 1,
+        };
         Ok(())
     }
 
@@ -473,6 +508,10 @@ impl BucketStore for MemStore {
 
     fn sync(&mut self) -> Result<(), StoreError> {
         Ok(())
+    }
+
+    fn durable(&self) -> Durable {
+        self.durable
     }
 }
 
@@ -626,6 +665,11 @@ mod tests {
         store.append(b"bb").unwrap();
         assert_eq!(store.appended_since_snapshot(), 2);
         assert_eq!(store.wal_bytes(), 3);
+        let only_the_snapshot = Durable {
+            appends: 0,
+            snapshots: 1,
+        };
+        assert_eq!(store.durable(), only_the_snapshot, "logged ops may not survive");
         drop(store);
 
         // Chop the tail, reopen "after the crash".

@@ -39,8 +39,9 @@ use crate::msg::{
 };
 use crate::record::Record;
 
-/// Wire format version; bumped on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 1;
+/// Wire format version; bumped on any incompatible layout change (2: the
+/// Δ messages carry the sender's durable watermark).
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard cap on any single length field (bytes or element count). Frames are
 /// far smaller in practice; the cap only exists so a corrupt length cannot
@@ -567,8 +568,8 @@ wire_enum!(Msg in tag {
     REPLY = 3 "reply" => Reply { op_id, result, iam },
     SCAN = 4 "scan" => Scan { op_id, client, filter, assumed_level, reply_if_empty },
     SCAN_REPLY = 5 "scan-reply" => ScanReply { op_id, bucket, level, hits },
-    PARITY_DELTA = 6 "parity-delta" => ParityDelta { group, entry, ack_to },
-    PARITY_BATCH = 7 "parity-batch" => ParityBatch { group, entries, ack_to },
+    PARITY_DELTA = 6 "parity-delta" => ParityDelta { group, entry, durable, ack_to },
+    PARITY_BATCH = 7 "parity-batch" => ParityBatch { group, entries, durable, ack_to },
     PARITY_ACK = 8 "parity-ack" => ParityAck { col, upto },
     REPORT_OVERFLOW = 9 "overflow" => ReportOverflow { bucket, size },
     INIT_DATA = 10 "init-data" => InitData { bucket, level, delta_seq },

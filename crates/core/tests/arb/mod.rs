@@ -207,11 +207,13 @@ pub fn arb_msg_variant(rng: &mut Rng, v: u64) -> Msg {
         5 => Msg::ParityDelta {
             group: rng.below(1 << 20),
             entry: arb_delta_entry(rng),
+            durable: rng.chance(1, 2).then(|| rng.next_u64() >> 16),
             ack_to: rng.chance(1, 2).then(|| arb_node(rng)),
         },
         6 => Msg::ParityBatch {
             group: rng.below(1 << 20),
             entries: (0..rng.below(4)).map(|_| arb_delta_entry(rng)).collect(),
+            durable: rng.chance(1, 2).then(|| rng.next_u64() >> 16),
             ack_to: rng.chance(1, 2).then(|| arb_node(rng)),
         },
         7 => Msg::ParityAck {

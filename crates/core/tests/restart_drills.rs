@@ -363,3 +363,48 @@ fn clean_restart_needs_no_suffix() {
 
     assert_no_acked_loss(&mut file, &oracle);
 }
+
+/// A `MemStore`'s snapshots survive a crash and its logged ops may not, so
+/// each column's durable watermark is its last snapshot: the parity group
+/// keeps only the Δs since then, and a restart that lost every logged op
+/// still catches up by suffix.
+#[test]
+fn parity_history_holds_only_what_the_last_snapshot_lacks() {
+    const EVERY: u64 = 16;
+    let mut file = LhrsFile::new(Config {
+        wal_snapshot_every: EVERY,
+        ..restart_cfg()
+    })
+    .unwrap();
+    let hub = MemHub::new();
+    file.install_store_factory(hub.factory());
+    let mut oracle = load(&mut file, LOAD);
+    for round in 0..10u64 {
+        for key in 0..LOAD {
+            let value = format!("round-{round}-{key}").into_bytes();
+            file.update(key, value.clone()).unwrap();
+            oracle.insert(key, value);
+        }
+    }
+    let (remembered, forgotten) = (
+        file.metrics().counter("deltas_remembered"),
+        file.metrics().counter("deltas_forgotten"),
+    );
+    let k = restart_cfg().initial_k as u64;
+    let columns = file.bucket_count();
+    assert!(remembered > 10 * LOAD * k, "{remembered}");
+    assert!(
+        remembered - forgotten <= columns * k * EVERY,
+        "{remembered} remembered, {forgotten} forgotten over {columns} columns"
+    );
+
+    file.crash_data_bucket(0);
+    hub.disk(&StoreId::Data { bucket: 0 })
+        .expect("bucket 0 has a disk")
+        .truncate_ops(0);
+    assert!(file.restart_data_bucket_from_store(0).unwrap());
+    let report = RestartReport::from_metrics("snapshot-watermark", file.metrics());
+    assert_eq!(report.restart_recoveries, 1, "{report:?}");
+    assert_eq!(report.restart_fallbacks, 0, "{report:?}");
+    assert_no_acked_loss(&mut file, &oracle);
+}

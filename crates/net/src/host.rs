@@ -75,8 +75,9 @@ pub struct NodeHost<T: Transport> {
     /// Remote-bound Δ-commits buffered within the current poll batch,
     /// coalesced into one [`Msg::ParityBatch`] per (destination, sender,
     /// group, ack target) at the batch boundary. `pending_delta_order`
-    /// keeps flush order deterministic (insertion order of first Δ).
-    pending_deltas: HashMap<DeltaKey, Vec<DeltaEntry>>,
+    /// keeps flush order deterministic (insertion order of first Δ). Each
+    /// batch carries the highest durable watermark of the Δs it holds.
+    pending_deltas: HashMap<DeltaKey, (Vec<DeltaEntry>, Option<u64>)>,
     pending_delta_order: Vec<DeltaKey>,
     /// Observability handle shared with every [`Env`] this host builds
     /// (and usually with the transport). Disabled unless installed via
@@ -293,15 +294,17 @@ impl<T: Transport> NodeHost<T> {
         if let Msg::ParityDelta {
             group,
             entry,
+            durable,
             ack_to,
         } = msg
         {
             let key = (to.0, from.0, group, ack_to);
-            let pending = self.pending_deltas.entry(key).or_insert_with(|| {
+            let (pending, watermark) = self.pending_deltas.entry(key).or_insert_with(|| {
                 self.pending_delta_order.push(key);
-                Vec::new()
+                (Vec::new(), None)
             });
             pending.push(entry);
+            *watermark = (*watermark).max(durable);
             if pending.len() >= DELTA_COALESCE_CAP {
                 self.flush_deltas_to(Some(to.0));
             }
@@ -325,7 +328,7 @@ impl<T: Transport> NodeHost<T> {
                 kept.push(key);
                 continue;
             }
-            let Some(mut entries) = self.pending_deltas.remove(&key) else {
+            let Some((mut entries, durable)) = self.pending_deltas.remove(&key) else {
                 continue;
             };
             if entries.len() == 1 {
@@ -335,6 +338,7 @@ impl<T: Transport> NodeHost<T> {
                 let msg = Msg::ParityDelta {
                     group,
                     entry,
+                    durable,
                     ack_to,
                 };
                 self.transport.send_msg(NodeId(from), NodeId(to), &msg);
@@ -346,6 +350,7 @@ impl<T: Transport> NodeHost<T> {
             let msg = Msg::ParityBatch {
                 group,
                 entries,
+                durable,
                 ack_to,
             };
             self.transport.send_msg(NodeId(from), NodeId(to), &msg);

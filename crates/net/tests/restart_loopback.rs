@@ -125,6 +125,28 @@ fn spawn_server(
     ServerHost { id, tx, thread }
 }
 
+/// The client, node 1, run on the test thread once it holds the
+/// allocation table.
+fn connect_client(
+    spec: &ClusterSpec,
+    net: &LoopbackNet,
+    metrics: &Metrics,
+) -> NetClient<LoopbackTransport> {
+    let (tx, rx) = mpsc::channel();
+    net.register(&[1], tx.clone());
+    let shared = spec.build_shared();
+    let transport = LoopbackTransport::new(net.clone(), &[1]);
+    let mut host = NodeHost::new(shared.clone(), transport, tx, rx);
+    host.set_metrics(metrics.clone());
+    host.add_node(1, spec.build_node(&shared, 1));
+    let mut client = NetClient::new(host, 1, 1);
+    assert!(
+        client.sync_registry(0, Duration::from_secs(30)),
+        "client never received the allocation table"
+    );
+    client
+}
+
 fn payload_for(key: u64) -> Vec<u8> {
     format!("restart-{key:06}").into_bytes()
 }
@@ -232,19 +254,7 @@ fn run_arm(
         .map(|id| spawn_server(&spec, &net, id, &metrics, root.clone()))
         .collect();
 
-    // The client runs on the test thread.
-    let (tx, rx) = mpsc::channel();
-    net.register(&[1], tx.clone());
-    let shared = spec.build_shared();
-    let transport = LoopbackTransport::new(net.clone(), &[1]);
-    let mut host = NodeHost::new(shared.clone(), transport, tx, rx);
-    host.set_metrics(metrics.clone());
-    host.add_node(1, spec.build_node(&shared, 1));
-    let mut client = NetClient::new(host, 1, 1);
-    assert!(
-        client.sync_registry(0, Duration::from_secs(30)),
-        "client never received the allocation table"
-    );
+    let mut client = connect_client(&spec, &net, &metrics);
 
     let mut oracle: Vec<u64> = Vec::new();
     for key in 1..=RECORDS {
@@ -402,6 +412,147 @@ fn a_restarted_parity_column_boots_blank() {
     drop(node);
     assert!(matches!(boot(&spec.build_shared()), DurableBoot::Blank));
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Writes per data column in [`batch_fsync_keeps_the_history_at_the_flush_lag`].
+const WRITES_PER_COLUMN: u64 = 300;
+
+/// The Δs a column's history may still hold once the cluster is quiet:
+/// those its store had not yet reported durable when it sent its last Δ.
+const RETAINED_PER_COLUMN: u64 = 64;
+
+/// Cut the last logged op off the newest segment of `shard_dir` that
+/// holds any: what an OS crash leaves of an append no fsync covered.
+fn tear_last_op(shard_dir: &Path) {
+    let seg_no = |p: &PathBuf| -> u64 {
+        let name = p.file_name().map(|f| f.to_string_lossy().into_owned());
+        let digits = name.as_deref().and_then(|n| n.strip_prefix("wal-"));
+        let digits = digits.and_then(|n| n.strip_suffix(".log"));
+        digits.and_then(|n| n.parse().ok()).unwrap_or(0)
+    };
+    let (seg, buf) = segment_files(shard_dir)
+        .into_iter()
+        .map(|seg| {
+            let buf = std::fs::read(&seg).expect("read segment");
+            (seg, buf)
+        })
+        .filter(|(_, buf)| buf.len() > first_op_at(buf))
+        .max_by_key(|(seg, _)| seg_no(seg))
+        .expect("the bucket logged an op past its snapshot");
+    let (mut pos, mut last) = (first_op_at(&buf), 0);
+    while pos < buf.len() {
+        last = pos;
+        pos += 5 + buf[pos] as usize;
+    }
+    std::fs::write(&seg, &buf[..last]).expect("tear the last op");
+}
+
+/// Under `Batch` a parity bucket keeps only the Δs its column's store has
+/// not yet made durable. After a few hundred writes per column over real
+/// `FileWal`s each column retains a handful — at most
+/// [`RETAINED_PER_COLUMN`], read from the `deltas_remembered` and
+/// `deltas_forgotten` counters — where keeping every Δ written, up to
+/// `DELTA_HISTORY_CAP` per column, would retain them all. A bucket killed
+/// afterwards, its last unsynced op lost, still catches up by suffix.
+#[test]
+fn batch_fsync_keeps_the_history_at_the_flush_lag() {
+    let mut spec = test_spec();
+    spec.cfg.wal_fsync = FsyncPolicy::Batch;
+    // No Δ-window re-send in this drill (loopback loses nothing): each
+    // column's last Δ carries the last watermark its parity bucket sees.
+    spec.cfg.delta_retransmit_us = 60_000_000;
+    let root = temp_root("watermark");
+    let _ = std::fs::remove_dir_all(&root);
+    let net = LoopbackNet::new();
+    let metrics = Metrics::new(Clock::wall());
+    let mut servers: Vec<ServerHost> = std::iter::once(0)
+        .chain(spec.server_ids())
+        .map(|id| spawn_server(&spec, &net, id, &metrics, Some(root.clone())))
+        .collect();
+
+    let mut client = connect_client(&spec, &net, &metrics);
+
+    // Grow the file to two groups, then let the splits settle.
+    let mut keys = 0u64;
+    while client.bucket_count() < 4 || client.group_count() < 2 {
+        keys += 1;
+        assert!(keys < 500, "file should have split");
+        assert_eq!(
+            client.insert(keys, payload_for(keys), OP_TIMEOUT),
+            Some(true)
+        );
+        if keys.is_multiple_of(8) {
+            client.host_mut().request_registry(1, 0);
+            client.host_mut().poll(Duration::from_millis(20));
+        }
+    }
+    quiesce(&mut client, &metrics);
+
+    // A few hundred updates per column, round-robin over the keys.
+    let columns = client.bucket_count() as u64;
+    let writes = WRITES_PER_COLUMN * columns;
+    let value = |key: u64, n: u64| format!("w{n:05}-{key:04}").into_bytes();
+    for n in 0..writes {
+        let key = n % keys + 1;
+        assert_eq!(client.update(key, value(key, n), OP_TIMEOUT), Some(true));
+    }
+    quiesce(&mut client, &metrics);
+    let remembered = metrics.counter("deltas_remembered");
+    let retained = remembered.saturating_sub(metrics.counter("deltas_forgotten"));
+    assert!(
+        remembered >= writes,
+        "every Δ of a durable column passes through the history: {remembered} < {writes}"
+    );
+    assert!(
+        retained <= RETAINED_PER_COLUMN * columns,
+        "{retained} Δs retained over {columns} columns after {writes} writes"
+    );
+
+    // Kill the host of bucket 0 and lose its last op: no Δ reported it
+    // durable, so the restart resumes within what the parity kept.
+    let pos = servers.iter().position(|s| s.id == VICTIM).unwrap();
+    net.unregister(&[VICTIM]);
+    let _ = servers[pos].tx.send(HostEvent::Shutdown);
+    servers.remove(pos).thread.join().expect("victim joins");
+    tear_last_op(&node_root(&root, VICTIM).join("data-0"));
+    servers.push(spawn_server(
+        &spec,
+        &net,
+        VICTIM,
+        &metrics,
+        Some(root.clone()),
+    ));
+
+    let last = |key: u64| (0..writes).rev().find(|n| n % keys + 1 == key);
+    for key in 1..=keys {
+        let want = last(key).map_or_else(|| payload_for(key), |n| value(key, n));
+        assert_eq!(
+            client.lookup(key, OP_TIMEOUT),
+            Some(Some(want)),
+            "key {key}"
+        );
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let mut report = RestartReport::from_metrics("net-watermark", &metrics);
+    while report.restart_recoveries + report.restart_fallbacks == 0
+        && std::time::Instant::now() < deadline
+    {
+        client.host_mut().poll(Duration::from_millis(50));
+        report = RestartReport::from_metrics("net-watermark", &metrics);
+    }
+    for s in &servers {
+        let _ = s.tx.send(HostEvent::Shutdown);
+    }
+    for s in servers {
+        s.thread.join().expect("server joins");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(report.restart_recoveries, 1, "{report:?}");
+    assert_eq!(report.restart_fallbacks, 0, "{report:?}");
+    assert_eq!(
+        report.suffix_entries, 1,
+        "the torn op comes back: {report:?}"
+    );
 }
 
 #[test]

@@ -76,7 +76,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use lhrs_core::storage::{BucketStore, GroupCommits, Replay, StoreError, StoreId, TailState};
+use lhrs_core::storage::{
+    BucketStore, Durable, GroupCommits, Replay, StoreError, StoreId, TailState,
+};
 use lhrs_core::wire::{put_varint, Reader, WireError};
 use lhrs_core::FsyncPolicy;
 
@@ -397,6 +399,8 @@ pub struct FileWal {
     /// `disk.written` at the last hand-off: every append up to it is
     /// covered by an fsync that starts after it was written.
     requested: u64,
+    /// Snapshots handed to the disk thread so far: the number of the last.
+    snapshots: u64,
 }
 
 /// The state one store shares with the disk thread.
@@ -412,9 +416,13 @@ struct DiskState {
     /// adds to it, with `Release`, so an fsync that reads a count with
     /// `Acquire` before it starts covers that many appends.
     written: AtomicU64,
-    /// Appends known durable: covered by a finished fsync, or made moot by
-    /// a landed snapshot or a reset. Only grows.
+    /// Appends known durable: covered by a finished fsync (under
+    /// [`FsyncPolicy::Always`], the append's own), or made moot by a
+    /// landed snapshot or a reset. Only grows.
     synced: AtomicU64,
+    /// The number of the last snapshot landed (see [`Pending::nth`]).
+    /// Only grows.
+    landed: AtomicU64,
     /// A job for this store waits in the queue, not yet started. Read and
     /// written under the queue lock only.
     queued: AtomicBool,
@@ -451,6 +459,8 @@ struct Pending {
     cover: u64,
     /// Appends written before it was taken, all moot once it lands.
     written: u64,
+    /// Its number among the store's snapshots, counted from 1 at open.
+    nth: u64,
 }
 
 impl DiskState {
@@ -461,6 +471,7 @@ impl DiskState {
             owed: Mutex::new(Owed::default()),
             written: AtomicU64::new(0),
             synced: AtomicU64::new(0),
+            landed: AtomicU64::new(0),
             queued: AtomicBool::new(false),
             failed: AtomicBool::new(false),
             fsyncs: AtomicU64::new(0),
@@ -584,6 +595,7 @@ fn write_snapshot(state: &DiskState, snap: Pending) -> Result<(), StoreError> {
         state: bytes,
         cover,
         written,
+        nth,
     } = snap;
     let tmp = dir.join("SNAPSHOT.tmp");
     {
@@ -616,6 +628,7 @@ fn write_snapshot(state: &DiskState, snap: Pending) -> Result<(), StoreError> {
     live_segments(dir, cover)?;
     state.owed().segs.retain(|(seq, _)| *seq >= cover);
     state.synced.fetch_max(written, Ordering::AcqRel);
+    state.landed.fetch_max(nth, Ordering::AcqRel);
     Ok(())
 }
 
@@ -954,6 +967,7 @@ impl FileWal {
             op_bytes: log.ops.iter().map(|op| op.len() as u64).sum(),
             tail,
             requested: 0,
+            snapshots: 0,
         })
     }
 
@@ -1044,13 +1058,14 @@ impl BucketStore for FileWal {
         (&*self.seg)
             .write_all(&frame)
             .map_err(|e| io_err("append", &e))?;
-        self.disk.written.fetch_add(1, Ordering::Release);
+        let written = self.disk.written.fetch_add(1, Ordering::Release) + 1;
         self.seg_len += frame.len() as u64;
         self.appended += 1;
         self.op_bytes += op.len() as u64;
         if self.disk.fsync == FsyncPolicy::Always {
             self.seg.sync_data().map_err(|e| io_err("fsync", &e))?;
             probe::record(&self.disk.dir, "append_fsync");
+            self.disk.synced.fetch_max(written, Ordering::AcqRel);
         }
         if self.seg_len >= self.segment_cap {
             self.rotate()?;
@@ -1065,10 +1080,12 @@ impl BucketStore for FileWal {
         let written = self.disk.written.load(Ordering::Relaxed);
         // Ops from here on go to segments the snapshot does not cover.
         self.rotate()?;
+        self.snapshots += 1;
         self.disk.owed().snapshot = Some(Pending {
             state,
             cover: self.seg_seq,
             written,
+            nth: self.snapshots,
         });
         request(&self.disk)?;
         self.appended = 0;
@@ -1147,6 +1164,16 @@ impl BucketStore for FileWal {
         GroupCommits {
             fsyncs: self.disk.fsyncs.swap(0, Ordering::Relaxed),
             ops: self.disk.fsync_ops.swap(0, Ordering::Relaxed),
+        }
+    }
+
+    /// Under `Batch` an append is durable once a finished fsync covers
+    /// it, under `Always` at the append, under `Never` only once a landed
+    /// snapshot makes it moot; a snapshot, once its rename is fsynced.
+    fn durable(&self) -> Durable {
+        Durable {
+            appends: self.disk.synced.load(Ordering::Acquire),
+            snapshots: self.disk.landed.load(Ordering::Acquire),
         }
     }
 }
@@ -1665,6 +1692,85 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Under `Batch` an append counts as durable once a finished fsync
+    /// covers it, and a snapshot once it has landed (which also covers
+    /// the appends before it).
+    #[test]
+    fn batch_durability_moves_with_finished_fsyncs_and_landed_snapshots() {
+        let dir = temp_dir("durable-batch");
+        let mut w = FileWal::open(&dir, FsyncPolicy::Batch).unwrap();
+        let (started, resume) = probe::pause_next(&dir, "append_fsync");
+        w.append(b"a").unwrap();
+        w.append(b"b").unwrap();
+        assert_eq!(w.durable(), Durable::default(), "written, not fsynced");
+        w.sync().unwrap();
+        started.recv().unwrap(); // the fsync covering a and b is running
+        assert_eq!(w.durable(), Durable::default(), "not finished yet");
+        resume.send(()).unwrap();
+        wait_disk_idle();
+        let synced = Durable {
+            appends: 2,
+            snapshots: 0,
+        };
+        assert_eq!(w.durable(), synced);
+
+        let (reached, resume) = probe::pause_next(&dir, "snapshot_rename");
+        w.append(b"c").unwrap();
+        w.snapshot(b"state".to_vec()).unwrap();
+        reached.recv().unwrap(); // held just before its rename
+        assert_eq!(w.durable(), synced, "c and the snapshot are in flight");
+        resume.send(()).unwrap();
+        wait_disk_idle();
+        assert_eq!(
+            w.durable(),
+            Durable {
+                appends: 3,
+                snapshots: 1
+            },
+            "the landed snapshot covers c"
+        );
+        drop(w);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Under `Always` an append is durable when it returns; under `Never`
+    /// only a landed snapshot makes anything durable.
+    #[test]
+    fn always_durability_is_per_append_and_never_waits_for_snapshots() {
+        let dir = temp_dir("durable-always");
+        let mut w = FileWal::open(&dir, FsyncPolicy::Always).unwrap();
+        w.append(b"a").unwrap();
+        assert_eq!(w.durable().appends, 1);
+        w.append(b"b").unwrap();
+        assert_eq!(w.durable().appends, 2);
+        drop(w);
+        fs::remove_dir_all(&dir).unwrap();
+
+        let dir = temp_dir("durable-never");
+        let mut w = FileWal::open(&dir, FsyncPolicy::Never).unwrap();
+        w.append(b"a").unwrap();
+        w.sync().unwrap();
+        wait_disk_idle();
+        assert_eq!(w.durable(), Durable::default(), "no fsync under Never");
+        let (reached, resume) = probe::pause_next(&dir, "snapshot_rename");
+        w.snapshot(b"state".to_vec()).unwrap();
+        w.append(b"b").unwrap();
+        reached.recv().unwrap();
+        assert_eq!(w.durable(), Durable::default(), "not landed yet");
+        resume.send(()).unwrap();
+        wait_disk_idle();
+        assert_eq!(
+            w.durable(),
+            Durable {
+                appends: 1,
+                snapshots: 1
+            },
+            "the landing covers a, not b"
+        );
+        drop(w);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn queued_fsync_follows_a_rotation_to_the_new_segment() {
         let dir = temp_dir("rotated");
@@ -1793,6 +1899,9 @@ mod tests {
         }
         fn sync(&mut self) -> Result<(), StoreError> {
             self.0.sync()
+        }
+        fn durable(&self) -> Durable {
+            self.0.durable()
         }
     }
 
@@ -1923,14 +2032,16 @@ mod tests {
         }
         let killed = root.join("killed");
         copy_dir(&dir, &killed);
-        resume.send(()).unwrap();
-        wait_disk_idle();
-
         // The copy is behind the parity group by whatever is acked after
-        // it: the restart's Δ-suffix must bring those back.
+        // it: the restart's Δ-suffix must bring those back. They are acked
+        // while the job is still held, so none of them is durable yet and
+        // no Δ can carry a watermark past the copy: a store never reports
+        // as durable what its crash state lacks.
         for _ in 0..2 {
             insert(&mut file, &mut acked);
         }
+        resume.send(()).unwrap();
+        wait_disk_idle();
         file.crash_data_bucket(0);
         fs::remove_dir_all(&dir).unwrap();
         fs::rename(&killed, &dir).unwrap();

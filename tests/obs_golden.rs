@@ -217,6 +217,7 @@ fn every_message_counts_under_its_golden_label() {
             Msg::ParityDelta {
                 group: 0,
                 entry: delta.clone(),
+                durable: None,
                 ack_to: None,
             },
             "parity-delta",
@@ -225,6 +226,7 @@ fn every_message_counts_under_its_golden_label() {
             Msg::ParityBatch {
                 group: 0,
                 entries: vec![delta.clone()],
+                durable: Some(3),
                 ack_to: Some(NodeId(2)),
             },
             "parity-batch",
