@@ -3,7 +3,7 @@
 //! deterministic termination. Its retried work is rows of an exchange
 //! table (DESIGN.md §2.4), keyed by op id.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use lhrs_lh::ClientImage;
 use lhrs_obs::Event as ObsEvent;
@@ -109,8 +109,9 @@ pub struct Client {
     /// Writes sent without `ack_writes`, with their issue time and the
     /// result they are assumed to have. They are never re-sent, so they
     /// are no rows: an error reply or [`Client::settle_optimistic`]
-    /// resolves them — the paper's 1-message insert cost model.
-    unacked: HashMap<OpId, (u64, OpResult)>,
+    /// resolves them — the paper's 1-message insert cost model. Ordered
+    /// by op id, so the oldest is at hand for the floor.
+    unacked: BTreeMap<OpId, (u64, OpResult)>,
     results: Vec<(OpId, OpResult)>,
     /// IAMs received — the convergence metric of experiment F1.
     pub iams_received: u64,
@@ -123,7 +124,7 @@ impl Client {
             shared,
             image: ClientImage::new(1),
             exchanges: Exchanges::new(),
-            unacked: HashMap::new(),
+            unacked: BTreeMap::new(),
             results: Vec::new(),
             iams_received: 0,
         }
@@ -138,7 +139,8 @@ impl Client {
     /// driver once the network is quiet: any error reply would have
     /// arrived and resolved the op by then.
     pub fn settle_optimistic(&mut self) {
-        let settled = self.unacked.drain().map(|(op_id, (_, result))| (op_id, result));
+        let unacked = std::mem::take(&mut self.unacked);
+        let settled = unacked.into_iter().map(|(op_id, (_, result))| (op_id, result));
         self.results.extend(settled);
     }
 
@@ -262,12 +264,23 @@ impl Client {
         let node = self.shared.registry.borrow().data_node(bucket);
         let req = Msg::Req {
             op_id,
+            floor: self.floor(op_id),
             client: env.me(),
             intended: bucket,
             hops: 0,
             kind,
         };
         (bucket, node, req)
+    }
+
+    /// The lowest op id this client has not concluded, sent while op
+    /// `op_id` is open: the oldest row, the oldest unacked write, or
+    /// `op_id` itself, whose row is out of the table while a round re-sends
+    /// it. Op ids only grow, so no later request names a lower one.
+    fn floor(&self, op_id: OpId) -> OpId {
+        let oldest_row = self.exchanges.front().unwrap_or(op_id);
+        let oldest_unacked = self.unacked.keys().next().copied().unwrap_or(op_id);
+        op_id.min(oldest_row).min(oldest_unacked)
     }
 
     /// A1 over the image, coarsening the image first if it is *ahead* of a

@@ -132,9 +132,7 @@ pub struct Config {
     /// Pipelined-client in-flight window: how many operations a batch
     /// driver (`KvClient::run_batch` over the multiplexed network client)
     /// keeps outstanding at once. 1 restores strict one-op-at-a-time
-    /// behaviour; must be ≥ 1. Keep `clients × client_window` below
-    /// [`crate::data_bucket::REPLAY_CACHE_CAP`] so a retried write still
-    /// finds its first execution's result.
+    /// behaviour; must be ≥ 1.
     pub client_window: usize,
     /// Snapshot interval for durable buckets: after this many write-ahead
     /// log appends since the last snapshot, a bucket writes a fresh

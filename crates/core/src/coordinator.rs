@@ -888,8 +888,10 @@ impl Coordinator {
                     }
                     let bucket = self.suspected(op.bucket, op.kind.key());
                     let node = self.shared.registry.borrow().data_node(bucket);
+                    // The coordinator knows nothing of the client's floor.
                     let req = Msg::Req {
                         op_id: op.op_id,
+                        floor: 0,
                         client: op.client,
                         intended: bucket,
                         hops: 1,

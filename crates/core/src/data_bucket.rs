@@ -20,13 +20,6 @@ use crate::{Config, Key, Rank};
 /// bucket gives up on a parity bucket (recovery will rebuild it).
 pub const DELTA_RETRY_LIMIT: u32 = 20;
 
-/// Replay-cache capacity: how many recent client-op results each bucket
-/// remembers for duplicate suppression, least recently used evicted first.
-/// It stays above `clients × client_window` for the deployments this
-/// reproduction runs, so a retried write still finds its first execution's
-/// result.
-pub const REPLAY_CACHE_CAP: usize = 4096;
-
 /// What one parity fan-out carries: a client write's Δ or a bulk batch.
 enum Deltas {
     One(DeltaEntry),
@@ -48,6 +41,16 @@ impl StoreWrite {
             StoreWrite::Snapshot(n) => n <= done.snapshots,
         }
     }
+}
+
+/// One client's completion records (DESIGN.md §11.1).
+#[derive(Default)]
+struct Completions {
+    /// The highest floor the client's requests carried: it concluded every
+    /// op below it, so it retries none of them again.
+    floor: OpId,
+    /// Each write executed here at or above `floor`: its key and result.
+    done: BTreeMap<OpId, (Key, OpResult)>,
 }
 
 /// The data bucket's exchange rows (DESIGN.md §2.4), at most one of each;
@@ -132,18 +135,10 @@ pub struct DataBucket {
     last_min_acked: u64,
     /// The retried work in flight: the Δ window and the two watchdogs.
     exchanges: Exchanges<Row>,
-    /// Client-op replay cache: the result each recent write produced, so a
+    /// Per client, the writes it may still retry and their results, so a
     /// retried (duplicated) request is answered identically without
-    /// re-executing. The `u64` is the entry's LRU generation stamp.
-    replay: HashMap<(NodeId, OpId), (Key, OpResult, u64)>,
-    /// LRU recency order: generation stamp → cache key, coldest first.
-    /// Eviction must be least-recently-*used*, not insertion order: a
-    /// pipelined client keeps a whole window of ids in flight, and a
-    /// still-retried old id that FIFO would evict first must stay cached
-    /// as long as duplicates keep touching it.
-    replay_lru: BTreeMap<u64, (NodeId, OpId)>,
-    /// Generation counter backing `replay_lru` (monotone per bucket).
-    replay_gen: u64,
+    /// re-executing, and a late copy of a concluded one is refused.
+    completions: BTreeMap<NodeId, Completions>,
     /// The last split or merge shipment: its destination bucket and the
     /// `SplitLoad` or `MergeLoad` first sent, re-sent verbatim when the
     /// coordinator repeats the order (lost load or lost confirmation).
@@ -199,9 +194,7 @@ impl DataBucket {
             parity_acked: Vec::new(),
             last_min_acked: 0,
             exchanges: Exchanges::new(),
-            replay: HashMap::new(),
-            replay_lru: BTreeMap::new(),
-            replay_gen: 0,
+            completions: BTreeMap::new(),
             shipped: None,
             store: None,
             store_writes: Durable::default(),
@@ -528,11 +521,12 @@ impl DataBucket {
         match msg {
             Msg::Req {
                 op_id,
+                floor,
                 client,
-                intended,
+                intended: _,
                 hops,
                 kind,
-            } => self.handle_req(env, op_id, client, intended, hops, kind),
+            } => self.handle_req(env, op_id, floor, client, hops, kind),
             Msg::DoSplit {
                 source,
                 target,
@@ -547,13 +541,15 @@ impl DataBucket {
                 level,
                 records,
                 replay,
+                floors,
                 final_seq,
             } => {
                 self.level = level;
+                self.absorb_completions(env, replay, floors);
                 // A merge-driven absorb must not immediately re-split the
                 // bucket (that would undo the shrink the file manager asked
                 // for); a later insert can still report overflow.
-                self.absorb_movers(env, records, replay, false);
+                self.absorb_movers(env, records, false);
                 let coord = self.shared.registry.borrow().coordinator();
                 env.send(
                     coord,
@@ -568,6 +564,7 @@ impl DataBucket {
                 level,
                 records,
                 replay,
+                floors,
             } => {
                 // Movers arriving at a freshly initialised bucket (or again,
                 // if the shipment was duplicated — absorb dedups by key).
@@ -576,7 +573,8 @@ impl DataBucket {
                 // expeller's level, and absorb re-forwards any stray.
                 debug_assert_eq!(bucket, self.bucket);
                 let _ = level;
-                self.absorb_movers(env, records, replay, true);
+                self.absorb_completions(env, replay, floors);
+                self.absorb_movers(env, records, true);
                 let coord = self.shared.registry.borrow().coordinator();
                 env.send(
                     coord,
@@ -834,51 +832,66 @@ impl DataBucket {
             .unwrap_or(self.delta_seq)
     }
 
-    /// Record a write's outcome in the replay cache (LRU-bounded).
-    fn remember(&mut self, client: NodeId, op_id: OpId, key: Key, result: OpResult) {
-        let id = (client, op_id);
-        self.replay_gen += 1;
-        let gen = self.replay_gen;
-        if let Some((_, _, old_gen)) = self.replay.insert(id, (key, result, gen)) {
-            self.replay_lru.remove(&old_gen);
+    /// Raise `client`'s floor to `floor` and forget its records below it;
+    /// returns the floor this bucket now knows.
+    fn raise_floor(&mut self, env: &Env<'_, Msg>, client: NodeId, floor: OpId) -> OpId {
+        let c = self.completions.entry(client).or_default();
+        if floor > c.floor {
+            c.floor = floor;
+            let mut forgotten = 0;
+            while c.done.first_key_value().is_some_and(|(op, _)| *op < floor) {
+                c.done.pop_first();
+                forgotten += 1;
+            }
+            if forgotten > 0 {
+                env.obs().add("replay_forgotten", forgotten);
+            }
         }
-        self.replay_lru.insert(gen, id);
-        while self.replay.len() > REPLAY_CACHE_CAP {
-            let Some((_, coldest)) = self.replay_lru.pop_first() else {
-                break; // maps out of sync only on a logic bug; never spin
-            };
-            self.replay.remove(&coldest);
+        c.floor
+    }
+
+    /// Record a write's outcome for `client`, unless the client has
+    /// already concluded it.
+    fn remember(&mut self, env: &Env<'_, Msg>, client: NodeId, op_id: OpId, key: Key, result: OpResult) {
+        let c = self.completions.entry(client).or_default();
+        if op_id >= c.floor && c.done.insert(op_id, (key, result)).is_none() {
+            env.obs().incr("replay_remembered");
         }
     }
 
-    /// Look up a cached write outcome, refreshing the entry's recency so
-    /// an id that is still being retried outlives colder entries.
-    fn replay_hit(&mut self, client: NodeId, op_id: OpId) -> Option<OpResult> {
-        let id = (client, op_id);
-        let (_, result, gen) = self.replay.get_mut(&id)?;
-        let result = result.clone();
-        self.replay_gen += 1;
-        let old_gen = std::mem::replace(gen, self.replay_gen);
-        self.replay_lru.remove(&old_gen);
-        self.replay_lru.insert(self.replay_gen, id);
-        Some(result)
-    }
-
-    /// Number of entries currently in the replay cache (bounded by
-    /// [`REPLAY_CACHE_CAP`]).
-    pub fn replay_cache_len(&self) -> usize {
-        self.replay.len()
+    /// The result of `client`'s write `op_id`, if it was executed here.
+    fn replay_hit(&self, client: NodeId, op_id: OpId) -> Option<OpResult> {
+        let (_, result) = self.completions.get(&client)?.done.get(&op_id)?;
+        Some(result.clone())
     }
 
     fn handle_req(
         &mut self,
         env: &mut Env<'_, Msg>,
         op_id: u64,
+        floor: OpId,
         client: NodeId,
-        _intended: u64,
         hops: u8,
         kind: ReqKind,
     ) {
+        let ack_writes = self.shared.cfg.ack_writes;
+        let is_write = !matches!(kind, ReqKind::Lookup(_));
+        // A write below the client's floor is a late copy of an op the
+        // client has concluded: it must not run (again), here or where A2
+        // would send it. It is answered as a replayed result would be.
+        if op_id < self.raise_floor(env, client, floor) && is_write {
+            env.obs().incr("replay_stale");
+            if ack_writes {
+                let result = OpResult::Failed("stale op id".into());
+                let reply = Msg::Reply {
+                    op_id,
+                    result,
+                    iam: None,
+                };
+                env.send(client, reply);
+            }
+            return;
+        }
         // Algorithm A2: verify this bucket is the correct address, forward
         // otherwise. N = 1 throughout LH*RS.
         match a2_route(self.bucket, self.level, kind.key(), 1) {
@@ -893,6 +906,7 @@ impl DataBucket {
                     node,
                     Msg::Req {
                         op_id,
+                        floor,
                         client,
                         intended: next,
                         hops: hops + 1,
@@ -905,9 +919,8 @@ impl DataBucket {
                     level: self.level,
                     bucket: self.bucket,
                 });
-                let ack_writes = self.shared.cfg.ack_writes;
                 if let ReqKind::Lookup(key) = kind {
-                    // Lookups are naturally idempotent: no replay cache.
+                    // Lookups are naturally idempotent: no completion record.
                     let payload = self
                         .by_key
                         .get(&key)
@@ -926,7 +939,7 @@ impl DataBucket {
                 // A retried write the bucket already executed must not run
                 // again (a re-run insert would report DuplicateKey, a re-run
                 // delete NotFound, and each would double-commit parity Δs).
-                // Answer duplicates from the replay cache instead.
+                // Answer duplicates from the completion records instead.
                 if let Some(result) = self.replay_hit(client, op_id) {
                     let is_err = matches!(result, OpResult::DuplicateKey | OpResult::NotFound);
                     if ack_writes || iam.is_some() || is_err {
@@ -996,7 +1009,7 @@ impl DataBucket {
                         (key, result)
                     }
                 };
-                self.remember(client, op_id, key, result.clone());
+                self.remember(env, client, op_id, key, result.clone());
                 // Error outcomes are always reported (even in unacked mode
                 // the client must learn its optimistic write failed);
                 // success replies only when acked or the image was stale.
@@ -1042,13 +1055,14 @@ impl DataBucket {
         self.level = new_level;
         self.overflow_reported = false;
         self.last_report_size = 0;
-        let replay = self.take_replay(moves);
+        let (replay, floors) = self.take_replay(env, moves);
         // The new bucket enrols the movers in its own group's parity.
         let load = Msg::SplitLoad {
             bucket: target,
             level: new_level,
             records,
             replay,
+            floors,
         };
         self.ship(env, target, load);
         // A split may leave this bucket still over capacity (skewed keys).
@@ -1088,16 +1102,7 @@ impl DataBucket {
     /// enrol them in this group's parity. Records whose key is already
     /// present are duplicates from a retransmitted shipment and are skipped
     /// (absorbing them twice would double-count them in the parity).
-    fn absorb_movers(
-        &mut self,
-        env: &mut Env<'_, Msg>,
-        records: Vec<Record>,
-        replay: Vec<ReplayEntry>,
-        check_overflow: bool,
-    ) {
-        for e in replay {
-            self.remember(e.client, e.op_id, e.key, e.result);
-        }
+    fn absorb_movers(&mut self, env: &mut Env<'_, Msg>, records: Vec<Record>, check_overflow: bool) {
         let cell_len = self.shared.cfg.cell_len();
         let mut onward = Vec::new();
         let mut additions = Vec::new();
@@ -1144,13 +1149,14 @@ impl DataBucket {
         }
         let ranks = self.records.keys().copied().collect();
         let records = self.retract(env, ranks);
-        // The whole replay cache follows the records (this bucket is
+        // Every completion record follows the records (this bucket is
         // disappearing).
-        let replay = self.take_replay(|_| true);
+        let (replay, floors) = self.take_replay(env, |_| true);
         let load = Msg::MergeLoad {
             level: new_level,
             records,
             replay,
+            floors,
             final_seq: self.delta_seq,
         };
         self.ship(env, source, load);
@@ -1177,30 +1183,50 @@ impl DataBucket {
         movers
     }
 
-    /// Take the replay-cache entries whose keys move, in id order, so a
-    /// retried write that now routes to the receiver is still seen there as
-    /// a duplicate.
-    fn take_replay(&mut self, moves: impl Fn(Key) -> bool) -> Vec<ReplayEntry> {
-        let mut ids: Vec<(NodeId, OpId)> = self
-            .replay
-            .iter()
-            .filter(|(_, (key, _, _))| moves(*key))
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        let mut taken = Vec::with_capacity(ids.len());
-        for (client, op_id) in ids {
-            if let Some((key, result, gen)) = self.replay.remove(&(client, op_id)) {
-                self.replay_lru.remove(&gen);
-                taken.push(ReplayEntry {
-                    client,
-                    op_id,
-                    key,
-                    result,
-                });
-            }
+    /// Take the completion records whose keys move, in client and op id
+    /// order, with every client's floor: a retried write that now routes to
+    /// the receiver is still seen there as a duplicate, and a concluded one
+    /// as stale.
+    fn take_replay(
+        &mut self,
+        env: &Env<'_, Msg>,
+        moves: impl Fn(Key) -> bool,
+    ) -> (Vec<ReplayEntry>, Vec<(NodeId, OpId)>) {
+        let mut taken = Vec::new();
+        let mut floors = Vec::with_capacity(self.completions.len());
+        for (&client, c) in &mut self.completions {
+            floors.push((client, c.floor));
+            let (gone, kept) = std::mem::take(&mut c.done)
+                .into_iter()
+                .partition(|(_, (key, _))| moves(*key));
+            c.done = kept;
+            let entries = gone.into_iter().map(|(op_id, (key, result))| ReplayEntry {
+                client,
+                op_id,
+                key,
+                result,
+            });
+            taken.extend(entries);
         }
-        taken
+        if !taken.is_empty() {
+            env.obs().add("replay_forgotten", taken.len() as u64);
+        }
+        (taken, floors)
+    }
+
+    /// Merge a load's floors (by max) and then its completion records.
+    fn absorb_completions(
+        &mut self,
+        env: &Env<'_, Msg>,
+        replay: Vec<ReplayEntry>,
+        floors: Vec<(NodeId, OpId)>,
+    ) {
+        for (client, floor) in floors {
+            self.raise_floor(env, client, floor);
+        }
+        for e in replay {
+            self.remember(env, e.client, e.op_id, e.key, e.result);
+        }
     }
 
     /// Send a split or merge load to bucket `dest`, keeping a copy for
@@ -1245,6 +1271,7 @@ impl DataBucket {
                 level: self.level,
                 records,
                 replay: Vec::new(),
+                floors: Vec::new(),
             };
             env.send(node, load);
         }

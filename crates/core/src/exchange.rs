@@ -94,6 +94,11 @@ impl<K: Schedule> Exchanges<K> {
         Some(row.kind)
     }
 
+    /// The lowest open token.
+    pub(crate) fn front(&self) -> Option<u64> {
+        self.rows.front().map(|r| r.token)
+    }
+
     pub(crate) fn is_open(&self, token: u64) -> bool {
         self.index(token).is_ok()
     }

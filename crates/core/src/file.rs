@@ -224,7 +224,9 @@ impl LhrsFile {
             .actor_mut(client)
             .as_client_mut()
             .settle_optimistic();
-        let results = self.sim.actor_mut(client).as_client_mut().take_results();
+        let mut results = self.sim.actor_mut(client).as_client_mut().take_results();
+        // In op order, not reply order: the first failure is the lowest op's.
+        results.sort_unstable_by_key(|(op_id, _)| *op_id);
         let mut ok = 0;
         for (op_id, result) in results {
             match result {
@@ -916,6 +918,7 @@ mod tests {
         let fresh = (key..).find(|k| file.address_of(*k) == 4).unwrap();
         let insert = Msg::Req {
             op_id: 1 << 40,
+            floor: 1 << 40,
             client: file.clients[0],
             intended: 4,
             hops: 0,
@@ -935,6 +938,58 @@ mod tests {
             .map(|r| r.1)
             .collect();
         assert_eq!(records, vec![fresh], "the held insert applied");
+    }
+
+    /// A duplicated update delivered after the client's later writes, once
+    /// a split has moved its key: one copy as the client first sent it, to
+    /// the key's old bucket, and one as the coordinator replays a parked op
+    /// (floor 0), to its new one. The old bucket knows the client's floor
+    /// from the later writes; the new one only from the split load's
+    /// floors. Both refuse the copy, and the newer value survives.
+    #[test]
+    fn a_late_duplicate_update_after_a_split_loses_to_the_newer_value() {
+        let mut file = LhrsFile::new(Config {
+            group_size: 4,
+            initial_k: 1,
+            bucket_capacity: 8,
+            ack_writes: true,
+            ack_parity: true,
+            latency: LatencyModel::instant(),
+            ..Config::default()
+        })
+        .unwrap();
+        for key in 0..4u64 {
+            file.insert(key, vec![0; 4]).unwrap();
+        }
+        // Key 1 moves to bucket 1 when bucket 0 splits.
+        let key = 1;
+        file.update(key, b"old".to_vec()).unwrap();
+        let op_id = file.next_op - 1;
+        let copy = |floor, intended, hops| Msg::Req {
+            op_id,
+            floor,
+            client: file.clients[0],
+            intended,
+            hops,
+            kind: crate::msg::ReqKind::Update(key, b"old".to_vec()),
+        };
+        let (dup, replayed) = (copy(op_id, 0, 0), copy(0, 1, 1));
+        file.update(key, b"new".to_vec()).unwrap();
+        let mut next = 4u64;
+        while file.bucket_count() < 2 {
+            file.insert(next, vec![0; 4]).unwrap();
+            next += 1;
+        }
+        assert_eq!(file.address_of(key), 1, "the split moved the key");
+
+        file.sim.send_as(file.clients[0], file.data_node_id(0), dup);
+        file.sim
+            .send_as(file.coordinator, file.data_node_id(1), replayed);
+        file.sim.run_until_idle();
+
+        assert_eq!(file.metrics().counter("replay_stale"), 2);
+        assert_eq!(file.lookup(key).unwrap(), Some(b"new".to_vec()));
+        file.verify_integrity().unwrap();
     }
 
     /// `FindRecordReply` arrives off the wire, so a parity bucket that

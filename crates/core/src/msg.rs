@@ -162,8 +162,8 @@ pub struct DeltaEntry {
     pub delta_cell: Vec<u8>,
 }
 
-/// A client-op replay-cache entry migrated with a split or merge load, so
-/// a retried write whose record moved buckets is still recognised as a
+/// A client's completion record migrated with a split or merge load, so a
+/// retried write whose record moved buckets is still recognised as a
 /// duplicate at its new home.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayEntry {
@@ -239,6 +239,12 @@ pub enum Msg {
     Req {
         /// Operation id (echoed in the reply).
         op_id: OpId,
+        /// The client's floor when it sent the request: the lowest op id
+        /// it had not concluded, so it never retries an op below it. 0
+        /// says nothing (the coordinator's replays). A bucket keeps the
+        /// client's completion records at or above the highest floor it
+        /// has seen and refuses a write below it (DESIGN.md §11.1).
+        floor: OpId,
         /// The client to reply to.
         client: NodeId,
         /// The logical bucket the sender believes is correct.
@@ -369,8 +375,11 @@ pub enum Msg {
         level: u8,
         /// Records moving in.
         records: Vec<Record>,
-        /// Replay-cache entries following their keys to the new bucket.
+        /// Completion records following their keys to the new bucket.
         replay: Vec<ReplayEntry>,
+        /// The sender's floor per client, merged by max at the receiver,
+        /// so a concluded write forwarded after the split is still refused.
+        floors: Vec<(NodeId, OpId)>,
     },
 
     // ----- failure handling -----
@@ -492,8 +501,10 @@ pub enum Msg {
         level: u8,
         /// Records moving back.
         records: Vec<Record>,
-        /// Replay-cache entries following the records.
+        /// Completion records following the records.
         replay: Vec<ReplayEntry>,
+        /// The sender's floor per client, merged by max at the receiver.
+        floors: Vec<(NodeId, OpId)>,
         /// The retiring column's final Δ sequence (after the retraction
         /// Δs), echoed to the coordinator so a future re-creation of the
         /// bucket resumes the stream there.
@@ -715,6 +726,7 @@ mod tests {
     fn kinds_are_stable_labels() {
         let m = Msg::Req {
             op_id: 1,
+            floor: 1,
             client: NodeId(0),
             intended: 0,
             hops: 0,

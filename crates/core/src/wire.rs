@@ -40,8 +40,9 @@ use crate::msg::{
 use crate::record::Record;
 
 /// Wire format version; bumped on any incompatible layout change (2: the
-/// Δ messages carry the sender's durable watermark).
-pub const WIRE_VERSION: u8 = 2;
+/// Δ messages carry the sender's durable watermark; 3: a request carries
+/// its client's floor, and a split or merge load the sender's floors).
+pub const WIRE_VERSION: u8 = 3;
 
 /// Hard cap on any single length field (bytes or element count). Frames are
 /// far smaller in practice; the cap only exists so a corrupt length cannot
@@ -409,8 +410,23 @@ macro_rules! wire_struct {
 ///
 /// A tuple-variant argument is a field binder or the folded option `None`
 /// / `Some(binder)`: an `Option` whose presence is carried by the variant's
-/// own tag instead of a presence byte (`OpResult::Value`).
+/// own tag instead of a presence byte (`OpResult::Value`). A struct-variant
+/// field `f (below base)` is a `u64` no greater than the earlier field
+/// `base`, sent as the gap `base − f` (`Msg::Req`'s floor: one byte while
+/// the client's oldest open op is recent). A gap past `base` decodes as 0.
 macro_rules! wire_enum {
+    (@putf $out:ident; $f:ident) => {
+        $crate::wire::Wire::put($f, $out)
+    };
+    (@putf $out:ident; $f:ident (below $base:ident)) => {
+        $crate::wire::Wire::put(&u64::saturating_sub(*$base, *$f), $out)
+    };
+    (@getf $r:ident; $f:ident) => {
+        let $f = $crate::wire::Wire::get($r)?;
+    };
+    (@getf $r:ident; $f:ident (below $base:ident)) => {
+        let $f = u64::saturating_sub($base, $crate::wire::Wire::get($r)?);
+    };
     (@put $out:ident; None) => {};
     (@put $out:ident; $b:ident) => {
         $crate::wire::Wire::put($b, $out)
@@ -444,7 +460,7 @@ macro_rules! wire_enum {
     };
     ($E:ident in $tags:ident { $(
         $name:ident = $n:literal $label:tt => $V:ident
-            $( { $($f:ident),+ } )?
+            $( { $($f:ident $( (below $fb:ident) )?),+ } )?
             $( ( $($a:ident $( ($ai:ident) )?),+ ) )?
     ),+ $(,)? }) => {
         #[doc = concat!("The tag byte of every [`", stringify!($E), "`] variant. Stable for a given")]
@@ -462,12 +478,12 @@ macro_rules! wire_enum {
 
         $crate::wire::wire_enum!(@labels $E { $( $V $label ),+ });
         $crate::wire::wire_enum!($E { $(
-            $n => $V $( { $($f),+ } )? $( ( $($a $( ($ai) )?),+ ) )?
+            $n => $V $( { $($f $( (below $fb) )?),+ } )? $( ( $($a $( ($ai) )?),+ ) )?
         ),+ });
     };
     ($E:ident { $(
         $n:literal $( $label:literal )? => $V:ident
-            $( { $($f:ident),+ } )?
+            $( { $($f:ident $( (below $fb:ident) )?),+ } )?
             $( ( $($a:ident $( ($ai:ident) )?),+ ) )?
     ),+ $(,)? }) => {
         $crate::wire::wire_enum!(@labels $E { $( $V $( $label )? ),+ });
@@ -477,7 +493,7 @@ macro_rules! wire_enum {
                 match self { $(
                     $E::$V $( { $($f),+ } )? $( ( $($a $( ($ai) )?),+ ) )? => {
                         out.push($n);
-                        $( $( $crate::wire::Wire::put($f, out); )+ )?
+                        $( $( $crate::wire::wire_enum!(@putf out; $f $( (below $fb) )?); )+ )?
                         $( $( $crate::wire::wire_enum!(@put out; $a $( ($ai) )?); )+ )?
                     }
                 )+ }
@@ -486,7 +502,7 @@ macro_rules! wire_enum {
             fn get(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
                 match r.u8()? {
                     $( $n => {
-                        $( $( let $f = $crate::wire::Wire::get(r)?; )+ )?
+                        $( $( $crate::wire::wire_enum!(@getf r; $f $( (below $fb) )?); )+ )?
                         $( $( $crate::wire::wire_enum!(@get r; $a $( ($ai) )?); )+ )?
                         Ok($E::$V $( { $($f),+ } )? $( ( $($a $( ($ai) )?),+ ) )?)
                     } )+
@@ -564,7 +580,7 @@ wire_enum!(ShardContent {
 
 wire_enum!(Msg in tag {
     DO = 1 "app-do" => Do { op_id, op },
-    REQ = 2 (kind) => Req { op_id, client, intended, hops, kind },
+    REQ = 2 (kind) => Req { op_id, floor (below op_id), client, intended, hops, kind },
     REPLY = 3 "reply" => Reply { op_id, result, iam },
     SCAN = 4 "scan" => Scan { op_id, client, filter, assumed_level, reply_if_empty },
     SCAN_REPLY = 5 "scan-reply" => ScanReply { op_id, bucket, level, hits },
@@ -575,7 +591,7 @@ wire_enum!(Msg in tag {
     INIT_DATA = 10 "init-data" => InitData { bucket, level, delta_seq },
     INIT_PARITY = 11 "init-parity" => InitParity { group, index, k },
     DO_SPLIT = 12 "split" => DoSplit { source, target, new_level },
-    SPLIT_LOAD = 13 "split-load" => SplitLoad { bucket, level, records, replay },
+    SPLIT_LOAD = 13 "split-load" => SplitLoad { bucket, level, records, replay, floors },
     SUSPECT = 14 "suspect" => Suspect { op_id, client, bucket, kind },
     PROBE = 15 "probe" => Probe { token },
     PROBE_ACK = 16 "probe-ack" => ProbeAck { token, bucket },
@@ -590,7 +606,7 @@ wire_enum!(Msg in tag {
     SPLIT_DONE = 25 "split-done" => SplitDone { bucket },
     FORCE_MERGE = 26 "force-merge" => ForceMerge,
     DO_MERGE = 27 "merge" => DoMerge { source, target, new_level },
-    MERGE_LOAD = 28 "merge-load" => MergeLoad { level, records, replay, final_seq },
+    MERGE_LOAD = 28 "merge-load" => MergeLoad { level, records, replay, floors, final_seq },
     MERGE_DONE = 29 "merge-done" => MergeDone { bucket, final_seq },
     RETIRE = 30 "retire" => Retire,
     SELF_REPORT = 31 "self-report" => SelfReport,
@@ -758,6 +774,36 @@ mod tests {
             );
         }
         assert!(decode_msg(&buf).is_ok());
+    }
+
+    /// A request's floor goes on the wire as its gap below the op id, one
+    /// byte while the gap is under 128; a gap past the op id, which no
+    /// sender writes, decodes as floor 0 ("no information").
+    #[test]
+    fn a_floor_travels_as_its_gap_below_the_op_id() {
+        let req = |op_id, floor| Msg::Req {
+            op_id,
+            floor,
+            client: NodeId(1),
+            intended: 0,
+            hops: 0,
+            kind: ReqKind::Lookup(7),
+        };
+        let op_id = 1 << 40;
+        let near = encode_msg(&req(op_id, op_id - 5));
+        assert_eq!(near.len(), encode_msg(&req(op_id, op_id)).len());
+        let mut head = vec![WIRE_VERSION, tag::REQ];
+        put_varint(&mut head, op_id);
+        head.push(5);
+        assert!(near.starts_with(&head), "{near:?}");
+        assert_eq!(decode_msg(&near).unwrap(), req(op_id, op_id - 5));
+
+        let mut past = vec![WIRE_VERSION, tag::REQ];
+        put_varint(&mut past, 3); // op id
+        put_varint(&mut past, 9); // gap > op id
+        past.extend_from_slice(&1u32.to_le_bytes()); // client
+        past.extend_from_slice(&[0, 0, 1, 7]); // intended, hops, Lookup(7)
+        assert_eq!(decode_msg(&past).unwrap(), req(3, 0));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! (`wire_golden.rs`).
 
 use lhrs_core::msg::{
-    ClientOp, DeltaEntry, FilterSpec, Iam, KeyOp, Msg, OpResult, ReplayEntry, ReqKind, ShardContent,
+    ClientOp, DeltaEntry, FilterSpec, Iam, KeyOp, Msg, OpId, OpResult, ReplayEntry, ReqKind,
+    ShardContent,
 };
 use lhrs_core::record::Record;
 use lhrs_core::{Key, NodeId, Rank};
@@ -139,6 +140,12 @@ pub fn arb_replay_list(rng: &mut Rng) -> Vec<ReplayEntry> {
     (0..rng.below(3)).map(|_| arb_replay_entry(rng)).collect()
 }
 
+pub fn arb_floors(rng: &mut Rng) -> Vec<(NodeId, OpId)> {
+    (0..rng.below(3))
+        .map(|_| (arb_node(rng), rng.next_u64()))
+        .collect()
+}
+
 pub fn arb_member_keys(rng: &mut Rng) -> Vec<Option<Key>> {
     (0..rng.below(5))
         .map(|_| rng.chance(2, 3).then(|| arb_key(rng)))
@@ -179,13 +186,22 @@ pub fn arb_msg_variant(rng: &mut Rng, v: u64) -> Msg {
             op_id: rng.next_u64(),
             op: arb_client_op(rng),
         },
-        1 => Msg::Req {
-            op_id: rng.next_u64(),
-            client: arb_node(rng),
-            intended: rng.below(1 << 30),
-            hops: rng.next_u8(),
-            kind: arb_req_kind(rng),
-        },
+        1 => {
+            let op_id = rng.next_u64();
+            Msg::Req {
+                op_id,
+                // A client's floor trails its op id; the coordinator's is 0.
+                floor: if rng.chance(1, 8) {
+                    0
+                } else {
+                    op_id.saturating_sub(rng.below(300))
+                },
+                client: arb_node(rng),
+                intended: rng.below(1 << 30),
+                hops: rng.next_u8(),
+                kind: arb_req_kind(rng),
+            }
+        }
         2 => Msg::Reply {
             op_id: rng.next_u64(),
             result: arb_op_result(rng),
@@ -244,6 +260,7 @@ pub fn arb_msg_variant(rng: &mut Rng, v: u64) -> Msg {
             level: rng.next_u8(),
             records: arb_records(rng),
             replay: arb_replay_list(rng),
+            floors: arb_floors(rng),
         },
         13 => Msg::Suspect {
             op_id: rng.next_u64(),
@@ -309,6 +326,7 @@ pub fn arb_msg_variant(rng: &mut Rng, v: u64) -> Msg {
             level: rng.next_u8(),
             records: arb_records(rng),
             replay: arb_replay_list(rng),
+            floors: arb_floors(rng),
             final_seq: rng.next_u64() >> 16,
         },
         28 => Msg::MergeDone {

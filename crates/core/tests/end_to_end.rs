@@ -446,6 +446,35 @@ fn insert_batch_pipelines() {
     }
 }
 
+/// A batch with two keys that already exist reports the lower op's key,
+/// although the higher op's error reply arrives first: the client's image
+/// sends the lower op's key to a bucket that forwards it, and the higher
+/// op's straight home.
+#[test]
+fn insert_batch_reports_the_lowest_ops_duplicate_key() {
+    let mut file = LhrsFile::new(small_cfg()).unwrap();
+    let mut keys = 0u64;
+    while file.bucket_count() < 8 {
+        file.insert(keys, payload(keys)).unwrap();
+        keys += 1;
+    }
+    let (n, i) = file.client_image(0);
+    let image = |k| match lhrs_lh::h(i, 1, k) {
+        a if a < n => lhrs_lh::h(i + 1, 1, k),
+        a => a,
+    };
+    let forwarded = (0..keys).find(|&k| image(k) != file.address_of(k));
+    let forwarded = forwarded.expect("the image lags the file");
+    let direct = (0..keys).find(|&k| image(k) == file.address_of(k)).unwrap();
+    for _ in 0..3 {
+        let batch = [forwarded, direct].map(|k| (k, payload(k)));
+        assert_eq!(
+            file.insert_batch(batch),
+            Err(Error::DuplicateKey(forwarded))
+        );
+    }
+}
+
 #[test]
 fn message_costs_match_the_paper_model() {
     // Key search ≈ 2 messages (request + reply), insert ≈ 1 + k messages

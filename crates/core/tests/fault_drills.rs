@@ -234,7 +234,7 @@ fn chaos_sweep_over_seeds() {
 
 /// Idempotency, per message type — client requests. Every message is
 /// duplicated (`dup_permille(1000)`), so each insert `Req` arrives at its
-/// data bucket at least twice; the replay cache must answer the duplicate
+/// data bucket at least twice; its completion record must answer the duplicate
 /// without re-applying, or the client would see `DuplicateKey` for its own
 /// retransmission.
 #[test]

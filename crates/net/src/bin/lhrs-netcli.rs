@@ -14,8 +14,9 @@
 //! The process hosts the spec's client node (binding its listener so
 //! allocation-table broadcasts reach it), pulls the table from the
 //! coordinator, runs the subcommand, and exits — nonzero on any failure.
-//! Operation ids are derived from the wall clock so repeated invocations
-//! against the same cluster never collide in the servers' replay caches.
+//! Operation ids are derived from the wall clock so each invocation's ids
+//! start above every earlier one's against the same cluster: a bucket
+//! refuses a write below the floor an earlier run's requests carried.
 
 use std::collections::HashMap;
 use std::process::exit;
@@ -159,7 +160,7 @@ fn main() {
     host.add_node(node, spec.build_node(&shared, node));
 
     // Wall-clock-derived op-id base: distinct across invocations sharing
-    // the client node id, so replay caches never confuse two runs.
+    // the client node id, so the buckets' floors never refuse a later run.
     let base = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)

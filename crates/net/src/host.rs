@@ -693,6 +693,7 @@ node 5 127.0.0.1:1
         for key in 0..n {
             let msg = Msg::Req {
                 op_id: key,
+                floor: key,
                 client: NodeId(1),
                 intended: 0,
                 hops: 0,

@@ -10,7 +10,7 @@
 //! them over. The loopback delivers into the host's mpsc channel instead.
 //! Delivery is deliberately best-effort — a send to an unreachable peer is
 //! dropped and counted, because the protocol stack above (client retries,
-//! replay caches, Δ retransmission, coordinator timeouts) is already built
+//! completion records, Δ retransmission, coordinator timeouts) is already built
 //! to heal message loss.
 
 use std::collections::{HashMap, HashSet};

@@ -6,7 +6,7 @@
 //!   thread, so batch boundaries are exact).
 //! * **Late-reply tombstones** — an operation abandoned by its deadline
 //!   never surfaces: the reply that eventually arrives is dropped and
-//!   counted (`inflight_stale_drops`), the replay-cache/pipelining bugfix
+//!   counted (`inflight_stale_drops`), the pipelining bugfix
 //!   the multiplexed client depends on.
 //! * **Group commit** — under `FsyncPolicy::Batch` a poll batch of N
 //!   appends costs one fsync on the WAL's disk thread

@@ -169,6 +169,7 @@ fn every_message_counts_under_its_golden_label() {
     };
     let req = |kind| Msg::Req {
         op_id: 1,
+        floor: 1,
         client: NodeId(1),
         intended: 0,
         hops: 0,
@@ -263,6 +264,7 @@ fn every_message_counts_under_its_golden_label() {
                 level: 1,
                 records: vec![],
                 replay: vec![],
+                floors: vec![],
             },
             "split-load",
         ),
@@ -336,6 +338,7 @@ fn every_message_counts_under_its_golden_label() {
                 level: 0,
                 records: vec![],
                 replay: vec![],
+                floors: vec![],
                 final_seq: 0,
             },
             "merge-load",

@@ -123,7 +123,7 @@ fn long_mixed_lifecycle() {
     // Phase 7: fault-injected churn. This file runs without write/parity
     // acks, so the plan stays loss-free (loss needs the acknowledged
     // retransmission paths — see crates/core/tests/fault_drills.rs);
-    // duplication and reordering are absorbed by the replay cache and the
+    // duplication and reordering are absorbed by the completion records and the
     // per-column Δ sequencing alone.
     file.set_fault_plan(
         lhrs_core::FaultPlan::new(0x50AC)
