@@ -1,8 +1,7 @@
 //! The data-bucket server: primary record storage, A2 forwarding, rank
 //! assignment, Δ-emission to parity buckets, and splitting.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use lhrs_lh::{a2_route, A2Outcome};
 use lhrs_obs::Event as ObsEvent;
@@ -11,8 +10,9 @@ use lhrs_sim::{Env, NodeId};
 use crate::exchange::{Exchanges, Owner, Schedule};
 use crate::msg::{DeltaEntry, Iam, KeyOp, Msg, OpId, OpResult, ReplayEntry, ReqKind, ShardContent};
 use crate::parity_bucket::DELTA_HISTORY_CAP;
-use crate::record::{cell_delta, decode_cell, encode_cell, Record};
+use crate::record::{decode_cell, Record};
 use crate::registry::SharedHandle;
+use crate::slab::DataSlab;
 use crate::storage::{self, BucketStore, Durable, GroupCommits, StoreError, WalOp};
 use crate::{Config, Key, Rank};
 
@@ -108,15 +108,11 @@ pub struct DataBucket {
     pub bucket: u64,
     /// Current bucket level `j`.
     pub level: u8,
-    /// Records by rank — the rank is the `r` of the record-group key.
-    records: BTreeMap<Rank, Record>,
-    /// Key → rank index for O(1) key access.
-    by_key: HashMap<Key, Rank>,
-    /// The insert counter `r`: next never-used rank.
-    next_rank: Rank,
-    /// Ranks freed by deletes, reused smallest-first to keep record groups
-    /// dense (the §4.3 storage-efficiency rule, applied locally).
-    free_ranks: BinaryHeap<Reverse<Rank>>,
+    /// The records as cells, by key and by rank — the rank is the `r` of
+    /// the record-group key. Ranks freed by deletes are reused
+    /// smallest-first to keep record groups dense (the §4.3
+    /// storage-efficiency rule, applied locally).
+    slab: DataSlab,
     /// Whether an overflow report is already outstanding.
     overflow_reported: bool,
     /// Record count at the last overflow report (drives the doubling rule
@@ -179,14 +175,16 @@ pub struct DataBucket {
 impl DataBucket {
     /// Create an empty bucket.
     pub fn new(shared: SharedHandle, bucket: u64, level: u8) -> Self {
+        let slab = DataSlab::new(shared.cfg.cell_len());
+        Self::with_slab(shared, bucket, level, slab)
+    }
+
+    fn with_slab(shared: SharedHandle, bucket: u64, level: u8, slab: DataSlab) -> Self {
         DataBucket {
             shared,
             bucket,
             level,
-            records: BTreeMap::new(),
-            by_key: HashMap::new(),
-            next_rank: 0,
-            free_ranks: BinaryHeap::new(),
+            slab,
             overflow_reported: false,
             last_report_size: 0,
             delta_seq: 0,
@@ -212,6 +210,10 @@ impl DataBucket {
     /// Restore a bucket from recovered content (hot-spare installation).
     /// `delta_seq` resumes the column's Δ numbering where the lost bucket
     /// stopped, so surviving parity buckets recognise the continuation.
+    /// Ranks below `next_rank` not in use are reusable gaps. `None` for
+    /// content no bucket can hold: a rank or `next_rank` past the rank
+    /// bound (module `slab`), a repeated rank or key, or an oversized
+    /// payload.
     pub fn from_content(
         shared: SharedHandle,
         bucket: u64,
@@ -219,21 +221,11 @@ impl DataBucket {
         next_rank: Rank,
         delta_seq: u64,
         records: Vec<(Rank, Key, Vec<u8>)>,
-    ) -> Self {
-        let mut b = DataBucket::new(shared, bucket, level);
-        b.next_rank = next_rank;
+    ) -> Option<Self> {
+        let slab = DataSlab::restore(shared.cfg.cell_len(), next_rank, records)?;
+        let mut b = Self::with_slab(shared, bucket, level, slab);
         b.delta_seq = delta_seq;
-        for (rank, key, payload) in records {
-            b.by_key.insert(key, rank);
-            b.records.insert(rank, Record { key, payload });
-        }
-        // Ranks below `next_rank` not in use are reusable gaps.
-        for r in 0..next_rank {
-            if !b.records.contains_key(&r) {
-                b.free_ranks.push(Reverse(r));
-            }
-        }
-        b
+        Some(b)
     }
 
     /// Bucket-group number `g = ⌊bucket / m⌋`.
@@ -248,24 +240,28 @@ impl DataBucket {
 
     /// Number of records stored.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.slab.len()
     }
 
     /// Whether the bucket holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.slab.len() == 0
     }
 
-    /// Iterate `(rank, key, payload)`.
+    /// Iterate `(rank, key, payload)` in rank order.
     pub fn iter(&self) -> impl Iterator<Item = (Rank, Key, &[u8])> {
-        self.records
-            .iter()
-            .map(|(r, rec)| (*r, rec.key, rec.payload.as_slice()))
+        self.slab.iter()
     }
 
-    /// Approximate payload bytes held.
+    /// Payload bytes held.
     pub fn payload_bytes(&self) -> usize {
-        self.records.values().map(|r| r.payload.len()).sum()
+        self.slab.payload_bytes()
+    }
+
+    /// Bytes the record store takes, from its lengths: cells, keys, ranks,
+    /// the rank map and the free ranks (not the key index).
+    pub fn store_bytes(&self) -> usize {
+        self.slab.store_bytes()
     }
 
     /// Attach a durable store; subsequent commits are logged to it. A
@@ -364,13 +360,9 @@ impl DataBucket {
     fn content(&self) -> ShardContent {
         ShardContent::Data {
             level: self.level,
-            next_rank: self.next_rank,
+            next_rank: self.slab.next_rank(),
             delta_seq: self.delta_seq,
-            records: self
-                .records
-                .iter()
-                .map(|(r, rec)| (*r, rec.key, rec.payload.clone()))
-                .collect(),
+            records: self.slab.iter().map(|(r, k, p)| (r, k, p.to_vec())).collect(),
         }
     }
 
@@ -380,13 +372,8 @@ impl DataBucket {
         let Some(store) = self.store.as_mut() else {
             return false;
         };
-        let state = storage::Snapshot::encode_data(
-            self.bucket,
-            self.level,
-            self.next_rank,
-            self.delta_seq,
-            &self.records,
-        );
+        let state =
+            storage::Snapshot::encode_data(self.bucket, self.level, self.delta_seq, &self.slab);
         let ok = store.snapshot(state).is_ok();
         if ok {
             self.store_writes.snapshots += 1;
@@ -448,7 +435,7 @@ impl DataBucket {
         if self.store.is_none() {
             return;
         }
-        let Some(payload) = self.records.get(&rank).map(|r| r.payload.clone()) else {
+        let Some(payload) = self.slab.payload_at(rank).map(<[u8]>::to_vec) else {
             return;
         };
         let op = WalOp::Set {
@@ -619,11 +606,9 @@ impl DataBucket {
                     );
                     l += 1;
                 }
-                let hits: Vec<(Key, Vec<u8>)> = self
-                    .records
-                    .values()
-                    .filter(|r| filter.matches(r.key, &r.payload))
-                    .map(|r| (r.key, r.payload.clone()))
+                let hits: Vec<(Key, Vec<u8>)> = (self.slab.iter())
+                    .filter(|(_, key, payload)| filter.matches(*key, payload))
+                    .map(|(_, key, payload)| (key, payload.to_vec()))
                     .collect();
                 // Probabilistic termination: silent unless there are hits.
                 if reply_if_empty || !hits.is_empty() {
@@ -659,12 +644,8 @@ impl DataBucket {
                 }
             }
             Msg::ReadCell { rank, token } => {
-                let cell_len = self.shared.cfg.cell_len();
-                let cell = self
-                    .records
-                    .get(&rank)
-                    .map(|rec| encode_cell(&rec.payload, cell_len))
-                    .unwrap_or_else(|| vec![0u8; cell_len]);
+                let cell = (self.slab.cell_at(rank).map(<[u8]>::to_vec))
+                    .unwrap_or_else(|| vec![0u8; self.shared.cfg.cell_len()]);
                 env.send(
                     from,
                     Msg::CellData {
@@ -921,11 +902,7 @@ impl DataBucket {
                 });
                 if let ReqKind::Lookup(key) = kind {
                     // Lookups are naturally idempotent: no completion record.
-                    let payload = self
-                        .by_key
-                        .get(&key)
-                        .and_then(|r| self.records.get(r))
-                        .map(|rec| rec.payload.clone());
+                    let payload = self.slab.payload(key).map(<[u8]>::to_vec);
                     env.send(
                         client,
                         Msg::Reply {
@@ -951,38 +928,28 @@ impl DataBucket {
                     ReqKind::Lookup(_) => return, // replied above
 
                     ReqKind::Insert(key, payload) => {
-                        let result = if self.by_key.contains_key(&key) {
+                        let result = if self.slab.contains(key) {
                             OpResult::DuplicateKey
-                        } else {
-                            let rank = self.alloc_rank();
-                            let cell = encode_cell(&payload, self.shared.cfg.cell_len());
-                            self.by_key.insert(key, rank);
-                            self.records.insert(rank, Record { key, payload });
+                        } else if let Some((rank, cell)) = self.slab.insert(key, &payload) {
+                            let cell = cell.to_vec();
                             self.emit_delta(env, rank, KeyOp::Add(key), cell);
                             self.log_set(env, rank, key);
                             self.maybe_report_overflow(env);
                             OpResult::Inserted
+                        } else {
+                            // The payload exceeds the cell, or every rank
+                            // below the bound is taken.
+                            OpResult::Failed("no cell for the record".into())
                         };
                         (key, result)
                     }
-                    ReqKind::Update(key, new_payload) => {
-                        let cell_len = self.shared.cfg.cell_len();
-                        let result = match self
-                            .by_key
-                            .get(&key)
-                            .copied()
-                            .map(|rank| (rank, self.records.get_mut(&rank)))
-                        {
+                    ReqKind::Update(key, payload) => {
+                        let result = match self.slab.update(key, &payload) {
+                            None if self.slab.contains(key) => {
+                                OpResult::Failed("payload exceeds the cell".into())
+                            }
                             None => OpResult::NotFound,
-                            // by_key points at a missing rank: the bucket's
-                            // index is inconsistent. Fail the write rather
-                            // than abort; recovery rebuilds both maps.
-                            Some((_, None)) => OpResult::Failed("bucket index inconsistent".into()),
-                            Some((rank, Some(rec))) => {
-                                let old_cell = encode_cell(&rec.payload, cell_len);
-                                let new_cell = encode_cell(&new_payload, cell_len);
-                                rec.payload = new_payload;
-                                let delta = cell_delta(&old_cell, &new_cell);
+                            Some((rank, delta)) => {
                                 self.emit_delta(env, rank, KeyOp::Keep, delta);
                                 self.log_set(env, rank, key);
                                 OpResult::Updated
@@ -991,16 +958,9 @@ impl DataBucket {
                         (key, result)
                     }
                     ReqKind::Delete(key) => {
-                        let result = match self
-                            .by_key
-                            .remove(&key)
-                            .map(|r| (r, self.records.remove(&r)))
-                        {
+                        let result = match self.slab.remove(key) {
                             None => OpResult::NotFound,
-                            Some((_, None)) => OpResult::Failed("bucket index inconsistent".into()),
-                            Some((rank, Some(rec))) => {
-                                self.free_ranks.push(Reverse(rank));
-                                let cell = encode_cell(&rec.payload, self.shared.cfg.cell_len());
+                            Some((rank, cell)) => {
                                 self.emit_delta(env, rank, KeyOp::Remove(key), cell);
                                 self.log_del(env, rank, key);
                                 OpResult::Deleted
@@ -1045,11 +1005,9 @@ impl DataBucket {
             // target the shipment is an empty re-confirmation.
         }
         let moves = |key: Key| lhrs_lh::h(new_level, 1, key) == target;
-        let ranks = self
-            .records
-            .iter()
-            .filter(|(_, rec)| moves(rec.key))
-            .map(|(r, _)| *r)
+        let ranks = (self.slab.iter())
+            .filter(|(_, key, _)| moves(*key))
+            .map(|(rank, _, _)| rank)
             .collect();
         let records = self.retract(env, ranks);
         self.level = new_level;
@@ -1082,11 +1040,9 @@ impl DataBucket {
         // A record whose home this host's registry replica cannot name yet
         // stays put (still covered by parity) instead of being retracted
         // into nowhere.
-        let strays: Vec<Rank> = self
-            .records
-            .iter()
-            .filter(|(_, rec)| self.is_stray(rec.key))
-            .map(|(r, _)| *r)
+        let strays: Vec<Rank> = (self.slab.iter())
+            .filter(|(_, key, _)| self.is_stray(*key))
+            .map(|(rank, _, _)| rank)
             .collect();
         if strays.is_empty() {
             return;
@@ -1103,11 +1059,11 @@ impl DataBucket {
     /// present are duplicates from a retransmitted shipment and are skipped
     /// (absorbing them twice would double-count them in the parity).
     fn absorb_movers(&mut self, env: &mut Env<'_, Msg>, records: Vec<Record>, check_overflow: bool) {
-        let cell_len = self.shared.cfg.cell_len();
         let mut onward = Vec::new();
         let mut additions = Vec::new();
+        let mut refused = 0;
         for rec in records {
-            if self.by_key.contains_key(&rec.key) {
+            if self.slab.contains(rec.key) {
                 continue; // duplicated shipment
             }
             // An expel shipment addressed at the *sender's* level can carry
@@ -1120,11 +1076,15 @@ impl DataBucket {
                 onward.push(rec);
                 continue;
             }
-            let rank = self.alloc_rank();
-            let cell = encode_cell(&rec.payload, cell_len);
+            let Some((rank, cell)) = self.slab.insert(rec.key, &rec.payload) else {
+                refused += 1; // past the rank bound, or an oversized payload
+                continue;
+            };
+            let cell = cell.to_vec();
             additions.push(self.next_delta(rank, KeyOp::Add(rec.key), cell));
-            self.by_key.insert(rec.key, rank);
-            self.records.insert(rank, rec);
+        }
+        if refused > 0 {
+            env.obs().add("movers_refused", refused);
         }
         self.send_batch(env, additions);
         self.ship_home(env, onward);
@@ -1147,7 +1107,7 @@ impl DataBucket {
             self.send_shipped(env);
             return;
         }
-        let ranks = self.records.keys().copied().collect();
+        let ranks = self.slab.iter().map(|(rank, _, _)| rank).collect();
         let records = self.retract(env, ranks);
         // Every completion record follows the records (this bucket is
         // disappearing).
@@ -1166,19 +1126,17 @@ impl DataBucket {
     /// split, merge or expel — and retract them from this group's parity
     /// with one batch of `Remove` Δs (the paper's bulk transfer).
     fn retract(&mut self, env: &mut Env<'_, Msg>, ranks: Vec<Rank>) -> Vec<Record> {
-        let cell_len = self.shared.cfg.cell_len();
         let mut movers = Vec::with_capacity(ranks.len());
         let mut removals = Vec::with_capacity(ranks.len());
         for rank in ranks {
-            let Some(rec) = self.records.remove(&rank) else {
-                continue; // listed from this map by the caller
+            let Some((key, cell)) = self.slab.remove_at(rank) else {
+                continue; // listed from the slab by the caller
             };
-            self.by_key.remove(&rec.key);
-            self.free_ranks.push(Reverse(rank));
-            let cell = encode_cell(&rec.payload, cell_len);
-            removals.push(self.next_delta(rank, KeyOp::Remove(rec.key), cell));
-            movers.push(rec);
+            let payload = decode_cell(&cell).unwrap_or_default();
+            removals.push(self.next_delta(rank, KeyOp::Remove(key), cell));
+            movers.push(Record { key, payload });
         }
+        self.slab.shrink();
         self.send_batch(env, removals);
         movers
     }
@@ -1371,18 +1329,8 @@ impl DataBucket {
         }
     }
 
-    fn alloc_rank(&mut self) -> Rank {
-        if let Some(Reverse(r)) = self.free_ranks.pop() {
-            r
-        } else {
-            let r = self.next_rank;
-            self.next_rank += 1;
-            r
-        }
-    }
-
     fn maybe_report_overflow(&mut self, env: &mut Env<'_, Msg>) {
-        let len = self.records.len();
+        let len = self.slab.len();
         if len <= self.shared.cfg.bucket_capacity {
             return;
         }
@@ -1421,7 +1369,6 @@ impl DataBucket {
         if col != self.col() || !self.catching_up() {
             return; // stale suffix addressed to a previous tenant
         }
-        let cell_len = self.shared.cfg.cell_len();
         let mut applied = 0u64;
         let mut bytes = 0u64;
         for entry in entries {
@@ -1429,45 +1376,15 @@ impl DataBucket {
                 continue; // duplicate (another parity's copy) or stale
             }
             bytes += entry.delta_cell.len() as u64;
+            // The Δ of an Add is the full cell (old was zero).
             let entry_ok = match entry.key_op {
-                KeyOp::Add(key) => {
-                    // The Δ of an Add is the full cell (old was zero).
-                    match decode_cell(&entry.delta_cell) {
-                        None => false,
-                        Some(payload) => {
-                            self.by_key.insert(key, entry.rank);
-                            self.records.insert(entry.rank, Record { key, payload });
-                            self.next_rank = self.next_rank.max(entry.rank.saturating_add(1));
-                            self.delta_seq = entry.seq + 1;
-                            self.log_set(env, entry.rank, key);
-                            true
-                        }
-                    }
-                }
-                KeyOp::Remove(key) => {
-                    self.records.remove(&entry.rank);
-                    self.by_key.remove(&key);
-                    self.delta_seq = entry.seq + 1;
-                    self.log_del(env, entry.rank, key);
+                KeyOp::Add(key) => decode_cell(&entry.delta_cell)
+                    .is_some_and(|payload| self.slab.place(entry.rank, key, &payload)),
+                KeyOp::Remove(_) => {
+                    let _ = self.slab.remove_at(entry.rank);
                     true
                 }
-                KeyOp::Keep => match self.records.get_mut(&entry.rank) {
-                    None => false,
-                    Some(rec) => {
-                        let old_cell = encode_cell(&rec.payload, cell_len);
-                        let new_cell = cell_delta(&old_cell, &entry.delta_cell);
-                        match decode_cell(&new_cell) {
-                            None => false,
-                            Some(payload) => {
-                                let key = rec.key;
-                                rec.payload = payload;
-                                self.delta_seq = entry.seq + 1;
-                                self.log_set(env, entry.rank, key);
-                                true
-                            }
-                        }
-                    }
-                },
+                KeyOp::Keep => self.slab.xor_at(entry.rank, &entry.delta_cell),
             };
             if !entry_ok {
                 // The entry at exactly the resume point cannot be applied
@@ -1478,6 +1395,16 @@ impl DataBucket {
                 // bucket up to the full RS rebuild instead.
                 self.abort_catchup(env);
                 return;
+            }
+            self.delta_seq = entry.seq + 1;
+            match entry.key_op {
+                KeyOp::Remove(key) => self.log_del(env, entry.rank, key),
+                KeyOp::Add(key) => self.log_set(env, entry.rank, key),
+                KeyOp::Keep => {
+                    if let Some(key) = self.slab.key_at(entry.rank) {
+                        self.log_set(env, entry.rank, key);
+                    }
+                }
             }
             applied += 1;
         }
@@ -1548,20 +1475,13 @@ impl DataBucket {
         for slot in self.parity_acked.iter_mut() {
             *slot = self.delta_seq;
         }
-        // Suffix entries may have re-filled ranks the snapshot had free.
-        self.free_ranks.clear();
-        for r in 0..self.next_rank {
-            if !self.records.contains_key(&r) {
-                self.free_ranks.push(Reverse(r));
-            }
-        }
         self.snapshot_obs(env);
         self.replay_held(env);
     }
 
     /// The insert counter (exposed for tests and recovery assertions).
     pub fn next_rank(&self) -> Rank {
-        self.next_rank
+        self.slab.next_rank()
     }
 
     /// The shared handle (used by the node dispatcher for retirement).
@@ -1612,10 +1532,18 @@ impl Owner for DataBucket {
 
     fn exhausted(&mut self, env: &mut Env<'_, Msg>, _: u64, row: Row) {
         match row {
-            // No progress for too long: a dead parity bucket is the
-            // recovery machinery's problem. An ack or a fresh Δ re-opens
-            // the window.
-            Row::Deltas => {}
+            // No progress for too long: report the group, whose check
+            // rebuilds a dead parity bucket (and finds a slow one alive).
+            // An ack or a fresh Δ re-opens the window.
+            Row::Deltas => {
+                let coord = self.shared.registry.borrow().coordinator();
+                env.send(
+                    coord,
+                    Msg::CheckGroup {
+                        group: self.group(),
+                    },
+                );
+            }
             // The coordinator never said `ResumeWrites` (lost frame, or it
             // died mid-recovery): serve writes again rather than wedge.
             Row::Freeze => {

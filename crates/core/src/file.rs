@@ -42,6 +42,13 @@ pub struct StorageReport {
     pub data_bytes: usize,
     /// Parity cell bytes in parity buckets.
     pub parity_bytes: usize,
+    /// Bytes the data buckets' record stores take, from their lengths:
+    /// cells, keys, ranks, rank maps and free ranks (key indexes not
+    /// counted).
+    pub data_store_bytes: usize,
+    /// Bytes the parity buckets' record stores take, from their lengths:
+    /// a cell and `m` key slots per rank (key indexes not counted).
+    pub parity_store_bytes: usize,
     /// Average data-bucket load factor (records / (buckets × capacity)).
     pub load_factor: f64,
     /// Parity storage overhead: parity buckets / data buckets (the paper's
@@ -220,12 +227,24 @@ impl LhrsFile {
             );
         }
         self.sim.run_until_idle();
-        self.sim
-            .actor_mut(client)
-            .as_client_mut()
-            .settle_optimistic();
-        let mut results = self.sim.actor_mut(client).as_client_mut().take_results();
-        // In op order, not reply order: the first failure is the lowest op's.
+        self.bulk_outcome(&[client], &ids, "bulk insert")
+    }
+
+    /// Settle the bulk inserts `ids` (op id, key) sent through `clients`
+    /// and count them. Fails with the lowest op's failure: results are
+    /// read in op order, not reply order.
+    fn bulk_outcome(
+        &mut self,
+        clients: &[NodeId],
+        ids: &[(u64, Key)],
+        what: &str,
+    ) -> Result<usize, Error> {
+        let mut results = Vec::new();
+        for &node in clients {
+            let client = self.sim.actor_mut(node).as_client_mut();
+            client.settle_optimistic();
+            results.extend(client.take_results());
+        }
         results.sort_unstable_by_key(|(op_id, _)| *op_id);
         let mut ok = 0;
         for (op_id, result) in results {
@@ -235,7 +254,7 @@ impl LhrsFile {
                     let key = ids.iter().find(|(i, _)| *i == op_id).map(|(_, k)| *k);
                     return Err(Error::DuplicateKey(key.unwrap_or_default()));
                 }
-                other => return Err(Error::Stuck(format!("bulk insert: {other:?}"))),
+                other => return Err(Error::Stuck(format!("{what}: {other:?}"))),
             }
         }
         Ok(ok)
@@ -254,12 +273,13 @@ impl LhrsFile {
         while self.clients.len() < n_clients {
             self.add_client();
         }
-        let mut count = 0usize;
+        let mut ids = Vec::new();
         for (i, (key, payload)) in items.into_iter().enumerate() {
             self.check_payload(&payload)?;
             let node = self.clients[i % n_clients];
             let op_id = self.next_op;
             self.next_op += 1;
+            ids.push((op_id, key));
             self.sim.send_external(
                 node,
                 Msg::Do {
@@ -267,23 +287,11 @@ impl LhrsFile {
                     op: ClientOp::Insert { key, payload },
                 },
             );
-            count += 1;
         }
         self.sim.run_until_idle();
-        let mut ok = 0usize;
-        for c in 0..n_clients {
-            let node = self.clients[c];
-            let client = self.sim.actor_mut(node).as_client_mut();
-            client.settle_optimistic();
-            for (_, result) in client.take_results() {
-                match result {
-                    OpResult::Inserted => ok += 1,
-                    OpResult::DuplicateKey => return Err(Error::DuplicateKey(0)),
-                    other => return Err(Error::Stuck(format!("parallel load: {other:?}"))),
-                }
-            }
-        }
-        debug_assert_eq!(ok, count);
+        let clients = self.clients[..n_clients].to_vec();
+        let ok = self.bulk_outcome(&clients, &ids, "parallel load")?;
+        debug_assert_eq!(ok, ids.len());
         Ok(ok)
     }
 
@@ -429,6 +437,7 @@ impl LhrsFile {
         let m_buckets = reg.data_count();
         let mut data_records = 0;
         let mut data_bytes = 0;
+        let mut data_store_bytes = 0;
         for b in 0..m_buckets as u64 {
             let node = reg.data_node(b);
             if self.sim.is_crashed(node) {
@@ -437,10 +446,12 @@ impl LhrsFile {
             let d = self.sim.actor(node).as_data();
             data_records += d.len();
             data_bytes += d.payload_bytes();
+            data_store_bytes += d.store_bytes();
         }
         let mut parity_buckets = 0;
         let mut parity_records = 0;
         let mut parity_bytes = 0;
+        let mut parity_store_bytes = 0;
         for g in 0..reg.group_count() as u64 {
             for node in reg.parity_nodes(g) {
                 parity_buckets += 1;
@@ -450,6 +461,7 @@ impl LhrsFile {
                 let p = self.sim.actor(*node).as_parity();
                 parity_records += p.len();
                 parity_bytes += p.parity_bytes();
+                parity_store_bytes += p.store_bytes();
             }
         }
         StorageReport {
@@ -459,6 +471,8 @@ impl LhrsFile {
             parity_records,
             data_bytes,
             parity_bytes,
+            data_store_bytes,
+            parity_store_bytes,
             load_factor: data_records as f64
                 / (m_buckets as f64 * self.shared.cfg.bucket_capacity as f64),
             storage_overhead: parity_buckets as f64 / m_buckets as f64,
@@ -796,7 +810,7 @@ impl LhrsFile {
                     ));
                 }
                 let mut seen = 0usize;
-                for (rank, rec) in pb.iter() {
+                for (rank, keys, cell) in pb.iter() {
                     seen += 1;
                     let Some(row) = members.get(&rank) else {
                         return Err(format!(
@@ -806,10 +820,10 @@ impl LhrsFile {
                     // Keys must match exactly.
                     for (c, slot) in row.iter().enumerate() {
                         let expect = slot.as_ref().map(|(k, _)| *k);
-                        if rec.keys[c] != expect {
+                        if keys[c] != expect {
                             return Err(format!(
                                 "group {g} parity {q} rank {rank} col {c}: keys {:?} != {:?}",
-                                rec.keys[c], expect
+                                keys[c], expect
                             ));
                         }
                     }
@@ -823,7 +837,7 @@ impl LhrsFile {
                         .collect();
                     let refs: Vec<&[u8]> = cells.iter().map(|c| c.as_slice()).collect();
                     let expect = code.encode(&refs).map_err(|e| e.to_string())?;
-                    if rec.cell != expect[q] {
+                    if cell != expect[q] {
                         return Err(format!(
                             "group {g} parity {q} rank {rank}: parity cell mismatch"
                         ));

@@ -50,6 +50,7 @@
 //! | `client` | client actor: image (A1/A3), retries, timeout-based failure reporting, scans |
 //! | [`availability`] | closed-form file availability `P(M; m, k, p)` for the F2 curves |
 //! | `record` | payload cells: `[len | bytes | zero-pad]` fixed-size coding cells |
+//! | `slab` | bucket storage: each bucket's cells back to back in one slab, and the rank bound |
 //! | `msg` | the wire protocol and per-kind accounting labels |
 
 #![forbid(unsafe_code)]
@@ -92,6 +93,8 @@ audited! {
     pub mod parity_bucket;
     #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
     pub mod registry;
+    #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+    pub(crate) mod slab;
     pub mod storage;
     #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
     pub mod wire;

@@ -135,6 +135,9 @@ impl Node {
                 content,
                 token,
             } => {
+                // Content no bucket can hold (a rank past the rank bound,
+                // say) is refused: the node stays blank and sends no ack.
+                let refused = |env: &mut Env<'_, Msg>| env.obs().incr("installs_refused");
                 let node = match content {
                     ShardContent::Data {
                         level,
@@ -142,14 +145,17 @@ impl Node {
                         delta_seq,
                         records,
                     } => {
-                        let mut d = DataBucket::from_content(
+                        let Some(mut d) = DataBucket::from_content(
                             shared.clone(),
                             bucket.expect("data install carries a bucket number"),
                             level,
                             next_rank,
                             delta_seq,
                             records,
-                        );
+                        ) else {
+                            refused(env);
+                            return None;
+                        };
                         Node::attach_data_store(shared, env.me(), &mut d);
                         // The predecessor may have died with a split's
                         // partition unexecuted: records the reconstruction
@@ -159,15 +165,17 @@ impl Node {
                         Node::Data(d)
                     }
                     ShardContent::Parity { records, col_seqs } => {
-                        let p = ParityBucket::from_content(
+                        let Some(p) = ParityBucket::from_content(
                             shared.clone(),
                             group,
                             index.expect("parity install carries an index"),
                             k,
                             records,
                             col_seqs,
-                        )
-                        .ok()?;
+                        ) else {
+                            refused(env);
+                            return None;
+                        };
                         Node::Parity(p)
                     }
                 };
@@ -264,6 +272,53 @@ impl Actor<Msg> for Node {
             Node::Coordinator(c) => c.round(env, timer),
             Node::Data(d) => d.round(env, timer),
             _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Config;
+    use crate::registry::Shared;
+
+    /// An install whose ranks lie past the rank bound leaves the node
+    /// blank, unacknowledged and counted, and allocates nothing for it: a
+    /// slot map or parity slab sized by rank 2^40 would abort the process.
+    #[test]
+    fn an_install_past_the_rank_bound_is_refused() {
+        let shared = Shared::new(Config::default());
+        let (m, cell_len) = (shared.cfg.group_size, shared.cfg.cell_len());
+        let data = ShardContent::Data {
+            level: 0,
+            next_rank: 1 << 40,
+            delta_seq: 0,
+            records: Vec::new(),
+        };
+        let parity = ShardContent::Parity {
+            records: vec![(1 << 40, vec![Some(1); m], vec![0; cell_len])],
+            col_seqs: vec![0; m],
+        };
+        for (bucket, index, content) in [(Some(0), None, data), (None, Some(0), parity)] {
+            let mut node = Node::Blank {
+                shared: shared.clone(),
+                pending: Vec::new(),
+            };
+            let (mut next_timer, mut effects) = (0, Vec::new());
+            let obs = lhrs_obs::Metrics::new(lhrs_obs::Clock::logical());
+            let mut env = Env::external(NodeId(9), 0, &mut next_timer, &mut effects, &obs);
+            let install = Msg::Install {
+                group: 0,
+                bucket,
+                index,
+                k: 1,
+                content,
+                token: 1,
+            };
+            node.on_message(&mut env, NodeId(0), install);
+            assert!(node.is_blank());
+            assert_eq!(obs.counter("installs_refused"), 1);
+            assert!(effects.is_empty(), "no InstallAck");
         }
     }
 }

@@ -1,15 +1,15 @@
 //! The parity-bucket server: Reed–Solomon parity records, Δ-commits, and
 //! shard transfer for recovery.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use lhrs_gf::Gf8;
 use lhrs_rs::{RsCode, RsError};
 use lhrs_sim::{Env, NodeId};
 
 use crate::msg::{DeltaEntry, KeyOp, Msg, ShardContent};
-use crate::record::cell_is_zero;
 use crate::registry::SharedHandle;
+use crate::slab::ParitySlab;
 use crate::{Key, Rank};
 
 /// Backstop on the per-column Δ history a parity bucket keeps to serve
@@ -20,16 +20,6 @@ use crate::{Key, Rank};
 /// never count as durable). A restart whose gap exceeds it falls back to
 /// a full RS rebuild.
 pub const DELTA_HISTORY_CAP: usize = 4096;
-
-/// One parity record: the member keys of the record group (by column) and
-/// the accumulated parity cell for this bucket's parity column.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParityRecord {
-    /// Member keys by column; `None` = no member in that bucket.
-    pub keys: Vec<Option<Key>>,
-    /// The parity coding cell `Σ_c Γ[c][q] · cell_c`.
-    pub cell: Vec<u8>,
-}
 
 /// One data column's Δ-stream state: the next sequence number this bucket
 /// will apply, plus a buffer holding Δs the network delivered early.
@@ -58,15 +48,16 @@ pub struct ParityBucket {
     /// prefix-stable in `k`, so a later `k` increase does not invalidate it.
     pub k: usize,
     code: RsCode<Gf8>,
-    records: BTreeMap<Rank, ParityRecord>,
+    /// One parity record per rank: the member keys of the record group
+    /// (by column) and the parity cell `Σ_c Γ[c][q] · cell_c` for this
+    /// bucket's column. Its key index is the "secondary index internal
+    /// to each parity bucket" of §4.1, turning degraded-mode
+    /// record location from a bucket scan into a hash probe. Key size is
+    /// negligible next to the record size, so the overhead is
+    /// inconsequential (as the paper argues).
+    slab: ParitySlab,
     /// Per data column: Δ-stream admission state.
     channels: Vec<ColChannel>,
-    /// Key → rank index — the "secondary index internal to each parity
-    /// bucket" of §4.1, turning degraded-mode record location from a
-    /// bucket scan into a hash probe. Key size is negligible next to the
-    /// record size, so the overhead is inconsequential (as the paper
-    /// argues).
-    key_index: HashMap<Key, Rank>,
     /// Per data column: the applied Δs a restart of the column's store can
     /// still ask for — those at or above the durable watermark its Δs
     /// carry, none when they carry `None` — kept to serve Δ-suffix
@@ -82,22 +73,25 @@ impl ParityBucket {
     pub fn new(shared: SharedHandle, group: u64, index: usize, k: usize) -> Result<Self, RsError> {
         let m = shared.cfg.group_size;
         let code = RsCode::new(m, k.max(index.saturating_add(1)))?;
+        let slab = ParitySlab::new(shared.cfg.cell_len(), m);
         Ok(ParityBucket {
             shared,
             group,
             index,
             k,
             code,
-            records: BTreeMap::new(),
+            slab,
             channels: vec![ColChannel::default(); m],
-            key_index: HashMap::new(),
             history: vec![VecDeque::new(); m],
         })
     }
 
     /// Restore from recovered content. `col_seqs` resumes each column's
     /// Δ stream where the snapshot left it (a retransmitted Δ the snapshot
-    /// already contains is then recognised as a duplicate).
+    /// already contains is then recognised as a duplicate). `None` when
+    /// GF(2^8) has no column `index` (see [`Self::new`]), or for content
+    /// no bucket can hold: a rank past the rank bound (module `slab`), a
+    /// repeated rank, or keys or a cell of the wrong length.
     pub fn from_content(
         shared: SharedHandle,
         group: u64,
@@ -105,38 +99,42 @@ impl ParityBucket {
         k: usize,
         records: Vec<(Rank, Vec<Option<Key>>, Vec<u8>)>,
         col_seqs: Vec<u64>,
-    ) -> Result<Self, RsError> {
-        let mut p = ParityBucket::new(shared, group, index, k)?;
+    ) -> Option<Self> {
+        let mut p = ParityBucket::new(shared, group, index, k).ok()?;
         for (chan, seq) in p.channels.iter_mut().zip(col_seqs) {
             chan.next_seq = seq;
         }
-        for (rank, keys, cell) in records {
-            for key in keys.iter().flatten() {
-                p.key_index.insert(*key, rank);
-            }
-            p.records.insert(rank, ParityRecord { keys, cell });
-        }
-        Ok(p)
+        let m = p.shared.cfg.group_size;
+        p.slab = ParitySlab::restore(p.shared.cfg.cell_len(), m, records)?;
+        Some(p)
     }
 
     /// Number of parity records held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.slab.len()
     }
 
     /// Whether the bucket holds no parity records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.slab.len() == 0
     }
 
-    /// Iterate over `(rank, record)`.
-    pub fn iter(&self) -> impl Iterator<Item = (Rank, &ParityRecord)> {
-        self.records.iter().map(|(r, rec)| (*r, rec))
+    /// Iterate over `(rank, member keys by column, parity cell)` in rank
+    /// order; a `None` key is a column with no member at that rank.
+    pub fn iter(&self) -> impl Iterator<Item = (Rank, Vec<Option<Key>>, &[u8])> {
+        self.slab.iter()
     }
 
     /// Parity payload bytes held (cells only).
     pub fn parity_bytes(&self) -> usize {
-        self.records.values().map(|r| r.cell.len()).sum()
+        self.slab.parity_bytes()
+    }
+
+    /// Bytes the parity store takes, from its lengths: a cell and `m` key
+    /// slots (a key and a flag) per rank, empty ranks inside the slab
+    /// included (not the key index).
+    pub fn store_bytes(&self) -> usize {
+        self.slab.store_bytes()
     }
 
     /// The shared handle (used by the node dispatcher for retirement).
@@ -147,10 +145,8 @@ impl ParityBucket {
     /// This bucket's full state as shipped in recovery transfers.
     fn content(&self) -> ShardContent {
         ShardContent::Parity {
-            records: self
-                .records
-                .iter()
-                .map(|(r, rec)| (*r, rec.keys.clone(), rec.cell.clone()))
+            records: (self.slab.iter())
+                .map(|(rank, keys, cell)| (rank, keys, cell.to_vec()))
                 .collect(),
             col_seqs: self.channels.iter().map(|c| c.next_seq).collect(),
         }
@@ -204,7 +200,10 @@ impl ParityBucket {
     /// Admit and apply one sender's Δs (a `ParityDelta` is a batch of
     /// one), then ack each column that moved. A Δ from a fenced sender or
     /// for a column outside the group (`col` is off the wire) is dropped
-    /// and counted, and its watermark moves nothing.
+    /// and counted, and its watermark moves nothing. A Δ no valid stream
+    /// sends, whose rank lies past the slab's end (`rank` is off the wire;
+    /// see [`crate::slab`]), is dropped and counted when its turn comes,
+    /// before it can size an allocation.
     ///
     /// The history keeps an applied Δ only while a restart of its column's
     /// store can still ask for it: its only reader is [`Msg::SuffixPull`],
@@ -224,6 +223,7 @@ impl ParityBucket {
         let mut cols = std::collections::BTreeSet::new();
         let (mut applied, mut dropped) = (0u64, 0u64);
         let (mut remembered, mut forgotten) = (0u64, 0u64);
+        let mut removed_keys = false;
         for entry in entries {
             let col = entry.col;
             let admitted = if self.sender_owns_column(from, col) {
@@ -238,13 +238,20 @@ impl ParityBucket {
             };
             cols.insert(col);
             for ready in ready {
-                self.apply(&ready);
-                applied += 1;
+                if self.apply(&ready) {
+                    removed_keys |= matches!(ready.key_op, KeyOp::Remove(_));
+                    applied += 1;
+                } else {
+                    dropped += 1;
+                }
                 if durable.is_some_and(|w| ready.seq >= w) {
                     forgotten += self.remember(ready);
                     remembered += 1;
                 }
             }
+        }
+        if removed_keys {
+            self.slab.shrink();
         }
         env.obs().add("deltas_applied", applied);
         if dropped > 0 {
@@ -288,14 +295,9 @@ impl ParityBucket {
                 self.on_deltas(env, from, entries, durable, ack_to);
             }
             Msg::FindRecord { key, token } => {
-                // O(1) via the internal key index (§4.1); the index and the
-                // key lists are maintained together, which the debug
-                // assertion cross-checks.
-                let found = self.key_index.get(&key).and_then(|rank| {
-                    let rec = self.records.get(rank)?;
-                    debug_assert!(rec.keys.contains(&Some(key)), "index out of sync");
-                    Some((*rank, rec.keys.clone()))
-                });
+                // O(1) via the internal key index (§4.1), whose entries
+                // point at the key slots themselves.
+                let found = self.slab.find(key);
                 env.send(from, Msg::FindRecordReply { token, found });
             }
             Msg::TransferShard { token } => {
@@ -360,12 +362,8 @@ impl ParityBucket {
                 );
             }
             Msg::ReadCell { rank, token } => {
-                let cell_len = self.shared.cfg.cell_len();
-                let cell = self
-                    .records
-                    .get(&rank)
-                    .map(|rec| rec.cell.clone())
-                    .unwrap_or_else(|| vec![0u8; cell_len]);
+                let cell = (self.slab.cell_at(rank).map(<[u8]>::to_vec))
+                    .unwrap_or_else(|| vec![0u8; self.shared.cfg.cell_len()]);
                 let m = self.shared.cfg.group_size;
                 env.send(
                     from,
@@ -465,42 +463,13 @@ impl ParityBucket {
     }
 
     /// Fold one Δ into the parity record at `entry.rank`:
-    /// `cell ^= Γ[col][index] · Δ`, plus the key-list effect.
-    fn apply(&mut self, entry: &DeltaEntry) {
-        let m = self.shared.cfg.group_size;
-        let cell_len = self.shared.cfg.cell_len();
-        let rec = self
-            .records
-            .entry(entry.rank)
-            .or_insert_with(|| ParityRecord {
-                keys: vec![None; m],
-                cell: vec![0u8; cell_len],
-            });
-        // `admit` releases only columns below m, the length of `keys`.
-        if let Some(slot) = rec.keys.get_mut(entry.col) {
-            match entry.key_op {
-                KeyOp::Add(key) => {
-                    debug_assert!(slot.is_none(), "column already occupied");
-                    *slot = Some(key);
-                    self.key_index.insert(key, entry.rank);
-                }
-                KeyOp::Remove(key) => {
-                    debug_assert_eq!(*slot, Some(key), "removing wrong member");
-                    *slot = None;
-                    self.key_index.remove(&key);
-                }
-                KeyOp::Keep => {
-                    debug_assert!(slot.is_some(), "update of absent member");
-                }
-            }
-            self.code
-                .apply_delta(entry.col, self.index, &entry.delta_cell, &mut rec.cell);
-        }
-        // Garbage-collect empty record groups.
-        if rec.keys.iter().all(Option::is_none) {
-            debug_assert!(cell_is_zero(&rec.cell), "ghost parity after last removal");
-            self.records.remove(&entry.rank);
-        }
+    /// `cell ^= Γ[col][index] · Δ`, plus the key-list effect. `false` for
+    /// a Δ no valid stream sends: one that lands past the slab's end (see
+    /// `ParitySlab::apply`).
+    fn apply(&mut self, entry: &DeltaEntry) -> bool {
+        let (code, col, index) = (&self.code, entry.col, self.index);
+        let fold = |cell: &mut [u8]| code.apply_delta(col, index, &entry.delta_cell, cell);
+        self.slab.apply(entry.rank, col, entry.key_op, fold)
     }
 }
 
@@ -701,6 +670,29 @@ mod tests {
         assert_eq!(kept(&p), vec![0, 1, 2, 3]);
         assert_eq!(p.channels[0].next_seq, 4);
         assert_eq!(pull(&mut p, 0), (vec![0, 1, 2, 3], true));
+    }
+
+    /// A Δ for a rank past the rank bound is dropped and counted before it
+    /// can size the slab; its column's stream moves past it.
+    #[test]
+    fn a_delta_past_the_rank_bound_is_refused() {
+        let mut p = bucket();
+        let (mut next_timer, mut effects) = (0, Vec::new());
+        let obs = lhrs_obs::Metrics::new(lhrs_obs::Clock::logical());
+        let mut env = Env::external(NodeId(9), 0, &mut next_timer, &mut effects, &obs);
+        let mut entry = delta(0, 0, 10, p.shared.cfg.cell_len());
+        entry.rank = 1 << 40;
+        let msg = Msg::ParityDelta {
+            group: 0,
+            entry,
+            durable: None,
+            ack_to: None,
+        };
+        p.on_message(&mut env, NodeId(1), msg);
+        assert_eq!(obs.counter("deltas_dropped"), 1);
+        assert_eq!(obs.counter("deltas_applied"), 0);
+        assert_eq!(p.channels[0].next_seq, 1);
+        assert_eq!((p.len(), p.store_bytes()), (0, 0));
     }
 
     /// A retained window that ends short of `next_seq` must not be served as

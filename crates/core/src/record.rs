@@ -57,22 +57,6 @@ pub fn decode_cell(cell: &[u8]) -> Option<Vec<u8>> {
     Some(cell[4..4 + len].to_vec())
 }
 
-/// Whether a cell is all zeroes — the encoding of "no record at this rank".
-pub fn cell_is_zero(cell: &[u8]) -> bool {
-    cell.iter().all(|&b| b == 0)
-}
-
-/// `a ⊕ b` for two cells (the Δ of an update, or of an insert/delete
-/// against the implicit zero cell). Routed through the GF kernel so the
-/// Δ-path exercises the same (vectorised, prefix-degrading) XOR the parity
-/// encode path uses; mismatched lengths degrade to the common prefix.
-pub fn cell_delta(a: &[u8], b: &[u8]) -> Vec<u8> {
-    debug_assert_eq!(a.len(), b.len());
-    let mut out = a.get(..a.len().min(b.len())).unwrap_or(a).to_vec();
-    lhrs_gf::add_slice(b, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +78,7 @@ mod tests {
         // record" is done by the key lists in parity records, never by cell
         // content; this test documents that deliberately.
         let cell = encode_cell(&[], 8);
-        assert!(cell_is_zero(&cell));
+        assert!(cell.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -110,19 +94,5 @@ mod tests {
         let mut bad = vec![0u8; 8];
         bad[0] = 100;
         assert_eq!(decode_cell(&bad), None);
-    }
-
-    #[test]
-    fn delta_is_xor() {
-        let a = encode_cell(b"abc", 10);
-        let b = encode_cell(b"xy", 10);
-        let d = cell_delta(&a, &b);
-        let mut expect = a.clone();
-        for (e, y) in expect.iter_mut().zip(&b) {
-            *e ^= y;
-        }
-        assert_eq!(d, expect);
-        // Applying the delta to `a` yields `b`.
-        assert_eq!(cell_delta(&a, &d), b);
     }
 }

@@ -24,7 +24,7 @@ use lhrs_sim::NodeId;
 use crate::data_bucket::DataBucket;
 use crate::msg::{DeltaEntry, ShardContent};
 use crate::node::Node;
-use crate::record::Record;
+use crate::slab::DataSlab;
 use crate::registry::SharedHandle;
 use crate::wire::{self, wire_enum, Reader, Wire};
 use crate::{Key, Rank};
@@ -249,28 +249,21 @@ impl Snapshot {
     /// `Snapshot::Data` for this bucket state, encoded straight from its
     /// records instead of from a [`ShardContent::Data`] that would first
     /// copy every payload.
-    pub(crate) fn encode_data(
-        bucket: u64,
-        level: u8,
-        next_rank: Rank,
-        delta_seq: u64,
-        records: &BTreeMap<Rank, Record>,
-    ) -> Vec<u8> {
-        let payload_bytes: usize = records.values().map(|r| r.payload.len()).sum();
+    pub(crate) fn encode_data(bucket: u64, level: u8, delta_seq: u64, slab: &DataSlab) -> Vec<u8> {
         // A record adds its rank, key and length varints to its payload.
-        let mut out = Vec::with_capacity(payload_bytes + 12 * records.len() + 32);
+        let mut out = Vec::with_capacity(slab.payload_bytes() + 12 * slab.len() + 32);
         out.push(SNAP_VERSION);
         out.push(0); // Snapshot::Data
         bucket.put(&mut out);
         out.push(0); // ShardContent::Data
         level.put(&mut out);
-        next_rank.put(&mut out);
+        slab.next_rank().put(&mut out);
         delta_seq.put(&mut out);
-        wire::put_varint(&mut out, records.len() as u64);
-        for (rank, record) in records {
+        wire::put_varint(&mut out, slab.len() as u64);
+        for (rank, key, payload) in slab.iter() {
             rank.put(&mut out);
-            record.key.put(&mut out);
-            wire::put_bytes(&mut out, &record.payload);
+            key.put(&mut out);
+            wire::put_bytes(&mut out, payload);
         }
         out
     }
@@ -376,7 +369,8 @@ pub fn recover(
         .map(|(rank, (key, payload))| (rank, key, payload))
         .collect();
     let mut d =
-        DataBucket::from_content(shared.clone(), bucket, level, next_rank, delta_seq, records);
+        DataBucket::from_content(shared.clone(), bucket, level, next_rank, delta_seq, records)
+            .ok_or_else(|| StoreError::Corrupt("no bucket can hold the stored records".into()))?;
     d.mark_restarted();
     d.attach_store_at(store, snapshot_seq);
     d.snapshot_now();
@@ -628,23 +622,20 @@ mod tests {
 
     #[test]
     fn data_snapshot_bytes_are_those_of_its_shard_content() {
-        let mut records = BTreeMap::new();
-        for (rank, key, len) in [(0u64, 7u64, 0usize), (1, 300, 5), (4, u64::MAX, 200)] {
-            let payload = (0..len).map(|i| i as u8).collect();
-            records.insert(rank, Record { key, payload });
-        }
-        for records in [BTreeMap::new(), records] {
+        let records: Vec<(Rank, Key, Vec<u8>)> = [(0u64, 7u64, 0usize), (1, 300, 5), (4, u64::MAX, 200)]
+            .into_iter()
+            .map(|(rank, key, len)| (rank, key, (0..len).map(|i| i as u8).collect()))
+            .collect();
+        for records in [Vec::new(), records] {
+            let slab = DataSlab::restore(204, 5, records.clone()).unwrap();
             let content = ShardContent::Data {
                 level: 3,
                 next_rank: 5,
                 delta_seq: 129,
-                records: records
-                    .iter()
-                    .map(|(r, rec)| (*r, rec.key, rec.payload.clone()))
-                    .collect(),
+                records,
             };
             assert_eq!(
-                Snapshot::encode_data(260, 3, 5, 129, &records),
+                Snapshot::encode_data(260, 3, 129, &slab),
                 Snapshot::Data {
                     bucket: 260,
                     content

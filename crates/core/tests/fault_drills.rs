@@ -596,3 +596,36 @@ fn timed_partition_heals_without_acked_loss() {
     }
     file.verify_integrity().unwrap();
 }
+
+/// A dead parity bucket is found by the data bucket whose Δs it stops
+/// acking: the Δ window's give-up reports the group, and the group's check
+/// rebuilds the parity. A later failure of a data bucket in that group is
+/// then the group's only one, within k = 1, and loses no acked key.
+#[test]
+fn a_dead_parity_bucket_is_rebuilt_before_the_next_failure() {
+    let mut file = LhrsFile::new(Config {
+        group_size: 2,
+        initial_k: 1,
+        ..chaos_cfg()
+    })
+    .unwrap();
+    file.crash_parity_bucket(0, 0);
+    for key in 0..50u64 {
+        file.insert(key, payload(key, 0)).unwrap();
+    }
+    file.crash_data_bucket(0);
+    for key in 0..50u64 {
+        assert_eq!(
+            file.lookup(key),
+            Ok(Some(payload(key, 0))),
+            "acked key {key}"
+        );
+    }
+    file.verify_integrity().unwrap();
+    let found =
+        |e: &Event| matches!(e, Event::FailureDetected { group: 0, shards } if shards == &[2]);
+    assert!(
+        file.events().iter().any(|e| found(&e.event)),
+        "the silent parity was reported and found dead"
+    );
+}

@@ -2,7 +2,7 @@
 //! traffic, and convergence — the "clients are autonomous and can be
 //! mobile" side of the SDDS contract.
 
-use lhrs_core::{Config, FilterSpec, LhrsFile};
+use lhrs_core::{Config, Error, FilterSpec, LhrsFile};
 use lhrs_sim::LatencyModel;
 
 fn cfg() -> Config {
@@ -113,10 +113,34 @@ fn parallel_load_stores_everything_exactly_once() {
             vec![(k % 251) as u8; 16]
         );
     }
-    // Duplicates across clients are surfaced.
-    assert!(file
-        .parallel_load(4, [(lhrs_lh::scramble(3), vec![1u8])])
-        .is_err());
+    // Duplicates across clients are surfaced, as the lowest op's key.
+    assert_eq!(
+        file.parallel_load(4, [(lhrs_lh::scramble(3), vec![1u8])]),
+        Err(Error::DuplicateKey(lhrs_lh::scramble(3)))
+    );
+}
+
+/// A load whose duplicates land on several clients reports the key of the
+/// lowest op among them, whichever reply came first.
+#[test]
+fn parallel_load_reports_the_lowest_ops_duplicate() {
+    let mut file = LhrsFile::new(cfg()).unwrap();
+    let old = |k: u64| lhrs_lh::scramble(k);
+    file.parallel_load(2, (0..100u64).map(|k| (old(k), vec![1u8; 8])))
+        .unwrap();
+    // Ops 1 and 3 (clients 1 and 0) are duplicates; op 1's key is reported.
+    let items = [
+        (old(1_000), vec![2u8]),
+        (old(42), vec![2u8]),
+        (old(1_001), vec![2u8]),
+        (old(7), vec![2u8]),
+    ];
+    assert_eq!(
+        file.parallel_load(3, items),
+        Err(Error::DuplicateKey(old(42)))
+    );
+    assert_eq!(file.lookup(old(1_000)).unwrap(), Some(vec![2u8]));
+    assert_eq!(file.lookup(old(42)).unwrap(), Some(vec![1u8; 8]));
 }
 
 #[test]

@@ -12,15 +12,17 @@
 //!   silent peers, counted in `msgs_sent{kind}` (plus whatever the rest of
 //!   the scenario sends of that kind, which each row states).
 //!
-//! The group check is the coordinator's one liveness question, and a
-//! client's `Suspect` opens it. Two rows pin its schedule from the
-//! suspicion on: a dead bucket is detected exactly `coord_retries + 1`
-//! probe periods after the `Suspect` lands, and a bucket that is slow but
-//! answers the check's last round is a false alarm that rebuilds nothing.
+//! The group check is the coordinator's one liveness question. A
+//! client's `Suspect` opens it, and so does a data bucket's Δ window when
+//! it gives up on a silent parity bucket. Three rows pin its schedule from
+//! the suspicion on: a dead bucket is detected exactly `coord_retries + 1`
+//! probe periods after the `Suspect` lands, a dead parity bucket as long
+//! after the window's give-up, and a bucket that is slow but answers the
+//! check's last round is a false alarm that rebuilds nothing.
 //!
 //! A data bucket keeps four rows of its own (DESIGN.md §2.4): the Δ
 //! window re-sends unacknowledged Δs for `DELTA_RETRY_LIMIT` rounds
-//! without progress, while the write freeze, the restart catch-up and a
+//! without progress and then reports the group, while the write freeze, the restart catch-up and a
 //! split target's load are watchdogs that re-send nothing and conclude on
 //! their first expiry. The second table pins the first three rows'
 //! re-sends and give-up outcome the same way; the load row needs a key
@@ -199,6 +201,38 @@ fn suspect_slow(kind: &'static str) -> Sent {
         // Every probe to another shard is answered at once; the slow
         // bucket answers only its last round.
         others: sent(&file, "probe-ack") - acks - 1,
+    }
+}
+
+/// A parity bucket is dead, and the data bucket whose Δs it stops acking
+/// reports the group when its Δ window gives up. The check that report
+/// opens is the whole detection: the verdict lands `coord_retries + 1`
+/// probe periods after the give-up, and the parity is rebuilt.
+fn parity_suspect(kind: &'static str) -> Sent {
+    let (mut file, keys) = grown(1, 4);
+    let c = file.config().clone();
+    file.crash_parity_bucket(0, 0);
+    let window = (u64::from(DELTA_RETRY_LIMIT) + 1) * c.delta_retransmit_us;
+    let gives_up = file.now_us() + window;
+    let (before, reports, ev) = (sent(&file, kind), sent(&file, "check-group"), cursor(&file));
+    file.insert(keys, payload(keys)).unwrap();
+    assert_eq!(sent(&file, "check-group") - reports, 1, "one report");
+    let detected_at: Vec<u64> = file
+        .events()
+        .into_iter()
+        .filter(|e| e.seq >= ev && matches!(e.event, Event::FailureDetected { .. }))
+        .map(|e| e.at_us)
+        .collect();
+    assert_eq!(
+        detected_at,
+        vec![gives_up + ROUNDS * c.probe_timeout_us],
+        "one detection budget after the give-up"
+    );
+    assert_eq!(file.metrics().counter("recoveries_completed"), 1);
+    file.verify_integrity().unwrap();
+    Sent {
+        total: sent(&file, kind) - before,
+        others: 4, // the answering data buckets, first round
     }
 }
 
@@ -491,9 +525,10 @@ fn suffix(kind: &'static str) -> Sent {
 #[test]
 fn every_exchange_gives_up_after_coord_retries_plus_one_rounds() {
     // (exchange, `msgs_sent` kind of its request, drill)
-    let rows: [(&str, &'static str, Drill); 11] = [
+    let rows: [(&str, &'static str, Drill); 12] = [
         ("suspected bucket dead", "probe", suspect_dead),
         ("suspected bucket slow but alive", "probe", suspect_slow),
+        ("Δ window suspects its parity", "probe", parity_suspect),
         ("group check", "probe", check),
         ("repair", "transfer-req", repair),
         ("upgrade", "transfer-req", upgrade),
@@ -520,8 +555,10 @@ fn every_exchange_gives_up_after_coord_retries_plus_one_rounds() {
 
 /// The Δ window: a parity bucket that never acks is sent the window's
 /// pending Δs once per `delta_retransmit_us` until `DELTA_RETRY_LIMIT`
-/// rounds pass without watermark progress, then the row concludes. The
-/// next write re-opens it, which repairs the parity once the peer is back.
+/// rounds pass without watermark progress, then the row concludes and
+/// reports the group to the coordinator. Here the peer is back by then, so
+/// the check finds it alive one probe period later and rebuilds nothing.
+/// The next write re-opens the window, which repairs the parity.
 fn delta_window(kind: &'static str) -> Sent {
     let mut file = LhrsFile::new(cfg(1)).unwrap();
     file.insert(0, payload(0)).unwrap();
@@ -531,14 +568,26 @@ fn delta_window(kind: &'static str) -> Sent {
     let rounds = u64::from(DELTA_RETRY_LIMIT) + 1;
     blackhole(&mut file, vec![node], t0, rounds * c.delta_retransmit_us);
     let before = sent(&file, kind) + sent(&file, "parity-delta");
+    let (reports, ev) = (sent(&file, "check-group"), cursor(&file));
     // The write's `ParityDelta` is the first round; it is lost, and so is
-    // every re-send. The run settles only once the row has concluded.
+    // every re-send. The run settles once the row has concluded and the
+    // group check its give-up opened has had its one probe period.
     file.insert(1, payload(1)).unwrap();
     let total = sent(&file, kind) + sent(&file, "parity-delta") - before;
     assert_eq!(
+        sent(&file, "check-group") - reports,
+        1,
+        "the give-up reports"
+    );
+    assert_eq!(
         file.now_us(),
-        t0 + rounds * c.delta_retransmit_us,
-        "silence after the last no-progress round"
+        t0 + rounds * c.delta_retransmit_us + c.probe_timeout_us,
+        "silence after the last no-progress round and the check"
+    );
+    assert_eq!(
+        events_since(&file, ev),
+        vec![],
+        "the parity answers the check"
     );
     assert!(file.verify_integrity().is_err(), "parity missed a Δ");
     // A fresh Δ re-opens the row: its first round re-sends the lost Δ
