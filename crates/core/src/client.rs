@@ -144,6 +144,17 @@ impl Client {
         self.results.extend(settled);
     }
 
+    /// Conclude op `op_id` without an answer, for a caller that gives up
+    /// on it: its row or its unacked entry goes, so the floor moves past
+    /// it, and a reply that still arrives is dropped like any reply for a
+    /// concluded op. The row's armed timer then finds no row and is
+    /// stale.
+    pub fn abandon(&mut self, op_id: OpId) {
+        self.exchanges.forget(op_id);
+        self.unacked.remove(&op_id);
+        self.results.retain(|(id, _)| *id != op_id);
+    }
+
     /// Main message handler.
     pub fn on_message(&mut self, env: &mut Env<'_, Msg>, _from: NodeId, msg: Msg) {
         match msg {

@@ -39,9 +39,6 @@ pub(crate) enum Kind {
         new_level: u8,
         /// Δ-stream resume point passed in the target's InitData.
         seq0: u64,
-        /// InitParity orders for a group this split created, re-sent
-        /// alongside (they carry no ack of their own).
-        init_parity: Vec<(NodeId, Msg)>,
     },
     /// An ordered merge awaiting `MergeDone`.
     Merge {
@@ -505,10 +502,10 @@ impl Coordinator {
         let target_group = plan.target / m;
 
         // Provision parity for a group touched for the first time. The
-        // InitParity orders are remembered on the split exchange so a lost
-        // one is re-sent with the split orders (Blank nodes buffer traffic
-        // until initialised, so a late init is harmless).
-        let mut init_parity: Vec<(NodeId, Msg)> = Vec::new();
+        // InitParity orders go out once, with the split's: a lost one
+        // leaves a blank node that acks no Δ, so the group's first data
+        // bucket reports it (its Δ window's give-up), and the group check
+        // rebuilds the shard on a spare.
         if self.group_k.len() as u64 <= target_group {
             debug_assert_eq!(self.group_k.len() as u64, target_group);
             let k = self.k_file;
@@ -526,7 +523,7 @@ impl Coordinator {
                     index: q,
                     k,
                 };
-                init_parity.push((n, msg));
+                env.send(n, msg);
                 nodes.push(n);
             }
             if !self
@@ -584,7 +581,6 @@ impl Coordinator {
                 target: plan.target,
                 new_level: plan.new_level,
                 seq0,
-                init_parity,
             },
         );
         env.obs().incr("splits_started");
@@ -1664,27 +1660,24 @@ impl Coordinator {
                 target,
                 new_level,
                 seq0,
-                init_parity,
-            } => {
-                let mut sends = init_parity.clone();
-                sends.push((
+            } => vec![
+                (
                     reg.data_node(*target),
                     Msg::InitData {
                         bucket: *target,
                         level: *new_level,
                         delta_seq: *seq0,
                     },
-                ));
-                sends.push((
+                ),
+                (
                     reg.data_node(*source),
                     Msg::DoSplit {
                         source: *source,
                         target: *target,
                         new_level: *new_level,
                     },
-                ));
-                sends
-            }
+                ),
+            ],
             Kind::Merge {
                 source,
                 target,

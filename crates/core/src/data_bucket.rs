@@ -129,6 +129,10 @@ pub struct DataBucket {
     /// Watermark minimum at the last progress check, taken when the Δ
     /// window opens.
     last_min_acked: u64,
+    /// The Δ window gave up since its last progress or fresh Δ: a second
+    /// give-up in a row reports again but re-opens nothing, so a parity
+    /// that no check can rebuild is not re-sent to for ever.
+    deltas_reported: bool,
     /// The retried work in flight: the Δ window and the two watchdogs.
     exchanges: Exchanges<Row>,
     /// Per client, the writes it may still retry and their results, so a
@@ -191,6 +195,7 @@ impl DataBucket {
             unacked: BTreeMap::new(),
             parity_acked: Vec::new(),
             last_min_acked: 0,
+            deltas_reported: false,
             exchanges: Exchanges::new(),
             completions: BTreeMap::new(),
             shipped: None,
@@ -785,6 +790,7 @@ impl DataBucket {
         if min > self.last_min_acked {
             self.exchanges.reset_rounds(Row::Deltas as u64);
             self.last_min_acked = min;
+            self.deltas_reported = false;
         }
         if self.unacked.is_empty() {
             let _ = self.exchanges.settle(env, Row::Deltas as u64);
@@ -1307,6 +1313,7 @@ impl DataBucket {
             }
             if !self.exchanges.is_open(Row::Deltas as u64) {
                 self.last_min_acked = self.min_acked();
+                self.deltas_reported = false;
                 self.open(env, Row::Deltas);
             }
         }
@@ -1533,8 +1540,10 @@ impl Owner for DataBucket {
     fn exhausted(&mut self, env: &mut Env<'_, Msg>, _: u64, row: Row) {
         match row {
             // No progress for too long: report the group, whose check
-            // rebuilds a dead parity bucket (and finds a slow one alive).
-            // An ack or a fresh Δ re-opens the window.
+            // rebuilds a dead parity bucket (and finds a slow one alive),
+            // and start one new budget, which reaches a parity that was
+            // only slow or its rebuilt successor. An ack or a fresh Δ
+            // re-opens the window after a second give-up.
             Row::Deltas => {
                 let coord = self.shared.registry.borrow().coordinator();
                 env.send(
@@ -1543,6 +1552,9 @@ impl Owner for DataBucket {
                         group: self.group(),
                     },
                 );
+                if !std::mem::replace(&mut self.deltas_reported, true) {
+                    self.reopen_deltas(env);
+                }
             }
             // The coordinator never said `ResumeWrites` (lost frame, or it
             // died mid-recovery): serve writes again rather than wedge.

@@ -94,6 +94,14 @@ impl<K: Schedule> Exchanges<K> {
         Some(row.kind)
     }
 
+    /// Drop row `token`, leaving its timer armed: when it fires it finds
+    /// no row and is stale ([`Owner::round`]).
+    pub(crate) fn forget(&mut self, token: u64) {
+        if let Ok(i) = self.index(token) {
+            self.rows.remove(i);
+        }
+    }
+
     /// The lowest open token.
     pub(crate) fn front(&self) -> Option<u64> {
         self.rows.front().map(|r| r.token)

@@ -7,6 +7,8 @@
 //! message, failure, and recovery underneath is fully simulated and
 //! accounted.
 
+use std::collections::BTreeMap;
+
 use lhrs_gf::Gf8;
 use lhrs_obs::{Event, Metrics, Snapshot, TimedEvent};
 use lhrs_rs::RsCode;
@@ -230,34 +232,35 @@ impl LhrsFile {
         self.bulk_outcome(&[client], &ids, "bulk insert")
     }
 
-    /// Settle the bulk inserts `ids` (op id, key) sent through `clients`
-    /// and count them. Fails with the lowest op's failure: results are
-    /// read in op order, not reply order.
+    /// Settle the bulk inserts `ids` (op id, key, in op order) sent
+    /// through `clients` and count them. Every op must have exactly one
+    /// answer. Fails with the lowest op's failure: answers are read in op
+    /// order, not reply order.
     fn bulk_outcome(
         &mut self,
         clients: &[NodeId],
         ids: &[(u64, Key)],
         what: &str,
     ) -> Result<usize, Error> {
-        let mut results = Vec::new();
+        let mut answers = BTreeMap::new();
         for &node in clients {
             let client = self.sim.actor_mut(node).as_client_mut();
             client.settle_optimistic();
-            results.extend(client.take_results());
-        }
-        results.sort_unstable_by_key(|(op_id, _)| *op_id);
-        let mut ok = 0;
-        for (op_id, result) in results {
-            match result {
-                OpResult::Inserted => ok += 1,
-                OpResult::DuplicateKey => {
-                    let key = ids.iter().find(|(i, _)| *i == op_id).map(|(_, k)| *k);
-                    return Err(Error::DuplicateKey(key.unwrap_or_default()));
+            for (op_id, result) in client.take_results() {
+                if answers.insert(op_id, result).is_some() {
+                    return Err(Error::Stuck(format!("op {op_id} got two answers")));
                 }
-                other => return Err(Error::Stuck(format!("{what}: {other:?}"))),
             }
         }
-        Ok(ok)
+        for &(op_id, key) in ids {
+            match answers.remove(&op_id) {
+                Some(OpResult::Inserted) => {}
+                Some(OpResult::DuplicateKey) => return Err(Error::DuplicateKey(key)),
+                Some(other) => return Err(Error::Stuck(format!("{what}: {other:?}"))),
+                None => return Err(Error::Stuck(format!("op {op_id} got no answer"))),
+            }
+        }
+        Ok(ids.len())
     }
 
     /// Pipelined bulk insert spread round-robin across `n_clients` clients
@@ -290,9 +293,7 @@ impl LhrsFile {
         }
         self.sim.run_until_idle();
         let clients = self.clients[..n_clients].to_vec();
-        let ok = self.bulk_outcome(&clients, &ids, "parallel load")?;
-        debug_assert_eq!(ok, ids.len());
-        Ok(ok)
+        self.bulk_outcome(&clients, &ids, "parallel load")
     }
 
     /// Insert/lookup via an explicit client id (any [`ClientOp`]).

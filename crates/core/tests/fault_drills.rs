@@ -629,3 +629,85 @@ fn a_dead_parity_bucket_is_rebuilt_before_the_next_failure() {
         "the silent parity was reported and found dead"
     );
 }
+
+/// A lost `InitParity` heals like a dead parity bucket: the new group's
+/// parity node stays blank, so the Δ window of the group's first data
+/// bucket gives up, and the check it opens finds the shard dead and
+/// rebuilds it on a spare. The split sends its init orders once.
+#[test]
+fn a_lost_parity_init_is_rebuilt_by_the_group_check() {
+    let cfg = Config {
+        group_size: 2,
+        initial_k: 1,
+        ..chaos_cfg()
+    };
+    // Insert keys from `next` on until the file has `buckets` buckets.
+    let grow = |file: &mut LhrsFile, next: &mut u64, buckets: u64| {
+        while file.bucket_count() < buckets {
+            file.insert(*next, payload(*next, 0)).unwrap();
+            *next += 1;
+        }
+    };
+    // The run is deterministic: a first pass names the node that becomes
+    // group 1's parity.
+    let victim = {
+        let mut file = LhrsFile::new(cfg.clone()).unwrap();
+        grow(&mut file, &mut 0, 3);
+        file.parity_node_id(1, 0)
+    };
+
+    let mut file = LhrsFile::new(cfg).unwrap();
+    let mut next = 0;
+    grow(&mut file, &mut next, 2);
+    let now = file.now_us();
+    let partition = Partition::new(vec![victim], now, now + 200_000);
+    file.set_fault_plan(FaultPlan::new(1).partition(partition));
+    grow(&mut file, &mut next, 3);
+    for _ in 0..60 {
+        file.insert(next, payload(next, 0)).unwrap();
+        next += 1;
+    }
+    assert!(file.metrics().counter("partition_dropped") > 0);
+    file.clear_fault_plan();
+
+    for key in 0..next {
+        assert_eq!(
+            file.lookup(key),
+            Ok(Some(payload(key, 0))),
+            "acked key {key}"
+        );
+    }
+    file.verify_integrity().unwrap();
+    let found =
+        |e: &Event| matches!(e, Event::FailureDetected { group: 1, shards } if shards == &[2]);
+    assert!(
+        file.events().iter().any(|e| found(&e.event)),
+        "the blank parity was found dead"
+    );
+    assert_ne!(file.parity_node_id(1, 0), victim, "rebuilt on a spare");
+}
+
+/// A Δ window whose parity no check can rebuild (its group has lost more
+/// than k shards) gives up, reports, tries one new budget, reports again
+/// and goes silent: the run settles instead of re-sending for ever.
+#[test]
+fn a_window_whose_parity_cannot_be_rebuilt_goes_silent() {
+    let mut file = LhrsFile::new(Config {
+        group_size: 2,
+        initial_k: 1,
+        ..chaos_cfg()
+    })
+    .unwrap();
+    let mut key = 0;
+    while file.bucket_count() < 2 {
+        file.insert(key, payload(key, 0)).unwrap();
+        key += 1;
+    }
+    file.crash_parity_bucket(0, 0);
+    file.crash_data_bucket(1);
+    let key = (key..).find(|&k| file.address_of(k) == 0).unwrap();
+    let reports = file.stats().count("check-group");
+    file.insert(key, payload(key, 0)).unwrap();
+    assert_eq!(file.stats().count("check-group") - reports, 2);
+    assert_eq!(file.lookup(key), Ok(Some(payload(key, 0))));
+}

@@ -23,7 +23,7 @@ use std::process::exit;
 use std::sync::mpsc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use lhrs_core::api::OpOutcome;
+use lhrs_core::api::{KvClient, OpOutcome};
 use lhrs_core::msg::ClientOp;
 use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, Role};
@@ -33,10 +33,10 @@ use lhrs_net::host::NodeHost;
 use lhrs_net::transport::TcpTransport;
 use lhrs_sim::NodeId;
 
-/// Generous per-operation deadline: the first operation after a bucket
-/// failure rides through suspect-escalation, probing, and a full shard
-/// recovery before its retry succeeds.
-const OP_TIMEOUT: Duration = Duration::from_secs(30);
+/// Deadline for the raw `stats` exchange: reads, writes and the wait for
+/// the `StatsReply`. Key operations need none: the client actor concludes
+/// each one itself.
+const STATS_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Deadline for the raw `stats` TCP connect: an unreachable node must fail
 /// the command quickly, not leave it blocked in the kernel's connect queue.
@@ -114,8 +114,8 @@ fn main() {
                     CONNECT_TIMEOUT.as_secs()
                 ))
             });
-        let _ = stream.set_read_timeout(Some(OP_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(OP_TIMEOUT));
+        let _ = stream.set_read_timeout(Some(STATS_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(STATS_TIMEOUT));
         write_frame(
             &mut stream,
             FrameType::StatsPull,
@@ -129,7 +129,7 @@ fn main() {
         // would never fire against a peer that keeps streaming other
         // frames (registry heartbeats, replies to older request ids) —
         // each read succeeds, the loop spins, and the command wedges.
-        let reply_deadline = std::time::Instant::now() + OP_TIMEOUT;
+        let reply_deadline = std::time::Instant::now() + STATS_TIMEOUT;
         loop {
             if std::time::Instant::now() >= reply_deadline {
                 fail("no StatsReply within the deadline (stale frames skipped)");
@@ -189,26 +189,28 @@ fn main() {
                 .get(2)
                 .map(|s| s.as_bytes().to_vec())
                 .unwrap_or_default();
-            match client.insert(key, value, OP_TIMEOUT) {
-                Some(true) => println!("inserted {key}"),
-                Some(false) => fail(&format!("duplicate key {key}")),
-                None => fail(&format!("insert {key} did not complete")),
+            match client.insert(key, value) {
+                OpOutcome::Done => println!("inserted {key}"),
+                OpOutcome::DuplicateKey => fail(&format!("duplicate key {key}")),
+                other => fail(&format!("insert {key} failed: {other:?}")),
             }
         }
         "lookup" => {
             let key = arg_n(1);
-            match client.lookup(key, OP_TIMEOUT) {
-                Some(Some(v)) => println!("found {key} = {}", String::from_utf8_lossy(&v)),
-                Some(None) => fail(&format!("key {key} not found")),
-                None => fail(&format!("lookup {key} did not complete")),
+            match client.lookup(key) {
+                OpOutcome::Value(Some(v)) => {
+                    println!("found {key} = {}", String::from_utf8_lossy(&v))
+                }
+                OpOutcome::Value(None) => fail(&format!("key {key} not found")),
+                other => fail(&format!("lookup {key} failed: {other:?}")),
             }
         }
         "delete" => {
             let key = arg_n(1);
-            match client.delete(key, OP_TIMEOUT) {
-                Some(true) => println!("deleted {key}"),
-                Some(false) => fail(&format!("key {key} not found")),
-                None => fail(&format!("delete {key} did not complete")),
+            match client.delete(key) {
+                OpOutcome::Done => println!("deleted {key}"),
+                OpOutcome::NotFound => fail(&format!("key {key} not found")),
+                other => fail(&format!("delete {key} failed: {other:?}")),
             }
         }
         "load" => {

@@ -151,6 +151,14 @@ impl ClusterSpec {
     /// structural invariants.
     pub fn validate(&self) -> Result<(), String> {
         self.cfg.validate().map_err(|e| e.to_string())?;
+        if !self.cfg.ack_writes {
+            return Err(
+                "ack_writes must be true: without acks a networked client never \
+                 hears that a write succeeded (only the simulator settles un-acked \
+                 writes, once its network is quiet)"
+                    .into(),
+            );
+        }
         for (i, n) in self.nodes.iter().enumerate() {
             if n.id as usize != i {
                 return Err(format!(
@@ -360,6 +368,15 @@ node 5 127.0.0.1:7005
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn writes_without_acks_are_refused() {
+        let spec = SPEC.replace("config ack_writes true\n", "");
+        let err = ClusterSpec::parse(&spec).expect_err("ack_writes defaults to false");
+        assert!(err.contains("ack_writes must be true"), "{err}");
+        let off = SPEC.replace("ack_writes true", "ack_writes false");
+        assert!(ClusterSpec::parse(&off).is_err());
     }
 
     #[test]

@@ -614,6 +614,7 @@ mod tests {
     const SPEC: &str = "\
 config group_size 2
 config initial_k 1
+config ack_writes true
 node 0 127.0.0.1:1 coordinator
 node 1 127.0.0.1:1 client
 node 2 127.0.0.1:1

@@ -17,6 +17,7 @@ use std::sync::mpsc::{self, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use lhrs_core::api::{KvClient, OpOutcome};
 use lhrs_core::Config;
 use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, NodeSpec, Role};
@@ -26,8 +27,6 @@ use lhrs_net::transport::{HostEvent, LoopbackNet, LoopbackTransport};
 use lhrs_obs::{parse_prometheus, Clock, Event, Metrics, RecoveryReport};
 
 const RECORDS: u64 = 80;
-const OP_TIMEOUT: Duration = Duration::from_secs(20);
-
 fn test_spec() -> ClusterSpec {
     let cfg = Config {
         group_size: 2,
@@ -136,13 +135,13 @@ fn verify_names_every_missing_key() {
     let (_net, servers, mut client) = start_cluster(&spec, &metrics);
     for key in 1..=40 {
         assert_eq!(
-            client.insert(key, demo::payload_for(key), OP_TIMEOUT),
-            Some(true),
+            client.insert(key, demo::payload_for(key)),
+            OpOutcome::Done,
             "insert {key} failed"
         );
     }
     for key in [7, 23] {
-        assert_eq!(client.delete(key, OP_TIMEOUT), Some(true), "delete {key}");
+        assert_eq!(client.delete(key), OpOutcome::Done, "delete {key}");
     }
 
     let report = demo::verify(&mut client, 1..41);
@@ -179,15 +178,15 @@ fn cluster_grows_and_recovers_over_loopback() {
     // Load through several splits; every write is acked.
     for key in 1..=RECORDS {
         assert_eq!(
-            client.insert(key, payload_for(key), OP_TIMEOUT),
-            Some(true),
+            client.insert(key, payload_for(key)),
+            OpOutcome::Done,
             "insert {key} failed"
         );
     }
     for key in 1..=RECORDS {
         assert_eq!(
-            client.lookup(key, OP_TIMEOUT),
-            Some(Some(payload_for(key))),
+            client.lookup(key),
+            OpOutcome::Value(Some(payload_for(key))),
             "lookup {key} after load"
         );
     }
@@ -220,8 +219,8 @@ fn cluster_grows_and_recovers_over_loopback() {
     // rebuilds bucket 0 from the surviving group members onto a spare.
     for key in 1..=RECORDS {
         assert_eq!(
-            client.lookup(key, OP_TIMEOUT),
-            Some(Some(payload_for(key))),
+            client.lookup(key),
+            OpOutcome::Value(Some(payload_for(key))),
             "lookup {key} through recovery"
         );
     }
@@ -233,12 +232,12 @@ fn cluster_grows_and_recovers_over_loopback() {
 
     // Writes still work after recovery.
     assert_eq!(
-        client.insert(RECORDS + 1, payload_for(RECORDS + 1), OP_TIMEOUT),
-        Some(true)
+        client.insert(RECORDS + 1, payload_for(RECORDS + 1)),
+        OpOutcome::Done
     );
     assert_eq!(
-        client.lookup(RECORDS + 1, OP_TIMEOUT),
-        Some(Some(payload_for(RECORDS + 1)))
+        client.lookup(RECORDS + 1),
+        OpOutcome::Value(Some(payload_for(RECORDS + 1)))
     );
 
     // The dead host's address is really gone from the table.

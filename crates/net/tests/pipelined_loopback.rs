@@ -4,10 +4,9 @@
 //!   batch ships its parity Δ-commits as one [`Msg::ParityBatch`] frame,
 //!   not one frame per op (deterministic: both hosts run on the test
 //!   thread, so batch boundaries are exact).
-//! * **Late-reply tombstones** — an operation abandoned by its deadline
-//!   never surfaces: the reply that eventually arrives is dropped and
-//!   counted (`inflight_stale_drops`), the pipelining bugfix
-//!   the multiplexed client depends on.
+//! * **Abandon** — an operation the caller gives up on is concluded in
+//!   the client actor at once: its late reply never surfaces, and the
+//!   client's next request carries a floor above it.
 //! * **Group commit** — under `FsyncPolicy::Batch` a poll batch of N
 //!   appends costs one fsync on the WAL's disk thread
 //!   (`wal_group_commits`), which covers all N (`wal_group_commit_ops`).
@@ -15,22 +14,20 @@
 //!   through splits, a bucket-host kill, and recovery with zero
 //!   acked-data loss and out-of-order completion.
 
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lhrs_core::api::OpOutcome;
-use lhrs_core::msg::ClientOp;
+use lhrs_core::msg::{ClientOp, Msg, OpResult};
 use lhrs_core::{Config, FsyncPolicy};
 use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, NodeSpec, Role};
 use lhrs_net::durable::wal_factory;
 use lhrs_net::host::NodeHost;
-use lhrs_net::transport::{HostEvent, LoopbackNet, LoopbackTransport};
+use lhrs_net::transport::{HostEvent, LoopbackNet, LoopbackTransport, Transport};
 use lhrs_obs::{Clock, Metrics};
 use lhrs_sim::NodeId;
-
-const OP_TIMEOUT: Duration = Duration::from_secs(20);
 
 fn payload_for(key: u64) -> Vec<u8> {
     format!("pipe-{key:06}").into_bytes()
@@ -139,48 +136,67 @@ fn delta_burst_coalesces_into_one_batch() {
     }
 }
 
-/// An operation abandoned by its deadline is tombstoned: the reply that
-/// arrives later is dropped and counted, never surfaced as the result of
-/// a newer request reusing the slot.
+/// The next request `rx` (node 2's inbox) delivers: its op id and floor.
+fn next_req(rx: &Receiver<HostEvent>) -> (u64, u64) {
+    loop {
+        let event = rx.recv_timeout(Duration::from_secs(5)).expect("a request");
+        if let HostEvent::Deliver {
+            msg: Msg::Req { op_id, floor, .. },
+            ..
+        } = event
+        {
+            return (op_id, floor);
+        }
+    }
+}
+
+/// `abandon` concludes the op in the client actor: the reply that arrives
+/// later never surfaces, and the floor moves past the op at once, so the
+/// client's next request no longer holds the bucket's completion records
+/// down to it.
 #[test]
-fn late_reply_for_abandoned_op_is_dropped_and_counted() {
+fn abandoned_op_concludes_at_once_and_frees_the_floor() {
     let spec = tiny_spec();
     let net = LoopbackNet::new();
     let metrics = Metrics::new(Clock::wall());
-
     let host_a = build_host(&spec, &net, &[1], &metrics);
-    // The data bucket's host exists and is routable, but the test does
-    // not poll it yet — the Req sits in its queue like a frame stuck
-    // behind a slow peer.
-    let mut host_b = build_host(&spec, &net, &[2], &metrics);
+    // Node 2 (bucket 0) is the test itself: it reads the client's
+    // requests and answers when it chooses.
+    let (bucket_tx, bucket_rx) = mpsc::channel();
+    net.register(&[2], bucket_tx);
+    let mut bucket = LoopbackTransport::new(net.clone(), &[2]);
     let mut client = NetClient::new(host_a, 1, 1);
 
-    let result = client.exec(
-        ClientOp::Insert {
-            key: 7,
-            payload: payload_for(7),
-        },
-        Duration::from_millis(80),
-    );
-    assert!(result.is_none(), "the unserved op must time out");
-    assert_eq!(metrics.counter_total("inflight_timeouts"), 1);
+    let insert = |key: u64| ClientOp::Insert {
+        key,
+        payload: payload_for(key),
+    };
+    let abandoned = client.submit(insert(7));
+    client.pump(Duration::from_millis(1));
+    assert_eq!(next_req(&bucket_rx), (abandoned, abandoned));
+    client.abandon(abandoned);
 
-    // Now the slow host catches up and replies to the abandoned request.
-    for _ in 0..4 {
-        host_b.poll(Duration::from_millis(1));
+    let next = client.submit(insert(8));
+    client.pump(Duration::from_millis(1));
+    let (op_id, floor) = next_req(&bucket_rx);
+    assert_eq!(op_id, next);
+    assert!(
+        floor > abandoned,
+        "the next request's floor {floor} still holds abandoned op {abandoned}"
+    );
+
+    // Both replies arrive, the abandoned op's late: only the live op's
+    // surfaces.
+    for op_id in [abandoned, next] {
+        let reply = Msg::Reply {
+            op_id,
+            result: OpResult::Inserted,
+            iam: None,
+        };
+        bucket.send_msg(NodeId(2), NodeId(1), &reply);
     }
     client.pump(Duration::from_millis(5));
-    assert_eq!(
-        metrics.counter_total("inflight_stale_drops"),
-        1,
-        "the late reply is dropped and counted"
-    );
-    assert_eq!(
-        metrics.counter_total("inflight_completed"),
-        0,
-        "a dropped late reply never counts as a completion"
-    );
-    assert_eq!(metrics.counter_total("inflight_launched"), 1);
+    assert_eq!(client.take_completed(), vec![(next, OpResult::Inserted)]);
 }
 
 /// Under `FsyncPolicy::Batch`, one poll batch of appends is one fsync on
@@ -357,7 +373,6 @@ fn pipelined_window_survives_kill_with_zero_acked_loss() {
     host.set_metrics(metrics.clone());
     host.add_node(1, spec.build_node(&shared, 1));
     let mut client = NetClient::new(host, 1, 1);
-    client.set_op_timeout(OP_TIMEOUT);
     assert!(
         client.sync_registry(0, Duration::from_secs(10)),
         "client never received the allocation table"
@@ -393,15 +408,12 @@ fn pipelined_window_survives_kill_with_zero_acked_loss() {
         );
     }
 
-    // The drill's accounting: every launch completed, no op hit its
-    // deadline, and the window (not the cluster) was the limiter at least
-    // once per wave.
+    // The drill's accounting: every launch completed, and the window (not
+    // the cluster) was the limiter at least once per wave.
     let launched = metrics.counter_total("inflight_launched");
     let completed = metrics.counter_total("inflight_completed");
     assert_eq!(launched, 2 * (WAVE1 + WAVE2), "two waves plus the verify");
     assert_eq!(completed, launched, "every pipelined op completed");
-    assert_eq!(metrics.counter_total("inflight_timeouts"), 0);
-    assert_eq!(metrics.counter_total("inflight_stale_drops"), 0);
     assert!(
         metrics.counter_total("window_full_stalls") > 0,
         "a {WINDOW}-wide window over {} ops must stall on window-full",

@@ -22,6 +22,7 @@ use std::sync::mpsc::{self, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use lhrs_core::api::{KvClient, OpOutcome};
 use lhrs_core::msg::Msg;
 use lhrs_core::node::Node;
 use lhrs_core::{Config, FsyncPolicy};
@@ -35,7 +36,6 @@ use lhrs_net::transport::{HostEvent, LoopbackNet, LoopbackTransport};
 use lhrs_obs::{Clock, Metrics, RestartReport};
 
 const RECORDS: u64 = 80;
-const OP_TIMEOUT: Duration = Duration::from_secs(20);
 const VICTIM: u32 = 2; // the node hosting bucket 0 in the initial layout
 
 fn test_spec() -> ClusterSpec {
@@ -259,8 +259,8 @@ fn run_arm(
     let mut oracle: Vec<u64> = Vec::new();
     for key in 1..=RECORDS {
         assert_eq!(
-            client.insert(key, payload_for(key), OP_TIMEOUT),
-            Some(true),
+            client.insert(key, payload_for(key)),
+            OpOutcome::Done,
             "insert {key} failed"
         );
         oracle.push(key);
@@ -280,8 +280,8 @@ fn run_arm(
         );
         next_key += 1;
         assert_eq!(
-            client.insert(next_key, payload_for(next_key), OP_TIMEOUT),
-            Some(true),
+            client.insert(next_key, payload_for(next_key)),
+            OpOutcome::Done,
             "growth insert {next_key} failed"
         );
         oracle.push(next_key);
@@ -318,8 +318,8 @@ fn run_arm(
                 "bucket 0 never logged past a snapshot"
             );
             assert_eq!(
-                client.insert(next_key, payload_for(next_key), OP_TIMEOUT),
-                Some(true),
+                client.insert(next_key, payload_for(next_key)),
+                OpOutcome::Done,
                 "extra insert {next_key} failed"
             );
             oracle.push(next_key);
@@ -347,8 +347,8 @@ fn run_arm(
     // this arm forces — Δ-suffix catch-up or full RS rebuild.
     for &key in &oracle {
         assert_eq!(
-            client.lookup(key, OP_TIMEOUT),
-            Some(Some(payload_for(key))),
+            client.lookup(key),
+            OpOutcome::Value(Some(payload_for(key))),
             "[{name}] lookup {key} through recovery"
         );
     }
@@ -477,10 +477,7 @@ fn batch_fsync_keeps_the_history_at_the_flush_lag() {
     while client.bucket_count() < 4 || client.group_count() < 2 {
         keys += 1;
         assert!(keys < 500, "file should have split");
-        assert_eq!(
-            client.insert(keys, payload_for(keys), OP_TIMEOUT),
-            Some(true)
-        );
+        assert_eq!(client.insert(keys, payload_for(keys)), OpOutcome::Done);
         if keys.is_multiple_of(8) {
             client.host_mut().request_registry(1, 0);
             client.host_mut().poll(Duration::from_millis(20));
@@ -494,7 +491,7 @@ fn batch_fsync_keeps_the_history_at_the_flush_lag() {
     let value = |key: u64, n: u64| format!("w{n:05}-{key:04}").into_bytes();
     for n in 0..writes {
         let key = n % keys + 1;
-        assert_eq!(client.update(key, value(key, n), OP_TIMEOUT), Some(true));
+        assert_eq!(client.update(key, value(key, n)), OpOutcome::Done);
     }
     quiesce(&mut client, &metrics);
     let remembered = metrics.counter("deltas_remembered");
@@ -527,8 +524,8 @@ fn batch_fsync_keeps_the_history_at_the_flush_lag() {
     for key in 1..=keys {
         let want = last(key).map_or_else(|| payload_for(key), |n| value(key, n));
         assert_eq!(
-            client.lookup(key, OP_TIMEOUT),
-            Some(Some(want)),
+            client.lookup(key),
+            OpOutcome::Value(Some(want)),
             "key {key}"
         );
     }

@@ -216,6 +216,8 @@ fn parity_suspect(kind: &'static str) -> Sent {
     let gives_up = file.now_us() + window;
     let (before, reports, ev) = (sent(&file, kind), sent(&file, "check-group"), cursor(&file));
     file.insert(keys, payload(keys)).unwrap();
+    // One report: the new budget's re-sends reach the rebuilt parity,
+    // which acks the Δs below its cut as duplicates.
     assert_eq!(sent(&file, "check-group") - reports, 1, "one report");
     let detected_at: Vec<u64> = file
         .events()
@@ -555,10 +557,10 @@ fn every_exchange_gives_up_after_coord_retries_plus_one_rounds() {
 
 /// The Δ window: a parity bucket that never acks is sent the window's
 /// pending Δs once per `delta_retransmit_us` until `DELTA_RETRY_LIMIT`
-/// rounds pass without watermark progress, then the row concludes and
-/// reports the group to the coordinator. Here the peer is back by then, so
-/// the check finds it alive one probe period later and rebuilds nothing.
-/// The next write re-opens the window, which repairs the parity.
+/// rounds pass without watermark progress, then the row reports the group
+/// to the coordinator and starts a new budget. Here the peer is back by
+/// then, so the check finds it alive one probe period later and rebuilds
+/// nothing, and the new budget's first round repairs the parity.
 fn delta_window(kind: &'static str) -> Sent {
     let mut file = LhrsFile::new(cfg(1)).unwrap();
     file.insert(0, payload(0)).unwrap();
@@ -570,8 +572,10 @@ fn delta_window(kind: &'static str) -> Sent {
     let before = sent(&file, kind) + sent(&file, "parity-delta");
     let (reports, ev) = (sent(&file, "check-group"), cursor(&file));
     // The write's `ParityDelta` is the first round; it is lost, and so is
-    // every re-send. The run settles once the row has concluded and the
-    // group check its give-up opened has had its one probe period.
+    // every re-send. The new budget's first round, one period after the
+    // give-up (and after the check it opened has had its one probe
+    // period), is acked at once; the timer it re-armed, cancelled by the
+    // ack, is the run's last event.
     file.insert(1, payload(1)).unwrap();
     let total = sent(&file, kind) + sent(&file, "parity-delta") - before;
     assert_eq!(
@@ -581,24 +585,20 @@ fn delta_window(kind: &'static str) -> Sent {
     );
     assert_eq!(
         file.now_us(),
-        t0 + rounds * c.delta_retransmit_us + c.probe_timeout_us,
-        "silence after the last no-progress round and the check"
+        t0 + (rounds + 2) * c.delta_retransmit_us,
+        "the new budget's first round and its cancelled timer"
     );
     assert_eq!(
         events_since(&file, ev),
         vec![],
         "the parity answers the check"
     );
-    assert!(file.verify_integrity().is_err(), "parity missed a Δ");
-    // A fresh Δ re-opens the row: its first round re-sends the lost Δ
-    // along with the new one.
-    file.clear_fault_plan();
-    file.insert(2, payload(2)).unwrap();
     file.verify_integrity().unwrap();
-    for key in 0..3 {
+    for key in 0..2 {
         assert_eq!(file.lookup(key).unwrap(), Some(payload(key)));
     }
-    Sent { total, others: 0 }
+    // The new budget's first round is the one re-send past the row's.
+    Sent { total, others: 1 }
 }
 
 /// The write freeze: a survivor whose `ResumeWrites` is lost unfreezes on

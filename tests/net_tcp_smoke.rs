@@ -9,6 +9,7 @@ use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use lhrs_core::api::{KvClient, OpOutcome};
 use lhrs_core::Config;
 use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, NodeSpec, Role};
@@ -17,8 +18,6 @@ use lhrs_net::transport::{HostEvent, TcpTransport};
 use lhrs_obs::{Clock, Metrics};
 
 const RECORDS: u64 = 200;
-const OP_TIMEOUT: Duration = Duration::from_secs(30);
-
 /// Coordinator, client and twelve servers on fresh localhost ports (all
 /// reserved at once, then released for the transports to bind).
 fn spec() -> ClusterSpec {
@@ -104,15 +103,15 @@ fn a_file_grows_and_answers_over_tcp_then_shuts_down_clean() {
     );
     for key in 1..=RECORDS {
         assert_eq!(
-            client.insert(key, payload(key), OP_TIMEOUT),
-            Some(true),
+            client.insert(key, payload(key)),
+            OpOutcome::Done,
             "insert {key}"
         );
     }
     for key in 1..=RECORDS {
         assert_eq!(
-            client.lookup(key, OP_TIMEOUT),
-            Some(Some(payload(key))),
+            client.lookup(key),
+            OpOutcome::Value(Some(payload(key))),
             "lookup {key}"
         );
     }
